@@ -642,7 +642,7 @@ pub fn flip_workload(model: SocModel, config: &SoccarConfig) -> soccar_concolic:
         .iter()
         .map(soccar::property_of)
         .collect();
-    let mut engine = soccar_concolic::ConcolicEngine::new(&design, &bound, properties, concolic)
+    let engine = soccar_concolic::ConcolicEngine::new(&design, &bound, properties, concolic)
         .expect("benchmark SoCs always build an engine");
     engine
         .flip_workload()
@@ -860,7 +860,7 @@ pub fn custom_flip_workload(
     )
     .expect("bench designs always compose");
     let bound = soccar_cfg::bind_events(&design, &arcfg).expect("bench designs always bind");
-    let mut engine = soccar_concolic::ConcolicEngine::new(&design, &bound, Vec::new(), concolic)
+    let engine = soccar_concolic::ConcolicEngine::new(&design, &bound, Vec::new(), concolic)
         .expect("bench designs always build an engine");
     engine
         .flip_workload()

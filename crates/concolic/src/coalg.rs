@@ -1,4 +1,5 @@
-//! The concolic co-simulation algebra.
+//! The concolic co-simulation algebra, and the concrete coverage algebra
+//! the reset sweep runs on.
 //!
 //! [`CoValue`] pairs every simulation value with an optional symbolic term:
 //! the concrete half drives execution (branch decisions, memory indices,
@@ -14,12 +15,39 @@
 //! * every branch whose condition carries a term is reported through
 //!   [`soccar_sim::Algebra::on_branch`] and recorded as a
 //!   [`BranchObservation`] in chronological order.
+//!
+//! Sweep rounds plan no flips, so they need none of that shadow state:
+//! [`CoverageAlgebra`] computes the same concrete values and records only
+//! `(site, direction)` branch coverage. Both implement [`RoundAlgebra`],
+//! the interface the engine's single round driver is generic over.
+
+use std::collections::HashSet;
+use std::fmt;
 
 use soccar_rtl::ast::{BinaryOp, UnaryOp};
 use soccar_rtl::design::BranchSiteId;
 use soccar_rtl::value::LogicVec;
 use soccar_sim::algebra::{concrete_binary, concrete_mux, concrete_unary, Algebra};
+use soccar_sim::Simulator;
 use soccar_smt::{BvVal, TermGraph, TermId};
+
+use crate::property::PropertyMonitor;
+
+/// An algebra the engine's round driver can run a schedule on.
+pub trait RoundAlgebra: Algebra + Default {
+    /// The value of schedule slot `name` (e.g. `rst_0_3`) holding `value`.
+    /// The name is only formatted by algebras that use it.
+    fn input(&mut self, name: fmt::Arguments<'_>, value: LogicVec) -> Self::Value;
+
+    /// Branch coverage: every `(site, direction)` executed this run.
+    fn coverage(&self) -> &HashSet<(BranchSiteId, bool)>;
+
+    /// Records the monitors' symbolic proof obligations for the cycle just
+    /// checked. Only the co-algebra has any; the default records nothing.
+    fn record_obligations(sim: &mut Simulator<'_, Self>, monitors: &[PropertyMonitor]) {
+        let _ = (sim, monitors);
+    }
+}
 
 /// A concrete value with an optional symbolic shadow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +111,7 @@ pub struct CoAlgebra {
     pub graph: TermGraph,
     observations: Vec<BranchObservation>,
     checks: Vec<CheckObservation>,
-    coverage: std::collections::HashSet<(BranchSiteId, bool)>,
+    coverage: HashSet<(BranchSiteId, bool)>,
     step: u64,
 }
 
@@ -133,13 +161,6 @@ impl CoAlgebra {
             term,
             step: self.step,
         });
-    }
-
-    /// Branch coverage: every `(site, direction)` executed this run,
-    /// whether or not the condition was symbolic.
-    #[must_use]
-    pub fn coverage(&self) -> &std::collections::HashSet<(BranchSiteId, bool)> {
-        &self.coverage
     }
 
     /// Clears the branch log and coverage (between rounds). Terms persist —
@@ -369,6 +390,96 @@ impl Algebra for CoAlgebra {
 
     fn changed(old: &CoValue, new: &CoValue) -> bool {
         old.concrete != new.concrete || old.term != new.term
+    }
+}
+
+impl RoundAlgebra for CoAlgebra {
+    fn input(&mut self, name: fmt::Arguments<'_>, value: LogicVec) -> CoValue {
+        self.symbolic_input(&name.to_string(), value)
+    }
+
+    /// Every `(site, direction)` executed, whether or not the condition
+    /// was symbolic.
+    fn coverage(&self) -> &HashSet<(BranchSiteId, bool)> {
+        &self.coverage
+    }
+
+    /// Serial and in monitor order, so the observation log stays
+    /// deterministic.
+    fn record_obligations(sim: &mut Simulator<'_, CoAlgebra>, monitors: &[PropertyMonitor]) {
+        for mon in monitors {
+            if let Some(t) = mon.symbolic_obligation(sim) {
+                sim.algebra_mut().record_check(t);
+            }
+        }
+    }
+}
+
+/// The concrete coverage algebra: plain [`LogicVec`] values plus the
+/// `(site, direction)` branch-coverage set. No symbolic inputs, no terms,
+/// no obligations.
+///
+/// The one behavioral difference from [`CoAlgebra`] is in
+/// [`Algebra::changed`]: the co-algebra also wakes level-sensitive
+/// processes when only a term changed. Those re-evaluations see identical
+/// concrete values, so branch coverage, the set of processes that ran,
+/// and every property verdict are the same on both algebras.
+#[derive(Debug, Default)]
+pub struct CoverageAlgebra {
+    coverage: HashSet<(BranchSiteId, bool)>,
+}
+
+impl RoundAlgebra for CoverageAlgebra {
+    fn input(&mut self, _name: fmt::Arguments<'_>, value: LogicVec) -> LogicVec {
+        value
+    }
+
+    fn coverage(&self) -> &HashSet<(BranchSiteId, bool)> {
+        &self.coverage
+    }
+}
+
+impl Algebra for CoverageAlgebra {
+    type Value = LogicVec;
+
+    fn constant(&mut self, c: LogicVec) -> LogicVec {
+        c
+    }
+
+    fn concrete<'a>(&self, v: &'a LogicVec) -> &'a LogicVec {
+        v
+    }
+
+    fn unary(&mut self, op: UnaryOp, a: &LogicVec) -> LogicVec {
+        concrete_unary(op, a)
+    }
+
+    fn binary(&mut self, op: BinaryOp, a: &LogicVec, b: &LogicVec) -> LogicVec {
+        concrete_binary(op, a, b)
+    }
+
+    fn mux(&mut self, cond: &LogicVec, t: &LogicVec, e: &LogicVec) -> LogicVec {
+        concrete_mux(cond, t, e)
+    }
+
+    fn concat(&mut self, hi: &LogicVec, lo: &LogicVec) -> LogicVec {
+        hi.concat(lo)
+    }
+
+    fn slice(&mut self, a: &LogicVec, lo: u32, width: u32) -> LogicVec {
+        a.slice(lo, width)
+    }
+
+    fn resize(&mut self, a: &LogicVec, width: u32) -> LogicVec {
+        a.resize(width)
+    }
+
+    fn on_branch(&mut self, site: BranchSiteId, _cond: &LogicVec, taken: bool) {
+        self.coverage.insert((site, taken));
+    }
+
+    fn changed(old: &LogicVec, new: &LogicVec) -> bool {
+        old != new
     }
 }
 

@@ -22,6 +22,12 @@
 //!    every domain, exploring the reset-timing space the paper calls
 //!    "prohibitive" for plain dynamic validation — here it is tractable
 //!    because the AR_CFG restricts attention to reset-governed logic.
+//!    Sweep rounds plan no flips, so they run on the concrete
+//!    [`crate::coalg::CoverageAlgebra`] (branch coverage only, no terms).
+//!    Each round is a pure function of its `(domain, cycle, seed)`
+//!    schedule: a domain's rounds fan out over the worker pool and merge
+//!    serially in pulse order, so reports are identical for every job
+//!    count.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -32,10 +38,10 @@ use soccar_cfg::extract::EventArm;
 use soccar_exec::{FailurePolicy, FaultPlan, TaskOutcome};
 use soccar_rtl::design::{BranchSiteId, Design, NetId, ProcessId};
 use soccar_rtl::value::LogicVec;
-use soccar_sim::{InitPolicy, SimResult, Simulator};
+use soccar_sim::{Algebra, InitPolicy, SimResult, Simulator};
 use soccar_smt::{CheckResult, SolveBudget, Solver, Term, TermGraph, TermId};
 
-use crate::coalg::{from_bv, BranchObservation, CoAlgebra};
+use crate::coalg::{from_bv, BranchObservation, CoAlgebra, CoverageAlgebra, RoundAlgebra};
 use crate::property::{PropertyMonitor, SecurityProperty, Violation};
 use crate::schedule::TestSchedule;
 
@@ -65,11 +71,13 @@ pub struct ConcolicConfig {
     /// future-work extension to "other asynchronous events" (IRQs,
     /// AMS comparator outputs, sensor strobes). Pulsed active-high.
     pub async_events: Vec<String>,
-    /// Worker threads for the per-round fan-out of uncovered-event flip
-    /// solves (`0` = auto via [`soccar_exec::resolve_jobs`]). Every job
-    /// count produces bit-identical reports: candidates are solved
+    /// Worker threads for the engine's two fan-outs (`0` = auto via
+    /// [`soccar_exec::resolve_jobs`]): each round's uncovered-event flip
+    /// solves, and each domain's batch of reset-sweep rounds. Every job
+    /// count produces bit-identical reports: flip candidates are solved
     /// against independent clones of the round's term graph and consumed
-    /// in stable target order, never completion order.
+    /// in stable target order, and sweep rounds are merged in pulse
+    /// order, never completion order.
     pub jobs: usize,
     /// Resource budget for each flip solve. An exhausted budget yields
     /// [`CheckResult::Unknown`], which the engine records as a *skipped*
@@ -270,6 +278,10 @@ pub struct ConcolicReport {
     /// Utilization counters of the flip-solve worker pool (wall-clock
     /// measurements; excluded from canonical report serializations).
     pub flip_exec: soccar_exec::PoolStats,
+    /// Utilization counters of the reset-sweep worker pool, summed over
+    /// every domain's batch (wall-clock measurements; excluded from
+    /// canonical report serializations).
+    pub sweep_exec: soccar_exec::PoolStats,
 }
 
 impl ConcolicReport {
@@ -409,7 +421,11 @@ impl WarmBlastPool {
 #[derive(Debug)]
 pub struct ConcolicEngine<'d> {
     design: &'d Design,
-    properties: Vec<SecurityProperty>,
+    /// Property monitors, resolved once; each round re-arms a clone.
+    monitors: Vec<PropertyMonitor>,
+    /// Degradation reasons of properties whose monitor failed to resolve,
+    /// reported by every round that runs without them.
+    dropped_monitors: Vec<String>,
     config: ConcolicConfig,
     clocks: Vec<NetId>,
     plain_inputs: Vec<NetId>,
@@ -420,6 +436,7 @@ pub struct ConcolicEngine<'d> {
     unreachable: Vec<bool>,
     pulse_attempts: HashMap<usize, u64>,
     flip_stats: soccar_exec::PoolStats,
+    sweep_stats: soccar_exec::PoolStats,
     /// Global flip-candidate sequence number — assigned serially in
     /// Phase A order, so it is the deterministic index the fault plan
     /// keys on.
@@ -429,7 +446,6 @@ pub struct ConcolicEngine<'d> {
     degraded_rounds: usize,
     degraded_reasons: BTreeSet<String>,
     recorder: soccar_obs::Recorder,
-    domain_polarity: Vec<(String, bool)>,
     /// Domains owning at least one clock-composed implicit governor
     /// (Refined analysis only); these also get a high-phase sweep.
     clock_composed: Vec<bool>,
@@ -556,7 +572,16 @@ impl<'d> ConcolicEngine<'d> {
             }
         }
         let n = targets.len();
-        let domain_polarity = domains.iter().map(|(s, _, al)| (s.clone(), *al)).collect();
+        let domain_polarity: Vec<(String, bool)> =
+            domains.iter().map(|(s, _, al)| (s.clone(), *al)).collect();
+        let mut monitors = Vec::new();
+        let mut dropped_monitors = Vec::new();
+        for p in properties {
+            match PropertyMonitor::resolve(design, p, &domain_polarity) {
+                Ok(m) => monitors.push(m),
+                Err(e) => dropped_monitors.push(format!("property monitor dropped: {e}")),
+            }
+        }
         let mut clock_composed = vec![false; domains.len()];
         for ev in events {
             let composed = ev
@@ -572,7 +597,8 @@ impl<'d> ConcolicEngine<'d> {
         }
         Ok(ConcolicEngine {
             design,
-            properties,
+            monitors,
+            dropped_monitors,
             config,
             clocks,
             plain_inputs,
@@ -583,13 +609,13 @@ impl<'d> ConcolicEngine<'d> {
             unreachable: vec![false; n],
             pulse_attempts: HashMap::new(),
             flip_stats: soccar_exec::PoolStats::default(),
+            sweep_stats: soccar_exec::PoolStats::default(),
             flip_seq: 0,
             solver_unknown: 0,
             flips_failed: 0,
             degraded_rounds: 0,
             degraded_reasons: BTreeSet::new(),
             recorder: soccar_obs::Recorder::disabled(),
-            domain_polarity,
             clock_composed,
             warm_blast: None,
         })
@@ -656,8 +682,13 @@ impl<'d> ConcolicEngine<'d> {
             rounds += 1;
             let round_started = Instant::now();
             let mut round_span = soccar_obs::span!(self.recorder, "concolic.round", round = rounds);
-            let (mut sim, round_violations) = self.execute_round(&schedule)?;
-            self.absorb_coverage(&sim);
+            let RoundRun {
+                mut sim,
+                violations: round_violations,
+                degraded,
+            } = self.execute_round::<CoAlgebra>(&schedule)?;
+            self.degraded_reasons.extend(degraded);
+            self.absorb_hits(&self.target_hits(&sim));
             self.merge_violations(
                 rounds,
                 &schedule,
@@ -692,78 +723,39 @@ impl<'d> ConcolicEngine<'d> {
             }
         }
 
-        // Phase 2: systematic reset sweep (assert each domain at each
-        // cycle position; catches state-dependent payloads).
+        // Phases 2 and 3: the systematic reset sweep, one batch per domain
+        // and phase. A batch's rounds run on the worker pool and merge
+        // here in pulse order, exactly as if run one after another; the
+        // first simulator error in that order ends the run.
         if !self.config.skip_sweep {
-            for di in 0..self.domains.len() {
-                let sweep_rounds_before = rounds;
+            for batch in self.sweep_batches() {
                 let mut sweep_span = soccar_obs::span!(
                     self.recorder,
-                    "concolic.sweep",
-                    domain = self.domains[di].0.as_str()
+                    batch.phase,
+                    domain = self.domains[batch.domain].0.as_str()
                 );
-                let mut at = 1;
-                while at < self.config.cycles {
-                    let mut s = self.base_schedule();
-                    s.randomize(self.config.seed.wrapping_add(at));
-                    s.power_on_only();
-                    s.add_pulse(di, at, 1);
+                let (results, stats) =
+                    soccar_exec::parallel_map_stats(self.config.jobs, &batch.schedules, |s| {
+                        self.sweep_round(s)
+                    });
+                self.sweep_stats.absorb(&stats);
+                for (s, result) in batch.schedules.iter().zip(results) {
+                    let round = result?;
                     rounds += 1;
-                    let (sim, round_violations) = self.execute_round(&s)?;
-                    self.absorb_coverage(&sim);
+                    self.absorb_hits(&round.hits);
+                    self.degraded_reasons.extend(round.degraded);
                     self.merge_violations(
                         rounds,
-                        &s,
-                        round_violations,
+                        s,
+                        round.violations,
                         &mut violations,
                         &mut witnesses,
                     );
                     if first_violation_round.is_none() && !violations.is_empty() {
                         first_violation_round = Some(rounds);
                     }
-                    at += self.config.sweep_stride;
                 }
-                sweep_span.record("rounds", rounds - sweep_rounds_before);
-                drop(sweep_span);
-            }
-            // Phase 3: clock-high-phase sweep for domains that the
-            // Refined analysis flagged as having clock-composed implicit
-            // governors. The Explicit analysis never flags any, so this
-            // phase is empty there — which is precisely why the published
-            // tool misses the AutoSoC #2 SHA256 bug.
-            for di in 0..self.domains.len() {
-                if !self.clock_composed[di] {
-                    continue;
-                }
-                let sweep_rounds_before = rounds;
-                let mut sweep_span = soccar_obs::span!(
-                    self.recorder,
-                    "concolic.sweep_high",
-                    domain = self.domains[di].0.as_str()
-                );
-                let mut at = 1;
-                while at < self.config.cycles {
-                    let mut s = self.base_schedule();
-                    s.randomize(self.config.seed.wrapping_add(0x9E37 + at));
-                    s.power_on_only();
-                    s.add_high_phase_pulse(di, at);
-                    rounds += 1;
-                    let (sim, round_violations) = self.execute_round(&s)?;
-                    self.absorb_coverage(&sim);
-                    self.merge_violations(
-                        rounds,
-                        &s,
-                        round_violations,
-                        &mut violations,
-                        &mut witnesses,
-                    );
-                    if first_violation_round.is_none() && !violations.is_empty() {
-                        first_violation_round = Some(rounds);
-                    }
-                    at += self.config.sweep_stride;
-                }
-                sweep_span.record("rounds", rounds - sweep_rounds_before);
-                drop(sweep_span);
+                sweep_span.record("rounds", batch.schedules.len());
             }
         }
 
@@ -800,6 +792,7 @@ impl<'d> ConcolicEngine<'d> {
             degraded_reasons: self.degraded_reasons.iter().cloned().collect(),
             elapsed: start.elapsed(),
             flip_exec: self.flip_stats,
+            sweep_exec: self.sweep_stats,
         })
     }
 
@@ -826,26 +819,96 @@ impl<'d> ConcolicEngine<'d> {
         )
     }
 
-    /// One `Simulate(Input, Restricts)` call of Algorithm 3.
+    /// The reset-sweep schedules, one batch per domain and phase, in run
+    /// order: every domain's low-phase pulses (`concolic.sweep`), then a
+    /// high-phase batch (`concolic.sweep_high`) for each domain the
+    /// Refined analysis flagged as having clock-composed implicit
+    /// governors. The Explicit analysis never flags any, so the high
+    /// phase is empty there — which is precisely why the published tool
+    /// misses the AutoSoC #2 SHA256 bug.
     ///
-    /// Monitors that fail to resolve (or error mid-check) are dropped
-    /// into the run's degraded reasons instead of being silently ignored
-    /// or panicking: the analysis continues, visibly partial.
-    fn execute_round(
-        &mut self,
-        schedule: &TestSchedule,
-    ) -> SimResult<(Simulator<'d, CoAlgebra>, Vec<Violation>)> {
-        let mut sim = Simulator::with_algebra(self.design, CoAlgebra::new(), self.config.init);
-        let mut monitors: Vec<PropertyMonitor> = Vec::new();
-        for p in &self.properties {
-            match PropertyMonitor::resolve(self.design, p.clone(), &self.domain_polarity) {
-                Ok(m) => monitors.push(m),
-                Err(e) => {
-                    self.degraded_reasons
-                        .insert(format!("property monitor dropped: {e}"));
-                }
+    /// Each schedule pulses one domain at one cycle and is otherwise
+    /// randomized from `seed + cycle` (low phase) or `seed + 0x9E37 +
+    /// cycle` (high phase), so every round is a pure function of its
+    /// `(domain, cycle, seed)` key.
+    #[must_use]
+    pub fn sweep_batches(&self) -> Vec<SweepBatch> {
+        let stride = usize::try_from(self.config.sweep_stride.max(1)).unwrap_or(usize::MAX);
+        let batch = |domain: usize, high: bool| {
+            let schedules = (1..self.config.cycles)
+                .step_by(stride)
+                .map(|at| {
+                    let salt = if high { 0x9E37 } else { 0 };
+                    let mut s = self.base_schedule();
+                    s.randomize(self.config.seed.wrapping_add(salt + at));
+                    s.power_on_only();
+                    if high {
+                        s.add_high_phase_pulse(domain, at);
+                    } else {
+                        s.add_pulse(domain, at, 1);
+                    }
+                    s
+                })
+                .collect();
+            SweepBatch {
+                phase: if high {
+                    "concolic.sweep_high"
+                } else {
+                    "concolic.sweep"
+                },
+                domain,
+                schedules,
             }
+        };
+        let domains = 0..self.domains.len();
+        domains
+            .clone()
+            .map(|d| batch(d, false))
+            .chain(
+                domains
+                    .filter(|d| self.clock_composed[*d])
+                    .map(|d| batch(d, true)),
+            )
+            .collect()
+    }
+
+    /// One sweep round on the concrete coverage algebra, reduced to what
+    /// the serial merge needs.
+    fn sweep_round(&self, schedule: &TestSchedule) -> SimResult<SweepRound> {
+        let RoundRun {
+            sim,
+            violations,
+            degraded,
+        } = self.execute_round::<CoverageAlgebra>(schedule)?;
+        Ok(SweepRound {
+            hits: self.target_hits(&sim),
+            violations,
+            degraded,
+        })
+    }
+
+    /// One `Simulate(Input, Restricts)` call of Algorithm 3: runs
+    /// `schedule` on algebra `A` — [`CoAlgebra`] for coverage rounds,
+    /// which plan flips from its branch log, or [`CoverageAlgebra`] for
+    /// sweep rounds, which need only coverage.
+    ///
+    /// Monitors that failed to resolve (or error mid-check) are returned
+    /// as degradation reasons instead of being silently ignored or
+    /// panicking: the analysis continues, visibly partial.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors (e.g. an unstable design).
+    pub fn execute_round<A: RoundAlgebra>(
+        &self,
+        schedule: &TestSchedule,
+    ) -> SimResult<RoundRun<'d, A>> {
+        let mut sim = Simulator::with_algebra(self.design, A::default(), self.config.init);
+        let mut monitors = self.monitors.clone();
+        for mon in &mut monitors {
+            mon.reset();
         }
+        let mut degraded = self.dropped_monitors.clone();
         let mut violations = Vec::new();
 
         // Time-zero: deassert resets, park clocks, zero uncontrolled inputs.
@@ -864,8 +927,8 @@ impl<'d> ConcolicEngine<'d> {
 
         for cycle in 0..schedule.cycles {
             for (i, track) in schedule.inputs.iter().enumerate() {
-                let v = sim.algebra_mut().symbolic_input(
-                    &format!("in_{i}_{cycle}"),
+                let v = sim.algebra_mut().input(
+                    format_args!("in_{i}_{cycle}"),
                     track.values[cycle as usize].clone(),
                 );
                 sim.write_input_value(track.net, v)?;
@@ -885,7 +948,7 @@ impl<'d> ConcolicEngine<'d> {
                 };
                 let v = sim
                     .algebra_mut()
-                    .symbolic_input(&format!("rst_{d}_{cycle}"), value);
+                    .input(format_args!("rst_{d}_{cycle}"), value);
                 sim.write_input_value(track.net, v)?;
             }
             sim.settle()?;
@@ -904,7 +967,7 @@ impl<'d> ConcolicEngine<'d> {
                 {
                     let v = sim
                         .algebra_mut()
-                        .symbolic_input(&format!("rsthi_{d}_{cycle}"), track.value_at(cycle));
+                        .input(format_args!("rsthi_{d}_{cycle}"), track.value_at(cycle));
                     sim.write_input_value(track.net, v)?;
                     sim.settle()?;
                 }
@@ -918,43 +981,42 @@ impl<'d> ConcolicEngine<'d> {
             for mon in &mut monitors {
                 match mon.check_cycle(&sim, cycle) {
                     Ok(found) => violations.extend(found),
-                    Err(e) => {
-                        self.degraded_reasons
-                            .insert(format!("property check skipped: {e}"));
-                    }
+                    Err(e) => degraded.push(format!("property check skipped: {e}")),
                 }
             }
-            // Shadow the concrete checks with symbolic proof obligations:
-            // whenever a monitored net carries a term, record the 1-bit
-            // "property holds" formula so flip planning can pre-blast it
-            // (blast-only, never assumed — see `ConcolicConfig::
-            // max_window_checks`). Serial and in monitor order, so the
-            // observation log stays deterministic.
+            // Shadow the concrete checks with symbolic proof obligations
+            // the flip window can pre-blast (blast-only, never assumed —
+            // see `ConcolicConfig::max_window_checks`).
             if self.config.max_window_checks > 0 {
-                for mon in &monitors {
-                    if let Some(t) = mon.symbolic_obligation(&mut sim) {
-                        sim.algebra_mut().record_check(t);
-                    }
-                }
+                A::record_obligations(&mut sim, &monitors);
             }
         }
-        Ok((sim, violations))
+        Ok(RoundRun {
+            sim,
+            violations,
+            degraded,
+        })
     }
 
-    fn absorb_coverage(&mut self, sim: &Simulator<'d, CoAlgebra>) {
+    /// Indices of the targets a finished round hit: its branch coverage
+    /// for site targets, its process run counts for whole-block targets.
+    fn target_hits<A: RoundAlgebra>(&self, sim: &Simulator<'d, A>) -> Vec<usize> {
         let site_cov = sim.algebra().coverage();
         let runs = sim.process_run_counts();
-        for (i, t) in self.targets.iter().enumerate() {
-            if self.covered[i] {
-                continue;
-            }
-            let hit = match &t.goal {
+        self.targets
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| match &t.goal {
                 TargetGoal::Site { site, dir } => site_cov.contains(&(*site, *dir)),
                 TargetGoal::Process(p) => runs[p.0 as usize] > 0,
-            };
-            if hit {
-                self.covered[i] = true;
-            }
+            })
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    fn absorb_hits(&mut self, hits: &[usize]) {
+        for &i in hits {
+            self.covered[i] = true;
         }
     }
 
@@ -1344,10 +1406,10 @@ impl<'d> ConcolicEngine<'d> {
     /// # Errors
     ///
     /// Propagates simulator errors, as [`ConcolicEngine::run`].
-    pub fn flip_workload(&mut self) -> SimResult<FlipWorkload> {
+    pub fn flip_workload(&self) -> SimResult<FlipWorkload> {
         let mut schedule = self.base_schedule();
         schedule.randomize(self.config.seed);
-        let (mut sim, _violations) = self.execute_round(&schedule)?;
+        let mut sim = self.execute_round::<CoAlgebra>(&schedule)?.sim;
         let observations = sim.algebra().observations().to_vec();
         let neg: Vec<TermId> = {
             let g = &mut sim.algebra_mut().graph;
@@ -1372,6 +1434,38 @@ impl<'d> ConcolicEngine<'d> {
             },
         })
     }
+}
+
+/// One domain's batch of reset-sweep schedules (see
+/// [`ConcolicEngine::sweep_batches`]).
+#[derive(Debug, Clone)]
+pub struct SweepBatch {
+    /// The batch's span name: `concolic.sweep` for low-phase pulses,
+    /// `concolic.sweep_high` for clock-high-phase pulses.
+    pub phase: &'static str,
+    /// Index of the pulsed domain in [`ConcolicEngine::domains`].
+    pub domain: usize,
+    /// One schedule per pulse position, in cycle order.
+    pub schedules: Vec<TestSchedule>,
+}
+
+/// A finished round (see [`ConcolicEngine::execute_round`]).
+#[derive(Debug)]
+pub struct RoundRun<'d, A: Algebra> {
+    /// The simulator after the last cycle, algebra state included.
+    pub sim: Simulator<'d, A>,
+    /// Invalidation messages, in the order the monitors raised them.
+    pub violations: Vec<Violation>,
+    /// Degradation reasons: dropped monitors and skipped checks.
+    pub degraded: Vec<String>,
+}
+
+/// What the serial sweep merge keeps of one sweep round.
+#[derive(Debug)]
+struct SweepRound {
+    hits: Vec<usize>,
+    violations: Vec<Violation>,
+    degraded: Vec<String>,
 }
 
 /// One round's frozen symbolic state, packaged for the `flip_solving`
@@ -1940,7 +2034,7 @@ mod tests {
             symbolic_inputs: vec!["top.magic".into()],
             ..ConcolicConfig::default()
         };
-        let mut engine = ConcolicEngine::new(&design, &bound, vec![], config).expect("engine");
+        let engine = ConcolicEngine::new(&design, &bound, vec![], config).expect("engine");
         let workload = engine.flip_workload().expect("workload");
         let cap = 16;
         assert!(workload.candidates(cap) > 0, "round produced no branches");

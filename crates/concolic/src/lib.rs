@@ -4,14 +4,16 @@
 //! the paper's Algorithm 3:
 //!
 //! * [`coalg`] — the co-simulation algebra pairing concrete 4-state values
-//!   with symbolic bit-vector terms and logging branch observations;
+//!   with symbolic bit-vector terms and logging branch observations, and
+//!   the concrete coverage algebra the reset sweep runs on;
 //! * [`schedule`] — cycle-indexed test schedules (reset pulses + symbolic
 //!   data inputs), randomized for round 1 and rebuilt from solver models;
 //! * [`property`] — the security "Restricts" checked every cycle, emitting
 //!   invalidation messages that name the violating module;
 //! * [`engine`] — the round loop: co-simulate, check properties, measure
 //!   AR_CFG event coverage, flip uncovered branches through the solver,
-//!   and sweep asynchronous reset pulses across the cycle space.
+//!   and sweep asynchronous reset pulses across the cycle space in
+//!   parallel.
 //!
 //! # Examples
 //!
@@ -27,10 +29,12 @@ pub mod engine;
 pub mod property;
 pub mod schedule;
 
-pub use coalg::{BranchObservation, CheckObservation, CoAlgebra, CoValue};
+pub use coalg::{
+    BranchObservation, CheckObservation, CoAlgebra, CoValue, CoverageAlgebra, RoundAlgebra,
+};
 pub use engine::{
     incremental_default, portfolio_default, ConcolicConfig, ConcolicEngine, ConcolicReport,
-    FlipWorkload, WarmBlastPool, Witness,
+    FlipWorkload, RoundRun, SweepBatch, WarmBlastPool, Witness,
 };
 pub use property::{PropertyKind, PropertyMonitor, SecurityProperty, Violation};
 pub use schedule::{InputTrack, ResetTrack, TestSchedule};

@@ -117,7 +117,7 @@ enum MonitorState {
 }
 
 /// Runtime monitor for one property.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PropertyMonitor {
     property: SecurityProperty,
     signal_net: Option<NetId>,

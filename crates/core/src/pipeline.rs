@@ -578,6 +578,7 @@ impl Soccar {
             .with_recorder(self.recorder.clone());
         let concolic = engine.run()?;
         self.record_pool_stats("exec.flips", &concolic.flip_exec);
+        self.record_pool_stats("exec.sweep", &concolic.sweep_exec);
         stages.push(StageReport {
             stage: "concolic".into(),
             elapsed: concolic_span.close(),
@@ -714,6 +715,10 @@ mod tests {
         assert_eq!(extract.tasks, 2); // ip + top modules
         let flips = report.stages[3].exec.as_ref().expect("concolic exec");
         assert_eq!(flips.tasks, report.concolic.flip_exec.tasks);
+        // One sweep task per pulse position of the single domain.
+        let cycles = SoccarConfig::default().concolic.cycles as usize;
+        assert_eq!(report.concolic.sweep_exec.tasks, cycles - 1);
+        assert_eq!(report.concolic.sweep_exec.jobs, 2);
     }
 
     #[test]

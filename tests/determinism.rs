@@ -1,15 +1,17 @@
 //! Determinism regression: the parallel stages (AR_CFG extraction
-//! fan-out, speculative flip solving, variant sweeps) must merge by
-//! stable keys, never completion order, so the full pipeline produces a
-//! byte-identical canonical report for every job count. These tests run
-//! the complete pipeline — frontend, lint, extraction, composition,
-//! binding, concolic testing — on both bundled SoCs at `--jobs 1` and
-//! `--jobs 4` and compare the serialized `AnalysisReport` JSON.
+//! fan-out, speculative flip solving, the reset sweep's per-domain
+//! batches, variant sweeps) must merge by stable keys, never completion
+//! order, so the full pipeline produces a byte-identical canonical report
+//! for every job count. These tests run the complete pipeline — frontend,
+//! lint, extraction, composition, binding, concolic testing — on both
+//! bundled SoCs at `--jobs 1` and `--jobs 4` and compare the serialized
+//! `AnalysisReport` JSON.
 
 use proptest::prelude::*;
 use soccar::evaluation::evaluate_generated;
 use soccar::evaluation::evaluate_variant;
 use soccar::SoccarConfig;
+use soccar_cfg::GovernorAnalysis;
 use soccar_soc::{GenSpec, SocModel};
 
 /// Full-pipeline canonical JSON for one bug-seeded variant at `jobs`.
@@ -52,6 +54,36 @@ fn auto_soc_report_is_byte_identical_across_job_counts() {
     let parallel = canonical_json(SocModel::AutoSoc, 2, 4);
     assert_eq!(serial, parallel);
     assert!(serial.contains("\"violations\""));
+}
+
+#[test]
+fn refined_high_phase_sweep_is_byte_identical_across_job_counts() {
+    // The Refined analysis of AutoSoC Variant #2 flags the SHA256 core's
+    // clock-composed implicit governor, so its domain gets the
+    // `sweep_high` batch — the only phase that excites that bug.
+    let run = |jobs: usize| {
+        let spec = soccar_soc::variant(SocModel::AutoSoc, 2).expect("bundled variant exists");
+        let mut config = SoccarConfig {
+            analysis: GovernorAnalysis::Refined,
+            jobs,
+            ..SoccarConfig::default()
+        };
+        config.concolic.cycles = 12;
+        config.concolic.max_rounds = 4;
+        config.concolic.sweep_stride = 1;
+        let eval = evaluate_variant(&spec, config).expect("benchmark variants always evaluate");
+        let sha_detected = eval.outcomes.iter().any(|o| o.implicit && o.detected);
+        let json = eval
+            .report
+            .canonical_json()
+            .expect("canonical report serializes");
+        (json, sha_detected)
+    };
+    let (serial, serial_detected) = run(1);
+    let (parallel, parallel_detected) = run(4);
+    assert_eq!(serial, parallel);
+    assert!(serial_detected && parallel_detected);
+    assert!(serial.contains("\"sha256-no-leak\""));
 }
 
 #[test]
