@@ -532,6 +532,27 @@ mod tests {
     }
 
     #[test]
+    fn shift_by_a_wide_known_amount_keeps_its_term() {
+        let mut alg = CoAlgebra::new();
+        let x = alg.symbolic_input("x", LogicVec::from_u64(8, 0xFF));
+        // 70'h20_0000_0000_0000_0000: fully known, past every bit of `x`.
+        let amount = alg.constant(LogicVec::from_u64(1, 1).concat(&LogicVec::zeros(69)));
+        let xvar = alg.graph.var("x", 8);
+        let env = std::collections::HashMap::from([(xvar, BvVal::from_u64(8, 0xFF))]);
+        for (op, want) in [
+            (BinaryOp::Shl, 0),
+            (BinaryOp::Shr, 0),
+            (BinaryOp::AShr, 0xFF),
+        ] {
+            let v = alg.binary(op, &x, &amount);
+            assert_eq!(v.concrete.to_u64(), Some(want), "{op:?}");
+            let t = v.term.expect("a known amount keeps the shift's term");
+            // The SMT semantics agree with the concrete value.
+            assert_eq!(alg.graph.eval(t, &env).to_u64(), Some(want), "{op:?}");
+        }
+    }
+
+    #[test]
     fn branch_observations_recorded_in_order() {
         let mut alg = CoAlgebra::new();
         let x = alg.symbolic_input("x", LogicVec::from_u64(1, 1));

@@ -18,6 +18,18 @@
 //! relational operators are fully pessimistic (any `X`/`Z` input poisons the
 //! whole result), and case-equality (`===`) compares all four states.
 //!
+//! # Storage
+//!
+//! Both planes are little-endian 64-bit words. A vector of at most 64 bits
+//! keeps its two words inline, so constructing, cloning and operating on
+//! it never touches the heap; a wider vector keeps its `val` words followed
+//! by its `xz` words in one boxed slice. Operators work a word at a time on
+//! both planes, zero-extending the narrower operand implicitly.
+//!
+//! Invariant: bits above `width` are zero in both planes. Every operation
+//! relies on it (zero extension, equality, hashing) and restores it by
+//! masking the top word.
+//!
 //! # Examples
 //!
 //! ```
@@ -115,17 +127,93 @@ impl fmt::Display for Bit {
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct LogicVec {
     width: u32,
-    /// Value plane, little-endian 64-bit words. Bits above `width` are zero.
-    val: Vec<u64>,
-    /// XZ plane, same layout.
-    xz: Vec<u64>,
+    planes: Planes,
+}
+
+/// The `val` and `xz` planes, little-endian 64-bit words. The variant is
+/// a function of the width alone, so derived equality and hashing compare
+/// values, not representations.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Planes {
+    /// `width <= 64`: one word per plane, no heap allocation.
+    Inline { val: u64, xz: u64 },
+    /// `width > 64`: `n` value words followed by `n` XZ words.
+    Heap(Box<[u64]>),
 }
 
 fn words_for(width: u32) -> usize {
     (width as usize).div_ceil(64)
 }
 
+/// The valid bits of the top word of a `width`-bit plane.
+fn top_mask(width: u32) -> u64 {
+    match width % 64 {
+        0 => u64::MAX,
+        rem => (1u64 << rem) - 1,
+    }
+}
+
+/// The low `n` bits set, for `n` up to and past 64.
+fn low_mask(n: u64) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// Word `i` of a plane, zero past its end (implicit zero extension).
+fn word(words: &[u64], i: usize) -> u64 {
+    words.get(i).copied().unwrap_or(0)
+}
+
+/// The 64 bits of `words` starting at bit `pos`, zero past the end.
+fn extract(words: &[u64], pos: u64) -> u64 {
+    let (w, b) = ((pos / 64) as usize, (pos % 64) as u32);
+    let lo = word(words, w) >> b;
+    if b == 0 {
+        lo
+    } else {
+        lo | (word(words, w.saturating_add(1)) << (64 - b))
+    }
+}
+
+/// ORs `src` into `dst` starting at bit `offset`; bits past `dst` must be
+/// zero in `src`.
+fn or_shifted(dst: &mut [u64], src: &[u64], offset: u32) {
+    let (ws, bs) = ((offset / 64) as usize, offset % 64);
+    for (i, &w) in src.iter().enumerate() {
+        dst[i + ws] |= w << bs;
+        if bs > 0 {
+            if let Some(d) = dst.get_mut(i + ws + 1) {
+                *d |= w >> (64 - bs);
+            }
+        }
+    }
+}
+
+/// `true` if the two zero-extended planes are equal.
+fn words_eq(a: &[u64], b: &[u64]) -> bool {
+    (0..a.len().max(b.len())).all(|i| word(a, i) == word(b, i))
+}
+
 impl LogicVec {
+    /// A vector whose every plane word is `val` / `xz` (top word masked).
+    fn filled(width: u32, val: u64, xz: u64) -> LogicVec {
+        assert!(width > 0, "LogicVec width must be non-zero");
+        let planes = if width <= 64 {
+            Planes::Inline { val, xz }
+        } else {
+            let n = words_for(width);
+            let mut words = vec![val; 2 * n];
+            words[n..].fill(xz);
+            Planes::Heap(words.into_boxed_slice())
+        };
+        let mut v = LogicVec { width, planes };
+        v.mask_top();
+        v
+    }
+
     /// Creates an all-zero vector of the given width.
     ///
     /// # Panics
@@ -133,12 +221,7 @@ impl LogicVec {
     /// Panics if `width` is zero.
     #[must_use]
     pub fn zeros(width: u32) -> LogicVec {
-        assert!(width > 0, "LogicVec width must be non-zero");
-        LogicVec {
-            width,
-            val: vec![0; words_for(width)],
-            xz: vec![0; words_for(width)],
-        }
+        LogicVec::filled(width, 0, 0)
     }
 
     /// Creates an all-ones vector of the given width.
@@ -147,31 +230,19 @@ impl LogicVec {
     /// ("we assign all the registers with ones instead of zeros").
     #[must_use]
     pub fn ones(width: u32) -> LogicVec {
-        let mut v = LogicVec::zeros(width);
-        for w in &mut v.val {
-            *w = u64::MAX;
-        }
-        v.mask_top();
-        v
+        LogicVec::filled(width, u64::MAX, 0)
     }
 
     /// Creates an all-`X` vector of the given width.
     #[must_use]
     pub fn xes(width: u32) -> LogicVec {
-        let mut v = LogicVec::zeros(width);
-        for w in &mut v.xz {
-            *w = u64::MAX;
-        }
-        v.mask_top();
-        v
+        LogicVec::filled(width, 0, u64::MAX)
     }
 
     /// Creates an all-`Z` vector of the given width.
     #[must_use]
     pub fn zeds(width: u32) -> LogicVec {
-        let mut v = LogicVec::xes(width);
-        v.val.clone_from(&v.xz);
-        v
+        LogicVec::filled(width, u64::MAX, u64::MAX)
     }
 
     /// Creates a vector from the low bits of `value`, zero-extended or
@@ -179,7 +250,7 @@ impl LogicVec {
     #[must_use]
     pub fn from_u64(width: u32, value: u64) -> LogicVec {
         let mut v = LogicVec::zeros(width);
-        v.val[0] = value;
+        v.planes_mut().0[0] = value;
         v.mask_top();
         v
     }
@@ -210,28 +281,71 @@ impl LogicVec {
     /// Underscores are ignored. Returns `None` on empty or invalid input.
     #[must_use]
     pub fn from_bin_str(s: &str) -> Option<LogicVec> {
-        let mut bits = Vec::new();
-        for c in s.chars().rev() {
-            match c {
-                '0' => bits.push(Bit::Zero),
-                '1' => bits.push(Bit::One),
-                'x' | 'X' => bits.push(Bit::X),
-                'z' | 'Z' | '?' => bits.push(Bit::Z),
-                '_' => {}
-                _ => return None,
+        let digit = |c: char| match c {
+            '0' => Some(Bit::Zero),
+            '1' => Some(Bit::One),
+            'x' | 'X' => Some(Bit::X),
+            'z' | 'Z' | '?' => Some(Bit::Z),
+            _ => None,
+        };
+        let mut width = 0u32;
+        for c in s.chars() {
+            match digit(c) {
+                Some(_) => width += 1,
+                None if c == '_' => {}
+                None => return None,
             }
         }
-        if bits.is_empty() {
-            None
-        } else {
-            Some(LogicVec::from_bits(&bits))
+        if width == 0 {
+            return None;
         }
+        let mut v = LogicVec::zeros(width);
+        for (i, b) in s.chars().rev().filter_map(digit).enumerate() {
+            v.set_bit(i as u32, b);
+        }
+        Some(v)
     }
 
     /// The width in bits.
     #[must_use]
     pub fn width(&self) -> u32 {
         self.width
+    }
+
+    /// The value plane.
+    fn val(&self) -> &[u64] {
+        match &self.planes {
+            Planes::Inline { val, .. } => std::slice::from_ref(val),
+            Planes::Heap(words) => &words[..words.len() / 2],
+        }
+    }
+
+    /// The XZ plane.
+    fn xz(&self) -> &[u64] {
+        match &self.planes {
+            Planes::Inline { xz, .. } => std::slice::from_ref(xz),
+            Planes::Heap(words) => &words[words.len() / 2..],
+        }
+    }
+
+    /// Both planes, mutably: `(val, xz)`.
+    fn planes_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        match &mut self.planes {
+            Planes::Inline { val, xz } => (std::slice::from_mut(val), std::slice::from_mut(xz)),
+            Planes::Heap(words) => {
+                let n = words.len() / 2;
+                words.split_at_mut(n)
+            }
+        }
+    }
+
+    /// The valid bits of word `i`.
+    fn word_mask(&self, i: usize) -> u64 {
+        if i + 1 == words_for(self.width) {
+            top_mask(self.width)
+        } else {
+            u64::MAX
+        }
     }
 
     /// Returns the bit at `index` (0 = LSB).
@@ -244,7 +358,7 @@ impl LogicVec {
         assert!(index < self.width, "bit index {index} out of range");
         let w = (index / 64) as usize;
         let b = index % 64;
-        Bit::from_planes((self.xz[w] >> b) & 1 == 1, (self.val[w] >> b) & 1 == 1)
+        Bit::from_planes((self.xz()[w] >> b) & 1 == 1, (self.val()[w] >> b) & 1 == 1)
     }
 
     /// Sets the bit at `index` (0 = LSB).
@@ -254,11 +368,24 @@ impl LogicVec {
     /// Panics if `index >= self.width()`.
     pub fn set_bit(&mut self, index: u32, bit: Bit) {
         assert!(index < self.width, "bit index {index} out of range");
-        let w = (index / 64) as usize;
-        let b = index % 64;
-        let (xz, val) = bit.planes();
-        self.val[w] = (self.val[w] & !(1 << b)) | (u64::from(val) << b);
-        self.xz[w] = (self.xz[w] & !(1 << b)) | (u64::from(xz) << b);
+        self.fill_bits(index, index + 1, bit);
+    }
+
+    /// Sets every bit in `[from, to)` (clamped to the width) to `bit`.
+    fn fill_bits(&mut self, from: u32, to: u32, bit: Bit) {
+        let to = to.min(self.width);
+        if from >= to {
+            return;
+        }
+        let (bx, bv) = bit.planes();
+        let (val, xz) = self.planes_mut();
+        for w in (from / 64) as usize..=((to - 1) / 64) as usize {
+            let base = w as u64 * 64;
+            let m =
+                low_mask(u64::from(to) - base) & !low_mask(u64::from(from).saturating_sub(base));
+            val[w] = if bv { val[w] | m } else { val[w] & !m };
+            xz[w] = if bx { xz[w] | m } else { xz[w] & !m };
+        }
     }
 
     /// Iterates over the bits, LSB first.
@@ -269,37 +396,42 @@ impl LogicVec {
     /// `true` if any bit is `X` or `Z`.
     #[must_use]
     pub fn has_unknown(&self) -> bool {
-        self.xz.iter().any(|w| *w != 0)
+        self.xz().iter().any(|w| *w != 0)
+    }
+
+    /// `true` if every bit of `words` within the width is set.
+    fn is_full(&self, words: &[u64]) -> bool {
+        words
+            .iter()
+            .enumerate()
+            .all(|(i, w)| *w == self.word_mask(i))
     }
 
     /// `true` if every bit is `X`.
     #[must_use]
     pub fn is_all_x(&self) -> bool {
-        self.iter_bits().all(|b| b == Bit::X)
+        self.is_full(self.xz()) && self.val().iter().all(|w| *w == 0)
     }
 
     /// `true` if every bit is `0` (no unknowns).
     #[must_use]
     pub fn is_all_zero(&self) -> bool {
-        !self.has_unknown() && self.val.iter().all(|w| *w == 0)
+        !self.has_unknown() && self.val().iter().all(|w| *w == 0)
     }
 
     /// `true` if every bit is `1` (no unknowns).
     #[must_use]
     pub fn is_all_ones(&self) -> bool {
-        !self.has_unknown() && self.iter_bits().all(|b| b == Bit::One)
+        !self.has_unknown() && self.is_full(self.val())
     }
 
     /// Converts to `u64` if the value fits in 64 bits and has no unknowns.
     #[must_use]
     pub fn to_u64(&self) -> Option<u64> {
-        if self.has_unknown() {
+        if self.has_unknown() || self.val()[1..].iter().any(|w| *w != 0) {
             return None;
         }
-        if self.val.iter().skip(1).any(|w| *w != 0) {
-            return None;
-        }
-        Some(self.val[0])
+        Some(self.val()[0])
     }
 
     /// Verilog truthiness: `Some(true)` if any bit is `1`, `Some(false)` if
@@ -307,12 +439,9 @@ impl LogicVec {
     #[must_use]
     pub fn truthy(&self) -> Option<bool> {
         // A '1' bit anywhere makes the value true regardless of unknowns.
-        for (v, x) in self.val.iter().zip(&self.xz) {
-            if *v & !*x != 0 {
-                return Some(true);
-            }
-        }
-        if self.has_unknown() {
+        if self.val().iter().zip(self.xz()).any(|(v, x)| v & !x != 0) {
+            Some(true)
+        } else if self.has_unknown() {
             None
         } else {
             Some(false)
@@ -323,9 +452,10 @@ impl LogicVec {
     #[must_use]
     pub fn resize(&self, width: u32) -> LogicVec {
         let mut out = LogicVec::zeros(width);
-        let n = out.val.len().min(self.val.len());
-        out.val[..n].copy_from_slice(&self.val[..n]);
-        out.xz[..n].copy_from_slice(&self.xz[..n]);
+        let (val, xz) = out.planes_mut();
+        let n = val.len().min(self.val().len());
+        val[..n].copy_from_slice(&self.val()[..n]);
+        xz[..n].copy_from_slice(&self.xz()[..n]);
         out.mask_top();
         out
     }
@@ -336,45 +466,49 @@ impl LogicVec {
         if width <= self.width {
             return self.resize(width);
         }
-        let msb = self.bit(self.width - 1);
         let mut out = self.resize(width);
-        for i in self.width..width {
-            out.set_bit(i, msb);
-        }
+        out.fill_bits(self.width, width, self.bit(self.width - 1));
         out
     }
 
     fn mask_top(&mut self) {
-        let rem = self.width % 64;
-        if rem != 0 {
-            let mask = (1u64 << rem) - 1;
-            if let Some(w) = self.val.last_mut() {
-                *w &= mask;
-            }
-            if let Some(w) = self.xz.last_mut() {
-                *w &= mask;
-            }
-        }
+        let m = top_mask(self.width);
+        let (val, xz) = self.planes_mut();
+        let top = val.len() - 1;
+        val[top] &= m;
+        xz[top] &= m;
     }
 
-    fn extended_planes(&self, width: u32) -> (Vec<u64>, Vec<u64>) {
-        let n = words_for(width);
-        let mut val = self.val.clone();
-        let mut xz = self.xz.clone();
-        val.resize(n, 0);
-        xz.resize(n, 0);
-        (val, xz)
+    /// Combines the zero-extended planes of `self` and `other` word by
+    /// word: `f(a_val, a_xz, b_val, b_xz) -> (val, xz)`. Width = max.
+    fn zip_words(
+        &self,
+        other: &LogicVec,
+        f: impl Fn(u64, u64, u64, u64) -> (u64, u64),
+    ) -> LogicVec {
+        let mut out = LogicVec::zeros(self.width.max(other.width));
+        let (val, xz) = out.planes_mut();
+        for i in 0..val.len() {
+            (val[i], xz[i]) = f(
+                word(self.val(), i),
+                word(self.xz(), i),
+                word(other.val(), i),
+                word(other.xz(), i),
+            );
+        }
+        out.mask_top();
+        out
     }
 
     /// Bitwise NOT. `X`/`Z` bits stay `X`.
     #[must_use]
     pub fn not(&self) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width);
-        for i in 0..out.val.len() {
-            out.val[i] = !self.val[i] & !self.xz[i];
-            out.xz[i] = self.xz[i];
+        let mut out = self.clone();
+        let (val, xz) = out.planes_mut();
+        for (v, x) in val.iter_mut().zip(xz.iter()) {
+            // X/Z both become X: val plane cleared where xz set.
+            *v = !*v & !*x;
         }
-        // X/Z both become X: val plane cleared where xz set.
         out.mask_top();
         out
     }
@@ -382,86 +516,92 @@ impl LogicVec {
     /// Bitwise AND with IEEE 1364 three-valued semantics.
     #[must_use]
     pub fn and(&self, other: &LogicVec) -> LogicVec {
-        self.bitwise(other, |a, b| match (a, b) {
-            (Bit::Zero, _) | (_, Bit::Zero) => Bit::Zero,
-            (Bit::One, Bit::One) => Bit::One,
-            _ => Bit::X,
+        self.zip_words(other, |av, ax, bv, bx| {
+            let zero = (!av & !ax) | (!bv & !bx);
+            let one = av & !ax & bv & !bx;
+            (one, !(zero | one))
         })
     }
 
     /// Bitwise OR with IEEE 1364 three-valued semantics.
     #[must_use]
     pub fn or(&self, other: &LogicVec) -> LogicVec {
-        self.bitwise(other, |a, b| match (a, b) {
-            (Bit::One, _) | (_, Bit::One) => Bit::One,
-            (Bit::Zero, Bit::Zero) => Bit::Zero,
-            _ => Bit::X,
+        self.zip_words(other, |av, ax, bv, bx| {
+            let one = (av & !ax) | (bv & !bx);
+            let zero = !av & !ax & !bv & !bx;
+            (one, !(zero | one))
         })
     }
 
     /// Bitwise XOR with IEEE 1364 three-valued semantics.
     #[must_use]
     pub fn xor(&self, other: &LogicVec) -> LogicVec {
-        self.bitwise(other, |a, b| {
-            if a.is_unknown() || b.is_unknown() {
-                Bit::X
-            } else {
-                Bit::from(a != b)
-            }
+        self.zip_words(other, |av, ax, bv, bx| {
+            let x = ax | bx;
+            ((av ^ bv) & !x, x)
         })
     }
 
-    fn bitwise(&self, other: &LogicVec, f: impl Fn(Bit, Bit) -> Bit) -> LogicVec {
-        let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        let mut out = LogicVec::zeros(width);
-        for i in 0..width {
-            out.set_bit(i, f(a.bit(i), b.bit(i)));
+    /// The Verilog X-merge of a mux under an unknown condition: bits where
+    /// both operands hold the same known value keep it, every other bit is
+    /// `X`. Width = max.
+    #[must_use]
+    pub fn x_merge(&self, other: &LogicVec) -> LogicVec {
+        self.zip_words(other, |av, ax, bv, bx| {
+            let same = !ax & !bx & !(av ^ bv);
+            (av & same, !same)
+        })
+    }
+
+    /// The care mask of a `casez`/`casex` label: `1` where the label bit
+    /// must match, `0` at its wildcard bits — `Z`/`?` bits, and also `X`
+    /// bits when `x_is_wildcard` (`casex`).
+    #[must_use]
+    pub fn case_care_mask(&self, x_is_wildcard: bool) -> LogicVec {
+        let mut out = self.clone();
+        let (val, xz) = out.planes_mut();
+        for (v, x) in val.iter_mut().zip(xz.iter_mut()) {
+            let wild = if x_is_wildcard { *x } else { *x & *v };
+            (*v, *x) = (!wild, 0);
         }
+        out.mask_top();
         out
     }
 
     /// Reduction AND (`&v`): one bit.
     #[must_use]
     pub fn reduce_and(&self) -> LogicVec {
-        let mut acc = Bit::One;
-        for b in self.iter_bits() {
-            acc = match (acc, b) {
-                (Bit::Zero, _) | (_, Bit::Zero) => Bit::Zero,
-                (Bit::One, Bit::One) => Bit::One,
-                _ => Bit::X,
-            };
-        }
-        LogicVec::from_bits(&[acc])
+        let (val, xz) = (self.val(), self.xz());
+        let any_zero = (0..val.len()).any(|i| !val[i] & !xz[i] & self.word_mask(i) != 0);
+        let bit = if any_zero {
+            Bit::Zero
+        } else if self.has_unknown() {
+            Bit::X
+        } else {
+            Bit::One
+        };
+        LogicVec::from_bits(&[bit])
     }
 
     /// Reduction OR (`|v`): one bit.
     #[must_use]
     pub fn reduce_or(&self) -> LogicVec {
-        let mut acc = Bit::Zero;
-        for b in self.iter_bits() {
-            acc = match (acc, b) {
-                (Bit::One, _) | (_, Bit::One) => Bit::One,
-                (Bit::Zero, Bit::Zero) => Bit::Zero,
-                _ => Bit::X,
-            };
-        }
-        LogicVec::from_bits(&[acc])
+        let bit = match self.truthy() {
+            Some(b) => Bit::from(b),
+            None => Bit::X,
+        };
+        LogicVec::from_bits(&[bit])
     }
 
     /// Reduction XOR (`^v`): one bit.
     #[must_use]
     pub fn reduce_xor(&self) -> LogicVec {
-        let mut acc = Bit::Zero;
-        for b in self.iter_bits() {
-            acc = if acc.is_unknown() || b.is_unknown() {
-                Bit::X
-            } else {
-                Bit::from(acc != b)
-            };
-        }
-        LogicVec::from_bits(&[acc])
+        let bit = if self.has_unknown() {
+            Bit::X
+        } else {
+            Bit::from(self.count_ones() % 2 == 1)
+        };
+        LogicVec::from_bits(&[bit])
     }
 
     /// Logical negation (`!v`): one bit.
@@ -501,57 +641,48 @@ impl LogicVec {
         }
     }
 
-    /// Addition, result width = max operand width, carry-out discarded.
-    /// Any unknown input bit makes the whole result `X` (IEEE 1364).
-    #[must_use]
-    pub fn add(&self, other: &LogicVec) -> LogicVec {
+    /// Ripple-carries `f(a_word, b_word, carry) -> (word, carry)` over the
+    /// zero-extended value planes. Width = max; any unknown poisons.
+    fn carry_chain(&self, other: &LogicVec, f: impl Fn(u64, u64, bool) -> (u64, bool)) -> LogicVec {
         let width = self.width.max(other.width);
         if let Some(p) = self.arith_poisoned(other, width) {
             return p;
         }
-        let (a, _) = self.extended_planes(width);
-        let (b, _) = other.extended_planes(width);
         let mut out = LogicVec::zeros(width);
-        let mut carry = 0u64;
-        for i in 0..out.val.len() {
-            let (s1, c1) = a[i].overflowing_add(b[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out.val[i] = s2;
-            carry = u64::from(c1) + u64::from(c2);
+        let (val, _) = out.planes_mut();
+        let mut carry = false;
+        for (i, w) in val.iter_mut().enumerate() {
+            (*w, carry) = f(word(self.val(), i), word(other.val(), i), carry);
         }
         out.mask_top();
         out
+    }
+
+    /// Addition, result width = max operand width, carry-out discarded.
+    /// Any unknown input bit makes the whole result `X` (IEEE 1364).
+    #[must_use]
+    pub fn add(&self, other: &LogicVec) -> LogicVec {
+        self.carry_chain(other, |a, b, carry| {
+            let (s1, c1) = a.overflowing_add(b);
+            let (s2, c2) = s1.overflowing_add(u64::from(carry));
+            (s2, c1 || c2)
+        })
     }
 
     /// Subtraction (`self - other`), two's complement, width = max.
     #[must_use]
     pub fn sub(&self, other: &LogicVec) -> LogicVec {
-        let width = self.width.max(other.width);
-        if let Some(p) = self.arith_poisoned(other, width) {
-            return p;
-        }
-        let b = other.resize(width);
-        let neg = b.not2().add(&LogicVec::from_u64(width, 1));
-        self.resize(width).add(&neg)
+        self.carry_chain(other, |a, b, borrow| {
+            let (d1, b1) = a.overflowing_sub(b);
+            let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+            (d2, b1 || b2)
+        })
     }
 
     /// Two's-complement negation.
     #[must_use]
     pub fn neg(&self) -> LogicVec {
-        if self.has_unknown() {
-            return LogicVec::xes(self.width);
-        }
-        self.not2().add(&LogicVec::from_u64(self.width, 1))
-    }
-
-    /// Two-state bitwise NOT (no unknowns in `self` assumed).
-    fn not2(&self) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width);
-        for i in 0..out.val.len() {
-            out.val[i] = !self.val[i];
-        }
-        out.mask_top();
-        out
+        LogicVec::zeros(self.width).sub(self)
     }
 
     /// Multiplication, result width = max operand width (truncated).
@@ -561,20 +692,18 @@ impl LogicVec {
         if let Some(p) = self.arith_poisoned(other, width) {
             return p;
         }
-        let (a, _) = self.extended_planes(width);
-        let (b, _) = other.extended_planes(width);
-        let n = words_for(width);
-        let mut acc = vec![0u64; n];
+        let mut out = LogicVec::zeros(width);
+        let (acc, _) = out.planes_mut();
+        let n = acc.len();
         for i in 0..n {
+            let a = u128::from(word(self.val(), i));
             let mut carry = 0u128;
             for j in 0..n - i {
-                let cur = u128::from(acc[i + j]) + u128::from(a[i]) * u128::from(b[j]) + carry;
+                let cur = u128::from(acc[i + j]) + a * u128::from(word(other.val(), j)) + carry;
                 acc[i + j] = cur as u64;
                 carry = cur >> 64;
             }
         }
-        let mut out = LogicVec::zeros(width);
-        out.val.copy_from_slice(&acc);
         out.mask_top();
         out
     }
@@ -589,8 +718,7 @@ impl LogicVec {
         if other.is_all_zero() {
             return LogicVec::xes(width);
         }
-        let (q, _r) = self.resize(width).udivrem(&other.resize(width));
-        q
+        self.udivrem(other).0
     }
 
     /// Unsigned remainder; modulo zero yields all-`X` (IEEE 1364).
@@ -603,18 +731,20 @@ impl LogicVec {
         if other.is_all_zero() {
             return LogicVec::xes(width);
         }
-        let (_q, r) = self.resize(width).udivrem(&other.resize(width));
-        r
+        self.udivrem(other).1
     }
 
-    /// Schoolbook restoring division on equal-width two-state operands.
+    /// Quotient and remainder of two-state operands, `other` non-zero;
+    /// width = max. Restoring division above 64 bits.
     fn udivrem(&self, other: &LogicVec) -> (LogicVec, LogicVec) {
-        let width = self.width;
+        let width = self.width.max(other.width);
         let mut quo = LogicVec::zeros(width);
         let mut rem = LogicVec::zeros(width);
         for i in (0..width).rev() {
             rem = rem.shl_const(1);
-            rem.set_bit(0, self.bit(i));
+            if i < self.width {
+                rem.set_bit(0, self.bit(i));
+            }
             if rem.ucmp(other) != std::cmp::Ordering::Less {
                 rem = rem.sub(other);
                 quo.set_bit(i, Bit::One);
@@ -623,21 +753,15 @@ impl LogicVec {
         (quo, rem)
     }
 
-    /// Unsigned comparison of two-state values of equal width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ or either value has unknowns.
+    /// Unsigned comparison of the zero-extended value planes (callers
+    /// rule out unknowns first).
     fn ucmp(&self, other: &LogicVec) -> std::cmp::Ordering {
-        assert_eq!(self.width, other.width);
-        assert!(!self.has_unknown() && !other.has_unknown());
-        for i in (0..self.val.len()).rev() {
-            match self.val[i].cmp(&other.val[i]) {
-                std::cmp::Ordering::Equal => {}
-                o => return o,
-            }
-        }
-        std::cmp::Ordering::Equal
+        let (a, b) = (self.val(), other.val());
+        (0..a.len().max(b.len()))
+            .rev()
+            .map(|i| word(a, i).cmp(&word(b, i)))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
     }
 
     /// Logical shift left by a constant amount; result keeps `self`'s width.
@@ -647,42 +771,59 @@ impl LogicVec {
         if amount >= self.width {
             return out;
         }
-        for i in amount..self.width {
-            out.set_bit(i, self.bit(i - amount));
+        let (ws, bs) = ((amount / 64) as usize, amount % 64);
+        let (val, xz) = out.planes_mut();
+        for (dst, src) in [(val, self.val()), (xz, self.xz())] {
+            for i in ws..dst.len() {
+                let carry = if bs > 0 && i > ws {
+                    src[i - ws - 1] >> (64 - bs)
+                } else {
+                    0
+                };
+                dst[i] = (src[i - ws] << bs) | carry;
+            }
         }
+        out.mask_top();
         out
     }
 
     /// Logical shift right by a constant amount; result keeps `self`'s width.
     #[must_use]
     pub fn lshr_const(&self, amount: u32) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width);
-        if amount >= self.width {
-            return out;
-        }
-        for i in 0..self.width - amount {
-            out.set_bit(i, self.bit(i + amount));
-        }
-        out
+        self.bits_from(amount, self.width)
     }
 
     /// Arithmetic shift right by a constant amount (sign bit replicated).
     #[must_use]
     pub fn ashr_const(&self, amount: u32) -> LogicVec {
-        let msb = self.bit(self.width - 1);
         let mut out = self.lshr_const(amount);
-        let start = self.width.saturating_sub(amount);
-        for i in start..self.width {
-            out.set_bit(i, msb);
-        }
+        out.fill_bits(
+            self.width.saturating_sub(amount),
+            self.width,
+            self.bit(self.width - 1),
+        );
         out
+    }
+
+    /// The effective amount of a shift by `amount`: `None` if it has
+    /// unknown bits, else its value saturated at `self`'s width (the
+    /// amount may be wider than 64 bits).
+    fn shift_amount(&self, amount: &LogicVec) -> Option<u32> {
+        if amount.has_unknown() {
+            return None;
+        }
+        let words = amount.val();
+        if words[1..].iter().any(|w| *w != 0) {
+            return Some(self.width);
+        }
+        Some(words[0].min(u64::from(self.width)) as u32)
     }
 
     /// Logical shift left by a (possibly unknown) vector amount.
     #[must_use]
     pub fn shl(&self, amount: &LogicVec) -> LogicVec {
-        match amount.to_u64() {
-            Some(a) => self.shl_const(a.min(u64::from(self.width)) as u32),
+        match self.shift_amount(amount) {
+            Some(a) => self.shl_const(a),
             None => LogicVec::xes(self.width),
         }
     }
@@ -690,8 +831,8 @@ impl LogicVec {
     /// Logical shift right by a (possibly unknown) vector amount.
     #[must_use]
     pub fn lshr(&self, amount: &LogicVec) -> LogicVec {
-        match amount.to_u64() {
-            Some(a) => self.lshr_const(a.min(u64::from(self.width)) as u32),
+        match self.shift_amount(amount) {
+            Some(a) => self.lshr_const(a),
             None => LogicVec::xes(self.width),
         }
     }
@@ -699,8 +840,8 @@ impl LogicVec {
     /// Arithmetic shift right by a (possibly unknown) vector amount.
     #[must_use]
     pub fn ashr(&self, amount: &LogicVec) -> LogicVec {
-        match amount.to_u64() {
-            Some(a) => self.ashr_const(a.min(u64::from(self.width)) as u32),
+        match self.shift_amount(amount) {
+            Some(a) => self.ashr_const(a),
             None => LogicVec::xes(self.width),
         }
     }
@@ -708,13 +849,10 @@ impl LogicVec {
     /// Logical equality (`==`): one bit, `X` if any input bit is unknown.
     #[must_use]
     pub fn eq_logic(&self, other: &LogicVec) -> LogicVec {
-        let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        if a.has_unknown() || b.has_unknown() {
+        if self.has_unknown() || other.has_unknown() {
             return LogicVec::xes(1);
         }
-        LogicVec::from_bool(a.val == b.val)
+        LogicVec::from_bool(words_eq(self.val(), other.val()))
     }
 
     /// Logical inequality (`!=`).
@@ -726,47 +864,34 @@ impl LogicVec {
     /// Case equality (`===`): compares all four states, always 0 or 1.
     #[must_use]
     pub fn case_eq(&self, other: &LogicVec) -> LogicVec {
-        let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        LogicVec::from_bool(a.val == b.val && a.xz == b.xz)
+        LogicVec::from_bool(words_eq(self.val(), other.val()) && words_eq(self.xz(), other.xz()))
     }
 
     /// Unsigned less-than (`<`): one bit, `X` on unknowns.
     #[must_use]
     pub fn ult(&self, other: &LogicVec) -> LogicVec {
-        let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        if a.has_unknown() || b.has_unknown() {
+        if self.has_unknown() || other.has_unknown() {
             return LogicVec::xes(1);
         }
-        LogicVec::from_bool(a.ucmp(&b) == std::cmp::Ordering::Less)
+        LogicVec::from_bool(self.ucmp(other).is_lt())
     }
 
     /// Unsigned less-or-equal (`<=` as comparison).
     #[must_use]
     pub fn ule(&self, other: &LogicVec) -> LogicVec {
-        let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        if a.has_unknown() || b.has_unknown() {
+        if self.has_unknown() || other.has_unknown() {
             return LogicVec::xes(1);
         }
-        LogicVec::from_bool(a.ucmp(&b) != std::cmp::Ordering::Greater)
+        LogicVec::from_bool(self.ucmp(other).is_le())
     }
 
     /// Concatenation: `self` becomes the *high* part (Verilog `{self, low}`).
     #[must_use]
     pub fn concat(&self, low: &LogicVec) -> LogicVec {
-        let width = self.width + low.width;
-        let mut out = LogicVec::zeros(width);
-        for i in 0..low.width {
-            out.set_bit(i, low.bit(i));
-        }
-        for i in 0..self.width {
-            out.set_bit(low.width + i, self.bit(i));
-        }
+        let mut out = low.resize(self.width + low.width);
+        let (val, xz) = out.planes_mut();
+        or_shifted(val, self.val(), low.width);
+        or_shifted(xz, self.xz(), low.width);
         out
     }
 
@@ -778,9 +903,11 @@ impl LogicVec {
     #[must_use]
     pub fn replicate(&self, count: u32) -> LogicVec {
         assert!(count > 0, "replication count must be non-zero");
-        let mut out = self.clone();
-        for _ in 1..count {
-            out = out.concat(self);
+        let mut out = LogicVec::zeros(self.width * count);
+        let (val, xz) = out.planes_mut();
+        for k in 0..count {
+            or_shifted(val, self.val(), k * self.width);
+            or_shifted(xz, self.xz(), k * self.width);
         }
         out
     }
@@ -789,13 +916,21 @@ impl LogicVec {
     /// (out-of-range part-selects yield `X` in Verilog).
     #[must_use]
     pub fn slice(&self, lo: u32, width: u32) -> LogicVec {
-        let mut out = LogicVec::xes(width);
-        for i in 0..width {
-            let src = lo + i;
-            if src < self.width {
-                out.set_bit(i, self.bit(src));
+        let mut out = self.bits_from(lo, width);
+        out.fill_bits(self.width.saturating_sub(lo), width, Bit::X);
+        out
+    }
+
+    /// Bits `[lo .. lo+width)` of both planes, zero past `self`.
+    fn bits_from(&self, lo: u32, width: u32) -> LogicVec {
+        let mut out = LogicVec::zeros(width);
+        let (val, xz) = out.planes_mut();
+        for (dst, src) in [(val, self.val()), (xz, self.xz())] {
+            for (i, d) in dst.iter_mut().enumerate() {
+                *d = extract(src, u64::from(lo) + 64 * i as u64);
             }
         }
+        out.mask_top();
         out
     }
 
@@ -811,7 +946,11 @@ impl LogicVec {
     /// Counts `1` bits (unknown bits count as zero).
     #[must_use]
     pub fn count_ones(&self) -> u32 {
-        self.iter_bits().filter(|b| *b == Bit::One).count() as u32
+        self.val()
+            .iter()
+            .zip(self.xz())
+            .map(|(v, x)| (v & !x).count_ones())
+            .sum()
     }
 }
 
@@ -985,6 +1124,47 @@ mod tests {
         assert_eq!(a.ashr_const(2).to_u64(), Some(0b1110_0101));
         assert_eq!(a.shl(&LogicVec::from_u64(4, 9)).to_u64(), Some(0));
         assert!(a.shl(&LogicVec::xes(3)).is_all_x());
+    }
+
+    #[test]
+    fn shift_by_a_known_amount_wider_than_64_bits() {
+        // 70'h20_0000_0000_0000_0000 = 2^69: known, so no X.
+        let amount = LogicVec::from_u64(1, 1).concat(&LogicVec::zeros(69));
+        let a = LogicVec::from_u64(8, 0xFF);
+        assert_eq!(a.shl(&amount).to_u64(), Some(0));
+        assert_eq!(a.lshr(&amount).to_u64(), Some(0));
+        assert_eq!(a.ashr(&amount).to_u64(), Some(0xFF));
+        assert_eq!(LogicVec::from_u64(8, 0x7F).ashr(&amount).to_u64(), Some(0));
+        // An unknown bit anywhere in the amount still reads all-X.
+        let mut unknown = amount.clone();
+        unknown.set_bit(3, Bit::X);
+        assert!(a.shl(&unknown).is_all_x());
+        assert!(a.ashr(&unknown).is_all_x());
+    }
+
+    #[test]
+    fn wide_shifts_cross_word_boundaries() {
+        let v = LogicVec::from_u64(130, 0x8000_0000_0000_0001);
+        let s = v.shl_const(65);
+        assert_eq!(s.bit(65), Bit::One);
+        assert_eq!(s.bit(128), Bit::One);
+        assert_eq!(s.lshr_const(65), v);
+        let top = LogicVec::ones(1).concat(&LogicVec::zeros(129));
+        assert!(top.ashr_const(129).is_all_ones());
+    }
+
+    #[test]
+    fn x_merge_keeps_agreeing_known_bits() {
+        let t = LogicVec::from_bin_str("1010z").expect("parse");
+        let e = LogicVec::from_bin_str("10010").expect("parse");
+        assert_eq!(format!("{:b}", t.x_merge(&e)), "10xxx");
+    }
+
+    #[test]
+    fn case_care_masks() {
+        let label = LogicVec::from_bin_str("1x0z").expect("parse");
+        assert_eq!(label.case_care_mask(false).to_u64(), Some(0b1110));
+        assert_eq!(label.case_care_mask(true).to_u64(), Some(0b1010));
     }
 
     #[test]

@@ -129,19 +129,7 @@ pub fn concrete_mux(cond: &LogicVec, t: &LogicVec, e: &LogicVec) -> LogicVec {
     match cond.truthy() {
         Some(true) => t.clone(),
         Some(false) => e.clone(),
-        None => {
-            let w = t.width().max(e.width());
-            let t = t.resize(w);
-            let e = e.resize(w);
-            let mut out = LogicVec::xes(w);
-            for i in 0..w {
-                let (bt, be) = (t.bit(i), e.bit(i));
-                if bt == be && !bt.is_unknown() {
-                    out.set_bit(i, bt);
-                }
-            }
-            out
-        }
+        None => t.x_merge(e),
     }
 }
 

@@ -77,8 +77,9 @@ enum PrimWrite<V> {
         addr: u64,
         value: V,
     },
-    /// A write whose dynamic index evaluated to X: dropped, per the
-    /// documented subset semantics.
+    /// A write whose dynamic index evaluated to X, or to a bit position
+    /// past `u32::MAX` (past every net): dropped, per the documented subset
+    /// semantics.
     Dropped,
 }
 
@@ -439,19 +440,20 @@ impl<'d, A: Algebra> Simulator<'d, A> {
     /// Commits a (possibly partial) net write and wakes sensitive
     /// processes if the value changed.
     fn commit_net(&mut self, net: NetId, lo: u32, width: u32, value: A::Value) {
+        let idx = net.0 as usize;
         let net_w = self.design.net(net).width;
-        let old = self.nets[net.0 as usize].clone();
         let new = if lo == 0 && width >= net_w {
             self.algebra.resize(&value, net_w)
         } else {
-            self.splice(&old, net_w, lo, width, &value)
+            splice(&mut self.algebra, &self.nets[idx], net_w, lo, width, &value)
         };
-        if !A::changed(&old, &new) {
+        if !A::changed(&self.nets[idx], &new) {
             return;
         }
-        let old_c = self.algebra.concrete(&old).clone();
-        let new_c = self.algebra.concrete(&new).clone();
-        self.nets[net.0 as usize] = new;
+        let old = std::mem::replace(&mut self.nets[idx], new);
+        let old_c = self.algebra.concrete(&old);
+        let new_c = self.algebra.concrete(&self.nets[idx]);
+        let (old_bit, new_bit) = (old_c.bit(0), new_c.bit(0));
         if self.tracing && old_c != new_c {
             self.trace.push(TraceEvent {
                 time: self.time,
@@ -464,43 +466,16 @@ impl<'d, A: Algebra> Simulator<'d, A> {
         // the concolic co-algebra that includes symbolic-only changes, so
         // shadow terms propagate even when concrete values are stable);
         // edge entries consult the concrete 4-state edge table.
-        for i in 0..self.wake_map[net.0 as usize].len() {
-            let WakeEntry { process, edge } = self.wake_map[net.0 as usize][i];
+        for i in 0..self.wake_map[idx].len() {
+            let WakeEntry { process, edge } = self.wake_map[idx][i];
             let fire = match edge {
                 None => true,
-                Some(edge) => edge_fired(edge, old_c.bit(0), new_c.bit(0)),
+                Some(edge) => edge_fired(edge, old_bit, new_bit),
             };
             if fire {
                 self.enqueue(process);
             }
         }
-    }
-
-    /// Read-modify-write splice of `value` into `old[lo +: width]`.
-    fn splice(
-        &mut self,
-        old: &A::Value,
-        net_w: u32,
-        lo: u32,
-        width: u32,
-        value: &A::Value,
-    ) -> A::Value {
-        if lo >= net_w {
-            return old.clone();
-        }
-        let width = width.min(net_w - lo);
-        let mid = self.algebra.resize(value, width);
-        let mut acc = if lo > 0 {
-            let low = self.algebra.slice(old, 0, lo);
-            self.algebra.concat(&mid, &low)
-        } else {
-            mid
-        };
-        if lo + width < net_w {
-            let high = self.algebra.slice(old, lo + width, net_w - lo - width);
-            acc = self.algebra.concat(&high, &acc);
-        }
-        acc
     }
 
     fn apply_prim_write(&mut self, w: PrimWrite<A::Value>) {
@@ -651,12 +626,12 @@ impl<'d, A: Algebra> Simulator<'d, A> {
     ) -> A::Value {
         let care_mask = match kind {
             CaseKind::Case => None,
-            CaseKind::Casez => Some(mask_of(label, |b| b != Bit::Z)),
-            CaseKind::Casex => Some(mask_of(label, |b| !b.is_unknown())),
+            CaseKind::Casez => Some(label.case_care_mask(false)),
+            CaseKind::Casex => Some(label.case_care_mask(true)),
         };
         match care_mask {
             None => {
-                let l = self.algebra.constant(label.clone().resize(sel_w));
+                let l = self.algebra.constant(label.resize(sel_w));
                 self.algebra
                     .binary(soccar_rtl::ast::BinaryOp::CaseEq, sel, &l)
             }
@@ -725,26 +700,27 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             },
             LValue::IndexBit { net, index } => {
                 let idx = self.eval(index);
-                match self.algebra.concrete(&idx).to_u64() {
-                    Some(i) => PrimWrite::Net {
+                // An index past `u32::MAX` is past every net: dropped.
+                match self.algebra.concrete(&idx).to_u64().map(u32::try_from) {
+                    Some(Ok(lo)) => PrimWrite::Net {
                         net: *net,
-                        lo: i as u32,
+                        lo,
                         width: 1,
                         value,
                     },
-                    None => PrimWrite::Dropped,
+                    _ => PrimWrite::Dropped,
                 }
             }
             LValue::DynSlice { net, start, width } => {
                 let idx = self.eval(start);
-                match self.algebra.concrete(&idx).to_u64() {
-                    Some(i) => PrimWrite::Net {
+                match self.algebra.concrete(&idx).to_u64().map(u32::try_from) {
+                    Some(Ok(lo)) => PrimWrite::Net {
                         net: *net,
-                        lo: i as u32,
+                        lo,
                         width: *width,
                         value,
                     },
-                    None => PrimWrite::Dropped,
+                    _ => PrimWrite::Dropped,
                 }
             }
             LValue::MemWrite { mem, index } => {
@@ -809,23 +785,18 @@ impl<'d, A: Algebra> Simulator<'d, A> {
                 acc
             }
             RExpr::Slice { net, lo, width } => {
-                let v = self.nets[net.0 as usize].clone();
-                self.algebra.slice(&v, *lo, *width)
+                self.algebra.slice(&self.nets[net.0 as usize], *lo, *width)
             }
             RExpr::IndexBit { net, index } => {
-                let v = self.nets[net.0 as usize].clone();
                 let idx = self.eval(index);
-                let shifted = self
-                    .algebra
-                    .binary(soccar_rtl::ast::BinaryOp::Shr, &v, &idx);
+                let v = &self.nets[net.0 as usize];
+                let shifted = self.algebra.binary(soccar_rtl::ast::BinaryOp::Shr, v, &idx);
                 self.algebra.slice(&shifted, 0, 1)
             }
             RExpr::DynSlice { net, start, width } => {
-                let v = self.nets[net.0 as usize].clone();
                 let idx = self.eval(start);
-                let shifted = self
-                    .algebra
-                    .binary(soccar_rtl::ast::BinaryOp::Shr, &v, &idx);
+                let v = &self.nets[net.0 as usize];
+                let shifted = self.algebra.binary(soccar_rtl::ast::BinaryOp::Shr, v, &idx);
                 self.algebra.slice(&shifted, 0, *width)
             }
             RExpr::MemRead { mem, width, index } => {
@@ -857,14 +828,31 @@ pub fn edge_fired(edge: Edge, old: Bit, new: Bit) -> bool {
     }
 }
 
-fn mask_of(label: &LogicVec, care: impl Fn(Bit) -> bool) -> LogicVec {
-    let mut m = LogicVec::zeros(label.width());
-    for (i, b) in label.iter_bits().enumerate() {
-        if care(b) {
-            m.set_bit(i as u32, Bit::One);
-        }
+/// Read-modify-write splice of `value` into `old[lo +: width]`.
+fn splice<A: Algebra>(
+    algebra: &mut A,
+    old: &A::Value,
+    net_w: u32,
+    lo: u32,
+    width: u32,
+    value: &A::Value,
+) -> A::Value {
+    if lo >= net_w {
+        return old.clone();
     }
-    m
+    let width = width.min(net_w - lo);
+    let mid = algebra.resize(value, width);
+    let mut acc = if lo > 0 {
+        let low = algebra.slice(old, 0, lo);
+        algebra.concat(&mid, &low)
+    } else {
+        mid
+    };
+    if lo + width < net_w {
+        let high = algebra.slice(old, lo + width, net_w - lo - width);
+        acc = algebra.concat(&high, &acc);
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -1153,6 +1141,29 @@ mod tests {
         s.settle().expect("settle");
         assert_eq!(s.net_logic(net(&d, "t.y")).to_u64(), Some(1));
         assert_eq!(s.net_logic(net(&d, "t.q")).to_u64(), Some(0b0100_0000));
+    }
+
+    #[test]
+    fn dynamic_write_past_u32_index_range_is_dropped() {
+        let d = compile(
+            "module t(input [39:0] idx, output reg [7:0] q, output reg [7:0] r);
+               always @* begin q = 8'd0; q[idx] = 1'b1; end
+               always @* begin r = 8'd0; r[idx +: 2] = 2'b11; end
+             endmodule",
+            "t",
+        );
+        let mut s = Simulator::concrete(&d, InitPolicy::X);
+        // 2^32 + 1 truncates to bit 1 if cast to 32 bits.
+        s.write_input(net(&d, "t.idx"), LogicVec::from_u64(40, (1 << 32) + 1))
+            .expect("idx");
+        s.settle().expect("settle");
+        assert_eq!(s.net_logic(net(&d, "t.q")).to_u64(), Some(0));
+        assert_eq!(s.net_logic(net(&d, "t.r")).to_u64(), Some(0));
+        s.write_input(net(&d, "t.idx"), LogicVec::from_u64(40, 1))
+            .expect("idx");
+        s.settle().expect("settle");
+        assert_eq!(s.net_logic(net(&d, "t.q")).to_u64(), Some(0b10));
+        assert_eq!(s.net_logic(net(&d, "t.r")).to_u64(), Some(0b110));
     }
 
     #[test]
