@@ -6,8 +6,8 @@
 //! * `detection/*` — the full Section V-C pipeline per variant (the
 //!   "verification time of a few seconds" claim);
 //! * `solver/*` — representative Algorithm 3 constraint queries;
-//! * `flip_solving/*` — one-shot vs assumption-based incremental flip
-//!   solving on one frozen concolic round (docs/SOLVER.md);
+//! * `flip_solving/*` — the flip queries of one frozen concolic round
+//!   (docs/SOLVER.md);
 //! * `simulation/*` — raw simulation throughput;
 //! * `init_policy/*` — the all-ones vs zeros ablation.
 
@@ -143,17 +143,14 @@ fn bench_solver(c: &mut Criterion) {
 fn bench_flip_solving(c: &mut Criterion) {
     let mut g = c.benchmark_group("flip_solving");
     g.sample_size(10);
-    // Same frozen round state for both strategies — the comparison the
-    // `detection` binary records into BENCH_<soc>.json.
+    // The frozen round state the `detection` binary records into
+    // BENCH_<soc>.json.
     for model in [SocModel::ClusterSoc, SocModel::AutoSoc] {
         let workload = soccar_bench::flip_workload(model, &soccar_bench::smoke_config());
         let cap = soccar_bench::FLIP_SOLVING_CAP;
         let recorder = soccar_obs::Recorder::disabled();
         g.bench_function(format!("{model:?}_oneshot"), |b| {
-            b.iter(|| workload.solve_oneshot(cap, &recorder));
-        });
-        g.bench_function(format!("{model:?}_incremental"), |b| {
-            b.iter(|| workload.solve_incremental(cap, &recorder));
+            b.iter(|| workload.solve(cap, &recorder));
         });
     }
     g.finish();

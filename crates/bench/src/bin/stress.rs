@@ -8,8 +8,7 @@
 //! * `BENCH_gen_x10.json` — a ~169-module design (≥10x ClusterSoC)
 //!   analyzed in full, with ≥1 real solver call per round asserted;
 //! * `BENCH_gen_x50.json` — a ~807-module design: lint recall over the
-//!   whole corpus plus the clause-reuse probe on its real flip workload
-//!   (`clause_reuse_engaged` recorded either way).
+//!   whole corpus.
 //!
 //! ```sh
 //! cargo run --release -p soccar-bench --bin stress -- \
@@ -45,61 +44,26 @@ fn main() -> ExitCode {
     let x10 = soccar_bench::gen_x10_report(&config);
     let v = &x10.variants[0];
     println!(
-        "x10 {}: {} modules, recall {}/{}, {} smt queries ({} sat, {} clauses reused), {:.2}s (q)",
+        "x10 {}: {} modules, recall {}/{}, {} smt queries ({} sat), {:.2}s (q)",
         v.variant,
         v.counters["gen.modules"],
         v.counters["detected"],
         v.counters["bugs"],
         v.counters["smt.queries"],
         v.counters["smt.sat"],
-        v.counters["smt.clauses_reused"],
         v.seconds_q
-    );
-
-    let ft = &x10.variants[1];
-    println!(
-        "x10 {}: {} candidates, {} sat, trail reuse {} ({} lits kept, {} vars eliminated), \
-         incremental {:.3}s vs floor-backtracking {:.3}s (q)",
-        ft.variant,
-        ft.counters["flip_candidates"],
-        ft.counters["flip_sat"],
-        if ft.counters["trail_reuse_engaged"] == 1 {
-            "ENGAGED"
-        } else {
-            "not engaged"
-        },
-        ft.counters["smt.trail_reused"],
-        ft.counters["smt.eliminated_vars"],
-        ft.timings_q["flip_incremental_q"],
-        ft.timings_q["flip_trail_reuse_q"]
     );
 
     let x50 = soccar_bench::gen_x50_report();
     for v in &x50.variants {
-        if let Some(reused) = v.counters.get("smt.clauses_reused") {
-            println!(
-                "x50 {}: {} candidates, {} sat, clause reuse {} ({} clauses), {:.2}s (q)",
-                v.variant,
-                v.counters["flip_candidates"],
-                v.counters["flip_sat"],
-                if v.counters["clause_reuse_engaged"] == 1 {
-                    "ENGAGED"
-                } else {
-                    "not engaged"
-                },
-                reused,
-                v.seconds_q
-            );
-        } else {
-            println!(
-                "x50 {}: {} modules linted, {}/{} implicit bugs flagged, {:.2}s (q)",
-                v.variant,
-                v.counters["gen.modules"],
-                v.counters["lint.implicit_flagged"],
-                v.counters["lint.implicit_bugs"],
-                v.seconds_q
-            );
-        }
+        println!(
+            "x50 {}: {} modules linted, {}/{} implicit bugs flagged, {:.2}s (q)",
+            v.variant,
+            v.counters["gen.modules"],
+            v.counters["lint.implicit_flagged"],
+            v.counters["lint.implicit_bugs"],
+            v.seconds_q
+        );
     }
 
     let reports = [sweep, x10, x50];

@@ -75,16 +75,6 @@ pub fn stress_config() -> SoccarConfig {
             max_rounds: 3,
             sweep_stride: 3,
             init: InitPolicy::Ones,
-            // Pinned rather than env-derived: the gated `smt.*` counters
-            // differ between solver strategies (the canonical *report*
-            // does not), so the baseline must depend on neither
-            // `SOCCAR_INCREMENTAL` nor `SOCCAR_PORTFOLIO` — nor on the
-            // solver-speed escape hatches below.
-            incremental: true,
-            portfolio: false,
-            bve: true,
-            clause_sharing: true,
-            trail_reuse: true,
             ..ConcolicConfig::default()
         },
         jobs: 1,
@@ -102,8 +92,7 @@ pub const STRESS_X10: GenSpec = GenSpec {
 
 /// The ~50x stress point: scale 73 ⇒ 11·73 + 4 = 807 generated modules.
 /// Too large for a full concolic sweep in CI budget — the stress tier
-/// runs the lint pre-pass (implicit-bug recall gated) and the frozen
-/// flip-workload clause-reuse probe on it instead.
+/// runs the lint pre-pass (implicit-bug recall gated) on it instead.
 pub const STRESS_X50: GenSpec = GenSpec {
     seed: 11,
     scale: 73,
@@ -150,7 +139,6 @@ pub fn gen_recall_variant(spec: &GenSpec, config: &SoccarConfig) -> soccar_obs::
         // counts the actual SAT invocations the solver front-end saw.
         ("smt.queries", trace("smt.queries")),
         ("smt.sat", trace("smt.sat")),
-        ("smt.clauses_reused", trace("smt.clauses_reused")),
         ("flip_candidates", trace("concolic.flip_candidates")),
     ] {
         counters.insert(name.to_owned(), value);
@@ -199,110 +187,10 @@ pub fn gen_sweep_report(config: &SoccarConfig) -> soccar_obs::BenchReport {
     }
 }
 
-/// Flip-candidate cap of the x10 `flip_timing` record: deep enough into
-/// the generated window that assumption prefixes repeat (so trail reuse
-/// has prefixes to keep), small enough to keep the stress tier in
-/// budget.
-const GEN_X10_FLIP_CAP: usize = 512;
-
-/// The `flip_timing` record on the `gen:11:15` x10 stress design: the
-/// frozen flip workload solved incrementally with the solver-speed
-/// passes pinned on, against a floor-backtracking control with trail
-/// reuse disabled. `flip_incremental_q` / `flip_trail_reuse_q` timings
-/// are reported only; the solver counters — including
-/// `smt.eliminated_vars`, `smt.trail_reused`, and the derived
-/// `trail_reuse_engaged` flag — are gated at their measured values, so
-/// a change in whether the passes engage at generated scale trips the
-/// baseline, not an assumption.
-///
-/// # Panics
-///
-/// Panics if trail reuse changes any flip answer — reuse is a pure
-/// optimization, never a semantics knob.
-#[must_use]
-pub fn gen_x10_flip_record() -> soccar_obs::BenchVariant {
-    let soc = soccar_soc::generate::generate(&STRESS_X10);
-    // Pinned rather than env-derived, like every gated record: the
-    // counters below differ across the solver-speed CI legs.
-    let concolic = ConcolicConfig {
-        cycles: 10,
-        seed: 7,
-        symbolic_inputs: soc.symbolic.clone(),
-        bve: true,
-        clause_sharing: true,
-        trail_reuse: true,
-        ..ConcolicConfig::default()
-    };
-    let workload = custom_flip_workload(&soc.source, &soc.top, concolic);
-    let cap = GEN_X10_FLIP_CAP;
-    let recorder = soccar_obs::Recorder::disabled();
-    // One warm-up pass, then the best of a few runs, per timing side.
-    let time_best = |w: &soccar_concolic::FlipWorkload| {
-        let (sat, mut best) = recorder.time("bench.gen_x10.flip_warmup", || {
-            w.solve_incremental(cap, &recorder)
-        });
-        for _ in 0..2 {
-            let (again, t) = recorder.time("bench.gen_x10.flip_run", || {
-                w.solve_incremental(cap, &recorder)
-            });
-            assert_eq!(sat, again, "gen_x10: flip solving is not deterministic");
-            best = best.min(t);
-        }
-        (sat, best)
-    };
-    let (sat, incremental) = time_best(&workload);
-    let control = workload.clone().with_trail_reuse(false);
-    let (control_sat, trail_reuse_off) = time_best(&control);
-    assert_eq!(
-        sat, control_sat,
-        "gen_x10: trail reuse changed a flip answer"
-    );
-    // One separately counted pass feeds the gated counters.
-    let counted = soccar_obs::Recorder::enabled();
-    assert_eq!(workload.solve_incremental(cap, &counted), sat);
-    let snap = counted.snapshot();
-    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    let mut counters = std::collections::BTreeMap::new();
-    counters.insert(
-        "flip_candidates".to_owned(),
-        workload.candidates(cap) as u64,
-    );
-    counters.insert("flip_sat".to_owned(), sat as u64);
-    counters.insert(
-        "trail_reuse_engaged".to_owned(),
-        u64::from(counter("smt.trail_reused") > 0),
-    );
-    for name in [
-        "smt.incremental_calls",
-        "smt.blast_cache_hits",
-        "smt.clauses_reused",
-        "smt.eliminated_vars",
-        "smt.trail_reused",
-    ] {
-        counters.insert(name.to_owned(), counter(name));
-    }
-    let mut timings_q = std::collections::BTreeMap::new();
-    timings_q.insert(
-        "flip_incremental_q".to_owned(),
-        soccar_obs::quantize_seconds(incremental.as_secs_f64()),
-    );
-    timings_q.insert(
-        "flip_trail_reuse_q".to_owned(),
-        soccar_obs::quantize_seconds(trail_reuse_off.as_secs_f64()),
-    );
-    soccar_obs::BenchVariant {
-        variant: format!("{} flip_timing", soc.name),
-        counters,
-        timings_q,
-        seconds_q: soccar_obs::quantize_seconds((incremental + trail_reuse_off).as_secs_f64()),
-    }
-}
-
 /// The 10x-scale report (`BENCH_gen_x10.json`): [`STRESS_X10`] analyzed
-/// in full, plus the [`gen_x10_flip_record`] solver-speed timing on the
-/// same design. Gated like the sweep, plus the ISSUE 7 acceptance floor
-/// asserted directly: ≥160 modules and at least one real solver call
-/// per concolic round.
+/// in full. Gated like the sweep, plus an acceptance floor asserted
+/// directly: ≥160 modules and at least one real solver call per
+/// concolic round.
 ///
 /// # Panics
 ///
@@ -333,34 +221,13 @@ pub fn gen_x10_report(config: &SoccarConfig) -> soccar_obs::BenchReport {
     soccar_obs::BenchReport {
         soc: "gen_x10".to_owned(),
         mode: "stress".to_owned(),
-        variants: vec![v, gen_x10_flip_record()],
+        variants: vec![v],
     }
 }
 
-/// The 50x-scale report (`BENCH_gen_x50.json`) — two records on
-/// [`STRESS_X50`]:
-///
-/// * `lint_recall`: the lint pre-pass over all ~800 modules, with the
-///   manifest's implicit (lint-stage) bugs gated fully flagged;
-/// * `clause_reuse_probe`: the frozen flip workload solved
-///   incrementally, answering whether larger generated flip windows
-///   reuse clauses on a *real* workload (the synthetic
-///   [`clause_reuse_record`] design was built because the bundled SoCs'
-///   windows are too shallow). The answer is **recorded either way** —
-///   `clause_reuse_engaged` is gated at its measured value, not
-///   asserted non-zero — so a future change in either direction trips
-///   the baseline, not an assumption.
-///
-/// Measured answer (recorded in the baseline): learnt-clause reuse does
-/// **not** scale with the frozen window. At scale 73 the probe reuses
-/// none, because every capped solve localizes to its own candidate cone
-/// through the assumption literals and completes conflict-free — there
-/// are no learnt clauses to carry (and the probe's engine passes no
-/// property monitors, so its windows carry no check obligations
-/// either). The real-workload reuse evidence at scale lives in the
-/// full-pipeline x10 record instead, where cross-round window
-/// accumulation — check obligations included — reuses clauses by the
-/// million (see `smt.clauses_reused` in `BENCH_gen_x10.json`).
+/// The 50x-scale report (`BENCH_gen_x50.json`): one `lint_recall`
+/// record on [`STRESS_X50`] — the lint pre-pass over all ~800 modules,
+/// with the manifest's implicit (lint-stage) bugs gated fully flagged.
 ///
 /// # Panics
 ///
@@ -405,62 +272,10 @@ pub fn gen_x50_report() -> soccar_obs::BenchReport {
         seconds_q: soccar_obs::quantize_seconds(lint_elapsed.as_secs_f64()),
     };
 
-    // Clause-reuse probe on the real 50x flip workload. The solver-speed
-    // knobs are pinned on so the gated counters — `smt.eliminated_vars`,
-    // `smt.trail_reused`, and the derived engagement flags — are one
-    // fixed point across the `SOCCAR_BVE` / `SOCCAR_TRAIL_REUSE` legs.
-    let concolic = ConcolicConfig {
-        cycles: 10,
-        seed: 7,
-        symbolic_inputs: soc.symbolic.clone(),
-        bve: true,
-        clause_sharing: true,
-        trail_reuse: true,
-        ..ConcolicConfig::default()
-    };
-    let workload = custom_flip_workload(&soc.source, &soc.top, concolic);
-    // Deep enough into the 13k-candidate window that SAT flips appear
-    // (the first ~2k candidates are all UNSAT at this scale), small
-    // enough to keep the probe in milliseconds.
-    let cap = 2048;
-    let probe_recorder = soccar_obs::Recorder::enabled();
-    let (sat, probe_elapsed) = probe_recorder.time("bench.gen_x50.probe", || {
-        workload.solve_incremental(cap, &probe_recorder)
-    });
-    let snap = probe_recorder.snapshot();
-    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    let reused = counter("smt.clauses_reused");
-    let mut probe_counters = std::collections::BTreeMap::new();
-    probe_counters.insert(
-        "flip_candidates".to_owned(),
-        workload.candidates(cap) as u64,
-    );
-    probe_counters.insert("flip_sat".to_owned(), sat as u64);
-    probe_counters.insert("clause_reuse_engaged".to_owned(), u64::from(reused > 0));
-    probe_counters.insert(
-        "trail_reuse_engaged".to_owned(),
-        u64::from(counter("smt.trail_reused") > 0),
-    );
-    for name in [
-        "smt.incremental_calls",
-        "smt.blast_cache_hits",
-        "smt.clauses_reused",
-        "smt.eliminated_vars",
-        "smt.trail_reused",
-    ] {
-        probe_counters.insert(name.to_owned(), counter(name));
-    }
-    let probe_variant = soccar_obs::BenchVariant {
-        variant: format!("{} clause_reuse_probe", soc.name),
-        counters: probe_counters,
-        timings_q: std::collections::BTreeMap::new(),
-        seconds_q: soccar_obs::quantize_seconds(probe_elapsed.as_secs_f64()),
-    };
-
     soccar_obs::BenchReport {
         soc: "gen_x50".to_owned(),
         mode: "stress".to_owned(),
-        variants: vec![lint_variant, probe_variant],
+        variants: vec![lint_variant],
     }
 }
 
@@ -611,8 +426,8 @@ pub fn bench_reports(evals: &[VariantEvaluation], mode: &str) -> Vec<soccar_obs:
 }
 
 /// Builds the frozen one-round [`soccar_concolic::FlipWorkload`] for a
-/// bundled SoC under `config` — the shared input of the `flip_solving`
-/// benchmark (one-shot vs incremental flip solving on identical state).
+/// bundled SoC under `config` — the input of the `flip_solving`
+/// benchmark.
 ///
 /// # Panics
 ///
@@ -635,436 +450,74 @@ pub fn flip_workload(model: SocModel, config: &SoccarConfig) -> soccar_concolic:
     let bound = soccar_cfg::bind_events(&design, &arcfg).expect("benchmark SoCs always bind");
     let mut concolic = config.concolic.clone();
     concolic.symbolic_inputs = soccar_soc::symbolic_inputs(model);
-    // The catalog security checks ride along so the frozen round records
-    // its symbolic check obligations — the window content the
-    // `flip_solving` record's `smt.clauses_reused` gate measures.
-    let properties: Vec<SecurityProperty> = soccar_soc::security_checks(model)
-        .iter()
-        .map(soccar::property_of)
-        .collect();
-    let engine = soccar_concolic::ConcolicEngine::new(&design, &bound, properties, concolic)
+    let engine = soccar_concolic::ConcolicEngine::new(&design, &bound, Vec::new(), concolic)
         .expect("benchmark SoCs always build an engine");
     engine
         .flip_workload()
         .expect("benchmark SoCs always simulate")
 }
 
-/// Outcome of one `flip_solving` comparison: the synthetic bench variant
-/// recorded into `BENCH_<soc>.json` plus the raw (unquantized) timings
-/// for speedup reporting.
+/// Outcome of one `flip_solving` run: the synthetic bench variant
+/// recorded into `BENCH_<soc>.json` plus the raw (unquantized) timing.
 #[derive(Debug, Clone)]
 pub struct FlipSolvingRecord {
     /// The `flip_solving` record appended to the SoC's bench report:
-    /// deterministic counters (`flip_candidates`, `flip_sat`,
-    /// `smt.incremental_calls`, `smt.blast_cache_hits`,
-    /// `smt.clauses_reused`, `smt.eliminated_vars`, `smt.trail_reused`)
-    /// are gated; `flip_oneshot_q` / `flip_incremental_q` /
-    /// `flip_trail_reuse_q` timings are reported only.
+    /// the deterministic counters `flip_candidates` and `flip_sat` are
+    /// gated; the `flip_oneshot_q` timing is reported only.
     pub variant: soccar_obs::BenchVariant,
-    /// Wall-clock of the one-shot pass.
+    /// Wall-clock of one pass over the candidates (best of five).
     pub oneshot: std::time::Duration,
-    /// Wall-clock of the incremental pass (trail reuse on).
-    pub incremental: std::time::Duration,
-    /// Wall-clock of the incremental control pass with trail reuse
-    /// disabled — the floor-backtracking baseline `flip_incremental_q`
-    /// is compared against.
-    pub trail_reuse_off: std::time::Duration,
-}
-
-impl FlipSolvingRecord {
-    /// One-shot time over incremental time — the headline win.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.oneshot.as_secs_f64() / self.incremental.as_secs_f64().max(1e-9)
-    }
-
-    /// Floor-backtracking time over trail-reuse time — the trail-reuse
-    /// win inside the incremental strategy.
-    #[must_use]
-    pub fn trail_reuse_speedup(&self) -> f64 {
-        self.trail_reuse_off.as_secs_f64() / self.incremental.as_secs_f64().max(1e-9)
-    }
 }
 
 /// How many flip candidates the `flip_solving` benchmark solves per SoC.
 /// Large enough that the shared path prefix dominates and the window
 /// spans gate-bearing branch conditions (comparisons, not just 1-bit
-/// guards), small enough that the one-shot (quadratic re-blasting) side
-/// stays in benchmark budget.
+/// guards), small enough to stay in benchmark budget.
 pub const FLIP_SOLVING_CAP: usize = 256;
 
-/// Runs the `flip_solving` comparison for one SoC model: solves the same
-/// frozen flip candidates one-shot and incrementally, asserts the SAT
-/// counts agree, and returns the bench record.
+/// Runs the `flip_solving` record for one SoC model: solves the frozen
+/// flip candidates of the SoC's first round, one one-shot query each,
+/// and returns the bench record.
 ///
 /// # Panics
 ///
-/// Panics if the strategies disagree on any SAT count (that would be an
-/// incremental-solver soundness bug, not a perf regression), or if the
-/// incremental window reused no clauses — the bundled SoCs' windows carry
-/// check-obligation clauses precisely so this stays observable.
+/// Panics if two passes over the same candidates disagree on the SAT
+/// count (flip solving must be deterministic).
 #[must_use]
 pub fn flip_solving_record(model: SocModel, config: &SoccarConfig) -> FlipSolvingRecord {
-    // Pinned rather than env-derived: the gated counters below include
-    // `smt.eliminated_vars` and `smt.trail_reused`, which differ across
-    // the `SOCCAR_BVE` / `SOCCAR_TRAIL_REUSE` CI legs.
-    let mut config = config.clone();
-    config.concolic.bve = true;
-    config.concolic.clause_sharing = true;
-    config.concolic.trail_reuse = true;
-    let workload = flip_workload(model, &config);
+    let workload = flip_workload(model, config);
     let cap = FLIP_SOLVING_CAP;
     // Criterion-style timing: one warm-up pass, then the best of a few
-    // runs (the timings are reported, never gated, so "best" beats "one
+    // runs (the timing is reported, never gated, so "best" beats "one
     // noisy sample"). The span API is the one timing code path (see
     // `detection.rs`).
     let recorder = soccar_obs::Recorder::disabled();
-    let time_best = |f: &dyn Fn() -> usize| {
-        let (sat, mut best) = recorder.time("bench.flip_solving.warmup", f);
-        for _ in 0..4 {
-            let (again, t) = recorder.time("bench.flip_solving.run", f);
-            assert_eq!(sat, again, "{model:?}: flip solving is not deterministic");
-            best = best.min(t);
-        }
-        (sat, best)
-    };
-    let (oneshot_sat, oneshot) = time_best(&|| workload.solve_oneshot(cap, &recorder));
-    let (incremental_sat, incremental) = time_best(&|| workload.solve_incremental(cap, &recorder));
-    assert_eq!(
-        oneshot_sat, incremental_sat,
-        "{model:?}: one-shot and incremental flip solving disagreed"
-    );
-    // The floor-backtracking control: the same incremental pass with
-    // trail reuse disabled. Its timing rides along as
-    // `flip_trail_reuse_q`, so the reuse win stays measured, and its
-    // SAT count must agree — trail reuse never changes an answer.
-    let control = workload.clone().with_trail_reuse(false);
-    let (control_sat, trail_reuse_off) = time_best(&|| control.solve_incremental(cap, &recorder));
-    assert_eq!(
-        incremental_sat, control_sat,
-        "{model:?}: trail reuse changed a flip answer"
-    );
-    // One separately counted pass feeds the gated counters.
-    let inc_recorder = soccar_obs::Recorder::enabled();
-    assert_eq!(
-        workload.solve_incremental(cap, &inc_recorder),
-        incremental_sat
-    );
-    let snap = inc_recorder.snapshot();
-    assert!(
-        snap.counters
-            .get("smt.clauses_reused")
-            .copied()
-            .unwrap_or(0)
-            > 0,
-        "{model:?}: the bundled SoC's own flip window reused no clauses — \
-         check-obligation folding has silently stopped engaging"
-    );
-    assert!(
-        snap.counters
-            .get("smt.eliminated_vars")
-            .copied()
-            .unwrap_or(0)
-            > 0,
-        "{model:?}: inprocessing eliminated no variables on the flip window — \
-         bounded variable elimination has silently stopped engaging"
-    );
-    let mut counters = std::collections::BTreeMap::new();
-    counters.insert(
-        "flip_candidates".to_owned(),
-        workload.candidates(cap) as u64,
-    );
-    counters.insert("flip_sat".to_owned(), oneshot_sat as u64);
-    for name in [
-        "smt.incremental_calls",
-        "smt.blast_cache_hits",
-        "smt.clauses_reused",
-        "smt.eliminated_vars",
-        "smt.trail_reused",
-    ] {
-        counters.insert(
-            name.to_owned(),
-            snap.counters.get(name).copied().unwrap_or(0),
-        );
+    let solve = || workload.solve(cap, &recorder);
+    let (sat, mut oneshot) = recorder.time("bench.flip_solving.warmup", solve);
+    for _ in 0..4 {
+        let (again, t) = recorder.time("bench.flip_solving.run", solve);
+        assert_eq!(sat, again, "{model:?}: flip solving is not deterministic");
+        oneshot = oneshot.min(t);
     }
-    let mut timings_q = std::collections::BTreeMap::new();
-    timings_q.insert(
-        "flip_oneshot_q".to_owned(),
-        soccar_obs::quantize_seconds(oneshot.as_secs_f64()),
-    );
-    timings_q.insert(
-        "flip_incremental_q".to_owned(),
-        soccar_obs::quantize_seconds(incremental.as_secs_f64()),
-    );
-    timings_q.insert(
-        "flip_trail_reuse_q".to_owned(),
-        soccar_obs::quantize_seconds(trail_reuse_off.as_secs_f64()),
-    );
-    FlipSolvingRecord {
-        variant: soccar_obs::BenchVariant {
-            variant: format!("{model:?} flip_solving"),
-            counters,
-            timings_q,
-            seconds_q: soccar_obs::quantize_seconds((oneshot + incremental).as_secs_f64()),
-        },
-        oneshot,
-        incremental,
-        trail_reuse_off,
-    }
-}
-
-/// The gated-magic design of the `clause_reuse` bench record: the flag
-/// only flips when a symbolic byte hits a constant, so every flip solve
-/// shares a deep path prefix and the incremental solver's clause reuse
-/// is *guaranteed* to engage. The bundled SoCs' flip windows are too
-/// shallow for reuse (`smt.clauses_reused` is 0 in their `flip_solving`
-/// records), which previously left the counter ungated — a regression
-/// that silently disabled clause reuse would have passed CI.
-const CLAUSE_REUSE_SRC: &str = "
-module ip(input clk, input rst_n, input [7:0] magic,
-          output reg flag, output reg [7:0] ctr);
-  always @(posedge clk or negedge rst_n)
-    if (!rst_n) begin
-      if (magic == 8'h5A) flag <= 1'b1;
-      ctr <= 8'd0;
-    end else ctr <= ctr + 8'd1;
-endmodule
-module top(input clk, input dom_rst_n, input [7:0] magic,
-           output flag, output [7:0] ctr);
-  ip u (.clk(clk), .rst_n(dom_rst_n), .magic(magic),
-        .flag(flag), .ctr(ctr));
-endmodule";
-
-/// Builds the frozen [`soccar_concolic::FlipWorkload`] for an arbitrary
-/// source file (the custom-design twin of [`flip_workload`]).
-///
-/// # Panics
-///
-/// Panics if the design fails to compile or simulate (bench driver code,
-/// not a library API).
-#[must_use]
-pub fn custom_flip_workload(
-    source: &str,
-    top: &str,
-    concolic: ConcolicConfig,
-) -> soccar_concolic::FlipWorkload {
-    let unit = soccar_rtl::parser::parse(soccar_rtl::span::FileId(0), source)
-        .expect("bench designs always parse");
-    let design =
-        soccar_rtl::elaborate::elaborate(&unit, top).expect("bench designs always elaborate");
-    let arcfg = soccar_cfg::compose_soc(
-        &unit,
-        top,
-        &soccar_cfg::ResetNaming::new(),
-        soccar_cfg::GovernorAnalysis::Explicit,
-    )
-    .expect("bench designs always compose");
-    let bound = soccar_cfg::bind_events(&design, &arcfg).expect("bench designs always bind");
-    let engine = soccar_concolic::ConcolicEngine::new(&design, &bound, Vec::new(), concolic)
-        .expect("bench designs always build an engine");
-    engine
-        .flip_workload()
-        .expect("bench designs always simulate")
-}
-
-/// Runs the `clause_reuse` record: incremental flip solving on the
-/// gated-magic design, solved serially, with `smt.clauses_reused` gated
-/// **non-zero** (and exact, like every gated counter). The configuration
-/// is pinned — independent of smoke/full mode — so the record is one
-/// fixed point across every bench invocation.
-///
-/// # Panics
-///
-/// Panics if clause reuse fails to engage at all — that is the
-/// regression this record exists to catch, and it must fail loudly even
-/// before the baseline diff runs.
-#[must_use]
-pub fn clause_reuse_record() -> soccar_obs::BenchVariant {
-    let concolic = ConcolicConfig {
-        cycles: 10,
-        seed: 7,
-        symbolic_inputs: vec!["top.magic".into()],
-        ..ConcolicConfig::default()
-    };
-    let workload = custom_flip_workload(CLAUSE_REUSE_SRC, "top", concolic);
-    let cap = 16;
-    let recorder = soccar_obs::Recorder::enabled();
-    let (sat, elapsed) = recorder.time("bench.clause_reuse.run", || {
-        workload.solve_incremental(cap, &recorder)
-    });
-    let snap = recorder.snapshot();
-    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    assert!(
-        counter("smt.clauses_reused") > 0,
-        "incremental flip solving reused no clauses on the gated-magic design — \
-         clause reuse has silently stopped engaging"
-    );
     let mut counters = std::collections::BTreeMap::new();
     counters.insert(
         "flip_candidates".to_owned(),
         workload.candidates(cap) as u64,
     );
     counters.insert("flip_sat".to_owned(), sat as u64);
-    for name in [
-        "smt.incremental_calls",
-        "smt.blast_cache_hits",
-        "smt.clauses_reused",
-    ] {
-        counters.insert(name.to_owned(), counter(name));
-    }
     let mut timings_q = std::collections::BTreeMap::new();
     timings_q.insert(
-        "clause_reuse_q".to_owned(),
-        soccar_obs::quantize_seconds(elapsed.as_secs_f64()),
+        "flip_oneshot_q".to_owned(),
+        soccar_obs::quantize_seconds(oneshot.as_secs_f64()),
     );
-    soccar_obs::BenchVariant {
-        variant: "clause_reuse".to_owned(),
-        counters,
-        timings_q,
-        seconds_q: soccar_obs::quantize_seconds(elapsed.as_secs_f64()),
-    }
-}
-
-/// Per-profile conflict budget of the `solver_maintenance` sharing race.
-/// Small enough that the canonical profile cannot finish the pigeonhole
-/// formula inside its first slice (so clones exist and learn), and fixed
-/// so the race — and with it every gated counter — is deterministic.
-const SHARING_RACE_CONFLICTS: u64 = 64;
-
-/// Asserts the 6-pigeons-into-5-holes formula (UNSAT, conflict-rich)
-/// into `solver` over `g`.
-fn assert_pigeonhole(g: &mut soccar_smt::TermGraph, solver: &mut soccar_smt::Solver) {
-    let holes = g.const_u64(3, 5);
-    let pigeons: Vec<_> = (0..6).map(|i| g.var(format!("p{i}"), 3)).collect();
-    for &p in &pigeons {
-        let in_range = g.ult(p, holes);
-        solver.assert(in_range);
-    }
-    for i in 0..pigeons.len() {
-        for j in i + 1..pigeons.len() {
-            let distinct = g.ne(pigeons[i], pigeons[j]);
-            solver.assert(distinct);
-        }
-    }
-}
-
-/// Runs the `solver_maintenance` record, two phases over the same
-/// conflict-rich pigeonhole formula (6 bit-vector pigeons into 5 holes,
-/// UNSAT):
-///
-/// 1. **Maintenance**: one-shot solve under a pinned aggressive
-///    [`soccar_smt::SolverProfile`] (restart interval 2, learnt-DB
-///    reduction from 8 clauses), with the modern-CDCL maintenance
-///    counters `smt.restarts` and `smt.learnt_deleted` gated
-///    **non-zero** (and exact, like every gated counter).
-/// 2. **Sharing race**: a portfolio race on a fresh solver under a
-///    per-profile budget of `SHARING_RACE_CONFLICTS` (64) conflicts —
-///    deliberately too small for the canonical profile's first slice, so
-///    clones are created, learn, and drain their glue clauses back
-///    through the export filter. `smt.shared_imported` and
-///    `smt.portfolio_learnts_discarded` are gated non-zero: without this
-///    phase the bundled SoCs' flip solves (which never outlive the first
-///    slice) would let a silently broken sharing path pass CI. The
-///    solver-speed knobs are pinned on so the record is byte-identical
-///    across `SOCCAR_BVE` / `SOCCAR_CLAUSE_SHARING` /
-///    `SOCCAR_TRAIL_REUSE` legs.
-///
-/// The bundled SoCs' own flip solves are conflict-free, so without this
-/// record a regression that silently disabled restarts, learnt-DB
-/// reduction, or clause sharing would pass CI.
-///
-/// # Panics
-///
-/// Panics if the formula stops being UNSAT, or if restarts, learnt-DB
-/// reduction, or clause sharing fail to engage — the regressions this
-/// record exists to catch must fail loudly even before the baseline
-/// diff runs.
-#[must_use]
-pub fn solver_maintenance_record() -> soccar_obs::BenchVariant {
-    let mut g = soccar_smt::TermGraph::new();
-    let mut solver = soccar_smt::Solver::new();
-    solver.set_profile(soccar_smt::SolverProfile {
-        seed: 0,
-        invert_phase: false,
-        restart_base: 2,
-        reduce_base: 8,
-    });
-    assert_pigeonhole(&mut g, &mut solver);
-    let recorder = soccar_obs::Recorder::enabled();
-    let (result, elapsed) = recorder.time("bench.solver_maintenance.run", || {
-        solver.check_traced(&g, &recorder)
-    });
-    assert!(
-        matches!(result, soccar_smt::CheckResult::Unsat),
-        "the pigeonhole formula must be UNSAT"
-    );
-    let snap = recorder.snapshot();
-    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    assert!(
-        counter("smt.restarts") > 0,
-        "the aggressive profile drove no restarts — Luby restarting has \
-         silently stopped engaging"
-    );
-    assert!(
-        counter("smt.learnt_deleted") > 0,
-        "the aggressive profile deleted no learnt clauses — learnt-DB \
-         reduction has silently stopped engaging"
-    );
-
-    // Phase 2: the sharing race, on its own recorder so the maintenance
-    // counters above stay exactly what phase 1 produced.
-    let mut race_g = soccar_smt::TermGraph::new();
-    let mut race = soccar_smt::Solver::with_budget(soccar_smt::SolveBudget {
-        max_conflicts: Some(SHARING_RACE_CONFLICTS),
-        max_decisions: None,
-    });
-    race.set_bve(true);
-    race.set_clause_sharing(true);
-    race.set_trail_reuse(true);
-    assert_pigeonhole(&mut race_g, &mut race);
-    let race_recorder = soccar_obs::Recorder::enabled();
-    let (race_result, race_elapsed) = race_recorder.time("bench.solver_maintenance.race", || {
-        race.check_assuming_portfolio_traced(&race_g, &[], &race_recorder)
-    });
-    assert!(
-        !race_result.is_sat(),
-        "the budgeted race must answer Unsat or Unknown on the pigeonhole \
-         formula, got {race_result:?}"
-    );
-    let race_snap = race_recorder.snapshot();
-    let race_counter = |name: &str| race_snap.counters.get(name).copied().unwrap_or(0);
-    assert!(
-        race_counter("smt.shared_imported") > 0,
-        "the budgeted portfolio race imported no clone glue clauses — \
-         clause sharing has silently stopped engaging"
-    );
-    assert!(
-        race_counter("smt.portfolio_learnts_discarded") > 0,
-        "the budgeted portfolio race discarded no clone learnt clauses — \
-         the export filter has silently stopped filtering"
-    );
-
-    let mut counters = std::collections::BTreeMap::new();
-    for name in ["smt.restarts", "smt.learnt_deleted", "smt.learnt_kept"] {
-        counters.insert(name.to_owned(), counter(name));
-    }
-    for name in ["smt.shared_imported", "smt.portfolio_learnts_discarded"] {
-        counters.insert(name.to_owned(), race_counter(name));
-    }
-    let mut timings_q = std::collections::BTreeMap::new();
-    timings_q.insert(
-        "solver_maintenance_q".to_owned(),
-        soccar_obs::quantize_seconds(elapsed.as_secs_f64()),
-    );
-    timings_q.insert(
-        "sharing_race_q".to_owned(),
-        soccar_obs::quantize_seconds(race_elapsed.as_secs_f64()),
-    );
-    soccar_obs::BenchVariant {
-        variant: "solver_maintenance".to_owned(),
-        counters,
-        timings_q,
-        seconds_q: soccar_obs::quantize_seconds((elapsed + race_elapsed).as_secs_f64()),
+    FlipSolvingRecord {
+        variant: soccar_obs::BenchVariant {
+            variant: format!("{model:?} flip_solving"),
+            counters,
+            timings_q,
+            seconds_q: soccar_obs::quantize_seconds(oneshot.as_secs_f64()),
+        },
+        oneshot,
     }
 }
 
@@ -1246,16 +699,12 @@ pub fn incremental_reanalysis_record(model: SocModel, config: &SoccarConfig) -> 
     }
 }
 
-/// Appends the serving-oriented records to every SoC's bench report: the
-/// per-SoC `incremental_reanalysis` comparison and the (SoC-independent,
-/// pinned-config) `clause_reuse` record. Returns the reanalysis records
-/// for speedup reporting.
+/// Appends the serving-oriented `incremental_reanalysis` record to every
+/// SoC's bench report. Returns the records for speedup reporting.
 pub fn append_serving_records(
     reports: &mut [soccar_obs::BenchReport],
     config: &SoccarConfig,
 ) -> Vec<(SocModel, ReanalysisRecord)> {
-    let clause_reuse = clause_reuse_record();
-    let solver_maintenance = solver_maintenance_record();
     let mut out = Vec::new();
     for report in reports {
         let model = match report.soc.as_str() {
@@ -1265,8 +714,6 @@ pub fn append_serving_records(
         };
         let record = incremental_reanalysis_record(model, config);
         report.variants.push(record.variant.clone());
-        report.variants.push(clause_reuse.clone());
-        report.variants.push(solver_maintenance.clone());
         out.push((model, record));
     }
     out
@@ -1673,25 +1120,6 @@ mod tests {
             x50.manifest.bugs.iter().any(|b| b.implicit),
             "the 50x lint-recall record needs at least one implicit bug"
         );
-    }
-
-    #[test]
-    fn solver_maintenance_record_engages_both_phases() {
-        // The record self-gates (it panics if restarts, reduction, or
-        // clause sharing fail to engage); this test just keeps it
-        // exercised in the tier-1 suite and pins the counter surface.
-        let v = solver_maintenance_record();
-        for name in [
-            "smt.restarts",
-            "smt.learnt_deleted",
-            "smt.shared_imported",
-            "smt.portfolio_learnts_discarded",
-        ] {
-            assert!(
-                v.counters.contains_key(name),
-                "solver_maintenance must record {name}"
-            );
-        }
     }
 
     #[test]

@@ -28,10 +28,7 @@ use soccar_rtl::ast::{BinaryOp, UnaryOp};
 use soccar_rtl::design::BranchSiteId;
 use soccar_rtl::value::LogicVec;
 use soccar_sim::algebra::{concrete_binary, concrete_mux, concrete_unary, Algebra};
-use soccar_sim::Simulator;
 use soccar_smt::{BvVal, TermGraph, TermId};
-
-use crate::property::PropertyMonitor;
 
 /// An algebra the engine's round driver can run a schedule on.
 pub trait RoundAlgebra: Algebra + Default {
@@ -41,12 +38,6 @@ pub trait RoundAlgebra: Algebra + Default {
 
     /// Branch coverage: every `(site, direction)` executed this run.
     fn coverage(&self) -> &HashSet<(BranchSiteId, bool)>;
-
-    /// Records the monitors' symbolic proof obligations for the cycle just
-    /// checked. Only the co-algebra has any; the default records nothing.
-    fn record_obligations(sim: &mut Simulator<'_, Self>, monitors: &[PropertyMonitor]) {
-        let _ = (sim, monitors);
-    }
 }
 
 /// A concrete value with an optional symbolic shadow.
@@ -89,28 +80,12 @@ pub struct BranchObservation {
     pub step: u64,
 }
 
-/// One recorded security-check obligation whose monitored net was symbolic.
-///
-/// `term` is the 1-bit "property holds here" formula built from the
-/// monitored net's symbolic shadow at the cycle the check fired. These are
-/// never assumed or asserted — they exist so the incremental flip window can
-/// pre-blast the real proof obligations and carry their clauses across
-/// candidates (see `docs/SOLVER.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckObservation {
-    /// The 1-bit holds-term of the property at this occurrence.
-    pub term: TermId,
-    /// Chronological index within the run (shared with branch steps).
-    pub step: u64,
-}
-
 /// The co-simulation algebra: owns the term graph and the branch log.
 #[derive(Debug, Default)]
 pub struct CoAlgebra {
     /// The shared term graph (vars minted by the engine live here too).
     pub graph: TermGraph,
     observations: Vec<BranchObservation>,
-    checks: Vec<CheckObservation>,
     coverage: HashSet<(BranchSiteId, bool)>,
     step: u64,
 }
@@ -147,27 +122,10 @@ impl CoAlgebra {
         &self.observations
     }
 
-    /// Symbolic security-check obligations recorded so far, in
-    /// chronological order.
-    #[must_use]
-    pub fn check_observations(&self) -> &[CheckObservation] {
-        &self.checks
-    }
-
-    /// Records a symbolic security-check obligation at the current step.
-    pub fn record_check(&mut self, term: TermId) {
-        self.step += 1;
-        self.checks.push(CheckObservation {
-            term,
-            step: self.step,
-        });
-    }
-
     /// Clears the branch log and coverage (between rounds). Terms persist —
     /// they are hash-consed and cheap to keep.
     pub fn reset_observations(&mut self) {
         self.observations.clear();
-        self.checks.clear();
         self.coverage.clear();
         self.step = 0;
     }
@@ -403,21 +361,10 @@ impl RoundAlgebra for CoAlgebra {
     fn coverage(&self) -> &HashSet<(BranchSiteId, bool)> {
         &self.coverage
     }
-
-    /// Serial and in monitor order, so the observation log stays
-    /// deterministic.
-    fn record_obligations(sim: &mut Simulator<'_, CoAlgebra>, monitors: &[PropertyMonitor]) {
-        for mon in monitors {
-            if let Some(t) = mon.symbolic_obligation(sim) {
-                sim.algebra_mut().record_check(t);
-            }
-        }
-    }
 }
 
 /// The concrete coverage algebra: plain [`LogicVec`] values plus the
-/// `(site, direction)` branch-coverage set. No symbolic inputs, no terms,
-/// no obligations.
+/// `(site, direction)` branch-coverage set. No symbolic inputs, no terms.
 ///
 /// The one behavioral difference from [`CoAlgebra`] is in
 /// [`Algebra::changed`]: the co-algebra also wakes level-sensitive

@@ -16,7 +16,9 @@
 //!    prefix with the flipped condition — clock edges and reset tests are
 //!    already equivalences over per-cycle input variables, exactly the
 //!    transformation the paper describes — and asks the solver for a new
-//!    input schedule.
+//!    input schedule. Every candidate is one one-shot query against the
+//!    round's own term graph, solved in parallel and consumed in stable
+//!    order.
 //! 4. Once coverage saturates (or no flip is solvable), a systematic
 //!    *reset sweep* moves an asynchronous pulse across every cycle of
 //!    every domain, exploring the reset-timing space the paper calls
@@ -29,8 +31,7 @@
 //!    serially in pulse order, so reports are identical for every job
 //!    count.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use soccar_cfg::bind::BoundEvent;
@@ -74,8 +75,8 @@ pub struct ConcolicConfig {
     /// Worker threads for the engine's two fan-outs (`0` = auto via
     /// [`soccar_exec::resolve_jobs`]): each round's uncovered-event flip
     /// solves, and each domain's batch of reset-sweep rounds. Every job
-    /// count produces bit-identical reports: flip candidates are solved
-    /// against independent clones of the round's term graph and consumed
+    /// count produces bit-identical reports: each flip candidate is an
+    /// independent query against the round's frozen term graph, consumed
     /// in stable target order, and sweep rounds are merged in pulse
     /// order, never completion order.
     pub jobs: usize,
@@ -105,75 +106,6 @@ pub struct ConcolicConfig {
     /// consults the points `solver_unknown`, `task_panic:flips`, and
     /// `round_timeout`; see `soccar_exec::FaultPlan`.
     pub fault_plan: FaultPlan,
-    /// Use assumption-based incremental solving for the per-round flip
-    /// fan-out: the round's path prefix is bit-blasted once into a shared
-    /// [`Solver`] context and each candidate is discharged with
-    /// `check_assuming` against a cheap clone of the *blasted* state,
-    /// instead of deep-cloning the raw term graph and re-blasting per
-    /// candidate. Identical Sat/Unsat answers, large constant-factor
-    /// speedup. Defaults to on; `SOCCAR_INCREMENTAL=0` (or the CLI's
-    /// `--no-incremental`) selects the one-shot path as an escape hatch.
-    pub incremental: bool,
-    /// Race the deterministic solver portfolio
-    /// ([`soccar_smt::PORTFOLIO_PROFILES`]) on each incremental flip
-    /// solve: diverse `SolverProfile`s (branching seed, phase polarity,
-    /// restart schedule) share the call's budget in a deterministic
-    /// time-sliced rotation, first definite answer wins. Profile 0 runs
-    /// first with a generous opening slice, so healthy workloads answer
-    /// identically with the portfolio on or off — byte-identical reports
-    /// across `SOCCAR_PORTFOLIO={0,1}`. Only consulted on the incremental
-    /// path (one-shot solves are single-profile). Defaults to off;
-    /// `SOCCAR_PORTFOLIO=1` (or the CLI's `--portfolio`) enables it.
-    pub portfolio: bool,
-    /// Cap on symbolic security-check obligations folded into the
-    /// incremental window preblast (most recent first, deduplicated by
-    /// term). The obligations are blast-only — Tseitin-encoded but never
-    /// assumed or asserted, so answers and reports are untouched — and
-    /// give `check_assuming` real clauses to carry across candidates.
-    /// `0` disables the folding.
-    pub max_window_checks: usize,
-    /// Bounded variable elimination during solver inprocessing: gate
-    /// variables introduced by bit-blasting (carries, comparator
-    /// intermediates) are resolved away when the clause database does
-    /// not grow, with model reconstruction keeping answers and extracted
-    /// models identical. Defaults to on; `SOCCAR_BVE=0` is the escape
-    /// hatch.
-    pub bve: bool,
-    /// Learnt-clause sharing across portfolio profiles: clone profiles
-    /// drain their glue clauses (low LBD, short) back into the base
-    /// solver between time slices instead of learning alone and being
-    /// discarded. Only consulted when [`ConcolicConfig::portfolio`] is
-    /// on. Defaults to on; `SOCCAR_CLAUSE_SHARING=0` is the escape
-    /// hatch.
-    pub clause_sharing: bool,
-    /// Trail reuse between `check_assuming` calls: a new call keeps the
-    /// longest common prefix of the previous call's assumption trail
-    /// instead of backtracking to the assumption floor and
-    /// re-propagating it. Answers are unchanged; per-candidate
-    /// re-propagation cost drops on the flip fan-out's shared prefixes.
-    /// Defaults to on; `SOCCAR_TRAIL_REUSE=0` is the escape hatch.
-    pub trail_reuse: bool,
-}
-
-/// Reads the `SOCCAR_INCREMENTAL` escape hatch: `0`/`false`/`off`
-/// disable incremental flip solving, anything else (or unset) enables it.
-#[must_use]
-pub fn incremental_default() -> bool {
-    !matches!(
-        std::env::var("SOCCAR_INCREMENTAL").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
-}
-
-/// Reads the `SOCCAR_PORTFOLIO` opt-in: `1`/`true`/`on` enable the
-/// deterministic solver portfolio, anything else (or unset) keeps the
-/// single-profile default.
-#[must_use]
-pub fn portfolio_default() -> bool {
-    matches!(
-        std::env::var("SOCCAR_PORTFOLIO").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    )
 }
 
 impl Default for ConcolicConfig {
@@ -195,12 +127,6 @@ impl Default for ConcolicConfig {
             round_deadline: None,
             failure_policy: FailurePolicy::FailFast,
             fault_plan: FaultPlan::default(),
-            incremental: incremental_default(),
-            portfolio: portfolio_default(),
-            max_window_checks: 4,
-            bve: soccar_smt::sat::bve_default(),
-            clause_sharing: soccar_smt::solver::clause_sharing_default(),
-            trail_reuse: soccar_smt::sat::trail_reuse_default(),
         }
     }
 }
@@ -318,105 +244,6 @@ impl ConcolicReport {
     }
 }
 
-/// A pool of retained pre-blasted incremental base solvers, shared
-/// across engine instances (and hence across analysis-server requests).
-///
-/// Each entry is a frozen [`Solver`] whose [`BlastContext`] holds the CNF
-/// of one round's observation window, keyed by the structural fingerprint
-/// of the window's reachable term DAG plus the solve budget (see
-/// [`TermGraph::reachable_fingerprint`]). A fingerprint match guarantees
-/// every blasted [`TermId`] means the same thing in the new round's
-/// graph, so reusing the context is sound and — because the retained base
-/// was never `check`ed, hence carries no learnt clauses — produces
-/// bit-identical results to rebuilding it.
-///
-/// Rounds whose window diverges simply miss; the pool is a pure
-/// wall-clock optimization. Bounded FIFO eviction keeps the oldest
-/// windows from pinning memory.
-///
-/// [`BlastContext`]: soccar_smt::BlastContext
-#[derive(Debug)]
-pub struct WarmBlastPool {
-    entries: HashMap<u64, Arc<Solver>>,
-    order: VecDeque<u64>,
-    cap: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl WarmBlastPool {
-    /// Creates a pool retaining at most `cap` base contexts.
-    #[must_use]
-    pub fn new(cap: usize) -> WarmBlastPool {
-        WarmBlastPool {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// A pool behind the `Arc<Mutex<…>>` handle the engine consumes.
-    #[must_use]
-    pub fn shared(cap: usize) -> Arc<Mutex<WarmBlastPool>> {
-        Arc::new(Mutex::new(WarmBlastPool::new(cap)))
-    }
-
-    /// The retained base for `key`, if present. Bases are shared by
-    /// handle — a retained base is frozen (pre-blasted, never `check`ed),
-    /// so lookups and stores never deep-copy solver state.
-    #[must_use]
-    pub fn lookup(&mut self, key: u64) -> Option<Arc<Solver>> {
-        match self.entries.get(&key) {
-            Some(s) => {
-                self.hits += 1;
-                Some(Arc::clone(s))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Retains `base` under `key`, evicting the oldest entry at capacity.
-    pub fn store(&mut self, key: u64, base: Arc<Solver>) {
-        if self.entries.contains_key(&key) {
-            return;
-        }
-        while self.entries.len() >= self.cap {
-            let Some(old) = self.order.pop_front() else {
-                break;
-            };
-            self.entries.remove(&old);
-            self.evictions += 1;
-        }
-        self.entries.insert(key, base);
-        self.order.push_back(key);
-    }
-
-    /// `(hits, misses, evictions)` since construction.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
-    }
-
-    /// Number of retained contexts.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// The reset-aware concolic engine. See the [module docs](self).
 #[derive(Debug)]
 pub struct ConcolicEngine<'d> {
@@ -449,9 +276,6 @@ pub struct ConcolicEngine<'d> {
     /// Domains owning at least one clock-composed implicit governor
     /// (Refined analysis only); these also get a high-phase sweep.
     clock_composed: Vec<bool>,
-    /// Cross-request pool of pre-blasted incremental bases; `None` (the
-    /// batch default) builds each round's base from scratch.
-    warm_blast: Option<Arc<Mutex<WarmBlastPool>>>,
 }
 
 impl<'d> ConcolicEngine<'d> {
@@ -617,25 +441,14 @@ impl<'d> ConcolicEngine<'d> {
             degraded_reasons: BTreeSet::new(),
             recorder: soccar_obs::Recorder::disabled(),
             clock_composed,
-            warm_blast: None,
         })
     }
 
-    /// Attaches a shared [`WarmBlastPool`]: when a round's observation
-    /// window structurally matches a retained entry, the incremental base
-    /// solver is cloned from the pool instead of re-blasted, and the
-    /// reuse is counted as `smt.warm_blast_hits`. Results are unchanged
-    /// either way; only wall-clock time moves. Used by the analysis
-    /// server to keep blast state warm across requests.
-    #[must_use]
-    pub fn with_warm_blast(mut self, pool: Arc<Mutex<WarmBlastPool>>) -> Self {
-        self.warm_blast = Some(pool);
-        self
-    }
-
     /// Attaches an observability recorder: each concolic round gets a
-    /// `concolic.round` span (sweep phases get per-domain `concolic.sweep`
-    /// / `concolic.sweep_high` spans), flip planning feeds the
+    /// `concolic.round` span with two serial children, `concolic.simulate`
+    /// (the co-simulation) and `concolic.plan` (flip planning, solving
+    /// included); sweep phases get per-domain `concolic.sweep` /
+    /// `concolic.sweep_high` spans. Flip planning feeds the
     /// `concolic.flip_candidates` / `concolic.flip_consumed` /
     /// `concolic.flip_sat` counters, and every flip solve — including the
     /// speculative ones — reports through [`Solver::check_traced`].
@@ -682,11 +495,13 @@ impl<'d> ConcolicEngine<'d> {
             rounds += 1;
             let round_started = Instant::now();
             let mut round_span = soccar_obs::span!(self.recorder, "concolic.round", round = rounds);
+            let simulate_span = soccar_obs::span!(self.recorder, "concolic.simulate");
             let RoundRun {
                 mut sim,
                 violations: round_violations,
                 degraded,
             } = self.execute_round::<CoAlgebra>(&schedule)?;
+            simulate_span.close();
             self.degraded_reasons.extend(degraded);
             self.absorb_hits(&self.target_hits(&sim));
             self.merge_violations(
@@ -711,13 +526,16 @@ impl<'d> ConcolicEngine<'d> {
                 ));
                 break;
             }
-            match self.plan_next(
+            let plan_span = soccar_obs::span!(self.recorder, "concolic.plan");
+            let next = self.plan_next(
                 &mut sim,
                 &schedule,
                 rounds,
                 &mut solver_calls,
                 &mut solver_sat,
-            ) {
+            );
+            plan_span.close();
+            match next {
                 Some(next) => schedule = next,
                 None => break,
             }
@@ -984,12 +802,6 @@ impl<'d> ConcolicEngine<'d> {
                     Err(e) => degraded.push(format!("property check skipped: {e}")),
                 }
             }
-            // Shadow the concrete checks with symbolic proof obligations
-            // the flip window can pre-blast (blast-only, never assumed —
-            // see `ConcolicConfig::max_window_checks`).
-            if self.config.max_window_checks > 0 {
-                A::record_obligations(&mut sim, &monitors);
-            }
         }
         Ok(RoundRun {
             sim,
@@ -1054,12 +866,12 @@ impl<'d> ConcolicEngine<'d> {
     /// The flip solves — the expensive part of a round — fan out over the
     /// worker pool: every uncovered target's candidate occurrences are
     /// collected up front in stable `(target index, occurrence index)`
-    /// order, solved speculatively against independent clones of the
-    /// round's term graph, and then *consumed* by a serial decision walk
-    /// identical to the original single-threaded loop. Because each solve
-    /// depends only on its own candidate (never on a sibling's outcome or
-    /// scheduling), the chosen schedule, the solver counters, and thus the
-    /// whole report are bit-identical for every job count.
+    /// order, solved speculatively as one-shot queries against the
+    /// round's frozen term graph, and then *consumed* by a serial decision
+    /// walk identical to the original single-threaded loop. Because each
+    /// solve depends only on its own candidate (never on a sibling's
+    /// outcome or scheduling), the chosen schedule, the solver counters,
+    /// and thus the whole report are bit-identical for every job count.
     fn plan_next(
         &mut self,
         sim: &mut Simulator<'d, CoAlgebra>,
@@ -1135,163 +947,38 @@ impl<'d> ConcolicEngine<'d> {
         // candidate set is fixed before the fan-out.
         *solver_calls += candidates.len();
         let max_prefix = self.config.max_prefix;
-        let portfolio = self.config.portfolio;
+        // The negated conditions are interned once into the round's own
+        // graph (it is append-only and the simulation is over, so
+        // existing TermIds keep their meaning); after that every worker
+        // only reads the graph.
+        let window = FlipWindow::intern(
+            &mut sim.algebra_mut().graph,
+            &obs,
+            candidates.iter().map(|c| c.obs_index),
+            max_prefix,
+        );
+        let graph = &sim.algebra().graph;
         let budget = self.config.solver_budget;
-        let tuning = SolverTuning {
-            budget,
-            bve: self.config.bve,
-            clause_sharing: self.config.clause_sharing,
-            trail_reuse: self.config.trail_reuse,
-        };
         let plan = &self.config.fault_plan;
         let recorder = &self.recorder;
-        let (solved, stats) = if self.config.incremental && !candidates.is_empty() {
-            // Incremental path: intern the negated conditions into the
-            // round's own graph (it is append-only and the simulation is
-            // over, so existing TermIds keep their meaning), then blast
-            // the whole observation window ONCE into a frozen base
-            // solver. Workers clone the blasted state — cheap relative to
-            // re-blasting — and discharge their candidate with
-            // retractable assumptions. Each solve is still a pure
-            // function of the frozen round state, so reports stay
-            // bit-identical for every job count.
-            let neg: Vec<TermId> = {
-                let g = &mut sim.algebra_mut().graph;
-                obs.iter().map(|o| g.not(o.cond)).collect()
-            };
-            let extras = recent_check_terms(
-                sim.algebra().check_observations(),
-                self.config.max_window_checks,
-            );
-            let graph = &sim.algebra().graph;
-            let max_k = candidates
-                .iter()
-                .map(|c| c.obs_index)
-                .max()
-                .expect("candidates is non-empty");
-            let window_start = candidates
-                .iter()
-                .map(|c| c.obs_index.saturating_sub(max_prefix))
-                .min()
-                .expect("candidates is non-empty");
-            let mut window = Vec::with_capacity(2 * (max_k + 1 - window_start) + extras.len());
-            for i in window_start..=max_k {
-                window.push(obs[i].cond);
-                window.push(neg[i]);
-            }
-            // The round's symbolic security-check obligations ride along:
-            // blast-only (Tseitin is satisfiability-preserving and nothing
-            // here is assumed), so every answer is unchanged — but the
-            // shared context now carries the checks' real clauses, which
-            // `check_assuming` re-uses across every candidate.
-            window.extend_from_slice(&extras);
-            // A retained base is only valid if every window term means
-            // the same thing, so the pool key is the structural
-            // fingerprint of the window's reachable DAG (plus the budget
-            // baked into the solver).
-            let warm_key = self.warm_blast.as_ref().map(|_| {
-                let mut h = graph.reachable_fingerprint(&window);
-                for id in &window {
-                    h = h.rotate_left(7) ^ u64::from(id.0);
+        let (solved, stats) = soccar_exec::parallel_map_policy(
+            self.config.jobs,
+            &candidates,
+            self.config.failure_policy,
+            |c| {
+                if plan.should_inject("task_panic:flips", c.seq) {
+                    panic!("injected fault: task_panic@flips:{}", c.seq);
                 }
-                h ^ budget.max_conflicts.unwrap_or(u64::MAX).rotate_left(17)
-                    ^ budget.max_decisions.unwrap_or(u64::MAX).rotate_left(31)
-                    ^ u64::from(self.config.portfolio).rotate_left(43)
-                    // The solver-speed knobs are baked into a retained
-                    // base's behavior, so they key the pool too.
-                    ^ u64::from(self.config.bve).rotate_left(47)
-                    ^ u64::from(self.config.clause_sharing).rotate_left(53)
-                    ^ u64::from(self.config.trail_reuse).rotate_left(59)
-            });
-            let warm = warm_key.and_then(|key| {
-                let pool = self.warm_blast.as_ref().expect("key implies pool");
-                let hit = pool.lock().expect("warm-blast pool poisoned").lookup(key);
-                if hit.is_some() {
-                    recorder.counter_add("smt.warm_blast_hits", 1);
+                if plan.should_inject("solver_unknown", c.seq) {
+                    return FlipOutcome::Unknown(format!(
+                        "injected fault: solver_unknown@{}",
+                        c.seq
+                    ));
                 }
-                hit
-            });
-            let base = match warm {
-                Some(base) => base,
-                None => {
-                    let mut base = tuning.build();
-                    base.preblast(graph, &window);
-                    // Shared-prefix blasting work saved while building
-                    // the base context (recorded once; per-call hits are
-                    // recorded by the workers' `check_assuming_traced`).
-                    let base_hits = base.blast_cache_hits();
-                    if base_hits > 0 {
-                        recorder.counter_add("smt.blast_cache_hits", base_hits);
-                    }
-                    let base = Arc::new(base);
-                    if let (Some(key), Some(pool)) = (warm_key, &self.warm_blast) {
-                        pool.lock()
-                            .expect("warm-blast pool poisoned")
-                            .store(key, Arc::clone(&base));
-                    }
-                    base
-                }
-            };
-            let base = &*base;
-            let neg = &neg;
-            soccar_exec::parallel_map_policy(
-                self.config.jobs,
-                &candidates,
-                self.config.failure_policy,
-                |c| {
-                    if plan.should_inject("task_panic:flips", c.seq) {
-                        panic!("injected fault: task_panic@flips:{}", c.seq);
-                    }
-                    if plan.should_inject("solver_unknown", c.seq) {
-                        return FlipOutcome::Unknown(format!(
-                            "injected fault: solver_unknown@{}",
-                            c.seq
-                        ));
-                    }
-                    solve_flip_assuming(
-                        base,
-                        graph,
-                        &obs,
-                        neg,
-                        schedule,
-                        c.obs_index,
-                        c.dir,
-                        max_prefix,
-                        portfolio,
-                        recorder,
-                    )
-                },
-            )
-        } else {
-            let graph = &sim.algebra().graph;
-            soccar_exec::parallel_map_policy(
-                self.config.jobs,
-                &candidates,
-                self.config.failure_policy,
-                |c| {
-                    if plan.should_inject("task_panic:flips", c.seq) {
-                        panic!("injected fault: task_panic@flips:{}", c.seq);
-                    }
-                    if plan.should_inject("solver_unknown", c.seq) {
-                        return FlipOutcome::Unknown(format!(
-                            "injected fault: solver_unknown@{}",
-                            c.seq
-                        ));
-                    }
-                    let mut g = graph.clone();
-                    solve_flip(
-                        &mut g,
-                        &obs,
-                        schedule,
-                        c.obs_index,
-                        c.dir,
-                        max_prefix,
-                        tuning,
-                        recorder,
-                    )
-                },
-            )
-        };
+                let terms = window.terms(&obs, c.obs_index, c.dir, max_prefix);
+                solve_flip(graph, &terms, schedule, budget, recorder)
+            },
+        );
         self.flip_stats.absorb(&stats);
 
         // Degradation accounting covers EVERY candidate, consumed or
@@ -1399,9 +1086,8 @@ impl<'d> ConcolicEngine<'d> {
     }
 
     /// Runs one concrete round and freezes its symbolic state into a
-    /// [`FlipWorkload`], so the one-shot and incremental flip-solving
-    /// strategies can be compared on identical inputs (the `flip_solving`
-    /// benchmark). Does not advance engine coverage state.
+    /// [`FlipWorkload`], so flip solving can be timed on its own (the
+    /// `flip_solving` benchmark). Does not advance engine coverage state.
     ///
     /// # Errors
     ///
@@ -1411,27 +1097,19 @@ impl<'d> ConcolicEngine<'d> {
         schedule.randomize(self.config.seed);
         let mut sim = self.execute_round::<CoAlgebra>(&schedule)?.sim;
         let observations = sim.algebra().observations().to_vec();
-        let neg: Vec<TermId> = {
-            let g = &mut sim.algebra_mut().graph;
-            observations.iter().map(|o| g.not(o.cond)).collect()
-        };
-        let checks = recent_check_terms(
-            sim.algebra().check_observations(),
-            self.config.max_window_checks,
+        let window = FlipWindow::intern(
+            &mut sim.algebra_mut().graph,
+            &observations,
+            0..observations.len(),
+            self.config.max_prefix,
         );
         Ok(FlipWorkload {
             graph: sim.algebra().graph.clone(),
-            neg,
+            window,
             observations,
-            checks,
             schedule,
             max_prefix: self.config.max_prefix,
-            tuning: SolverTuning {
-                budget: self.config.solver_budget,
-                bve: self.config.bve,
-                clause_sharing: self.config.clause_sharing,
-                trail_reuse: self.config.trail_reuse,
-            },
+            budget: self.config.solver_budget,
         })
     }
 }
@@ -1469,33 +1147,20 @@ struct SweepRound {
 }
 
 /// One round's frozen symbolic state, packaged for the `flip_solving`
-/// benchmark: the term graph, branch observations, pre-interned negated
-/// conditions, and the schedule they were produced under. Both solve
-/// strategies flip each candidate observation towards its untaken
-/// direction, so their answers — and SAT counts — must agree.
+/// benchmark: the term graph with every observation's negated condition
+/// already interned, the branch observations, and the schedule they were
+/// produced under.
 #[derive(Debug, Clone)]
 pub struct FlipWorkload {
     graph: TermGraph,
-    neg: Vec<TermId>,
+    window: FlipWindow,
     observations: Vec<BranchObservation>,
-    /// Deduplicated, capped symbolic security-check obligations of the
-    /// round, folded into the incremental window preblast (blast-only).
-    checks: Vec<TermId>,
     schedule: TestSchedule,
     max_prefix: usize,
-    tuning: SolverTuning,
+    budget: SolveBudget,
 }
 
 impl FlipWorkload {
-    /// Overrides the trail-reuse knob for this workload's solvers — the
-    /// `flip_trail_reuse_q` benchmark control, which re-times the
-    /// incremental pass with reuse disabled on otherwise identical
-    /// inputs.
-    #[must_use]
-    pub fn with_trail_reuse(mut self, on: bool) -> Self {
-        self.tuning.trail_reuse = on;
-        self
-    }
     /// Number of flip candidates a `cap`-limited pass solves (the last
     /// `cap` observations of the round, longest path prefixes first-class).
     #[must_use]
@@ -1503,73 +1168,46 @@ impl FlipWorkload {
         self.observations.len().min(cap)
     }
 
-    /// Solves the candidates one-shot: each clones the term graph and
-    /// re-blasts its whole prefix from scratch (the legacy path, kept as
-    /// the `SOCCAR_INCREMENTAL=0` escape hatch). Returns the SAT count.
+    /// The round's term graph, with every query's negated conditions
+    /// already interned.
     #[must_use]
-    pub fn solve_oneshot(&self, cap: usize, recorder: &soccar_obs::Recorder) -> usize {
-        let n = self.candidates(cap);
-        let len = self.observations.len();
-        let mut sat = 0;
-        for k in len - n..len {
-            let dir = !self.observations[k].taken;
-            let mut g = self.graph.clone();
-            let outcome = solve_flip(
-                &mut g,
-                &self.observations,
-                &self.schedule,
-                k,
-                dir,
-                self.max_prefix,
-                self.tuning,
-                recorder,
-            );
-            sat += usize::from(matches!(outcome, FlipOutcome::Sat(_)));
-        }
-        sat
+    pub fn graph(&self) -> &TermGraph {
+        &self.graph
     }
 
-    /// Solves the same candidates incrementally: the shared window is
-    /// blasted once into a base solver, each candidate runs
-    /// `check_assuming` on a clone of the blasted state. Returns the SAT
-    /// count, which must equal [`FlipWorkload::solve_oneshot`]'s.
+    /// The assertions of the flip queries a `cap`-limited pass solves, in
+    /// order: each is the engine's query flipping one of the last `cap`
+    /// observations towards the direction it did not take (the path
+    /// prefix pinned, then the flipped goal).
+    pub fn queries(&self, cap: usize) -> impl Iterator<Item = Vec<TermId>> + '_ {
+        let len = self.observations.len();
+        (len - self.candidates(cap)..len).map(move |k| {
+            let dir = !self.observations[k].taken;
+            self.window
+                .terms(&self.observations, k, dir, self.max_prefix)
+        })
+    }
+
+    /// Solves the [`FlipWorkload::queries`] serially, each on a fresh
+    /// solver against the shared graph, as the engine does. Returns the
+    /// SAT count.
+    #[must_use]
+    pub fn solve(&self, cap: usize, recorder: &soccar_obs::Recorder) -> usize {
+        self.queries(cap)
+            .filter(|terms| {
+                let outcome = solve_flip(&self.graph, terms, &self.schedule, self.budget, recorder);
+                matches!(outcome, FlipOutcome::Sat(_))
+            })
+            .count()
+    }
+
+    /// [`FlipWorkload::solve`] under the name the external benchmark
+    /// harness calls. It predates the single flip strategy: the engine
+    /// used to keep an incremental solver next to the one-shot one, and
+    /// the harness times this entry point by name.
     #[must_use]
     pub fn solve_incremental(&self, cap: usize, recorder: &soccar_obs::Recorder) -> usize {
-        let n = self.candidates(cap);
-        let len = self.observations.len();
-        let mut base = self.tuning.build();
-        let window_start = (len - n).saturating_sub(self.max_prefix);
-        let mut window = Vec::with_capacity(2 * (len - window_start) + self.checks.len());
-        for i in window_start..len {
-            window.push(self.observations[i].cond);
-            window.push(self.neg[i]);
-        }
-        window.extend_from_slice(&self.checks);
-        base.preblast(&self.graph, &window);
-        let hits = base.blast_cache_hits();
-        if hits > 0 {
-            recorder.counter_add("smt.blast_cache_hits", hits);
-        }
-        let mut sat = 0;
-        for k in len - n..len {
-            let dir = !self.observations[k].taken;
-            // Serial, so no per-candidate clone: one context answers every
-            // candidate and keeps its learnt clauses between them.
-            let outcome = solve_flip_on(
-                &mut base,
-                &self.graph,
-                &self.observations,
-                &self.neg,
-                &self.schedule,
-                k,
-                dir,
-                self.max_prefix,
-                false,
-                recorder,
-            );
-            sat += usize::from(matches!(outcome, FlipOutcome::Sat(_)));
-        }
-        sat
+        self.solve(cap, recorder)
     }
 }
 
@@ -1595,163 +1233,82 @@ enum FlipOutcome {
     Unknown(String),
 }
 
-/// Solver construction parameters a flip solve inherits from the engine
-/// config: the per-query budget plus the solver-speed knobs (BVE,
-/// portfolio clause sharing, trail reuse). Bundled so one-shot workers,
-/// the incremental base, and the warm-blast pool all build identically
-/// tuned solvers.
-#[derive(Debug, Clone, Copy)]
-struct SolverTuning {
-    budget: SolveBudget,
-    bve: bool,
-    clause_sharing: bool,
-    trail_reuse: bool,
+/// The negated branch conditions of a round's flip window, interned once
+/// into the round's graph so that every flip query only reads it.
+/// `neg[i]` is `¬obs[start + i].cond`.
+#[derive(Debug, Clone)]
+struct FlipWindow {
+    start: usize,
+    neg: Vec<TermId>,
 }
 
-impl SolverTuning {
-    /// A fresh [`Solver`] with this tuning applied.
-    fn build(self) -> Solver {
-        let mut s = Solver::with_budget(self.budget);
-        s.set_bve(self.bve);
-        s.set_clause_sharing(self.clause_sharing);
-        s.set_trail_reuse(self.trail_reuse);
-        s
+impl FlipWindow {
+    /// Interns the negations the flip queries of observations `ks` need:
+    /// the window `[min(k − max_prefix), max k]`.
+    fn intern(
+        graph: &mut TermGraph,
+        obs: &[BranchObservation],
+        ks: impl Iterator<Item = usize> + Clone,
+        max_prefix: usize,
+    ) -> FlipWindow {
+        let start = ks
+            .clone()
+            .map(|k| k.saturating_sub(max_prefix))
+            .min()
+            .unwrap_or(0);
+        let end = ks.max().map_or(start, |k| k + 1);
+        let neg = obs[start..end].iter().map(|o| graph.not(o.cond)).collect();
+        FlipWindow { start, neg }
+    }
+
+    /// The assertions of the query flipping observation `k` towards
+    /// `dir`: up to `max_prefix` earlier observations pinned to the
+    /// direction they took, then the flipped goal.
+    fn terms(
+        &self,
+        obs: &[BranchObservation],
+        k: usize,
+        dir: bool,
+        max_prefix: usize,
+    ) -> Vec<TermId> {
+        let pick = |i: usize, taken: bool| {
+            if taken {
+                obs[i].cond
+            } else {
+                self.neg[i - self.start]
+            }
+        };
+        (k.saturating_sub(max_prefix)..k)
+            .map(|i| pick(i, obs[i].taken))
+            .chain(std::iter::once(pick(k, dir)))
+            .collect()
     }
 }
 
-/// Attempts to flip observation `k` towards `dir`, conjoining the path
-/// prefix, and rebuilds the schedule from the model.
+/// One flip query: a fresh solver asserting `terms` against the shared
+/// round graph. On Sat, rebuilds the schedule from the model.
 ///
-/// Runs on worker threads against a private clone of the round's term
-/// graph, so the result is a pure function of `(graph, obs, schedule, k,
-/// dir, max_prefix, budget)` — the determinism anchor of the parallel
-/// round.
-#[allow(clippy::too_many_arguments)]
+/// Runs on worker threads and only reads `graph`, so the result is a pure
+/// function of `(graph, terms, schedule, budget)` — the determinism
+/// anchor of the parallel round.
 fn solve_flip(
-    graph: &mut TermGraph,
-    obs: &[BranchObservation],
+    graph: &TermGraph,
+    terms: &[TermId],
     schedule: &TestSchedule,
-    k: usize,
-    dir: bool,
-    max_prefix: usize,
-    tuning: SolverTuning,
+    budget: SolveBudget,
     recorder: &soccar_obs::Recorder,
 ) -> FlipOutcome {
-    let mut solver = tuning.build();
-    let prefix_start = k.saturating_sub(max_prefix);
-    for o in &obs[prefix_start..k] {
-        let c = if o.taken { o.cond } else { graph.not(o.cond) };
-        solver.assert(c);
+    let mut solver = Solver::with_budget(budget);
+    for t in terms {
+        solver.assert(*t);
     }
-    let goal = if dir {
-        obs[k].cond
-    } else {
-        graph.not(obs[k].cond)
-    };
-    solver.assert(goal);
     match solver.check_traced(graph, recorder) {
         CheckResult::Unsat => FlipOutcome::Unsat,
         CheckResult::Unknown { reason } => FlipOutcome::Unknown(reason),
-        CheckResult::Sat(model) => FlipOutcome::Sat(schedule_from_model(
-            graph,
-            schedule,
-            solver.assertions(),
-            &model,
-        )),
-    }
-}
-
-/// The incremental counterpart of [`solve_flip`]: clones the pre-blasted
-/// `base` solver (CNF, learnt clauses, activities — everything but the
-/// search trail) and discharges the same prefix-plus-goal constraint as
-/// *retractable assumptions* via [`Solver::check_assuming`]. `neg[i]`
-/// holds the pre-interned negation of `obs[i].cond`, so workers never
-/// mutate the shared graph.
-///
-/// Still a pure function of the frozen round state `(base, graph, obs,
-/// neg, schedule, k, dir, max_prefix)` — the determinism anchor of the
-/// parallel round.
-#[allow(clippy::too_many_arguments)]
-fn solve_flip_assuming(
-    base: &Solver,
-    graph: &TermGraph,
-    obs: &[BranchObservation],
-    neg: &[TermId],
-    schedule: &TestSchedule,
-    k: usize,
-    dir: bool,
-    max_prefix: usize,
-    portfolio: bool,
-    recorder: &soccar_obs::Recorder,
-) -> FlipOutcome {
-    let mut solver = base.clone();
-    solve_flip_on(
-        &mut solver,
-        graph,
-        obs,
-        neg,
-        schedule,
-        k,
-        dir,
-        max_prefix,
-        portfolio,
-        recorder,
-    )
-}
-
-/// [`solve_flip_assuming`] without the clone: discharges the candidate
-/// directly on `solver`, so a *serial* caller (the `flip_solving`
-/// benchmark) accumulates learnt clauses across candidates on one
-/// context instead of paying a blast-state copy per candidate.
-#[allow(clippy::too_many_arguments)]
-fn solve_flip_on(
-    solver: &mut Solver,
-    graph: &TermGraph,
-    obs: &[BranchObservation],
-    neg: &[TermId],
-    schedule: &TestSchedule,
-    k: usize,
-    dir: bool,
-    max_prefix: usize,
-    portfolio: bool,
-    recorder: &soccar_obs::Recorder,
-) -> FlipOutcome {
-    let prefix_start = k.saturating_sub(max_prefix);
-    let mut assumptions: Vec<TermId> = Vec::with_capacity(k - prefix_start + 1);
-    for (i, o) in obs.iter().enumerate().take(k).skip(prefix_start) {
-        assumptions.push(if o.taken { o.cond } else { neg[i] });
-    }
-    assumptions.push(if dir { obs[k].cond } else { neg[k] });
-    let result = if portfolio {
-        solver.check_assuming_portfolio_traced(graph, &assumptions, recorder)
-    } else {
-        solver.check_assuming_traced(graph, &assumptions, recorder)
-    };
-    match result {
-        CheckResult::Unsat => FlipOutcome::Unsat,
-        CheckResult::Unknown { reason } => FlipOutcome::Unknown(reason),
         CheckResult::Sat(model) => {
-            FlipOutcome::Sat(schedule_from_model(graph, schedule, &assumptions, &model))
+            FlipOutcome::Sat(schedule_from_model(graph, schedule, terms, &model))
         }
     }
-}
-
-/// The most recent `cap` distinct symbolic check-obligation terms, in
-/// chronological order — the deterministic selection folded into the
-/// incremental window preblast.
-fn recent_check_terms(checks: &[crate::coalg::CheckObservation], cap: usize) -> Vec<TermId> {
-    let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    for c in checks.iter().rev() {
-        if out.len() >= cap {
-            break;
-        }
-        if seen.insert(c.term) {
-            out.push(c.term);
-        }
-    }
-    out.reverse();
-    out
 }
 
 /// Rebuilds a schedule from a flip model. Only variables in the support
@@ -1989,35 +1546,10 @@ mod tests {
         endmodule";
 
     #[test]
-    fn one_shot_escape_hatch_reaches_same_coverage() {
-        // `incremental: false` pins the legacy clone-and-reblast path
-        // (what `SOCCAR_INCREMENTAL=0` selects); it must still solve the
-        // magic-guarded branch.
-        let report = setup(
-            MAGIC_SRC,
-            vec![],
-            GovernorAnalysis::Explicit,
-            ConcolicConfig {
-                cycles: 10,
-                max_rounds: 16,
-                seed: 7,
-                symbolic_inputs: vec!["top.magic".into()],
-                skip_sweep: true,
-                incremental: false,
-                ..ConcolicConfig::default()
-            },
-        );
-        assert_eq!(
-            report.targets_covered, report.targets_total,
-            "one-shot path must reach the magic-guarded branch: {report:?}"
-        );
-        assert!(report.solver_sat > 0, "report: {report:?}");
-    }
-
-    #[test]
-    fn flip_workload_strategies_agree() {
-        // The benchmark harness relies on this: one-shot and incremental
-        // flip solving answer identically (in sat-ness) per candidate.
+    fn flip_workload_queries_are_sound_and_counted() {
+        // The `flip_solving` benchmark's workload: every candidate is one
+        // traced query, and `solve_incremental` is the same pass as
+        // `solve`.
         let unit = parse(FileId(0), MAGIC_SRC).expect("parse");
         let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
         let soc = compose_soc(
@@ -2039,80 +1571,44 @@ mod tests {
         let cap = 16;
         assert!(workload.candidates(cap) > 0, "round produced no branches");
         let recorder = soccar_obs::Recorder::enabled();
-        let oneshot = workload.solve_oneshot(cap, &soccar_obs::Recorder::disabled());
-        let incremental = workload.solve_incremental(cap, &recorder);
-        assert_eq!(oneshot, incremental, "strategies disagreed on SAT count");
-        // The incremental pass actually reused blasting work and went
-        // through check_assuming.
+        let sat = workload.solve(cap, &recorder);
+        assert!(sat > 0, "some branch of the magic design is flippable");
+        assert_eq!(
+            workload.solve_incremental(cap, &soccar_obs::Recorder::disabled()),
+            sat
+        );
         let snap = recorder.snapshot();
         let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        assert_eq!(
-            counter("smt.incremental_calls"),
-            workload.candidates(cap) as u64
-        );
-        assert!(counter("smt.blast_cache_hits") > 0);
-        assert!(counter("smt.clauses_reused") > 0);
+        assert_eq!(counter("smt.queries"), workload.candidates(cap) as u64);
+        assert_eq!(counter("smt.sat"), sat as u64);
     }
 
     #[test]
-    fn warm_blast_pool_reuses_bases_without_changing_results() {
-        let unit = parse(FileId(0), MAGIC_SRC).expect("parse");
-        let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
-        let soc = compose_soc(
-            &unit,
-            "top",
-            &ResetNaming::new(),
-            GovernorAnalysis::Explicit,
-        )
-        .expect("compose");
-        let bound = bind_events(&design, &soc).expect("bind");
-        let config = ConcolicConfig {
-            cycles: 10,
-            max_rounds: 16,
-            seed: 7,
-            symbolic_inputs: vec!["top.magic".into()],
-            skip_sweep: true,
-            incremental: true,
-            ..ConcolicConfig::default()
-        };
-        let cold = {
-            let mut engine =
-                ConcolicEngine::new(&design, &bound, vec![], config.clone()).expect("engine");
-            engine.run().expect("run")
-        };
-
-        // Two warm runs against one shared pool: the first fills it, the
-        // second replays every round from retained bases.
-        let pool = WarmBlastPool::shared(32);
-        let run_warm = |recorder: soccar_obs::Recorder| {
-            let mut engine = ConcolicEngine::new(&design, &bound, vec![], config.clone())
-                .expect("engine")
-                .with_recorder(recorder)
-                .with_warm_blast(Arc::clone(&pool));
-            engine.run().expect("run")
-        };
-        let first = run_warm(soccar_obs::Recorder::disabled());
-        let recorder = soccar_obs::Recorder::enabled();
-        let second = run_warm(recorder.clone());
-
-        for r in [&first, &second] {
-            assert_eq!(r.rounds, cold.rounds);
-            assert_eq!(r.targets_covered, cold.targets_covered);
-            assert_eq!(r.solver_calls, cold.solver_calls);
-            assert_eq!(r.solver_sat, cold.solver_sat);
-            assert_eq!(r.violations.len(), cold.violations.len());
-        }
-        let (hits, _, _) = pool.lock().expect("pool").stats();
-        assert!(hits > 0, "second run must hit retained bases");
-        let snap = recorder.snapshot();
-        assert!(
-            snap.counters
-                .get("smt.warm_blast_hits")
-                .copied()
-                .unwrap_or(0)
-                > 0,
-            "warm hits must surface as a counter: {:?}",
-            snap.counters
+    fn flip_window_pins_the_prefix_and_flips_the_goal() {
+        let mut g = TermGraph::new();
+        let obs: Vec<BranchObservation> = (0..5u32)
+            .map(|i| BranchObservation {
+                site: BranchSiteId(i),
+                cond: g.var(format!("c{i}"), 1),
+                taken: i % 2 == 0,
+                step: u64::from(i),
+            })
+            .collect();
+        // Candidates 3 and 4 with a two-deep prefix need observations 1..=4.
+        let window = FlipWindow::intern(&mut g, &obs, [3, 4].into_iter(), 2);
+        assert_eq!(window.start, 1);
+        assert_eq!(window.neg.len(), 4);
+        let terms = window.terms(&obs, 4, false, 2);
+        let neg = |g: &mut TermGraph, i: usize| g.not(obs[i].cond);
+        // Observation 2 was taken, 3 was not; the goal flips 4 to false.
+        let want = vec![obs[2].cond, neg(&mut g, 3), neg(&mut g, 4)];
+        assert_eq!(terms, want);
+        // A prefix shorter than `max_prefix` starts at observation 0.
+        let short = FlipWindow::intern(&mut g, &obs, [1].into_iter(), 2);
+        assert_eq!(short.start, 0);
+        assert_eq!(
+            short.terms(&obs, 1, true, 2),
+            vec![obs[0].cond, obs[1].cond]
         );
     }
 
@@ -2249,10 +1745,14 @@ mod tests {
 
     #[test]
     fn solver_budget_exhaustion_degrades_instead_of_aborting() {
-        // A zero-decision budget makes every flip solve return Unknown;
-        // the engine must record the skips and still finish the run.
+        // A zero-decision budget makes every flip solve that needs a
+        // branching decision return Unknown; the engine must record the
+        // skips and still finish the run. The guard is an inequality so
+        // that no flip is decided by unit propagation alone (an equality
+        // goal such as `magic == 8'h5A` pins every bit without a single
+        // decision, and is answered Sat under any budget).
         let report = setup(
-            MAGIC_BRANCH,
+            &MAGIC_BRANCH.replace("magic == 8'h5A", "magic > 8'h5A"),
             vec![],
             GovernorAnalysis::Explicit,
             ConcolicConfig {

@@ -29,12 +29,9 @@ pub mod engine;
 pub mod property;
 pub mod schedule;
 
-pub use coalg::{
-    BranchObservation, CheckObservation, CoAlgebra, CoValue, CoverageAlgebra, RoundAlgebra,
-};
+pub use coalg::{BranchObservation, CoAlgebra, CoValue, CoverageAlgebra, RoundAlgebra};
 pub use engine::{
-    incremental_default, portfolio_default, ConcolicConfig, ConcolicEngine, ConcolicReport,
-    FlipWorkload, RoundRun, SweepBatch, WarmBlastPool, Witness,
+    ConcolicConfig, ConcolicEngine, ConcolicReport, FlipWorkload, RoundRun, SweepBatch, Witness,
 };
 pub use property::{PropertyKind, PropertyMonitor, SecurityProperty, Violation};
 pub use schedule::{InputTrack, ResetTrack, TestSchedule};

@@ -19,11 +19,9 @@
 //! * [`PropertyKind::NeverEqual`] — generic information-flow check (a
 //!   public port must never expose a secret register).
 
-use crate::coalg::{to_bv, CoAlgebra};
 use soccar_rtl::design::{Design, NetId};
 use soccar_rtl::value::LogicVec;
 use soccar_sim::{Algebra, Simulator};
-use soccar_smt::TermId;
 
 /// What a property asserts. Signals are hierarchical net names.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -286,83 +284,6 @@ impl PropertyMonitor {
                     cycle,
                     details: format!("`{a}` equals `{b}` (= {va}): secret exposed"),
                 }))
-            }
-        }
-    }
-
-    /// Builds the 1-bit symbolic "property holds here" term for this cycle,
-    /// when the monitored net currently carries a symbolic shadow and the
-    /// property's qualifying condition (domain asserted / enable truthy) is
-    /// concretely met.
-    ///
-    /// The term is a *proof obligation*, not an assumption: callers record
-    /// it as a [`crate::coalg::CheckObservation`] so the incremental flip
-    /// window can pre-blast real security-check formulas (Tseitin-only,
-    /// satisfiability-preserving — answers never change). The gating
-    /// mirrors [`PropertyMonitor::check_cycle`] modulo grace-window
-    /// bookkeeping, which only suppresses *reports*, never obligations.
-    pub fn symbolic_obligation(&self, sim: &mut Simulator<'_, CoAlgebra>) -> Option<TermId> {
-        match &self.property.kind {
-            PropertyKind::ClearedAfterReset { expected, .. } => {
-                if !self.domain_asserted(sim) || expected.has_unknown() {
-                    return None;
-                }
-                let t = sim.net_value(self.signal_net?).term?;
-                let expected = to_bv(expected);
-                let g = &mut sim.algebra_mut().graph;
-                let c = g.constant(expected);
-                Some(g.eq(t, c))
-            }
-            PropertyKind::AssertedAfterReset { .. } => {
-                if !self.domain_asserted(sim) {
-                    return None;
-                }
-                let t = sim.net_value(self.signal_net?).term?;
-                Some(sim.algebra_mut().graph.red_or(t))
-            }
-            PropertyKind::AlwaysOneOf { allowed, .. } => {
-                let t = sim.net_value(self.signal_net?).term?;
-                let legal: Vec<_> = allowed
-                    .iter()
-                    .filter(|a| !a.has_unknown())
-                    .map(to_bv)
-                    .collect();
-                let g = &mut sim.algebra_mut().graph;
-                let mut acc: Option<TermId> = None;
-                for a in legal {
-                    let c = g.constant(a);
-                    let eq = g.eq(t, c);
-                    acc = Some(match acc {
-                        Some(prev) => g.or(prev, eq),
-                        None => eq,
-                    });
-                }
-                acc
-            }
-            PropertyKind::NeverEqual { .. } => {
-                if let Some(en) = self.domain_net {
-                    if sim.net_logic(en).truthy() != Some(true) {
-                        return None;
-                    }
-                }
-                let va = sim.net_value(self.signal_net?).clone();
-                let vb = sim.net_value(self.aux_net?).clone();
-                if !va.is_symbolic() && !vb.is_symbolic() {
-                    return None;
-                }
-                if va.concrete.has_unknown() || vb.concrete.has_unknown() {
-                    return None;
-                }
-                let g = &mut sim.algebra_mut().graph;
-                let ta = match va.term {
-                    Some(t) => t,
-                    None => g.constant(to_bv(&va.concrete)),
-                };
-                let tb = match vb.term {
-                    Some(t) => t,
-                    None => g.constant(to_bv(&vb.concrete)),
-                };
-                Some(g.ne(ta, tb))
             }
         }
     }

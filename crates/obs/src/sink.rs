@@ -167,8 +167,10 @@ pub fn to_ndjson_canonical(snap: &TraceSnapshot) -> String {
 /// pipeline.analyze  128.4ms
 ///   rtl.parse  3.1ms  modules=12
 ///   concolic.round  9.8ms  round=1
+///     concolic.simulate  6.1ms
+///     concolic.plan  3.6ms
 /// counters:
-///   smt.incremental_calls  42
+///   smt.queries  42
 /// histograms:
 ///   smt.propagations  count=42 sum=9001
 /// ```

@@ -18,6 +18,10 @@ pub enum RtlErrorKind {
     Elaborate,
     /// The construct is valid Verilog but outside the supported subset.
     Unsupported,
+    /// The input exceeds a named frontend limit (such as
+    /// [`crate::parser::MAX_EXPR_DEPTH`]) that keeps untrusted input from
+    /// exhausting the process.
+    Limit,
 }
 
 impl fmt::Display for RtlErrorKind {
@@ -28,6 +32,7 @@ impl fmt::Display for RtlErrorKind {
             RtlErrorKind::Semantic => "semantic error",
             RtlErrorKind::Elaborate => "elaboration error",
             RtlErrorKind::Unsupported => "unsupported construct",
+            RtlErrorKind::Limit => "input limit exceeded",
         };
         f.write_str(s)
     }

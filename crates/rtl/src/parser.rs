@@ -14,7 +14,10 @@
 //!   replication, bit/part/indexed-part selects and the ternary operator.
 //!
 //! Constructs outside the subset produce [`RtlErrorKind::Unsupported`]
-//! diagnostics rather than silently misparsing.
+//! diagnostics rather than silently misparsing. Expressions nested deeper
+//! than [`MAX_EXPR_DEPTH`] produce an [`RtlErrorKind::Limit`] diagnostic
+//! instead of overflowing the stack of this parser or of the recursive
+//! passes after it.
 
 use crate::ast::*;
 use crate::error::{RtlError, RtlErrorKind, RtlResult};
@@ -61,15 +64,29 @@ pub fn parse_traced(
     let mut span = soccar_obs::span!(recorder, "rtl.parse", bytes = text.len());
     let tokens = lex(file, text)?;
     recorder.counter_add("rtl.tokens", tokens.len() as u64);
-    let unit = Parser { tokens, pos: 0 }.source_unit()?;
+    let unit = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .source_unit()?;
     recorder.counter_add("rtl.modules", unit.modules.len() as u64);
     span.record("modules", unit.modules.len());
     Ok(unit)
 }
 
+/// The deepest expression nesting the frontend accepts. Each
+/// parenthesis, concatenation, ternary arm and prefix operator opens one
+/// level. Every pass over an expression (parsing, elaboration, constant
+/// folding, simulation) recurses once per level, so the limit keeps the
+/// whole pipeline inside a worker thread's 2 MiB stack.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current expression nesting level (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -703,7 +720,27 @@ impl Parser {
         self.ternary()
     }
 
+    /// Runs `f` one expression nesting level deeper, or fails with
+    /// [`RtlErrorKind::Limit`] past [`MAX_EXPR_DEPTH`].
+    fn nested(&mut self, f: impl FnOnce(&mut Parser) -> RtlResult<Expr>) -> RtlResult<Expr> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return Err(RtlError::new(
+                RtlErrorKind::Limit,
+                format!("expression nesting deeper than {MAX_EXPR_DEPTH} levels"),
+                self.span(),
+            ));
+        }
+        self.depth += 1;
+        let e = f(self);
+        self.depth -= 1;
+        e
+    }
+
     fn ternary(&mut self) -> RtlResult<Expr> {
+        self.nested(Parser::ternary_level)
+    }
+
+    fn ternary_level(&mut self) -> RtlResult<Expr> {
         let cond = self.binary(0)?;
         if self.eat_punct(Punct::Question) {
             let then_expr = self.ternary()?;
@@ -782,7 +819,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = self.unary()?;
+            let operand = self.nested(Parser::unary)?;
             let espan = span.to(operand.span());
             return Ok(Expr::Unary {
                 op,
@@ -809,43 +846,51 @@ impl Parser {
                 self.expect_punct(Punct::RParen)?;
                 Ok(e)
             }
-            TokenKind::Punct(Punct::LBrace) => {
-                let start = self.bump().span;
-                let first = self.expr()?;
-                if *self.peek() == TokenKind::Punct(Punct::LBrace) {
-                    // Replication {count{expr, ...}}.
-                    self.bump();
-                    let mut parts = vec![self.expr()?];
-                    while self.eat_punct(Punct::Comma) {
-                        parts.push(self.expr()?);
-                    }
-                    self.expect_punct(Punct::RBrace)?;
-                    let end = self.expect_punct(Punct::RBrace)?;
-                    let span = start.to(end);
-                    let inner = if parts.len() == 1 {
-                        parts.pop().expect("one element")
-                    } else {
-                        Expr::Concat { parts, span }
-                    };
-                    Ok(Expr::Repeat {
-                        count: Box::new(first),
-                        expr: Box::new(inner),
-                        span,
-                    })
-                } else {
-                    let mut parts = vec![first];
-                    while self.eat_punct(Punct::Comma) {
-                        parts.push(self.expr()?);
-                    }
-                    let end = self.expect_punct(Punct::RBrace)?;
-                    Ok(Expr::Concat {
-                        parts,
-                        span: start.to(end),
-                    })
-                }
-            }
+            TokenKind::Punct(Punct::LBrace) => self.braces(),
             other => Err(self.err(format!("expected expression, found {other}"))),
         }
+    }
+
+    /// A concatenation `{a, b}` or replication `{n{a, b}}`. Kept out of
+    /// [`Parser::primary`], and split into small functions, so that the
+    /// stack frame every nesting level pays for stays small.
+    fn braces(&mut self) -> RtlResult<Expr> {
+        let start = self.bump().span;
+        let first = self.expr()?;
+        if self.eat_punct(Punct::LBrace) {
+            // Replication {count{expr, ...}}.
+            let head = self.expr()?;
+            let mut parts = self.expr_list(head)?;
+            self.expect_punct(Punct::RBrace)?;
+            let end = self.expect_punct(Punct::RBrace)?;
+            let span = start.to(end);
+            let inner = if parts.len() == 1 {
+                parts.pop().expect("one element")
+            } else {
+                Expr::Concat { parts, span }
+            };
+            Ok(Expr::Repeat {
+                count: Box::new(first),
+                expr: Box::new(inner),
+                span,
+            })
+        } else {
+            let parts = self.expr_list(first)?;
+            let end = self.expect_punct(Punct::RBrace)?;
+            Ok(Expr::Concat {
+                parts,
+                span: start.to(end),
+            })
+        }
+    }
+
+    /// `first` followed by any further comma-separated expressions.
+    fn expr_list(&mut self, first: Expr) -> RtlResult<Vec<Expr>> {
+        let mut parts = vec![first];
+        while self.eat_punct(Punct::Comma) {
+            parts.push(self.expr()?);
+        }
+        Ok(parts)
     }
 }
 

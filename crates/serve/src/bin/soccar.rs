@@ -81,8 +81,6 @@ struct Args {
     keep_going: bool,
     solver_budget: Option<u64>,
     round_deadline_ms: Option<u64>,
-    no_incremental: bool,
-    portfolio: bool,
 }
 
 const USAGE: &str = "usage: soccar [analyze] <file.v> --top <module> [options]
@@ -119,21 +117,10 @@ options:
                       wall-clock deadline per concolic round; an
                       over-deadline round skips flip planning (note:
                       wall-clock, so reports may differ across machines)
-  --no-incremental    solve each flip candidate one-shot instead of with
-                      assumption-based incremental solving (escape hatch;
-                      same as SOCCAR_INCREMENTAL=0)
-  --portfolio         race the deterministic solver portfolio on each
-                      incremental flip solve (first definite answer wins;
-                      reports stay byte-identical; same as
-                      SOCCAR_PORTFOLIO=1)
 environment:
   SOCCAR_FAULTS       deterministic fault-injection plan for chaos
                       testing, e.g. solver_unknown@3,task_panic@extract:1
-                      (see docs/RESILIENCE.md)
-  SOCCAR_INCREMENTAL  set to 0 to disable incremental flip solving
-                      (see docs/SOLVER.md)
-  SOCCAR_PORTFOLIO    set to 1 to enable the deterministic solver
-                      portfolio (see docs/SOLVER.md)";
+                      (see docs/RESILIENCE.md)";
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = args;
@@ -156,8 +143,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
         keep_going: false,
         solver_budget: None,
         round_deadline_ms: None,
-        no_incremental: false,
-        portfolio: false,
     };
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -200,8 +185,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
                         .map_err(|e| format!("--round-deadline-ms: {e}"))?,
                 );
             }
-            "--no-incremental" => out.no_incremental = true,
-            "--portfolio" => out.portfolio = true,
             "--list-domains" => out.list_domains = true,
             "--vcd" => out.vcd = Some(next(&mut args, "--vcd")?),
             "--trace-out" => out.trace_out = Some(next(&mut args, "--trace-out")?),
@@ -314,8 +297,6 @@ fn run(args: &Args) -> Result<bool, String> {
                 None => soccar_smt::SolveBudget::UNLIMITED,
             },
             round_deadline: args.round_deadline_ms.map(std::time::Duration::from_millis),
-            incremental: !args.no_incremental && soccar_concolic::incremental_default(),
-            portfolio: args.portfolio || soccar_concolic::portfolio_default(),
             ..ConcolicConfig::default()
         },
         jobs: args.jobs,

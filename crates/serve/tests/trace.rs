@@ -23,8 +23,8 @@ fn scratch(test: &str) -> PathBuf {
 /// Runs the CLI with `--trace-out` in `dir` and returns the NDJSON
 /// trace. `jobs` is the `SOCCAR_JOBS` value (`None` removes it so the
 /// `--jobs` flag in `args` governs); `envs` are extra variables for the
-/// child. `SOCCAR_INCREMENTAL` and `SOCCAR_FAULTS` are cleared first so
-/// ambient settings never leak into a test.
+/// child. `SOCCAR_FAULTS` is cleared first so an ambient fault plan
+/// never leaks into a test.
 fn run_traced_env(dir: &Path, args: &[&str], jobs: Option<&str>, envs: &[(&str, &str)]) -> String {
     let trace = dir.join("trace.jsonl");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_soccar"));
@@ -33,8 +33,6 @@ fn run_traced_env(dir: &Path, args: &[&str], jobs: Option<&str>, envs: &[(&str, 
         .arg("--trace-out")
         .arg(&trace)
         .current_dir(dir)
-        .env_remove("SOCCAR_INCREMENTAL")
-        .env_remove("SOCCAR_PORTFOLIO")
         .env_remove("SOCCAR_FAULTS");
     match jobs {
         Some(n) => cmd.env("SOCCAR_JOBS", n),
@@ -164,6 +162,8 @@ fn trace_covers_pipeline_stages_on_both_socs() {
             "\"name\":\"cfg.compose\"",
             "\"name\":\"cfg.bind\"",
             "\"name\":\"concolic.round\"",
+            "\"name\":\"concolic.simulate\"",
+            "\"name\":\"concolic.plan\"",
         ] {
             assert!(
                 lines
@@ -205,54 +205,6 @@ fn trace_metrics_identical_across_job_counts() {
         metric_lines(&serial),
         metric_lines(&parallel),
         "metric lines must be byte-identical at SOCCAR_JOBS=1 vs 4"
-    );
-}
-
-#[test]
-fn trace_metrics_identical_across_job_counts_without_incremental() {
-    // Same contract as above with the incremental flip solver disabled:
-    // the one-shot escape hatch must be just as scheduling-independent.
-    let args = {
-        let mut a = vec!["--soc", "clustersoc"];
-        a.extend_from_slice(SMOKE);
-        a
-    };
-    let envs = &[("SOCCAR_INCREMENTAL", "0")];
-    let serial = run_traced_env(&scratch("determinism-oneshot-j1"), &args, Some("1"), envs);
-    let parallel = run_traced_env(&scratch("determinism-oneshot-j4"), &args, Some("4"), envs);
-    assert_eq!(
-        metric_lines(&serial),
-        metric_lines(&parallel),
-        "metric lines must be byte-identical at SOCCAR_JOBS=1 vs 4 with SOCCAR_INCREMENTAL=0"
-    );
-    assert!(
-        !metric_lines(&serial).contains("\"name\":\"smt.incremental_calls\""),
-        "SOCCAR_INCREMENTAL=0 must keep every flip solve on the one-shot path"
-    );
-}
-
-#[test]
-fn trace_metrics_identical_with_portfolio() {
-    // The deterministic portfolio must be invisible on healthy
-    // workloads: profile 0 answers inside its generous opening slice, so
-    // every counter and histogram line is byte-identical to the
-    // single-profile run.
-    let args = {
-        let mut a = vec!["--soc", "clustersoc"];
-        a.extend_from_slice(SMOKE);
-        a
-    };
-    let single = run_traced(&scratch("portfolio-off"), &args, Some("2"));
-    let raced = run_traced_env(
-        &scratch("portfolio-on"),
-        &args,
-        Some("2"),
-        &[("SOCCAR_PORTFOLIO", "1")],
-    );
-    assert_eq!(
-        metric_lines(&single),
-        metric_lines(&raced),
-        "metric lines must be byte-identical with SOCCAR_PORTFOLIO=0 vs 1"
     );
 }
 

@@ -18,7 +18,6 @@ pub struct BitBlaster {
     pub solver: SatSolver,
     cache: HashMap<TermId, Vec<Lit>>,
     true_lit: Lit,
-    cache_hits: u64,
 }
 
 impl BitBlaster {
@@ -28,21 +27,12 @@ impl BitBlaster {
     pub fn new() -> BitBlaster {
         let mut solver = SatSolver::new();
         let t = solver.new_var();
-        solver.freeze_var(t);
         solver.add_clause(&[Lit::pos(t)]);
         BitBlaster {
             solver,
             cache: HashMap::new(),
             true_lit: Lit::pos(t),
-            cache_hits: 0,
         }
-    }
-
-    /// How often [`BitBlaster::blast`] was answered from the term cache
-    /// (shared subterms and repeated blasts encoded zero new clauses).
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
     }
 
     /// The always-true literal.
@@ -71,7 +61,6 @@ impl BitBlaster {
     /// Returns the literal vector (LSB first) encoding `id`.
     pub fn blast(&mut self, g: &TermGraph, id: TermId) -> Vec<Lit> {
         if let Some(bits) = self.cache.get(&id) {
-            self.cache_hits += 1;
             return bits.clone();
         }
         let w = g.width(id) as usize;
@@ -194,16 +183,6 @@ impl BitBlaster {
             }
         };
         debug_assert_eq!(bits.len(), w);
-        // Cached bit vectors are the solver's external surface: the
-        // word-level layer builds assumptions from them and reads them
-        // back as models, so their vars must never be eliminated by
-        // inprocessing. Internal gate vars (carries, partial products,
-        // comparator intermediates from `fresh`) stay unfrozen — they
-        // are exactly the population bounded variable elimination is
-        // allowed to resolve away.
-        for l in &bits {
-            self.solver.freeze_var(l.var());
-        }
         self.cache.insert(id, bits.clone());
         bits
     }

@@ -11,8 +11,10 @@
 //! * [`bitblast::BitBlaster`] — Tseitin encoding into CNF via gate-level
 //!   circuits (ripple-carry adders, barrel shifters, restoring dividers);
 //! * [`sat::SatSolver`] — CDCL with two-watched literals, 1UIP learning,
-//!   VSIDS, phase saving and Luby restarts;
-//! * [`Solver`] — the word-level front-end returning total [`Model`]s.
+//!   VSIDS, phase saving, Luby restarts and LBD-based learnt-clause
+//!   reduction;
+//! * [`Solver`] — the one-shot word-level front-end returning total
+//!   [`Model`]s.
 //!
 //! # Examples
 //!
@@ -45,8 +47,6 @@ pub mod solver;
 pub mod term;
 
 pub use bv::BvVal;
-pub use sat::{SolveBudget, SolverProfile};
-pub use solver::{
-    model_satisfies, BlastContext, CheckResult, Model, SolveStats, Solver, PORTFOLIO_PROFILES,
-};
+pub use sat::SolveBudget;
+pub use solver::{model_satisfies, CheckResult, Model, SolveStats, Solver};
 pub use term::{Term, TermGraph, TermId};

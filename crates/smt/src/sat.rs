@@ -6,50 +6,17 @@
 //! * two-watched-literal unit propagation;
 //! * first-UIP conflict analysis with clause learning and
 //!   non-chronological backjumping;
-//! * EVSIDS variable activities with a lazy max-heap;
+//! * EVSIDS variable activities, branching on the most active variable;
 //! * phase saving;
-//! * Luby-sequence restarts (profile-scheduled, assumption-trail aware);
+//! * Luby-sequence restarts;
 //! * LBD ("glue") scoring of learnt clauses with two-tier learnt-database
-//!   reduction (glue clauses are permanent, the worse half of the rest is
-//!   dropped once the database crosses its growth threshold);
-//! * bounded inprocessing at decision level 0: level-0 clause
-//!   simplification, forward subsumption, self-subsuming resolution, and
-//!   bounded variable elimination with model reconstruction
-//!   (see [`SatSolver::inprocess`]);
-//! * trail reuse between assumption solves: a new [`SatSolver::solve_assuming`]
-//!   call keeps the longest common prefix of the previous call's
-//!   assumption trail instead of re-propagating it from scratch
-//!   (`SOCCAR_TRAIL_REUSE=0` disables);
-//! * deterministic [`SolverProfile`]s (branching seed, phase polarity,
-//!   restart schedule) so a portfolio can race diverse configurations of
-//!   the same search without sacrificing reproducibility, plus a
-//!   learnt-clause export/import surface ([`SatSolver::export_learnts`],
-//!   [`SatSolver::import_learnt`]) so portfolio members can share glue
-//!   clauses instead of learning alone.
+//!   reduction at restarts (glue clauses are permanent, the worse half of
+//!   the rest is dropped once the database crosses its growth threshold).
+//!
+//! Every solve is one-shot: the word-level [`crate::Solver`] builds a
+//! fresh `SatSolver` per query, so nothing here is kept between queries.
 
 use std::fmt;
-
-/// Reads the `SOCCAR_BVE` escape hatch: `0`/`false`/`off` disable bounded
-/// variable elimination in the inprocessing pass, anything else (or
-/// unset) enables it.
-#[must_use]
-pub fn bve_default() -> bool {
-    !matches!(
-        std::env::var("SOCCAR_BVE").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
-}
-
-/// Reads the `SOCCAR_TRAIL_REUSE` escape hatch: `0`/`false`/`off` disable
-/// assumption-trail reuse between `solve_assuming` calls, anything else
-/// (or unset) enables it.
-#[must_use]
-pub fn trail_reuse_default() -> bool {
-    !matches!(
-        std::env::var("SOCCAR_TRAIL_REUSE").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
-}
 
 /// A propositional variable, numbered from 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -169,46 +136,6 @@ impl SolveBudget {
     }
 }
 
-/// A deterministic solver configuration: everything that legitimately
-/// varies between portfolio members without changing *answers*.
-///
-/// Two solvers over the same clauses always agree on Sat/Unsat whatever
-/// their profiles; profiles only steer *which* model a Sat search finds
-/// and how fast either answer arrives. The default profile is the
-/// canonical single-solver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SolverProfile {
-    /// Branching tie-break seed. `0` keeps the canonical first-maximum
-    /// scan; any other value perturbs ties among equal activities
-    /// deterministically (splitmix64 ranking).
-    pub seed: u64,
-    /// Start every variable with saved phase `true` instead of `false`.
-    pub invert_phase: bool,
-    /// Luby restart multiplier (conflicts before the first restart).
-    pub restart_base: u64,
-    /// Learnt clauses accumulated before the first two-tier database
-    /// reduction; the threshold then grows by 1.5x per reduction.
-    pub reduce_base: u64,
-}
-
-impl Default for SolverProfile {
-    fn default() -> SolverProfile {
-        SolverProfile {
-            seed: 0,
-            invert_phase: false,
-            restart_base: 100,
-            reduce_base: 2000,
-        }
-    }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Assign {
     Unset,
@@ -223,10 +150,6 @@ struct Clause {
     learnt: bool,
     /// Literal-block distance at learn time (0 for originals).
     lbd: u32,
-    /// `clauses_added` snapshot when this clause entered the database —
-    /// a birth stamp so portfolio clause sharing can export exactly the
-    /// clauses learnt after a given mark (see [`SatSolver::export_learnts`]).
-    birth: u64,
 }
 
 /// The CDCL solver.
@@ -245,7 +168,7 @@ struct Clause {
 /// assert_eq!(s.value(a), Some(false));
 /// assert_eq!(s.value(b), Some(true));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
     watches: Vec<Vec<u32>>, // per literal index: clause indices
@@ -259,66 +182,64 @@ pub struct SatSolver {
     var_inc: f64,
     phase: Vec<bool>,
     occurs: Vec<bool>, // var appears in at least one clause
-    order: Vec<Var>,   // lazy heap (sorted occasionally)
     unsat: bool,
     conflicts: u64,
     decisions: u64,
     propagations: u64,
     learnt_literals: u64,
-    profile: SolverProfile,
-    /// Monotonic count of clauses ever pushed into the database. Unlike
-    /// `num_clauses()` this never decreases when reduction or
-    /// inprocessing deletes clauses, so it is the safe basis for
-    /// high-water-mark accounting (the blast context's reuse counter).
-    clauses_added: u64,
+    /// Luby restart multiplier (conflicts before the first restart).
+    restart_base: u64,
+    /// Learnt clauses accumulated before the first two-tier database
+    /// reduction; the threshold then grows by 1.5x per reduction.
+    reduce_base: u64,
     /// Live learnt clauses (maintained across learning and deletion).
     num_learnts: usize,
-    /// Learnt count that triggers the next reduction (0 = use the
-    /// profile's `reduce_base`).
+    /// Learnt count that triggers the next reduction (0 = use
+    /// `reduce_base`).
     reduce_threshold: u64,
     restarts: u64,
     learnt_deleted: u64,
     learnt_kept: u64,
-    subsumed: u64,
-    /// Vars that bounded variable elimination must never touch: every
-    /// var visible outside the solver (blast-cache bits, assumption
-    /// vars, obligation vars). Fresh internal gate vars stay unfrozen.
-    frozen: Vec<bool>,
-    /// Vars removed from the clause database by BVE. Their model values
-    /// come from `elim_values` (reconstructed on every Sat answer).
-    eliminated: Vec<bool>,
-    /// Reconstructed model values for eliminated vars (valid after Sat).
-    elim_values: Vec<bool>,
-    /// Elimination stack: per eliminated var, the original clauses it
-    /// occurred in, replayed in reverse on Sat to rebuild its value.
-    elim_stack: Vec<(Var, Vec<Vec<Lit>>)>,
-    eliminated_vars: u64,
-    /// Bounded variable elimination enabled (SOCCAR_BVE).
-    bve: bool,
-    /// Assumption-trail reuse enabled (SOCCAR_TRAIL_REUSE).
-    trail_reuse: bool,
-    /// Assumptions of the most recent `search` call, kept so the next
-    /// call can reuse the longest common prefix of the trail.
-    last_assumptions: Vec<Lit>,
-    /// Trail literals kept (not re-propagated) thanks to prefix reuse.
-    trail_reused_lits: u64,
 }
 
 const VAR_DECAY: f64 = 0.95;
 const ACTIVITY_RESCALE: f64 = 1e100;
 
+impl Default for SatSolver {
+    fn default() -> SatSolver {
+        SatSolver::new()
+    }
+}
+
 impl SatSolver {
-    /// Creates an empty solver. The `SOCCAR_BVE` and `SOCCAR_TRAIL_REUSE`
-    /// escape hatches set the initial feature flags; use
-    /// [`SatSolver::set_bve`] / [`SatSolver::set_trail_reuse`] to pin
-    /// them regardless of the environment.
+    /// Creates an empty solver.
     #[must_use]
     pub fn new() -> SatSolver {
         SatSolver {
+            clauses: Vec::new(),
+            watches: Vec::new(),
+            assigns: Vec::new(),
+            levels: Vec::new(),
+            reasons: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            prop_head: 0,
+            activity: Vec::new(),
             var_inc: 1.0,
-            bve: bve_default(),
-            trail_reuse: trail_reuse_default(),
-            ..SatSolver::default()
+            phase: Vec::new(),
+            occurs: Vec::new(),
+            unsat: false,
+            conflicts: 0,
+            decisions: 0,
+            propagations: 0,
+            learnt_literals: 0,
+            restart_base: 100,
+            reduce_base: 2000,
+            num_learnts: 0,
+            reduce_threshold: 0,
+            restarts: 0,
+            learnt_deleted: 0,
+            learnt_kept: 0,
         }
     }
 
@@ -358,20 +279,6 @@ impl SatSolver {
         self.learnt_literals
     }
 
-    /// Monotonic count of clauses ever added (original + learnt). Never
-    /// decreases, even when reduction or inprocessing deletes clauses —
-    /// use this (not [`SatSolver::num_clauses`]) for high-water marks.
-    #[must_use]
-    pub fn clauses_added(&self) -> u64 {
-        self.clauses_added
-    }
-
-    /// Live learnt clauses currently in the database.
-    #[must_use]
-    pub fn num_learnts(&self) -> usize {
-        self.num_learnts
-    }
-
     /// Restarts performed so far (diagnostics).
     #[must_use]
     pub fn restarts(&self) -> u64 {
@@ -390,92 +297,9 @@ impl SatSolver {
         self.learnt_kept
     }
 
-    /// Clauses removed by subsumption plus literals removed by
-    /// self-subsuming resolution, so far.
-    #[must_use]
-    pub fn subsumed(&self) -> u64 {
-        self.subsumed
-    }
-
-    /// Variables removed by bounded variable elimination so far.
-    #[must_use]
-    pub fn eliminated_vars(&self) -> u64 {
-        self.eliminated_vars
-    }
-
-    /// Trail literals kept across `solve_assuming` calls via
-    /// assumption-prefix reuse (instead of being re-propagated), so far.
-    #[must_use]
-    pub fn trail_reused_lits(&self) -> u64 {
-        self.trail_reused_lits
-    }
-
-    /// Enables or disables bounded variable elimination in
-    /// [`SatSolver::inprocess`]. Already-eliminated vars stay eliminated;
-    /// disabling only stops future passes.
-    pub fn set_bve(&mut self, on: bool) {
-        self.bve = on;
-    }
-
-    /// Enables or disables assumption-trail reuse between
-    /// [`SatSolver::solve_assuming`] calls.
-    pub fn set_trail_reuse(&mut self, on: bool) {
-        self.trail_reuse = on;
-    }
-
-    /// Marks `v` untouchable by bounded variable elimination. Every var
-    /// the caller will ever mention again — in a clause, an assumption,
-    /// or a model query whose exact clause-implied value matters — must
-    /// be frozen; only internal gate vars should stay unfrozen.
-    pub fn freeze_var(&mut self, v: Var) {
-        self.frozen[v.0 as usize] = true;
-    }
-
-    /// Exports the live learnt clauses born after `mark` (a
-    /// [`SatSolver::clauses_added`] snapshot) that pass the sharing
-    /// filter: LBD ≤ `max_lbd` and at most `max_len` literals. Clause
-    /// order follows database order, so the export is deterministic.
-    #[must_use]
-    pub fn export_learnts(&self, mark: u64, max_lbd: u32, max_len: usize) -> Vec<(Vec<Lit>, u32)> {
-        self.clauses
-            .iter()
-            .filter(|c| c.learnt && c.birth >= mark && c.lbd <= max_lbd && c.lits.len() <= max_len)
-            .map(|c| (c.lits.clone(), c.lbd))
-            .collect()
-    }
-
-    /// Imports a clause learnt by another solver over the *same variable
-    /// numbering* (a portfolio clone). The clause enters the learnt
-    /// database with the exporter's LBD and is eligible for reduction
-    /// like any local learnt. Returns `true` if the clause (or a unit
-    /// derived from it) was actually added. Like [`SatSolver::add_clause`]
-    /// this retracts the trail to level 0 first.
-    pub fn import_learnt(&mut self, lits: &[Lit], lbd: u32) -> bool {
-        self.add_clause_with(lits, true, lbd)
-    }
-
-    /// The active [`SolverProfile`].
-    #[must_use]
-    pub fn profile(&self) -> SolverProfile {
-        self.profile
-    }
-
-    /// Installs a profile. Switching `invert_phase` flips every saved
-    /// phase once (idempotent: re-installing the same profile is a
-    /// no-op), so a freshly cloned portfolio member explores the
-    /// complementary polarity space.
-    pub fn set_profile(&mut self, profile: SolverProfile) {
-        if profile.invert_phase != self.profile.invert_phase {
-            for ph in &mut self.phase {
-                *ph = !*ph;
-            }
-        }
-        self.profile = profile;
-    }
-
     fn reduce_limit(&self) -> u64 {
         if self.reduce_threshold == 0 {
-            self.profile.reduce_base.max(8)
+            self.reduce_base.max(8)
         } else {
             self.reduce_threshold
         }
@@ -488,14 +312,10 @@ impl SatSolver {
         self.levels.push(0);
         self.reasons.push(None);
         self.activity.push(0.0);
-        self.phase.push(self.profile.invert_phase);
+        self.phase.push(false);
         self.occurs.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.push(v);
-        self.frozen.push(false);
-        self.eliminated.push(false);
-        self.elim_values.push(false);
         v
     }
 
@@ -507,20 +327,9 @@ impl SatSolver {
     /// A unit landed on a stale search trail would be popped — and
     /// silently lost — by the next solve's entry backtrack.
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.add_clause_with(lits, false, 0);
-    }
-
-    /// Shared implementation of [`SatSolver::add_clause`] (original
-    /// clauses) and [`SatSolver::import_learnt`] (shared learnt clauses).
-    /// Returns `true` if a clause or unit actually entered the database.
-    fn add_clause_with(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> bool {
         if self.unsat {
-            return false;
+            return;
         }
-        debug_assert!(
-            lits.iter().all(|l| !self.eliminated[l.var().0 as usize]),
-            "clause mentions a BVE-eliminated var; freeze vars that get new clauses"
-        );
         self.backtrack(0);
         // Every mentioned variable gets a defined model value, even if the
         // clause itself is dropped below (tautology / already satisfied).
@@ -532,7 +341,7 @@ impl SatSolver {
         ls.sort_unstable();
         ls.dedup();
         if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
-            return false; // x ∨ ¬x: tautology
+            return; // x ∨ ¬x: tautology
         }
         // Drop literals already false at level 0; satisfied clauses vanish.
         ls.retain(|l| !(self.value_lit(*l) == Some(false) && self.levels[l.var().0 as usize] == 0));
@@ -540,18 +349,14 @@ impl SatSolver {
             .iter()
             .any(|l| self.value_lit(*l) == Some(true) && self.levels[l.var().0 as usize] == 0)
         {
-            return false;
+            return;
         }
         match ls.len() {
-            0 => {
-                self.unsat = true;
-                true
-            }
+            0 => self.unsat = true,
             1 => {
                 if !self.enqueue(ls[0], None) {
                     self.unsat = true;
                 }
-                true
             }
             _ => {
                 let idx = self.clauses.len() as u32;
@@ -559,15 +364,9 @@ impl SatSolver {
                 self.watches[ls[1].negate().index()].push(idx);
                 self.clauses.push(Clause {
                     lits: ls,
-                    learnt,
-                    lbd,
-                    birth: self.clauses_added,
+                    learnt: false,
+                    lbd: 0,
                 });
-                self.clauses_added += 1;
-                if learnt {
-                    self.num_learnts += 1;
-                }
-                true
             }
         }
     }
@@ -578,16 +377,9 @@ impl SatSolver {
     /// such variables are never branched on (see `pick_branch`) and stay
     /// `None`. Callers needing a total assignment pick their own default
     /// — the bit-blaster's `model_bits` defaults unconstrained bits to
-    /// `false`, matching what the one-shot solver's models contain.
-    /// BVE-eliminated variables report their reconstructed value (the
-    /// elimination stack is replayed on every `Sat` answer), so models
-    /// stay total over eliminated vars exactly as if they had never been
-    /// eliminated.
+    /// `false`.
     #[must_use]
     pub fn value(&self, v: Var) -> Option<bool> {
-        if self.eliminated[v.0 as usize] {
-            return Some(self.elim_values[v.0 as usize]);
-        }
         match self.assigns[v.0 as usize] {
             Assign::Unset => None,
             Assign::True => Some(true),
@@ -780,29 +572,17 @@ impl SatSolver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        // Lazy max-activity scan (instances are small enough). Variables
-        // in no clause are never branched on: they cannot contribute to a
-        // conflict, so the model is simply left partial over them (see
-        // `value`) and callers choose the default.
+        // Lazy max-activity scan (instances are small enough); ties go to
+        // the lowest-numbered variable. Variables in no clause are never
+        // branched on: they cannot contribute to a conflict, so the model
+        // is simply left partial over them (see `value`) and callers
+        // choose the default.
         let mut best: Option<Var> = None;
         let mut best_act = -1.0;
-        let seed = self.profile.seed;
         for v in 0..self.num_vars() {
-            if self.occurs[v] && self.assigns[v] == Assign::Unset {
-                let act = self.activity[v];
-                // Seed 0 keeps the canonical first-maximum scan; other
-                // seeds break activity ties by a deterministic rank so
-                // portfolio members branch differently from move one.
-                let better = act > best_act
-                    || (seed != 0
-                        && act == best_act
-                        && best.is_some_and(|b| {
-                            splitmix64(seed ^ v as u64) > splitmix64(seed ^ u64::from(b.0))
-                        }));
-                if better {
-                    best_act = act;
-                    best = Some(Var(v as u32));
-                }
+            if self.occurs[v] && self.assigns[v] == Assign::Unset && self.activity[v] > best_act {
+                best_act = self.activity[v];
+                best = Some(Var(v as u32));
             }
         }
         best.map(|v| Lit::new(v, self.phase[v.0 as usize]))
@@ -819,87 +599,18 @@ impl SatSolver {
     /// count work done within this call, so re-invoking with a fresh
     /// budget continues the search (learnt clauses are kept).
     pub fn solve_budgeted(&mut self, budget: SolveBudget) -> SatOutcome {
-        self.search(&[], budget)
-    }
-
-    /// Solves under retractable *assumption* literals.
-    ///
-    /// Assumptions are enqueued as pseudo-decisions at successive levels
-    /// (MiniSat style), so everything the solver accumulates — clause
-    /// database, watches, activities, phases, and learnt clauses — stays
-    /// alive across calls and the next call benefits from the last one's
-    /// work. Outcomes:
-    ///
-    /// * [`SatOutcome::Sat`]: a model consistent with every assumption is
-    ///   on the trail (query via [`SatSolver::value`]).
-    /// * [`SatOutcome::Unsat`]: unsatisfiable *under these assumptions*.
-    ///   Only a conflict at decision level 0 marks the instance
-    ///   permanently unsat; an assumption-level conflict is retracted by
-    ///   backtracking and later calls may still answer `Sat`.
-    /// * [`SatOutcome::Unknown`]: the per-call `budget` ran out. Learnt
-    ///   clauses are kept, so a re-solve resumes rather than restarts.
-    ///
-    /// Learnt clauses never resolve on assumption literals (assumptions
-    /// carry no reason clause), so everything learnt is implied by the
-    /// clause database alone and remains valid once the assumptions are
-    /// retracted.
-    pub fn solve_assuming(&mut self, assumptions: &[Lit], budget: SolveBudget) -> SatOutcome {
-        self.search(assumptions, budget)
-    }
-
-    /// Decision levels whose pseudo-decisions can be kept from the
-    /// previous `search` call: the longest common prefix of the old and
-    /// new assumption lists, capped by the levels actually still on the
-    /// trail. Level k (1-based) holds `last_assumptions[k-1]`, an
-    /// invariant every exit path of `search` maintains.
-    fn reusable_prefix(&self, assumptions: &[Lit]) -> u32 {
-        if !self.trail_reuse || self.unsat {
-            return 0;
-        }
-        let max = (self.decision_level() as usize)
-            .min(self.last_assumptions.len())
-            .min(assumptions.len());
-        let mut k = 0;
-        while k < max && assumptions[k] == self.last_assumptions[k] {
-            k += 1;
-        }
-        k as u32
-    }
-
-    /// The CDCL main loop shared by plain and assumption solving.
-    fn search(&mut self, assumptions: &[Lit], budget: SolveBudget) -> SatOutcome {
-        debug_assert!(
-            assumptions
-                .iter()
-                .all(|l| !self.eliminated[l.var().0 as usize]),
-            "assumption on a BVE-eliminated var; freeze assumption vars"
-        );
-        // Retract whatever a previous call left on the trail — wholly,
-        // or (with trail reuse on) only past the longest common prefix
-        // of retractable assumptions, skipping re-propagation of the
-        // shared prefix. The kept prefix was a propagation fixpoint when
-        // the previous call left it and the clause database is unchanged
-        // since (`add_clause`/`inprocess` both retract to level 0, which
-        // empties the reusable prefix), so it still is one.
-        let keep = self.reusable_prefix(assumptions);
-        self.backtrack(keep);
+        // Retract whatever a previous call left on the trail.
+        self.backtrack(0);
         if self.unsat {
             return SatOutcome::Unsat;
         }
-        if keep == 0 {
-            if self.propagate().is_some() {
-                self.unsat = true;
-                return SatOutcome::Unsat;
-            }
-        } else {
-            self.trail_reused_lits += self.trail.len() as u64;
+        if self.propagate().is_some() {
+            self.unsat = true;
+            return SatOutcome::Unsat;
         }
-        self.last_assumptions.clear();
-        self.last_assumptions.extend_from_slice(assumptions);
-        let n_assumps = assumptions.len() as u32;
         let conflicts_at_entry = self.conflicts;
         let decisions_at_entry = self.decisions;
-        let restart_base = self.profile.restart_base.max(1);
+        let restart_base = self.restart_base.max(1);
         let mut luby_idx = 1u64;
         let mut conflicts_until_restart = restart_base * luby(luby_idx);
         loop {
@@ -908,20 +619,6 @@ impl SatSolver {
                     self.conflicts += 1;
                     if self.decision_level() == 0 {
                         self.unsat = true;
-                        return SatOutcome::Unsat;
-                    }
-                    if self.decision_level() <= n_assumps {
-                        // The conflict is forced by the assumptions alone:
-                        // unsat under them, but not permanently. With
-                        // trail reuse, keep the consistent prefix below
-                        // the conflicting assumption level for the next
-                        // call; the conflicting level itself is popped.
-                        let floor = if self.trail_reuse {
-                            self.decision_level() - 1
-                        } else {
-                            0
-                        };
-                        self.backtrack(floor);
                         return SatOutcome::Unsat;
                     }
                     let (learnt, bt, lbd) = self.analyze(conflict);
@@ -939,9 +636,7 @@ impl SatSolver {
                             lits: learnt,
                             learnt: true,
                             lbd,
-                            birth: self.clauses_added,
                         });
-                        self.clauses_added += 1;
                         self.num_learnts += 1;
                         let ok = self.enqueue(first, Some(idx));
                         debug_assert!(ok, "uip literal must be enqueueable");
@@ -953,7 +648,7 @@ impl SatSolver {
                         .max_conflicts
                         .is_some_and(|max| self.conflicts - conflicts_at_entry >= max)
                     {
-                        self.backtrack(self.unknown_floor(n_assumps));
+                        self.backtrack(0);
                         return SatOutcome::Unknown;
                     }
                     conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
@@ -961,169 +656,41 @@ impl SatSolver {
                         luby_idx += 1;
                         conflicts_until_restart = restart_base * luby(luby_idx);
                         self.restarts += 1;
+                        self.backtrack(0);
                         if self.num_learnts as u64 >= self.reduce_limit() {
-                            // Full restart with a two-tier learnt-DB
-                            // reduction; assumptions are re-enqueued by
-                            // the level check below.
-                            self.backtrack(0);
-                            self.maintain(true, false);
+                            self.reduce();
                             if self.unsat {
                                 return SatOutcome::Unsat;
                             }
-                        } else {
-                            // Restart to the assumption floor: the
-                            // retractable assumption trail survives.
-                            self.backtrack(n_assumps.min(self.decision_level()));
                         }
                     }
                 }
-                None => {
-                    if (self.decision_level() as usize) < assumptions.len() {
-                        let a = assumptions[self.decision_level() as usize];
-                        match self.value_lit(a) {
-                            Some(true) => {
-                                // Already implied: push a dummy level to
-                                // keep level ↔ assumption-index in step.
-                                self.trail_lim.push(self.trail.len());
-                            }
-                            Some(false) => {
-                                // The assumption is falsified by the
-                                // prefix below; with trail reuse the
-                                // consistent prefix levels stay put.
-                                if !self.trail_reuse {
-                                    self.backtrack(0);
-                                }
-                                return SatOutcome::Unsat;
-                            }
-                            None => {
-                                self.trail_lim.push(self.trail.len());
-                                let ok = self.enqueue(a, None);
-                                debug_assert!(ok, "assumption literal was unset");
-                            }
+                None => match self.pick_branch() {
+                    None => return SatOutcome::Sat,
+                    Some(decision) => {
+                        if budget
+                            .max_decisions
+                            .is_some_and(|max| self.decisions - decisions_at_entry >= max)
+                        {
+                            self.backtrack(0);
+                            return SatOutcome::Unknown;
                         }
-                    } else {
-                        match self.pick_branch() {
-                            None => {
-                                self.reconstruct_eliminated();
-                                return SatOutcome::Sat;
-                            }
-                            Some(decision) => {
-                                if budget
-                                    .max_decisions
-                                    .is_some_and(|max| self.decisions - decisions_at_entry >= max)
-                                {
-                                    self.backtrack(self.unknown_floor(n_assumps));
-                                    return SatOutcome::Unknown;
-                                }
-                                self.decisions += 1;
-                                self.trail_lim.push(self.trail.len());
-                                let ok = self.enqueue(decision, None);
-                                debug_assert!(ok, "decision variable was unset");
-                            }
-                        }
+                        self.decisions += 1;
+                        self.trail_lim.push(self.trail.len());
+                        let ok = self.enqueue(decision, None);
+                        debug_assert!(ok, "decision variable was unset");
                     }
-                }
+                },
             }
         }
     }
 
-    /// The backtrack floor for a budget-exhausted (`Unknown`) exit: with
-    /// trail reuse the assumption levels stay on the trail so a re-solve
-    /// under the same (or prefix-sharing) assumptions resumes without
-    /// re-propagating them; without it, the classic full retraction.
-    fn unknown_floor(&self, n_assumps: u32) -> u32 {
-        if self.trail_reuse {
-            n_assumps.min(self.decision_level())
-        } else {
-            0
-        }
-    }
-
-    /// Replays the elimination stack in reverse to give every
-    /// BVE-eliminated variable a value consistent with the clauses it
-    /// was resolved out of. Runs on every `Sat` exit; afterwards
-    /// [`SatSolver::value`] is total over eliminated vars and satisfies
-    /// the original (pre-elimination) clause set.
-    fn reconstruct_eliminated(&mut self) {
-        if self.elim_stack.is_empty() {
-            return;
-        }
-        let stack = std::mem::take(&mut self.elim_stack);
-        for (v, stored) in stack.iter().rev() {
-            let vi = v.0 as usize;
-            // A var's stored clauses only mention vars that are either
-            // still live (assigned or defaulted like any model read) or
-            // eliminated *later* — already reconstructed by this reverse
-            // walk. Default to the saved phase; flip only if some stored
-            // clause is otherwise unsatisfied.
-            let mut val = self.phase[vi];
-            for clause in stored {
-                let needs_v = !clause
-                    .iter()
-                    .any(|&l| l.var() != *v && self.recon_lit_true(l));
-                if needs_v {
-                    let polarity = clause
-                        .iter()
-                        .find(|l| l.var() == *v)
-                        .expect("stored clause mentions its eliminated var")
-                        .is_pos();
-                    val = polarity;
-                }
-            }
-            self.elim_values[vi] = val;
-            debug_assert!(
-                stored.iter().all(|clause| clause.iter().any(|&l| {
-                    if l.var() == *v {
-                        val == l.is_pos()
-                    } else {
-                        self.recon_lit_true(l)
-                    }
-                })),
-                "reconstruction left a resolved-away clause unsatisfied"
-            );
-        }
-        self.elim_stack = stack;
-    }
-
-    /// Truth of `l` during model reconstruction: live vars read the
-    /// trail (unassigned defaults to `false`, the same default callers
-    /// apply to partial models), already-reconstructed vars read
-    /// `elim_values`.
-    fn recon_lit_true(&self, l: Lit) -> bool {
-        let vi = l.var().0 as usize;
-        let val = if self.eliminated[vi] {
-            self.elim_values[vi]
-        } else {
-            matches!(self.assigns[vi], Assign::True)
-        };
-        val == l.is_pos()
-    }
-
-    /// Runs bounded inprocessing at decision level 0: level-0 clause
-    /// simplification, forward subsumption, self-subsuming resolution,
-    /// bounded variable elimination (unless disabled), and — when the
-    /// learnt database has outgrown its threshold — two-tier LBD-based
-    /// reduction. Any active trail is retracted
-    /// first, so call it *between* solves (the word-level solver does so
-    /// between `check_assuming` calls). Satisfiability over the frozen
-    /// variables, all future solve answers, and variable numbering are
-    /// preserved; only clause indices are compacted.
-    pub fn inprocess(&mut self) {
-        if self.unsat {
-            return;
-        }
-        self.backtrack(0);
-        let reduce = self.num_learnts as u64 >= self.reduce_limit();
-        self.maintain(reduce, true);
-    }
-
-    /// Level-0 maintenance: simplify, optionally reduce/subsume, then
-    /// compact the clause database and rebuild the watch lists.
-    fn maintain(&mut self, reduce: bool, subsume: bool) {
+    /// Level-0 maintenance at a restart: simplify every clause against
+    /// the level-0 assignment, drop the worse half of the non-glue learnt
+    /// clauses, then compact the clause database and rebuild the watch
+    /// lists.
+    fn reduce(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
-        if self.unsat {
-            return;
-        }
         // Close the level-0 assignment first (valid watches required).
         if self.propagate().is_some() {
             self.unsat = true;
@@ -1133,152 +700,8 @@ impl SatSolver {
         if !self.simplify_pass(&mut deleted) {
             return;
         }
-        if reduce {
-            self.reduce_learnts(&mut deleted);
-        }
-        if subsume {
-            self.subsume_pass(&mut deleted);
-            // Strengthening can surface new units; re-simplify so no
-            // surviving clause mentions an assigned variable.
-            if self.unsat || !self.simplify_pass(&mut deleted) {
-                return;
-            }
-            if self.bve {
-                self.bve_pass(&mut deleted);
-                // Unit resolvents assign vars; re-simplify so the
-                // compaction precondition (no clause mentions an
-                // assigned var) holds for the resolvents too.
-                if self.unsat || !self.simplify_pass(&mut deleted) {
-                    return;
-                }
-            }
-        }
+        self.reduce_learnts(&mut deleted);
         self.compact(&deleted);
-    }
-
-    /// Bounded variable elimination (SatELite-style, NiVER-bounded):
-    /// resolves an unfrozen, unassigned variable out of the database
-    /// when the non-tautological resolvents of its positive × negative
-    /// occurrences do not outnumber the clauses they replace. Learnt
-    /// clauses mentioning the variable are simply deleted (they are
-    /// consequences, never needed for equisatisfiability); the replaced
-    /// *original* clauses go onto the elimination stack so
-    /// `reconstruct_eliminated` can rebuild the var's model value on
-    /// Sat. Work is capped by occurrence-count, resolvent-length, and
-    /// literal-visit budgets so the pass stays a bounded pause.
-    ///
-    /// Resolvents deliberately do **not** bump `clauses_added`: that
-    /// counter feeds the blast context's reuse accounting and the
-    /// inprocessing cadence, both of which must not drift between
-    /// `SOCCAR_BVE` on/off runs.
-    fn bve_pass(&mut self, deleted: &mut Vec<bool>) {
-        const BVE_MAX_OCC: usize = 10;
-        const BVE_MAX_RESOLVENT: usize = 16;
-        const BVE_BUDGET: u64 = 200_000;
-
-        // Occurrence lists over the live clauses, maintained as
-        // resolvents are appended so later candidates see them.
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars() * 2];
-        for (ci, clause) in self.clauses.iter().enumerate() {
-            if deleted[ci] {
-                continue;
-            }
-            for &l in &clause.lits {
-                occ[l.index()].push(ci as u32);
-            }
-        }
-        let mut budget = BVE_BUDGET;
-        for v in 0..self.num_vars() {
-            if budget == 0 {
-                break;
-            }
-            if self.frozen[v] || self.eliminated[v] || self.assigns[v] != Assign::Unset {
-                continue;
-            }
-            let pos_lit = Lit::pos(Var(v as u32));
-            let neg_lit = Lit::neg(Var(v as u32));
-            let live = |list: &[u32], deleted: &[bool], clauses: &[Clause], learnt: bool| {
-                list.iter()
-                    .copied()
-                    .filter(|&c| !deleted[c as usize] && clauses[c as usize].learnt == learnt)
-                    .collect::<Vec<u32>>()
-            };
-            let pos_cls = live(&occ[pos_lit.index()], deleted, &self.clauses, false);
-            let neg_cls = live(&occ[neg_lit.index()], deleted, &self.clauses, false);
-            if pos_cls.len() > BVE_MAX_OCC || neg_cls.len() > BVE_MAX_OCC {
-                continue;
-            }
-            // Build all non-tautological resolvents; abort the candidate
-            // if any grows too long or the visit budget runs dry.
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            let mut aborted = false;
-            'outer: for &pi in &pos_cls {
-                for &ni in &neg_cls {
-                    let pc = &self.clauses[pi as usize].lits;
-                    let nc = &self.clauses[ni as usize].lits;
-                    let cost = (pc.len() + nc.len()) as u64;
-                    if budget < cost {
-                        budget = 0;
-                        aborted = true;
-                        break 'outer;
-                    }
-                    budget -= cost;
-                    if let Some(r) = resolve_on(pc, nc, Var(v as u32)) {
-                        if r.len() > BVE_MAX_RESOLVENT {
-                            aborted = true;
-                            break 'outer;
-                        }
-                        resolvents.push(r);
-                    }
-                }
-            }
-            // NiVER growth bound: never let elimination grow the database.
-            if aborted || resolvents.len() > pos_cls.len() + neg_cls.len() {
-                continue;
-            }
-            // Commit. Store the replaced originals for reconstruction,
-            // drop every clause mentioning v (learnt ones outright), and
-            // append the resolvents.
-            let mut stored: Vec<Vec<Lit>> = Vec::with_capacity(pos_cls.len() + neg_cls.len());
-            for &ci in pos_cls.iter().chain(neg_cls.iter()) {
-                stored.push(self.clauses[ci as usize].lits.clone());
-                self.unlink(ci as usize, deleted);
-            }
-            for lit in [pos_lit, neg_lit] {
-                let learnt_with_v = live(&occ[lit.index()], deleted, &self.clauses, true);
-                for ci in learnt_with_v {
-                    self.unlink(ci as usize, deleted);
-                }
-            }
-            self.eliminated[v] = true;
-            self.occurs[v] = false;
-            self.eliminated_vars += 1;
-            self.elim_stack.push((Var(v as u32), stored));
-            for r in resolvents {
-                match r.len() {
-                    0 => unreachable!("both parents of an empty resolvent would be units"),
-                    1 => {
-                        if !self.enqueue(r[0], None) {
-                            self.unsat = true;
-                            return;
-                        }
-                    }
-                    _ => {
-                        let idx = self.clauses.len() as u32;
-                        for &l in &r {
-                            occ[l.index()].push(idx);
-                        }
-                        deleted.push(false);
-                        self.clauses.push(Clause {
-                            lits: r,
-                            learnt: false,
-                            lbd: 0,
-                            birth: self.clauses_added,
-                        });
-                    }
-                }
-            }
-        }
     }
 
     fn unlink(&mut self, ci: usize, deleted: &mut [bool]) {
@@ -1371,95 +794,6 @@ impl SatSolver {
         self.reduce_threshold = lim + lim / 2;
     }
 
-    /// Bounded forward subsumption and self-subsuming resolution over
-    /// the live clauses. Work is capped by a literal-comparison budget
-    /// so inprocessing stays a bounded pause, never a second search.
-    fn subsume_pass(&mut self, deleted: &mut [bool]) {
-        const MAX_CLAUSE_LEN: usize = 16;
-        const CHECK_BUDGET: u64 = 200_000;
-        let n = self.clauses.len();
-        let mut sigs: Vec<u64> = self.clauses.iter().map(|c| clause_sig(&c.lits)).collect();
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars() * 2];
-        for (ci, dead) in deleted.iter().enumerate().take(n) {
-            if *dead || self.clauses[ci].lits.len() > MAX_CLAUSE_LEN {
-                continue;
-            }
-            for &l in &self.clauses[ci].lits {
-                occ[l.index()].push(ci as u32);
-            }
-        }
-        let mut order: Vec<usize> = (0..n)
-            .filter(|&i| !deleted[i] && self.clauses[i].lits.len() <= MAX_CLAUSE_LEN)
-            .collect();
-        order.sort_by_key(|&i| (self.clauses[i].lits.len(), i));
-        let mut budget = CHECK_BUDGET;
-        for ci in order {
-            if deleted[ci] {
-                continue;
-            }
-            if budget == 0 {
-                break;
-            }
-            let lits = self.clauses[ci].lits.clone();
-            let Some(&pivot) = lits.iter().min_by_key(|l| occ[l.index()].len()) else {
-                continue;
-            };
-            // Forward subsumption: ci ⊆ cj deletes cj. Candidates are
-            // found through ci's rarest literal.
-            for &cand in &occ[pivot.index()] {
-                let cj = cand as usize;
-                if cj == ci || deleted[cj] || self.clauses[cj].lits.len() < lits.len() {
-                    continue;
-                }
-                budget = budget.saturating_sub(lits.len() as u64);
-                if budget == 0 {
-                    break;
-                }
-                if sigs[ci] & !sigs[cj] != 0 {
-                    continue;
-                }
-                if is_subset(&lits, &self.clauses[cj].lits) {
-                    self.unlink(cj, deleted);
-                    self.subsumed += 1;
-                }
-            }
-            // Self-subsuming resolution: if (ci \ {l}) ∪ {¬l} ⊆ cj,
-            // resolving on l shows cj can drop ¬l.
-            for &l in &lits {
-                if budget == 0 {
-                    break;
-                }
-                for &cand in &occ[l.negate().index()] {
-                    let cj = cand as usize;
-                    if cj == ci || deleted[cj] || self.clauses[cj].lits.len() < lits.len() {
-                        continue;
-                    }
-                    budget = budget.saturating_sub(lits.len() as u64);
-                    if budget == 0 {
-                        break;
-                    }
-                    if sigs[ci] & !sigs[cj] != 0 {
-                        continue;
-                    }
-                    if subsumes_with_flip(&lits, l, &self.clauses[cj].lits) {
-                        let neg = l.negate();
-                        self.clauses[cj].lits.retain(|&x| x != neg);
-                        sigs[cj] = clause_sig(&self.clauses[cj].lits);
-                        self.subsumed += 1;
-                        if self.clauses[cj].lits.len() == 1 {
-                            let unit = self.clauses[cj].lits[0];
-                            self.unlink(cj, deleted);
-                            if !self.enqueue(unit, None) {
-                                self.unsat = true;
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Drops deleted clauses and rebuilds the watch lists from scratch.
     /// Precondition (established by `simplify_pass`): no surviving
     /// clause mentions an assigned variable, so watching the first two
@@ -1487,44 +821,6 @@ impl SatSolver {
             self.reasons[v] = None;
         }
     }
-}
-
-fn clause_sig(lits: &[Lit]) -> u64 {
-    lits.iter().fold(0u64, |s, l| s | 1u64 << (l.var().0 % 64))
-}
-
-/// The resolvent of `pc` (containing `v` positively) and `nc`
-/// (containing `v` negatively) on `v`, or `None` if it is a tautology.
-/// The result is sorted and deduplicated.
-fn resolve_on(pc: &[Lit], nc: &[Lit], v: Var) -> Option<Vec<Lit>> {
-    let mut r: Vec<Lit> = pc
-        .iter()
-        .chain(nc.iter())
-        .copied()
-        .filter(|l| l.var() != v)
-        .collect();
-    r.sort_unstable();
-    r.dedup();
-    if r.windows(2).any(|w| w[0].var() == w[1].var()) {
-        return None; // x ∨ ¬x: tautology
-    }
-    Some(r)
-}
-
-fn is_subset(small: &[Lit], big: &[Lit]) -> bool {
-    small.iter().all(|l| big.contains(l))
-}
-
-/// `true` if `small` with `flip` negated is a subset of `big` — the
-/// self-subsuming-resolution condition.
-fn subsumes_with_flip(small: &[Lit], flip: Lit, big: &[Lit]) -> bool {
-    small.iter().all(|&l| {
-        if l == flip {
-            big.contains(&l.negate())
-        } else {
-            big.contains(&l)
-        }
-    })
 }
 
 /// The Luby restart sequence: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,...
@@ -1699,123 +995,31 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_flip_between_calls() {
-        // (a ∨ b) with assumption ¬a forces b; assumption ¬b forces a.
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        assert_eq!(
-            s.solve_assuming(&[Lit::neg(a)], SolveBudget::UNLIMITED),
-            SatOutcome::Sat
-        );
-        assert_eq!(s.value(b), Some(true));
-        assert_eq!(
-            s.solve_assuming(&[Lit::neg(b)], SolveBudget::UNLIMITED),
-            SatOutcome::Sat
-        );
-        assert_eq!(s.value(a), Some(true));
-    }
-
-    #[test]
-    fn unsat_under_assumptions_is_retractable() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        // ¬a ∧ ¬b contradicts the clause — but only under assumptions.
-        assert_eq!(
-            s.solve_assuming(&[Lit::neg(a), Lit::neg(b)], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
-        // The instance itself is still satisfiable.
-        assert_eq!(s.solve(), SatOutcome::Sat);
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(a)], SolveBudget::UNLIMITED),
-            SatOutcome::Sat
-        );
-    }
-
-    #[test]
-    fn contradictory_assumptions_unsat_without_poisoning() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(a), Lit::neg(a)], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
-        assert_eq!(s.solve(), SatOutcome::Sat);
-    }
-
-    #[test]
-    fn permanent_unsat_survives_assumption_calls() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[Lit::pos(a)]);
-        s.add_clause(&[Lit::neg(a)]);
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(b)], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
-        // A level-0 conflict is permanent: every later call stays Unsat.
-        assert_eq!(
-            s.solve_assuming(&[], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
-        assert_eq!(s.solve(), SatOutcome::Unsat);
-    }
-
-    #[test]
-    fn assumption_budget_unknown_then_resume() {
-        let mut s = pigeonhole(6, 5);
-        let extra = s.new_var();
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(extra)], SolveBudget::conflicts(1)),
-            SatOutcome::Unknown
-        );
-        let learnt_after_budget = s.num_clauses();
-        // Re-solving under the same assumptions resumes with the learnt
-        // clauses intact and reaches the definite answer.
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(extra)], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
-        assert!(s.num_clauses() >= learnt_after_budget);
-    }
-
-    #[test]
-    fn units_added_after_a_sat_assumption_call_stick() {
+    fn units_added_after_a_sat_call_stick() {
         // add_clause used to enqueue new units on the previous call's
-        // stale Sat trail; solve_assuming's entry backtrack then dropped
+        // stale Sat trail; the next solve's entry backtrack then dropped
         // them (or, if the trail falsified the unit, the instance was
         // wrongly latched permanently unsat).
         let mut s = SatSolver::new();
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(a)], SolveBudget::UNLIMITED),
-            SatOutcome::Sat
-        );
-        // The stale trail has a = true, which falsifies this new unit.
-        s.add_clause(&[Lit::neg(a)]);
-        assert_eq!(
-            s.solve_assuming(&[], SolveBudget::UNLIMITED),
-            SatOutcome::Sat
-        );
+        assert_eq!(s.solve(), SatOutcome::Sat);
         assert_eq!(s.value(a), Some(false));
         assert_eq!(s.value(b), Some(true));
+        // The stale trail has b = true, which falsifies this new unit.
+        s.add_clause(&[Lit::neg(b)]);
+        assert_eq!(s.solve(), SatOutcome::Sat);
+        assert_eq!(s.value(a), Some(true));
+        assert_eq!(s.value(b), Some(false));
         // And the unit is a real hard clause, not a lost enqueue.
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(a)], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
+        s.add_clause(&[Lit::neg(a)]);
+        assert_eq!(s.solve(), SatOutcome::Unsat);
     }
 
     #[test]
-    fn pending_level0_units_propagate_at_assumption_solve_entry() {
-        // The entry backtrack(0) of solve_assuming must not advance the
+    fn pending_level0_units_propagate_at_solve_entry() {
+        // The entry backtrack(0) of a solve must not advance the
         // propagation head past units that add_clause enqueued at level 0
         // but nothing has propagated yet — skipping them here leaves the
         // binary clause below with both watches false and unscanned,
@@ -1826,10 +1030,7 @@ mod tests {
         s.add_clause(&[Lit::neg(a), Lit::neg(b)]);
         s.add_clause(&[Lit::pos(a)]);
         s.add_clause(&[Lit::pos(b)]);
-        assert_eq!(
-            s.solve_assuming(&[], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
+        assert_eq!(s.solve(), SatOutcome::Unsat);
     }
 
     #[test]
@@ -1845,523 +1046,15 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_agree_with_hard_units() {
-        // Random instances: solve_assuming(lits) must agree with a fresh
-        // solver where the same lits are added as unit clauses.
-        let mut seed = 0x9E3779B97F4A7C15u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for round in 0..30 {
-            let n_vars = 4 + (rng() % 7) as usize;
-            let n_clauses = 2 + (rng() % (3 * n_vars as u64)) as usize;
-            let mut clauses = Vec::new();
-            for _ in 0..n_clauses {
-                let c: Vec<Lit> = (0..3)
-                    .map(|_| Lit::new(Var((rng() % n_vars as u64) as u32), rng() % 2 == 0))
-                    .collect();
-                clauses.push(c);
-            }
-            let mut inc = SatSolver::new();
-            for _ in 0..n_vars {
-                inc.new_var();
-            }
-            for c in &clauses {
-                inc.add_clause(c);
-            }
-            // Three assumption sets against the SAME incremental solver.
-            for set in 0..3 {
-                let n_assumps = (rng() % (n_vars as u64).min(3)) as usize;
-                let assumps: Vec<Lit> = (0..n_assumps)
-                    .map(|_| Lit::new(Var((rng() % n_vars as u64) as u32), rng() % 2 == 0))
-                    .collect();
-                let mut fresh = SatSolver::new();
-                for _ in 0..n_vars {
-                    fresh.new_var();
-                }
-                for c in &clauses {
-                    fresh.add_clause(c);
-                }
-                for a in &assumps {
-                    fresh.add_clause(&[*a]);
-                }
-                let want = fresh.solve();
-                let got = inc.solve_assuming(&assumps, SolveBudget::UNLIMITED);
-                assert_eq!(got, want, "round {round} set {set} disagreed");
-                if got == SatOutcome::Sat {
-                    for c in &clauses {
-                        assert!(
-                            c.iter().any(|l| inc.value(l.var()) == Some(l.is_pos())),
-                            "model violates clause in round {round}"
-                        );
-                    }
-                    for a in &assumps {
-                        assert_eq!(inc.value_lit(*a), Some(true), "assumption not honored");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn profiles_agree_on_answers() {
-        // Diverse profiles steer the search, never the answer.
-        let profiles = [
-            SolverProfile::default(),
-            SolverProfile {
-                seed: 0x9E37_79B9,
-                invert_phase: true,
-                restart_base: 3,
-                reduce_base: 8,
-            },
-            SolverProfile {
-                seed: 0xD1B5_4A32,
-                invert_phase: false,
-                restart_base: 7,
-                reduce_base: 16,
-            },
-        ];
-        let mut seed = 0xDEAD_BEEF_u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for round in 0..25 {
-            let n_vars = 4 + (rng() % 8) as usize;
-            let n_clauses = 2 + (rng() % (4 * n_vars as u64)) as usize;
-            let clauses: Vec<Vec<Lit>> = (0..n_clauses)
-                .map(|_| {
-                    (0..3)
-                        .map(|_| Lit::new(Var((rng() % n_vars as u64) as u32), rng() % 2 == 0))
-                        .collect()
-                })
-                .collect();
-            let mut want = None;
-            for p in profiles {
-                let mut s = SatSolver::new();
-                s.set_profile(p);
-                for _ in 0..n_vars {
-                    s.new_var();
-                }
-                for c in &clauses {
-                    s.add_clause(c);
-                }
-                let got = s.solve();
-                if got == SatOutcome::Sat {
-                    for c in &clauses {
-                        assert!(
-                            c.iter().any(|l| s.value(l.var()) == Some(l.is_pos())),
-                            "model violates clause in round {round} under {p:?}"
-                        );
-                    }
-                }
-                match &want {
-                    None => want = Some(got),
-                    Some(w) => assert_eq!(&got, w, "round {round}: {p:?} disagreed"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn aggressive_reduction_keeps_correctness() {
         // A tiny reduce_base + restart_base forces restarts and learnt-DB
         // reductions mid-search on a hard UNSAT instance.
         let mut s = pigeonhole(6, 5);
-        s.set_profile(SolverProfile {
-            seed: 0,
-            invert_phase: false,
-            restart_base: 2,
-            reduce_base: 8,
-        });
+        s.restart_base = 2;
+        s.reduce_base = 8;
         assert_eq!(s.solve(), SatOutcome::Unsat);
         assert!(s.restarts() > 0, "expected restarts under base 2");
         assert!(s.learnt_deleted() > 0, "expected learnt-DB reductions");
-        assert!(s.clauses_added() >= s.num_clauses() as u64);
-    }
-
-    #[test]
-    fn reduction_during_assumption_solving_is_sound() {
-        // Same forcing profile, but through the retractable-assumption
-        // path: answers must match a fresh untouched solver.
-        let mut s = pigeonhole(6, 5);
-        let extra = s.new_var();
-        s.set_profile(SolverProfile {
-            seed: 0,
-            invert_phase: false,
-            restart_base: 2,
-            reduce_base: 8,
-        });
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(extra)], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
-        assert_eq!(
-            s.solve_assuming(&[], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
-    }
-
-    #[test]
-    fn subsumption_removes_redundant_clauses() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let c = s.new_var();
-        s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        s.add_clause(&[Lit::pos(a), Lit::pos(b), Lit::pos(c)]);
-        let before = s.num_clauses();
-        s.inprocess();
-        assert!(
-            s.subsumed() >= 1,
-            "the 3-clause is subsumed by the 2-clause"
-        );
-        assert!(s.num_clauses() < before);
-        assert_eq!(s.solve(), SatOutcome::Sat);
-        // clauses_added is a high-water mark: deletion never lowers it.
-        assert_eq!(s.clauses_added(), before as u64);
-    }
-
-    #[test]
-    fn self_subsuming_resolution_strengthens_to_unit() {
-        // (a ∨ b) and (¬a ∨ b): resolving on a strengthens the second
-        // clause to the unit b.
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        s.add_clause(&[Lit::neg(a), Lit::pos(b)]);
-        s.inprocess();
-        assert!(s.subsumed() >= 1);
-        assert_eq!(s.solve(), SatOutcome::Sat);
-        assert_eq!(s.value(b), Some(true));
-    }
-
-    #[test]
-    fn inprocess_between_assumption_calls_preserves_answers() {
-        let mut seed = 0x1234_5678_9ABC_DEF0_u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for round in 0..20 {
-            let n_vars = 4 + (rng() % 7) as usize;
-            let n_clauses = 2 + (rng() % (3 * n_vars as u64)) as usize;
-            let clauses: Vec<Vec<Lit>> = (0..n_clauses)
-                .map(|_| {
-                    (0..3)
-                        .map(|_| Lit::new(Var((rng() % n_vars as u64) as u32), rng() % 2 == 0))
-                        .collect()
-                })
-                .collect();
-            let mut inc = SatSolver::new();
-            for _ in 0..n_vars {
-                let v = inc.new_var();
-                // Assumptions below land on arbitrary vars, so all vars
-                // must be frozen against BVE (the freeze contract);
-                // bve_agrees_with_unsimplified covers the unfrozen case.
-                inc.freeze_var(v);
-            }
-            for c in &clauses {
-                inc.add_clause(c);
-            }
-            for set in 0..3 {
-                // Inprocess between every call: answers must still match
-                // a fresh solver with the assumptions as hard units.
-                inc.inprocess();
-                let n_assumps = (rng() % (n_vars as u64).min(3)) as usize;
-                let assumps: Vec<Lit> = (0..n_assumps)
-                    .map(|_| Lit::new(Var((rng() % n_vars as u64) as u32), rng() % 2 == 0))
-                    .collect();
-                let mut fresh = SatSolver::new();
-                for _ in 0..n_vars {
-                    fresh.new_var();
-                }
-                for c in &clauses {
-                    fresh.add_clause(c);
-                }
-                for a in &assumps {
-                    fresh.add_clause(&[*a]);
-                }
-                let want = fresh.solve();
-                let got = inc.solve_assuming(&assumps, SolveBudget::UNLIMITED);
-                assert_eq!(got, want, "round {round} set {set} disagreed");
-            }
-        }
-    }
-
-    #[test]
-    fn bve_eliminates_internal_var_and_reconstructs_model() {
-        // x is internal (unfrozen): (a ∨ x) ∧ (¬x ∨ b) resolves to
-        // (a ∨ b), so x is eliminated with zero growth.
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let x = s.new_var();
-        let b = s.new_var();
-        s.freeze_var(a);
-        s.freeze_var(b);
-        s.set_bve(true);
-        s.add_clause(&[Lit::pos(a), Lit::pos(x)]);
-        s.add_clause(&[Lit::neg(x), Lit::pos(b)]);
-        s.inprocess();
-        assert_eq!(s.eliminated_vars(), 1);
-        assert_eq!(s.solve(), SatOutcome::Sat);
-        // The reconstructed model must satisfy the *original* clauses.
-        let av = s.value(a).unwrap_or(false);
-        let xv = s
-            .value(x)
-            .expect("eliminated var has a reconstructed value");
-        let bv = s.value(b).unwrap_or(false);
-        assert!(av || xv, "model violates (a ∨ x)");
-        assert!(!xv || bv, "model violates (¬x ∨ b)");
-        // The resolvent still constrains the frozen vars: ¬a ∧ ¬b is
-        // unsat exactly as in the unsimplified formula.
-        assert_eq!(
-            s.solve_assuming(&[Lit::neg(a), Lit::neg(b)], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
-    }
-
-    #[test]
-    fn bve_agrees_with_unsimplified() {
-        // Random instances with a frozen interface half and an unfrozen
-        // internal half: inprocessing (with BVE) between assumption
-        // calls must preserve every answer, and Sat models must satisfy
-        // every original clause — including via reconstructed values of
-        // eliminated internal vars.
-        let mut seed = 0xB7E1_5162_8AED_2A6B_u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        let mut total_eliminated = 0u64;
-        for round in 0..30 {
-            let n_frozen = 3 + (rng() % 4) as usize;
-            let n_internal = 3 + (rng() % 4) as usize;
-            let n_vars = n_frozen + n_internal;
-            let n_clauses = 3 + (rng() % (3 * n_vars as u64)) as usize;
-            let clauses: Vec<Vec<Lit>> = (0..n_clauses)
-                .map(|_| {
-                    (0..3)
-                        .map(|_| Lit::new(Var((rng() % n_vars as u64) as u32), rng() % 2 == 0))
-                        .collect()
-                })
-                .collect();
-            let mut inc = SatSolver::new();
-            inc.set_bve(true);
-            for i in 0..n_vars {
-                let v = inc.new_var();
-                if i < n_frozen {
-                    inc.freeze_var(v);
-                }
-            }
-            for c in &clauses {
-                inc.add_clause(c);
-            }
-            for set in 0..3 {
-                inc.inprocess();
-                total_eliminated += inc.eliminated_vars();
-                // Assumptions only over the frozen interface.
-                let n_assumps = (rng() % 3) as usize;
-                let assumps: Vec<Lit> = (0..n_assumps)
-                    .map(|_| Lit::new(Var((rng() % n_frozen as u64) as u32), rng() % 2 == 0))
-                    .collect();
-                let mut fresh = SatSolver::new();
-                fresh.set_bve(false);
-                for _ in 0..n_vars {
-                    fresh.new_var();
-                }
-                for c in &clauses {
-                    fresh.add_clause(c);
-                }
-                for a in &assumps {
-                    fresh.add_clause(&[*a]);
-                }
-                let want = fresh.solve();
-                let got = inc.solve_assuming(&assumps, SolveBudget::UNLIMITED);
-                assert_eq!(got, want, "round {round} set {set} disagreed");
-                if got == SatOutcome::Sat {
-                    for c in &clauses {
-                        assert!(
-                            c.iter().any(|l| inc.value(l.var()) == Some(l.is_pos())),
-                            "round {round} set {set}: model violates an original clause"
-                        );
-                    }
-                }
-            }
-        }
-        assert!(
-            total_eliminated > 0,
-            "the unfrozen internal half should yield at least one elimination"
-        );
-    }
-
-    #[test]
-    fn bve_budgeted_unknown_stays_sound() {
-        // A budget-starved solve after BVE inprocessing must answer
-        // Unknown (never a wrong definite) and resume to the right one.
-        let mut s = pigeonhole(6, 5);
-        s.set_bve(true);
-        let extra = s.new_var();
-        // Only the assumption var is frozen; the pigeonhole vars are
-        // fair game for elimination, which must stay equisatisfiable.
-        s.freeze_var(extra);
-        s.inprocess();
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(extra)], SolveBudget::conflicts(1)),
-            SatOutcome::Unknown
-        );
-        assert_eq!(
-            s.solve_assuming(&[Lit::pos(extra)], SolveBudget::UNLIMITED),
-            SatOutcome::Unsat
-        );
-    }
-
-    #[test]
-    fn trail_reuse_agrees_with_floor_backtracking() {
-        // Two incremental solvers over the same instance, one with trail
-        // reuse and one with classic full retraction, driven through
-        // randomized assumption sequences with divergent prefixes: every
-        // answer must agree, and Sat models must satisfy the formula and
-        // the assumptions in both.
-        let mut seed = 0x0DDB_1A5E_5BAD_5EED_u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for round in 0..25 {
-            let n_vars = 5 + (rng() % 8) as usize;
-            let n_clauses = 3 + (rng() % (3 * n_vars as u64)) as usize;
-            let clauses: Vec<Vec<Lit>> = (0..n_clauses)
-                .map(|_| {
-                    (0..3)
-                        .map(|_| Lit::new(Var((rng() % n_vars as u64) as u32), rng() % 2 == 0))
-                        .collect()
-                })
-                .collect();
-            let mut reusing = SatSolver::new();
-            reusing.set_trail_reuse(true);
-            let mut classic = SatSolver::new();
-            classic.set_trail_reuse(false);
-            for _ in 0..n_vars {
-                reusing.new_var();
-                classic.new_var();
-            }
-            for c in &clauses {
-                reusing.add_clause(c);
-                classic.add_clause(c);
-            }
-            // A shared prefix that mutates gradually: flip one position
-            // per call so consecutive calls share long prefixes — the
-            // production flip-loop shape.
-            let mut prefix: Vec<Lit> = (0..4)
-                .map(|i| Lit::new(Var(i % n_vars as u32), rng() % 2 == 0))
-                .collect();
-            for call in 0..8 {
-                let slot = (rng() % prefix.len() as u64) as usize;
-                prefix[slot] = Lit::new(Var((rng() % n_vars as u64) as u32), rng() % 2 == 0);
-                let got = reusing.solve_assuming(&prefix, SolveBudget::UNLIMITED);
-                let want = classic.solve_assuming(&prefix, SolveBudget::UNLIMITED);
-                assert_eq!(got, want, "round {round} call {call} disagreed");
-                if got == SatOutcome::Sat {
-                    for (s, tag) in [(&reusing, "reusing"), (&classic, "classic")] {
-                        for c in &clauses {
-                            assert!(
-                                c.iter().any(|l| s.value(l.var()) == Some(l.is_pos())),
-                                "round {round} call {call}: {tag} model violates a clause"
-                            );
-                        }
-                        for a in &prefix {
-                            assert_eq!(
-                                s.value(a.var()),
-                                Some(a.is_pos()),
-                                "round {round} call {call}: {tag} dropped an assumption"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn trail_reuse_skips_repropagation_on_shared_prefixes() {
-        // An easily-implied chain: reusing the prefix must cut the
-        // propagation count versus classic floor-backtracking.
-        let n = 40usize;
-        let build = || {
-            let mut s = SatSolver::new();
-            let vs: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
-            for w in vs.windows(2) {
-                s.add_clause(&[Lit::neg(w[0]), Lit::pos(w[1])]);
-            }
-            (s, vs)
-        };
-        let (mut reusing, vs) = build();
-        reusing.set_trail_reuse(true);
-        let (mut classic, _) = build();
-        classic.set_trail_reuse(false);
-        // Same assumption prefix, different final literal per call.
-        for k in 1..5 {
-            let assumps = vec![Lit::pos(vs[0]), Lit::pos(vs[k])];
-            assert_eq!(
-                reusing.solve_assuming(&assumps, SolveBudget::UNLIMITED),
-                SatOutcome::Sat
-            );
-            assert_eq!(
-                classic.solve_assuming(&assumps, SolveBudget::UNLIMITED),
-                SatOutcome::Sat
-            );
-        }
-        assert!(
-            reusing.trail_reused_lits() > 0,
-            "shared prefixes should be reused"
-        );
-        assert!(
-            reusing.propagations() < classic.propagations(),
-            "reuse should re-propagate less: {} vs {}",
-            reusing.propagations(),
-            classic.propagations()
-        );
-    }
-
-    #[test]
-    fn export_import_shares_learnt_clauses() {
-        // A learns on a hard instance; its post-mark glue clauses import
-        // into B (same numbering, same clauses) without changing answers.
-        let mut a = pigeonhole(6, 5);
-        let mark = a.clauses_added();
-        assert_eq!(a.solve(), SatOutcome::Unsat);
-        let shared = a.export_learnts(mark, 4, 16);
-        assert!(
-            !shared.is_empty(),
-            "a hard UNSAT search should produce shareable glue clauses"
-        );
-        let mut b = pigeonhole(6, 5);
-        let before = b.num_learnts();
-        let mut imported = 0u64;
-        for (lits, lbd) in &shared {
-            if b.import_learnt(lits, *lbd) {
-                imported += 1;
-            }
-        }
-        assert!(imported > 0);
-        assert!(b.num_learnts() >= before);
-        assert_eq!(b.solve(), SatOutcome::Unsat);
-        // Export filter honors the mark: nothing born before it leaks.
-        let none = a.export_learnts(a.clauses_added(), 4, 16);
-        assert!(none.is_empty());
     }
 
     #[test]

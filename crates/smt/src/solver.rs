@@ -5,91 +5,8 @@ use std::fmt;
 
 use crate::bitblast::BitBlaster;
 use crate::bv::BvVal;
-use crate::sat::{SatOutcome, SolveBudget, SolverProfile};
+use crate::sat::{SatOutcome, SolveBudget};
 use crate::term::{Term, TermGraph, TermId};
-
-/// The profiles [`Solver::check_assuming_portfolio_traced`] races.
-///
-/// Profile 0 is the canonical default configuration; it always runs
-/// first in every rotation round, on the solver itself (so its learnt
-/// clauses persist across calls). The others differ in branching seed,
-/// phase polarity, and restart schedule — enough diversity to escape
-/// pathological searches, while any profile's definite answer is the
-/// same Sat/Unsat verdict.
-pub const PORTFOLIO_PROFILES: [SolverProfile; 3] = [
-    SolverProfile {
-        seed: 0,
-        invert_phase: false,
-        restart_base: 100,
-        reduce_base: 2000,
-    },
-    SolverProfile {
-        seed: 0x9E37_79B9_7F4A_7C15,
-        invert_phase: true,
-        restart_base: 100,
-        reduce_base: 2000,
-    },
-    SolverProfile {
-        seed: 0xD1B5_4A32_D192_ED03,
-        invert_phase: false,
-        restart_base: 50,
-        reduce_base: 2000,
-    },
-];
-
-/// First conflict slice of the portfolio rotation. Deliberately generous:
-/// any query the canonical profile finishes within this many conflicts
-/// gets byte-identical answers whether the portfolio is on or off,
-/// because no other profile ever runs. Slices double per rotation round,
-/// so an unbudgeted race always terminates.
-const PORTFOLIO_FIRST_SLICE: u64 = 4096;
-
-/// Clause-database growth (in clauses ever added) between two bounded
-/// inprocessing passes on an incremental context.
-const INPROCESS_GROWTH: u64 = 512;
-
-/// Export filter for portfolio clause sharing: only glue clauses (LBD at
-/// most this) flow from clones back into the base solver.
-pub const SHARE_MAX_LBD: u32 = 4;
-
-/// Export filter for portfolio clause sharing: size cap on shared clauses.
-pub const SHARE_MAX_LEN: usize = 16;
-
-/// Reads the `SOCCAR_CLAUSE_SHARING` escape hatch: `0`/`false`/`off`
-/// disable learnt-clause sharing between portfolio profiles, anything
-/// else (or unset) enables it.
-#[must_use]
-pub fn clause_sharing_default() -> bool {
-    !matches!(
-        std::env::var("SOCCAR_CLAUSE_SHARING").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
-}
-
-/// Learnt-clause flow of one portfolio race: clauses imported into the
-/// base solver from clone profiles, and clone learnts that were thrown
-/// away with the clones.
-#[derive(Debug, Clone, Copy, Default)]
-struct SharingDelta {
-    imported: u64,
-    discarded: u64,
-}
-
-/// Learnt clauses the race's clones produced that never passed the
-/// export filter — they die with the clones. Clones only ever learn
-/// (the blast surface is fixed for the duration of a race), so the
-/// `clauses_added` delta since the clone point counts learnts exactly.
-fn portfolio_discarded(clones: &[Option<Solver>], births: &[u64], exported: &[u64]) -> u64 {
-    clones
-        .iter()
-        .zip(births.iter().zip(exported))
-        .filter_map(|(c, (b, e))| {
-            let c = c.as_ref()?;
-            let added = c.ctx.as_ref().map_or(*b, |x| x.bb.solver.clauses_added());
-            Some(added.saturating_sub(*b).saturating_sub(*e))
-        })
-        .sum()
-}
 
 /// A satisfying assignment for the asserted formula.
 ///
@@ -166,11 +83,6 @@ impl CheckResult {
 }
 
 /// Statistics from one `check` call.
-///
-/// For [`Solver::check_assuming`] the `conflicts`, `decisions`,
-/// `propagations`, and `learnt_literals` fields are per-call deltas
-/// (budgets meter per call), while `sat_vars` / `sat_clauses` report the
-/// live size of the shared incremental state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// SAT variables created by bit-blasting.
@@ -191,56 +103,13 @@ pub struct SolveStats {
     pub learnt_deleted: u64,
     /// Learnt clauses retained, summed over reduction passes.
     pub learnt_kept: u64,
-    /// Clauses removed by subsumption plus literals removed by
-    /// self-subsuming resolution.
-    pub subsumed: u64,
-    /// Trail literals kept across `check_assuming` calls via
-    /// assumption-prefix reuse instead of being re-propagated.
-    pub trail_reused: u64,
-}
-
-/// Blasted solver state kept alive across [`Solver::check_assuming`]
-/// calls: the CNF-level [`BitBlaster`] (term → literal cache plus the
-/// incremental CDCL solver underneath) and high-water marks recording how
-/// much of the word-level state has been lowered into it.
-///
-/// The context is only valid for the [`TermGraph`] it was built against,
-/// and relies on the graph being append-only: existing `TermId`s never
-/// change meaning, so cached literal vectors stay correct as the graph
-/// grows. Cloning a `Solver` clones the context too — clones share no
-/// state, which is how the concolic engine hands each worker a cheap
-/// private copy of an already-blasted round prefix.
-#[derive(Debug, Clone)]
-pub struct BlastContext {
-    bb: BitBlaster,
-    synced_assertions: usize,
-    blasted_vars: usize,
-    // High-water mark for the `smt.clauses_reused` counter: clauses below
-    // it were already credited by an earlier traced call, so each
-    // carried-over clause is counted exactly once per context (clones
-    // inherit the mark and re-count only what they inherited uncredited).
-    // Measured in `SatSolver::clauses_added` units — a monotonic count
-    // that learnt-DB reduction and inprocessing never lower, so deletion
-    // cannot corrupt the accounting.
-    counted_clauses: u64,
-    // `clauses_added` at the last bounded inprocessing pass; the next
-    // pass runs once the database has grown by `INPROCESS_GROWTH`.
-    inprocessed_at: u64,
-}
-
-impl BlastContext {
-    fn new() -> BlastContext {
-        BlastContext {
-            bb: BitBlaster::new(),
-            synced_assertions: 0,
-            blasted_vars: 0,
-            counted_clauses: 0,
-            inprocessed_at: 0,
-        }
-    }
 }
 
 /// A one-shot bit-vector solver over a [`TermGraph`].
+///
+/// Every [`Solver::check`] bit-blasts the assertions into a fresh CDCL
+/// instance; nothing is carried between checks. The graph is only read,
+/// so many solvers can check against one shared graph at once.
 ///
 /// # Examples
 ///
@@ -263,33 +132,11 @@ impl BlastContext {
 ///     other => unreachable!("{other:?}"),
 /// }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Solver {
     assertions: Vec<TermId>,
     budget: SolveBudget,
     last_stats: SolveStats,
-    ctx: Option<BlastContext>,
-    profile: SolverProfile,
-    bve: bool,
-    trail_reuse: bool,
-    clause_sharing: bool,
-}
-
-impl Default for Solver {
-    /// An empty solver with the environment-default solver-speed knobs
-    /// (`SOCCAR_BVE`, `SOCCAR_TRAIL_REUSE`, `SOCCAR_CLAUSE_SHARING`).
-    fn default() -> Solver {
-        Solver {
-            assertions: Vec::new(),
-            budget: SolveBudget::default(),
-            last_stats: SolveStats::default(),
-            ctx: None,
-            profile: SolverProfile::default(),
-            bve: crate::sat::bve_default(),
-            trail_reuse: crate::sat::trail_reuse_default(),
-            clause_sharing: clause_sharing_default(),
-        }
-    }
 }
 
 impl Solver {
@@ -321,48 +168,6 @@ impl Solver {
         self.budget = budget;
     }
 
-    /// The active [`SolverProfile`].
-    #[must_use]
-    pub fn profile(&self) -> SolverProfile {
-        self.profile
-    }
-
-    /// Installs a [`SolverProfile`] on this solver (and on its live
-    /// incremental context, if any). Profiles steer the search, never
-    /// the Sat/Unsat answer.
-    pub fn set_profile(&mut self, profile: SolverProfile) {
-        self.profile = profile;
-        if let Some(ctx) = self.ctx.as_mut() {
-            ctx.bb.solver.set_profile(profile);
-        }
-    }
-
-    /// Pins bounded variable elimination on or off for this solver (and
-    /// its live incremental context), overriding the `SOCCAR_BVE`
-    /// environment default.
-    pub fn set_bve(&mut self, on: bool) {
-        self.bve = on;
-        if let Some(ctx) = self.ctx.as_mut() {
-            ctx.bb.solver.set_bve(on);
-        }
-    }
-
-    /// Pins assumption-trail reuse on or off for this solver (and its
-    /// live incremental context), overriding `SOCCAR_TRAIL_REUSE`.
-    pub fn set_trail_reuse(&mut self, on: bool) {
-        self.trail_reuse = on;
-        if let Some(ctx) = self.ctx.as_mut() {
-            ctx.bb.solver.set_trail_reuse(on);
-        }
-    }
-
-    /// Pins portfolio clause sharing on or off, overriding
-    /// `SOCCAR_CLAUSE_SHARING`. Only
-    /// [`Solver::check_assuming_portfolio_traced`] consults it.
-    pub fn set_clause_sharing(&mut self, on: bool) {
-        self.clause_sharing = on;
-    }
-
     /// Adds a 1-bit assertion.
     pub fn assert(&mut self, t: TermId) {
         self.assertions.push(t);
@@ -391,8 +196,11 @@ impl Solver {
 
     /// Like [`Solver::check`] under an observability recorder: bumps the
     /// `smt.queries` counter and one of `smt.sat` / `smt.unsat` /
-    /// `smt.unknown`, and feeds the query's [`SolveStats`] into the
-    /// `smt.sat_vars`, `smt.sat_clauses`, and `smt.conflicts` histograms.
+    /// `smt.unknown`, feeds the query's [`SolveStats`] into the
+    /// `smt.sat_vars`, `smt.sat_clauses`, `smt.conflicts`,
+    /// `smt.propagations` and `smt.learnt_literals` histograms, and bumps
+    /// the CDCL-dynamics counters `smt.restarts`, `smt.learnt_kept` and
+    /// `smt.learnt_deleted` when they are nonzero.
     ///
     /// Metrics only — no span is opened, so this is safe to call from
     /// worker threads: counter increments and histogram merges commute,
@@ -417,35 +225,22 @@ impl Solver {
             },
             1,
         );
-        self.record_solve_metrics(recorder);
-        result
-    }
-
-    /// Histograms plus the only-when-nonzero CDCL-dynamics counters
-    /// (`smt.restarts`, `smt.learnt_kept`, `smt.learnt_deleted`,
-    /// `smt.subsumed`) for the most recent call's [`SolveStats`].
-    fn record_solve_metrics(&self, recorder: &soccar_obs::Recorder) {
         let st = self.last_stats;
         recorder.histogram_record("smt.sat_vars", st.sat_vars as u64);
         recorder.histogram_record("smt.sat_clauses", st.sat_clauses as u64);
         recorder.histogram_record("smt.conflicts", st.conflicts);
         recorder.histogram_record("smt.propagations", st.propagations);
         recorder.histogram_record("smt.learnt_literals", st.learnt_literals);
-        if st.restarts > 0 {
-            recorder.counter_add("smt.restarts", st.restarts);
+        for (name, n) in [
+            ("smt.restarts", st.restarts),
+            ("smt.learnt_kept", st.learnt_kept),
+            ("smt.learnt_deleted", st.learnt_deleted),
+        ] {
+            if n > 0 {
+                recorder.counter_add(name, n);
+            }
         }
-        if st.learnt_kept > 0 {
-            recorder.counter_add("smt.learnt_kept", st.learnt_kept);
-        }
-        if st.learnt_deleted > 0 {
-            recorder.counter_add("smt.learnt_deleted", st.learnt_deleted);
-        }
-        if st.subsumed > 0 {
-            recorder.counter_add("smt.subsumed", st.subsumed);
-        }
-        if st.trail_reused > 0 {
-            recorder.counter_add("smt.trail_reused", st.trail_reused);
-        }
+        result
     }
 
     fn check_inner(&mut self, graph: &TermGraph) -> CheckResult {
@@ -459,12 +254,6 @@ impl Solver {
             return CheckResult::Unsat;
         }
         let mut bb = BitBlaster::new();
-        bb.solver.set_profile(self.profile);
-        // One-shot solves never inprocess or re-solve, so BVE and trail
-        // reuse have nothing to do here; the flags are still applied for
-        // uniformity with the incremental context.
-        bb.solver.set_bve(self.bve);
-        bb.solver.set_trail_reuse(self.trail_reuse);
         for t in &self.assertions {
             bb.assert_true(graph, *t);
         }
@@ -483,8 +272,6 @@ impl Solver {
             restarts: bb.solver.restarts(),
             learnt_deleted: bb.solver.learnt_deleted(),
             learnt_kept: bb.solver.learnt_kept(),
-            subsumed: bb.solver.subsumed(),
-            trail_reused: 0,
         };
         match outcome {
             SatOutcome::Unsat => CheckResult::Unsat,
@@ -492,439 +279,6 @@ impl Solver {
                 let mut values = HashMap::new();
                 for v in graph.vars() {
                     let bits = bb.model_bits(*v).expect("variable was blasted");
-                    values.insert(*v, BvVal::from_bits(&bits));
-                }
-                CheckResult::Sat(Model { values })
-            }
-            SatOutcome::Unknown => CheckResult::Unknown {
-                reason: format!(
-                    "solver budget exhausted ({} conflicts, {} decisions)",
-                    self.last_stats.conflicts, self.last_stats.decisions
-                ),
-            },
-        }
-    }
-
-    /// Cache hits of the incremental blast context so far (0 before the
-    /// first [`Solver::check_assuming`] / [`Solver::preblast`] call).
-    #[must_use]
-    pub fn blast_cache_hits(&self) -> u64 {
-        self.ctx.as_ref().map_or(0, |c| c.bb.cache_hits())
-    }
-
-    /// Lowers `terms` (and all pending assertions / graph variables) into
-    /// the incremental blast context ahead of time, so that subsequent
-    /// [`Solver::check_assuming`] calls — or calls on *clones* of this
-    /// solver — find everything already encoded and only pay for the
-    /// search.
-    ///
-    /// # Panics
-    ///
-    /// As [`Solver::check_assuming`].
-    pub fn preblast(&mut self, graph: &TermGraph, terms: &[TermId]) {
-        self.sync_ctx(graph);
-        let ctx = self.ctx.as_mut().expect("context just synced");
-        for t in terms {
-            ctx.bb.blast(graph, *t);
-        }
-    }
-
-    /// Brings the blast context up to date with the word-level state:
-    /// assertions added since the last call become hard (non-retractable)
-    /// clauses, and new graph variables are blasted so models stay total.
-    fn sync_ctx(&mut self, graph: &TermGraph) {
-        if self.ctx.is_none() {
-            let mut ctx = BlastContext::new();
-            ctx.bb.solver.set_profile(self.profile);
-            ctx.bb.solver.set_bve(self.bve);
-            ctx.bb.solver.set_trail_reuse(self.trail_reuse);
-            self.ctx = Some(ctx);
-        }
-        let ctx = self.ctx.as_mut().expect("context just created");
-        while ctx.synced_assertions < self.assertions.len() {
-            let t = self.assertions[ctx.synced_assertions];
-            ctx.bb.assert_true(graph, t);
-            ctx.synced_assertions += 1;
-        }
-        let vars = graph.vars();
-        while ctx.blasted_vars < vars.len() {
-            ctx.bb.blast(graph, vars[ctx.blasted_vars]);
-            ctx.blasted_vars += 1;
-        }
-    }
-
-    /// Decides the assertions conjoined with retractable `assumptions`
-    /// (1-bit terms), reusing the blasted CNF, learnt clauses, variable
-    /// activities, and saved phases of every previous `check_assuming`
-    /// call on this solver.
-    ///
-    /// Unlike [`Solver::assert`] + [`Solver::check`], the assumptions are
-    /// not part of the formula afterwards: `Unsat` means "unsat under
-    /// these assumptions" unless the hard assertions alone are
-    /// contradictory (a level-0 conflict), which is permanent. The
-    /// [`SolveBudget`] meters each call separately; an `Unknown` answer
-    /// keeps everything learnt, so re-solving resumes rather than
-    /// restarts.
-    ///
-    /// The context assumes `graph` only grows between calls (append-only
-    /// `TermId`s); see `docs/SOLVER.md` for the reuse invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any assertion or assumption is not a 1-bit term of
-    /// `graph`.
-    pub fn check_assuming(&mut self, graph: &TermGraph, assumptions: &[TermId]) -> CheckResult {
-        self.check_assuming_traced(graph, assumptions, &soccar_obs::Recorder::disabled())
-    }
-
-    /// Like [`Solver::check_assuming`] under an observability recorder.
-    ///
-    /// On top of the [`Solver::check_traced`] metrics it bumps
-    /// `smt.incremental_calls`, `smt.blast_cache_hits` (terms answered
-    /// from the blast cache during this call), and `smt.clauses_reused`
-    /// (clauses a call finds already present — blasted or learnt by an
-    /// earlier call — with each clause credited only once per context,
-    /// so the counter tracks the clause database's size, not the call
-    /// count), and feeds the new
-    /// `smt.propagations` / `smt.learnt_literals` histograms. Metrics
-    /// only — no span — so it is worker-thread safe like `check_traced`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Solver::check_assuming`].
-    pub fn check_assuming_traced(
-        &mut self,
-        graph: &TermGraph,
-        assumptions: &[TermId],
-        recorder: &soccar_obs::Recorder,
-    ) -> CheckResult {
-        let entry = self.assuming_entry_marks();
-        let result = self.check_assuming_inner(graph, assumptions);
-        self.record_assuming_metrics(recorder, entry, &result);
-        self.maintain_ctx(recorder);
-        result
-    }
-
-    /// Like [`Solver::check_assuming_traced`], but races the
-    /// [`PORTFOLIO_PROFILES`] over the query in deterministic,
-    /// geometrically growing conflict slices: the canonical profile 0
-    /// runs first in every rotation round (on this solver, so its learnt
-    /// clauses persist), the others on lazily created clones that are
-    /// discarded afterwards. The first definite answer wins; a win by a
-    /// non-canonical profile bumps `smt.portfolio_wins`.
-    ///
-    /// After every clone slice (including a winning one), the clone's
-    /// fresh glue clauses — learnt after the clone's export mark, LBD ≤
-    /// [`SHARE_MAX_LBD`], at most [`SHARE_MAX_LEN`] literals — drain
-    /// back into this solver's clause database in deterministic clause
-    /// order, so clone work survives the clone (`smt.shared_imported`).
-    /// Learnt clauses that fail the export filter die with the clone and
-    /// are tallied as `smt.portfolio_learnts_discarded`.
-    ///
-    /// Determinism: the rotation order, slice schedule, clone points,
-    /// and export filter are fixed, so the same query on the same state
-    /// always returns the same result — and any query profile 0 finishes
-    /// within the first slice returns exactly what
-    /// [`Solver::check_assuming_traced`] would (clones, and therefore
-    /// sharing, only exist once the race outlives profile 0's first
-    /// slice). The configured [`SolveBudget`] applies *per profile*;
-    /// `Unknown` is returned only once every profile has exhausted it.
-    ///
-    /// # Panics
-    ///
-    /// As [`Solver::check_assuming`].
-    pub fn check_assuming_portfolio_traced(
-        &mut self,
-        graph: &TermGraph,
-        assumptions: &[TermId],
-        recorder: &soccar_obs::Recorder,
-    ) -> CheckResult {
-        let entry = self.assuming_entry_marks();
-        let (result, winner, sharing) = self.check_assuming_portfolio_inner(graph, assumptions);
-        if winner > 0 {
-            recorder.counter_add("smt.portfolio_wins", 1);
-        }
-        if sharing.imported > 0 {
-            recorder.counter_add("smt.shared_imported", sharing.imported);
-        }
-        if sharing.discarded > 0 {
-            recorder.counter_add("smt.portfolio_learnts_discarded", sharing.discarded);
-        }
-        self.record_assuming_metrics(recorder, entry, &result);
-        self.maintain_ctx(recorder);
-        result
-    }
-
-    /// `(blast cache hits, clauses ever added, reuse mark)` at call entry.
-    fn assuming_entry_marks(&self) -> (u64, u64, u64) {
-        let hits = self.blast_cache_hits();
-        let (added, counted) = self
-            .ctx
-            .as_ref()
-            .map_or((0, 0), |c| (c.bb.solver.clauses_added(), c.counted_clauses));
-        (hits, added, counted)
-    }
-
-    /// The shared metrics tail of the incremental entry points.
-    fn record_assuming_metrics(
-        &mut self,
-        recorder: &soccar_obs::Recorder,
-        (hits_at_entry, added_at_entry, counted_at_entry): (u64, u64, u64),
-        result: &CheckResult,
-    ) {
-        recorder.counter_add("smt.queries", 1);
-        recorder.counter_add("smt.incremental_calls", 1);
-        recorder.counter_add(
-            match result {
-                CheckResult::Sat(_) => "smt.sat",
-                CheckResult::Unsat => "smt.unsat",
-                CheckResult::Unknown { .. } => "smt.unknown",
-            },
-            1,
-        );
-        let hits = self.blast_cache_hits() - hits_at_entry;
-        if hits > 0 {
-            recorder.counter_add("smt.blast_cache_hits", hits);
-        }
-        let reused = added_at_entry.saturating_sub(counted_at_entry);
-        if reused > 0 {
-            recorder.counter_add("smt.clauses_reused", reused);
-        }
-        if let Some(ctx) = self.ctx.as_mut() {
-            ctx.counted_clauses = ctx.counted_clauses.max(added_at_entry);
-        }
-        self.record_solve_metrics(recorder);
-    }
-
-    /// Bounded inprocessing between `check_assuming` calls, triggered by
-    /// clause-database growth against the context's high-water mark. The
-    /// trigger depends only on the call sequence, never on wall clock,
-    /// so runs stay deterministic; the pass happens after the call's
-    /// model was extracted, so it only ever touches a retracted trail.
-    fn maintain_ctx(&mut self, recorder: &soccar_obs::Recorder) {
-        let Some(ctx) = self.ctx.as_mut() else {
-            return;
-        };
-        let added = ctx.bb.solver.clauses_added();
-        if added.saturating_sub(ctx.inprocessed_at) < INPROCESS_GROWTH {
-            return;
-        }
-        let subsumed_before = ctx.bb.solver.subsumed();
-        let deleted_before = ctx.bb.solver.learnt_deleted();
-        let kept_before = ctx.bb.solver.learnt_kept();
-        let eliminated_before = ctx.bb.solver.eliminated_vars();
-        ctx.bb.solver.inprocess();
-        ctx.inprocessed_at = added;
-        let subsumed = ctx.bb.solver.subsumed() - subsumed_before;
-        if subsumed > 0 {
-            recorder.counter_add("smt.subsumed", subsumed);
-        }
-        let deleted = ctx.bb.solver.learnt_deleted() - deleted_before;
-        if deleted > 0 {
-            recorder.counter_add("smt.learnt_deleted", deleted);
-        }
-        let kept = ctx.bb.solver.learnt_kept() - kept_before;
-        if kept > 0 {
-            recorder.counter_add("smt.learnt_kept", kept);
-        }
-        let eliminated = ctx.bb.solver.eliminated_vars() - eliminated_before;
-        if eliminated > 0 {
-            recorder.counter_add("smt.eliminated_vars", eliminated);
-        }
-    }
-
-    /// The deterministic portfolio race; returns the result, the index
-    /// of the winning profile (0 when no profile answered), and the
-    /// clause-sharing tally for the race.
-    fn check_assuming_portfolio_inner(
-        &mut self,
-        graph: &TermGraph,
-        assumptions: &[TermId],
-    ) -> (CheckResult, usize, SharingDelta) {
-        let user = self.budget;
-        let n = PORTFOLIO_PROFILES.len();
-        let mut clones: Vec<Option<Solver>> = (0..n).map(|_| None).collect();
-        let mut spent_conflicts = vec![0u64; n];
-        let mut spent_decisions = vec![0u64; n];
-        let mut ran = vec![false; n];
-        let mut done = vec![false; n];
-        // Per-clone sharing state: `clauses_added` at the clone point
-        // (everything older is already in the base database) and the
-        // export high-water mark advanced by each drain.
-        let mut clone_births = vec![0u64; n];
-        let mut export_marks = vec![0u64; n];
-        let mut exported = vec![0u64; n];
-        let mut delta = SharingDelta::default();
-        let mut slice = PORTFOLIO_FIRST_SLICE;
-        loop {
-            let mut all_done = true;
-            for p in 0..n {
-                if done[p] {
-                    continue;
-                }
-                let rem_c = user
-                    .max_conflicts
-                    .map(|m| m.saturating_sub(spent_conflicts[p]));
-                let rem_d = user
-                    .max_decisions
-                    .map(|m| m.saturating_sub(spent_decisions[p]));
-                // A profile that has run at least once and exhausted the
-                // per-profile user budget is out of the race. (Before the
-                // first run even a zero budget gets one call, preserving
-                // the single-profile semantics of degenerate budgets.)
-                if ran[p] && (rem_c == Some(0) || rem_d == Some(0)) {
-                    done[p] = true;
-                    continue;
-                }
-                all_done = false;
-                let call_budget = SolveBudget {
-                    max_conflicts: Some(rem_c.map_or(slice, |r| r.min(slice))),
-                    max_decisions: rem_d,
-                };
-                let (outcome, stats) = if p == 0 {
-                    let saved = self.budget;
-                    self.budget = call_budget;
-                    let r = self.check_assuming_inner(graph, assumptions);
-                    self.budget = saved;
-                    (r, self.last_stats)
-                } else {
-                    if clones[p].is_none() {
-                        // Lazy clone seeded from the canonical member's
-                        // current state: earlier slices' learnt clauses
-                        // are shared, and the clone point is a fixed
-                        // position in the rotation, so it is as
-                        // deterministic as an eager clone.
-                        let mut c = self.clone();
-                        c.set_profile(PORTFOLIO_PROFILES[p]);
-                        let born = c.ctx.as_ref().map_or(0, |x| x.bb.solver.clauses_added());
-                        clone_births[p] = born;
-                        export_marks[p] = born;
-                        clones[p] = Some(c);
-                    }
-                    let c = clones[p].as_mut().expect("clone just created");
-                    c.budget = call_budget;
-                    let r = c.check_assuming_inner(graph, assumptions);
-                    (r, c.last_stats)
-                };
-                ran[p] = true;
-                spent_conflicts[p] += stats.conflicts;
-                spent_decisions[p] += stats.decisions;
-                if p != 0 && self.clause_sharing {
-                    // Drain the clone's fresh glue clauses into the base
-                    // database between slices (and before a winning
-                    // return), so clone work survives the clone.
-                    let c = clones[p].as_ref().expect("clone just ran");
-                    let (passed, imported, next_mark) =
-                        self.drain_clone_exports(c, export_marks[p]);
-                    exported[p] += passed;
-                    delta.imported += imported;
-                    export_marks[p] = next_mark;
-                }
-                match outcome {
-                    CheckResult::Unknown { .. } => {}
-                    definite => {
-                        if p != 0 {
-                            // Surface the winner's per-call stats (the
-                            // model inside `definite` is already the
-                            // winner's).
-                            self.last_stats = stats;
-                        }
-                        delta.discarded = portfolio_discarded(&clones, &clone_births, &exported);
-                        return (definite, p, delta);
-                    }
-                }
-            }
-            if all_done {
-                delta.discarded = portfolio_discarded(&clones, &clone_births, &exported);
-                return (
-                    CheckResult::Unknown {
-                        reason: format!("solver budget exhausted across {n} portfolio profiles"),
-                    },
-                    0,
-                    delta,
-                );
-            }
-            slice = slice.saturating_mul(2);
-        }
-    }
-
-    /// Imports `clone`'s learnt clauses born at or after `mark` that
-    /// pass the sharing filter (LBD ≤ [`SHARE_MAX_LBD`], at most
-    /// [`SHARE_MAX_LEN`] literals) into this solver's blast context, in
-    /// clause-database order. Returns `(filter passes, actual imports,
-    /// clone's new export mark)` — an import is a no-op (counted as a
-    /// pass but not an import) when the base database already satisfies
-    /// the clause at level 0.
-    fn drain_clone_exports(&mut self, clone: &Solver, mark: u64) -> (u64, u64, u64) {
-        let Some(src) = clone.ctx.as_ref() else {
-            return (0, 0, mark);
-        };
-        let next_mark = src.bb.solver.clauses_added();
-        let Some(dst) = self.ctx.as_mut() else {
-            return (0, 0, next_mark);
-        };
-        let mut passed = 0;
-        let mut imported = 0;
-        for (lits, lbd) in src
-            .bb
-            .solver
-            .export_learnts(mark, SHARE_MAX_LBD, SHARE_MAX_LEN)
-        {
-            passed += 1;
-            if dst.bb.solver.import_learnt(&lits, lbd) {
-                imported += 1;
-            }
-        }
-        (passed, imported, next_mark)
-    }
-
-    fn check_assuming_inner(&mut self, graph: &TermGraph, assumptions: &[TermId]) -> CheckResult {
-        // Fast path: a constant-false assertion or assumption.
-        if self
-            .assertions
-            .iter()
-            .chain(assumptions)
-            .any(|t| graph.as_const(*t).is_some_and(BvVal::is_zero))
-        {
-            self.last_stats = SolveStats::default();
-            return CheckResult::Unsat;
-        }
-        self.sync_ctx(graph);
-        let ctx = self.ctx.as_mut().expect("context just synced");
-        let mut lits = Vec::with_capacity(assumptions.len());
-        for t in assumptions {
-            assert_eq!(graph.width(*t), 1, "assumptions must be 1-bit terms");
-            lits.push(ctx.bb.blast(graph, *t)[0]);
-        }
-        let conflicts_at_entry = ctx.bb.solver.conflicts();
-        let decisions_at_entry = ctx.bb.solver.decisions();
-        let propagations_at_entry = ctx.bb.solver.propagations();
-        let learnt_at_entry = ctx.bb.solver.learnt_literals();
-        let restarts_at_entry = ctx.bb.solver.restarts();
-        let deleted_at_entry = ctx.bb.solver.learnt_deleted();
-        let kept_at_entry = ctx.bb.solver.learnt_kept();
-        let subsumed_at_entry = ctx.bb.solver.subsumed();
-        let reused_at_entry = ctx.bb.solver.trail_reused_lits();
-        let outcome = ctx.bb.solver.solve_assuming(&lits, self.budget);
-        self.last_stats = SolveStats {
-            sat_vars: ctx.bb.solver.num_vars(),
-            sat_clauses: ctx.bb.solver.num_clauses(),
-            conflicts: ctx.bb.solver.conflicts() - conflicts_at_entry,
-            decisions: ctx.bb.solver.decisions() - decisions_at_entry,
-            propagations: ctx.bb.solver.propagations() - propagations_at_entry,
-            learnt_literals: ctx.bb.solver.learnt_literals() - learnt_at_entry,
-            restarts: ctx.bb.solver.restarts() - restarts_at_entry,
-            learnt_deleted: ctx.bb.solver.learnt_deleted() - deleted_at_entry,
-            learnt_kept: ctx.bb.solver.learnt_kept() - kept_at_entry,
-            subsumed: ctx.bb.solver.subsumed() - subsumed_at_entry,
-            trail_reused: ctx.bb.solver.trail_reused_lits() - reused_at_entry,
-        };
-        match outcome {
-            SatOutcome::Unsat => CheckResult::Unsat,
-            SatOutcome::Sat => {
-                let mut values = HashMap::new();
-                for v in graph.vars() {
-                    let bits = ctx.bb.model_bits(*v).expect("variable was blasted");
                     values.insert(*v, BvVal::from_bits(&bits));
                 }
                 CheckResult::Sat(Model { values })
@@ -1106,213 +460,6 @@ mod tests {
         s.assert(e2);
         assert_eq!(s.check(&g), CheckResult::Unsat);
         assert_eq!(s.budget(), SolveBudget::conflicts(1));
-    }
-
-    #[test]
-    fn check_assuming_flips_without_reasserting() {
-        let mut g = TermGraph::new();
-        let x = g.var("x", 8);
-        let c1 = g.const_u64(8, 1);
-        let c2 = g.const_u64(8, 2);
-        let e1 = g.eq(x, c1);
-        let e2 = g.eq(x, c2);
-        let mut s = Solver::new();
-        // No hard assertions: each call decides one retractable goal.
-        let r1 = s.check_assuming(&g, &[e1]);
-        assert_eq!(
-            r1.model().and_then(|m| m.value(x)).and_then(BvVal::to_u64),
-            Some(1)
-        );
-        let r2 = s.check_assuming(&g, &[e2]);
-        assert_eq!(
-            r2.model().and_then(|m| m.value(x)).and_then(BvVal::to_u64),
-            Some(2)
-        );
-        // Contradictory assumptions: unsat under them, not permanently.
-        assert_eq!(s.check_assuming(&g, &[e1, e2]), CheckResult::Unsat);
-        assert!(s.check_assuming(&g, &[e1]).is_sat());
-        // The second blast of e1/e2 came from the cache.
-        assert!(s.blast_cache_hits() > 0);
-    }
-
-    #[test]
-    fn check_assuming_with_hard_assertions_and_graph_growth() {
-        let mut g = TermGraph::new();
-        let x = g.var("x", 8);
-        let y = g.var("y", 8);
-        let sum = g.add(x, y);
-        let c10 = g.const_u64(8, 10);
-        let eq10 = g.eq(sum, c10);
-        let mut s = Solver::new();
-        s.assert(eq10);
-        let c3 = g.const_u64(8, 3);
-        let xeq3 = g.eq(x, c3);
-        let r = s.check_assuming(&g, &[xeq3]);
-        let m = r.model().expect("sat");
-        assert_eq!(m.value(y).and_then(BvVal::to_u64), Some(7));
-        assert!(model_satisfies(&g, &[eq10, xeq3], m));
-        // Grow the graph after the context exists: new terms blast on
-        // demand, new variables join the model.
-        let z = g.var("z", 4);
-        let c9 = g.const_u64(4, 9);
-        let zeq9 = g.eq(z, c9);
-        let r = s.check_assuming(&g, &[zeq9]);
-        let m = r.model().expect("sat");
-        assert_eq!(m.value(z).and_then(BvVal::to_u64), Some(9));
-        assert_eq!(m.value(x).map(|v| v.width()), Some(8));
-        // A contradictory assumption pair is retractable...
-        let c200 = g.const_u64(8, 200);
-        let xeq200 = g.eq(x, c200);
-        assert_eq!(s.check_assuming(&g, &[xeq3, xeq200]), CheckResult::Unsat);
-        // ...and the solver still answers Sat afterwards.
-        assert!(s.check_assuming(&g, &[xeq3]).is_sat());
-    }
-
-    #[test]
-    fn assertions_added_between_assumption_calls_are_kept() {
-        // Regression: the unit clause for a new assertion used to be
-        // enqueued on the previous call's stale Sat trail and then
-        // silently discarded by the next solve's entry backtrack.
-        let mut g = TermGraph::new();
-        let x = g.var("x", 8);
-        let c0 = g.const_u64(8, 0);
-        let c1 = g.const_u64(8, 1);
-        let xeq0 = g.eq(x, c0);
-        let xeq1 = g.eq(x, c1);
-        let mut s = Solver::new();
-        // Leave a Sat trail (x = 1) on the shared context...
-        assert!(s.check_assuming(&g, &[xeq1]).is_sat());
-        // ...then land a hard assertion while that trail is still up.
-        s.assert(xeq0);
-        let r = s.check_assuming(&g, &[]);
-        let m = r.model().expect("x == 0 is satisfiable");
-        assert_eq!(m.value(x).and_then(BvVal::to_u64), Some(0));
-        assert!(model_satisfies(&g, s.assertions(), m));
-        // The assertion is a real hard clause now, not a lost enqueue...
-        assert_eq!(s.check_assuming(&g, &[xeq1]), CheckResult::Unsat);
-        // ...and that Unsat was assumption-level, not permanent.
-        assert!(s.check_assuming(&g, &[xeq0]).is_sat());
-    }
-
-    #[test]
-    fn assertion_falsified_by_stale_model_is_not_permanent_unsat() {
-        // Regression: when the stale Sat trail falsified a new hard
-        // unit, the failed enqueue wrongly latched the solver
-        // permanently unsat.
-        let mut g = TermGraph::new();
-        let x = g.var("x", 8);
-        let c1 = g.const_u64(8, 1);
-        let xeq1 = g.eq(x, c1);
-        let xne1 = g.not(xeq1);
-        let mut s = Solver::new();
-        // Sat trail with x = 1, so the blasted literal of `xeq1` is true.
-        assert!(s.check_assuming(&g, &[xeq1]).is_sat());
-        // `not` reuses that cached literal negated — false on the trail.
-        s.assert(xne1);
-        let r = s.check_assuming(&g, &[]);
-        let m = r.model().expect("x != 1 is satisfiable");
-        assert_ne!(m.value(x).and_then(BvVal::to_u64), Some(1));
-        assert!(model_satisfies(&g, s.assertions(), m));
-    }
-
-    #[test]
-    fn clauses_reused_counts_each_clause_once() {
-        // The counter credits a carried-over clause the first time a call
-        // finds it already present — repeating the same call must not
-        // keep re-adding the whole clause database (quadratic growth).
-        let mut g = TermGraph::new();
-        let x = g.var("x", 8);
-        let y = g.var("y", 8);
-        let sum = g.add(x, y);
-        let c10 = g.const_u64(8, 10);
-        let eq10 = g.eq(sum, c10);
-        let c3 = g.const_u64(8, 3);
-        let xeq3 = g.eq(x, c3);
-        let mut s = Solver::new();
-        s.assert(eq10);
-        let recorder = soccar_obs::Recorder::enabled();
-        let reused = |r: &soccar_obs::Recorder| {
-            r.snapshot()
-                .counters
-                .get("smt.clauses_reused")
-                .copied()
-                .unwrap_or(0)
-        };
-        for _ in 0..5 {
-            assert!(s.check_assuming_traced(&g, &[xeq3], &recorder).is_sat());
-        }
-        // Every clause is credited at most once, so the counter is
-        // bounded by the database size no matter how many calls ran
-        // (the old per-call accumulation would be ~5x the database).
-        let total = reused(&recorder);
-        assert!(total > 0, "the repeated calls reused blasted clauses");
-        assert!(
-            total <= s.stats().sat_clauses as u64,
-            "reused {total} > {} live clauses",
-            s.stats().sat_clauses
-        );
-    }
-
-    #[test]
-    fn check_assuming_permanent_unsat_from_hard_assertions() {
-        let mut g = TermGraph::new();
-        let x = g.var("x", 8);
-        let c1 = g.const_u64(8, 1);
-        let c2 = g.const_u64(8, 2);
-        let e1 = g.eq(x, c1);
-        let e2 = g.eq(x, c2);
-        let mut s = Solver::new();
-        s.assert(e1);
-        s.assert(e2);
-        assert_eq!(s.check_assuming(&g, &[]), CheckResult::Unsat);
-        assert_eq!(s.check_assuming(&g, &[e1]), CheckResult::Unsat);
-    }
-
-    #[test]
-    fn check_assuming_budget_unknown_with_deltas() {
-        let mut g = TermGraph::new();
-        let x = g.var("x", 16);
-        let y = g.var("y", 16);
-        let sum = g.add(x, y);
-        let c = g.const_u64(16, 1000);
-        let eq = g.eq(sum, c);
-        let mut s = Solver::with_budget(SolveBudget {
-            max_conflicts: None,
-            max_decisions: Some(0),
-        });
-        let r = s.check_assuming(&g, &[eq]);
-        assert!(r.is_unknown());
-        match &r {
-            CheckResult::Unknown { reason } => assert!(reason.contains("budget exhausted")),
-            other => unreachable!("{other:?}"),
-        }
-        // Budgets meter per call: lifting it resumes to a definite answer
-        // on the same context.
-        s.set_budget(SolveBudget::UNLIMITED);
-        let r = s.check_assuming(&g, &[eq]);
-        let m = r.model().expect("sat");
-        assert!(model_satisfies(&g, &[eq], m));
-        assert_eq!(s.stats().decisions, s.stats().decisions); // per-call delta
-    }
-
-    #[test]
-    fn cloned_solver_shares_no_state_with_original() {
-        let mut g = TermGraph::new();
-        let x = g.var("x", 8);
-        let c5 = g.const_u64(8, 5);
-        let c6 = g.const_u64(8, 6);
-        let e5 = g.eq(x, c5);
-        let e6 = g.eq(x, c6);
-        let mut base = Solver::new();
-        base.preblast(&g, &[e5, e6]);
-        let clauses = base.blast_cache_hits();
-        let mut a = base.clone();
-        let mut b = base.clone();
-        assert!(a.check_assuming(&g, &[e5]).is_sat());
-        assert_eq!(b.check_assuming(&g, &[e5, e6]), CheckResult::Unsat);
-        // Both clones hit the preblasted cache; the base is untouched.
-        assert!(a.blast_cache_hits() > clauses);
-        assert_eq!(base.blast_cache_hits(), clauses);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests: the bit-blaster must agree with the reference term
-//! evaluator on randomly generated term trees, and models returned by the
-//! solver must satisfy the asserted formulas.
+//! evaluator on randomly generated term trees, models returned by the
+//! solver must satisfy the asserted formulas, and budgeted solves must
+//! never give a wrong definite answer.
 
 use std::collections::HashMap;
 
@@ -81,6 +82,45 @@ fn op_strategy() -> impl Strategy<Value = OpPick> {
         Just(OpPick::Udiv),
         Just(OpPick::Urem),
     ]
+}
+
+/// A multiplication-heavy expression over three variables, plus 1-bit
+/// goal terms `expr == target` for each requested target: formulas large
+/// enough that small budgets run out mid-search.
+fn build_goals(g: &mut TermGraph, width: u32, seeds: &[u64], targets: &[u64]) -> Vec<TermId> {
+    let vars: Vec<TermId> = (0..3).map(|i| g.var(format!("v{i}"), width)).collect();
+    let mut acc = g.mul(vars[0], vars[1]);
+    for (i, s) in seeds.iter().enumerate() {
+        let c = g.constant(BvVal::from_u64(width, *s));
+        acc = match i % 4 {
+            0 => {
+                let m = g.mul(acc, c);
+                g.add(m, vars[2])
+            }
+            1 => g.xor(acc, vars[1]),
+            2 => g.mul(acc, vars[2]),
+            _ => {
+                let a = g.add(acc, c);
+                g.and(a, vars[0])
+            }
+        };
+    }
+    targets
+        .iter()
+        .map(|t| {
+            let c = g.constant(BvVal::from_u64(width, *t));
+            g.eq(acc, c)
+        })
+        .collect()
+}
+
+/// A fresh solver under `budget` asserting `terms`, checked once.
+fn check_all(g: &TermGraph, budget: SolveBudget, terms: &[TermId]) -> CheckResult {
+    let mut s = Solver::with_budget(budget);
+    for t in terms {
+        s.assert(*t);
+    }
+    s.check(g)
 }
 
 proptest! {
@@ -212,6 +252,50 @@ proptest! {
             CheckResult::Sat(model) => {
                 prop_assert!(expected.is_sat(), "budgeted Sat but reference Unsat");
                 prop_assert!(model_satisfies(&g, budgeted.assertions(), &model));
+            }
+        }
+    }
+
+    /// Flip-shaped budgeted queries stay sound. Each step asserts a
+    /// prefix (the previous goal, on odd steps) plus a goal on a fresh
+    /// budgeted solver, as one flip query does: a definite answer matches
+    /// the unbudgeted truth, `Unknown` names the exhausted budget, and
+    /// every model satisfies the asserted terms.
+    #[test]
+    fn budgeted_prefix_goal_queries_are_sound(
+        width in 1u32..7,
+        seeds in proptest::collection::vec(0u64..64, 1..5),
+        targets in proptest::collection::vec(0u64..64, 2..5),
+        max_conflicts in 1u64..32,
+        max_decisions in 1u64..64,
+    ) {
+        let budget = SolveBudget {
+            max_conflicts: Some(max_conflicts),
+            max_decisions: Some(max_decisions),
+        };
+        let mut g = TermGraph::new();
+        let goals = build_goals(&mut g, width, &seeds, &targets);
+        for i in 0..goals.len() {
+            let terms: Vec<TermId> = if i % 2 == 0 {
+                vec![goals[i]]
+            } else {
+                vec![goals[i - 1], goals[i]]
+            };
+            let truth = check_all(&g, SolveBudget::UNLIMITED, &terms);
+            prop_assert!(!truth.is_unknown(), "an unlimited budget never runs out");
+            match check_all(&g, budget, &terms) {
+                CheckResult::Unknown { reason } => {
+                    prop_assert!(reason.contains("budget exhausted"), "reason: {}", reason);
+                }
+                CheckResult::Unsat => prop_assert!(
+                    !truth.is_sat(),
+                    "step {} budgeted Unsat but truth Sat",
+                    i
+                ),
+                CheckResult::Sat(model) => {
+                    prop_assert!(truth.is_sat(), "step {i} budgeted Sat but truth Unsat");
+                    prop_assert!(model_satisfies(&g, &terms, &model));
+                }
             }
         }
     }
