@@ -761,8 +761,8 @@ pub fn write_bench_reports(
 }
 
 /// Gates freshly generated reports against the checked-in baselines in
-/// `dir`: every counter must match exactly (timings are ignored, see
-/// [`soccar_obs::strip_timing`]). Returns all mismatch descriptions —
+/// `dir`: every counter must match exactly (`_q` timings are skipped, see
+/// [`soccar_obs::diff_against_baseline`]). Returns all mismatch descriptions —
 /// empty means the gate passes. A missing baseline file is itself a
 /// mismatch, so adding a SoC model forces a baseline refresh.
 #[must_use]

@@ -15,7 +15,9 @@ use std::time::Duration;
 
 use serde::Serialize;
 use soccar_concolic::{PropertyKind, SecurityProperty};
+use soccar_obs::json::Writer;
 use soccar_rtl::LogicVec;
+use soccar_soc::generate::violation_token;
 use soccar_soc::{
     expected_detectors, security_checks, symbolic_inputs, CheckKind, CheckSpec, SocModel,
     VariantSpec,
@@ -305,6 +307,36 @@ pub fn evaluate_generated_traced(
     })
 }
 
+/// A generated design's manifest as pretty JSON with one trailing
+/// newline — the file `soccar gen --manifest` writes.
+#[must_use]
+pub fn manifest_json(manifest: &soccar_soc::Manifest) -> String {
+    let mut out = String::new();
+    let mut w = Writer::pretty(&mut out);
+    w.begin_object().key("name").string(&manifest.name);
+    w.key("seed").u64(manifest.seed);
+    w.key("scale").u64(manifest.scale.into());
+    w.key("modules").u64(manifest.modules.into());
+    w.key("reset_domains").u64(manifest.reset_domains.into());
+    w.key("bugs").begin_array();
+    for bug in &manifest.bugs {
+        w.begin_object().key("cluster").u64(bug.cluster.into());
+        w.key("violation").string(violation_token(bug.violation));
+        w.key("module").string(&bug.module);
+        w.key("instance").string(&bug.instance);
+        w.key("implicit").bool(bug.implicit);
+        w.key("stage").string(bug.stage.token());
+        w.key("detectors").begin_array();
+        for detector in &bug.detectors {
+            w.string(detector);
+        }
+        w.end_array().end_object();
+    }
+    w.end_array().end_object();
+    out.push('\n');
+    out
+}
+
 /// Sanity helper for tests: a bug outcome table as text.
 #[must_use]
 pub fn render_outcomes(eval: &VariantEvaluation) -> String {
@@ -406,6 +438,25 @@ mod tests {
         assert_eq!(eval.outcomes.len(), 2);
         assert_eq!(eval.detected(), 2, "{}", render_outcomes(&eval));
         assert!(eval.false_alarms.is_empty(), "{}", render_outcomes(&eval));
+    }
+
+    #[test]
+    fn manifest_json_is_stable_and_parsable_shape() {
+        let gen = soccar_soc::generate::generate(&soccar_soc::GenSpec { seed: 3, scale: 1 });
+        let json = manifest_json(&gen.manifest);
+        assert!(json.starts_with("{\n  \"name\": \"gen:3:1\",\n  \"seed\": 3,"));
+        assert!(json.ends_with("\n}\n") && !json.ends_with("\n\n"));
+        let doc = soccar_obs::json::Json::parse(&json).expect("manifest parses");
+        assert_eq!(doc.u64_field("modules"), Some(gen.manifest.modules.into()));
+        let bugs = doc
+            .get("bugs")
+            .and_then(soccar_obs::json::Json::as_arr)
+            .expect("bugs array");
+        assert_eq!(bugs.len(), gen.manifest.bugs.len());
+        for (bug, expected) in bugs.iter().zip(&gen.manifest.bugs) {
+            assert_eq!(bug.str_field("instance"), Some(expected.instance.as_str()));
+            assert_eq!(bug.str_list_field("detectors"), expected.detectors);
+        }
     }
 
     #[test]

@@ -1,20 +1,14 @@
-//! A minimal JSON backend for the vendored serde subset.
-//!
-//! The workspace vendors serde's *traits* but has no `serde_json`, so this
-//! module provides the one data format the tooling needs: JSON text
-//! emission for `--json` CLI output and machine-readable reports. Any type
-//! implementing the vendored [`serde::Serialize`] serializes through
-//! [`to_json`] (compact) or [`to_json_pretty`] (2-space indent).
-
-use std::fmt::Write as _;
+//! JSON output for the vendored serde subset: any type implementing
+//! [`serde::Serialize`] serializes through [`to_json`] (compact) or
+//! [`to_json_pretty`] (2-space indent), by way of an adapter onto the one
+//! JSON writer, [`soccar_obs::json::Writer`].
 
 use serde::ser::{self, SerializeMap, SerializeSeq, SerializeStruct};
 use serde::{Serialize, Serializer};
+use soccar_obs::json::{Json, Writer};
 
-/// Error type for JSON serialization.
-///
-/// The writer itself is infallible (it appends to a `String`); errors can
-/// only originate from a `Serialize` impl calling [`ser::Error::custom`].
+/// Error type for JSON serialization. The writer is infallible; errors
+/// only come from a `Serialize` impl calling [`ser::Error::custom`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError(String);
 
@@ -38,7 +32,9 @@ impl ser::Error for JsonError {
 ///
 /// Only if a `Serialize` impl reports a custom error.
 pub fn to_json<T: ?Sized + Serialize>(value: &T) -> Result<String, JsonError> {
-    render(value, false)
+    let mut out = String::new();
+    value.serialize(JsonSerializer(&mut Writer::compact(&mut out)))?;
+    Ok(out)
 }
 
 /// Serializes `value` as human-readable JSON with 2-space indentation.
@@ -47,189 +43,83 @@ pub fn to_json<T: ?Sized + Serialize>(value: &T) -> Result<String, JsonError> {
 ///
 /// Only if a `Serialize` impl reports a custom error.
 pub fn to_json_pretty<T: ?Sized + Serialize>(value: &T) -> Result<String, JsonError> {
-    render(value, true)
-}
-
-fn render<T: ?Sized + Serialize>(value: &T, pretty: bool) -> Result<String, JsonError> {
     let mut out = String::new();
-    value.serialize(JsonSerializer {
-        out: &mut out,
-        pretty,
-        depth: 0,
-    })?;
+    value.serialize(JsonSerializer(&mut Writer::pretty(&mut out)))?;
     Ok(out)
 }
 
-/// Appends `s` to `out` as a JSON string literal with escaping.
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// The serde `Serializer` writing one value through a [`Writer`], and the
+/// open sequence, struct or map it returns (the writer tracks separators).
+struct JsonSerializer<'w, 'a>(&'w mut Writer<'a>);
 
-fn newline_indent(out: &mut String, depth: usize) {
-    out.push('\n');
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-/// The serde `Serializer` writing JSON text into a borrowed `String`.
-struct JsonSerializer<'a> {
-    out: &'a mut String,
-    pretty: bool,
-    depth: usize,
-}
-
-impl<'a> JsonSerializer<'a> {
-    fn open(self, opener: char, closer: char) -> Result<JsonCompound<'a>, JsonError> {
-        self.out.push(opener);
-        Ok(JsonCompound {
-            out: self.out,
-            pretty: self.pretty,
-            depth: self.depth + 1,
-            first: true,
-            closer,
-        })
-    }
-}
-
-impl<'a> Serializer for JsonSerializer<'a> {
+impl<'w, 'a> Serializer for JsonSerializer<'w, 'a> {
     type Ok = ();
     type Error = JsonError;
-    type SerializeSeq = JsonCompound<'a>;
-    type SerializeStruct = JsonCompound<'a>;
-    type SerializeMap = JsonCompound<'a>;
+    type SerializeSeq = Self;
+    type SerializeStruct = Self;
+    type SerializeMap = Self;
 
     fn serialize_bool(self, v: bool) -> Result<(), JsonError> {
-        self.out.push_str(if v { "true" } else { "false" });
+        self.0.bool(v);
         Ok(())
     }
 
     fn serialize_i64(self, v: i64) -> Result<(), JsonError> {
-        let _ = write!(self.out, "{v}");
+        self.0.i64(v);
         Ok(())
     }
 
     fn serialize_u64(self, v: u64) -> Result<(), JsonError> {
-        let _ = write!(self.out, "{v}");
+        self.0.u64(v);
         Ok(())
     }
 
     fn serialize_f64(self, v: f64) -> Result<(), JsonError> {
-        if v.is_finite() {
-            let _ = write!(self.out, "{v}");
-        } else {
-            self.out.push_str("null"); // JSON has no NaN/Infinity
-        }
+        self.0.f64(v);
         Ok(())
     }
 
     fn serialize_str(self, v: &str) -> Result<(), JsonError> {
-        write_escaped(self.out, v);
+        self.0.string(v);
         Ok(())
     }
 
     fn serialize_unit(self) -> Result<(), JsonError> {
-        self.out.push_str("null");
+        self.0.null();
         Ok(())
     }
 
-    fn serialize_seq(self, _len: Option<usize>) -> Result<JsonCompound<'a>, JsonError> {
-        self.open('[', ']')
+    fn serialize_seq(self, _len: Option<usize>) -> Result<Self, JsonError> {
+        self.0.begin_array();
+        Ok(self)
     }
 
-    fn serialize_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<JsonCompound<'a>, JsonError> {
-        self.open('{', '}')
+    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, JsonError> {
+        self.0.begin_object();
+        Ok(self)
     }
 
-    fn serialize_map(self, _len: Option<usize>) -> Result<JsonCompound<'a>, JsonError> {
-        self.open('{', '}')
-    }
-}
-
-/// Shared builder for sequences, structs and maps.
-///
-/// `depth` is the indentation level of the *contents* (the opener's depth
-/// plus one); `first` tracks whether a separator is needed.
-#[derive(Debug)]
-pub struct JsonCompound<'a> {
-    out: &'a mut String,
-    pretty: bool,
-    depth: usize,
-    first: bool,
-    closer: char,
-}
-
-impl JsonCompound<'_> {
-    fn element_prefix(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.out.push(',');
-        }
-        if self.pretty {
-            newline_indent(self.out, self.depth);
-        }
-    }
-
-    fn value_serializer(&mut self) -> JsonSerializer<'_> {
-        JsonSerializer {
-            out: self.out,
-            pretty: self.pretty,
-            depth: self.depth,
-        }
-    }
-
-    fn key_prefix(&mut self, key: &str) {
-        self.element_prefix();
-        write_escaped(self.out, key);
-        self.out.push(':');
-        if self.pretty {
-            self.out.push(' ');
-        }
-    }
-
-    fn close(self) -> Result<(), JsonError> {
-        if self.pretty && !self.first {
-            newline_indent(self.out, self.depth - 1);
-        }
-        self.out.push(self.closer);
-        Ok(())
+    fn serialize_map(self, _len: Option<usize>) -> Result<Self, JsonError> {
+        self.0.begin_object();
+        Ok(self)
     }
 }
 
-impl SerializeSeq for JsonCompound<'_> {
+impl SerializeSeq for JsonSerializer<'_, '_> {
     type Ok = ();
     type Error = JsonError;
 
     fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), JsonError> {
-        self.element_prefix();
-        value.serialize(self.value_serializer())
+        value.serialize(JsonSerializer(self.0))
     }
 
     fn end(self) -> Result<(), JsonError> {
-        self.close()
+        self.0.end_array();
+        Ok(())
     }
 }
 
-impl SerializeStruct for JsonCompound<'_> {
+impl SerializeStruct for JsonSerializer<'_, '_> {
     type Ok = ();
     type Error = JsonError;
 
@@ -238,16 +128,17 @@ impl SerializeStruct for JsonCompound<'_> {
         key: &'static str,
         value: &T,
     ) -> Result<(), JsonError> {
-        self.key_prefix(key);
-        value.serialize(self.value_serializer())
+        self.0.key(key);
+        value.serialize(JsonSerializer(self.0))
     }
 
     fn end(self) -> Result<(), JsonError> {
-        self.close()
+        self.0.end_object();
+        Ok(())
     }
 }
 
-impl SerializeMap for JsonCompound<'_> {
+impl SerializeMap for JsonSerializer<'_, '_> {
     type Ok = ();
     type Error = JsonError;
 
@@ -256,104 +147,19 @@ impl SerializeMap for JsonCompound<'_> {
         key: &K,
         value: &V,
     ) -> Result<(), JsonError> {
-        self.element_prefix();
-        // JSON object keys must be strings; serialize the key and, when it
-        // rendered as a bare value (number, bool), re-wrap it in quotes.
-        let before = self.out.len();
-        key.serialize(self.value_serializer())?;
-        if !self.out[before..].starts_with('"') {
-            let raw: String = self.out.drain(before..).collect();
-            write_escaped(self.out, &raw);
-        }
-        self.out.push(':');
-        if self.pretty {
-            self.out.push(' ');
-        }
-        value.serialize(self.value_serializer())
+        // JSON object keys are strings: render the key as a value, and
+        // quote it when it came out as a bare number or boolean.
+        let text = to_json(key)?;
+        let key = match Json::parse(&text) {
+            Ok(Json::Str(key)) => key,
+            _ => text,
+        };
+        self.0.key(&key);
+        value.serialize(JsonSerializer(self.0))
     }
 
     fn end(self) -> Result<(), JsonError> {
-        self.close()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Serialize)]
-    struct Inner {
-        name: String,
-        hits: u32,
-    }
-
-    #[derive(Serialize)]
-    struct Outer {
-        ok: bool,
-        items: Vec<Inner>,
-        note: Option<String>,
-    }
-
-    fn sample() -> Outer {
-        Outer {
-            ok: true,
-            items: vec![
-                Inner {
-                    name: "a\"b".into(),
-                    hits: 3,
-                },
-                Inner {
-                    name: "line\nbreak".into(),
-                    hits: 0,
-                },
-            ],
-            note: None,
-        }
-    }
-
-    #[test]
-    fn compact_output_round_trips_structure() {
-        let json = to_json(&sample()).expect("serializes");
-        assert_eq!(
-            json,
-            r#"{"ok":true,"items":[{"name":"a\"b","hits":3},{"name":"line\nbreak","hits":0}],"note":null}"#
-        );
-    }
-
-    #[test]
-    fn pretty_output_is_indented() {
-        let json = to_json_pretty(&sample()).expect("serializes");
-        assert!(json.starts_with("{\n  \"ok\": true,"));
-        assert!(json.ends_with("\n}"));
-        assert!(json.contains("\n    {\n      \"name\": \"a\\\"b\","));
-    }
-
-    #[test]
-    fn scalars_and_maps() {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert("k".to_string(), vec![1u32, 2]);
-        assert_eq!(to_json(&m).expect("serializes"), r#"{"k":[1,2]}"#);
-        assert_eq!(to_json(&-5i32).expect("serializes"), "-5");
-        assert_eq!(to_json("x").expect("serializes"), "\"x\"");
-        assert_eq!(to_json(&f64::NAN).expect("serializes"), "null");
-        assert_eq!(to_json(&1.5f64).expect("serializes"), "1.5");
-    }
-
-    #[test]
-    fn non_string_map_keys_are_quoted() {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert(7u32, "seven");
-        assert_eq!(to_json(&m).expect("serializes"), r#"{"7":"seven"}"#);
-    }
-
-    #[test]
-    fn empty_containers_stay_tight_in_pretty_mode() {
-        let empty: Vec<u32> = vec![];
-        assert_eq!(to_json_pretty(&empty).expect("serializes"), "[]");
-    }
-
-    #[test]
-    fn control_chars_are_escaped() {
-        assert_eq!(to_json("\u{1}").expect("serializes"), "\"\\u0001\"");
+        self.0.end_object();
+        Ok(())
     }
 }

@@ -74,9 +74,9 @@ pub mod pipeline;
 
 pub use error::SoccarError;
 pub use evaluation::{
-    evaluate_clean, evaluate_generated, evaluate_generated_traced, evaluate_variant, property_of,
-    score_generated, BugOutcome, Campaign, CampaignRow, GeneratedEvaluation, GeneratedRecall,
-    VariantEvaluation,
+    evaluate_clean, evaluate_generated, evaluate_generated_traced, evaluate_variant, manifest_json,
+    property_of, score_generated, BugOutcome, Campaign, CampaignRow, GeneratedEvaluation,
+    GeneratedRecall, VariantEvaluation,
 };
 pub use incremental::{AnalysisSession, CacheCaps, RequestQos, RequestStats, SessionCounters};
 pub use pipeline::{

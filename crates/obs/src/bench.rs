@@ -1,24 +1,14 @@
 //! The `BENCH_<soc>.json` emitter: canonical, schema-versioned perf
-//! records so the repository carries a benchmark trajectory CI can gate.
-//!
-//! Design rules (docs/OBSERVABILITY.md):
-//!
-//! * **counters are exact** — detection results, rounds, solver calls,
-//!   coverage are deterministic for a given configuration, so the CI
-//!   `bench-smoke` job compares them byte-for-byte against the checked-in
-//!   baseline and fails on any drift;
-//! * **timings are quantized, reported, never gated** — wall-clock fields
-//!   end in `_q` and are bucketed to the nearest power-of-two
-//!   milliseconds ([`quantize_seconds`]), which keeps the files stable
-//!   enough to diff by eye while still charting a trajectory;
-//! * the file is pretty-printed one field per line so [`strip_timing`]
-//!   can neutralize timing fields textually — no JSON parser needed on
-//!   the comparison side.
+//! records so the repository carries a benchmark trajectory CI can gate
+//! (docs/OBSERVABILITY.md). Counters are exact and deterministic, so the
+//! CI gate compares them against the checked-in baseline
+//! ([`diff_against_baseline`]). Wall-clock timings end in `_q`, are
+//! bucketed to power-of-two milliseconds ([`quantize_seconds`]), and are
+//! reported, never gated.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::sink::push_json_str;
+use crate::json::{Json, Writer};
 
 /// Version of the bench-JSON schema. Bump on renamed/removed fields or
 /// changed quantization; adding counters is additive and does not bump.
@@ -33,8 +23,8 @@ pub struct BenchVariant {
     /// `solver_calls`, …), serialized sorted by name.
     pub counters: BTreeMap<String, u64>,
     /// Named quantized timings in seconds (key must end in `_q`, e.g.
-    /// `flip_incremental_q`). Reported, not gated — [`strip_timing`]
-    /// zeroes them before baseline comparison. Additive to schema v1.
+    /// `flip_incremental_q`). Reported, not gated — the baseline
+    /// comparison skips `_q` keys. Additive to schema v1.
     pub timings_q: BTreeMap<String, f64>,
     /// Quantized verification wall-clock, in seconds. Reported, not gated.
     pub seconds_q: f64,
@@ -63,37 +53,26 @@ impl BenchReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA_VERSION},");
-        out.push_str("  \"soc\": ");
-        push_json_str(&mut out, &self.soc);
-        out.push_str(",\n  \"mode\": ");
-        push_json_str(&mut out, &self.mode);
-        out.push_str(",\n  \"variants\": [");
-        for (i, v) in self.variants.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    {\n" } else { "\n    {\n" });
-            out.push_str("      \"variant\": ");
-            push_json_str(&mut out, &v.variant);
-            out.push_str(",\n");
+        let mut w = Writer::pretty(&mut out);
+        w.begin_object()
+            .key("schema")
+            .u64(BENCH_SCHEMA_VERSION.into());
+        w.key("soc").string(&self.soc);
+        w.key("mode").string(&self.mode);
+        w.key("variants").begin_array();
+        for v in &self.variants {
+            w.begin_object().key("variant").string(&v.variant);
             for (name, value) in &v.counters {
-                out.push_str("      ");
-                push_json_str(&mut out, name);
-                let _ = writeln!(out, ": {value},");
+                w.key(name).u64(*value);
             }
             for (name, value) in &v.timings_q {
                 debug_assert!(name.ends_with("_q"), "timing key must end in _q: {name}");
-                out.push_str("      ");
-                push_json_str(&mut out, name);
-                let _ = writeln!(out, ": {value},");
+                w.key(name).f64(*value);
             }
-            let _ = writeln!(out, "      \"seconds_q\": {}", v.seconds_q);
-            out.push_str("    }");
+            w.key("seconds_q").f64(v.seconds_q).end_object();
         }
-        out.push_str(if self.variants.is_empty() {
-            "]\n}\n"
-        } else {
-            "\n  ]\n}\n"
-        });
+        w.end_array().end_object();
+        out.push('\n');
         out
     }
 }
@@ -109,59 +88,63 @@ pub fn quantize_seconds(secs: f64) -> f64 {
     2f64.powf(exp) / 1e3
 }
 
-/// Replaces the value of every `"*_q":` timing field with `0`, so two
-/// reports can be compared exactly on everything that is gated.
-#[must_use]
-pub fn strip_timing(json: &str) -> String {
-    let mut out = String::new();
-    for line in json.lines() {
-        let stripped = line.trim_start();
-        if let Some(colon) = stripped.find("\": ") {
-            if stripped[..colon].ends_with("_q\"") || stripped[..colon].ends_with("_q") {
-                let indent = line.len() - stripped.len();
-                let trailing_comma = stripped.ends_with(',');
-                out.push_str(&line[..indent + colon + 3]);
-                out.push('0');
-                if trailing_comma {
-                    out.push(',');
-                }
-                out.push('\n');
-                continue;
-            }
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
-}
-
 /// Compares a freshly generated report against a checked-in baseline,
-/// ignoring timing fields. Returns a list of human-readable mismatch
-/// descriptions — empty means the gate passes.
+/// field by field, so line layout does not matter: the top-level fields,
+/// then each variant's (matched by position), must have the same keys in
+/// the same order with equal values, skipping keys that end in `_q`.
+/// Returns one mismatch per differing variant, naming it and its first
+/// differing field — empty means the gate passes.
 #[must_use]
 pub fn diff_against_baseline(current: &str, baseline: &str) -> Vec<String> {
-    let cur = strip_timing(current);
-    let base = strip_timing(baseline);
-    if cur == base {
-        return Vec::new();
-    }
-    let mut diffs = Vec::new();
-    let cur_lines: Vec<&str> = cur.lines().collect();
-    let base_lines: Vec<&str> = base.lines().collect();
-    let n = cur_lines.len().max(base_lines.len());
-    for i in 0..n {
-        let c = cur_lines.get(i).copied().unwrap_or("<missing>");
-        let b = base_lines.get(i).copied().unwrap_or("<missing>");
-        if c != b {
-            diffs.push(format!(
-                "line {}: baseline `{}` vs current `{}`",
-                i + 1,
-                b.trim(),
-                c.trim()
-            ));
+    let parse = |side, text| Json::parse(text).map_err(|e| vec![format!("{side} report: {e}")]);
+    let (current, baseline) = match (parse("current", current), parse("baseline", baseline)) {
+        (Ok(current), Ok(baseline)) => (current, baseline),
+        (Err(e), _) | (_, Err(e)) => return e,
+    };
+    let (base, cur) = (variants(&baseline), variants(&current));
+    let variant_pairs = (0..base.len().max(cur.len())).map(|i| {
+        let (b, c) = (base.get(i), cur.get(i));
+        (b.unwrap_or(&Json::Null), c.unwrap_or(&Json::Null))
+    });
+    std::iter::once((&baseline, &current))
+        .chain(variant_pairs)
+        .filter_map(|(b, c)| {
+            let diff = first_difference(b, c)?;
+            let name = b.str_field("variant").or(c.str_field("variant"));
+            let who = name.map_or("report".to_owned(), |n| format!("variant `{n}`"));
+            Some(format!("{who}: {diff}"))
+        })
+        .collect()
+}
+
+fn variants(doc: &Json) -> &[Json] {
+    doc.get("variants")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+}
+
+/// The first gated field — any but the `_q` timings and the `variants`
+/// array — where `current` departs from `baseline` in key, value or
+/// position.
+fn first_difference(baseline: &Json, current: &Json) -> Option<String> {
+    let gated = |doc: &Json| -> Vec<String> {
+        match doc {
+            Json::Obj(fields) => fields
+                .iter()
+                .filter(|(key, _)| !key.ends_with("_q") && key != "variants")
+                .map(|(key, value)| format!("`{key}` = {value}"))
+                .collect(),
+            _ => Vec::new(),
         }
-    }
-    diffs
+    };
+    let (base, cur) = (gated(baseline), gated(current));
+    let i = (0..base.len().max(cur.len())).find(|&i| base.get(i) != cur.get(i))?;
+    let show = |field: Option<&String>| field.map_or("no field".to_owned(), String::clone);
+    Some(format!(
+        "baseline {} vs current {}",
+        show(base.get(i)),
+        show(cur.get(i))
+    ))
 }
 
 #[cfg(test)]
@@ -226,26 +209,79 @@ mod tests {
         assert_eq!(quantize_seconds(1.6), 2.048);
     }
 
-    #[test]
-    fn timing_fields_are_stripped_counters_are_not() {
-        let json = sample().to_json();
-        let stripped = strip_timing(&json);
-        assert!(stripped.contains("\"seconds_q\": 0\n"));
-        assert!(stripped.contains("\"flip_incremental_q\": 0,"));
-        assert!(stripped.contains("\"detected\": 2,"));
-        assert!(!stripped.contains("0.256"));
-        assert!(!stripped.contains("0.004"));
+    /// Asserts the gate reports exactly one mismatch, led by `who` (the
+    /// variant, not a line number) and naming `field`.
+    fn assert_one_mismatch(current: &str, who: &str, field: &str) {
+        let diffs = diff_against_baseline(current, &sample().to_json());
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].starts_with(&format!("{who}: ")), "{diffs:?}");
+        assert!(diffs[0].contains(&format!("`{field}`")), "{diffs:?}");
     }
 
     #[test]
-    fn diff_ignores_timing_but_gates_counters() {
-        let a = sample();
-        let mut b = sample();
-        b.variants[0].seconds_q = 99.0;
-        assert!(diff_against_baseline(&a.to_json(), &b.to_json()).is_empty());
-        b.variants[0].counters.insert("detected".to_owned(), 1);
-        let diffs = diff_against_baseline(&a.to_json(), &b.to_json());
-        assert_eq!(diffs.len(), 1);
-        assert!(diffs[0].contains("\"detected\": 1"));
+    fn gate_skips_timings_and_layout() {
+        let baseline = sample().to_json();
+        let mut retimed = sample();
+        retimed.variants[0].seconds_q = 99.0;
+        retimed.variants[1].seconds_q = 0.001;
+        retimed.variants[0]
+            .timings_q
+            .insert("flip_incremental_q".to_owned(), 8.192);
+        assert!(diff_against_baseline(&retimed.to_json(), &baseline).is_empty());
+
+        let reflowed = Json::parse(&baseline).expect("parses").to_string();
+        assert!(!reflowed.contains('\n'));
+        assert!(diff_against_baseline(&reflowed, &baseline).is_empty());
+    }
+
+    #[test]
+    fn gate_names_the_variant_and_field_of_every_counter_drift() {
+        let v1 = "variant `ClusterSoC Variant #1`";
+        let v2 = "variant `ClusterSoC Variant #2`";
+
+        let mut changed = sample();
+        changed.variants[1].counters.insert("rounds".to_owned(), 18);
+        assert_one_mismatch(&changed.to_json(), v2, "rounds");
+
+        let mut missing = sample();
+        missing.variants[0].counters.remove("detected");
+        assert_one_mismatch(&missing.to_json(), v1, "detected");
+
+        let mut extra = sample();
+        extra.variants[0]
+            .counters
+            .insert("solver_calls".to_owned(), 4);
+        assert_one_mismatch(&extra.to_json(), v1, "solver_calls");
+
+        let reordered = sample().to_json().replacen(
+            "\"detected\": 2,\n      \"rounds\": 17,",
+            "\"rounds\": 17,\n      \"detected\": 2,",
+            1,
+        );
+        assert_one_mismatch(&reordered, v1, "rounds");
+
+        let mut renamed = sample();
+        renamed.variants[1].variant = "ClusterSoC Variant #9".to_owned();
+        assert_one_mismatch(&renamed.to_json(), v2, "variant");
+
+        let mut other_mode = sample();
+        other_mode.mode = "full".to_owned();
+        assert_one_mismatch(&other_mode.to_json(), "report", "mode");
+    }
+
+    #[test]
+    fn gate_reports_added_and_dropped_variants_and_bad_json() {
+        let mut fewer = sample();
+        fewer.variants.pop();
+        let diffs = diff_against_baseline(&fewer.to_json(), &sample().to_json());
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].starts_with("variant `ClusterSoC Variant #2`: baseline `variant`"));
+        assert!(diffs[0].ends_with("vs current no field"), "{diffs:?}");
+        let diffs = diff_against_baseline(&sample().to_json(), &fewer.to_json());
+        assert!(diffs[0].starts_with("variant `ClusterSoC Variant #2`: baseline no field"));
+
+        let diffs = diff_against_baseline("{", &sample().to_json());
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].starts_with("current report: json parse error"));
     }
 }

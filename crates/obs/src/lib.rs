@@ -9,7 +9,11 @@
 //! * schema-versioned NDJSON ([`to_ndjson`] / [`to_ndjson_canonical`])
 //!   for `soccar --trace-out`;
 //! * the canonical `BENCH_<soc>.json` perf record ([`mod@bench`]) that the CI
-//!   `bench-smoke` job diffs against checked-in baselines.
+//!   `bench-smoke` job gates field by field against checked-in baselines.
+//!
+//! It also holds the workspace's one JSON layer ([`mod@json`]): the
+//! string escaper, the streaming [`json::Writer`] every JSON producer
+//! uses, and the depth-limited [`json::Json`] reader.
 //!
 //! The crate is dependency-free so every other crate — `soccar-rtl`,
 //! `soccar-cfg`, `soccar-smt`, `soccar-concolic`, `soccar` — can link it
@@ -41,12 +45,12 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+pub mod json;
 pub mod recorder;
 pub mod sink;
 
 pub use bench::{
-    diff_against_baseline, quantize_seconds, strip_timing, BenchReport, BenchVariant,
-    BENCH_SCHEMA_VERSION,
+    diff_against_baseline, quantize_seconds, BenchReport, BenchVariant, BENCH_SCHEMA_VERSION,
 };
 pub use recorder::{Histogram, Recorder, SpanData, SpanGuard, TraceSnapshot, Value};
 pub use sink::{render_tree, to_ndjson, to_ndjson_canonical, TRACE_SCHEMA_VERSION};

@@ -23,6 +23,7 @@
 
 use std::fmt::Write as _;
 
+use crate::json::Writer;
 use crate::recorder::{Histogram, TraceSnapshot, Value};
 
 /// Version of the NDJSON trace schema. Bump on any breaking change to the
@@ -30,119 +31,76 @@ use crate::recorder::{Histogram, TraceSnapshot, Value};
 /// for the policy).
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
-/// Appends `s` as a JSON string literal with escaping.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-pub(crate) fn push_json_value(out: &mut String, v: &Value) {
+fn write_value(w: &mut Writer<'_>, v: &Value) {
     match v {
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::F64(x) if x.is_finite() => {
-            let _ = write!(out, "{x}");
-        }
-        Value::F64(_) => out.push_str("null"),
-        Value::Str(s) => push_json_str(out, s),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
+        Value::U64(n) => w.u64(*n),
+        Value::I64(n) => w.i64(*n),
+        Value::F64(x) => w.f64(*x),
+        Value::Str(s) => w.string(s),
+        Value::Bool(b) => w.bool(*b),
+    };
 }
 
-fn push_fields(out: &mut String, fields: &[(String, Value)]) {
-    out.push('{');
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(out, k);
-        out.push(':');
-        push_json_value(out, v);
-    }
-    out.push('}');
-}
-
-fn push_histogram(out: &mut String, name: &str, h: &Histogram) {
-    out.push_str("{\"type\":\"histogram\",\"name\":");
-    push_json_str(out, name);
-    let _ = write!(
-        out,
-        ",\"count\":{},\"sum\":{},\"buckets\":[",
-        h.count, h.sum
-    );
-    for (i, (bits, count)) in h.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{},{count}]", Histogram::bucket_upper(*bits));
-    }
-    out.push_str("]}\n");
+fn micros(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 fn render(snap: &TraceSnapshot, canonical: bool) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"meta\",\"schema\":{TRACE_SCHEMA_VERSION},\"tool\":\"soccar-obs\",\"canonical\":{canonical}}}"
-    );
+    // Each line is one top-level object; the writer separates them with
+    // newlines.
+    let mut w = Writer::compact(&mut out);
+    w.begin_object().key("type").string("meta");
+    w.key("schema").u64(TRACE_SCHEMA_VERSION.into());
+    w.key("tool").string("soccar-obs");
+    w.key("canonical").bool(canonical).end_object();
     for (id, span) in snap.spans.iter().enumerate() {
-        let _ = write!(out, "{{\"type\":\"span\",\"id\":{id},\"parent\":");
+        w.begin_object().key("type").string("span");
+        w.key("id").u64(id as u64).key("parent");
         match span.parent {
-            Some(p) => {
-                let _ = write!(out, "{p}");
-            }
-            None => out.push_str("null"),
+            Some(p) => w.u64(p as u64),
+            None => w.null(),
+        };
+        w.key("name").string(&span.name);
+        w.key("fields").begin_object();
+        for (k, v) in &span.fields {
+            write_value(w.key(k), v);
         }
-        out.push_str(",\"name\":");
-        push_json_str(&mut out, &span.name);
-        out.push_str(",\"fields\":");
-        push_fields(&mut out, &span.fields);
+        w.end_object();
         if !canonical {
-            let _ = write!(out, ",\"start_us\":{}", span.start.as_micros());
-            out.push_str(",\"elapsed_us\":");
+            w.key("start_us").u64(micros(span.start));
             match span.elapsed {
-                Some(e) => {
-                    let _ = write!(out, "{}", e.as_micros());
-                }
-                None => out.push_str("null"),
-            }
+                Some(e) => w.key("elapsed_us").u64(micros(e)),
+                None => w.key("elapsed_us").null(),
+            };
         }
-        out.push_str("}\n");
+        w.end_object();
     }
     for (name, value) in &snap.counters {
-        out.push_str("{\"type\":\"counter\",\"name\":");
-        push_json_str(&mut out, name);
-        let _ = writeln!(out, ",\"value\":{value}}}");
+        w.begin_object().key("type").string("counter");
+        w.key("name").string(name);
+        w.key("value").u64(*value).end_object();
     }
     if !canonical {
         for (name, value) in &snap.gauges {
-            out.push_str("{\"type\":\"gauge\",\"name\":");
-            push_json_str(&mut out, name);
-            out.push_str(",\"value\":");
-            push_json_value(&mut out, &Value::F64(*value));
-            out.push_str("}\n");
+            w.begin_object().key("type").string("gauge");
+            w.key("name").string(name);
+            w.key("value").f64(*value).end_object();
         }
     }
     for (name, h) in &snap.histograms {
-        push_histogram(&mut out, name, h);
+        w.begin_object().key("type").string("histogram");
+        w.key("name").string(name);
+        w.key("count").u64(h.count);
+        w.key("sum").u64(h.sum);
+        w.key("buckets").begin_array();
+        for (bits, count) in &h.buckets {
+            let upper = Histogram::bucket_upper(*bits);
+            w.begin_array().u64(upper).u64(*count).end_array();
+        }
+        w.end_array().end_object();
     }
+    out.push('\n');
     out
 }
 
@@ -198,7 +156,7 @@ pub fn render_tree(snap: &TraceSnapshot) -> String {
             out.push('=');
             match v {
                 Value::Str(s) => out.push_str(s),
-                other => push_json_value(&mut out, other),
+                other => write_value(&mut Writer::compact(&mut out), other),
             }
         }
         out.push('\n');
@@ -269,12 +227,5 @@ mod tests {
         assert!(lines[1].starts_with("  rtl.parse  "));
         assert!(tree.contains("counters:\n  rtl.modules  12\n"));
         assert!(tree.contains("histograms:\n  smt.clauses  count=2 sum=305\n"));
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\n\u{1}");
-        assert_eq!(s, "\"a\\\"b\\n\\u0001\"");
     }
 }

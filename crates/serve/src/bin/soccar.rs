@@ -556,9 +556,9 @@ fn run_gen(args: &GenArgs) -> Result<(), String> {
         std::fs::write(path, &soc.source).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("{}: RTL written to {path}", soc.name);
     }
-    let manifest_json = soc.manifest.to_json();
+    let manifest_json = soccar::manifest_json(&soc.manifest);
     if let Some(path) = &args.manifest {
-        std::fs::write(path, format!("{manifest_json}\n")).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, &manifest_json).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("{}: manifest written to {path}", soc.name);
     }
     if args.summary {
@@ -572,7 +572,7 @@ fn run_gen(args: &GenArgs) -> Result<(), String> {
             soc.top
         );
     } else if args.manifest.is_none() {
-        println!("{manifest_json}");
+        print!("{manifest_json}");
     }
     Ok(())
 }

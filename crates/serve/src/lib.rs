@@ -25,12 +25,11 @@
 
 pub mod client;
 pub mod journal;
-pub mod jsonval;
 pub mod proto;
 pub mod server;
 
 pub use client::{roundtrip_with_retry, Client, RetryPolicy};
 pub use journal::{Journal, Replay};
-pub use jsonval::Json;
 pub use proto::{read_frame, write_frame, Envelope, Request, MAX_FRAME};
 pub use server::{resolve_request, JournalStatus, Server, ServerOptions, StatusBody, TierSizes};
+pub use soccar_obs::json::Json;

@@ -16,16 +16,16 @@
 //! Carrying the body out-of-band (instead of nesting it in the envelope)
 //! is what makes the byte-equality guarantee trivial to state and test:
 //! clients print the body as received, no re-encoding anywhere. Requests
-//! are decoded with the strict [`crate::jsonval`] reader; responses are
-//! encoded with [`soccar::json`]. Full field reference in
-//! `docs/SERVER.md`.
+//! are decoded with the strict, depth-limited [`soccar_obs::json::Json`]
+//! reader; responses are encoded with [`soccar::json`]. Full field
+//! reference in `docs/SERVER.md`.
 
 use std::io::{Read, Write};
 
 use serde::Serialize;
 use soccar::RequestStats;
 
-use crate::jsonval::Json;
+use soccar_obs::json::Json;
 
 /// Upper bound on a frame payload (64 MiB) — larger lengths are treated
 /// as protocol corruption, not allocation requests.

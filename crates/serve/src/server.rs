@@ -481,9 +481,7 @@ impl Server {
                 "injected conn_drop:respond",
             ));
         }
-        let envelope_json = envelope
-            .to_json()
-            .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"{e}\"}}"));
+        let envelope_json = envelope.to_json().map_err(std::io::Error::other)?;
         self.write_frame_faulted(writer, envelope_json.as_bytes())?;
         self.write_frame_faulted(writer, body)?;
         Ok(())

@@ -168,44 +168,6 @@ pub fn violation_token(v: ViolationType) -> &'static str {
     }
 }
 
-impl Manifest {
-    /// Deterministic pretty JSON (hand-rolled: `soccar-soc` sits below
-    /// the `soccar` JSON encoder in the crate graph).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"name\": \"{}\",", self.name);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"scale\": {},", self.scale);
-        let _ = writeln!(out, "  \"modules\": {},", self.modules);
-        let _ = writeln!(out, "  \"reset_domains\": {},", self.reset_domains);
-        out.push_str("  \"bugs\": [\n");
-        for (i, b) in self.bugs.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"cluster\": {},", b.cluster);
-            let _ = writeln!(
-                out,
-                "      \"violation\": \"{}\",",
-                violation_token(b.violation)
-            );
-            let _ = writeln!(out, "      \"module\": \"{}\",", b.module);
-            let _ = writeln!(out, "      \"instance\": \"{}\",", b.instance);
-            let _ = writeln!(out, "      \"implicit\": {},", b.implicit);
-            let _ = writeln!(out, "      \"stage\": \"{}\",", b.stage.token());
-            let detectors: Vec<String> = b.detectors.iter().map(|d| format!("\"{d}\"")).collect();
-            let _ = writeln!(out, "      \"detectors\": [{}]", detectors.join(", "));
-            out.push_str(if i + 1 == self.bugs.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
 /// A fully generated design: RTL plus everything the pipeline and the
 /// evaluation harness need.
 #[derive(Debug, Clone)]
@@ -1002,7 +964,7 @@ mod tests {
         let a = generate(&spec);
         let b = generate(&spec);
         assert_eq!(a.source, b.source);
-        assert_eq!(a.manifest.to_json(), b.manifest.to_json());
+        assert_eq!(a.manifest, b.manifest);
         assert_eq!(a.checks, b.checks);
         assert_eq!(a.symbolic, b.symbolic);
     }
@@ -1078,19 +1040,6 @@ mod tests {
                 bug.instance
             );
         }
-    }
-
-    #[test]
-    fn manifest_json_is_stable_and_parsable_shape() {
-        let gen = generate(&GenSpec { seed: 3, scale: 1 });
-        let json = gen.manifest.to_json();
-        assert!(json.contains("\"name\": \"gen:3:1\""));
-        assert!(json.contains("\"seed\": 3"));
-        assert!(json.contains("\"bugs\": ["));
-        assert_eq!(
-            json.matches("\"cluster\":").count(),
-            gen.manifest.bugs.len()
-        );
     }
 
     #[test]
