@@ -371,7 +371,7 @@ impl RoundAlgebra for CoAlgebra {
 /// processes when only a term changed. Those re-evaluations see identical
 /// concrete values, so branch coverage, the set of processes that ran,
 /// and every property verdict are the same on both algebras.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CoverageAlgebra {
     coverage: HashSet<(BranchSiteId, bool)>,
 }

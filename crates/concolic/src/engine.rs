@@ -27,11 +27,16 @@
 //!    Sweep rounds plan no flips, so they run on the concrete
 //!    [`crate::coalg::CoverageAlgebra`] (branch coverage only, no terms).
 //!    Each round is a pure function of its `(domain, cycle, seed)`
-//!    schedule: a domain's rounds fan out over the worker pool and merge
-//!    serially in pulse order, so reports are identical for every job
-//!    count.
+//!    schedule, and every domain's round at pulse cycle `at` shares its
+//!    first `at` cycles: each position simulates that prefix once and
+//!    forks one simulator clone per domain ([`SweepPosition`]).
+//!    Positions fan out over the worker pool and merge serially in
+//!    `(domain, cycle)` order, so reports are identical for every job
+//!    count and to running every round from scratch.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use soccar_cfg::bind::BoundEvent;
@@ -39,7 +44,7 @@ use soccar_cfg::extract::EventArm;
 use soccar_exec::{FailurePolicy, FaultPlan, TaskOutcome};
 use soccar_rtl::design::{BranchSiteId, Design, NetId, ProcessId};
 use soccar_rtl::value::LogicVec;
-use soccar_sim::{Algebra, InitPolicy, SimResult, Simulator};
+use soccar_sim::{Algebra, InitPolicy, SimResult, Simulator, WakeMap};
 use soccar_smt::{CheckResult, SolveBudget, Solver, Term, TermGraph, TermId};
 
 use crate::coalg::{from_bv, BranchObservation, CoAlgebra, CoverageAlgebra, RoundAlgebra};
@@ -74,11 +79,11 @@ pub struct ConcolicConfig {
     pub async_events: Vec<String>,
     /// Worker threads for the engine's two fan-outs (`0` = auto via
     /// [`soccar_exec::resolve_jobs`]): each round's uncovered-event flip
-    /// solves, and each domain's batch of reset-sweep rounds. Every job
-    /// count produces bit-identical reports: each flip candidate is an
+    /// solves, and the reset sweep's pulse positions. Every job count
+    /// produces bit-identical reports: each flip candidate is an
     /// independent query against the round's frozen term graph, consumed
-    /// in stable target order, and sweep rounds are merged in pulse
-    /// order, never completion order.
+    /// in stable target order, and sweep rounds are merged in
+    /// `(domain, cycle)` order, never completion order.
     pub jobs: usize,
     /// Resource budget for each flip solve. An exhausted budget yields
     /// [`CheckResult::Unknown`], which the engine records as a *skipped*
@@ -204,9 +209,9 @@ pub struct ConcolicReport {
     /// Utilization counters of the flip-solve worker pool (wall-clock
     /// measurements; excluded from canonical report serializations).
     pub flip_exec: soccar_exec::PoolStats,
-    /// Utilization counters of the reset-sweep worker pool, summed over
-    /// every domain's batch (wall-clock measurements; excluded from
-    /// canonical report serializations).
+    /// Utilization counters of the reset-sweep worker pool, one task per
+    /// pulse position, summed over both phases (wall-clock measurements;
+    /// excluded from canonical report serializations).
     pub sweep_exec: soccar_exec::PoolStats,
 }
 
@@ -248,6 +253,9 @@ impl ConcolicReport {
 #[derive(Debug)]
 pub struct ConcolicEngine<'d> {
     design: &'d Design,
+    /// The design's wake map, built once and shared by every round's
+    /// simulator.
+    wake_map: Arc<WakeMap>,
     /// Property monitors, resolved once; each round re-arms a clone.
     monitors: Vec<PropertyMonitor>,
     /// Degradation reasons of properties whose monitor failed to resolve,
@@ -421,6 +429,7 @@ impl<'d> ConcolicEngine<'d> {
         }
         Ok(ConcolicEngine {
             design,
+            wake_map: Arc::new(WakeMap::new(design)),
             monitors,
             dropped_monitors,
             config,
@@ -447,8 +456,8 @@ impl<'d> ConcolicEngine<'d> {
     /// Attaches an observability recorder: each concolic round gets a
     /// `concolic.round` span with two serial children, `concolic.simulate`
     /// (the co-simulation) and `concolic.plan` (flip planning, solving
-    /// included); sweep phases get per-domain `concolic.sweep` /
-    /// `concolic.sweep_high` spans. Flip planning feeds the
+    /// included); each sweep phase gets one `concolic.sweep` /
+    /// `concolic.sweep_high` span. Flip planning feeds the
     /// `concolic.flip_candidates` / `concolic.flip_consumed` /
     /// `concolic.flip_sat` counters, and every flip solve — including the
     /// speculative ones — reports through [`Solver::check_traced`].
@@ -487,6 +496,8 @@ impl<'d> ConcolicEngine<'d> {
         let mut witnesses: Vec<Witness> = Vec::new();
         let mut first_violation_round: Option<usize> = None;
         let mut rounds = 0usize;
+        // Cycles simulated; a sweep position's shared prefix counts once.
+        let mut sim_cycles = 0u64;
         let mut solver_calls = 0usize;
         let mut solver_sat = 0usize;
 
@@ -500,8 +511,10 @@ impl<'d> ConcolicEngine<'d> {
                 mut sim,
                 violations: round_violations,
                 degraded,
+                ..
             } = self.execute_round::<CoAlgebra>(&schedule)?;
             simulate_span.close();
+            sim_cycles += schedule.cycles;
             self.degraded_reasons.extend(degraded);
             self.absorb_hits(&self.target_hits(&sim));
             self.merge_violations(
@@ -541,45 +554,56 @@ impl<'d> ConcolicEngine<'d> {
             }
         }
 
-        // Phases 2 and 3: the systematic reset sweep, one batch per domain
-        // and phase. A batch's rounds run on the worker pool and merge
-        // here in pulse order, exactly as if run one after another; the
-        // first simulator error in that order ends the run.
+        // Phases 2 and 3: the systematic reset sweep, one pool call per
+        // phase with one task per pulse position. The rounds merge here in
+        // `(domain, cycle)` order, exactly as if run one after another
+        // from scratch; the first simulator error in that order ends the
+        // run.
         if !self.config.skip_sweep {
-            for batch in self.sweep_batches() {
-                let mut sweep_span = soccar_obs::span!(
-                    self.recorder,
-                    batch.phase,
-                    domain = self.domains[batch.domain].0.as_str()
-                );
+            for high in [false, true] {
+                let positions = self.sweep_positions(high);
+                let Some(first) = positions.first() else {
+                    continue;
+                };
+                let domains = first.domains.clone();
+                let mut sweep_span = soccar_obs::span!(self.recorder, first.phase());
                 let (results, stats) =
-                    soccar_exec::parallel_map_stats(self.config.jobs, &batch.schedules, |s| {
-                        self.sweep_round(s)
+                    soccar_exec::parallel_map_stats(self.config.jobs, &positions, |pos| {
+                        self.fork_sweep_position(pos, |run| SweepRound {
+                            hits: self.target_hits(&run.sim),
+                            violations: run.violations,
+                            degraded: run.degraded,
+                        })
                     });
                 self.sweep_stats.absorb(&stats);
-                for (s, result) in batch.schedules.iter().zip(results) {
-                    let round = result?;
-                    rounds += 1;
-                    self.absorb_hits(&round.hits);
-                    self.degraded_reasons.extend(round.degraded);
-                    self.merge_violations(
-                        rounds,
-                        s,
-                        round.violations,
-                        &mut violations,
-                        &mut witnesses,
-                    );
-                    if first_violation_round.is_none() && !violations.is_empty() {
-                        first_violation_round = Some(rounds);
+                let mut results: Vec<_> = results.into_iter().map(Vec::into_iter).collect();
+                for &domain in &domains {
+                    for (pos, at_results) in positions.iter().zip(&mut results) {
+                        let round = at_results.next().expect("one round per domain")?;
+                        rounds += 1;
+                        self.absorb_hits(&round.hits);
+                        self.degraded_reasons.extend(round.degraded);
+                        self.merge_violations(
+                            rounds,
+                            &pos.schedule(domain),
+                            round.violations,
+                            &mut violations,
+                            &mut witnesses,
+                        );
+                        if first_violation_round.is_none() && !violations.is_empty() {
+                            first_violation_round = Some(rounds);
+                        }
                     }
                 }
-                sweep_span.record("rounds", batch.schedules.len());
+                sim_cycles += positions.iter().map(SweepPosition::cycles).sum::<u64>();
+                sweep_span.record("rounds", positions.len() * domains.len());
             }
         }
 
         let covered = self.covered.iter().filter(|c| **c).count();
         let unreachable = self.unreachable.iter().filter(|u| **u).count();
         self.recorder.counter_add("concolic.rounds", rounds as u64);
+        self.recorder.counter_add("sim.cycles", sim_cycles);
         // Resilience counters are only bumped when degradation actually
         // happened, keeping healthy-run traces byte-identical to before.
         if self.solver_unknown > 0 {
@@ -637,72 +661,71 @@ impl<'d> ConcolicEngine<'d> {
         )
     }
 
-    /// The reset-sweep schedules, one batch per domain and phase, in run
-    /// order: every domain's low-phase pulses (`concolic.sweep`), then a
-    /// high-phase batch (`concolic.sweep_high`) for each domain the
-    /// Refined analysis flagged as having clock-composed implicit
-    /// governors. The Explicit analysis never flags any, so the high
-    /// phase is empty there — which is precisely why the published tool
-    /// misses the AutoSoC #2 SHA256 bug.
+    /// The reset sweep's pulse positions of one phase, in cycle order.
+    /// The low phase (`concolic.sweep`) pulses every domain before the
+    /// clock edge. The high phase (`concolic.sweep_high`) asserts during
+    /// the clock-high phase, and only on the domains the Refined analysis
+    /// flagged as having clock-composed implicit governors. The Explicit
+    /// analysis never flags any, so the high phase is empty there —
+    /// which is precisely why the published tool misses the AutoSoC #2
+    /// SHA256 bug.
     ///
-    /// Each schedule pulses one domain at one cycle and is otherwise
+    /// Each round pulses one domain at one cycle and is otherwise
     /// randomized from `seed + cycle` (low phase) or `seed + 0x9E37 +
     /// cycle` (high phase), so every round is a pure function of its
     /// `(domain, cycle, seed)` key.
     #[must_use]
-    pub fn sweep_batches(&self) -> Vec<SweepBatch> {
+    pub fn sweep_positions(&self, high: bool) -> Vec<SweepPosition> {
+        let domains: Vec<usize> = (0..self.domains.len())
+            .filter(|d| !high || self.clock_composed[*d])
+            .collect();
+        if domains.is_empty() {
+            return Vec::new();
+        }
         let stride = usize::try_from(self.config.sweep_stride.max(1)).unwrap_or(usize::MAX);
-        let batch = |domain: usize, high: bool| {
-            let schedules = (1..self.config.cycles)
-                .step_by(stride)
-                .map(|at| {
-                    let salt = if high { 0x9E37 } else { 0 };
-                    let mut s = self.base_schedule();
-                    s.randomize(self.config.seed.wrapping_add(salt + at));
-                    s.power_on_only();
-                    if high {
-                        s.add_high_phase_pulse(domain, at);
-                    } else {
-                        s.add_pulse(domain, at, 1);
-                    }
-                    s
-                })
-                .collect();
-            SweepBatch {
-                phase: if high {
-                    "concolic.sweep_high"
-                } else {
-                    "concolic.sweep"
-                },
-                domain,
-                schedules,
-            }
-        };
-        let domains = 0..self.domains.len();
-        domains
-            .clone()
-            .map(|d| batch(d, false))
-            .chain(
-                domains
-                    .filter(|d| self.clock_composed[*d])
-                    .map(|d| batch(d, true)),
-            )
+        let salt = if high { 0x9E37 } else { 0 };
+        (1..self.config.cycles)
+            .step_by(stride)
+            .map(|at| {
+                let mut prefix = self.base_schedule();
+                prefix.randomize(self.config.seed.wrapping_add(salt + at));
+                prefix.power_on_only();
+                SweepPosition {
+                    high,
+                    at,
+                    domains: domains.clone(),
+                    prefix,
+                }
+            })
             .collect()
     }
 
-    /// One sweep round on the concrete coverage algebra, reduced to what
-    /// the serial merge needs.
-    fn sweep_round(&self, schedule: &TestSchedule) -> SimResult<SweepRound> {
-        let RoundRun {
-            sim,
-            violations,
-            degraded,
-        } = self.execute_round::<CoverageAlgebra>(schedule)?;
-        Ok(SweepRound {
-            hits: self.target_hits(&sim),
-            violations,
-            degraded,
-        })
+    /// Runs every round of one sweep position on the concrete coverage
+    /// algebra: cycles `0..at` once on the shared prefix, then, from a
+    /// clone of that state, each domain's pulse and the rest of its round.
+    /// `finish` reduces each finished round; the results come in
+    /// `pos.domains` order, each equal to what
+    /// [`ConcolicEngine::execute_round`] gives on
+    /// [`SweepPosition::schedule`] from scratch. A simulator error in the
+    /// prefix is every domain's error, as it would be from scratch.
+    pub fn fork_sweep_position<T>(
+        &self,
+        pos: &SweepPosition,
+        finish: impl Fn(RoundRun<'d, CoverageAlgebra>) -> T,
+    ) -> Vec<SimResult<T>> {
+        let shared = self.start_round(&pos.prefix).and_then(|mut run| {
+            self.run_cycles(&mut run, &pos.prefix, 0..pos.at)?;
+            Ok(run)
+        });
+        pos.domains
+            .iter()
+            .map(|&domain| {
+                let mut run = shared.clone()?;
+                let schedule = pos.schedule(domain);
+                self.run_cycles(&mut run, &schedule, pos.at..schedule.cycles)?;
+                Ok(finish(run))
+            })
+            .collect()
     }
 
     /// One `Simulate(Input, Restricts)` call of Algorithm 3: runs
@@ -721,15 +744,25 @@ impl<'d> ConcolicEngine<'d> {
         &self,
         schedule: &TestSchedule,
     ) -> SimResult<RoundRun<'d, A>> {
-        let mut sim = Simulator::with_algebra(self.design, A::default(), self.config.init);
+        let mut run = self.start_round(schedule)?;
+        self.run_cycles(&mut run, schedule, 0..schedule.cycles)?;
+        Ok(run)
+    }
+
+    /// Time zero of a round: a fresh simulator with resets deasserted,
+    /// clocks parked and uncontrolled inputs zeroed, and freshly armed
+    /// monitors.
+    fn start_round<A: RoundAlgebra>(&self, schedule: &TestSchedule) -> SimResult<RoundRun<'d, A>> {
+        let mut sim = Simulator::with_wake_map(
+            self.design,
+            Arc::clone(&self.wake_map),
+            A::default(),
+            self.config.init,
+        );
         let mut monitors = self.monitors.clone();
         for mon in &mut monitors {
             mon.reset();
         }
-        let mut degraded = self.dropped_monitors.clone();
-        let mut violations = Vec::new();
-
-        // Time-zero: deassert resets, park clocks, zero uncontrolled inputs.
         for track in &schedule.resets {
             let deassert = LogicVec::from_u64(1, u64::from(track.active_low));
             sim.write_input(track.net, deassert)?;
@@ -742,8 +775,24 @@ impl<'d> ConcolicEngine<'d> {
             sim.write_input(*net, LogicVec::zeros(w))?;
         }
         sim.settle()?;
+        Ok(RoundRun {
+            sim,
+            violations: Vec::new(),
+            degraded: self.dropped_monitors.clone(),
+            monitors,
+        })
+    }
 
-        for cycle in 0..schedule.cycles {
+    /// Drives `cycles` of `schedule` on a started round, checking the
+    /// monitors after each cycle.
+    fn run_cycles<A: RoundAlgebra>(
+        &self,
+        run: &mut RoundRun<'d, A>,
+        schedule: &TestSchedule,
+        cycles: Range<u64>,
+    ) -> SimResult<()> {
+        let sim = &mut run.sim;
+        for cycle in cycles {
             for (i, track) in schedule.inputs.iter().enumerate() {
                 let v = sim.algebra_mut().input(
                     format_args!("in_{i}_{cycle}"),
@@ -796,18 +845,14 @@ impl<'d> ConcolicEngine<'d> {
             }
             sim.settle()?;
             sim.advance_time(1);
-            for mon in &mut monitors {
-                match mon.check_cycle(&sim, cycle) {
-                    Ok(found) => violations.extend(found),
-                    Err(e) => degraded.push(format!("property check skipped: {e}")),
+            for mon in &mut run.monitors {
+                match mon.check_cycle(sim, cycle) {
+                    Ok(found) => run.violations.extend(found),
+                    Err(e) => run.degraded.push(format!("property check skipped: {e}")),
                 }
             }
         }
-        Ok(RoundRun {
-            sim,
-            violations,
-            degraded,
-        })
+        Ok(())
     }
 
     /// Indices of the targets a finished round hit: its branch coverage
@@ -1114,21 +1159,59 @@ impl<'d> ConcolicEngine<'d> {
     }
 }
 
-/// One domain's batch of reset-sweep schedules (see
-/// [`ConcolicEngine::sweep_batches`]).
+/// One pulse position of the reset sweep (see
+/// [`ConcolicEngine::sweep_positions`]): every round that pulses one of
+/// `domains` at cycle `at` in one phase. The rounds agree with `prefix`
+/// on every cycle before `at`.
 #[derive(Debug, Clone)]
-pub struct SweepBatch {
-    /// The batch's span name: `concolic.sweep` for low-phase pulses,
+pub struct SweepPosition {
+    /// `true` for the clock-high phase.
+    high: bool,
+    /// The pulse cycle.
+    pub at: u64,
+    /// The pulsed domains, as indices into [`ConcolicEngine::domains`].
+    pub domains: Vec<usize>,
+    /// The schedule without the pulse: randomized, power-on pulse only.
+    prefix: TestSchedule,
+}
+
+impl SweepPosition {
+    /// The phase's span name: `concolic.sweep` for low-phase pulses,
     /// `concolic.sweep_high` for clock-high-phase pulses.
-    pub phase: &'static str,
-    /// Index of the pulsed domain in [`ConcolicEngine::domains`].
-    pub domain: usize,
-    /// One schedule per pulse position, in cycle order.
-    pub schedules: Vec<TestSchedule>,
+    #[must_use]
+    pub fn phase(&self) -> &'static str {
+        if self.high {
+            "concolic.sweep_high"
+        } else {
+            "concolic.sweep"
+        }
+    }
+
+    /// The full schedule of `domain`'s round: the prefix plus the pulse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domain` is out of range.
+    #[must_use]
+    pub fn schedule(&self, domain: usize) -> TestSchedule {
+        let mut s = self.prefix.clone();
+        if self.high {
+            s.add_high_phase_pulse(domain, self.at);
+        } else {
+            s.add_pulse(domain, self.at, 1);
+        }
+        s
+    }
+
+    /// Cycles simulated to run the position: the shared prefix once, then
+    /// the rest of each domain's round.
+    fn cycles(&self) -> u64 {
+        self.at + self.domains.len() as u64 * (self.prefix.cycles - self.at)
+    }
 }
 
 /// A finished round (see [`ConcolicEngine::execute_round`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoundRun<'d, A: Algebra> {
     /// The simulator after the last cycle, algebra state included.
     pub sim: Simulator<'d, A>,
@@ -1136,6 +1219,8 @@ pub struct RoundRun<'d, A: Algebra> {
     pub violations: Vec<Violation>,
     /// Degradation reasons: dropped monitors and skipped checks.
     pub degraded: Vec<String>,
+    /// The round's armed property monitors.
+    monitors: Vec<PropertyMonitor>,
 }
 
 /// What the serial sweep merge keeps of one sweep round.

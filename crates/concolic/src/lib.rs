@@ -31,7 +31,7 @@ pub mod schedule;
 
 pub use coalg::{BranchObservation, CoAlgebra, CoValue, CoverageAlgebra, RoundAlgebra};
 pub use engine::{
-    ConcolicConfig, ConcolicEngine, ConcolicReport, FlipWorkload, RoundRun, SweepBatch, Witness,
+    ConcolicConfig, ConcolicEngine, ConcolicReport, FlipWorkload, RoundRun, SweepPosition, Witness,
 };
 pub use property::{PropertyKind, PropertyMonitor, SecurityProperty, Violation};
 pub use schedule::{InputTrack, ResetTrack, TestSchedule};

@@ -1,18 +1,31 @@
-//! Round-level differential test of the reset sweep's algebra.
+//! Round-level differential tests of the reset sweep.
 //!
-//! Sweep rounds run on the concrete [`CoverageAlgebra`] instead of the
-//! co-simulation [`CoAlgebra`]. The two differ in one place:
-//! `CoAlgebra::changed` also wakes level-sensitive processes when only a
-//! symbolic term changed. Those extra evaluations see the same concrete
-//! values, so every sweep schedule must give the same branch coverage,
-//! the same set of processes that ran, and the same violations on both.
-//! This test runs every sweep schedule of three designs on both algebras
-//! and checks exactly that.
+//! Sweep rounds differ from a from-scratch co-simulation round in two
+//! ways, and each must be invisible in what a round yields: the same
+//! branch coverage, the same set of processes that ran, the same
+//! violations and the same degradation list.
+//!
+//! - **The algebra.** Sweep rounds run on the concrete
+//!   [`CoverageAlgebra`] instead of the co-simulation [`CoAlgebra`]. The
+//!   two differ in one place: `CoAlgebra::changed` also wakes
+//!   level-sensitive processes when only a symbolic term changed. Those
+//!   extra evaluations see the same concrete values.
+//! - **The fork.** Every domain's round at one pulse position is finished
+//!   from a clone of one shared prefix simulation
+//!   ([`ConcolicEngine::fork_sweep_position`]) instead of being run from
+//!   time zero.
+//!
+//! These tests run every sweep round of four configurations forked, and
+//! from scratch on both algebras, and compare them.
+
+use std::collections::HashSet;
 
 use soccar_cfg::{bind_events, compose_soc, GovernorAnalysis, ResetNaming};
 use soccar_concolic::{
-    CoAlgebra, ConcolicConfig, ConcolicEngine, CoverageAlgebra, RoundAlgebra, SecurityProperty,
+    CoAlgebra, ConcolicConfig, ConcolicEngine, CoverageAlgebra, RoundAlgebra, RoundRun,
+    SecurityProperty, Violation,
 };
+use soccar_rtl::design::BranchSiteId;
 use soccar_rtl::parser::parse;
 use soccar_rtl::span::FileId;
 use soccar_soc::{GenSpec, SocModel};
@@ -24,6 +37,7 @@ struct Case {
     properties: Vec<SecurityProperty>,
     symbolic_inputs: Vec<String>,
     cycles: u64,
+    stride: u64,
 }
 
 impl Case {
@@ -39,6 +53,7 @@ impl Case {
                 .collect(),
             symbolic_inputs: soccar_soc::symbolic_inputs(model),
             cycles,
+            stride: 1,
         }
     }
 
@@ -51,59 +66,88 @@ impl Case {
             properties: gen.checks.iter().map(soccar::property_of).collect(),
             symbolic_inputs: gen.symbolic,
             cycles,
+            stride: 1,
         }
     }
 }
 
-/// Runs every sweep schedule of `case` on both algebras and compares
-/// them round by round. Returns `(sweep rounds, phases seen, violations)`.
-fn compare_algebras(case: &Case) -> (usize, Vec<&'static str>, usize) {
+/// What a round yields to the sweep merge.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    coverage: HashSet<(BranchSiteId, bool)>,
+    ran: Vec<bool>,
+    violations: Vec<Violation>,
+    degraded: Vec<String>,
+}
+
+impl Outcome {
+    fn of<A: RoundAlgebra>(run: &RoundRun<'_, A>) -> Outcome {
+        Outcome {
+            coverage: run.sim.algebra().coverage().clone(),
+            ran: run
+                .sim
+                .process_run_counts()
+                .iter()
+                .map(|r| *r > 0)
+                .collect(),
+            violations: run.violations.clone(),
+            degraded: run.degraded.clone(),
+        }
+    }
+}
+
+/// Runs every sweep round of `case` forked, and from scratch on both
+/// algebras, and compares them round by round. Returns `(sweep rounds,
+/// phases seen, violations)`.
+fn compare_rounds(case: &Case) -> (usize, Vec<&'static str>, usize) {
     let unit = parse(FileId(0), &case.source).expect("parse");
     let design = soccar_rtl::elaborate::elaborate(&unit, &case.top).expect("elaborate");
     let soc = compose_soc(&unit, &case.top, &ResetNaming::new(), case.analysis).expect("compose");
     let bound = bind_events(&design, &soc).expect("bind");
     let config = ConcolicConfig {
         cycles: case.cycles,
-        sweep_stride: 1,
+        sweep_stride: case.stride,
         symbolic_inputs: case.symbolic_inputs.clone(),
         ..ConcolicConfig::default()
     };
     let engine =
         ConcolicEngine::new(&design, &bound, case.properties.clone(), config).expect("engine");
-    let ran = |runs: &[u64]| runs.iter().map(|r| *r > 0).collect::<Vec<bool>>();
     let (mut rounds, mut phases, mut violations) = (0, Vec::new(), 0);
-    for batch in engine.sweep_batches() {
-        if !phases.contains(&batch.phase) {
-            phases.push(batch.phase);
-        }
-        for (i, schedule) in batch.schedules.iter().enumerate() {
-            let at = format!("{} domain {} pulse {}", batch.phase, batch.domain, i + 1);
-            let co = engine
-                .execute_round::<CoAlgebra>(schedule)
-                .expect("co-simulation round");
-            let concrete = engine
-                .execute_round::<CoverageAlgebra>(schedule)
-                .expect("coverage round");
-            assert_eq!(
-                co.sim.algebra().coverage(),
-                concrete.sim.algebra().coverage(),
-                "branch coverage differs at {at}"
-            );
-            assert_eq!(
-                ran(co.sim.process_run_counts()),
-                ran(concrete.sim.process_run_counts()),
-                "processes that ran differ at {at}"
-            );
-            assert_eq!(
-                co.violations, concrete.violations,
-                "violations differ at {at}"
-            );
-            assert_eq!(
-                co.degraded, concrete.degraded,
-                "degradation differs at {at}"
-            );
-            rounds += 1;
-            violations += co.violations.len();
+    for high in [false, true] {
+        for pos in engine.sweep_positions(high) {
+            if !phases.contains(&pos.phase()) {
+                phases.push(pos.phase());
+            }
+            let forked = engine.fork_sweep_position(&pos, |run| Outcome::of(&run));
+            assert_eq!(forked.len(), pos.domains.len());
+            for (&domain, forked) in pos.domains.iter().zip(forked) {
+                let at = format!("{} domain {domain} pulse {}", pos.phase(), pos.at);
+                let schedule = pos.schedule(domain);
+                let co = engine
+                    .execute_round::<CoAlgebra>(&schedule)
+                    .expect("co-simulation round");
+                let concrete = engine
+                    .execute_round::<CoverageAlgebra>(&schedule)
+                    .expect("coverage round");
+                let forked = forked.expect("forked round");
+                let (co, concrete) = (Outcome::of(&co), Outcome::of(&concrete));
+                assert_eq!(
+                    co.coverage, concrete.coverage,
+                    "branch coverage differs at {at}"
+                );
+                assert_eq!(co.ran, concrete.ran, "processes that ran differ at {at}");
+                assert_eq!(
+                    co.violations, concrete.violations,
+                    "violations differ at {at}"
+                );
+                assert_eq!(
+                    co.degraded, concrete.degraded,
+                    "degradation differs at {at}"
+                );
+                assert_eq!(forked, concrete, "the forked round differs at {at}");
+                rounds += 1;
+                violations += co.violations.len();
+            }
         }
     }
     (rounds, phases, violations)
@@ -113,7 +157,7 @@ fn compare_algebras(case: &Case) -> (usize, Vec<&'static str>, usize) {
 fn cluster_soc_variant3_sweep_agrees_on_both_algebras() {
     // The paper's configuration: 16 cycles, a pulse at every cycle.
     let case = Case::bundled(SocModel::ClusterSoc, 3, GovernorAnalysis::Explicit, 16);
-    let (rounds, phases, violations) = compare_algebras(&case);
+    let (rounds, phases, violations) = compare_rounds(&case);
     assert_eq!(rounds, 4 * 15, "four domains, fifteen pulse positions");
     assert_eq!(phases, vec!["concolic.sweep"]);
     assert!(violations > 0, "the sweep must excite Variant #3's bugs");
@@ -124,7 +168,7 @@ fn refined_auto_soc_variant2_high_phase_sweep_agrees_on_both_algebras() {
     // Only the Refined analysis schedules the `sweep_high` batch, and only
     // that batch excites the SHA256 core's implicit-governor bug.
     let case = Case::bundled(SocModel::AutoSoc, 2, GovernorAnalysis::Refined, 12);
-    let (rounds, phases, violations) = compare_algebras(&case);
+    let (rounds, phases, violations) = compare_rounds(&case);
     assert!(rounds > 0);
     assert_eq!(phases, vec!["concolic.sweep", "concolic.sweep_high"]);
     assert!(violations > 0);
@@ -132,7 +176,22 @@ fn refined_auto_soc_variant2_high_phase_sweep_agrees_on_both_algebras() {
 
 #[test]
 fn generated_soc_sweep_agrees_on_both_algebras() {
-    let (rounds, phases, _) = compare_algebras(&Case::generated(3, 10));
+    let (rounds, phases, _) = compare_rounds(&Case::generated(3, 10));
     assert!(rounds > 0);
+    assert_eq!(phases, vec!["concolic.sweep"]);
+}
+
+#[test]
+fn strided_sweep_forks_agree_with_scratch_rounds() {
+    let case = Case {
+        stride: 4,
+        ..Case::bundled(SocModel::ClusterSoc, 3, GovernorAnalysis::Explicit, 16)
+    };
+    let (rounds, phases, _) = compare_rounds(&case);
+    assert_eq!(
+        rounds,
+        4 * 4,
+        "four domains, pulses at cycles 1, 5, 9 and 13"
+    );
     assert_eq!(phases, vec!["concolic.sweep"]);
 }

@@ -53,4 +53,4 @@ pub mod vcd;
 
 pub use algebra::{Algebra, ConcreteAlgebra};
 pub use error::{SimError, SimResult};
-pub use sim::{InitPolicy, Simulator, TraceEvent};
+pub use sim::{InitPolicy, Simulator, TraceEvent, WakeMap};

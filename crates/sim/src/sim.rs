@@ -15,7 +15,8 @@
 //! The interpreter is generic over an [`Algebra`], so the same code path
 //! drives both pure-concrete simulation and the concolic co-simulation.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use soccar_rtl::ast::{CaseKind, Edge, NetKind};
 use soccar_rtl::design::{
@@ -64,7 +65,88 @@ struct WakeEntry {
     edge: Option<Edge>,
 }
 
+/// Which processes a change of each net wakes, and on which edge: the
+/// design-static half of the scheduler. Build it once per design with
+/// [`WakeMap::new`] and share it between simulators through
+/// [`Simulator::with_wake_map`]; [`Simulator::with_algebra`] builds a
+/// private one.
 #[derive(Debug)]
+pub struct WakeMap(Vec<Vec<WakeEntry>>);
+
+impl WakeMap {
+    /// Builds the wake map of `design`.
+    #[must_use]
+    pub fn new(design: &Design) -> WakeMap {
+        let mut map: Vec<Vec<WakeEntry>> = vec![Vec::new(); design.nets().len()];
+        for (i, p) in design.processes().iter().enumerate() {
+            let process = ProcessId(i as u32);
+            match &p.trigger {
+                Trigger::Edges(edges) => {
+                    for (net, edge) in edges {
+                        map[net.0 as usize].push(WakeEntry {
+                            process,
+                            edge: Some(*edge),
+                        });
+                    }
+                }
+                Trigger::AnyChange(nets) => {
+                    for net in nets {
+                        map[net.0 as usize].push(WakeEntry {
+                            process,
+                            edge: None,
+                        });
+                    }
+                }
+                Trigger::Once => {}
+            }
+        }
+        WakeMap(map)
+    }
+}
+
+/// Words per memory page, the unit in which a memory's written words are
+/// stored.
+const PAGE_WORDS: u64 = 64;
+
+/// One memory's contents. Every word reads `default` until it is
+/// written; written words live in 64-word pages allocated on first write
+/// and keyed by page index. There is no dense page table, so an untouched
+/// memory costs the same at any depth, and a clone copies only the
+/// touched pages.
+#[derive(Debug, Clone)]
+struct MemStore<V> {
+    depth: u64,
+    default: V,
+    pages: BTreeMap<u64, Box<[V]>>,
+}
+
+impl<V: Clone> MemStore<V> {
+    fn read(&self, addr: u64) -> &V {
+        self.pages
+            .get(&(addr / PAGE_WORDS))
+            .map_or(&self.default, |page| &page[(addr % PAGE_WORDS) as usize])
+    }
+
+    fn write(&mut self, addr: u64, value: V) {
+        let default = &self.default;
+        let page = self
+            .pages
+            .entry(addr / PAGE_WORDS)
+            .or_insert_with(|| vec![default.clone(); PAGE_WORDS as usize].into_boxed_slice());
+        page[(addr % PAGE_WORDS) as usize] = value;
+    }
+
+    /// Panics with the documented message if `addr` is out of range.
+    fn check(&self, addr: u64) {
+        assert!(
+            addr < self.depth,
+            "memory address {addr} out of range (depth {})",
+            self.depth
+        );
+    }
+}
+
+#[derive(Debug, Clone)]
 enum PrimWrite<V> {
     Net {
         net: NetId,
@@ -124,13 +206,18 @@ pub struct TraceEvent {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+///
+/// A simulator on a cloneable algebra is itself cloneable: the clone
+/// shares the design and its [`WakeMap`], and copies the nets, queues,
+/// run counts and only the memory pages written so far. The concolic
+/// engine forks reset-sweep rounds this way from a shared prefix.
+#[derive(Debug, Clone)]
 pub struct Simulator<'d, A: Algebra> {
     design: &'d Design,
     algebra: A,
     nets: Vec<A::Value>,
-    mems: Vec<Vec<A::Value>>,
-    wake_map: Vec<Vec<WakeEntry>>,
+    mems: Vec<MemStore<A::Value>>,
+    wake_map: Arc<WakeMap>,
     runnable: VecDeque<ProcessId>,
     in_queue: Vec<bool>,
     nba_queue: Vec<PrimWrite<A::Value>>,
@@ -153,7 +240,29 @@ impl<'d, A: Algebra> Simulator<'d, A> {
     ///
     /// Registers take their declared initializer if present, otherwise the
     /// `init` policy value; wires start `X` until their drivers settle.
-    pub fn with_algebra(design: &'d Design, mut algebra: A, init: InitPolicy) -> Simulator<'d, A> {
+    /// Every memory word reads the `init` policy value until written.
+    pub fn with_algebra(design: &'d Design, algebra: A, init: InitPolicy) -> Simulator<'d, A> {
+        Simulator::with_wake_map(design, Arc::new(WakeMap::new(design)), algebra, init)
+    }
+
+    /// [`Simulator::with_algebra`] with a prebuilt wake map, so that many
+    /// simulators of one design share it instead of each building its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wake_map` was built for a design with a different net
+    /// count.
+    pub fn with_wake_map(
+        design: &'d Design,
+        wake_map: Arc<WakeMap>,
+        mut algebra: A,
+        init: InitPolicy,
+    ) -> Simulator<'d, A> {
+        assert_eq!(
+            wake_map.0.len(),
+            design.nets().len(),
+            "wake map built for another design"
+        );
         let nets: Vec<A::Value> = design
             .nets()
             .iter()
@@ -166,38 +275,15 @@ impl<'d, A: Algebra> Simulator<'d, A> {
                 algebra.constant(v)
             })
             .collect();
-        let mems: Vec<Vec<A::Value>> = design
+        let mems = design
             .memories()
             .iter()
-            .map(|m| {
-                (0..m.depth)
-                    .map(|_| algebra.constant(init.value(m.width)))
-                    .collect()
+            .map(|m| MemStore {
+                depth: u64::from(m.depth),
+                default: algebra.constant(init.value(m.width)),
+                pages: BTreeMap::new(),
             })
             .collect();
-        let mut wake_map: Vec<Vec<WakeEntry>> = vec![Vec::new(); design.nets().len()];
-        for (i, p) in design.processes().iter().enumerate() {
-            let pid = ProcessId(i as u32);
-            match &p.trigger {
-                Trigger::Edges(edges) => {
-                    for (net, edge) in edges {
-                        wake_map[net.0 as usize].push(WakeEntry {
-                            process: pid,
-                            edge: Some(*edge),
-                        });
-                    }
-                }
-                Trigger::AnyChange(nets) => {
-                    for net in nets {
-                        wake_map[net.0 as usize].push(WakeEntry {
-                            process: pid,
-                            edge: None,
-                        });
-                    }
-                }
-                Trigger::Once => {}
-            }
-        }
         let n_procs = design.processes().len();
         let mut sim = Simulator {
             design,
@@ -304,7 +390,9 @@ impl<'d, A: Algebra> Simulator<'d, A> {
     /// Panics if `mem` is not part of the design or `addr` is out of range.
     #[must_use]
     pub fn mem_value(&self, mem: MemId, addr: u64) -> &A::Value {
-        &self.mems[mem.0 as usize][addr as usize]
+        let store = &self.mems[mem.0 as usize];
+        store.check(addr);
+        store.read(addr)
     }
 
     /// The current concrete value of a memory element.
@@ -314,8 +402,7 @@ impl<'d, A: Algebra> Simulator<'d, A> {
     /// Panics if `mem` is not part of the design or `addr` is out of range.
     #[must_use]
     pub fn mem_logic(&self, mem: MemId, addr: u64) -> &LogicVec {
-        self.algebra
-            .concrete(&self.mems[mem.0 as usize][addr as usize])
+        self.algebra.concrete(self.mem_value(mem, addr))
     }
 
     /// Drives a top-level input with a concrete value. Does not settle;
@@ -383,8 +470,10 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             self.design.memory(mem).width,
             "poke width mismatch"
         );
+        let store = &mut self.mems[mem.0 as usize];
+        store.check(addr);
         let v = self.algebra.constant(value);
-        self.mems[mem.0 as usize][addr as usize] = v;
+        store.write(addr, v);
     }
 
     /// Runs the active and NBA regions until the design stabilizes.
@@ -466,8 +555,8 @@ impl<'d, A: Algebra> Simulator<'d, A> {
         // the concolic co-algebra that includes symbolic-only changes, so
         // shadow terms propagate even when concrete values are stable);
         // edge entries consult the concrete 4-state edge table.
-        for i in 0..self.wake_map[idx].len() {
-            let WakeEntry { process, edge } = self.wake_map[idx][i];
+        for i in 0..self.wake_map.0[idx].len() {
+            let WakeEntry { process, edge } = self.wake_map.0[idx][i];
             let fire = match edge {
                 None => true,
                 Some(edge) => edge_fired(edge, old_bit, new_bit),
@@ -487,9 +576,9 @@ impl<'d, A: Algebra> Simulator<'d, A> {
                 value,
             } => self.commit_net(net, lo, width, value),
             PrimWrite::Mem { mem, addr, value } => {
-                let depth = self.design.memory(mem).depth;
-                if addr < u64::from(depth) {
-                    self.mems[mem.0 as usize][addr as usize] = value;
+                let store = &mut self.mems[mem.0 as usize];
+                if addr < store.depth {
+                    store.write(addr, value);
                 }
             }
             PrimWrite::Dropped => {}
@@ -801,11 +890,9 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             }
             RExpr::MemRead { mem, width, index } => {
                 let idx = self.eval(index);
-                let depth = self.design.memory(*mem).depth;
+                let store = &self.mems[mem.0 as usize];
                 match self.algebra.concrete(&idx).to_u64() {
-                    Some(addr) if addr < u64::from(depth) => {
-                        self.mems[mem.0 as usize][addr as usize].clone()
-                    }
+                    Some(addr) if addr < store.depth => store.read(addr).clone(),
                     _ => self.algebra.constant(LogicVec::xes(*width)),
                 }
             }
@@ -1228,6 +1315,81 @@ mod tests {
             .expect("a");
         s.settle().expect("settle");
         assert!(s.trace().iter().any(|e| e.net == net(&d, "t.y")));
+    }
+
+    const RAM: &str = "module t(input clk, we, input [3:0] addr, input [7:0] wd);
+                         reg [7:0] mem [0:15];
+                         always @(posedge clk) if (we) mem[addr] <= wd;
+                       endmodule";
+
+    #[test]
+    #[should_panic(expected = "memory address 16 out of range (depth 16)")]
+    fn mem_value_panics_past_the_last_word() {
+        let d = compile(RAM, "t");
+        let s = Simulator::concrete(&d, InitPolicy::Zeros);
+        let _ = s.mem_value(d.find_memory("t.mem").expect("mem"), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "memory address 16 out of range (depth 16)")]
+    fn mem_logic_panics_past_the_last_word() {
+        let d = compile(RAM, "t");
+        let s = Simulator::concrete(&d, InitPolicy::Zeros);
+        let _ = s.mem_logic(d.find_memory("t.mem").expect("mem"), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "memory address 16 out of range (depth 16)")]
+    fn poke_mem_panics_past_the_last_word() {
+        let d = compile(RAM, "t");
+        let mut s = Simulator::concrete(&d, InitPolicy::Zeros);
+        s.poke_mem(
+            d.find_memory("t.mem").expect("mem"),
+            16,
+            LogicVec::from_u64(8, 1),
+        );
+    }
+
+    #[test]
+    fn unwritten_words_read_the_init_value_and_clones_diverge() {
+        let d = compile(RAM, "t");
+        let mem = d.find_memory("t.mem").expect("mem");
+        let mut s = Simulator::concrete(&d, InitPolicy::Ones);
+        s.poke_mem(mem, 3, LogicVec::from_u64(8, 0x5A));
+        let mut fork = s.clone();
+        fork.poke_mem(mem, 3, LogicVec::from_u64(8, 0x11));
+        fork.poke_mem(mem, 15, LogicVec::from_u64(8, 0x22));
+        assert_eq!(s.mem_logic(mem, 3).to_u64(), Some(0x5A));
+        assert!(s.mem_logic(mem, 15).is_all_ones());
+        assert!(s.mem_logic(mem, 4).is_all_ones());
+        assert_eq!(fork.mem_logic(mem, 3).to_u64(), Some(0x11));
+        assert_eq!(fork.mem_logic(mem, 15).to_u64(), Some(0x22));
+    }
+
+    #[test]
+    fn shared_wake_map_simulates_like_a_private_one() {
+        let d = compile(
+            "module t(input clk, rst_n, output reg [3:0] q);
+               always @(posedge clk or negedge rst_n)
+                 if (!rst_n) q <= 4'd0; else q <= q + 4'd1;
+             endmodule",
+            "t",
+        );
+        let wake = Arc::new(WakeMap::new(&d));
+        let clk = net(&d, "t.clk");
+        let rst = net(&d, "t.rst_n");
+        let mut a = Simulator::concrete(&d, InitPolicy::Ones);
+        let mut b = Simulator::with_wake_map(&d, wake, ConcreteAlgebra::new(), InitPolicy::Ones);
+        for s in [&mut a, &mut b] {
+            s.write_input(clk, LogicVec::from_u64(1, 0)).expect("clk");
+            s.write_input(rst, LogicVec::from_u64(1, 0)).expect("rst");
+            s.settle().expect("settle");
+            s.write_input(rst, LogicVec::from_u64(1, 1)).expect("rst");
+            s.settle().expect("settle");
+            s.tick(clk).expect("tick");
+        }
+        assert_eq!(a.net_logic(net(&d, "t.q")), b.net_logic(net(&d, "t.q")));
+        assert_eq!(a.process_run_counts(), b.process_run_counts());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Determinism regression: the parallel stages (AR_CFG extraction
-//! fan-out, speculative flip solving, the reset sweep's per-domain
-//! batches, variant sweeps) must merge by stable keys, never completion
+//! fan-out, speculative flip solving, the reset sweep's forked pulse
+//! positions, variant sweeps) must merge by stable keys, never completion
 //! order, so the full pipeline produces a byte-identical canonical report
 //! for every job count. These tests run the complete pipeline — frontend,
 //! lint, extraction, composition, binding, concolic testing — on both
@@ -60,7 +60,7 @@ fn auto_soc_report_is_byte_identical_across_job_counts() {
 fn refined_high_phase_sweep_is_byte_identical_across_job_counts() {
     // The Refined analysis of AutoSoC Variant #2 flags the SHA256 core's
     // clock-composed implicit governor, so its domain gets the
-    // `sweep_high` batch — the only phase that excites that bug.
+    // `sweep_high` phase — the only phase that excites that bug.
     let run = |jobs: usize| {
         let spec = soccar_soc::variant(SocModel::AutoSoc, 2).expect("bundled variant exists");
         let mut config = SoccarConfig {

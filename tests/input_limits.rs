@@ -1,7 +1,8 @@
-//! Untrusted-input limits of the frontend: a nesting bomb is rejected with
-//! a named error instead of overflowing the stack, and the deepest
-//! expressions the parser accepts still analyze end to end on a stack the
-//! size of a worker-pool thread.
+//! Untrusted-input limits: a nesting bomb is rejected with a named error
+//! instead of overflowing the stack, the deepest expressions the parser
+//! accepts still analyze end to end on a stack the size of a worker-pool
+//! thread, and a tiny file declaring a huge memory analyzes without
+//! allocating it.
 
 use soccar::{Soccar, SoccarConfig};
 use soccar_concolic::ConcolicConfig;
@@ -132,4 +133,23 @@ fn deepest_accepted_expressions_analyze_on_a_worker_stack() {
             "{shape:?}: rounds {rounds}, targets {targets}"
         );
     }
+}
+
+/// Under 200 bytes of source declaring a 2^28-word memory: gigabytes if
+/// every word were materialised at time zero.
+const MEMORY_BOMB: &str = "module top(input clk, rst_n, input [27:0] a, output reg [7:0] q); \
+reg [7:0] m [0:268435455]; always @(posedge clk or negedge rst_n) if (!rst_n) q <= 0; \
+else q <= m[a]; endmodule";
+
+#[test]
+fn memory_bomb_analyzes_to_completion() {
+    let config = SoccarConfig {
+        jobs: 2,
+        ..SoccarConfig::default()
+    };
+    let report = Soccar::new(config)
+        .analyze("bomb.v", MEMORY_BOMB, "top", Vec::new())
+        .expect("the memory bomb analyzes");
+    assert!(report.concolic.rounds > 0);
+    assert!(report.concolic.targets_total > 0);
 }
