@@ -19,9 +19,9 @@
 //! Sweep rounds plan no flips, so they need none of that shadow state:
 //! [`CoverageAlgebra`] computes the same concrete values and records only
 //! `(site, direction)` branch coverage. Both implement [`RoundAlgebra`],
-//! the interface the engine's single round driver is generic over.
+//! the interface the engine's single round driver is generic over, and
+//! both record coverage in a [`BranchCoverage`] bitset.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use soccar_rtl::ast::{BinaryOp, UnaryOp};
@@ -37,7 +37,47 @@ pub trait RoundAlgebra: Algebra + Default {
     fn input(&mut self, name: fmt::Arguments<'_>, value: LogicVec) -> Self::Value;
 
     /// Branch coverage: every `(site, direction)` executed this run.
-    fn coverage(&self) -> &HashSet<(BranchSiteId, bool)>;
+    fn coverage(&self) -> &BranchCoverage;
+}
+
+/// A set of `(site, direction)` branch outcomes: one bit per pair, at
+/// index `2·site + direction`.
+///
+/// The word vector ends at the word of the highest pair inserted (it has
+/// no trailing zero word), so the derived equality is set equality.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BranchCoverage {
+    words: Vec<u64>,
+}
+
+impl BranchCoverage {
+    fn index(site: BranchSiteId, dir: bool) -> usize {
+        2 * site.0 as usize + usize::from(dir)
+    }
+
+    /// Records that `site` went direction `dir`.
+    pub fn insert(&mut self, site: BranchSiteId, dir: bool) {
+        let i = BranchCoverage::index(site, dir);
+        let word = i / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (i % 64);
+    }
+
+    /// `true` if `site` went direction `dir`.
+    #[must_use]
+    pub fn contains(&self, site: BranchSiteId, dir: bool) -> bool {
+        let i = BranchCoverage::index(site, dir);
+        self.words
+            .get(i / 64)
+            .is_some_and(|word| word & (1 << (i % 64)) != 0)
+    }
+
+    /// Empties the set, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
 }
 
 /// A concrete value with an optional symbolic shadow.
@@ -86,7 +126,7 @@ pub struct CoAlgebra {
     /// The shared term graph (vars minted by the engine live here too).
     pub graph: TermGraph,
     observations: Vec<BranchObservation>,
-    coverage: HashSet<(BranchSiteId, bool)>,
+    coverage: BranchCoverage,
     step: u64,
 }
 
@@ -334,7 +374,7 @@ impl Algebra for CoAlgebra {
 
     fn on_branch(&mut self, site: BranchSiteId, cond: &CoValue, taken: bool) {
         self.step += 1;
-        self.coverage.insert((site, taken));
+        self.coverage.insert(site, taken);
         let Some(t) = cond.term else { return };
         // Normalize the condition to one bit of truthiness.
         let cond1 = self.graph.red_or(t);
@@ -358,7 +398,7 @@ impl RoundAlgebra for CoAlgebra {
 
     /// Every `(site, direction)` executed, whether or not the condition
     /// was symbolic.
-    fn coverage(&self) -> &HashSet<(BranchSiteId, bool)> {
+    fn coverage(&self) -> &BranchCoverage {
         &self.coverage
     }
 }
@@ -373,7 +413,7 @@ impl RoundAlgebra for CoAlgebra {
 /// and every property verdict are the same on both algebras.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageAlgebra {
-    coverage: HashSet<(BranchSiteId, bool)>,
+    coverage: BranchCoverage,
 }
 
 impl RoundAlgebra for CoverageAlgebra {
@@ -381,7 +421,7 @@ impl RoundAlgebra for CoverageAlgebra {
         value
     }
 
-    fn coverage(&self) -> &HashSet<(BranchSiteId, bool)> {
+    fn coverage(&self) -> &BranchCoverage {
         &self.coverage
     }
 }
@@ -422,7 +462,7 @@ impl Algebra for CoverageAlgebra {
     }
 
     fn on_branch(&mut self, site: BranchSiteId, _cond: &LogicVec, taken: bool) {
-        self.coverage.insert((site, taken));
+        self.coverage.insert(site, taken);
     }
 
     fn changed(old: &LogicVec, new: &LogicVec) -> bool {
@@ -433,6 +473,59 @@ impl Algebra for CoverageAlgebra {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn coverage_holds_each_direction_of_each_site() {
+        let mut cov = BranchCoverage::default();
+        assert!(!cov.contains(BranchSiteId(0), false));
+        cov.insert(BranchSiteId(0), true);
+        assert!(cov.contains(BranchSiteId(0), true));
+        assert!(!cov.contains(BranchSiteId(0), false));
+        cov.insert(BranchSiteId(0), false);
+        assert!(cov.contains(BranchSiteId(0), false));
+        assert!(!cov.contains(BranchSiteId(1), true));
+        assert!(!cov.contains(BranchSiteId(1), false));
+    }
+
+    #[test]
+    fn coverage_spans_word_boundaries() {
+        // Sites 31 and 32 straddle the first word boundary (bits 63, 64);
+        // site 1000 lands many words past anything inserted before.
+        let mut cov = BranchCoverage::default();
+        for (site, dir) in [(31, true), (32, false), (1000, true)] {
+            cov.insert(BranchSiteId(site), dir);
+        }
+        for site in [30, 31, 32, 33, 999, 1000, 1001, 5000] {
+            for dir in [false, true] {
+                let want = matches!((site, dir), (31, true) | (32, false) | (1000, true));
+                assert_eq!(cov.contains(BranchSiteId(site), dir), want, "{site} {dir}");
+            }
+        }
+    }
+
+    #[test]
+    fn coverage_equality_is_set_equality() {
+        let pairs = [(3, true), (70, false), (7, false)];
+        let mut a = BranchCoverage::default();
+        let mut b = BranchCoverage::default();
+        for &(site, dir) in &pairs {
+            a.insert(BranchSiteId(site), dir);
+        }
+        for &(site, dir) in pairs.iter().rev() {
+            b.insert(BranchSiteId(site), dir);
+        }
+        assert_eq!(a, b, "insertion order does not matter");
+        b.insert(BranchSiteId(3), true);
+        assert_eq!(a, b, "re-inserting a member changes nothing");
+        b.insert(BranchSiteId(3), false);
+        assert_ne!(a, b, "the other direction is another member");
+        a.clear();
+        assert_eq!(a, BranchCoverage::default(), "a cleared set is empty");
+        a.insert(BranchSiteId(3), true);
+        let mut c = BranchCoverage::default();
+        c.insert(BranchSiteId(3), true);
+        assert_eq!(a, c, "a cleared and refilled set equals a fresh one");
+    }
 
     #[test]
     fn concrete_only_ops_build_no_terms() {

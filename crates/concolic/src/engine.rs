@@ -36,7 +36,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use soccar_cfg::bind::BoundEvent;
@@ -284,6 +284,9 @@ pub struct ConcolicEngine<'d> {
     /// Domains owning at least one clock-composed implicit governor
     /// (Refined analysis only); these also get a high-phase sweep.
     clock_composed: Vec<bool>,
+    /// Time zero of every sweep round, built on first use: it depends on
+    /// engine state alone, so each sweep position clones it.
+    sweep_start: OnceLock<SimResult<RoundRun<'d, CoverageAlgebra>>>,
 }
 
 impl<'d> ConcolicEngine<'d> {
@@ -450,6 +453,7 @@ impl<'d> ConcolicEngine<'d> {
             degraded_reasons: BTreeSet::new(),
             recorder: soccar_obs::Recorder::disabled(),
             clock_composed,
+            sweep_start: OnceLock::new(),
         })
     }
 
@@ -701,7 +705,8 @@ impl<'d> ConcolicEngine<'d> {
     }
 
     /// Runs every round of one sweep position on the concrete coverage
-    /// algebra: cycles `0..at` once on the shared prefix, then, from a
+    /// algebra: from a clone of the time-zero state every sweep round
+    /// shares, cycles `0..at` once on the shared prefix, then, from a
     /// clone of that state, each domain's pulse and the rest of its round.
     /// `finish` reduces each finished round; the results come in
     /// `pos.domains` order, each equal to what
@@ -713,7 +718,8 @@ impl<'d> ConcolicEngine<'d> {
         pos: &SweepPosition,
         finish: impl Fn(RoundRun<'d, CoverageAlgebra>) -> T,
     ) -> Vec<SimResult<T>> {
-        let shared = self.start_round(&pos.prefix).and_then(|mut run| {
+        let start = self.sweep_start.get_or_init(|| self.start_round());
+        let shared = start.clone().and_then(|mut run| {
             self.run_cycles(&mut run, &pos.prefix, 0..pos.at)?;
             Ok(run)
         });
@@ -731,7 +737,9 @@ impl<'d> ConcolicEngine<'d> {
     /// One `Simulate(Input, Restricts)` call of Algorithm 3: runs
     /// `schedule` on algebra `A` — [`CoAlgebra`] for coverage rounds,
     /// which plan flips from its branch log, or [`CoverageAlgebra`] for
-    /// sweep rounds, which need only coverage.
+    /// sweep rounds, which need only coverage. The schedule's reset tracks
+    /// are the engine's [`ConcolicEngine::domains`], in order, as in
+    /// every schedule the engine builds.
     ///
     /// Monitors that failed to resolve (or error mid-check) are returned
     /// as degradation reasons instead of being silently ignored or
@@ -744,15 +752,15 @@ impl<'d> ConcolicEngine<'d> {
         &self,
         schedule: &TestSchedule,
     ) -> SimResult<RoundRun<'d, A>> {
-        let mut run = self.start_round(schedule)?;
+        let mut run = self.start_round()?;
         self.run_cycles(&mut run, schedule, 0..schedule.cycles)?;
         Ok(run)
     }
 
     /// Time zero of a round: a fresh simulator with resets deasserted,
     /// clocks parked and uncontrolled inputs zeroed, and freshly armed
-    /// monitors.
-    fn start_round<A: RoundAlgebra>(&self, schedule: &TestSchedule) -> SimResult<RoundRun<'d, A>> {
+    /// monitors. It depends on engine state alone, never on a schedule.
+    fn start_round<A: RoundAlgebra>(&self) -> SimResult<RoundRun<'d, A>> {
         let mut sim = Simulator::with_wake_map(
             self.design,
             Arc::clone(&self.wake_map),
@@ -763,9 +771,8 @@ impl<'d> ConcolicEngine<'d> {
         for mon in &mut monitors {
             mon.reset();
         }
-        for track in &schedule.resets {
-            let deassert = LogicVec::from_u64(1, u64::from(track.active_low));
-            sim.write_input(track.net, deassert)?;
+        for &(_, net, active_low) in &self.domains {
+            sim.write_input(net, LogicVec::from_u64(1, u64::from(active_low)))?;
         }
         for clk in &self.clocks {
             sim.write_input(*clk, LogicVec::from_u64(1, 0))?;
@@ -864,7 +871,7 @@ impl<'d> ConcolicEngine<'d> {
             .iter()
             .enumerate()
             .filter(|(_, t)| match &t.goal {
-                TargetGoal::Site { site, dir } => site_cov.contains(&(*site, *dir)),
+                TargetGoal::Site { site, dir } => site_cov.contains(*site, *dir),
                 TargetGoal::Process(p) => runs[p.0 as usize] > 0,
             })
             .map(|(i, _)| i)

@@ -29,7 +29,9 @@ pub mod engine;
 pub mod property;
 pub mod schedule;
 
-pub use coalg::{BranchObservation, CoAlgebra, CoValue, CoverageAlgebra, RoundAlgebra};
+pub use coalg::{
+    BranchCoverage, BranchObservation, CoAlgebra, CoValue, CoverageAlgebra, RoundAlgebra,
+};
 pub use engine::{
     ConcolicConfig, ConcolicEngine, ConcolicReport, FlipWorkload, RoundRun, SweepPosition, Witness,
 };

@@ -225,23 +225,10 @@ impl PropertyMonitor {
             return Ok(None);
         }
         match &self.property.kind {
-            PropertyKind::ClearedAfterReset {
-                expected,
-                window,
-                signal,
-                ..
-            } => {
-                let expected = expected.clone();
+            PropertyKind::ClearedAfterReset { window, .. }
+            | PropertyKind::AssertedAfterReset { window, .. } => {
                 let window = *window;
-                let signal = signal.clone();
-                self.check_post_reset(sim, cycle, window, &signal, move |v| {
-                    v.case_eq(&expected).is_all_ones()
-                })
-            }
-            PropertyKind::AssertedAfterReset { window, signal, .. } => {
-                let window = *window;
-                let signal = signal.clone();
-                self.check_post_reset(sim, cycle, window, &signal, |v| v.truthy() == Some(true))
+                self.check_post_reset(sim, cycle, window)
             }
             PropertyKind::AlwaysOneOf { signal, allowed } => {
                 let net = self.resolved_net(self.signal_net, "signal")?;
@@ -288,55 +275,56 @@ impl PropertyMonitor {
         }
     }
 
+    /// The cycle check of the two post-reset kinds, which read their
+    /// signal and expectation from the property in place.
     fn check_post_reset<A: Algebra>(
         &mut self,
         sim: &Simulator<'_, A>,
         cycle: u64,
         window: u64,
-        signal: &str,
-        ok: impl Fn(&LogicVec) -> bool,
     ) -> Result<Option<Violation>, String> {
         let asserted = self.domain_asserted(sim);
-        match self.state {
-            MonitorState::Idle => {
-                if asserted {
-                    self.state = MonitorState::InReset {
-                        since: cycle,
-                        satisfied: false,
-                    };
-                    // Asynchronous resets act immediately: check this
-                    // cycle if no grace was requested.
-                    return self.check_post_reset(sim, cycle, window, signal, ok);
-                }
-                Ok(None)
-            }
-            MonitorState::InReset { since, satisfied } => {
-                if !asserted {
-                    self.state = MonitorState::Idle;
-                    return Ok(None);
-                }
-                if satisfied || cycle < since + window {
-                    return Ok(None);
-                }
-                let net = self.resolved_net(self.signal_net, "signal")?;
-                let v = sim.net_logic(net);
-                if ok(v) {
-                    self.state = MonitorState::InReset {
-                        since,
-                        satisfied: true,
-                    };
-                    return Ok(None);
-                }
-                self.fired = true;
+        let (since, satisfied) = match self.state {
+            MonitorState::Idle if !asserted => return Ok(None),
+            // Asynchronous resets act immediately: check this cycle if no
+            // grace was requested.
+            MonitorState::Idle => (cycle, false),
+            MonitorState::InReset { .. } if !asserted => {
                 self.state = MonitorState::Idle;
-                Ok(Some(Violation {
-                    property: self.property.name.clone(),
-                    module: self.property.module.clone(),
-                    cycle,
-                    details: format!("`{signal}` = {v} while reset asserted (grace {window})"),
-                }))
+                return Ok(None);
             }
+            MonitorState::InReset { since, satisfied } => (since, satisfied),
+        };
+        self.state = MonitorState::InReset { since, satisfied };
+        if satisfied || cycle < since + window {
+            return Ok(None);
         }
+        let net = self.resolved_net(self.signal_net, "signal")?;
+        let v = sim.net_logic(net);
+        let (signal, ok) = match &self.property.kind {
+            PropertyKind::ClearedAfterReset {
+                signal, expected, ..
+            } => (signal, v.case_eq(expected).is_all_ones()),
+            PropertyKind::AssertedAfterReset { signal, .. } => (signal, v.truthy() == Some(true)),
+            PropertyKind::AlwaysOneOf { .. } | PropertyKind::NeverEqual { .. } => {
+                unreachable!("only post-reset properties have a reset window")
+            }
+        };
+        if ok {
+            self.state = MonitorState::InReset {
+                since,
+                satisfied: true,
+            };
+            return Ok(None);
+        }
+        self.fired = true;
+        self.state = MonitorState::Idle;
+        Ok(Some(Violation {
+            property: self.property.name.clone(),
+            module: self.property.module.clone(),
+            cycle,
+            details: format!("`{signal}` = {v} while reset asserted (grace {window})"),
+        }))
     }
 }
 

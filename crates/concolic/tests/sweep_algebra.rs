@@ -18,14 +18,11 @@
 //! These tests run every sweep round of four configurations forked, and
 //! from scratch on both algebras, and compare them.
 
-use std::collections::HashSet;
-
 use soccar_cfg::{bind_events, compose_soc, GovernorAnalysis, ResetNaming};
 use soccar_concolic::{
-    CoAlgebra, ConcolicConfig, ConcolicEngine, CoverageAlgebra, RoundAlgebra, RoundRun,
-    SecurityProperty, Violation,
+    BranchCoverage, CoAlgebra, ConcolicConfig, ConcolicEngine, CoverageAlgebra, RoundAlgebra,
+    RoundRun, SecurityProperty, Violation,
 };
-use soccar_rtl::design::BranchSiteId;
 use soccar_rtl::parser::parse;
 use soccar_rtl::span::FileId;
 use soccar_soc::{GenSpec, SocModel};
@@ -74,7 +71,7 @@ impl Case {
 /// What a round yields to the sweep merge.
 #[derive(Debug, PartialEq)]
 struct Outcome {
-    coverage: HashSet<(BranchSiteId, bool)>,
+    coverage: BranchCoverage,
     ran: Vec<bool>,
     violations: Vec<Violation>,
     degraded: Vec<String>,

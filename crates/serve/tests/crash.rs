@@ -125,13 +125,16 @@ fn kill9_then_restart_serves_byte_identical_warm_responses() {
     assert_eq!(warm_before.stdout, reference.stdout);
 
     // Kill mid-workload: start an (uncached, never-journaled) request
-    // and SIGKILL while it is in flight. Full default cycles/rounds so
-    // it cannot finish — and be journaled — before the kill lands.
+    // and SIGKILL while it is in flight. It must not finish — and be
+    // journaled — before the kill lands 100 ms later: the x50 stress
+    // design at full default cycles/rounds analyzes for about 7 s on two
+    // cores, a margin of some 70x. (A small design such as `gen:3:2`
+    // analyzes in under 100 ms and would race the kill.)
     let addr = daemon.addr.clone();
     let in_flight = std::thread::spawn(move || {
         Command::new(BIN)
             .args(["client", "--connect", &addr])
-            .args(["analyze", "--soc", "gen:3:2"])
+            .args(["analyze", "--soc", "gen:11:73"])
             .output()
             .expect("run in-flight client")
     });

@@ -49,6 +49,11 @@ pub trait Algebra {
     fn slice(&mut self, a: &Self::Value, lo: u32, width: u32) -> Self::Value;
 
     /// Zero-extend or truncate.
+    ///
+    /// A resize to the value's own width must be the identity, with no
+    /// side effect on the algebra: the simulator moves a value that
+    /// already has its target width instead of calling this, and likewise
+    /// skips a [`Algebra::slice`] of a value's full width.
     fn resize(&mut self, a: &Self::Value, width: u32) -> Self::Value;
 
     /// Notification that the interpreter took (`taken = true`) or skipped a

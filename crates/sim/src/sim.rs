@@ -220,7 +220,14 @@ pub struct Simulator<'d, A: Algebra> {
     wake_map: Arc<WakeMap>,
     runnable: VecDeque<ProcessId>,
     in_queue: Vec<bool>,
+    /// Pending non-blocking writes; the buffer is kept across
+    /// [`Simulator::settle`] calls.
     nba_queue: Vec<PrimWrite<A::Value>>,
+    /// Scratch for the parts of a concat lvalue, empty between statements.
+    writes: Vec<PrimWrite<A::Value>>,
+    /// Scratch stack for the parts of concat expressions, empty between
+    /// evaluations.
+    parts: Vec<A::Value>,
     time: u64,
     tracing: bool,
     trace: Vec<TraceEvent>,
@@ -294,6 +301,8 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             runnable: VecDeque::new(),
             in_queue: vec![false; n_procs],
             nba_queue: Vec::new(),
+            writes: Vec::new(),
+            parts: Vec::new(),
             time: 0,
             tracing: false,
             trace: Vec::new(),
@@ -496,10 +505,13 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             if self.nba_queue.is_empty() {
                 return Ok(());
             }
-            let queue = std::mem::take(&mut self.nba_queue);
-            for w in queue {
+            // Committing never queues a write, so the buffer goes back
+            // empty, its capacity kept.
+            let mut queue = std::mem::take(&mut self.nba_queue);
+            for w in queue.drain(..) {
                 self.apply_prim_write(w);
             }
+            self.nba_queue = queue;
         }
     }
 
@@ -532,9 +544,9 @@ impl<'d, A: Algebra> Simulator<'d, A> {
         let idx = net.0 as usize;
         let net_w = self.design.net(net).width;
         let new = if lo == 0 && width >= net_w {
-            self.algebra.resize(&value, net_w)
+            fit(&mut self.algebra, value, net_w)
         } else {
-            splice(&mut self.algebra, &self.nets[idx], net_w, lo, width, &value)
+            splice(&mut self.algebra, &self.nets[idx], net_w, lo, width, value)
         };
         if !A::changed(&self.nets[idx], &new) {
             return;
@@ -564,6 +576,15 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             if fire {
                 self.enqueue(process);
             }
+        }
+    }
+
+    /// Queues `w` for the NBA region, or applies it now.
+    fn write(&mut self, w: PrimWrite<A::Value>, nonblocking: bool) {
+        if nonblocking {
+            self.nba_queue.push(w);
+        } else {
+            self.apply_prim_write(w);
         }
     }
 
@@ -630,13 +651,20 @@ impl<'d, A: Algebra> Simulator<'d, A> {
                 nonblocking,
             } => {
                 let value = self.eval(rhs);
-                let writes = self.flatten_writes(lhs, value);
-                if *nonblocking {
-                    self.nba_queue.extend(writes);
-                } else {
-                    for w in writes {
-                        self.apply_prim_write(w);
+                let total = lhs.width(self.design);
+                let value = fit(&mut self.algebra, value, total);
+                if let LValue::Concat(_) = lhs {
+                    // Every part's dynamic index is evaluated before any
+                    // part is written.
+                    let mut writes = std::mem::take(&mut self.writes);
+                    self.flatten_into(lhs, &value, total, &mut writes);
+                    for w in writes.drain(..) {
+                        self.write(w, *nonblocking);
                     }
+                    self.writes = writes;
+                } else {
+                    let w = self.prim_write(lhs, value);
+                    self.write(w, *nonblocking);
                 }
                 Ok(())
             }
@@ -736,16 +764,9 @@ impl<'d, A: Algebra> Simulator<'d, A> {
         }
     }
 
-    /// Flattens an assignment of `value` to `lhs` into primitive writes.
-    /// Dynamic indices are evaluated now (IEEE: at scheduling time).
-    fn flatten_writes(&mut self, lhs: &LValue, value: A::Value) -> Vec<PrimWrite<A::Value>> {
-        let total = lhs.width(self.design);
-        let value = self.algebra.resize(&value, total);
-        let mut out = Vec::new();
-        self.flatten_into(lhs, &value, total, &mut out);
-        out
-    }
-
+    /// Flattens an assignment of `value` to a concat lvalue into
+    /// primitive writes, most significant part first. Dynamic indices are
+    /// evaluated now (IEEE: at scheduling time).
     fn flatten_into(
         &mut self,
         lhs: &LValue,
@@ -834,7 +855,7 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             RExpr::Net { net, .. } => self.nets[net.0 as usize].clone(),
             RExpr::Resize { width, expr } => {
                 let v = self.eval(expr);
-                self.algebra.resize(&v, *width)
+                fit(&mut self.algebra, v, *width)
             }
             RExpr::Unary { op, operand, .. } => {
                 let v = self.eval(operand);
@@ -857,10 +878,17 @@ impl<'d, A: Algebra> Simulator<'d, A> {
                 self.algebra.mux(&c, &t, &f)
             }
             RExpr::Concat { parts, .. } => {
-                let mut vals: Vec<A::Value> = parts.iter().map(|p| self.eval(p)).collect();
-                // parts are MSB first; fold from the LSB side.
-                let mut acc = vals.pop().expect("concat is non-empty");
-                while let Some(hi) = vals.pop() {
+                // Parts are MSB first: evaluate them in order onto the
+                // scratch stack, then fold from the LSB side. A nested
+                // concat works above `base` and pops what it pushed.
+                let base = self.parts.len();
+                for p in parts {
+                    let v = self.eval(p);
+                    self.parts.push(v);
+                }
+                let mut acc = self.parts.pop().expect("concat is non-empty");
+                while self.parts.len() > base {
+                    let hi = self.parts.pop().expect("a part above base");
                     acc = self.algebra.concat(&hi, &acc);
                 }
                 acc
@@ -915,6 +943,16 @@ pub fn edge_fired(edge: Edge, old: Bit, new: Bit) -> bool {
     }
 }
 
+/// `value` at `width`: moved if it already has that width, which
+/// [`Algebra::resize`] guarantees is the same as resizing it.
+fn fit<A: Algebra>(algebra: &mut A, value: A::Value, width: u32) -> A::Value {
+    if algebra.concrete(&value).width() == width {
+        value
+    } else {
+        algebra.resize(&value, width)
+    }
+}
+
 /// Read-modify-write splice of `value` into `old[lo +: width]`.
 fn splice<A: Algebra>(
     algebra: &mut A,
@@ -922,13 +960,13 @@ fn splice<A: Algebra>(
     net_w: u32,
     lo: u32,
     width: u32,
-    value: &A::Value,
+    value: A::Value,
 ) -> A::Value {
     if lo >= net_w {
         return old.clone();
     }
     let width = width.min(net_w - lo);
-    let mid = algebra.resize(value, width);
+    let mid = fit(algebra, value, width);
     let mut acc = if lo > 0 {
         let low = algebra.slice(old, 0, lo);
         algebra.concat(&mid, &low)

@@ -1,9 +1,13 @@
-//! Allocation guard: memories are lazy.
+//! Allocation guards: memories are lazy, and the hot loop moves values.
 //!
 //! A simulator must not pay for memory words it never touches. Building
 //! one on a 2^20-word memory allocates nothing per word, running cycles
 //! that write `k` words allocates in proportion to `k`, and a clone copies
 //! only the pages written so far.
+//!
+//! Nor may it pay per statement: once its queues and scratch buffers have
+//! grown in a warm-up cycle, clocking a design whose nets are at most 64
+//! bits wide allocates nothing at all.
 //!
 //! A counting global allocator tallies the bytes each thread allocates
 //! (the test harness runs tests on parallel threads).
@@ -163,4 +167,71 @@ fn a_clone_copies_only_the_touched_pages() {
         Some((addrs[0] + 1) & 0xFF)
     );
     assert!(sim.mem_logic(mem, addrs[0] + 1).is_all_ones());
+}
+
+/// Every statement kind the interpreter runs per cycle, on nets of at most
+/// 64 bits: blocking and non-blocking writes, part-select reads and
+/// writes, a concat lvalue, a concat expression, `if` and `case`, plus a
+/// level-sensitive process woken by the clocked one.
+const HOT: &str = "module hot(input clk, rst_n, input [7:0] d,
+                              output reg [15:0] acc, output reg [7:0] lo,
+                              output reg c, output reg [1:0] mode,
+                              output reg [3:0] nib);
+                     reg [7:0] tmp;
+                     always @(posedge clk or negedge rst_n)
+                       if (!rst_n) begin
+                         acc <= 16'd0;
+                         mode <= 2'd0;
+                       end else begin
+                         tmp = d + acc[7:0];
+                         acc[15:8] <= tmp;
+                         acc[7:0] <= {d[3:0], tmp[7:4]};
+                         {c, lo} = tmp + d;
+                         case (mode)
+                           2'd0: mode <= 2'd1;
+                           2'd1: mode <= 2'd2;
+                           default: mode <= 2'd0;
+                         endcase
+                       end
+                     always @* nib = acc[3:0] ^ lo[7:4];
+                   endmodule";
+
+#[test]
+fn clocking_narrow_nets_allocates_nothing_after_warm_up() {
+    let (design, _) = soccar_rtl::compile("hot.v", HOT, "hot").expect("compile");
+    let net = |name: &str| design.find_net(name).expect(name);
+    let (clk, rst_n, d, acc, mode) = (
+        net("hot.clk"),
+        net("hot.rst_n"),
+        net("hot.d"),
+        net("hot.acc"),
+        net("hot.mode"),
+    );
+    let mut sim = Simulator::concrete(&design, InitPolicy::Ones);
+    sim.write_input(clk, LogicVec::from_u64(1, 0)).expect("clk");
+    sim.write_input(rst_n, LogicVec::from_u64(1, 0))
+        .expect("rst");
+    sim.write_input(d, LogicVec::from_u64(8, 0)).expect("d");
+    sim.settle().expect("settle");
+    sim.write_input(rst_n, LogicVec::from_u64(1, 1))
+        .expect("rst");
+    sim.settle().expect("settle");
+    // Warm-up: the first cycle sizes the run queue, the NBA queue and the
+    // scratch buffers.
+    sim.tick(clk).expect("tick");
+
+    const CYCLES: u64 = 64;
+    let ((), bytes) = bytes_allocated(|| {
+        for i in 0..CYCLES {
+            sim.write_input(d, LogicVec::from_u64(8, i * 37 % 256))
+                .expect("d");
+            sim.settle().expect("settle");
+            sim.tick(clk).expect("tick");
+        }
+    });
+    assert_eq!(bytes, 0, "{CYCLES} cycles allocated {bytes} bytes");
+    // The cycles really ran: the mode register cycles 0 -> 1 -> 2 -> 0,
+    // one step per clock edge after the warm-up's step to 1.
+    assert_eq!(sim.net_logic(mode).to_u64(), Some((1 + CYCLES) % 3));
+    assert!(sim.net_logic(acc).to_u64().is_some(), "acc left X");
 }
