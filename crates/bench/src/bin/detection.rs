@@ -98,7 +98,7 @@ fn main() -> ExitCode {
         );
     }
     // Serving records: the warm-session reanalysis win (timings reported,
-    // module re-extraction counts gated).
+    // module re-parse and extraction counts gated).
     for (model, record) in append_serving_records(&mut reports, &args.config()) {
         println!(
             "incremental_reanalysis {model:?}: cold {:.1}ms, warm after 1-module edit {:.1}ms \

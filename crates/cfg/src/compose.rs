@@ -98,70 +98,33 @@ pub fn compose_soc(
     naming: &ResetNaming,
     analysis: GovernorAnalysis,
 ) -> Result<SocArCfg, String> {
-    compose_soc_jobs(unit, top, naming, analysis, 1).map(|(soc, _)| soc)
-}
-
-/// Like [`compose_soc`], running the per-module extraction (the hot half
-/// of the stage) on up to `jobs` workers via
-/// [`extract_all_jobs`](crate::extract::extract_all_jobs). The
-/// compose walk itself stays serial — it is a cheap hierarchy traversal —
-/// and sees extraction results in source order, so the output is
-/// identical for every `jobs` value. Also returns the extraction pool's
-/// utilization counters.
-///
-/// # Errors
-///
-/// As [`compose_soc`].
-pub fn compose_soc_jobs(
-    unit: &SourceUnit,
-    top: &str,
-    naming: &ResetNaming,
-    analysis: GovernorAnalysis,
-    jobs: usize,
-) -> Result<(SocArCfg, soccar_exec::PoolStats), String> {
-    compose_soc_traced(
-        unit,
-        top,
-        naming,
-        analysis,
-        jobs,
-        &soccar_obs::Recorder::disabled(),
-    )
-}
-
-/// Like [`compose_soc_jobs`] under an observability recorder: the
-/// extraction fan-out and the serial compose walk each get a span
-/// (`cfg.extract`, `cfg.compose`), and the extracted graph's size lands
-/// in counters — `cfg.nodes` (all hardware events of the full per-module
-/// CFGs), `cfg.edges` (governor→event edges, i.e. reset-governed events),
-/// `cfg.ar_events`, `cfg.reset_domains`, `cfg.instances`.
-///
-/// # Errors
-///
-/// As [`compose_soc`].
-pub fn compose_soc_traced(
-    unit: &SourceUnit,
-    top: &str,
-    naming: &ResetNaming,
-    analysis: GovernorAnalysis,
-    jobs: usize,
-    recorder: &soccar_obs::Recorder,
-) -> Result<(SocArCfg, soccar_exec::PoolStats), String> {
     compose_soc_resilient(
         unit,
         top,
         naming,
         analysis,
-        jobs,
+        1,
         soccar_exec::FailurePolicy::FailFast,
         &soccar_exec::FaultPlan::default(),
-        recorder,
+        &soccar_obs::Recorder::disabled(),
     )
-    .map(|(soc, stats, _)| (soc, stats))
+    .map(|(soc, _, _)| soc)
 }
 
-/// Like [`compose_soc_traced`] under an explicit failure policy and fault
-/// plan (see [`extract_all_resilient`]).
+/// Like [`compose_soc`], running the per-module extraction (the hot half
+/// of the stage) on up to `jobs` workers under an explicit failure policy
+/// and fault plan (see [`extract_all_resilient`]). The compose walk
+/// itself stays serial — it is a cheap hierarchy traversal — and sees
+/// extraction results in source order, so the output is identical for
+/// every `jobs` value. Also returns the extraction pool's utilization
+/// counters.
+///
+/// Under an observability recorder the extraction fan-out and the serial
+/// compose walk each get a span (`cfg.extract`, `cfg.compose`), and the
+/// extracted graph's size lands in counters — `cfg.nodes` (all hardware
+/// events of the full per-module CFGs), `cfg.edges` (governor→event
+/// edges, i.e. reset-governed events), `cfg.ar_events`,
+/// `cfg.reset_domains`, `cfg.instances`.
 ///
 /// Under [`FailurePolicy::KeepGoing`] a module whose extraction panics is
 /// treated as contributing no reset-governed events: composition still
@@ -217,30 +180,19 @@ pub fn compose_soc_resilient(
     Ok((soc, stats, degraded))
 }
 
-/// The serial compose walk over already-extracted per-module AR_CFGs.
-///
-/// This is the second half of [`compose_soc_resilient`]: it instantiates
-/// the hierarchy from `top`, traces reset domains, and emits the
+/// The serial compose walk over already-extracted per-module AR_CFGs —
+/// the second half of [`compose_soc_resilient`]: it instantiates the
+/// hierarchy from `top`, traces reset domains, and emits the
 /// `cfg.compose` span and `cfg.instances`/`cfg.reset_domains`/
-/// `cfg.ar_events` counters. The incremental analysis server calls it
-/// directly with a cache-assembled `ar_cfgs` map, skipping re-extraction
-/// of unchanged modules; the result is identical to the batch path
-/// because the walk only reads the map and the instance tree.
-///
-/// # Errors
-///
-/// Returns a message naming the missing module if `top` (or any
-/// instantiated module) has no entry in `ar_cfgs`.
-pub fn compose_soc_prepared(
+/// `cfg.ar_events` counters. Fails naming any instantiated module that
+/// has no entry in `ar_cfgs`.
+fn compose_soc_prepared(
     unit: &SourceUnit,
     top: &str,
     naming: &ResetNaming,
     ar_cfgs: &HashMap<String, ArCfg>,
     recorder: &soccar_obs::Recorder,
 ) -> Result<SocArCfg, String> {
-    if unit.module(top).is_none() {
-        return Err(format!("top module `{top}` not found"));
-    }
     let profiles: HashMap<String, ConnectionProfile> = connection_profiles(unit, naming)
         .into_iter()
         .map(|p| (p.module.clone(), p))

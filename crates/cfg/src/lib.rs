@@ -46,10 +46,7 @@ pub mod extract;
 pub mod reset_id;
 
 pub use bind::{bind_events, bind_events_traced, BindError, BoundEvent};
-pub use compose::{
-    compose_soc, compose_soc_jobs, compose_soc_prepared, compose_soc_resilient, compose_soc_traced,
-    ResetDomain, SocArCfg,
-};
+pub use compose::{compose_soc, compose_soc_resilient, ResetDomain, SocArCfg};
 pub use connect::{connection_profiles, ChildConn, ConnectionProfile, SignalConn};
 pub use extract::{
     assigned_signals, extract_all, extract_all_jobs, extract_all_resilient, extract_module_cfg,

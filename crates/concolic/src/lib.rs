@@ -34,6 +34,7 @@ pub use coalg::{
 };
 pub use engine::{
     ConcolicConfig, ConcolicEngine, ConcolicReport, FlipWorkload, RoundRun, SweepPosition, Witness,
+    MAX_CYCLES,
 };
 pub use property::{PropertyKind, PropertyMonitor, SecurityProperty, Violation};
 pub use schedule::{InputTrack, ResetTrack, TestSchedule};

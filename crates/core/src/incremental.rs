@@ -1,88 +1,49 @@
 //! Incremental re-analysis: the content-hashed session cache behind
 //! `soccar serve`.
 //!
-//! [`AnalysisSession`] wraps the batch pipeline ([`Soccar::analyze`])
-//! with four cache tiers, each keyed by content so an RTL edit
-//! invalidates exactly what it touches:
+//! [`AnalysisSession`] runs the batch pipeline's own stages (see
+//! [`Soccar::analyze`]) behind four cache tiers, each keyed by content so
+//! an RTL edit invalidates exactly what it touches:
 //!
 //! | tier | key | holds | invalidated by |
 //! |------|-----|-------|----------------|
-//! | report | raw source + request | full [`AnalysisReport`] | any byte change |
 //! | parse | raw chunk hash | per-module AST (0-based spans) | editing that module's text |
-//! | extract | structural module hash | per-module `ArCfg` | semantic edit to that module |
-//! | design | ordered structural hashes + top | elaborated design, composed `SocArCfg`, bound events | semantic edit anywhere |
+//! | design | ordered structural hashes + top + extraction config | elaborated design, composed `SocArCfg`, bound events | semantic edit anywhere |
 //! | concolic | design key + properties + config | [`ConcolicReport`] | semantic edit / request change |
+//! | report | raw source + request | full [`AnalysisReport`] | any byte change |
 //!
-//! The contract — pinned by the `warm_equals_cold` tests and the server
-//! integration suite — is that a warm [`AnalysisSession::analyze`]
-//! returns a report whose [`AnalysisReport::canonical_json`] is
-//! byte-identical to a cold batch run of the same request. Lint always
-//! re-runs (it is span-dependent and milliseconds-cheap); cached module
-//! ASTs are span-rebased into the new file so its diagnostics cannot
-//! drift. Requests carrying a fault-injection plan bypass every tier and
-//! delegate to the batch pipeline, because injected faults key on global
-//! task indices the per-module warm path does not reproduce; requests
-//! with a wall-clock round deadline keep the structural tiers but skip
-//! the result tiers, since their outcome is timing-dependent.
+//! On a miss a tier's stage runs exactly as in batch (the same spans,
+//! stage reports and worker pools); on a hit the stage's report is
+//! rebuilt from the cached product. The contract — pinned by the
+//! `warm_equals_cold` tests and the server integration suite — is that
+//! [`AnalysisSession::analyze_with_config`] returns a report whose
+//! [`AnalysisReport::canonical_json`] is byte-identical to a cold batch
+//! run of the same request. Lint always re-runs (it is span-dependent and
+//! milliseconds-cheap); cached module ASTs are span-rebased into the new
+//! file so its diagnostics cannot drift. Requests carrying a
+//! fault-injection plan bypass every tier and delegate to the batch
+//! pipeline, because injected faults key on global task indices that
+//! cached stages would skip; requests with a wall-clock round deadline
+//! keep the structural tiers but skip the result tiers, since their
+//! outcome is timing-dependent.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use soccar_cfg::bind::BoundEvent;
-use soccar_cfg::extract::{extract_module_cfg, project_ar_cfg, ArCfg};
-use soccar_cfg::{bind_events, compose_soc_prepared};
-use soccar_concolic::{ConcolicEngine, ConcolicReport, SecurityProperty};
-use soccar_lint::Linter;
+use soccar_concolic::{ConcolicReport, SecurityProperty};
 use soccar_rtl::ast::Module;
-use soccar_rtl::elaborate::elaborate;
+use soccar_rtl::elaborate::elaborate_traced;
 use soccar_rtl::fingerprint::{assemble_unit, hash_bytes, module_fingerprint, split_modules};
-use soccar_rtl::span::SourceMap;
+use soccar_rtl::span::{FileId, SourceMap};
 use soccar_rtl::Design;
-use soccar_smt::SolveBudget;
 
 use crate::error::SoccarError;
-use crate::pipeline::{
-    AnalysisReport, ExecSummary, ExtractionSummary, Health, Soccar, SoccarConfig, StageReport,
-};
+use crate::pipeline::{AnalysisReport, ComposedSoc, Soccar, SoccarConfig, Stages};
 
-/// Per-request quality-of-service overrides, layered over the session's
-/// base [`SoccarConfig`] (the server fills this from request fields; the
-/// CLI flags `--solver-budget`, `--keep-going`, `--round-deadline-ms`
-/// have the same meaning in batch mode).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RequestQos {
-    /// Per-flip-solve resource budget.
-    pub solver_budget: Option<SolveBudget>,
-    /// Degrade instead of aborting on worker panics.
-    pub keep_going: Option<bool>,
-    /// Wall-clock deadline per concolic round, in milliseconds. Setting
-    /// this makes the outcome timing-dependent, so such requests skip
-    /// the report/concolic cache tiers.
-    pub round_deadline_ms: Option<u64>,
-}
-
-impl RequestQos {
-    /// Applies the overrides to a copy of `base`.
-    #[must_use]
-    pub fn apply(&self, base: &SoccarConfig) -> SoccarConfig {
-        let mut config = base.clone();
-        if let Some(budget) = self.solver_budget {
-            config.concolic.solver_budget = budget;
-        }
-        if let Some(keep_going) = self.keep_going {
-            config.keep_going = keep_going;
-        }
-        if let Some(ms) = self.round_deadline_ms {
-            config.concolic.round_deadline = Some(Duration::from_millis(ms));
-        }
-        config
-    }
-}
-
-/// What one [`AnalysisSession::analyze`] call reused and recomputed.
+/// What one [`AnalysisSession::analyze_with_config`] call reused and
+/// recomputed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RequestStats {
     /// The whole report came from the report tier.
@@ -94,7 +55,8 @@ pub struct RequestStats {
     pub modules_total: usize,
     /// Modules whose chunk text changed and were re-parsed.
     pub modules_reparsed: usize,
-    /// Modules whose structure changed and were re-extracted.
+    /// Modules extracted: all of them on a design-tier miss, none on a
+    /// hit.
     pub modules_reextracted: usize,
     /// Elaboration/composition/binding was reused from the design tier.
     pub design_cache_hit: bool,
@@ -124,26 +86,32 @@ pub struct SessionCounters {
     pub evictions: u64,
 }
 
+/// Current entry counts of the session's cache tiers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct TierSizes {
+    /// Per-module ASTs.
+    pub parse: usize,
+    /// Elaborated + composed designs.
+    pub design: usize,
+    /// Concolic reports.
+    pub concolic: usize,
+    /// Full analysis reports.
+    pub report: usize,
+}
+
 /// Capacity limits for the cache tiers (entries, not bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheCaps {
-    /// Parse tier: per-module ASTs.
-    pub parse: usize,
-    /// Extract tier: per-module AR_CFGs.
-    pub extract: usize,
-    /// Design tier: elaborated designs with composed/bound AR_CFGs.
-    pub design: usize,
-    /// Concolic tier: engine reports.
-    pub concolic: usize,
-    /// Report tier: full analysis reports.
-    pub report: usize,
+pub(crate) struct CacheCaps {
+    parse: usize,
+    design: usize,
+    concolic: usize,
+    report: usize,
 }
 
 impl Default for CacheCaps {
     fn default() -> CacheCaps {
         CacheCaps {
             parse: 4096,
-            extract: 4096,
             design: 8,
             concolic: 64,
             report: 64,
@@ -251,27 +219,25 @@ impl<K: Eq + Hash + Clone, V> CostAwareMap<K, V> {
 }
 
 /// Everything derived from one structural design state: the elaborated
-/// design, the composed SoC AR_CFG, and the bound events. Shared via
-/// `Arc` so the concolic engine can borrow it while the session mutates
-/// other tiers.
+/// design and the ar_cfg stage's product. Shared via `Arc` so the
+/// concolic engine can borrow it while the session mutates other tiers.
 #[derive(Debug)]
 struct DesignEntry {
     design: Design,
-    soc: soccar_cfg::SocArCfg,
-    bound: Vec<BoundEvent>,
+    composed: ComposedSoc,
+}
+
+/// The frontend's design: a design-tier hit, or freshly elaborated.
+enum Elaborated {
+    Hit(Arc<DesignEntry>),
+    Miss(Box<Design>),
 }
 
 /// Design-tier key: the ordered structural fingerprints of every module
 /// plus the top module and the extraction-configuration fingerprint
-/// (analysis flavor + reset naming). Comment/whitespace edits hash
-/// identically and hit; any semantic edit misses.
+/// (analysis flavor, reset naming, keep-going). Comment/whitespace edits
+/// hash identically and hit; any semantic edit misses.
 type DesignKey = (Vec<u64>, String, u64);
-
-/// Result-tier entry for the concolic stage.
-#[derive(Debug, Clone)]
-struct ConcolicEntry {
-    report: ConcolicReport,
-}
 
 /// A persistent, content-hashed analysis session (see the
 /// [module docs](self)).
@@ -287,9 +253,10 @@ struct ConcolicEntry {
 ///   always @(posedge clk or negedge sys_rst_n)
 ///     if (!sys_rst_n) q <= 1'b0; else q <= 1'b1;
 /// endmodule";
-/// let mut session = AnalysisSession::new(SoccarConfig::default());
-/// let (cold, s1) = session.analyze("t.v", src, "top", vec![], &Default::default())?;
-/// let (warm, s2) = session.analyze("t.v", src, "top", vec![], &Default::default())?;
+/// let config = SoccarConfig::default();
+/// let mut session = AnalysisSession::new(config.clone());
+/// let (cold, s1) = session.analyze_with_config("t.v", src, "top", vec![], &config)?;
+/// let (warm, s2) = session.analyze_with_config("t.v", src, "top", vec![], &config)?;
 /// assert!(!s1.report_cache_hit);
 /// assert!(s2.report_cache_hit);
 /// assert_eq!(cold.canonical_json()?, warm.canonical_json()?);
@@ -300,11 +267,9 @@ struct ConcolicEntry {
 pub struct AnalysisSession {
     config: SoccarConfig,
     recorder: soccar_obs::Recorder,
-    caps: CacheCaps,
     parse_cache: CostAwareMap<u64, Module>,
-    extract_cache: CostAwareMap<(u64, u64), ArCfg>,
     design_cache: CostAwareMap<DesignKey, Arc<DesignEntry>>,
-    concolic_cache: CostAwareMap<u64, ConcolicEntry>,
+    concolic_cache: CostAwareMap<u64, ConcolicReport>,
     report_cache: CostAwareMap<u64, AnalysisReport>,
     counters: SessionCounters,
 }
@@ -317,14 +282,11 @@ impl AnalysisSession {
     }
 
     /// Creates a session with explicit cache capacities.
-    #[must_use]
-    pub fn with_caps(config: SoccarConfig, caps: CacheCaps) -> AnalysisSession {
+    pub(crate) fn with_caps(config: SoccarConfig, caps: CacheCaps) -> AnalysisSession {
         AnalysisSession {
             config,
             recorder: soccar_obs::Recorder::disabled(),
-            caps,
             parse_cache: CostAwareMap::new(caps.parse),
-            extract_cache: CostAwareMap::new(caps.extract),
             design_cache: CostAwareMap::new(caps.design),
             concolic_cache: CostAwareMap::new(caps.concolic),
             report_cache: CostAwareMap::new(caps.report),
@@ -332,17 +294,20 @@ impl AnalysisSession {
         }
     }
 
-    /// Attaches an observability recorder: cache effectiveness lands in
-    /// `server.cache_hits` / `server.modules_reextracted` /
-    /// `server.targets_rerun` / `server.evictions` counters, and
-    /// fallback batch runs trace through it like batch CLI runs.
+    /// Attaches an observability recorder: every analysis traces its
+    /// `pipeline.*` stage spans through it like a batch CLI run, and
+    /// cache effectiveness lands in `server.cache_hits` /
+    /// `server.modules_reextracted` / `server.targets_rerun` /
+    /// `server.evictions` counters.
     #[must_use]
     pub fn with_recorder(mut self, recorder: soccar_obs::Recorder) -> AnalysisSession {
         self.recorder = recorder;
         self
     }
 
-    /// The session's base configuration (before per-request QoS).
+    /// The configuration the session was created with. Each request
+    /// passes its own full configuration to
+    /// [`AnalysisSession::analyze_with_config`].
     #[must_use]
     pub fn config(&self) -> &SoccarConfig {
         &self.config
@@ -354,52 +319,25 @@ impl AnalysisSession {
         &self.counters
     }
 
-    /// The cache capacity limits the session was built with.
+    /// Entries currently held by each tier.
     #[must_use]
-    pub fn caps(&self) -> CacheCaps {
-        self.caps
+    pub fn tier_sizes(&self) -> TierSizes {
+        TierSizes {
+            parse: self.parse_cache.len(),
+            design: self.design_cache.len(),
+            concolic: self.concolic_cache.len(),
+            report: self.report_cache.len(),
+        }
     }
 
-    /// Entries currently held by each tier, in [`CacheCaps`] field
-    /// order: `(parse, extract, design, concolic, report)`.
-    #[must_use]
-    pub fn tier_sizes(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.parse_cache.len(),
-            self.extract_cache.len(),
-            self.design_cache.len(),
-            self.concolic_cache.len(),
-            self.report_cache.len(),
-        )
-    }
-
-    /// Runs one analysis request against the session caches.
+    /// Runs one analysis request against the session caches, with a
+    /// fully explicit per-request configuration — requests carry their
+    /// own cycles/rounds/symbolic-input/analysis knobs. Every cache key
+    /// incorporates the configuration fields that influence its tier, so
+    /// mixed-configuration request streams stay correct.
     ///
     /// The returned report's canonical form is byte-identical to
-    /// `Soccar::new(qos.apply(config)).analyze(..)` on the same input.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the batch pipeline's errors: frontend, composition,
-    /// binding, engine-setup and simulation failures.
-    pub fn analyze(
-        &mut self,
-        file_name: &str,
-        source: &str,
-        top: &str,
-        properties: Vec<SecurityProperty>,
-        qos: &RequestQos,
-    ) -> Result<(AnalysisReport, RequestStats), SoccarError> {
-        let config = qos.apply(&self.config);
-        self.analyze_with_config(file_name, source, top, properties, &config)
-    }
-
-    /// Like [`AnalysisSession::analyze`], but with a fully explicit
-    /// per-request configuration instead of QoS deltas over the session
-    /// base — the entry point the analysis server uses, since requests
-    /// carry their own cycles/rounds/symbolic-input/analysis knobs. Every
-    /// cache key incorporates the configuration fields that influence its
-    /// tier, so mixed-configuration request streams stay correct.
+    /// `Soccar::new(config.clone()).analyze(..)` on the same input.
     ///
     /// # Errors
     ///
@@ -445,114 +383,83 @@ impl AnalysisSession {
         let Some(chunks) = split_modules(source) else {
             return self.fallback(file_name, source, top, properties, config);
         };
-
-        let total_start = Instant::now();
         let mut stats = RequestStats {
             modules_total: chunks.len(),
             ..RequestStats::default()
         };
         let mut evictions = 0u64;
+        let stages = Stages::new(config, &self.recorder);
+        let analyze_span = stages.analyze_span(file_name, top);
 
-        // Frontend: assemble the unit from cached per-module ASTs.
-        let frontend_start = Instant::now();
-        let mut reparsed = 0usize;
-        let assembled = assemble_unit(soccar_rtl::span::FileId(0), &chunks, |raw_fp| {
-            let hit = self.parse_cache.get(&raw_fp).cloned();
-            if hit.is_none() {
-                reparsed += 1;
+        // Frontend: parse the chunks the parse tier misses, assemble the
+        // unit from the tier, and elaborate on a design-tier miss.
+        let frontend = stages.open("frontend");
+        for chunk in &chunks {
+            let raw_fp = chunk.raw_fingerprint();
+            if self.parse_cache.get(&raw_fp).is_some() {
+                continue;
             }
-            hit
+            stats.modules_reparsed += 1;
+            if let Ok(parsed) = soccar_rtl::parser::parse(FileId(0), &chunk.text) {
+                if let Ok([m]) = <[Module; 1]>::try_from(parsed.modules) {
+                    // Re-parse cost scales with the chunk's size.
+                    evictions += self.parse_cache.insert(raw_fp, m, chunk.text.len() as u64);
+                }
+            }
+        }
+        self.counters.modules_reparsed += stats.modules_reparsed as u64;
+        let assembled = assemble_unit(FileId(0), &chunks, |raw_fp| {
+            self.parse_cache.get(&raw_fp).cloned()
         });
         let Some(unit) = assembled else {
             // A chunk failed to parse: the batch path reproduces the
             // exact diagnostic.
+            drop((frontend, analyze_span));
             return self.fallback(file_name, source, top, properties, config);
         };
-        stats.modules_reparsed = reparsed;
-        self.counters.modules_reparsed += reparsed as u64;
-        // Refill the parse tier from the assembled unit: chunk ASTs are
-        // the rebased modules shifted back to 0-based form, which is
-        // exactly what a standalone chunk parse produces — but cheaper
-        // to recover by re-parsing only the misses.
-        for chunk in &chunks {
-            let raw_fp = chunk.raw_fingerprint();
-            if self.parse_cache.get(&raw_fp).is_none() {
-                if let Ok(parsed) =
-                    soccar_rtl::parser::parse(soccar_rtl::span::FileId(0), &chunk.text)
-                {
-                    if let [m] = parsed.modules.as_slice() {
-                        // Re-parse cost scales with the chunk's size.
-                        evictions +=
-                            self.parse_cache
-                                .insert(raw_fp, m.clone(), chunk.text.len() as u64);
-                    }
-                }
-            }
-        }
         let mut map = SourceMap::new();
         map.add_file(file_name, source);
-
-        let fps: Vec<u64> = unit.modules.iter().map(module_fingerprint).collect();
-        // Extraction depends on the analysis flavor and the reset naming
-        // convention; both join the structural keys.
-        let extract_cfg_fp =
-            hash_bytes(format!("{:?}/{:?}", config.analysis, config.naming).as_bytes());
-        let design_key: DesignKey = (fps.clone(), top.to_owned(), extract_cfg_fp);
-        let design_entry = self.design_cache.get(&design_key).cloned();
-        stats.design_cache_hit = design_entry.is_some();
-
+        // Extraction depends on the analysis flavor, the reset naming
+        // convention and the failure policy; all join the structural keys.
+        let extract_cfg_fp = hash_bytes(
+            format!(
+                "{:?}/{:?}/{}",
+                config.analysis, config.naming, config.keep_going
+            )
+            .as_bytes(),
+        );
+        let design_key: DesignKey = (
+            unit.modules.iter().map(module_fingerprint).collect(),
+            top.to_owned(),
+            extract_cfg_fp,
+        );
         // On a design miss, elaboration runs inside the frontend stage,
-        // mirroring the batch stage boundaries.
-        let predesign = match &design_entry {
-            Some(_) => None,
-            None => Some(elaborate(&unit, top)?),
+        // as in batch.
+        let elaborated = match self.design_cache.get(&design_key) {
+            Some(entry) => Elaborated::Hit(Arc::clone(entry)),
+            None => Elaborated::Miss(Box::new(elaborate_traced(&unit, top, &self.recorder)?)),
         };
-        let frontend_elapsed = frontend_start.elapsed();
+        let design = match &elaborated {
+            Elaborated::Hit(entry) => &entry.design,
+            Elaborated::Miss(design) => design,
+        };
+        let frontend = frontend.frontend(&unit, design);
 
-        // Lint always re-runs: it is span-dependent and cheap.
-        let lint_start = Instant::now();
-        let lint = Linter::new()
-            .with_naming(config.naming.clone())
-            .with_config(config.lint.clone())
-            .lint_unit(&unit, &map);
-        let lint_elapsed = lint_start.elapsed();
+        let (lint, lint_stage) = stages.lint(&unit, &map);
 
-        // AR_CFG: per-module extraction through the extract tier, then
-        // the serial compose walk and binding.
-        let ar_cfg_start = Instant::now();
-        let entry = match design_entry {
-            Some(entry) => entry,
-            None => {
-                let design = predesign.expect("computed on design miss");
-                let mut ar_cfgs: HashMap<String, ArCfg> = HashMap::new();
-                // `assemble_unit` emits modules in chunk order, so each
-                // module's chunk (its re-extraction cost proxy) rides
-                // along by position.
-                for ((module, fp), chunk) in unit.modules.iter().zip(&fps).zip(&chunks) {
-                    let key = (*fp, extract_cfg_fp);
-                    let ar = match self.extract_cache.get(&key) {
-                        Some(ar) => ar.clone(),
-                        None => {
-                            stats.modules_reextracted += 1;
-                            let ar = project_ar_cfg(&extract_module_cfg(
-                                module,
-                                &config.naming,
-                                config.analysis,
-                            ));
-                            evictions +=
-                                self.extract_cache
-                                    .insert(key, ar.clone(), chunk.text.len() as u64);
-                            ar
-                        }
-                    };
-                    ar_cfgs.insert(module.name.clone(), ar);
-                }
-                let soc =
-                    compose_soc_prepared(&unit, top, &config.naming, &ar_cfgs, &self.recorder)
-                        .map_err(SoccarError::Cfg)?;
-                let bound =
-                    bind_events(&design, &soc).map_err(|e| SoccarError::Cfg(e.to_string()))?;
-                let entry = Arc::new(DesignEntry { design, soc, bound });
+        let (entry, ar_cfg_stage) = match elaborated {
+            Elaborated::Hit(entry) => {
+                stats.design_cache_hit = true;
+                let stage = stages.open("ar_cfg").ar_cfg(&entry.composed);
+                (entry, stage)
+            }
+            Elaborated::Miss(design) => {
+                let (composed, stage) = stages.ar_cfg(&unit, &design, top)?;
+                stats.modules_reextracted = unit.modules.len();
+                let entry = Arc::new(DesignEntry {
+                    design: *design,
+                    composed,
+                });
                 // Rebuilding a design entry re-elaborates and re-composes
                 // the whole file: cost is the full source size.
                 evictions += self.design_cache.insert(
@@ -560,7 +467,7 @@ impl AnalysisSession {
                     Arc::clone(&entry),
                     source.len() as u64,
                 );
-                entry
+                (entry, stage)
             }
         };
         self.counters.modules_reextracted += stats.modules_reextracted as u64;
@@ -568,21 +475,11 @@ impl AnalysisSession {
             "server.modules_reextracted",
             stats.modules_reextracted as u64,
         );
-        let ar_cfg_elapsed = ar_cfg_start.elapsed();
-
-        let extraction = ExtractionSummary {
-            modules: unit.modules.len(),
-            instances: entry.soc.instances.len(),
-            ar_events: entry.soc.event_count(),
-            reset_domains: entry.soc.reset_domains.len(),
-            bound_events: entry.bound.len(),
-        };
 
         // Concolic: the result tier keys on the design key plus every
         // request field that reaches the engine (properties and the
         // jobs-normalized engine config — reports are job-invariant).
-        let concolic_start = Instant::now();
-        let concolic_fp = {
+        let concolic_key = {
             let mut normalized = config.concolic.clone();
             normalized.jobs = 0;
             let mut h = hash_bytes(format!("{design_key:?}").as_bytes());
@@ -591,106 +488,42 @@ impl AnalysisSession {
                 .rotate_left(29);
             h
         };
-        let concolic_key = concolic_fp;
-        let cached_concolic = if cacheable_results {
+        let cached = if cacheable_results {
             self.concolic_cache.get(&concolic_key).cloned()
         } else {
             None
         };
-        stats.concolic_cache_hit = cached_concolic.is_some();
-        let concolic = match cached_concolic {
-            Some(entry) => entry.report,
+        stats.concolic_cache_hit = cached.is_some();
+        let (concolic, concolic_stage) = match cached {
+            Some(report) => {
+                let stage = stages.open("concolic").concolic(&report);
+                (report, stage)
+            }
             None => {
-                let jobs = soccar_exec::resolve_jobs(Some(config.jobs));
-                let mut concolic_config = config.concolic.clone();
-                concolic_config.jobs = jobs;
-                if config.keep_going {
-                    concolic_config.failure_policy = soccar_exec::FailurePolicy::KeepGoing;
-                }
-                let mut engine = ConcolicEngine::new(
-                    &entry.design,
-                    &entry.bound,
-                    properties.clone(),
-                    concolic_config,
-                )
-                .map_err(SoccarError::Config)?
-                .with_recorder(self.recorder.clone());
-                let report = engine.run()?;
+                let (report, stage) =
+                    stages.concolic(&entry.design, &entry.composed.bound, properties)?;
                 stats.targets_rerun = report.targets_total;
                 if cacheable_results {
                     // Re-running concolic costs roughly targets × cycles
                     // of simulate-and-solve work.
                     let cost = (report.targets_total as u64 + 1) * config.concolic.cycles.max(1);
-                    evictions += self.concolic_cache.insert(
-                        concolic_key,
-                        ConcolicEntry {
-                            report: report.clone(),
-                        },
-                        cost,
-                    );
+                    evictions += self
+                        .concolic_cache
+                        .insert(concolic_key, report.clone(), cost);
                 }
-                report
+                (report, stage)
             }
         };
         self.counters.targets_rerun += stats.targets_rerun as u64;
         self.recorder
             .counter_add("server.targets_rerun", stats.targets_rerun as u64);
-        let concolic_elapsed = concolic_start.elapsed();
 
-        // Assemble the report with batch-identical stage names, details
-        // and health; only the timing (non-canonical) differs.
-        let stages = vec![
-            StageReport {
-                stage: "frontend".into(),
-                elapsed: frontend_elapsed,
-                detail: format!("{} modules; {}", unit.modules.len(), entry.design.stats()),
-                exec: None,
-                health: Health::Ok,
-            },
-            StageReport {
-                stage: "lint".into(),
-                elapsed: lint_elapsed,
-                detail: lint.summary(),
-                exec: None,
-                health: Health::Ok,
-            },
-            StageReport {
-                stage: "ar_cfg".into(),
-                elapsed: ar_cfg_elapsed,
-                detail: format!(
-                    "{} reset-governed events across {} instances; {} reset domains",
-                    entry.soc.event_count(),
-                    entry.soc.instances.len(),
-                    entry.soc.reset_domains.len()
-                ),
-                exec: Some(ExecSummary {
-                    jobs: 1,
-                    tasks: stats.modules_reextracted,
-                    busy_secs: ar_cfg_elapsed.as_secs_f64(),
-                    utilization: 1.0,
-                }),
-                health: Health::Ok,
-            },
-            StageReport {
-                stage: "concolic".into(),
-                elapsed: concolic_elapsed,
-                detail: format!(
-                    "{} rounds, {}/{} targets covered, {} violations",
-                    concolic.rounds,
-                    concolic.targets_covered,
-                    concolic.targets_total,
-                    concolic.violations.len()
-                ),
-                exec: Some(ExecSummary::from(&concolic.flip_exec)),
-                health: Health::from_reasons(concolic.degraded_reasons.clone()),
-            },
-        ];
         let report = AnalysisReport {
-            stages,
+            stages: vec![frontend, lint_stage, ar_cfg_stage, concolic_stage],
             lint,
-            extraction,
+            extraction: entry.composed.summary(unit.modules.len()),
             concolic,
-            total: total_start.elapsed(),
+            total: analyze_span.close(),
         };
         if cacheable_results {
             evictions += self
@@ -830,6 +663,15 @@ endmodule
             .expect("canonical json")
     }
 
+    /// Runs `source` through `session` with the test property and the
+    /// session's own configuration.
+    fn analyze(session: &mut AnalysisSession, source: &str) -> (AnalysisReport, RequestStats) {
+        let config = session.config().clone();
+        session
+            .analyze_with_config("t.v", source, "top", vec![key_property()], &config)
+            .expect("session analyze")
+    }
+
     #[test]
     fn warm_session_matches_batch_byte_for_byte() {
         let src = leaky(0xA5, "");
@@ -837,10 +679,7 @@ endmodule
         let batch = batch_canonical(&src, &config);
 
         let mut session = AnalysisSession::new(config);
-        let qos = RequestQos::default();
-        let (cold, s1) = session
-            .analyze("t.v", &src, "top", vec![key_property()], &qos)
-            .expect("cold analyze");
+        let (cold, s1) = analyze(&mut session, &src);
         assert!(!s1.report_cache_hit);
         assert!(!s1.fallback);
         assert_eq!(s1.modules_total, 2);
@@ -848,9 +687,7 @@ endmodule
         assert_eq!(s1.modules_reextracted, 2);
         assert_eq!(cold.canonical_json().expect("json"), batch);
 
-        let (warm, s2) = session
-            .analyze("t.v", &src, "top", vec![key_property()], &qos)
-            .expect("warm analyze");
+        let (warm, s2) = analyze(&mut session, &src);
         assert!(s2.report_cache_hit);
         assert_eq!(s2.modules_reextracted, 0);
         assert_eq!(warm.canonical_json().expect("json"), batch);
@@ -862,16 +699,10 @@ endmodule
     fn comment_edit_keeps_structural_and_result_tiers() {
         let config = SoccarConfig::default();
         let mut session = AnalysisSession::new(config.clone());
-        let qos = RequestQos::default();
-        let v0 = leaky(0xA5, "");
-        session
-            .analyze("t.v", &v0, "top", vec![key_property()], &qos)
-            .expect("prime");
+        analyze(&mut session, &leaky(0xA5, ""));
 
         let v1 = leaky(0xA5, " // wiring only");
-        let (report, stats) = session
-            .analyze("t.v", &v1, "top", vec![key_property()], &qos)
-            .expect("comment edit");
+        let (report, stats) = analyze(&mut session, &v1);
         assert!(!stats.report_cache_hit, "source bytes changed");
         assert_eq!(stats.modules_reparsed, 1, "only top's chunk changed");
         assert_eq!(stats.modules_reextracted, 0, "structure unchanged");
@@ -884,33 +715,55 @@ endmodule
         );
     }
 
+    /// Stage timings come from the stage spans alone: on a request that
+    /// misses every tier, each stage report's `elapsed` is exactly the
+    /// duration of its `pipeline.<stage>` span.
+    #[test]
+    fn stage_timings_are_the_stage_spans() {
+        let recorder = soccar_obs::Recorder::enabled();
+        let mut session =
+            AnalysisSession::new(SoccarConfig::default()).with_recorder(recorder.clone());
+        let (report, stats) = analyze(&mut session, &leaky(0xA5, ""));
+        assert!(!stats.design_cache_hit && !stats.concolic_cache_hit);
+        let spans = recorder.snapshot().spans;
+        let analyze = spans
+            .iter()
+            .position(|s| s.name == "pipeline.analyze")
+            .expect("pipeline.analyze span");
+        assert_eq!(spans[analyze].elapsed, Some(report.total));
+        assert_eq!(report.stages.len(), 4);
+        for stage in &report.stages {
+            let span = spans
+                .iter()
+                .find(|s| s.name == format!("pipeline.{}", stage.stage))
+                .unwrap_or_else(|| panic!("no span for stage {}", stage.stage));
+            assert_eq!(span.parent, Some(analyze), "{}", stage.stage);
+            assert_eq!(span.elapsed, Some(stage.elapsed), "{}", stage.stage);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
-        /// Satellite: a perturbed edit to one module re-extracts exactly
-        /// that module, and the warm report equals a cold batch run of
-        /// the edited source byte-for-byte.
+        /// A perturbed edit to one module re-parses exactly that module
+        /// and, on the design-tier miss, extracts all of them; the warm
+        /// report equals a cold batch run of the edited source
+        /// byte-for-byte.
         #[test]
-        fn single_module_edit_reextracts_only_that_module(
+        fn single_module_edit_reparses_only_that_module(
             v0 in 0u8..=255,
             v1 in 0u8..=255,
         ) {
             prop_assume!(v0 != v1);
             let config = SoccarConfig::default();
             let mut session = AnalysisSession::new(config.clone());
-            let qos = RequestQos::default();
-            let src0 = leaky(v0, "");
-            session
-                .analyze("t.v", &src0, "top", vec![key_property()], &qos)
-                .expect("prime");
+            analyze(&mut session, &leaky(v0, ""));
 
             let src1 = leaky(v1, "");
-            let (warm, stats) = session
-                .analyze("t.v", &src1, "top", vec![key_property()], &qos)
-                .expect("edited analyze");
+            let (warm, stats) = analyze(&mut session, &src1);
             prop_assert!(!stats.report_cache_hit);
             prop_assert_eq!(stats.modules_reparsed, 1);
-            prop_assert_eq!(stats.modules_reextracted, 1);
+            prop_assert_eq!(stats.modules_reextracted, 2);
             prop_assert!(!stats.design_cache_hit);
             prop_assert_eq!(
                 warm.canonical_json().expect("json"),
@@ -929,15 +782,7 @@ endmodule
         let src = leaky(0xA5, "");
         let batch = batch_canonical(&src, &config);
         let mut session = AnalysisSession::new(config);
-        let (report, stats) = session
-            .analyze(
-                "t.v",
-                &src,
-                "top",
-                vec![key_property()],
-                &RequestQos::default(),
-            )
-            .expect("fallback analyze");
+        let (report, stats) = analyze(&mut session, &src);
         assert!(stats.fallback);
         assert_eq!(report.canonical_json().expect("json"), batch);
         assert_eq!(session.counters().fallbacks, 1);
@@ -945,17 +790,12 @@ endmodule
 
     #[test]
     fn parse_errors_match_batch_via_fallback() {
-        let mut session = AnalysisSession::new(SoccarConfig::default());
+        let config = SoccarConfig::default();
+        let mut session = AnalysisSession::new(config.clone());
         let err = session
-            .analyze(
-                "t.v",
-                "module broken(",
-                "broken",
-                vec![],
-                &RequestQos::default(),
-            )
+            .analyze_with_config("t.v", "module broken(", "broken", vec![], &config)
             .expect_err("parse error");
-        let batch_err = Soccar::new(SoccarConfig::default())
+        let batch_err = Soccar::new(config)
             .analyze("t.v", "module broken(", "broken", vec![])
             .expect_err("batch parse error");
         assert_eq!(err.to_string(), batch_err.to_string());
@@ -964,43 +804,16 @@ endmodule
 
     #[test]
     fn deadline_requests_skip_result_tiers_but_keep_structural_ones() {
-        let mut session = AnalysisSession::new(SoccarConfig::default());
-        let qos = RequestQos {
-            round_deadline_ms: Some(60_000),
-            ..RequestQos::default()
-        };
+        let mut config = SoccarConfig::default();
+        config.concolic.round_deadline = Some(std::time::Duration::from_secs(60));
+        let mut session = AnalysisSession::new(config);
         let src = leaky(0xA5, "");
-        session
-            .analyze("t.v", &src, "top", vec![key_property()], &qos)
-            .expect("first deadline run");
-        let (_, stats) = session
-            .analyze("t.v", &src, "top", vec![key_property()], &qos)
-            .expect("second deadline run");
+        analyze(&mut session, &src);
+        let (_, stats) = analyze(&mut session, &src);
         assert!(!stats.report_cache_hit, "deadline results are uncacheable");
         assert!(!stats.concolic_cache_hit);
         assert!(stats.design_cache_hit, "structural tiers stay valid");
         assert_eq!(stats.modules_reextracted, 0);
-    }
-
-    #[test]
-    fn qos_overlays_the_session_config() {
-        let base = SoccarConfig::default();
-        let qos = RequestQos {
-            solver_budget: Some(SolveBudget::conflicts(7)),
-            keep_going: Some(true),
-            round_deadline_ms: Some(123),
-        };
-        let applied = qos.apply(&base);
-        assert_eq!(applied.concolic.solver_budget, SolveBudget::conflicts(7));
-        assert!(applied.keep_going);
-        assert_eq!(
-            applied.concolic.round_deadline,
-            Some(Duration::from_millis(123))
-        );
-        assert_eq!(
-            RequestQos::default().apply(&base).keep_going,
-            base.keep_going
-        );
     }
 
     #[test]
@@ -1062,15 +875,10 @@ endmodule
             ..CacheCaps::default()
         };
         let mut session = AnalysisSession::with_caps(SoccarConfig::default(), caps);
-        let qos = RequestQos::default();
         for value in [0x11u8, 0x22, 0x33] {
-            let src = leaky(value, "");
-            session
-                .analyze("t.v", &src, "top", vec![key_property()], &qos)
-                .expect("analyze");
+            analyze(&mut session, &leaky(value, ""));
         }
         assert!(session.counters().evictions >= 2);
-        let (_, _, _, _, reports) = session.tier_sizes();
-        assert_eq!(reports, 1);
+        assert_eq!(session.tier_sizes().report, 1);
     }
 }

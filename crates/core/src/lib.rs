@@ -78,7 +78,7 @@ pub use evaluation::{
     property_of, score_generated, BugOutcome, Campaign, CampaignRow, GeneratedEvaluation,
     GeneratedRecall, VariantEvaluation,
 };
-pub use incremental::{AnalysisSession, CacheCaps, RequestQos, RequestStats, SessionCounters};
+pub use incremental::{AnalysisSession, RequestStats, SessionCounters, TierSizes};
 pub use pipeline::{
     AnalysisReport, CanonicalReport, ExecSummary, ExtractionSummary, Health, Soccar, SoccarConfig,
     StageReport,

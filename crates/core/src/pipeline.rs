@@ -17,9 +17,13 @@
 use std::time::Duration;
 
 use serde::Serialize;
-use soccar_cfg::{bind_events_traced, compose_soc_resilient, GovernorAnalysis, ResetNaming};
+use soccar_cfg::bind::BoundEvent;
+use soccar_cfg::{
+    bind_events_traced, compose_soc_resilient, GovernorAnalysis, ResetNaming, SocArCfg,
+};
 use soccar_concolic::{ConcolicConfig, ConcolicEngine, ConcolicReport, SecurityProperty};
 use soccar_lint::{LintConfig, LintReport, Linter};
+use soccar_rtl::ast::SourceUnit;
 use soccar_rtl::{elaborate::elaborate_traced, parser::parse_traced, span::SourceMap, Design};
 
 use crate::error::SoccarError;
@@ -476,130 +480,154 @@ impl Soccar {
         top: &str,
         properties: Vec<SecurityProperty>,
     ) -> Result<AnalysisReport, SoccarError> {
-        let jobs = soccar_exec::resolve_jobs(Some(self.config.jobs));
-        // Stage timing and the trace share one code path: every stage is
-        // a span, and `SpanGuard::close` returns the wall-clock duration
-        // even when the recorder is disabled, so `StageReport::elapsed`
-        // is the span's duration by construction.
-        let analyze_span = soccar_obs::span!(
+        let stages = Stages::new(&self.config, &self.recorder);
+        let analyze_span = stages.analyze_span(file_name, top);
+
+        let frontend = stages.open("frontend");
+        let mut map = SourceMap::new();
+        let file = map.add_file(file_name, source);
+        let unit = parse_traced(file, source, &self.recorder)?;
+        let design = elaborate_traced(&unit, top, &self.recorder)?;
+        let frontend = frontend.frontend(&unit, &design);
+
+        let (lint, lint_stage) = stages.lint(&unit, &map);
+        let (composed, ar_cfg_stage) = stages.ar_cfg(&unit, &design, top)?;
+        let (concolic, concolic_stage) = stages.concolic(&design, &composed.bound, properties)?;
+        Ok(AnalysisReport {
+            stages: vec![frontend, lint_stage, ar_cfg_stage, concolic_stage],
+            lint,
+            extraction: composed.summary(unit.modules.len()),
+            concolic,
+            total: analyze_span.close(),
+        })
+    }
+}
+
+/// The pipeline's four stages — frontend, lint, ar_cfg, concolic — for
+/// one configuration and recorder. [`Soccar::analyze`] runs them in
+/// order; the incremental session runs the same stages on a cache miss
+/// and rebuilds their reports from the cached products on a hit.
+///
+/// Stage timing and the trace share one code path: every stage is a
+/// `pipeline.<stage>` span, and `SpanGuard::close` returns the
+/// wall-clock duration even when the recorder is disabled, so
+/// [`StageReport::elapsed`] is the span's duration by construction.
+pub(crate) struct Stages<'a> {
+    config: &'a SoccarConfig,
+    recorder: &'a soccar_obs::Recorder,
+    /// The resolved worker count ([`SoccarConfig::jobs`] after
+    /// [`soccar_exec::resolve_jobs`]).
+    jobs: usize,
+}
+
+impl<'a> Stages<'a> {
+    pub(crate) fn new(config: &'a SoccarConfig, recorder: &'a soccar_obs::Recorder) -> Stages<'a> {
+        Stages {
+            config,
+            recorder,
+            jobs: soccar_exec::resolve_jobs(Some(config.jobs)),
+        }
+    }
+
+    /// Opens the `pipeline.analyze` span every stage nests under.
+    pub(crate) fn analyze_span(&self, file_name: &str, top: &str) -> soccar_obs::SpanGuard {
+        soccar_obs::span!(
             self.recorder,
             "pipeline.analyze",
             file = file_name,
             top = top,
-            jobs = jobs
-        );
-        let mut stages = Vec::new();
+            jobs = self.jobs
+        )
+    }
 
-        // Frontend.
-        let frontend_span = soccar_obs::span!(self.recorder, "pipeline.frontend");
-        let mut map = SourceMap::new();
-        let file = map.add_file(file_name, source);
-        let unit = parse_traced(file, source, &self.recorder)?;
-        let design: Design = elaborate_traced(&unit, top, &self.recorder)?;
-        stages.push(StageReport {
-            stage: "frontend".into(),
-            elapsed: frontend_span.close(),
-            detail: format!("{} modules; {}", unit.modules.len(), design.stats()),
-            exec: None,
-            health: Health::Ok,
-        });
+    /// Opens the `pipeline.<name>` span of one stage.
+    pub(crate) fn open(&self, name: &'static str) -> Stage {
+        Stage {
+            name,
+            span: self.recorder.span(&format!("pipeline.{name}")),
+        }
+    }
 
-        // Stage 0: static lint pre-pass (structural reset-domain checks).
-        let lint_span = soccar_obs::span!(self.recorder, "pipeline.lint");
+    /// Stage 0: the static lint pre-pass (structural reset-domain
+    /// checks).
+    pub(crate) fn lint(&self, unit: &SourceUnit, map: &SourceMap) -> (LintReport, StageReport) {
+        let stage = self.open("lint");
         let lint = Linter::new()
             .with_naming(self.config.naming.clone())
             .with_config(self.config.lint.clone())
-            .lint_unit(&unit, &map);
+            .lint_unit(unit, map);
         self.recorder
             .counter_add("lint.diagnostics", lint.diagnostics.len() as u64);
-        stages.push(StageReport {
-            stage: "lint".into(),
-            elapsed: lint_span.close(),
-            detail: lint.summary(),
-            exec: None,
-            health: Health::Ok,
-        });
+        let report = stage.finish(lint.summary(), None, Health::Ok);
+        (lint, report)
+    }
 
-        // Stage 1+2: AR_CFG generation and composition (Algorithms 1–2).
-        // Per-module extraction fans out across the worker pool; the
-        // compose step stays serial and consumes modules in source order.
-        let ar_cfg_span = soccar_obs::span!(self.recorder, "pipeline.ar_cfg");
+    /// Stages 1+2: AR_CFG generation and composition (Algorithms 1–2),
+    /// then binding onto the elaborated design. Per-module extraction
+    /// fans out across the worker pool (keep-going aware); the compose
+    /// step stays serial and consumes modules in source order.
+    pub(crate) fn ar_cfg(
+        &self,
+        unit: &SourceUnit,
+        design: &Design,
+        top: &str,
+    ) -> Result<(ComposedSoc, StageReport), SoccarError> {
+        let stage = self.open("ar_cfg");
         let policy = if self.config.keep_going {
             soccar_exec::FailurePolicy::KeepGoing
         } else {
             soccar_exec::FailurePolicy::FailFast
         };
-        let (soc, extract_stats, extract_degraded) = compose_soc_resilient(
-            &unit,
+        let (soc, extract, degraded) = compose_soc_resilient(
+            unit,
             top,
             &self.config.naming,
             self.config.analysis,
-            jobs,
+            self.jobs,
             policy,
             &self.config.fault_plan,
-            &self.recorder,
+            self.recorder,
         )
         .map_err(SoccarError::Cfg)?;
-        let bound = bind_events_traced(&design, &soc, &self.recorder)
+        let bound = bind_events_traced(design, &soc, self.recorder)
             .map_err(|e| SoccarError::Cfg(e.to_string()))?;
-        self.record_pool_stats("exec.extract", &extract_stats);
-        stages.push(StageReport {
-            stage: "ar_cfg".into(),
-            elapsed: ar_cfg_span.close(),
-            detail: format!(
-                "{} reset-governed events across {} instances; {} reset domains",
-                soc.event_count(),
-                soc.instances.len(),
-                soc.reset_domains.len()
-            ),
-            exec: Some(ExecSummary::from(&extract_stats)),
-            health: Health::from_reasons(extract_degraded),
-        });
-        let extraction = ExtractionSummary {
-            modules: unit.modules.len(),
-            instances: soc.instances.len(),
-            ar_events: soc.event_count(),
-            reset_domains: soc.reset_domains.len(),
-            bound_events: bound.len(),
+        self.record_pool_stats("exec.extract", &extract);
+        let composed = ComposedSoc {
+            soc,
+            bound,
+            extract,
+            degraded,
         };
+        let report = stage.ar_cfg(&composed);
+        Ok((composed, report))
+    }
 
-        // Stage 3: concolic testing (Algorithm 3).
-        let concolic_span = soccar_obs::span!(self.recorder, "pipeline.concolic");
-        let mut concolic_config = self.config.concolic.clone();
-        concolic_config.jobs = jobs;
+    /// Stage 3: concolic testing (Algorithm 3). The one place the
+    /// pipeline-level `jobs`, `keep_going` and `fault_plan` merge into
+    /// the engine's [`ConcolicConfig`].
+    pub(crate) fn concolic(
+        &self,
+        design: &Design,
+        bound: &[BoundEvent],
+        properties: Vec<SecurityProperty>,
+    ) -> Result<(ConcolicReport, StageReport), SoccarError> {
+        let stage = self.open("concolic");
+        let mut config = self.config.concolic.clone();
+        config.jobs = self.jobs;
         if self.config.keep_going {
-            concolic_config.failure_policy = soccar_exec::FailurePolicy::KeepGoing;
+            config.failure_policy = soccar_exec::FailurePolicy::KeepGoing;
         }
-        if concolic_config.fault_plan.is_empty() {
-            concolic_config.fault_plan = self.config.fault_plan.clone();
+        if config.fault_plan.is_empty() {
+            config.fault_plan = self.config.fault_plan.clone();
         }
-        let mut engine = ConcolicEngine::new(&design, &bound, properties, concolic_config)
+        let mut engine = ConcolicEngine::new(design, bound, properties, config)
             .map_err(SoccarError::Config)?
             .with_recorder(self.recorder.clone());
         let concolic = engine.run()?;
         self.record_pool_stats("exec.flips", &concolic.flip_exec);
         self.record_pool_stats("exec.sweep", &concolic.sweep_exec);
-        stages.push(StageReport {
-            stage: "concolic".into(),
-            elapsed: concolic_span.close(),
-            detail: format!(
-                "{} rounds, {}/{} targets covered, {} violations",
-                concolic.rounds,
-                concolic.targets_covered,
-                concolic.targets_total,
-                concolic.violations.len()
-            ),
-            exec: Some(ExecSummary::from(&concolic.flip_exec)),
-            health: Health::from_reasons(concolic.degraded_reasons.clone()),
-        });
-
-        Ok(AnalysisReport {
-            stages,
-            lint,
-            extraction,
-            concolic,
-            total: analyze_span.close(),
-        })
+        let report = stage.concolic(&concolic);
+        Ok((concolic, report))
     }
 
     /// Records one parallel stage's pool counters. Task counts are
@@ -615,6 +643,85 @@ impl Soccar {
             .gauge_set(&format!("{prefix}.busy_secs"), stats.busy.as_secs_f64());
         self.recorder
             .gauge_set(&format!("{prefix}.utilization"), stats.utilization());
+    }
+}
+
+/// One pipeline stage in flight (see [`Stages::open`]). Each finishing
+/// method closes the span and builds that stage's report from the
+/// stage's product, whether just computed or cached.
+pub(crate) struct Stage {
+    name: &'static str,
+    span: soccar_obs::SpanGuard,
+}
+
+impl Stage {
+    fn finish(self, detail: String, exec: Option<ExecSummary>, health: Health) -> StageReport {
+        StageReport {
+            stage: self.name.into(),
+            elapsed: self.span.close(),
+            detail,
+            exec,
+            health,
+        }
+    }
+
+    pub(crate) fn frontend(self, unit: &SourceUnit, design: &Design) -> StageReport {
+        let detail = format!("{} modules; {}", unit.modules.len(), design.stats());
+        self.finish(detail, None, Health::Ok)
+    }
+
+    pub(crate) fn ar_cfg(self, composed: &ComposedSoc) -> StageReport {
+        let soc = &composed.soc;
+        let detail = format!(
+            "{} reset-governed events across {} instances; {} reset domains",
+            soc.event_count(),
+            soc.instances.len(),
+            soc.reset_domains.len()
+        );
+        self.finish(
+            detail,
+            Some(ExecSummary::from(&composed.extract)),
+            Health::from_reasons(composed.degraded.clone()),
+        )
+    }
+
+    pub(crate) fn concolic(self, concolic: &ConcolicReport) -> StageReport {
+        let detail = format!(
+            "{} rounds, {}/{} targets covered, {} violations",
+            concolic.rounds,
+            concolic.targets_covered,
+            concolic.targets_total,
+            concolic.violations.len()
+        );
+        self.finish(
+            detail,
+            Some(ExecSummary::from(&concolic.flip_exec)),
+            Health::from_reasons(concolic.degraded_reasons.clone()),
+        )
+    }
+}
+
+/// The ar_cfg stage's product: the composed SoC AR_CFG, its events bound
+/// onto the elaborated design, and the extraction pool's counters and
+/// lost modules.
+#[derive(Debug)]
+pub(crate) struct ComposedSoc {
+    pub(crate) soc: SocArCfg,
+    pub(crate) bound: Vec<BoundEvent>,
+    extract: soccar_exec::PoolStats,
+    degraded: Vec<String>,
+}
+
+impl ComposedSoc {
+    /// The report's extraction summary for a source of `modules` modules.
+    pub(crate) fn summary(&self, modules: usize) -> ExtractionSummary {
+        ExtractionSummary {
+            modules,
+            instances: self.soc.instances.len(),
+            ar_events: self.soc.event_count(),
+            reset_domains: self.soc.reset_domains.len(),
+            bound_events: self.bound.len(),
+        }
     }
 }
 

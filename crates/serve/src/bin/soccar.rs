@@ -55,32 +55,21 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use soccar::cli::parse_property;
-use soccar::{Soccar, SoccarConfig};
-use soccar_cfg::{compose_soc, GovernorAnalysis, ResetNaming};
-use soccar_concolic::{ConcolicConfig, SecurityProperty};
+use soccar::Soccar;
+use soccar_cfg::{compose_soc, ResetNaming};
 use soccar_lint::{LintConfig, Linter, Severity};
-use soccar_serve::{Request, Server, ServerOptions};
+use soccar_serve::{resolve_request, Request, Server, ServerOptions};
 
 struct Args {
     file: String,
-    soc: Option<String>,
-    variant: Option<u32>,
-    top: String,
-    properties: Vec<SecurityProperty>,
-    symbolic: Vec<String>,
-    refined: bool,
-    cycles: u64,
-    rounds: usize,
+    /// The design flags, resolved exactly like a daemon request.
+    request: Request,
     list_domains: bool,
     verbose: bool,
     json: bool,
     vcd: Option<String>,
     trace_out: Option<String>,
     jobs: usize,
-    keep_going: bool,
-    solver_budget: Option<u64>,
-    round_deadline_ms: Option<u64>,
 }
 
 const USAGE: &str = "usage: soccar [analyze] <file.v> --top <module> [options]
@@ -97,7 +86,7 @@ options:
   --variant <n>       bug-seeded variant of a bundled SoC (default: clean;
                       generated designs draw bugs from the seed instead)
   --refined           use the refined (implicit-governor) analysis
-  --cycles <n>        simulation horizon per round (default 24)
+  --cycles <n>        simulation horizon per round (default 24, at most 1024)
   --rounds <n>        max concolic rounds before the sweep (default 12)
   --list-domains      print reset domains / AR_CFG summary and exit
   --verbose           print witness schedules and the trace span tree
@@ -122,90 +111,77 @@ environment:
                       testing, e.g. solver_unknown@3,task_panic@extract:1
                       (see docs/RESILIENCE.md)";
 
+/// Applies one design flag — `--soc`, `--variant`, `--top`,
+/// `--property`, `--symbolic`, `--refined`, `--cycles`, `--rounds`,
+/// `--solver-budget`, `--keep-going` or `--round-deadline-ms` — to
+/// `req`, taking its value from `args`. Returns `Ok(false)` for any other
+/// argument. `soccar analyze` and `soccar client analyze` both parse
+/// their design flags here, so a flag means the same in batch and served
+/// runs.
+fn parse_design_flag(
+    req: &mut Request,
+    flag: &str,
+    args: &mut dyn Iterator<Item = String>,
+) -> Result<bool, String> {
+    fn value(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
+        args.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+    fn number<T: std::str::FromStr>(
+        args: &mut dyn Iterator<Item = String>,
+        flag: &str,
+    ) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        value(args, flag)?
+            .parse()
+            .map_err(|e| format!("{flag}: {e}"))
+    }
+    match flag {
+        "--soc" => req.soc = value(args, flag)?,
+        "--variant" => req.variant = Some(number(args, flag)?),
+        "--top" => req.top = value(args, flag)?,
+        "--property" => req.properties.push(value(args, flag)?),
+        "--symbolic" => req.symbolic.push(value(args, flag)?),
+        "--refined" => req.refined = true,
+        "--cycles" => req.cycles = Some(number(args, flag)?),
+        "--rounds" => req.rounds = Some(number(args, flag)?),
+        "--solver-budget" => req.solver_budget = Some(number(args, flag)?),
+        "--keep-going" => req.keep_going = true,
+        "--round-deadline-ms" => req.round_deadline_ms = Some(number(args, flag)?),
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = args;
     let mut out = Args {
         file: String::new(),
-        soc: None,
-        variant: None,
-        top: String::new(),
-        properties: Vec::new(),
-        symbolic: Vec::new(),
-        refined: false,
-        cycles: 24,
-        rounds: 12,
+        request: Request::new("analyze"),
         list_domains: false,
         verbose: false,
         json: false,
         vcd: None,
         trace_out: None,
         jobs: 0,
-        keep_going: false,
-        solver_budget: None,
-        round_deadline_ms: None,
     };
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
     };
     while let Some(arg) = args.next() {
+        if parse_design_flag(&mut out.request, &arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--top" => out.top = next(&mut args, "--top")?,
-            "--property" => out
-                .properties
-                .push(parse_property(&next(&mut args, "--property")?)?),
-            "--symbolic" => out.symbolic.push(next(&mut args, "--symbolic")?),
-            "--refined" => out.refined = true,
-            "--cycles" => {
-                out.cycles = next(&mut args, "--cycles")?
-                    .parse()
-                    .map_err(|e| format!("--cycles: {e}"))?;
-            }
-            "--rounds" => {
-                out.rounds = next(&mut args, "--rounds")?
-                    .parse()
-                    .map_err(|e| format!("--rounds: {e}"))?;
-            }
             "--jobs" => {
                 out.jobs = next(&mut args, "--jobs")?
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?;
             }
-            "--keep-going" => out.keep_going = true,
-            "--solver-budget" => {
-                out.solver_budget = Some(
-                    next(&mut args, "--solver-budget")?
-                        .parse()
-                        .map_err(|e| format!("--solver-budget: {e}"))?,
-                );
-            }
-            "--round-deadline-ms" => {
-                out.round_deadline_ms = Some(
-                    next(&mut args, "--round-deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("--round-deadline-ms: {e}"))?,
-                );
-            }
             "--list-domains" => out.list_domains = true,
             "--vcd" => out.vcd = Some(next(&mut args, "--vcd")?),
             "--trace-out" => out.trace_out = Some(next(&mut args, "--trace-out")?),
-            "--soc" => {
-                let name = next(&mut args, "--soc")?;
-                match name.as_str() {
-                    "clustersoc" | "autosoc" => {}
-                    n if n.starts_with("gen:") => {
-                        soccar_soc::GenSpec::parse(n).map_err(|e| format!("--soc: {e}"))?;
-                    }
-                    other => return Err(format!("--soc: unknown model `{other}`")),
-                }
-                out.soc = Some(name);
-            }
-            "--variant" => {
-                out.variant = Some(
-                    next(&mut args, "--variant")?
-                        .parse()
-                        .map_err(|e| format!("--variant: {e}"))?,
-                );
-            }
             "--verbose" => out.verbose = true,
             "--json" => out.json = true,
             "--help" | "-h" => {
@@ -218,54 +194,32 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    if out.soc.is_some() {
+    if !out.request.soc.is_empty() {
         if !out.file.is_empty() {
             return Err("--soc and a file argument are mutually exclusive".to_owned());
         }
-    } else if out.file.is_empty() || out.top.is_empty() {
+    } else if out.file.is_empty() || out.request.top.is_empty() {
         return Err(USAGE.to_owned());
     }
     Ok(out)
 }
 
 fn run(args: &Args) -> Result<bool, String> {
-    // Resolve the design: a file on disk, or a bundled evaluation SoC
-    // (which brings its catalog properties and symbolic inputs along).
-    let (file_name, source, top, mut properties, mut symbolic) = match &args.soc {
-        Some(name) => {
-            let soc = soccar_soc::catalog::resolve(name, args.variant)?;
-            let props: Vec<SecurityProperty> = soc.checks.iter().map(soccar::property_of).collect();
-            let top = if args.top.is_empty() {
-                soc.top.clone()
-            } else {
-                args.top.clone()
-            };
-            (soc.file_name, soc.source, top, props, soc.symbolic)
-        }
-        None => {
-            let source =
-                std::fs::read_to_string(&args.file).map_err(|e| format!("{}: {e}", args.file))?;
-            (
-                args.file.clone(),
-                source,
-                args.top.clone(),
-                Vec::new(),
-                Vec::new(),
-            )
-        }
-    };
-    properties.extend(args.properties.iter().cloned());
-    symbolic.extend(args.symbolic.iter().cloned());
-    let analysis = if args.refined {
-        GovernorAnalysis::Refined
-    } else {
-        GovernorAnalysis::Explicit
-    };
+    // Resolve the design through the daemon's resolver: a file on disk,
+    // or a catalog SoC (which brings its properties and symbolic inputs
+    // along).
+    let mut request = args.request.clone();
+    if !args.file.is_empty() {
+        request.source =
+            std::fs::read_to_string(&args.file).map_err(|e| format!("{}: {e}", args.file))?;
+        request.file_name = args.file.clone();
+    }
+    let (file_name, source, top, properties, mut config) = resolve_request(&request)?;
 
     if args.list_domains {
         let unit = soccar_rtl::parser::parse(soccar_rtl::span::FileId(0), &source)
             .map_err(|e| e.to_string())?;
-        let soc = compose_soc(&unit, &top, &ResetNaming::new(), analysis)?;
+        let soc = compose_soc(&unit, &top, &config.naming, config.analysis)?;
         println!(
             "{}: {} instances, {} reset-governed events",
             top,
@@ -285,25 +239,8 @@ fn run(args: &Args) -> Result<bool, String> {
         return Ok(true);
     }
 
-    let fault_plan = soccar_exec::FaultPlan::from_env()?;
-    let config = SoccarConfig {
-        analysis,
-        concolic: ConcolicConfig {
-            cycles: args.cycles,
-            max_rounds: args.rounds,
-            symbolic_inputs: symbolic,
-            solver_budget: match args.solver_budget {
-                Some(n) => soccar_smt::SolveBudget::conflicts(n),
-                None => soccar_smt::SolveBudget::UNLIMITED,
-            },
-            round_deadline: args.round_deadline_ms.map(std::time::Duration::from_millis),
-            ..ConcolicConfig::default()
-        },
-        jobs: args.jobs,
-        keep_going: args.keep_going,
-        fault_plan,
-        ..SoccarConfig::default()
-    };
+    config.jobs = args.jobs;
+    config.fault_plan = soccar_exec::FaultPlan::from_env()?;
     // Recording costs a little, so the recorder stays disabled unless a
     // sink will consume it.
     let recorder = if args.trace_out.is_some() || args.verbose {
@@ -802,48 +739,10 @@ fn parse_client_args(args: impl Iterator<Item = String>) -> Result<ClientArgs, S
                 let req = request
                     .as_mut()
                     .ok_or_else(|| format!("expected a command before `{other}`"))?;
+                if parse_design_flag(req, other, &mut args)? {
+                    continue;
+                }
                 match other {
-                    "--soc" => req.soc = next(&mut args, "--soc")?,
-                    "--variant" => {
-                        req.variant = Some(
-                            next(&mut args, "--variant")?
-                                .parse()
-                                .map_err(|e| format!("--variant: {e}"))?,
-                        );
-                    }
-                    "--top" => req.top = next(&mut args, "--top")?,
-                    "--property" => req.properties.push(next(&mut args, "--property")?),
-                    "--symbolic" => req.symbolic.push(next(&mut args, "--symbolic")?),
-                    "--refined" => req.refined = true,
-                    "--cycles" => {
-                        req.cycles = Some(
-                            next(&mut args, "--cycles")?
-                                .parse()
-                                .map_err(|e| format!("--cycles: {e}"))?,
-                        );
-                    }
-                    "--rounds" => {
-                        req.rounds = Some(
-                            next(&mut args, "--rounds")?
-                                .parse()
-                                .map_err(|e| format!("--rounds: {e}"))?,
-                        );
-                    }
-                    "--solver-budget" => {
-                        req.solver_budget = Some(
-                            next(&mut args, "--solver-budget")?
-                                .parse()
-                                .map_err(|e| format!("--solver-budget: {e}"))?,
-                        );
-                    }
-                    "--keep-going" => req.keep_going = true,
-                    "--round-deadline-ms" => {
-                        req.round_deadline_ms = Some(
-                            next(&mut args, "--round-deadline-ms")?
-                                .parse()
-                                .map_err(|e| format!("--round-deadline-ms: {e}"))?,
-                        );
-                    }
                     "--allow" => req.allow.push(next(&mut args, "--allow")?),
                     "--deny" => req.deny.push(next(&mut args, "--deny")?),
                     path if !path.starts_with('-') && file.is_empty() => {

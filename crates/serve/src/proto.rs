@@ -163,7 +163,8 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// On malformed JSON or a missing/unknown `cmd`.
+    /// On malformed JSON, a missing/unknown `cmd`, or a `variant` beyond
+    /// `u32`.
     pub fn from_json(text: &str) -> Result<Request, String> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
         let cmd = v
@@ -176,7 +177,13 @@ impl Request {
         req.file_name = v.str_field("file_name").unwrap_or_default().to_owned();
         req.source = v.str_field("source").unwrap_or_default().to_owned();
         req.soc = v.str_field("soc").unwrap_or_default().to_owned();
-        req.variant = v.u64_field("variant").map(|n| n as u32);
+        req.variant = v
+            .u64_field("variant")
+            .map(|n| {
+                u32::try_from(n)
+                    .map_err(|_| format!("`variant` {n} is out of range (max {})", u32::MAX))
+            })
+            .transpose()?;
         req.top = v.str_field("top").unwrap_or_default().to_owned();
         req.properties = v.str_list_field("properties");
         req.symbolic = v.str_list_field("symbolic");
@@ -363,6 +370,17 @@ mod tests {
         assert_eq!(decoded.solver_budget, Some(100));
         assert!(decoded.refined && decoded.keep_going);
         assert_eq!(decoded.round_deadline_ms, Some(5000));
+    }
+
+    #[test]
+    fn out_of_range_variant_is_rejected_not_truncated() {
+        let err =
+            Request::from_json(r#"{"cmd":"analyze","soc":"clustersoc","variant":4294967299}"#)
+                .expect_err("a variant past u32 must not wrap to 3");
+        assert_eq!(err, "`variant` 4294967299 is out of range (max 4294967295)");
+        let req =
+            Request::from_json(r#"{"cmd":"analyze","variant":4294967295}"#).expect("u32::MAX");
+        assert_eq!(req.variant, Some(u32::MAX));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use soccar::cli::parse_property;
-use soccar::incremental::{AnalysisSession, CacheCaps, SessionCounters};
+use soccar::incremental::{AnalysisSession, SessionCounters, TierSizes};
 use soccar::SoccarConfig;
 use soccar_cfg::GovernorAnalysis;
 use soccar_concolic::{ConcolicConfig, SecurityProperty};
@@ -42,8 +42,6 @@ pub struct ServerOptions {
     /// via `SOCCAR_JOBS`, then available cores). Reports are identical
     /// for every value.
     pub jobs: usize,
-    /// Cache capacities for the underlying session.
-    pub caps: CacheCaps,
     /// Directory for the persistent cache journal (`None` = in-memory
     /// caches only, the pre-journal behavior).
     pub cache_dir: Option<PathBuf>,
@@ -71,7 +69,6 @@ impl Default for ServerOptions {
             listen: "127.0.0.1:0".to_owned(),
             max_connections: 4,
             jobs: 0,
-            caps: CacheCaps::default(),
             cache_dir: None,
             fault_plan: FaultPlan::default(),
             idle_timeout: None,
@@ -115,21 +112,6 @@ pub struct JournalStatus {
     /// Named degradation reasons from journal recovery (empty when the
     /// replay was clean).
     pub degraded: Vec<String>,
-}
-
-/// Current entry counts of the session's cache tiers.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct TierSizes {
-    /// Per-module ASTs.
-    pub parse: usize,
-    /// Per-module AR_CFGs.
-    pub extract: usize,
-    /// Elaborated + composed designs.
-    pub design: usize,
-    /// Concolic reports.
-    pub concolic: usize,
-    /// Full analysis reports.
-    pub report: usize,
 }
 
 /// Resolves an analyze/lint request into concrete pipeline inputs:
@@ -262,9 +244,8 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&options.listen)?;
         let addr = listener.local_addr()?;
-        let base = SoccarConfig::default();
         let mut session =
-            AnalysisSession::with_caps(base, options.caps).with_recorder(recorder.clone());
+            AnalysisSession::new(SoccarConfig::default()).with_recorder(recorder.clone());
 
         let mut journal = None;
         let mut journal_replayed = 0u64;
@@ -658,18 +639,11 @@ impl Server {
                 )
             }
         };
-        let (parse, extract, design, concolic, report) = session.tier_sizes();
         let body = StatusBody {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             jobs: self.jobs,
             counters: *session.counters(),
-            tiers: TierSizes {
-                parse,
-                extract,
-                design,
-                concolic,
-                report,
-            },
+            tiers: session.tier_sizes(),
             shed: self.shed.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             journal: JournalStatus {

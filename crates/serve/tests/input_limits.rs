@@ -1,6 +1,8 @@
 //! Nesting bombs end in a named limit error, never in a stack-overflow
 //! abort: 200 000 nested parentheses (a 400 KB file) given to the
 //! `soccar` CLI, and 20 000 nested JSON arrays sent to `soccar serve`.
+//! Cycle horizons past `MAX_CYCLES` end in a named limit error, never in
+//! a failed-allocation abort, on the CLI and over the wire alike.
 
 use std::net::TcpStream;
 use std::process::Command;
@@ -70,6 +72,79 @@ fn json_nesting_bomb_gets_an_error_envelope_and_the_daemon_keeps_serving() {
     assert!(body.is_empty());
     drop(stream);
 
+    serves_batch_identical_analyze_then_shuts_down(&addr);
+    runner.join().expect("server thread");
+}
+
+/// The named error both oversized horizons must end in.
+fn horizon_error(cycles: u64) -> String {
+    format!(
+        "input limit exceeded: a horizon of {cycles} cycles is longer than {} cycles",
+        soccar_concolic::MAX_CYCLES
+    )
+}
+
+/// `--cycles 2^40` would ask for terabytes of schedule, and `--cycles
+/// 20000 --rounds 0` for a sweep that materialised one schedule per
+/// pulse position; both used to abort with a failed allocation (exit
+/// 134). Run under a 2 GB address-space cap, so a regression aborts
+/// instead of exhausting the machine.
+#[test]
+fn oversized_cycle_horizon_exits_with_the_named_limit_error() {
+    for args in ["--cycles 1099511627776", "--cycles 20000 --rounds 0"] {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "ulimit -v 2000000; exec \"$0\" analyze --soc clustersoc {args}"
+            ))
+            .arg(BIN)
+            .env_remove("SOCCAR_FAULTS")
+            .output()
+            .expect("run soccar");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        let cycles: u64 = args
+            .split(' ')
+            .nth(1)
+            .and_then(|n| n.parse().ok())
+            .expect("cycles");
+        assert!(stderr.contains(&horizon_error(cycles)), "{args}: {stderr}");
+    }
+}
+
+/// The same oversized request over the wire used to kill `soccar serve`.
+/// It must get an error envelope naming the limit, and the daemon must go
+/// on serving.
+#[test]
+fn oversized_cycle_request_gets_an_error_envelope_and_the_daemon_keeps_serving() {
+    let server = Arc::new(Server::bind(&ServerOptions::default()).expect("bind"));
+    let addr = server.local_addr().to_string();
+    let runner = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run().expect("run"))
+    };
+
+    let mut req = Request::new("analyze");
+    req.soc = "clustersoc".to_owned();
+    req.cycles = Some(1 << 40);
+    let mut client = Client::connect(&addr).expect("connect");
+    let (envelope, body) = client.roundtrip(&req).expect("oversized analyze");
+    assert!(!envelope.ok);
+    assert!(
+        envelope.error.contains(&horizon_error(1 << 40)),
+        "{}",
+        envelope.error
+    );
+    assert!(body.is_empty());
+    drop(client);
+
+    serves_batch_identical_analyze_then_shuts_down(&addr);
+    runner.join().expect("server thread");
+}
+
+/// Sends an analyze on a new connection, checks its body against the
+/// batch pipeline byte for byte, then shuts the daemon down.
+fn serves_batch_identical_analyze_then_shuts_down(addr: &str) {
     let mut req = Request::new("analyze");
     req.file_name = "t.v".to_owned();
     req.source = "module ip(input clk, input rst_n, output reg [7:0] key);
@@ -92,7 +167,7 @@ endmodule
         .canonical_json()
         .expect("canonical json");
 
-    let mut client = Client::connect(&addr).expect("a new connection is accepted");
+    let mut client = Client::connect(addr).expect("a new connection is accepted");
     let (envelope, body) = client.roundtrip(&req).expect("analyze");
     assert!(envelope.ok, "analyze failed: {}", envelope.error);
     assert_eq!(std::str::from_utf8(&body).expect("utf-8"), batch);
@@ -101,5 +176,4 @@ endmodule
         .roundtrip(&Request::new("shutdown"))
         .expect("shutdown");
     assert!(envelope.ok);
-    runner.join().expect("server thread");
 }

@@ -1,11 +1,12 @@
 //! Untrusted-input limits: a nesting bomb is rejected with a named error
 //! instead of overflowing the stack, the deepest expressions the parser
 //! accepts still analyze end to end on a stack the size of a worker-pool
-//! thread, and a tiny file declaring a huge memory analyzes without
-//! allocating it.
+//! thread, a tiny file declaring a huge memory analyzes without
+//! allocating it, and a cycle horizon past `MAX_CYCLES` is a named error
+//! instead of a failed allocation.
 
 use soccar::{Soccar, SoccarConfig};
-use soccar_concolic::ConcolicConfig;
+use soccar_concolic::{ConcolicConfig, MAX_CYCLES};
 use soccar_rtl::parser::{parse, MAX_EXPR_DEPTH};
 use soccar_rtl::span::FileId;
 use soccar_rtl::RtlErrorKind;
@@ -152,4 +153,36 @@ fn memory_bomb_analyzes_to_completion() {
         .expect("the memory bomb analyzes");
     assert!(report.concolic.rounds > 0);
     assert!(report.concolic.targets_total > 0);
+}
+
+/// A horizon one past the limit, and one of 2^40 cycles (terabytes of
+/// schedule if it were materialised), are both rejected before the
+/// engine allocates anything; the limit itself is accepted.
+#[test]
+fn oversized_cycle_horizon_is_a_named_limit_error() {
+    let analyze = |cycles: u64, max_rounds: usize| {
+        let config = SoccarConfig {
+            concolic: ConcolicConfig {
+                cycles,
+                max_rounds,
+                skip_sweep: true,
+                ..ConcolicConfig::default()
+            },
+            jobs: 1,
+            ..SoccarConfig::default()
+        };
+        Soccar::new(config).analyze("t.v", &design("a"), "top", Vec::new())
+    };
+    for cycles in [MAX_CYCLES + 1, 1 << 40] {
+        let err = analyze(cycles, 12).expect_err("an oversized horizon must not analyze");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "configuration: input limit exceeded: a horizon of {cycles} cycles is longer \
+                 than {MAX_CYCLES} cycles"
+            )
+        );
+    }
+    let report = analyze(MAX_CYCLES, 1).expect("the limit itself analyzes");
+    assert_eq!(report.concolic.rounds, 1);
 }
