@@ -7,7 +7,7 @@
 //!
 //! | tier | key | holds | invalidated by |
 //! |------|-----|-------|----------------|
-//! | parse | raw chunk hash | per-module AST (0-based spans) | editing that module's text |
+//! | parse | raw chunk hash | per-module AST (spans at the chunk's last offset) + structural fingerprint, lent to each request | editing that module's text |
 //! | design | ordered structural hashes + top + extraction config | elaborated design, composed `SocArCfg`, bound events | semantic edit anywhere |
 //! | concolic | design key + properties + config | [`ConcolicReport`] | semantic edit / request change |
 //! | report | raw source + request | full [`AnalysisReport`] | any byte change |
@@ -19,8 +19,13 @@
 //! [`AnalysisSession::analyze_with_config`] returns a report whose
 //! [`AnalysisReport::canonical_json`] is byte-identical to a cold batch
 //! run of the same request. Lint always re-runs (it is span-dependent and
-//! milliseconds-cheap); cached module ASTs are span-rebased into the new
-//! file so its diagnostics cannot drift. Requests carrying a
+//! milliseconds-cheap). A warm edit costs what it touches: the parse
+//! tier lends each unchanged module's AST into the request's unit (moved,
+//! not copied) and takes it back afterwards; a lent module is
+//! span-rebased only when its chunk moved in the file, so diagnostics
+//! cannot drift; and the design-tier key reads each module's structural
+//! fingerprint from the tier, so only re-parsed chunks are
+//! pretty-printed and hashed. Requests carrying a
 //! fault-injection plan bypass every tier and delegate to the batch
 //! pipeline, because injected faults key on global task indices that
 //! cached stages would skip; requests with a wall-clock round deadline
@@ -33,9 +38,10 @@ use std::sync::Arc;
 
 use serde::Serialize;
 use soccar_concolic::{ConcolicReport, SecurityProperty};
-use soccar_rtl::ast::Module;
 use soccar_rtl::elaborate::elaborate_traced;
-use soccar_rtl::fingerprint::{assemble_unit, hash_bytes, module_fingerprint, split_modules};
+use soccar_rtl::fingerprint::{
+    assemble_unit, hash_bytes, split_modules, AssembledUnit, ModuleChunk, ParsedChunk,
+};
 use soccar_rtl::span::{FileId, SourceMap};
 use soccar_rtl::Design;
 
@@ -89,7 +95,7 @@ pub struct SessionCounters {
 /// Current entry counts of the session's cache tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TierSizes {
-    /// Per-module ASTs.
+    /// Per-module ASTs with their structural fingerprints.
     pub parse: usize,
     /// Elaborated + composed designs.
     pub design: usize,
@@ -144,7 +150,8 @@ impl Default for CacheCaps {
 struct CostAwareMap<K, V> {
     entries: HashMap<K, CostSlot<V>>,
     cap: usize,
-    /// Logical clock: bumps on every get/insert; drives the recency tier.
+    /// Logical clock: bumps on every get/remove/insert; drives the
+    /// recency tier.
     clock: u64,
     /// Insertion sequence: the deterministic tie-breaker.
     seq: u64,
@@ -176,6 +183,13 @@ impl<K: Eq + Hash + Clone, V> CostAwareMap<K, V> {
             slot.last_use = clock;
             &slot.value
         })
+    }
+
+    /// Takes `key`'s value out of the map (a lookup that lends it: the
+    /// caller inserts it again when done).
+    fn remove(&mut self, key: &K) -> Option<V> {
+        self.clock += 1;
+        self.entries.remove(key).map(|slot| slot.value)
     }
 
     /// Inserts with a recompute-cost estimate, returning how many old
@@ -267,7 +281,7 @@ type DesignKey = (Vec<u64>, String, u64);
 pub struct AnalysisSession {
     config: SoccarConfig,
     recorder: soccar_obs::Recorder,
-    parse_cache: CostAwareMap<u64, Module>,
+    parse_cache: CostAwareMap<u64, ParsedChunk>,
     design_cache: CostAwareMap<DesignKey, Arc<DesignEntry>>,
     concolic_cache: CostAwareMap<u64, ConcolicReport>,
     report_cache: CostAwareMap<u64, AnalysisReport>,
@@ -353,18 +367,21 @@ impl AnalysisSession {
     ) -> Result<(AnalysisReport, RequestStats), SoccarError> {
         self.counters.requests += 1;
         self.recorder.counter_add("server.requests", 1);
-        // A wall-clock deadline makes results timing-dependent: such
-        // requests must never be served from (or poison) a result tier.
-        let cacheable_results = config.concolic.round_deadline.is_none();
+        let req = Request {
+            file_name,
+            source,
+            top,
+            config,
+        };
 
         // Fault plans key on global task indices that only the batch
         // fan-out reproduces; delegate wholesale.
         if !config.fault_plan.is_empty() || !config.concolic.fault_plan.is_empty() {
-            return self.fallback(file_name, source, top, properties, config);
+            return self.fallback(&req, properties);
         }
 
-        let request_fp = request_fingerprint(file_name, source, top, &properties, config);
-        if cacheable_results {
+        let request_fp = req.fingerprint(&properties);
+        if req.cacheable_results() {
             if let Some(report) = self.report_cache.get(&request_fp) {
                 self.counters.cache_hits += 1;
                 self.recorder.counter_add("server.cache_hits", 1);
@@ -381,44 +398,64 @@ impl AnalysisSession {
         // including anything that would not parse, so error reporting is
         // untouched.
         let Some(chunks) = split_modules(source) else {
-            return self.fallback(file_name, source, top, properties, config);
+            return self.fallback(&req, properties);
         };
-        let mut stats = RequestStats {
-            modules_total: chunks.len(),
-            ..RequestStats::default()
-        };
+        // The request borrows its modules from the parse tier; whatever
+        // the outcome, they go back, each placed where this request used
+        // it.
+        let mut lent = None;
+        let result = self.analyze_chunks(&req, properties, request_fp, &chunks, &mut lent);
+        if let Some(assembled) = lent {
+            let mut evictions = 0;
+            for (raw_fp, parsed) in assembled.into_parsed() {
+                // Re-parse cost scales with the chunk's size.
+                let span = parsed.module().span;
+                let cost = u64::from(span.end - span.start);
+                evictions += self.parse_cache.insert(raw_fp, parsed, cost);
+            }
+            self.count_evictions(evictions);
+        }
+        result
+    }
+
+    /// The stages of one request past the report tier, on a unit lent
+    /// from the parse tier into `lent`.
+    fn analyze_chunks(
+        &mut self,
+        req: &Request<'_>,
+        properties: Vec<SecurityProperty>,
+        request_fp: u64,
+        chunks: &[ModuleChunk],
+        lent: &mut Option<AssembledUnit>,
+    ) -> Result<(AnalysisReport, RequestStats), SoccarError> {
+        let config = req.config;
+        let cacheable_results = req.cacheable_results();
         let mut evictions = 0u64;
         let stages = Stages::new(config, &self.recorder);
-        let analyze_span = stages.analyze_span(file_name, top);
+        let analyze_span = stages.analyze_span(req.file_name, req.top);
 
-        // Frontend: parse the chunks the parse tier misses, assemble the
-        // unit from the tier, and elaborate on a design-tier miss.
+        // Frontend: parse only the chunks the parse tier cannot lend,
+        // and elaborate on a design-tier miss.
         let frontend = stages.open("frontend");
-        for chunk in &chunks {
-            let raw_fp = chunk.raw_fingerprint();
-            if self.parse_cache.get(&raw_fp).is_some() {
-                continue;
-            }
-            stats.modules_reparsed += 1;
-            if let Ok(parsed) = soccar_rtl::parser::parse(FileId(0), &chunk.text) {
-                if let Ok([m]) = <[Module; 1]>::try_from(parsed.modules) {
-                    // Re-parse cost scales with the chunk's size.
-                    evictions += self.parse_cache.insert(raw_fp, m, chunk.text.len() as u64);
-                }
-            }
-        }
+        let parse_cache = &mut self.parse_cache;
+        let assembled = lent.insert(assemble_unit(FileId(0), chunks, |raw_fp| {
+            parse_cache.remove(&raw_fp)
+        }));
+        let mut stats = RequestStats {
+            modules_total: chunks.len(),
+            modules_reparsed: assembled.reparsed(),
+            ..RequestStats::default()
+        };
         self.counters.modules_reparsed += stats.modules_reparsed as u64;
-        let assembled = assemble_unit(FileId(0), &chunks, |raw_fp| {
-            self.parse_cache.get(&raw_fp).cloned()
-        });
-        let Some(unit) = assembled else {
+        if !assembled.is_complete() {
             // A chunk failed to parse: the batch path reproduces the
             // exact diagnostic.
             drop((frontend, analyze_span));
-            return self.fallback(file_name, source, top, properties, config);
-        };
+            return self.fallback(req, properties);
+        }
+        let unit = assembled.unit();
         let mut map = SourceMap::new();
-        map.add_file(file_name, source);
+        map.add_file(req.file_name, req.source);
         // Extraction depends on the analysis flavor, the reset naming
         // convention and the failure policy; all join the structural keys.
         let extract_cfg_fp = hash_bytes(
@@ -428,24 +465,20 @@ impl AnalysisSession {
             )
             .as_bytes(),
         );
-        let design_key: DesignKey = (
-            unit.modules.iter().map(module_fingerprint).collect(),
-            top.to_owned(),
-            extract_cfg_fp,
-        );
+        let design_key: DesignKey = (assembled.structural(), req.top.to_owned(), extract_cfg_fp);
         // On a design miss, elaboration runs inside the frontend stage,
         // as in batch.
         let elaborated = match self.design_cache.get(&design_key) {
             Some(entry) => Elaborated::Hit(Arc::clone(entry)),
-            None => Elaborated::Miss(Box::new(elaborate_traced(&unit, top, &self.recorder)?)),
+            None => Elaborated::Miss(Box::new(elaborate_traced(unit, req.top, &self.recorder)?)),
         };
         let design = match &elaborated {
             Elaborated::Hit(entry) => &entry.design,
             Elaborated::Miss(design) => design,
         };
-        let frontend = frontend.frontend(&unit, design);
+        let frontend = frontend.frontend(unit, design);
 
-        let (lint, lint_stage) = stages.lint(&unit, &map);
+        let (lint, lint_stage) = stages.lint(unit, &map);
 
         let (entry, ar_cfg_stage) = match elaborated {
             Elaborated::Hit(entry) => {
@@ -454,7 +487,7 @@ impl AnalysisSession {
                 (entry, stage)
             }
             Elaborated::Miss(design) => {
-                let (composed, stage) = stages.ar_cfg(&unit, &design, top)?;
+                let (composed, stage) = stages.ar_cfg(unit, &design, req.top)?;
                 stats.modules_reextracted = unit.modules.len();
                 let entry = Arc::new(DesignEntry {
                     design: *design,
@@ -465,7 +498,7 @@ impl AnalysisSession {
                 evictions += self.design_cache.insert(
                     design_key.clone(),
                     Arc::clone(&entry),
-                    source.len() as u64,
+                    req.source.len() as u64,
                 );
                 (entry, stage)
             }
@@ -526,14 +559,11 @@ impl AnalysisSession {
             total: analyze_span.close(),
         };
         if cacheable_results {
-            evictions += self
-                .report_cache
-                .insert(request_fp, report.clone(), source.len() as u64);
+            evictions +=
+                self.report_cache
+                    .insert(request_fp, report.clone(), req.source.len() as u64);
         }
-        if evictions > 0 {
-            self.counters.evictions += evictions;
-            self.recorder.counter_add("server.evictions", evictions);
-        }
+        self.count_evictions(evictions);
         Ok((report, stats))
     }
 
@@ -541,17 +571,15 @@ impl AnalysisSession {
     /// still counting it and caching the full report when safe.
     fn fallback(
         &mut self,
-        file_name: &str,
-        source: &str,
-        top: &str,
+        req: &Request<'_>,
         properties: Vec<SecurityProperty>,
-        config: &SoccarConfig,
     ) -> Result<(AnalysisReport, RequestStats), SoccarError> {
         self.counters.fallbacks += 1;
         self.recorder.counter_add("server.fallbacks", 1);
+        let config = req.config;
         let report = Soccar::new(config.clone())
             .with_recorder(self.recorder.clone())
-            .analyze(file_name, source, top, properties.clone())?;
+            .analyze(req.file_name, req.source, req.top, properties.clone())?;
         let stats = RequestStats {
             fallback: true,
             modules_total: report.extraction.modules,
@@ -571,51 +599,67 @@ impl AnalysisSession {
             .counter_add("server.targets_rerun", stats.targets_rerun as u64);
         let cacheable = config.fault_plan.is_empty()
             && config.concolic.fault_plan.is_empty()
-            && config.concolic.round_deadline.is_none();
+            && req.cacheable_results();
         if cacheable {
-            let fp = request_fingerprint(file_name, source, top, &properties, config);
-            let evictions = self
-                .report_cache
-                .insert(fp, report.clone(), source.len() as u64);
-            if evictions > 0 {
-                self.counters.evictions += evictions;
-                self.recorder.counter_add("server.evictions", evictions);
-            }
+            let evictions = self.report_cache.insert(
+                req.fingerprint(&properties),
+                report.clone(),
+                req.source.len() as u64,
+            );
+            self.count_evictions(evictions);
         }
         Ok((report, stats))
     }
+
+    /// Adds capacity evictions to the session counters.
+    fn count_evictions(&mut self, evictions: u64) {
+        if evictions > 0 {
+            self.counters.evictions += evictions;
+            self.recorder.counter_add("server.evictions", evictions);
+        }
+    }
 }
 
-/// Report-tier key: every request field that can influence the result.
-/// `Debug` renderings are stable within a build, which is the cache's
-/// lifetime.
-fn request_fingerprint(
-    file_name: &str,
-    source: &str,
-    top: &str,
-    properties: &[SecurityProperty],
-    config: &SoccarConfig,
-) -> u64 {
-    let mut normalized = config.clone();
-    normalized.jobs = 0;
-    normalized.concolic.jobs = 0;
-    let mut h = hash_bytes(source.as_bytes());
-    h ^= hash_bytes(file_name.as_bytes()).rotate_left(7);
-    h ^= hash_bytes(top.as_bytes()).rotate_left(17);
-    h ^= hash_bytes(format!("{properties:?}").as_bytes()).rotate_left(27);
-    h ^= hash_bytes(
-        format!(
-            "{:?}/{:?}/{:?}/{:?}/{}",
-            normalized.analysis,
-            normalized.naming,
-            normalized.concolic,
-            normalized.lint,
-            normalized.keep_going
+/// One analyze request's inputs, less its properties.
+struct Request<'a> {
+    file_name: &'a str,
+    source: &'a str,
+    top: &'a str,
+    config: &'a SoccarConfig,
+}
+
+impl Request<'_> {
+    /// A wall-clock deadline makes results timing-dependent: such
+    /// requests must never be served from (or poison) a result tier.
+    fn cacheable_results(&self) -> bool {
+        self.config.concolic.round_deadline.is_none()
+    }
+
+    /// Report-tier key: every request field that can influence the
+    /// result. `Debug` renderings are stable within a build, which is the
+    /// cache's lifetime.
+    fn fingerprint(&self, properties: &[SecurityProperty]) -> u64 {
+        let mut normalized = self.config.clone();
+        normalized.jobs = 0;
+        normalized.concolic.jobs = 0;
+        let mut h = hash_bytes(self.source.as_bytes());
+        h ^= hash_bytes(self.file_name.as_bytes()).rotate_left(7);
+        h ^= hash_bytes(self.top.as_bytes()).rotate_left(17);
+        h ^= hash_bytes(format!("{properties:?}").as_bytes()).rotate_left(27);
+        h ^= hash_bytes(
+            format!(
+                "{:?}/{:?}/{:?}/{:?}/{}",
+                normalized.analysis,
+                normalized.naming,
+                normalized.concolic,
+                normalized.lint,
+                normalized.keep_going
+            )
+            .as_bytes(),
         )
-        .as_bytes(),
-    )
-    .rotate_left(37);
-    h
+        .rotate_left(37);
+        h
+    }
 }
 
 #[cfg(test)]
@@ -866,6 +910,104 @@ endmodule
         assert_eq!(map.insert("a", 3, 1), 0, "overwrite needs no room");
         assert_eq!(map.len(), 2);
         assert_eq!(map.get(&"a"), Some(&3));
+    }
+
+    /// The leaky design behind a first module, `pad`, whose body carries
+    /// `pad_lines`: editing `pad` moves every later module, including
+    /// `ip`, the one the lint diagnostics point into.
+    fn padded(pad_lines: &str) -> String {
+        format!(
+            "module pad(input a, output y);\n{pad_lines}  assign y = a;\nendmodule\n{}",
+            leaky(0xA5, "")
+        )
+    }
+
+    /// Runs one request through `session` and through batch and asserts
+    /// the same canonical report, or the same error; returns the
+    /// session's stats on success.
+    fn assert_matches_batch(
+        session: &mut AnalysisSession,
+        source: &str,
+        top: &str,
+    ) -> Option<RequestStats> {
+        let config = session.config().clone();
+        let batch = Soccar::new(config.clone()).analyze("t.v", source, top, vec![key_property()]);
+        let warm = session.analyze_with_config("t.v", source, top, vec![key_property()], &config);
+        match (warm, batch) {
+            (Ok((warm, stats)), Ok(batch)) => {
+                assert_eq!(
+                    warm.canonical_json().expect("json"),
+                    batch.canonical_json().expect("json")
+                );
+                Some(stats)
+            }
+            (Err(warm), Err(batch)) => {
+                assert_eq!(warm.to_string(), batch.to_string());
+                None
+            }
+            (warm, batch) => panic!(
+                "session {:?} but batch {:?}",
+                warm.map(|_| ()),
+                batch.map(|_| ())
+            ),
+        }
+    }
+
+    #[test]
+    fn line_shifting_edits_keep_spans_exact() {
+        let mut session = AnalysisSession::new(SoccarConfig::default());
+        let base = padded("");
+        let (cold, _) = analyze(&mut session, &base);
+        assert!(
+            cold.lint.diagnostics.iter().any(|d| d.module == "ip"),
+            "the test needs diagnostics in a module after the edit"
+        );
+        // Edit 1 grows `pad` by three lines; edit 2 takes them out again
+        // (with a same-line comment, so its text is new), so `ip` and
+        // `top` move forward, then back.
+        let edits = [
+            padded("  // one\n  // two\n  // three\n"),
+            base.replacen("assign y = a;", "assign y = a; // back", 1),
+        ];
+        for source in edits {
+            let stats = assert_matches_batch(&mut session, &source, "top").expect("analysis");
+            assert_eq!(stats.modules_reparsed, 1, "only pad's chunk is new");
+            assert!(stats.design_cache_hit);
+        }
+    }
+
+    #[test]
+    fn errors_and_odd_shapes_leave_the_session_consistent() {
+        let mut session = AnalysisSession::new(SoccarConfig::default());
+        analyze(&mut session, &padded(""));
+        let edited = padded("  // edit 1\n");
+        let stats = assert_matches_batch(&mut session, &edited, "top").expect("analysis");
+        assert_eq!(stats.modules_reparsed, 1);
+
+        // An elaboration error after every module was lent.
+        assert!(assert_matches_batch(&mut session, &edited, "nope").is_none());
+        // A chunk that does not parse: the batch fallback.
+        let broken = edited.replace("assign y = a;", "assign y = ;");
+        assert!(assert_matches_batch(&mut session, &broken, "top").is_none());
+        let stats =
+            assert_matches_batch(&mut session, &padded("  // edit 2\n"), "top").expect("analysis");
+        assert_eq!(stats.modules_reparsed, 1, "only pad's chunk is new");
+        assert!(stats.design_cache_hit);
+
+        // The same module text twice: two chunks, one raw fingerprint.
+        let ip = &leaky(0xA5, "")[..leaky(0xA5, "").find("module top").expect("top")];
+        let doubled = format!("{ip}{}", padded("  // edit 2\n"));
+        let stats = assert_matches_batch(&mut session, &doubled, "top").expect("batch accepts it");
+        assert_eq!(stats.modules_total, 4);
+        assert_eq!(
+            stats.modules_reparsed, 1,
+            "the repeated text is parsed again"
+        );
+        let stats =
+            assert_matches_batch(&mut session, &padded("  // edit 3\n"), "top").expect("analysis");
+        assert_eq!(stats.modules_reparsed, 1);
+        // Four `pad` texts, `ip` and `top`; the broken chunk is not kept.
+        assert_eq!(session.tier_sizes().parse, 6);
     }
 
     #[test]

@@ -1,22 +1,28 @@
 //! Content fingerprinting and incremental re-parse support.
 //!
-//! The analysis server (`soccar-serve`) keys its per-module caches on two
+//! The incremental session behind `soccar serve` keys its caches on two
 //! fingerprints computed here:
 //!
 //! * a **raw fingerprint** ([`hash_bytes`] over a module's source chunk),
 //!   which decides whether the cached AST for that chunk can be reused
 //!   without re-parsing, and
 //! * a **structural fingerprint** ([`module_fingerprint`], a hash of the
-//!   pretty-printed AST), which decides whether downstream per-module
-//!   results (AR_CFG extraction, elaboration) are still valid — it is
+//!   pretty-printed AST), which decides whether downstream results
+//!   (elaboration, AR_CFG composition) are still valid — it is
 //!   insensitive to comments, whitespace and span positions.
 //!
 //! [`split_modules`] slices a source file into per-module chunks without
 //! parsing it, so an edit to one module invalidates only that module's
-//! caches. Cached ASTs are parsed from the chunk text (0-based offsets)
-//! and rebased into the full file's coordinate space with
-//! [`rebase_module_spans`], which keeps every diagnostic span — and hence
-//! lint output — byte-identical to a cold full-file parse.
+//! caches. [`assemble_unit`] builds the file's [`SourceUnit`] from the
+//! chunks: a chunk the caller can lend (a [`ParsedChunk`] kept from an
+//! earlier request) is moved in, and only the others are parsed. The
+//! structural fingerprint is computed once, when a chunk is parsed, and
+//! travels with its AST. A lent module is span-rebased only when its
+//! chunk moved, straight from its old byte offset to its new one
+//! ([`rebase_module_spans`]), so every diagnostic span — and hence lint
+//! output — stays byte-identical to a cold full-file parse. After the
+//! request, [`AssembledUnit::into_parsed`] hands the modules back for the
+//! next one.
 
 use crate::ast::{
     AlwaysBlock, CaseArm, Declarator, Expr, Instance, Item, Module, NetDecl, ParamDecl, Port,
@@ -192,17 +198,21 @@ pub fn split_modules(source: &str) -> Option<Vec<ModuleChunk>> {
     Some(chunks)
 }
 
-/// Rebases every span in `m` into `file` at byte offset `delta`.
+/// Moves every span in `m` from a module placed at byte offset `from` to
+/// one placed at `to`; `to` may lie before `from`.
 ///
-/// Used when a cached AST — parsed from a [`ModuleChunk`]'s text, so its
-/// spans are 0-based — is reassembled into a [`SourceUnit`] registered
-/// under the full file. After rebasing, diagnostics render identical
-/// line/column positions to a full-file parse.
-pub fn rebase_module_spans(m: &mut Module, file: FileId, delta: u32) {
+/// Used when a module parsed from a [`ModuleChunk`]'s text (spans from
+/// 0) or kept from an earlier request (spans at that request's chunk
+/// offset) is placed into a [`SourceUnit`] whose chunk starts at `to`.
+/// After rebasing, diagnostics render identical line/column positions to
+/// a full-file parse.
+pub fn rebase_module_spans(m: &mut Module, from: u32, to: u32) {
+    // A modular shift: exact for every span inside the module, whichever
+    // way it moves.
+    let shift = to.wrapping_sub(from);
     let fix = |s: &mut Span| {
-        s.file = file;
-        s.start += delta;
-        s.end += delta;
+        s.start = s.start.wrapping_add(shift);
+        s.end = s.end.wrapping_add(shift);
     };
     fix(&mut m.span);
     for p in &mut m.params {
@@ -416,40 +426,167 @@ fn rebase_expr(e: &mut Expr, fix: &impl Fn(&mut Span)) {
     }
 }
 
-/// Parses each chunk independently and reassembles the full-file
-/// [`SourceUnit`], rebasing spans so the result is indistinguishable
+/// One chunk's parse, as a cache keeps it between requests: the module
+/// with its spans placed at the chunk's offset in the file it was last
+/// assembled into, and its structural fingerprint, computed once when
+/// the chunk was parsed.
+#[derive(Debug)]
+pub struct ParsedChunk {
+    module: Module,
+    /// Byte offset the module's spans are placed at.
+    offset: u32,
+    /// [`module_fingerprint`] of `module`.
+    structural: u64,
+}
+
+impl ParsedChunk {
+    /// The parsed module, spans as last placed.
+    #[must_use]
+    pub fn module(&self) -> &Module {
+        &self.module
+    }
+
+    /// Parses `chunk`'s text into `file`, spans from 0. `None` unless
+    /// the text parses as exactly one module.
+    fn parse(file: FileId, chunk: &ModuleChunk) -> Option<ParsedChunk> {
+        let unit = crate::parser::parse(file, &chunk.text).ok()?;
+        let [module] = <[Module; 1]>::try_from(unit.modules).ok()?;
+        let structural = module_fingerprint(&module);
+        Some(ParsedChunk {
+            module,
+            offset: 0,
+            structural,
+        })
+    }
+
+    /// Places the module at byte `offset`, rebasing its spans only if it
+    /// moved.
+    fn place_at(&mut self, offset: u32) {
+        if offset != self.offset {
+            rebase_module_spans(&mut self.module, self.offset, offset);
+            self.offset = offset;
+        }
+    }
+}
+
+/// The [`SourceUnit`] [`assemble_unit`] builds, plus what it takes to
+/// hand each module back with [`AssembledUnit::into_parsed`].
+#[derive(Debug)]
+pub struct AssembledUnit {
+    unit: SourceUnit,
+    /// One entry per module of `unit`, in order.
+    placed: Vec<Placement>,
+    reparsed: usize,
+    complete: bool,
+}
+
+/// Where one module of an [`AssembledUnit`] came from.
+#[derive(Debug)]
+struct Placement {
+    raw: u64,
+    offset: u32,
+    structural: u64,
+}
+
+impl AssembledUnit {
+    /// The modules in chunk order, with spans in the full file's
+    /// coordinates.
+    #[must_use]
+    pub fn unit(&self) -> &SourceUnit {
+        &self.unit
+    }
+
+    /// Whether every chunk parsed as exactly one module. When `false`,
+    /// `unit` holds only the modules before the first chunk that did not.
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.complete
+    }
+
+    /// Chunks handed to the parser because `lend` had no module for them
+    /// (a chunk that failed to parse included).
+    #[must_use]
+    pub fn reparsed(&self) -> usize {
+        self.reparsed
+    }
+
+    /// The structural fingerprints of `unit`'s modules, in order.
+    #[must_use]
+    pub fn structural(&self) -> Vec<u64> {
+        self.placed.iter().map(|p| p.structural).collect()
+    }
+
+    /// Hands the modules back as `(raw fingerprint, parse)` pairs, in
+    /// chunk order, each placed where this unit used it.
+    pub fn into_parsed(self) -> impl Iterator<Item = (u64, ParsedChunk)> {
+        self.unit
+            .modules
+            .into_iter()
+            .zip(self.placed)
+            .map(|(module, p)| {
+                let parsed = ParsedChunk {
+                    module,
+                    offset: p.offset,
+                    structural: p.structural,
+                };
+                (p.raw, parsed)
+            })
+    }
+}
+
+/// Builds the full-file [`SourceUnit`] from `chunks`, indistinguishable
 /// from `parse(file, source)`.
 ///
-/// `reuse` is consulted per chunk with the chunk's raw fingerprint; on a
-/// hit the cached module (already 0-based) is cloned instead of
-/// re-parsed. Returns `None` if any chunk fails to parse — the caller
-/// falls back to the full-file parse so error reporting is untouched.
-#[must_use]
+/// `lend` is asked once per chunk, with the chunk's raw fingerprint, for
+/// a [`ParsedChunk`] of that text previously assembled into `file`. A
+/// lent module is moved in and rebased only if its chunk moved. Only
+/// chunks `lend` has no module for are parsed (a lender holds one module
+/// per text, so a text repeated within the file is parsed again). Assembly
+/// stops at the first chunk that does not parse as one module (see
+/// [`AssembledUnit::is_complete`]): the caller falls back to the
+/// full-file parse so error reporting is untouched.
 pub fn assemble_unit(
     file: FileId,
     chunks: &[ModuleChunk],
-    mut reuse: impl FnMut(u64) -> Option<Module>,
-) -> Option<SourceUnit> {
-    let mut modules = Vec::with_capacity(chunks.len());
+    mut lend: impl FnMut(u64) -> Option<ParsedChunk>,
+) -> AssembledUnit {
+    let mut assembled = AssembledUnit {
+        unit: SourceUnit {
+            modules: Vec::with_capacity(chunks.len()),
+        },
+        placed: Vec::with_capacity(chunks.len()),
+        reparsed: 0,
+        complete: true,
+    };
     for chunk in chunks {
-        let mut m = match reuse(chunk.raw_fingerprint()) {
-            Some(m) => m,
+        let raw = chunk.raw_fingerprint();
+        let mut parsed = match lend(raw) {
+            Some(parsed) => parsed,
             None => {
-                let unit = crate::parser::parse(FileId(0), &chunk.text).ok()?;
-                let [m] = <[Module; 1]>::try_from(unit.modules).ok()?;
-                m
+                assembled.reparsed += 1;
+                let Some(parsed) = ParsedChunk::parse(file, chunk) else {
+                    assembled.complete = false;
+                    break;
+                };
+                parsed
             }
         };
-        rebase_module_spans(&mut m, file, chunk.offset);
-        modules.push(m);
+        parsed.place_at(chunk.offset);
+        assembled.placed.push(Placement {
+            raw,
+            offset: chunk.offset,
+            structural: parsed.structural,
+        });
+        assembled.unit.modules.push(parsed.module);
     }
-    Some(SourceUnit { modules })
+    assembled
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use std::collections::HashMap;
 
     const TWO_MODULES: &str = "\
 // leading comment with the word module in it
@@ -519,31 +656,73 @@ endmodule
         let file = FileId(3);
         let full = parse(file, TWO_MODULES).expect("full parse");
         let chunks = split_modules(TWO_MODULES).expect("split");
-        let assembled = assemble_unit(file, &chunks, |_| None).expect("assemble");
+        let assembled = assemble_unit(file, &chunks, |_| None);
+        assert!(assembled.is_complete());
+        assert_eq!(assembled.reparsed(), 2);
+        let structural: Vec<u64> = full.modules.iter().map(module_fingerprint).collect();
+        assert_eq!(assembled.structural(), structural);
         // Derived PartialEq covers every span, so this checks rebasing
         // byte-for-byte, not just structure.
-        assert_eq!(full, assembled);
+        assert_eq!(&full, assembled.unit());
+    }
+
+    /// Assembles `source` lending from `cache`, checks the unit against a
+    /// full parse, hands the modules back and returns the re-parse count.
+    fn assemble_through(cache: &mut HashMap<u64, ParsedChunk>, source: &str) -> usize {
+        let chunks = split_modules(source).expect("split");
+        let assembled = assemble_unit(FileId(0), &chunks, |raw| cache.remove(&raw));
+        assert!(assembled.is_complete());
+        assert_eq!(
+            parse(FileId(0), source).expect("full parse"),
+            assembled.unit
+        );
+        let reparsed = assembled.reparsed();
+        cache.extend(assembled.into_parsed());
+        reparsed
     }
 
     #[test]
-    fn reuse_skips_the_parser_and_still_matches() {
-        let file = FileId(0);
-        let full = parse(file, TWO_MODULES).expect("full parse");
-        let chunks = split_modules(TWO_MODULES).expect("split");
-        // Prime a cache with 0-based chunk parses.
-        let mut cache = std::collections::HashMap::new();
-        for c in &chunks {
-            let unit = parse(FileId(0), &c.text).expect("chunk parse");
-            cache.insert(c.raw_fingerprint(), unit.modules[0].clone());
-        }
-        let mut hits = 0;
-        let assembled = assemble_unit(file, &chunks, |fp| {
-            hits += 1;
-            cache.get(&fp).cloned()
-        })
-        .expect("assemble");
-        assert_eq!(hits, 2);
-        assert_eq!(full, assembled);
+    fn lent_modules_move_both_ways_and_still_match() {
+        let mut cache = HashMap::new();
+        assert_eq!(assemble_through(&mut cache, TWO_MODULES), 2);
+        // Two new lines in `leaf` move `top` forward: only `leaf` is
+        // parsed, and `top` is rebased from its old offset.
+        let grown = TWO_MODULES.replacen(
+            "  // endmodule in a comment\n",
+            "  // endmodule in a comment\n  // one\n  // two\n",
+            1,
+        );
+        assert_eq!(assemble_through(&mut cache, &grown), 1);
+        // Back to the original: both texts are cached, and `top` moves
+        // back by a negative delta.
+        assert_eq!(assemble_through(&mut cache, TWO_MODULES), 0);
+        assert_eq!(cache.len(), 3);
+        let top = &cache[&split_modules(TWO_MODULES).expect("split")[1].raw_fingerprint()];
+        assert_eq!(top.offset, top.module.span.start);
+    }
+
+    #[test]
+    fn repeated_chunk_text_is_parsed_again() {
+        let leaf = "module leaf(input a, output y); assign y = a; endmodule\n";
+        let source = format!("{leaf}// again\n{leaf}");
+        let mut cache = HashMap::new();
+        assert_eq!(assemble_through(&mut cache, &source), 2);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(assemble_through(&mut cache, &source), 1);
+    }
+
+    #[test]
+    fn assembly_stops_at_a_chunk_that_does_not_parse() {
+        let source = "module a(); endmodule\nmodule b(; endmodule\nmodule c(); endmodule\n";
+        let chunks = split_modules(source).expect("split");
+        let assembled = assemble_unit(FileId(0), &chunks, |_| None);
+        assert!(!assembled.is_complete());
+        assert_eq!(assembled.reparsed(), 2);
+        let handed_back: Vec<_> = assembled
+            .into_parsed()
+            .map(|(_, p)| p.module.name)
+            .collect();
+        assert_eq!(handed_back, ["a"]);
     }
 
     #[test]

@@ -60,6 +60,30 @@ use soccar_cfg::{compose_soc, ResetNaming};
 use soccar_lint::{LintConfig, Linter, Severity};
 use soccar_serve::{resolve_request, Request, Server, ServerOptions};
 
+/// `print!` for the commands' stdout. A reader that closes the pipe
+/// early (`soccar lint --json x.v | head -1`) has taken all the output it
+/// wants, so a broken pipe ends the output quietly and the command keeps
+/// its own exit status; any other write error is the command's error.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
 struct Args {
     file: String,
     /// The design flags, resolved exactly like a daemon request.
@@ -185,7 +209,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--verbose" => out.verbose = true,
             "--json" => out.json = true,
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}")?;
                 std::process::exit(0);
             }
             other if out.file.is_empty() && !other.starts_with('-') => {
@@ -220,21 +244,21 @@ fn run(args: &Args) -> Result<bool, String> {
         let unit = soccar_rtl::parser::parse(soccar_rtl::span::FileId(0), &source)
             .map_err(|e| e.to_string())?;
         let soc = compose_soc(&unit, &top, &config.naming, config.analysis)?;
-        println!(
+        outln!(
             "{}: {} instances, {} reset-governed events",
             top,
             soc.instances.len(),
             soc.event_count()
-        );
+        )?;
         for d in &soc.reset_domains {
-            println!(
+            outln!(
                 "domain {} ({}, active-{}): {} members, {} events",
                 d.source,
                 if d.top_level { "top input" } else { "internal" },
                 if d.active_low { "low" } else { "high" },
                 d.members.len(),
                 d.events.len()
-            );
+            )?;
         }
         return Ok(true);
     }
@@ -258,7 +282,7 @@ fn run(args: &Args) -> Result<bool, String> {
         if args.json {
             eprintln!("trace written to {path}");
         } else {
-            println!("trace written to {path}");
+            outln!("trace written to {path}")?;
         }
     }
     if args.verbose {
@@ -266,68 +290,68 @@ fn run(args: &Args) -> Result<bool, String> {
         if args.json {
             eprint!("{tree}");
         } else {
-            print!("{tree}");
+            out!("{tree}")?;
         }
     }
     if args.json {
         // The canonical report is the machine interface: stdout carries
         // exactly the JSON a `soccar client analyze` body carries.
-        println!("{}", report.canonical_json().map_err(|e| e.to_string())?);
+        outln!("{}", report.canonical_json().map_err(|e| e.to_string())?)?;
         return Ok(report.violations().is_empty());
     }
 
     for stage in &report.stages {
-        println!(
+        outln!(
             "[{}] {:.3}s  {}",
             stage.stage,
             stage.elapsed.as_secs_f64(),
             stage.detail
-        );
+        )?;
         // Only degraded runs print health lines, so healthy output (and
         // its golden snapshots) is byte-for-byte what it always was.
         for reason in stage.health.reasons() {
-            println!("  degraded: {reason}");
+            outln!("  degraded: {reason}")?;
         }
         if args.verbose {
             if let Some(exec) = &stage.exec {
-                println!(
+                outln!(
                     "  pool: {} jobs, {} tasks, {:.0}% utilization",
                     exec.jobs,
                     exec.tasks,
                     exec.utilization * 100.0
-                );
+                )?;
             }
         }
     }
     if report.is_degraded() {
-        println!(
+        outln!(
             "HEALTH: degraded ({} reason(s); coverage may be incomplete)",
             report.health().reasons().len()
-        );
+        )?;
     }
-    println!(
+    outln!(
         "coverage: {}/{} AR_CFG targets ({} unreachable); solver {} calls / {} sat",
         report.concolic.targets_covered,
         report.concolic.targets_total,
         report.concolic.targets_unreachable,
         report.concolic.solver_calls,
         report.concolic.solver_sat,
-    );
+    )?;
     if report.violations().is_empty() {
-        println!("RESULT: no violations");
+        outln!("RESULT: no violations")?;
         Ok(true)
     } else {
         for v in report.violations() {
-            println!("{v}");
+            outln!("{v}")?;
         }
         if args.verbose {
             for w in &report.concolic.witnesses {
-                println!(
+                outln!(
                     "  witness [{}] round {}: {}",
                     w.property,
                     w.round,
                     w.schedule.summary()
-                );
+                )?;
             }
         }
         if let Some(path) = &args.vcd {
@@ -347,10 +371,10 @@ fn run(args: &Args) -> Result<bool, String> {
                     .map_err(|e| e.to_string())?;
                 let vcd = soccar_sim::vcd::write_vcd(&design, sim.trace(), &[]);
                 std::fs::write(path, vcd).map_err(|e| e.to_string())?;
-                println!("witness [{}] waveform written to {path}", w.property);
+                outln!("witness [{}] waveform written to {path}", w.property)?;
             }
         }
-        println!("RESULT: {} violation(s)", report.violations().len());
+        outln!("RESULT: {} violation(s)", report.violations().len())?;
         Ok(false)
     }
 }
@@ -388,7 +412,7 @@ fn parse_lint_args(args: impl Iterator<Item = String>) -> Result<LintArgs, Strin
             "--deny" => out.config.deny.push(next(&mut args, "--deny")?),
             "--list-rules" => out.list_rules = true,
             "--help" | "-h" => {
-                println!("{LINT_USAGE}");
+                outln!("{LINT_USAGE}")?;
                 std::process::exit(0);
             }
             other if out.file.is_empty() && !other.starts_with('-') => {
@@ -407,12 +431,12 @@ fn run_lint(args: &LintArgs) -> Result<bool, String> {
     let linter = Linter::new().with_config(args.config.clone());
     if args.list_rules {
         for rule in linter.rules() {
-            println!(
+            outln!(
                 "{:<28} {:<8} {}",
                 rule.id(),
                 rule.default_severity().label(),
                 rule.description()
-            );
+            )?;
         }
         return Ok(true);
     }
@@ -424,15 +448,15 @@ fn run_lint(args: &LintArgs) -> Result<bool, String> {
     let source = std::fs::read_to_string(&args.file).map_err(|e| format!("{}: {e}", args.file))?;
     let report = linter.lint_source(&args.file, &source)?;
     if args.json {
-        println!(
+        outln!(
             "{}",
             soccar::json::to_json_pretty(&report).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
         for diag in &report.diagnostics {
-            println!("{diag}");
+            outln!("{diag}")?;
         }
-        println!("{}", report.summary());
+        outln!("{}", report.summary())?;
     }
     Ok(report.worst() != Some(Severity::Error))
 }
@@ -471,7 +495,7 @@ fn parse_gen_args(args: impl Iterator<Item = String>) -> Result<GenArgs, String>
             "--manifest" => out.manifest = Some(next(&mut args, "--manifest")?),
             "--summary" => out.summary = true,
             "--help" | "-h" => {
-                println!("{GEN_USAGE}");
+                outln!("{GEN_USAGE}")?;
                 std::process::exit(0);
             }
             other if out.name.is_empty() && !other.starts_with('-') => {
@@ -499,7 +523,7 @@ fn run_gen(args: &GenArgs) -> Result<(), String> {
         eprintln!("{}: manifest written to {path}", soc.name);
     }
     if args.summary {
-        println!(
+        outln!(
             "{}: {} modules, {} reset domains, {} seeded bug(s), {} checks, top {}",
             soc.name,
             soc.manifest.modules,
@@ -507,9 +531,9 @@ fn run_gen(args: &GenArgs) -> Result<(), String> {
             soc.manifest.bugs.len(),
             soc.checks.len(),
             soc.top
-        );
+        )?;
     } else if args.manifest.is_none() {
-        print!("{manifest_json}");
+        out!("{manifest_json}")?;
     }
     Ok(())
 }
@@ -610,7 +634,7 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeArgs, Str
                 out.admission_wait_ms = ms(&mut args, "--admission-wait-ms")?;
             }
             "--help" | "-h" => {
-                println!("{SERVE_USAGE}");
+                outln!("{SERVE_USAGE}")?;
                 std::process::exit(0);
             }
             other => return Err(format!("unexpected argument `{other}`")),
@@ -729,7 +753,7 @@ fn parse_client_args(args: impl Iterator<Item = String>) -> Result<ClientArgs, S
                 );
             }
             "--help" | "-h" => {
-                println!("{CLIENT_USAGE}");
+                outln!("{CLIENT_USAGE}")?;
                 std::process::exit(0);
             }
             "analyze" | "lint" | "status" | "shutdown" if request.is_none() => {
@@ -808,7 +832,7 @@ fn run_client(args: &ClientArgs) -> Result<bool, String> {
     }
     if !body.is_empty() {
         let text = String::from_utf8(body).map_err(|_| "response body is not utf-8".to_owned())?;
-        println!("{text}");
+        outln!("{text}")?;
     }
     for reason in &envelope.degraded_reasons {
         eprintln!("degraded: {reason}");
