@@ -162,6 +162,12 @@ impl CoAlgebra {
         &self.observations
     }
 
+    /// The term graph, mutably, next to the branch log: flip planning
+    /// interns negated conditions of logged observations.
+    pub(crate) fn graph_and_observations(&mut self) -> (&mut TermGraph, &[BranchObservation]) {
+        (&mut self.graph, &self.observations)
+    }
+
     /// Clears the branch log and coverage (between rounds). Terms persist —
     /// they are hash-consed and cheap to keep.
     pub fn reset_observations(&mut self) {

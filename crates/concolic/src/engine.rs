@@ -17,8 +17,9 @@
 //!    already equivalences over per-cycle input variables, exactly the
 //!    transformation the paper describes — and asks the solver for a new
 //!    input schedule. Every candidate is one one-shot query against the
-//!    round's own term graph, solved in parallel and consumed in stable
-//!    order.
+//!    round's own term graph. Only the candidates of the target the
+//!    decision walk reaches are solved, in fixed-size parallel chunks,
+//!    and consumed in stable order up to the first Sat.
 //! 4. Once coverage saturates (or no flip is solvable), a systematic
 //!    *reset sweep* moves an asynchronous pulse across every cycle of
 //!    every domain, exploring the reset-timing space the paper calls
@@ -87,12 +88,12 @@ pub struct ConcolicConfig {
     /// AMS comparator outputs, sensor strobes). Pulsed active-high.
     pub async_events: Vec<String>,
     /// Worker threads for the engine's two fan-outs (`0` = auto via
-    /// [`soccar_exec::resolve_jobs`]): each round's uncovered-event flip
-    /// solves, and the reset sweep's pulse positions. Every job count
-    /// produces bit-identical reports: each flip candidate is an
-    /// independent query against the round's frozen term graph, consumed
-    /// in stable target order, and sweep rounds are merged in
-    /// `(domain, cycle)` order, never completion order.
+    /// [`soccar_exec::resolve_jobs`]): each chunk of flip solves, and the
+    /// reset sweep's pulse positions. Every job count produces
+    /// bit-identical reports: each flip candidate is an independent query
+    /// against the round's frozen term graph, solved in fixed-size chunks
+    /// and consumed in stable target order, and sweep rounds are merged
+    /// in `(domain, cycle)` order, never completion order.
     pub jobs: usize,
     /// Resource budget for each flip solve. An exhausted budget yields
     /// [`CheckResult::Unknown`], which the engine records as a *skipped*
@@ -111,10 +112,11 @@ pub struct ConcolicConfig {
     /// `round_timeout` fault point exercises the same path
     /// deterministically).
     pub round_deadline: Option<Duration>,
-    /// What a panicking flip-solve task does to the run.
-    /// [`FailurePolicy::FailFast`] (default) rethrows the panic;
-    /// [`FailurePolicy::KeepGoing`] records the flip as failed, degrades
-    /// the round, and continues — the CLI's `--keep-going`.
+    /// What a panicking flip-solve task does to the run once the
+    /// decision walk reads its result. [`FailurePolicy::FailFast`]
+    /// (default) rethrows the panic; [`FailurePolicy::KeepGoing`] records
+    /// the flip as failed, degrades the round, and continues — the CLI's
+    /// `--keep-going`.
     pub failure_policy: FailurePolicy,
     /// Deterministic fault-injection plan (chaos testing). The engine
     /// consults the points `solver_unknown`, `task_panic:flips`, and
@@ -194,17 +196,18 @@ pub struct ConcolicReport {
     pub first_violation_round: Option<usize>,
     /// One witness schedule per violated property.
     pub witnesses: Vec<Witness>,
-    /// Solver invocations: every issued flip query, consumed or
-    /// speculative (the candidate set is fixed before the fan-out, so the
-    /// count is job-count invariant).
+    /// Flip queries the decision walk read: every solved candidate up to
+    /// and including the consumed one. Candidates the walk never reaches
+    /// are never solved, and a solved chunk's results after the consumed
+    /// one are not read, so the count is the same for every job count.
     pub solver_calls: usize,
     /// Of which SAT.
     pub solver_sat: usize,
-    /// Consumed flip attempts the solver gave up on (budget exhaustion or
-    /// an injected `solver_unknown` fault). Each is a skipped flip, not a
+    /// Read flip attempts the solver gave up on (budget exhaustion or an
+    /// injected `solver_unknown` fault). Each is a skipped flip, not a
     /// failure; job-count invariant.
     pub solver_unknown: usize,
-    /// Flip-solve worker tasks that panicked (kept going under
+    /// Read flip-solve worker tasks that panicked (kept going under
     /// `FailurePolicy::KeepGoing`); job-count invariant.
     pub flips_failed: usize,
     /// Rounds whose flip planning was degraded (skipped flips, failed
@@ -281,10 +284,14 @@ pub struct ConcolicEngine<'d> {
     pulse_attempts: HashMap<usize, u64>,
     flip_stats: soccar_exec::PoolStats,
     sweep_stats: soccar_exec::PoolStats,
-    /// Global flip-candidate sequence number — assigned serially in
-    /// Phase A order, so it is the deterministic index the fault plan
-    /// keys on.
+    /// Flip candidates numbered so far. Every round numbers all of its
+    /// candidates in target order (see `plan_next`), solved or not, so
+    /// the numbers are the deterministic index the fault plan keys on.
     flip_seq: u64,
+    /// Flip queries the decision walk read (see
+    /// [`ConcolicReport::solver_calls`]), and of which Sat.
+    solver_calls: usize,
+    solver_sat: usize,
     solver_unknown: usize,
     flips_failed: usize,
     degraded_rounds: usize,
@@ -463,6 +470,8 @@ impl<'d> ConcolicEngine<'d> {
             flip_stats: soccar_exec::PoolStats::default(),
             sweep_stats: soccar_exec::PoolStats::default(),
             flip_seq: 0,
+            solver_calls: 0,
+            solver_sat: 0,
             solver_unknown: 0,
             flips_failed: 0,
             degraded_rounds: 0,
@@ -478,13 +487,14 @@ impl<'d> ConcolicEngine<'d> {
     /// (the co-simulation) and `concolic.plan` (flip planning, solving
     /// included); each sweep phase gets one `concolic.sweep` /
     /// `concolic.sweep_high` span. Flip planning feeds the
-    /// `concolic.flip_candidates` / `concolic.flip_consumed` /
-    /// `concolic.flip_sat` counters, and every flip solve — including the
-    /// speculative ones — reports through [`Solver::check_traced`].
+    /// `concolic.flip_candidates` (numbered) / `concolic.flip_consumed`
+    /// (read) / `concolic.flip_sat` counters, and every flip solve —
+    /// including a chunk's results after the consumed one — reports
+    /// through [`Solver::check_traced`].
     ///
-    /// Because `plan_next` always solves *all* collected candidates, the
-    /// solver metrics are identical for every job count even though the
-    /// solves run on worker threads.
+    /// Because `plan_next` solves whole fixed-size chunks, whatever the
+    /// job count, the solver metrics are identical for every job count
+    /// even though the solves run on worker threads.
     #[must_use]
     pub fn with_recorder(mut self, recorder: soccar_obs::Recorder) -> Self {
         self.recorder = recorder;
@@ -518,8 +528,6 @@ impl<'d> ConcolicEngine<'d> {
         let mut rounds = 0usize;
         // Cycles simulated; a sweep position's shared prefix counts once.
         let mut sim_cycles = 0u64;
-        let mut solver_calls = 0usize;
-        let mut solver_sat = 0usize;
 
         // Phase 1: concolic coverage loop.
         while rounds < self.config.max_rounds {
@@ -560,13 +568,7 @@ impl<'d> ConcolicEngine<'d> {
                 break;
             }
             let plan_span = soccar_obs::span!(self.recorder, "concolic.plan");
-            let next = self.plan_next(
-                &mut sim,
-                &schedule,
-                rounds,
-                &mut solver_calls,
-                &mut solver_sat,
-            );
+            let next = self.plan_next(&mut sim, &schedule, rounds);
             plan_span.close();
             match next {
                 Some(next) => schedule = next,
@@ -646,8 +648,8 @@ impl<'d> ConcolicEngine<'d> {
             violations,
             first_violation_round,
             witnesses,
-            solver_calls,
-            solver_sat,
+            solver_calls: self.solver_calls,
+            solver_sat: self.solver_sat,
             solver_unknown: self.solver_unknown,
             flips_failed: self.flips_failed,
             degraded_rounds: self.degraded_rounds,
@@ -929,24 +931,22 @@ impl<'d> ConcolicEngine<'d> {
     /// Picks an uncovered target and produces the next schedule, either by
     /// solver-driven branch flipping or by direct reset scheduling.
     ///
-    /// The flip solves — the expensive part of a round — fan out over the
-    /// worker pool: every uncovered target's candidate occurrences are
-    /// collected up front in stable `(target index, occurrence index)`
-    /// order, solved speculatively as one-shot queries against the
-    /// round's frozen term graph, and then *consumed* by a serial decision
-    /// walk identical to the original single-threaded loop. Because each
-    /// solve depends only on its own candidate (never on a sibling's
-    /// outcome or scheduling), the chosen schedule, the solver counters,
-    /// and thus the whole report are bit-identical for every job count.
+    /// The decision walk comes first and solves only what it reads. It
+    /// visits the uncovered targets in order; when it reaches a site
+    /// target with flip candidates, it interns a [`FlipWindow`] for just
+    /// those candidates and solves them in [`FLIP_CHUNK`]-sized parallel
+    /// chunks — one one-shot query each against the round's frozen term
+    /// graph — reading the results in order and stopping at the first
+    /// Sat. The chunk size never depends on `jobs`, and each solve
+    /// depends only on its own candidate, so which candidates are solved,
+    /// the chosen schedule, the solver counters, and thus the whole
+    /// report are bit-identical for every job count.
     fn plan_next(
         &mut self,
         sim: &mut Simulator<'d, CoAlgebra>,
         schedule: &TestSchedule,
         round: usize,
-        solver_calls: &mut usize,
-        solver_sat: &mut usize,
     ) -> Option<TestSchedule> {
-        let obs: Vec<BranchObservation> = sim.algebra().observations().to_vec();
         // Goals are `Copy` ids interned at construction time, so the
         // per-round bookkeeping copies `(index, goal, domain)` triples
         // instead of deep-cloning `Target`s.
@@ -957,173 +957,160 @@ impl<'d> ConcolicEngine<'d> {
             .filter(|(i, _)| !self.covered[*i] && !self.unreachable[*i])
             .map(|(i, t)| (i, t.goal, t.domain_idx))
             .collect();
+        let index = FlipIndex::build(
+            sim.algebra().observations(),
+            self.design.sites().len(),
+            self.config.max_flip_attempts,
+        );
         let mut round_degraded = false;
 
-        // Phase A: collect flip candidates in deterministic order.
-        let mut picks: Vec<(usize, usize, bool)> = Vec::new(); // (target, obs index, dir)
-        for (ti, goal, _) in &targets {
-            if let TargetGoal::Site { site, dir } = goal {
-                picks.extend(
-                    obs.iter()
-                        .enumerate()
-                        .filter(|(_, o)| o.site == *site && o.taken != *dir)
-                        .take(self.config.max_flip_attempts)
-                        .map(|(k, _)| (*ti, k, *dir)),
-                );
-            }
-        }
+        // The round's candidates are the uncovered site targets' index
+        // entries in target order; the count alone fixes the per-round
+        // cap and the sequence numbers, without solving anything.
+        let total: usize = targets
+            .iter()
+            .map(|(_, goal, _)| index.candidates(*goal).len())
+            .sum();
+        let mut kept = total;
         // Per-round cap: drop the tail in stable order, and say so.
-        if self.config.max_round_flips > 0 && picks.len() > self.config.max_round_flips {
-            let dropped = picks.len() - self.config.max_round_flips;
-            picks.truncate(self.config.max_round_flips);
+        if self.config.max_round_flips > 0 && total > self.config.max_round_flips {
+            kept = self.config.max_round_flips;
             round_degraded = true;
             self.degraded_reasons.insert(format!(
-                "round {round}: flip attempts capped at {} ({dropped} dropped)",
-                self.config.max_round_flips
+                "round {round}: flip attempts capped at {kept} ({} dropped)",
+                total - kept
             ));
         }
-        // Sequence numbers are assigned serially here — they are the
-        // deterministic per-analysis index the fault plan keys on.
-        let candidates: Vec<FlipCandidate> = picks
-            .into_iter()
-            .map(|(target, obs_index, dir)| {
-                self.flip_seq += 1;
-                FlipCandidate {
-                    target,
-                    obs_index,
-                    dir,
-                    seq: self.flip_seq,
-                }
-            })
-            .collect();
-
-        // Phase B: solve all candidates on the pool. Some solves are
-        // speculative (a candidate after the consumed SAT one, or after a
-        // target that pulses instead) — wasted CPU at worst, never a
-        // behavior change, because only consumed results are counted.
-        // Solver metrics recorded inside the workers stay deterministic
-        // for the same reason: the candidate set never depends on jobs.
-        // KeepGoing turns a panicking flip task into an index-ordered
-        // Failed slot, so one bad solve degrades the round, not the run.
         self.recorder
-            .counter_add("concolic.flip_candidates", candidates.len() as u64);
-        // Every issued query counts, consumed or speculative — the old
-        // consumed-only count read 0 whenever the decision walk stopped
-        // before its first site target. Still job-count invariant: the
-        // candidate set is fixed before the fan-out.
-        *solver_calls += candidates.len();
-        let max_prefix = self.config.max_prefix;
-        // The negated conditions are interned once into the round's own
-        // graph (it is append-only and the simulation is over, so
-        // existing TermIds keep their meaning); after that every worker
-        // only reads the graph.
-        let window = FlipWindow::intern(
-            &mut sim.algebra_mut().graph,
-            &obs,
-            candidates.iter().map(|c| c.obs_index),
-            max_prefix,
-        );
-        let graph = &sim.algebra().graph;
-        let budget = self.config.solver_budget;
-        let plan = &self.config.fault_plan;
-        let recorder = &self.recorder;
-        let (solved, stats) = soccar_exec::parallel_map_policy(
-            self.config.jobs,
-            &candidates,
-            self.config.failure_policy,
-            |c| {
-                if plan.should_inject("task_panic:flips", c.seq) {
-                    panic!("injected fault: task_panic@flips:{}", c.seq);
-                }
-                if plan.should_inject("solver_unknown", c.seq) {
-                    return FlipOutcome::Unknown(format!(
-                        "injected fault: solver_unknown@{}",
-                        c.seq
-                    ));
-                }
-                let terms = window.terms(&obs, c.obs_index, c.dir, max_prefix);
-                solve_flip(graph, &terms, schedule, budget, recorder)
-            },
-        );
-        self.flip_stats.absorb(&stats);
+            .counter_add("concolic.flip_candidates", kept as u64);
+        // Candidate `i` of the round (in target order) has sequence
+        // number `seq_base + i + 1` — the deterministic per-analysis index
+        // the fault plan keys on, whether or not the walk solves it.
+        let seq_base = self.flip_seq;
+        self.flip_seq += kept as u64;
 
-        // Degradation accounting covers EVERY candidate, consumed or
-        // speculative — the candidate set and the index-ordered outcome
-        // vector are pure functions of the serial round state, so this
-        // stays deterministic. A lost flip is a lost flip even when the
-        // decision walk below would have skipped past it.
-        for (outcome, cand) in solved.iter().zip(&candidates) {
-            match outcome {
-                TaskOutcome::Ok(FlipOutcome::Sat(_) | FlipOutcome::Unsat) => {}
-                TaskOutcome::Ok(FlipOutcome::Unknown(reason)) => {
-                    self.solver_unknown += 1;
-                    round_degraded = true;
-                    self.degraded_reasons.insert(format!(
-                        "round {round}: flip {} skipped: {reason}",
-                        cand.seq
-                    ));
-                }
-                TaskOutcome::Failed { panic } => {
-                    self.flips_failed += 1;
-                    round_degraded = true;
-                    self.degraded_reasons.insert(format!(
-                        "round {round}: flip {} worker panicked: {panic}",
-                        cand.seq
-                    ));
-                }
-            }
-        }
-
-        // Phase C: the serial decision walk, consuming solver results in
-        // candidate order instead of invoking the solver inline. Unknown
-        // and panicked slots are *skipped* flips: already recorded above,
-        // never fatal, never consumed as answers.
+        // The serial decision walk.
+        let mut walked = 0usize;
         let mut chosen: Option<TestSchedule> = None;
-        let mut ci = 0usize;
-        'targets: for (ti, goal, domain_idx) in targets {
-            match goal {
-                TargetGoal::Site { .. } => {
-                    let mine = candidates[ci..]
-                        .iter()
-                        .take_while(|c| c.target == ti)
-                        .count();
-                    if mine > 0 {
-                        for outcome in &solved[ci..ci + mine] {
-                            self.recorder.counter_add("concolic.flip_consumed", 1);
-                            match outcome {
-                                TaskOutcome::Ok(FlipOutcome::Sat(next)) => {
-                                    *solver_sat += 1;
-                                    self.recorder.counter_add("concolic.flip_sat", 1);
-                                    chosen = Some(next.clone());
-                                    break 'targets;
-                                }
-                                TaskOutcome::Ok(FlipOutcome::Unsat | FlipOutcome::Unknown(_))
-                                | TaskOutcome::Failed { .. } => {}
-                            }
-                        }
-                        // No flip solved: keep the target for the sweep.
-                        ci += mine;
-                        continue;
-                    }
-                    // Site never ran with a symbolic condition: schedule a
-                    // pulse so the process (and its governor test) runs.
-                    if let Some(next) = self.schedule_pulse(ti, domain_idx, schedule) {
-                        chosen = Some(next);
-                        break 'targets;
-                    }
+        for (ti, goal, domain_idx) in targets {
+            let ks = index.candidates(goal);
+            let ks = &ks[..ks.len().min(kept - walked)];
+            if !ks.is_empty() {
+                let TargetGoal::Site { dir, .. } = goal else {
+                    unreachable!("only site targets have flip candidates")
+                };
+                let first_seq = seq_base + walked as u64 + 1;
+                walked += ks.len();
+                let (next, degraded) =
+                    self.solve_candidates(sim, schedule, round, ks, dir, first_seq);
+                round_degraded |= degraded;
+                if next.is_some() {
+                    chosen = next;
+                    break;
                 }
-                TargetGoal::Process(_) => {
-                    if let Some(next) = self.schedule_pulse(ti, domain_idx, schedule) {
-                        chosen = Some(next);
-                        break 'targets;
-                    }
-                }
+                // No flip solved: keep the target for the sweep.
+                continue;
+            }
+            // A site that never ran with a symbolic condition, or a
+            // whole-block target: schedule a pulse so the process (and its
+            // governor test) runs.
+            if let Some(next) = self.schedule_pulse(ti, domain_idx, schedule) {
+                chosen = Some(next);
+                break;
             }
         }
         if round_degraded {
             self.degraded_rounds += 1;
         }
         chosen
+    }
+
+    /// Solves one site target's flip candidates — observations `ks`, each
+    /// flipped towards `dir`, numbered from `first_seq` — in
+    /// [`FLIP_CHUNK`]-sized parallel chunks, and reads the results in
+    /// order up to the first Sat. Returns that Sat flip's schedule, and
+    /// whether a result read degraded the round. Unknown and panicked
+    /// results are *skipped* flips: recorded as degradation, never
+    /// consumed as answers.
+    fn solve_candidates(
+        &mut self,
+        sim: &mut Simulator<'d, CoAlgebra>,
+        schedule: &TestSchedule,
+        round: usize,
+        ks: &[usize],
+        dir: bool,
+        first_seq: u64,
+    ) -> (Option<TestSchedule>, bool) {
+        let max_prefix = self.config.max_prefix;
+        let (graph, obs) = sim.algebra_mut().graph_and_observations();
+        // The negated conditions are interned into the round's own graph
+        // (it is append-only and the simulation is over, so existing
+        // TermIds keep their meaning); after that every worker only reads
+        // the graph.
+        let window = FlipWindow::intern(graph, obs, ks.iter().copied(), max_prefix);
+        let graph = &*graph;
+        let candidates: Vec<FlipCandidate> = (first_seq..)
+            .zip(ks)
+            .map(|(seq, &obs_index)| FlipCandidate { obs_index, seq })
+            .collect();
+        let budget = self.config.solver_budget;
+        let mut degraded = false;
+        for chunk in candidates.chunks(FLIP_CHUNK) {
+            let plan = &self.config.fault_plan;
+            let recorder = &self.recorder;
+            // Panics become Failed slots whatever the policy, so a panic
+            // in a candidate the walk does not read is never raised; the
+            // policy applies when a result is read.
+            let (solved, stats) = soccar_exec::parallel_map_policy(
+                self.config.jobs,
+                chunk,
+                FailurePolicy::KeepGoing,
+                |c| {
+                    if plan.should_inject("task_panic:flips", c.seq) {
+                        panic!("injected fault: task_panic@flips:{}", c.seq);
+                    }
+                    if plan.should_inject("solver_unknown", c.seq) {
+                        return FlipOutcome::Unknown(format!(
+                            "injected fault: solver_unknown@{}",
+                            c.seq
+                        ));
+                    }
+                    let terms = window.terms(obs, c.obs_index, dir, max_prefix);
+                    solve_flip(graph, &terms, schedule, budget, recorder)
+                },
+            );
+            self.flip_stats.absorb(&stats);
+            for (outcome, c) in solved.into_iter().zip(chunk) {
+                self.solver_calls += 1;
+                self.recorder.counter_add("concolic.flip_consumed", 1);
+                match outcome {
+                    TaskOutcome::Ok(FlipOutcome::Sat(next)) => {
+                        self.solver_sat += 1;
+                        self.recorder.counter_add("concolic.flip_sat", 1);
+                        return (Some(next), degraded);
+                    }
+                    TaskOutcome::Ok(FlipOutcome::Unsat) => {}
+                    TaskOutcome::Ok(FlipOutcome::Unknown(reason)) => {
+                        self.solver_unknown += 1;
+                        degraded = true;
+                        self.degraded_reasons
+                            .insert(format!("round {round}: flip {} skipped: {reason}", c.seq));
+                    }
+                    TaskOutcome::Failed { panic } => {
+                        if self.config.failure_policy == FailurePolicy::FailFast {
+                            std::panic::resume_unwind(Box::new(panic));
+                        }
+                        self.flips_failed += 1;
+                        degraded = true;
+                        self.degraded_reasons.insert(format!(
+                            "round {round}: flip {} worker panicked: {panic}",
+                            c.seq
+                        ));
+                    }
+                }
+            }
+        }
+        (None, degraded)
     }
 
     /// Direct reset scheduling: assert the target's domain at a rotating
@@ -1333,17 +1320,57 @@ impl FlipWorkload {
     }
 }
 
-/// One speculative flip attempt: flip observation `obs_index` towards
-/// `dir` on behalf of uncovered target `target`. `seq` is the 1-based
-/// serial flip-candidate number across the whole analysis — the index
-/// the fault plan's `solver_unknown@N` / `task_panic@flips:N` points
-/// key on.
+/// Flip candidates solved per pool call once the decision walk reaches a
+/// site target. A constant, never derived from `jobs`, so the set of
+/// solved candidates (and every solver counter) is the same for every
+/// job count; it matches the default `max_flip_attempts`, so a target's
+/// candidates are usually one call.
+const FLIP_CHUNK: usize = 4;
+
+/// One flip attempt: flip observation `obs_index` towards the target's
+/// direction. `seq` is the 1-based serial flip-candidate number across
+/// the whole analysis — the index the fault plan's `solver_unknown@N` /
+/// `task_panic@flips:N` points key on.
 #[derive(Debug, Clone, Copy)]
 struct FlipCandidate {
-    target: usize,
     obs_index: usize,
-    dir: bool,
     seq: u64,
+}
+
+/// One round's flip candidates, keyed by `(site, flipped direction)`:
+/// the first `max_flip_attempts` observations of each site that took the
+/// other direction, in chronological order. Built in one pass over the
+/// branch log; solving nothing.
+#[derive(Debug)]
+struct FlipIndex {
+    /// Observation indices at `2·site + dir`.
+    by_key: Vec<Vec<usize>>,
+}
+
+impl FlipIndex {
+    fn build(obs: &[BranchObservation], sites: usize, per_key: usize) -> FlipIndex {
+        let mut by_key = vec![Vec::new(); 2 * sites];
+        for (k, o) in obs.iter().enumerate() {
+            let slot = &mut by_key[FlipIndex::key(o.site, !o.taken)];
+            if slot.len() < per_key {
+                slot.push(k);
+            }
+        }
+        FlipIndex { by_key }
+    }
+
+    fn key(site: BranchSiteId, dir: bool) -> usize {
+        2 * site.0 as usize + usize::from(dir)
+    }
+
+    /// The candidates of `goal`: observation indices to flip towards its
+    /// direction (none for whole-block targets).
+    fn candidates(&self, goal: TargetGoal) -> &[usize] {
+        match goal {
+            TargetGoal::Site { site, dir } => &self.by_key[FlipIndex::key(site, dir)],
+            TargetGoal::Process(_) => &[],
+        }
+    }
 }
 
 /// Result of one flip solve: a new schedule, a definite "no", or a
@@ -2009,6 +2036,81 @@ mod tests {
         assert_eq!(serial.targets_covered, parallel.targets_covered);
         assert_eq!(serial.solver_calls, parallel.solver_calls);
         assert_eq!(serial.solver_sat, parallel.solver_sat);
+    }
+
+    /// Runs the gated-magic design. Its first round numbers four flip
+    /// candidates for the magic-guarded branch: #1 is Sat, #2 is Unsat
+    /// and #3 is Sat again.
+    fn magic_run(jobs: usize, faults: &str, failure_policy: FailurePolicy) -> ConcolicReport {
+        setup(
+            MAGIC_BRANCH,
+            vec![],
+            GovernorAnalysis::Explicit,
+            ConcolicConfig {
+                jobs,
+                fault_plan: FaultPlan::parse(faults).expect("plan"),
+                failure_policy,
+                ..magic_config()
+            },
+        )
+    }
+
+    #[test]
+    fn solver_calls_count_what_the_walk_reads() {
+        for jobs in [1, 2, 4] {
+            // Candidate #1 is consumed: one read, none of #2..#4.
+            let report = magic_run(jobs, "", FailurePolicy::FailFast);
+            assert_eq!(report.solver_calls, 1, "jobs {jobs}: {report:?}");
+            assert_eq!(report.solver_sat, 1, "jobs {jobs}: {report:?}");
+            // #1 skipped and #2 Unsat: the walk consumes #3.
+            let report = magic_run(jobs, "solver_unknown@1", FailurePolicy::FailFast);
+            assert_eq!(report.solver_calls, 3, "jobs {jobs}: {report:?}");
+            assert_eq!(report.solver_sat, 1, "jobs {jobs}: {report:?}");
+            assert_eq!(report.targets_covered, report.targets_total);
+        }
+    }
+
+    #[test]
+    fn flip_fault_after_the_consumed_candidate_leaves_the_run_healthy() {
+        // #2 is never read once #1 is consumed, under either policy.
+        for policy in [FailurePolicy::FailFast, FailurePolicy::KeepGoing] {
+            for faults in ["task_panic@flips:2", "solver_unknown@2"] {
+                let report = magic_run(2, faults, policy);
+                assert!(!report.is_degraded(), "{faults}: {report:?}");
+                assert_eq!(report.flips_failed, 0, "{faults}: {report:?}");
+                assert_eq!(report.solver_unknown, 0, "{faults}: {report:?}");
+                assert_eq!(report.solver_calls, 1, "{faults}: {report:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn flip_fault_before_the_consumed_candidate_degrades_the_run() {
+        // With #1 skipped, the walk reads #2 on its way to #3.
+        let report = magic_run(
+            2,
+            "solver_unknown@1,task_panic@flips:2",
+            FailurePolicy::KeepGoing,
+        );
+        assert_eq!(report.flips_failed, 1, "report: {report:?}");
+        assert_eq!(report.solver_calls, 3, "report: {report:?}");
+        assert!(report
+            .degraded_reasons
+            .iter()
+            .any(|r| r == "round 1: flip 2 worker panicked: injected fault: task_panic@flips:2"));
+        // Fail-fast rethrows the read panic.
+        let aborted = std::panic::catch_unwind(|| {
+            magic_run(
+                2,
+                "solver_unknown@1,task_panic@flips:2",
+                FailurePolicy::FailFast,
+            )
+        });
+        let payload = aborted.expect_err("a read worker panic aborts a fail-fast run");
+        assert_eq!(
+            soccar_exec::panic_message(payload.as_ref()),
+            "injected fault: task_panic@flips:2"
+        );
     }
 
     #[test]

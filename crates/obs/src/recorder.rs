@@ -12,7 +12,7 @@
 //! * **counters** and **histograms** may be bumped from worker threads:
 //!   increments commute, and the sinks render them sorted by name, so the
 //!   final values are job-count invariant as long as the *set* of
-//!   recorded operations is (which the speculative-solve design
+//!   recorded operations is (which flip solving in fixed-size chunks
 //!   guarantees);
 //! * **gauges** carry wall-clock-derived values (utilization, busy time)
 //!   and are dropped from every canonical serialization.

@@ -15,7 +15,8 @@
 //!
 //! Constructs outside the subset produce [`RtlErrorKind::Unsupported`]
 //! diagnostics rather than silently misparsing. Expressions nested deeper
-//! than [`MAX_EXPR_DEPTH`] produce an [`RtlErrorKind::Limit`] diagnostic
+//! than [`MAX_EXPR_DEPTH`], and statements nested deeper than
+//! [`MAX_STMT_DEPTH`], produce an [`RtlErrorKind::Limit`] diagnostic
 //! instead of overflowing the stack of this parser or of the recursive
 //! passes after it.
 
@@ -68,6 +69,7 @@ pub fn parse_traced(
         tokens,
         pos: 0,
         depth: 0,
+        stmt_depth: 0,
     }
     .source_unit()?;
     recorder.counter_add("rtl.modules", unit.modules.len() as u64);
@@ -82,11 +84,25 @@ pub fn parse_traced(
 /// whole pipeline inside a worker thread's 2 MiB stack.
 pub const MAX_EXPR_DEPTH: usize = 128;
 
+/// The deepest statement nesting the frontend accepts. Each statement
+/// opens one level, so a `begin` block, an `if` arm (an `else if` chain
+/// too), a `case` arm and a `for` body each nest one level below the
+/// statement that holds them. Every pass over a statement tree (parsing,
+/// elaboration, AR_CFG extraction, lint, simulation) recurses once per
+/// level, so, like [`MAX_EXPR_DEPTH`], the limit keeps the whole pipeline
+/// inside a worker thread's 2 MiB stack. The two limits share that stack:
+/// in a debug build the deepest accepted statement holding the deepest
+/// accepted expression analyzes end to end, and 80 statement levels over
+/// a 128-deep concatenation overflow it.
+pub const MAX_STMT_DEPTH: usize = 48;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     /// Current expression nesting level (see [`MAX_EXPR_DEPTH`]).
     depth: usize,
+    /// Current statement nesting level (see [`MAX_STMT_DEPTH`]).
+    stmt_depth: usize,
 }
 
 impl Parser {
@@ -480,174 +496,201 @@ impl Parser {
         }))
     }
 
+    /// Parses one statement one nesting level deeper, or fails with
+    /// [`RtlErrorKind::Limit`] past [`MAX_STMT_DEPTH`].
     fn stmt(&mut self) -> RtlResult<Stmt> {
-        match self.peek().clone() {
-            TokenKind::Keyword(Keyword::Begin) => {
-                let start = self.bump().span;
-                // Optional named block `begin : name`.
-                if self.eat_punct(Punct::Colon) {
-                    self.expect_ident()?;
-                }
-                let mut stmts = Vec::new();
-                while !self.eat_keyword(Keyword::End) {
-                    if *self.peek() == TokenKind::Eof {
-                        return Err(self.err("missing `end`"));
-                    }
-                    stmts.push(self.stmt()?);
-                }
-                Ok(Stmt::Block {
-                    stmts,
-                    span: start.to(self.prev_span()),
-                })
-            }
-            TokenKind::Keyword(Keyword::If) => {
-                let start = self.bump().span;
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
-                let then_stmt = Box::new(self.stmt()?);
-                let else_stmt = if self.eat_keyword(Keyword::Else) {
-                    Some(Box::new(self.stmt()?))
-                } else {
-                    None
-                };
-                let end = else_stmt
-                    .as_ref()
-                    .map_or_else(|| then_stmt.span(), |e| e.span());
-                Ok(Stmt::If {
-                    cond,
-                    then_stmt,
-                    else_stmt,
-                    span: start.to(end),
-                })
-            }
-            TokenKind::Keyword(kw @ (Keyword::Case | Keyword::Casez | Keyword::Casex)) => {
-                let start = self.bump().span;
-                let kind = match kw {
-                    Keyword::Case => CaseKind::Case,
-                    Keyword::Casez => CaseKind::Casez,
-                    _ => CaseKind::Casex,
-                };
-                self.expect_punct(Punct::LParen)?;
-                let selector = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
-                let mut arms = Vec::new();
-                while !self.eat_keyword(Keyword::Endcase) {
-                    if *self.peek() == TokenKind::Eof {
-                        return Err(self.err("missing `endcase`"));
-                    }
-                    let aspan = self.span();
-                    let labels = if self.eat_keyword(Keyword::Default) {
-                        self.eat_punct(Punct::Colon);
-                        Vec::new()
-                    } else {
-                        let mut labels = vec![self.expr()?];
-                        while self.eat_punct(Punct::Comma) {
-                            labels.push(self.expr()?);
-                        }
-                        self.expect_punct(Punct::Colon)?;
-                        labels
-                    };
-                    let body = self.stmt()?;
-                    let end = body.span();
-                    arms.push(CaseArm {
-                        labels,
-                        body,
-                        span: aspan.to(end),
-                    });
-                }
-                Ok(Stmt::Case {
-                    kind,
-                    selector,
-                    arms,
-                    span: start.to(self.prev_span()),
-                })
-            }
-            TokenKind::Keyword(Keyword::For) => {
-                let start = self.bump().span;
-                self.expect_punct(Punct::LParen)?;
-                let (var, _) = self.expect_ident()?;
-                self.expect_punct(Punct::Assign)?;
-                let init = self.expr()?;
-                self.expect_punct(Punct::Semi)?;
-                let cond = self.expr()?;
-                self.expect_punct(Punct::Semi)?;
-                let (var2, _) = self.expect_ident()?;
-                if var2 != var {
-                    return Err(self.unsupported("for-loop step must assign the loop variable"));
-                }
-                self.expect_punct(Punct::Assign)?;
-                let step = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.stmt()?);
-                let end = body.span();
-                Ok(Stmt::For {
-                    var,
-                    init,
-                    cond,
-                    step,
-                    body,
-                    span: start.to(end),
-                })
-            }
+        if self.stmt_depth >= MAX_STMT_DEPTH {
+            return Err(RtlError::new(
+                RtlErrorKind::Limit,
+                format!("statement nesting deeper than {MAX_STMT_DEPTH} levels"),
+                self.span(),
+            ));
+        }
+        self.stmt_depth += 1;
+        let s = self.stmt_level();
+        self.stmt_depth -= 1;
+        s
+    }
+
+    /// Dispatches on the statement's first token. Each kind is its own
+    /// function, so a nesting level's stack holds only the locals of the
+    /// kinds on its path: [`MAX_STMT_DEPTH`] is sized against that.
+    fn stmt_level(&mut self) -> RtlResult<Stmt> {
+        match self.peek() {
+            TokenKind::Keyword(Keyword::Begin) => self.block_stmt(),
+            TokenKind::Keyword(Keyword::If) => self.if_stmt(),
+            TokenKind::Keyword(Keyword::Case) => self.case_stmt(CaseKind::Case),
+            TokenKind::Keyword(Keyword::Casez) => self.case_stmt(CaseKind::Casez),
+            TokenKind::Keyword(Keyword::Casex) => self.case_stmt(CaseKind::Casex),
+            TokenKind::Keyword(Keyword::For) => self.for_stmt(),
             TokenKind::Punct(Punct::Semi) => {
                 let span = self.bump().span;
                 Ok(Stmt::Null { span })
             }
-            TokenKind::SysName(_) => {
-                // System tasks ($display etc.) are parsed and discarded.
-                let span = self.bump().span;
-                if self.eat_punct(Punct::LParen) {
-                    let mut depth = 1u32;
-                    loop {
-                        match self.peek() {
-                            TokenKind::Punct(Punct::LParen) => depth += 1,
-                            TokenKind::Punct(Punct::RParen) => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    self.bump();
-                                    break;
-                                }
-                            }
-                            TokenKind::Eof => return Err(self.err("unterminated system call")),
-                            _ => {}
-                        }
-                        self.bump();
-                    }
-                }
-                let end = self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Null { span: span.to(end) })
-            }
+            TokenKind::SysName(_) => self.system_task(),
             TokenKind::Punct(Punct::Hash) => {
                 Err(self.unsupported("delay controls (`#`) are outside the subset"))
             }
-            _ => {
-                // Assignment statement.
-                let lhs = self.lvalue()?;
-                let start = lhs.span();
-                if self.eat_punct(Punct::Assign) {
-                    let rhs = self.expr()?;
-                    let end = self.expect_punct(Punct::Semi)?;
-                    Ok(Stmt::Blocking {
-                        lhs,
-                        rhs,
-                        span: start.to(end),
-                    })
-                } else if self.eat_punct(Punct::LtEq) {
-                    let rhs = self.expr()?;
-                    let end = self.expect_punct(Punct::Semi)?;
-                    Ok(Stmt::NonBlocking {
-                        lhs,
-                        rhs,
-                        span: start.to(end),
-                    })
-                } else {
-                    Err(self.err(format!(
-                        "expected `=` or `<=` in assignment, found {}",
-                        self.peek()
-                    )))
-                }
+            _ => self.assign_stmt(),
+        }
+    }
+
+    fn block_stmt(&mut self) -> RtlResult<Stmt> {
+        let start = self.bump().span;
+        // Optional named block `begin : name`.
+        if self.eat_punct(Punct::Colon) {
+            self.expect_ident()?;
+        }
+        let mut stmts = Vec::new();
+        while !self.eat_keyword(Keyword::End) {
+            if *self.peek() == TokenKind::Eof {
+                return Err(self.err("missing `end`"));
             }
+            stmts.push(self.stmt()?);
+        }
+        Ok(Stmt::Block {
+            stmts,
+            span: start.to(self.prev_span()),
+        })
+    }
+
+    fn if_stmt(&mut self) -> RtlResult<Stmt> {
+        let start = self.bump().span;
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        let then_stmt = Box::new(self.stmt()?);
+        let else_stmt = if self.eat_keyword(Keyword::Else) {
+            Some(Box::new(self.stmt()?))
+        } else {
+            None
+        };
+        let end = else_stmt
+            .as_ref()
+            .map_or_else(|| then_stmt.span(), |e| e.span());
+        Ok(Stmt::If {
+            cond,
+            then_stmt,
+            else_stmt,
+            span: start.to(end),
+        })
+    }
+
+    fn case_stmt(&mut self, kind: CaseKind) -> RtlResult<Stmt> {
+        let start = self.bump().span;
+        self.expect_punct(Punct::LParen)?;
+        let selector = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        let mut arms = Vec::new();
+        while !self.eat_keyword(Keyword::Endcase) {
+            if *self.peek() == TokenKind::Eof {
+                return Err(self.err("missing `endcase`"));
+            }
+            let aspan = self.span();
+            let labels = if self.eat_keyword(Keyword::Default) {
+                self.eat_punct(Punct::Colon);
+                Vec::new()
+            } else {
+                let mut labels = vec![self.expr()?];
+                while self.eat_punct(Punct::Comma) {
+                    labels.push(self.expr()?);
+                }
+                self.expect_punct(Punct::Colon)?;
+                labels
+            };
+            let body = self.stmt()?;
+            let end = body.span();
+            arms.push(CaseArm {
+                labels,
+                body,
+                span: aspan.to(end),
+            });
+        }
+        Ok(Stmt::Case {
+            kind,
+            selector,
+            arms,
+            span: start.to(self.prev_span()),
+        })
+    }
+
+    fn for_stmt(&mut self) -> RtlResult<Stmt> {
+        let start = self.bump().span;
+        self.expect_punct(Punct::LParen)?;
+        let (var, _) = self.expect_ident()?;
+        self.expect_punct(Punct::Assign)?;
+        let init = self.expr()?;
+        self.expect_punct(Punct::Semi)?;
+        let cond = self.expr()?;
+        self.expect_punct(Punct::Semi)?;
+        let (var2, _) = self.expect_ident()?;
+        if var2 != var {
+            return Err(self.unsupported("for-loop step must assign the loop variable"));
+        }
+        self.expect_punct(Punct::Assign)?;
+        let step = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        let body = Box::new(self.stmt()?);
+        let end = body.span();
+        Ok(Stmt::For {
+            var,
+            init,
+            cond,
+            step,
+            body,
+            span: start.to(end),
+        })
+    }
+
+    /// System tasks (`$display` etc.) are parsed and discarded.
+    fn system_task(&mut self) -> RtlResult<Stmt> {
+        let span = self.bump().span;
+        if self.eat_punct(Punct::LParen) {
+            let mut depth = 1u32;
+            loop {
+                match self.peek() {
+                    TokenKind::Punct(Punct::LParen) => depth += 1,
+                    TokenKind::Punct(Punct::RParen) => {
+                        depth -= 1;
+                        if depth == 0 {
+                            self.bump();
+                            break;
+                        }
+                    }
+                    TokenKind::Eof => return Err(self.err("unterminated system call")),
+                    _ => {}
+                }
+                self.bump();
+            }
+        }
+        let end = self.expect_punct(Punct::Semi)?;
+        Ok(Stmt::Null { span: span.to(end) })
+    }
+
+    fn assign_stmt(&mut self) -> RtlResult<Stmt> {
+        let lhs = self.lvalue()?;
+        let start = lhs.span();
+        if self.eat_punct(Punct::Assign) {
+            let rhs = self.expr()?;
+            let end = self.expect_punct(Punct::Semi)?;
+            Ok(Stmt::Blocking {
+                lhs,
+                rhs,
+                span: start.to(end),
+            })
+        } else if self.eat_punct(Punct::LtEq) {
+            let rhs = self.expr()?;
+            let end = self.expect_punct(Punct::Semi)?;
+            Ok(Stmt::NonBlocking {
+                lhs,
+                rhs,
+                span: start.to(end),
+            })
+        } else {
+            Err(self.err(format!(
+                "expected `=` or `<=` in assignment, found {}",
+                self.peek()
+            )))
         }
     }
 

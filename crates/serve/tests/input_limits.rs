@@ -1,6 +1,8 @@
 //! Nesting bombs end in a named limit error, never in a stack-overflow
 //! abort: 200 000 nested parentheses (a 400 KB file) given to the
-//! `soccar` CLI, and 20 000 nested JSON arrays sent to `soccar serve`.
+//! `soccar` CLI, 5000 nested `if` or `begin` statements given to the CLI
+//! and to `soccar serve`, and 20 000 nested JSON arrays sent to `soccar
+//! serve`.
 //! Cycle horizons past `MAX_CYCLES` end in a named limit error, never in
 //! a failed-allocation abort, on the CLI and over the wire alike.
 
@@ -39,6 +41,84 @@ fn nesting_bomb_exits_with_the_named_limit_error() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The two statement bombs: 5000 nested `if (a)` (35 KB) and 5000
+/// nested `begin` (50 KB). Both used to abort `soccar analyze` with a
+/// stack overflow (exit 134).
+fn statement_bombs() -> [String; 2] {
+    [
+        format!(
+            "module top(input a, output reg y);\n  always @(a) {}y = a;\nendmodule\n",
+            "if (a) ".repeat(5000)
+        ),
+        format!(
+            "module top(input a, output reg y);\n  always @(a) {}y = a;{}\nendmodule\n",
+            "begin ".repeat(5000),
+            " end".repeat(5000)
+        ),
+    ]
+}
+
+/// The named error both statement bombs must end in.
+fn statement_limit_error() -> String {
+    format!(
+        "input limit exceeded: statement nesting deeper than {} levels",
+        soccar_rtl::parser::MAX_STMT_DEPTH
+    )
+}
+
+#[test]
+fn statement_nesting_bombs_exit_with_the_named_limit_error() {
+    let dir = std::env::temp_dir().join(format!("soccar-stmt-limits-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for (i, source) in statement_bombs().iter().enumerate() {
+        let bomb = dir.join(format!("bomb{i}.v"));
+        std::fs::write(&bomb, source).expect("write bomb");
+        let bomb = bomb.to_str().expect("utf-8 path");
+        for args in [vec!["analyze", bomb, "--top", "top"], vec!["lint", bomb]] {
+            let out = Command::new(BIN).args(&args).output().expect("run soccar");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&statement_limit_error()),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same bombs in an analyze request used to kill `soccar serve`.
+/// Each must get an error envelope naming the limit, and the daemon must
+/// go on serving.
+#[test]
+fn statement_nesting_bombs_get_error_envelopes_and_the_daemon_keeps_serving() {
+    let server = Arc::new(Server::bind(&ServerOptions::default()).expect("bind"));
+    let addr = server.local_addr().to_string();
+    let runner = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run().expect("run"))
+    };
+
+    for source in statement_bombs() {
+        let mut req = Request::new("analyze");
+        req.file_name = "bomb.v".to_owned();
+        req.source = source;
+        req.top = "top".to_owned();
+        let mut client = Client::connect(&addr).expect("connect");
+        let (envelope, body) = client.roundtrip(&req).expect("bomb analyze");
+        assert!(!envelope.ok);
+        assert!(
+            envelope.error.contains(&statement_limit_error()),
+            "{}",
+            envelope.error
+        );
+        assert!(body.is_empty());
+    }
+
+    serves_batch_identical_analyze_then_shuts_down(&addr);
+    runner.join().expect("server thread");
 }
 
 /// A 20 KB request frame nesting 20 000 arrays would overflow a handler

@@ -118,6 +118,12 @@ fn check_golden(name: &str, actual: &str) {
 
 const SMOKE: &[&str] = &["--cycles", "8", "--rounds", "2"];
 
+/// The chaos-smoke horizon on ClusterSoC: unlike [`SMOKE`], its decision
+/// walk reaches a site target with flip candidates, so it solves
+/// candidates 1 to 4 (flip solving is lazy: a smoke run whose walk
+/// pulses first solves nothing).
+const SOLVING: &[&str] = &["--soc", "clustersoc", "--cycles", "12", "--rounds", "4"];
+
 #[test]
 fn trace_canonical_cluster_soc_matches_snapshot() {
     // `--jobs` is pinned because the span field that records it is part
@@ -152,8 +158,9 @@ fn trace_covers_pipeline_stages_on_both_socs() {
             );
         }
 
-        // The acceptance contract: parse, extract, compose, solve and
-        // round activity must all be visible in one analyze trace.
+        // The acceptance contract: parse, extract, compose and round
+        // activity must all be visible in one analyze trace (solving is
+        // checked on a run that solves, below).
         for span in [
             "\"name\":\"pipeline.analyze\"",
             "\"name\":\"rtl.parse\"",
@@ -172,22 +179,31 @@ fn trace_covers_pipeline_stages_on_both_socs() {
                 "{soc}: trace is missing span {span}"
             );
         }
-        for counter in ["\"name\":\"smt.queries\"", "\"name\":\"concolic.rounds\""] {
-            assert!(
-                lines
-                    .iter()
-                    .any(|l| l.starts_with("{\"type\":\"counter\"") && l.contains(counter)),
-                "{soc}: trace is missing counter {counter}"
-            );
-        }
         assert!(
-            lines
-                .iter()
-                .any(|l| l.starts_with("{\"type\":\"histogram\"")
-                    && l.contains("\"name\":\"smt.sat_vars\"")),
-            "{soc}: trace is missing the smt.sat_vars histogram"
+            lines.iter().any(|l| l.starts_with("{\"type\":\"counter\"")
+                && l.contains("\"name\":\"concolic.rounds\"")),
+            "{soc}: trace is missing counter concolic.rounds"
         );
     }
+
+    // Solve activity, on an analyze whose decision walk solves.
+    let mut args = SOLVING.to_vec();
+    args.extend(["--jobs", "2"]);
+    let trace = run_traced(&scratch("shape-solving"), &args, None);
+    assert!(
+        trace
+            .lines()
+            .any(|l| l.starts_with("{\"type\":\"counter\"")
+                && l.contains("\"name\":\"smt.queries\"")),
+        "solving run: trace is missing counter smt.queries"
+    );
+    assert!(
+        trace
+            .lines()
+            .any(|l| l.starts_with("{\"type\":\"histogram\"")
+                && l.contains("\"name\":\"smt.sat_vars\"")),
+        "solving run: trace is missing the smt.sat_vars histogram"
+    );
 }
 
 #[test]
@@ -212,10 +228,11 @@ fn trace_metrics_identical_across_job_counts() {
 fn trace_metrics_identical_across_job_counts_under_faults() {
     // An injected solver Unknown lands on flip candidate #2 regardless
     // of which worker picks it up, so the degraded metric stream must
-    // stay byte-identical across job counts too.
+    // stay byte-identical across job counts too. The run must be one
+    // whose decision walk solves candidate #2.
     let args = {
-        let mut a = vec!["--soc", "clustersoc", "--keep-going"];
-        a.extend_from_slice(SMOKE);
+        let mut a = SOLVING.to_vec();
+        a.push("--keep-going");
         a
     };
     let envs = &[("SOCCAR_FAULTS", "solver_unknown@2")];

@@ -1,5 +1,5 @@
 //! Determinism regression: the parallel stages (AR_CFG extraction
-//! fan-out, speculative flip solving, the reset sweep's forked pulse
+//! fan-out, chunked flip solving, the reset sweep's forked pulse
 //! positions, variant sweeps) must merge by stable keys, never completion
 //! order, so the full pipeline produces a byte-identical canonical report
 //! for every job count. These tests run the complete pipeline — frontend,

@@ -1,13 +1,14 @@
-//! Untrusted-input limits: a nesting bomb is rejected with a named error
-//! instead of overflowing the stack, the deepest expressions the parser
-//! accepts still analyze end to end on a stack the size of a worker-pool
-//! thread, a tiny file declaring a huge memory analyzes without
-//! allocating it, and a cycle horizon past `MAX_CYCLES` is a named error
-//! instead of a failed allocation.
+//! Untrusted-input limits: expression and statement nesting bombs are
+//! rejected with a named error instead of overflowing the stack, the
+//! deepest expressions and statements the parser accepts still analyze
+//! end to end on a stack the size of a worker-pool thread, a tiny file
+//! declaring a huge memory analyzes without allocating it, and a cycle
+//! horizon past `MAX_CYCLES` is a named error instead of a failed
+//! allocation.
 
 use soccar::{Soccar, SoccarConfig};
 use soccar_concolic::{ConcolicConfig, MAX_CYCLES};
-use soccar_rtl::parser::{parse, MAX_EXPR_DEPTH};
+use soccar_rtl::parser::{parse, MAX_EXPR_DEPTH, MAX_STMT_DEPTH};
 use soccar_rtl::span::FileId;
 use soccar_rtl::RtlErrorKind;
 
@@ -133,6 +134,146 @@ fn deepest_accepted_expressions_analyze_on_a_worker_stack() {
             rounds > 0 && targets > 0,
             "{shape:?}: rounds {rounds}, targets {targets}"
         );
+    }
+}
+
+/// How one statement nesting level is opened.
+#[derive(Debug, Clone, Copy)]
+enum StmtShape {
+    If,
+    Begin,
+    /// An `else if` chain: every else arm is one level deeper.
+    ElseIf,
+    Case,
+    For,
+}
+
+const STMT_SHAPES: [StmtShape; 5] = [
+    StmtShape::If,
+    StmtShape::Begin,
+    StmtShape::ElseIf,
+    StmtShape::Case,
+    StmtShape::For,
+];
+
+/// A statement exactly `levels` nesting levels deep: the assignment
+/// `y <= rhs;` inside `levels - 1` statements of the given shape.
+fn nested_stmt(shape: StmtShape, levels: usize, rhs: &str) -> String {
+    let mut s = format!("y <= {rhs};");
+    for _ in 0..levels - 1 {
+        s = match shape {
+            StmtShape::If => format!("if (a) {s}"),
+            StmtShape::Begin => format!("begin {s} end"),
+            StmtShape::ElseIf => format!("if (a) y <= 1'b0; else {s}"),
+            StmtShape::Case => format!("case (a) 1'b0: {s} default: y <= 1'b1; endcase"),
+            StmtShape::For => format!("for (i = 0; i < 1; i = i + 1) {s}"),
+        };
+    }
+    s
+}
+
+/// A reset-governed register whose else arm is `body`. The process's
+/// `if` is the first statement level, so `body` starts at the second.
+fn stmt_design(body: &str) -> String {
+    format!(
+        "module top(input clk, input rst_n, input a, output reg y);
+           integer i;
+           always @(posedge clk or negedge rst_n)
+             if (!rst_n) y <= 1'b0;
+             else {body}
+         endmodule"
+    )
+}
+
+/// The two statement bombs: 5000 nested `if (a)` (35 KB) and 5000
+/// nested `begin` (50 KB). Both used to abort `soccar analyze` with a
+/// stack overflow.
+fn statement_bombs() -> [String; 2] {
+    [
+        format!(
+            "module top(input a, output reg y);\n  always @(a) {}y = a;\nendmodule\n",
+            "if (a) ".repeat(5000)
+        ),
+        format!(
+            "module top(input a, output reg y);\n  always @(a) {}y = a;{}\nendmodule\n",
+            "begin ".repeat(5000),
+            " end".repeat(5000)
+        ),
+    ]
+}
+
+#[test]
+fn statement_nesting_bombs_are_named_limit_errors() {
+    for bomb in statement_bombs() {
+        let err = parse(FileId(0), &bomb).expect_err("the bomb must be rejected");
+        assert_eq!(err.kind, RtlErrorKind::Limit, "{err}");
+        assert!(
+            err.to_string().contains(&format!(
+                "statement nesting deeper than {MAX_STMT_DEPTH} levels"
+            )),
+            "{err}"
+        );
+        let result =
+            Soccar::new(SoccarConfig::default()).analyze("bomb.v", &bomb, "top", Vec::new());
+        let err = result.expect_err("the bomb must not analyze");
+        assert!(err.to_string().contains("input limit exceeded"), "{err}");
+    }
+}
+
+#[test]
+fn statement_depth_limit_is_exact_for_every_shape() {
+    for shape in STMT_SHAPES {
+        parse(
+            FileId(0),
+            &stmt_design(&nested_stmt(shape, MAX_STMT_DEPTH - 1, "a")),
+        )
+        .unwrap_or_else(|e| panic!("{shape:?}: the limit itself is accepted: {e}"));
+        let err = parse(
+            FileId(0),
+            &stmt_design(&nested_stmt(shape, MAX_STMT_DEPTH, "a")),
+        )
+        .expect_err("one level past the limit is rejected");
+        assert_eq!(err.kind, RtlErrorKind::Limit, "{shape:?}: {err}");
+    }
+}
+
+#[test]
+fn deepest_accepted_statements_analyze_on_a_worker_stack() {
+    // The deepest statements, with the deepest expression at the bottom:
+    // the two limits share one stack.
+    for stmt_shape in STMT_SHAPES {
+        for expr_shape in SHAPES {
+            let rhs = nested_expr(expr_shape, MAX_EXPR_DEPTH);
+            let source = stmt_design(&nested_stmt(stmt_shape, MAX_STMT_DEPTH - 1, &rhs));
+            let outcome = std::thread::Builder::new()
+                .stack_size(WORKER_STACK)
+                .spawn(move || {
+                    let config = SoccarConfig {
+                        concolic: ConcolicConfig {
+                            cycles: 6,
+                            max_rounds: 3,
+                            symbolic_inputs: vec!["top.a".into()],
+                            ..ConcolicConfig::default()
+                        },
+                        jobs: 1,
+                        ..SoccarConfig::default()
+                    };
+                    Soccar::new(config)
+                        .analyze("deep.v", &source, "top", Vec::new())
+                        .map(|r| (r.concolic.rounds, r.concolic.targets_total))
+                        .map_err(|e| e.to_string())
+                })
+                .expect("spawn")
+                .join()
+                .unwrap_or_else(|_| panic!("{stmt_shape:?}/{expr_shape:?}: the analysis panicked"));
+            let (rounds, targets) = outcome.unwrap_or_else(|e| {
+                panic!("{stmt_shape:?}/{expr_shape:?}: the deepest accepted statement fails: {e}")
+            });
+            assert!(
+                rounds > 0 && targets > 0,
+                "{stmt_shape:?}/{expr_shape:?}: rounds {rounds}, targets {targets}"
+            );
+        }
     }
 }
 
