@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use soccar_rtl::ast::SourceUnit;
 
-use crate::connect::{connection_profiles, ConnectionProfile};
+use crate::connect::{connection_profiles_with, ConnectionProfile, ResetTable};
 use crate::extract::{ArCfg, GovernorAnalysis};
 use crate::reset_id::ResetNaming;
 
@@ -172,11 +172,23 @@ pub fn compose_soc_resilient(
     extract_span.record("nodes", nodes);
     extract_span.record("edges", edges);
     drop(extract_span);
+    // Algorithm 2 reads each child's resets from the extraction, which
+    // already identified them.
+    let table = ResetTable::new(
+        extracted
+            .iter()
+            .map(|(cfg, _)| (cfg.module.as_str(), cfg.resets.as_slice())),
+    );
+    let profiles: HashMap<String, ConnectionProfile> =
+        connection_profiles_with(unit, naming, &table)
+            .into_iter()
+            .map(|p| (p.module.clone(), p))
+            .collect();
     let ar_cfgs: HashMap<String, ArCfg> = extracted
         .into_iter()
         .map(|(_, ar)| (ar.module.clone(), ar))
         .collect();
-    let soc = compose_soc_prepared(unit, top, naming, &ar_cfgs, recorder)?;
+    let soc = compose_soc_prepared(unit, top, &profiles, &ar_cfgs, recorder)?;
     Ok((soc, stats, degraded))
 }
 
@@ -189,14 +201,10 @@ pub fn compose_soc_resilient(
 fn compose_soc_prepared(
     unit: &SourceUnit,
     top: &str,
-    naming: &ResetNaming,
+    profiles: &HashMap<String, ConnectionProfile>,
     ar_cfgs: &HashMap<String, ArCfg>,
     recorder: &soccar_obs::Recorder,
 ) -> Result<SocArCfg, String> {
-    let profiles: HashMap<String, ConnectionProfile> = connection_profiles(unit, naming)
-        .into_iter()
-        .map(|p| (p.module.clone(), p))
-        .collect();
     let mut compose_span = soccar_obs::span!(recorder, "cfg.compose", top = top);
 
     let mut soc = SocArCfg::default();

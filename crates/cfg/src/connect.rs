@@ -5,9 +5,11 @@
 //! the connected CFG (e.g., clocks, resets)": which parent signal drives
 //! each child clock and reset port.
 
+use std::collections::HashMap;
+
 use soccar_rtl::ast::{Expr, Module, SourceUnit};
 
-use crate::reset_id::{identify_resets, ResetNaming};
+use crate::reset_id::{identify_resets, ResetNaming, ResetSignal};
 
 /// One port binding relevant to CFG composition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,9 +45,34 @@ pub struct ConnectionProfile {
     pub children: Vec<ChildConn>,
 }
 
+/// Each module's identified resets, looked up by module name. When two
+/// modules share a name the first one wins, as in [`SourceUnit::module`].
+#[derive(Debug)]
+pub struct ResetTable<'a> {
+    by_name: HashMap<&'a str, &'a [ResetSignal]>,
+}
+
+impl<'a> ResetTable<'a> {
+    /// Builds the table from `(module name, resets)` pairs in source
+    /// order.
+    pub fn new(modules: impl IntoIterator<Item = (&'a str, &'a [ResetSignal])>) -> ResetTable<'a> {
+        let mut by_name = HashMap::new();
+        for (name, resets) in modules {
+            by_name.entry(name).or_insert(resets);
+        }
+        ResetTable { by_name }
+    }
+
+    /// The resets of the first module named `module`, if there is one.
+    #[must_use]
+    pub fn get(&self, module: &str) -> Option<&'a [ResetSignal]> {
+        self.by_name.get(module).copied()
+    }
+}
+
 /// Builds connection profiles for every module in the unit
 /// (Algorithm 2: collect IPs, discover invoked modules, record their
-/// clock/reset connections).
+/// clock/reset connections), identifying each module's resets once.
 ///
 /// # Examples
 ///
@@ -65,16 +92,42 @@ pub struct ConnectionProfile {
 /// ```
 #[must_use]
 pub fn connection_profiles(unit: &SourceUnit, naming: &ResetNaming) -> Vec<ConnectionProfile> {
+    let resets: Vec<Vec<ResetSignal>> = unit
+        .modules
+        .iter()
+        .map(|m| identify_resets(m, naming))
+        .collect();
+    let table = ResetTable::new(
+        unit.modules
+            .iter()
+            .zip(&resets)
+            .map(|(m, r)| (m.name.as_str(), r.as_slice())),
+    );
+    connection_profiles_with(unit, naming, &table)
+}
+
+/// [`connection_profiles`] reading each child's resets from `resets`,
+/// which must hold every module of `unit`.
+#[must_use]
+pub fn connection_profiles_with(
+    unit: &SourceUnit,
+    naming: &ResetNaming,
+    resets: &ResetTable<'_>,
+) -> Vec<ConnectionProfile> {
     unit.modules
         .iter()
-        .map(|m| profile_module(unit, m, naming))
+        .map(|m| profile_module(m, naming, resets))
         .collect()
 }
 
-fn profile_module(unit: &SourceUnit, module: &Module, naming: &ResetNaming) -> ConnectionProfile {
+fn profile_module(
+    module: &Module,
+    naming: &ResetNaming,
+    resets: &ResetTable<'_>,
+) -> ConnectionProfile {
     let mut children = Vec::new();
     for inst in module.instances() {
-        let Some(child_def) = unit.module(&inst.module) else {
+        let Some(child_resets) = resets.get(&inst.module) else {
             // Unknown module: recorded with no connection info so the
             // composer can still report it.
             children.push(ChildConn {
@@ -85,7 +138,6 @@ fn profile_module(unit: &SourceUnit, module: &Module, naming: &ResetNaming) -> C
             });
             continue;
         };
-        let child_resets = identify_resets(child_def, naming);
         let mut reset_conns = Vec::new();
         let mut clock_conns = Vec::new();
         for conn in &inst.conns {

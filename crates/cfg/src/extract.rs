@@ -121,7 +121,18 @@ pub fn extract_module_cfg(
     naming: &ResetNaming,
     analysis: GovernorAnalysis,
 ) -> ModuleCfg {
-    let resets = identify_resets(module, naming);
+    extract_module_cfg_with(module, identify_resets(module, naming), naming, analysis)
+}
+
+/// [`extract_module_cfg`] over resets already identified by
+/// [`identify_resets`] for this module and naming convention.
+#[must_use]
+pub fn extract_module_cfg_with(
+    module: &Module,
+    resets: Vec<ResetSignal>,
+    naming: &ResetNaming,
+    analysis: GovernorAnalysis,
+) -> ModuleCfg {
     let mut events = Vec::new();
     for (idx, block) in module.always_blocks().enumerate() {
         extract_block_events(

@@ -47,11 +47,14 @@ pub mod reset_id;
 
 pub use bind::{bind_events, bind_events_traced, BindError, BoundEvent};
 pub use compose::{compose_soc, compose_soc_resilient, ResetDomain, SocArCfg};
-pub use connect::{connection_profiles, ChildConn, ConnectionProfile, SignalConn};
+pub use connect::{
+    connection_profiles, connection_profiles_with, ChildConn, ConnectionProfile, ResetTable,
+    SignalConn,
+};
 pub use extract::{
     assigned_signals, extract_all, extract_all_jobs, extract_all_resilient, extract_module_cfg,
-    project_ar_cfg, tests_clock_level, ArCfg, EventArm, Governor, GovernorAnalysis, HardwareEvent,
-    ModuleCfg,
+    extract_module_cfg_with, project_ar_cfg, tests_clock_level, ArCfg, EventArm, Governor,
+    GovernorAnalysis, HardwareEvent, ModuleCfg,
 };
 pub use reset_id::{
     identify_resets, leading_condition_tests, leading_if, looks_like_reset_name,

@@ -2,13 +2,14 @@
 //! `soccar serve`.
 //!
 //! [`AnalysisSession`] runs the batch pipeline's own stages (see
-//! [`Soccar::analyze`]) behind four cache tiers, each keyed by content so
+//! [`Soccar::analyze`]) behind five cache tiers, each keyed by content so
 //! an RTL edit invalidates exactly what it touches:
 //!
 //! | tier | key | holds | invalidated by |
 //! |------|-----|-------|----------------|
 //! | parse | raw chunk hash | per-module AST (spans at the chunk's last offset) + structural fingerprint, lent to each request | editing that module's text |
 //! | design | ordered structural hashes + top + extraction config | elaborated design, composed `SocArCfg`, bound events | semantic edit anywhere |
+//! | lint | ordered structural hashes + reset naming + lint config | each module's resets, the connection profiles, and each chunk's findings by (chunk index, raw chunk hash) with chunk-relative spans | semantic edit anywhere (whole entry); editing a chunk's text (that chunk's findings) |
 //! | concolic | design key + properties + config | [`ConcolicReport`] | semantic edit / request change |
 //! | report | raw source + request | full [`AnalysisReport`] | any byte change |
 //!
@@ -18,19 +19,20 @@
 //! `warm_equals_cold` tests and the server integration suite — is that
 //! [`AnalysisSession::analyze_with_config`] returns a report whose
 //! [`AnalysisReport::canonical_json`] is byte-identical to a cold batch
-//! run of the same request. Lint always re-runs (it is span-dependent and
-//! milliseconds-cheap). A warm edit costs what it touches: the parse
+//! run of the same request. A warm edit costs what it touches: the parse
 //! tier lends each unchanged module's AST into the request's unit (moved,
 //! not copied) and takes it back afterwards; a lent module is
 //! span-rebased only when its chunk moved in the file, so diagnostics
 //! cannot drift; and the design-tier key reads each module's structural
 //! fingerprint from the tier, so only re-parsed chunks are
-//! pretty-printed and hashed. Requests carrying a
-//! fault-injection plan bypass every tier and delegate to the batch
-//! pipeline, because injected faults key on global task indices that
-//! cached stages would skip; requests with a wall-clock round deadline
-//! keep the structural tiers but skip the result tiers, since their
-//! outcome is timing-dependent.
+//! pretty-printed and hashed; on a lint-tier hit only the re-parsed
+//! chunks are linted, and every other chunk's findings are rebased to
+//! its offset and described against the request's own file name.
+//! Requests carrying a fault-injection plan bypass every tier and
+//! delegate to the batch pipeline, because injected faults key on global
+//! task indices that cached stages would skip; requests with a
+//! wall-clock round deadline keep the structural tiers but skip the
+//! result tiers, since their outcome is timing-dependent.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -38,6 +40,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 use soccar_concolic::{ConcolicReport, SecurityProperty};
+use soccar_lint::{DesignFacts, Diagnostic, LintReport, Linter};
 use soccar_rtl::elaborate::elaborate_traced;
 use soccar_rtl::fingerprint::{
     assemble_unit, hash_bytes, split_modules, AssembledUnit, ModuleChunk, ParsedChunk,
@@ -64,6 +67,9 @@ pub struct RequestStats {
     /// Modules extracted: all of them on a design-tier miss, none on a
     /// hit.
     pub modules_reextracted: usize,
+    /// Modules linted: all of them on a lint-tier miss, the re-parsed
+    /// ones on a hit.
+    pub modules_relinted: usize,
     /// Elaboration/composition/binding was reused from the design tier.
     pub design_cache_hit: bool,
     /// The concolic stage was reused from the result tier.
@@ -86,6 +92,8 @@ pub struct SessionCounters {
     pub modules_reparsed: u64,
     /// Module re-extractions across all requests.
     pub modules_reextracted: u64,
+    /// Modules linted across all requests.
+    pub modules_relinted: u64,
     /// Concolic targets re-run across all requests.
     pub targets_rerun: u64,
     /// Entries dropped from any tier by capacity eviction.
@@ -99,6 +107,8 @@ pub struct TierSizes {
     pub parse: usize,
     /// Elaborated + composed designs.
     pub design: usize,
+    /// Per-design lint facts with per-chunk findings.
+    pub lint: usize,
     /// Concolic reports.
     pub concolic: usize,
     /// Full analysis reports.
@@ -110,6 +120,7 @@ pub struct TierSizes {
 pub(crate) struct CacheCaps {
     parse: usize,
     design: usize,
+    lint: usize,
     concolic: usize,
     report: usize,
 }
@@ -119,6 +130,7 @@ impl Default for CacheCaps {
         CacheCaps {
             parse: 4096,
             design: 8,
+            lint: 8,
             concolic: 64,
             report: 64,
         }
@@ -253,6 +265,22 @@ enum Elaborated {
 /// hash identically and hit; any semantic edit misses.
 type DesignKey = (Vec<u64>, String, u64);
 
+/// Lint-tier key: the ordered structural fingerprints of every module
+/// plus the fingerprint of the reset naming and the lint configuration.
+type LintKey = (Vec<u64>, u64);
+
+/// What the lint tier keeps for one structural design state.
+#[derive(Debug)]
+struct LintEntry {
+    /// Each module's resets and the connection profiles. They depend
+    /// only on structure, so they hold for every request with this key.
+    facts: DesignFacts,
+    /// Each chunk's findings by (chunk index, raw fingerprint), spans
+    /// relative to the chunk's start, locations unresolved: the chunks
+    /// of the last request with this key.
+    chunks: HashMap<(usize, u64), Vec<Diagnostic>>,
+}
+
 /// A persistent, content-hashed analysis session (see the
 /// [module docs](self)).
 ///
@@ -283,6 +311,7 @@ pub struct AnalysisSession {
     recorder: soccar_obs::Recorder,
     parse_cache: CostAwareMap<u64, ParsedChunk>,
     design_cache: CostAwareMap<DesignKey, Arc<DesignEntry>>,
+    lint_cache: CostAwareMap<LintKey, LintEntry>,
     concolic_cache: CostAwareMap<u64, ConcolicReport>,
     report_cache: CostAwareMap<u64, AnalysisReport>,
     counters: SessionCounters,
@@ -302,6 +331,7 @@ impl AnalysisSession {
             recorder: soccar_obs::Recorder::disabled(),
             parse_cache: CostAwareMap::new(caps.parse),
             design_cache: CostAwareMap::new(caps.design),
+            lint_cache: CostAwareMap::new(caps.lint),
             concolic_cache: CostAwareMap::new(caps.concolic),
             report_cache: CostAwareMap::new(caps.report),
             counters: SessionCounters::default(),
@@ -339,6 +369,7 @@ impl AnalysisSession {
         TierSizes {
             parse: self.parse_cache.len(),
             design: self.design_cache.len(),
+            lint: self.lint_cache.len(),
             concolic: self.concolic_cache.len(),
             report: self.report_cache.len(),
         }
@@ -478,7 +509,29 @@ impl AnalysisSession {
         };
         let frontend = frontend.frontend(unit, design);
 
-        let (lint, lint_stage) = stages.lint(unit, &map);
+        // Lint: the tier lends its facts and the findings of every chunk
+        // it has seen at the same index with the same text.
+        let lint_key: LintKey = (
+            design_key.0.clone(),
+            hash_bytes(format!("{:?}/{:?}", config.naming, config.lint).as_bytes()),
+        );
+        let lint_cache = &mut self.lint_cache;
+        let (lint, lint_stage) = stages.lint_with(|linter| {
+            let (report, relinted, evicted) = lint_through_tier(
+                lint_cache,
+                linter,
+                lint_key,
+                assembled,
+                &map,
+                req.source.len(),
+            );
+            stats.modules_relinted = relinted;
+            evictions += evicted;
+            report
+        });
+        self.counters.modules_relinted += stats.modules_relinted as u64;
+        self.recorder
+            .counter_add("server.modules_relinted", stats.modules_relinted as u64);
 
         let (entry, ar_cfg_stage) = match elaborated {
             Elaborated::Hit(entry) => {
@@ -585,16 +638,20 @@ impl AnalysisSession {
             modules_total: report.extraction.modules,
             modules_reparsed: report.extraction.modules,
             modules_reextracted: report.extraction.modules,
+            modules_relinted: report.extraction.modules,
             targets_rerun: report.concolic.targets_total,
             ..RequestStats::default()
         };
         self.counters.modules_reparsed += stats.modules_reparsed as u64;
         self.counters.modules_reextracted += stats.modules_reextracted as u64;
+        self.counters.modules_relinted += stats.modules_relinted as u64;
         self.counters.targets_rerun += stats.targets_rerun as u64;
         self.recorder.counter_add(
             "server.modules_reextracted",
             stats.modules_reextracted as u64,
         );
+        self.recorder
+            .counter_add("server.modules_relinted", stats.modules_relinted as u64);
         self.recorder
             .counter_add("server.targets_rerun", stats.targets_rerun as u64);
         let cacheable = config.fault_plan.is_empty()
@@ -618,6 +675,57 @@ impl AnalysisSession {
             self.recorder.counter_add("server.evictions", evictions);
         }
     }
+}
+
+/// The lint stage through the lint tier. On a hit, a chunk found at the
+/// same index with the same raw fingerprint reuses its findings, rebased
+/// to the chunk's offset; every other chunk is linted again, because a
+/// comment inside a module can move a finding's line or column without
+/// changing the module's structure. On a miss every module is linted and
+/// the entry is filled. Either way the entry then holds this request's
+/// chunks only, and the findings are described against the request's
+/// own `map` (the file name can differ between requests). Returns the
+/// report, the number of modules linted and the evictions the insert
+/// caused.
+fn lint_through_tier(
+    cache: &mut CostAwareMap<LintKey, LintEntry>,
+    linter: &Linter,
+    key: LintKey,
+    assembled: &AssembledUnit,
+    map: &SourceMap,
+    cost: usize,
+) -> (LintReport, usize, u64) {
+    let unit = assembled.unit();
+    let mut entry = cache.remove(&key).unwrap_or_else(|| LintEntry {
+        facts: linter.facts(unit),
+        chunks: HashMap::new(),
+    });
+    let ctx = linter.context(unit, &entry.facts);
+    let mut chunks = HashMap::with_capacity(unit.modules.len());
+    let mut diagnostics = Vec::new();
+    let mut relinted = 0;
+    for (index, (raw, offset)) in assembled.chunks().enumerate() {
+        let found = entry.chunks.remove(&(index, raw)).unwrap_or_else(|| {
+            relinted += 1;
+            let mut found = linter.check_modules(&ctx, [index]);
+            for diag in &mut found {
+                diag.span.start -= offset;
+                diag.span.end -= offset;
+            }
+            found
+        });
+        diagnostics.extend(found.iter().map(|diag| {
+            let mut diag = diag.clone();
+            diag.span.start += offset;
+            diag.span.end += offset;
+            diag
+        }));
+        chunks.insert((index, raw), found);
+    }
+    entry.chunks = chunks;
+    // Re-linting costs the whole file.
+    let evictions = cache.insert(key, entry, cost as u64);
+    (LintReport::finish(diagnostics, map), relinted, evictions)
 }
 
 /// One analyze request's inputs, less its properties.
@@ -667,6 +775,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use soccar_concolic::PropertyKind;
+    use soccar_lint::LintConfig;
     use soccar_rtl::LogicVec;
 
     /// The pipeline test design: an unscrubbed key register behind a
@@ -783,6 +892,28 @@ endmodule
                 .unwrap_or_else(|| panic!("no span for stage {}", stage.stage));
             assert_eq!(span.parent, Some(analyze), "{}", stage.stage);
             assert_eq!(span.elapsed, Some(stage.elapsed), "{}", stage.stage);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// A comment line put into any module of `padded` lints that
+        /// module alone, and the report equals batch.
+        #[test]
+        fn comment_line_in_any_module_relints_it_alone(
+            module in 0usize..3,
+            tag in 0u32..1000,
+        ) {
+            let base = padded("");
+            let mut session = AnalysisSession::new(SoccarConfig::default());
+            analyze(&mut session, &base);
+            let start = base.match_indices("module ").nth(module).expect("module").0;
+            let at = start + base[start..].find('\n').expect("header line") + 1;
+            let edited = format!("{}  // note {tag}\n{}", &base[..at], &base[at..]);
+            let stats = assert_matches_batch(&mut session, &edited, "top").expect("analysis");
+            prop_assert_eq!(stats.modules_reparsed, 1);
+            prop_assert_eq!(stats.modules_relinted, 1);
         }
     }
 
@@ -931,15 +1062,30 @@ endmodule
         top: &str,
     ) -> Option<RequestStats> {
         let config = session.config().clone();
-        let batch = Soccar::new(config.clone()).analyze("t.v", source, top, vec![key_property()]);
-        let warm = session.analyze_with_config("t.v", source, top, vec![key_property()], &config);
+        let properties = vec![key_property()];
+        assert_request_matches_batch(session, "t.v", source, top, properties, &config)
+            .map(|(_, stats)| stats)
+    }
+
+    /// [`assert_matches_batch`] with every request field explicit; also
+    /// returns the session's report.
+    fn assert_request_matches_batch(
+        session: &mut AnalysisSession,
+        file_name: &str,
+        source: &str,
+        top: &str,
+        properties: Vec<SecurityProperty>,
+        config: &SoccarConfig,
+    ) -> Option<(AnalysisReport, RequestStats)> {
+        let batch = Soccar::new(config.clone()).analyze(file_name, source, top, properties.clone());
+        let warm = session.analyze_with_config(file_name, source, top, properties, config);
         match (warm, batch) {
             (Ok((warm, stats)), Ok(batch)) => {
                 assert_eq!(
                     warm.canonical_json().expect("json"),
                     batch.canonical_json().expect("json")
                 );
-                Some(stats)
+                Some((warm, stats))
             }
             (Err(warm), Err(batch)) => {
                 assert_eq!(warm.to_string(), batch.to_string());
@@ -973,6 +1119,201 @@ endmodule
             let stats = assert_matches_batch(&mut session, &source, "top").expect("analysis");
             assert_eq!(stats.modules_reparsed, 1, "only pad's chunk is new");
             assert!(stats.design_cache_hit);
+            assert_eq!(stats.modules_relinted, 1, "a lint-tier hit lints pad alone");
+        }
+        assert_eq!(session.counters().modules_relinted, 3 + 1 + 1);
+    }
+
+    /// A comment on the line of `ip`'s `always`, before it, moves the
+    /// column of `ip`'s findings while its structure stays the same: the
+    /// lint tier hits, and `ip` is linted again.
+    #[test]
+    fn same_line_comment_moves_a_finding_under_a_lint_tier_hit() {
+        let mut session = AnalysisSession::new(SoccarConfig::default());
+        let base = padded("");
+        let (cold, _) = analyze(&mut session, &base);
+        let edited = base.replacen("  always", "  /* c */ always", 1);
+        let (warm, stats) = assert_request_matches_batch(
+            &mut session,
+            "t.v",
+            &edited,
+            "top",
+            vec![key_property()],
+            &SoccarConfig::default(),
+        )
+        .expect("analysis");
+        assert!(stats.design_cache_hit);
+        assert_eq!(stats.modules_reparsed, 1);
+        assert_eq!(stats.modules_relinted, 1);
+        let locations = |report: &AnalysisReport| -> Vec<String> {
+            let lint = report.lint.diagnostics.iter();
+            lint.filter(|d| d.module == "ip")
+                .map(|d| d.location.clone())
+                .collect()
+        };
+        assert_ne!(locations(&cold), locations(&warm), "a column moved");
+    }
+
+    /// The lint tier describes findings against each request's own file
+    /// name, and any change to the allow/deny configuration misses it.
+    #[test]
+    fn file_name_and_lint_config_changes_against_batch() {
+        let mut session = AnalysisSession::new(SoccarConfig::default());
+        let source = padded("");
+        let config = SoccarConfig::default();
+        analyze(&mut session, &source);
+
+        let properties = || vec![key_property()];
+        let (report, stats) = assert_request_matches_batch(
+            &mut session,
+            "u.v",
+            &source,
+            "top",
+            properties(),
+            &config,
+        )
+        .expect("analysis");
+        assert!(
+            !stats.report_cache_hit,
+            "the file name is part of the request"
+        );
+        assert_eq!(stats.modules_reparsed, 0);
+        assert_eq!(stats.modules_relinted, 0, "every chunk's findings reused");
+        assert!(report
+            .lint
+            .diagnostics
+            .iter()
+            .all(|d| d.location.starts_with("u.v:")));
+
+        for lint in [
+            LintConfig {
+                allow: vec![],
+                deny: vec!["async-reset-unsynchronized".into()],
+            },
+            LintConfig {
+                allow: vec!["async-reset-unsynchronized".into()],
+                deny: vec![],
+            },
+        ] {
+            let config = SoccarConfig {
+                lint,
+                ..SoccarConfig::default()
+            };
+            let (_, stats) = assert_request_matches_batch(
+                &mut session,
+                "t.v",
+                &source,
+                "top",
+                properties(),
+                &config,
+            )
+            .expect("analysis");
+            assert!(stats.design_cache_hit);
+            assert_eq!(stats.modules_relinted, 3, "a new lint config misses");
+        }
+    }
+
+    /// `ip`'s block is governed by its reset implicitly, so `reset` is a
+    /// reset by its name alone.
+    fn implicit(reset: &str) -> String {
+        format!(
+            "module ip(input clk, input {reset}, output reg [7:0] key);
+  always @(negedge {reset})
+    if (clk) key <= 8'h00;
+endmodule
+module top(input clk, input sec_rst_n);
+  ip u (.clk(clk), .{reset}(sec_rst_n));
+endmodule
+"
+        )
+    }
+
+    /// Renaming `ip`'s reset to a name the convention does not match
+    /// changes the structure, so the lint tier misses; `top`'s findings
+    /// change with it, because `sec_rst_n` no longer feeds a reset.
+    #[test]
+    fn renaming_a_reset_misses_and_changes_the_parent_findings() {
+        let mut session = AnalysisSession::new(SoccarConfig::default());
+        let config = SoccarConfig::default();
+        let top_findings = |report: &AnalysisReport| -> Vec<&'static str> {
+            let lint = report.lint.diagnostics.iter();
+            lint.filter(|d| d.module == "top").map(|d| d.rule).collect()
+        };
+        let (before, _) = assert_request_matches_batch(
+            &mut session,
+            "t.v",
+            &implicit("rst_n"),
+            "top",
+            vec![],
+            &config,
+        )
+        .expect("analysis");
+        let (after, stats) = assert_request_matches_batch(
+            &mut session,
+            "t.v",
+            &implicit("go_n"),
+            "top",
+            vec![],
+            &config,
+        )
+        .expect("analysis");
+        assert_eq!(stats.modules_relinted, 2, "a structural edit misses");
+        assert!(top_findings(&before).is_empty());
+        assert_eq!(top_findings(&after), ["reset-name-shadowing"]);
+    }
+
+    /// The same module text at two indices: each chunk keeps its own
+    /// findings, and a later edit elsewhere reuses both.
+    #[test]
+    fn duplicate_chunks_keep_their_own_findings() {
+        let mut session = AnalysisSession::new(SoccarConfig::default());
+        let leaky = leaky(0xA5, "");
+        let ip = &leaky[..leaky.find("module top").expect("top")];
+        let doubled = |pad: &str| format!("{ip}{}", padded(pad));
+        let stats = assert_matches_batch(&mut session, &doubled(""), "top").expect("analysis");
+        assert_eq!(stats.modules_relinted, 4);
+        let stats =
+            assert_matches_batch(&mut session, &doubled("  // edit\n"), "top").expect("analysis");
+        assert_eq!(stats.modules_reparsed, 2, "pad, and ip's text parsed again");
+        assert_eq!(stats.modules_relinted, 1, "pad alone");
+        assert_eq!(session.tier_sizes().lint, 1);
+    }
+
+    /// A perfbench-shaped edit on the x10 design (`/* rev N */` before one
+    /// module's `endmodule`) lints exactly that module.
+    #[test]
+    fn x10_comment_edit_relints_one_module() {
+        let soc = soccar_soc::resolve("gen:11:15", None).expect("x10");
+        let mut config = SoccarConfig::default();
+        config.concolic.cycles = 8;
+        config.concolic.max_rounds = 0;
+        let mut session = AnalysisSession::new(config.clone());
+        let run = |session: &mut AnalysisSession, source: &str| {
+            session
+                .analyze_with_config(&soc.file_name, source, &soc.top, vec![], &config)
+                .expect("analysis")
+        };
+        let (_, cold) = run(&mut session, &soc.source);
+        assert_eq!(cold.modules_relinted, cold.modules_total);
+        let starts: Vec<usize> = soc
+            .source
+            .match_indices("module ")
+            .map(|(i, _)| i)
+            .collect();
+        let start = starts[starts.len() / 2];
+        let at = start + soc.source[start..].find("endmodule").expect("endmodule");
+        for rev in 1..=2 {
+            let edited = format!("{}/* rev {rev} */ {}", &soc.source[..at], &soc.source[at..]);
+            let (report, stats) = run(&mut session, &edited);
+            assert_eq!(stats.modules_reparsed, 1);
+            assert_eq!(stats.modules_relinted, 1);
+            let batch = Soccar::new(config.clone())
+                .analyze(&soc.file_name, &edited, &soc.top, vec![])
+                .expect("batch");
+            assert_eq!(
+                report.canonical_json().expect("json"),
+                batch.canonical_json().expect("json")
+            );
         }
     }
 

@@ -551,11 +551,20 @@ impl<'a> Stages<'a> {
     /// Stage 0: the static lint pre-pass (structural reset-domain
     /// checks).
     pub(crate) fn lint(&self, unit: &SourceUnit, map: &SourceMap) -> (LintReport, StageReport) {
+        self.lint_with(|linter| linter.lint_unit(unit, map))
+    }
+
+    /// The lint stage around `run`, which lints with the configured
+    /// [`Linter`]: the incremental session's entry, which lints only
+    /// what its lint tier cannot supply.
+    pub(crate) fn lint_with(
+        &self,
+        run: impl FnOnce(&Linter) -> LintReport,
+    ) -> (LintReport, StageReport) {
         let stage = self.open("lint");
-        let lint = Linter::new()
+        let lint = run(&Linter::new()
             .with_naming(self.config.naming.clone())
-            .with_config(self.config.lint.clone())
-            .lint_unit(unit, map);
+            .with_config(self.config.lint.clone()));
         self.recorder
             .counter_add("lint.diagnostics", lint.diagnostics.len() as u64);
         let report = stage.finish(lint.summary(), None, Health::Ok);

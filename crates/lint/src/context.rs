@@ -1,25 +1,27 @@
 //! Shared analysis context handed to every lint rule.
 //!
-//! The context is computed once per lint run: reset identification and the
-//! Explicit-mode CFG for every module (so rules can reason about the same
-//! events the published extraction sees), plus the Algorithm 2 connection
-//! profiles (so rules can follow resets across the hierarchy).
+//! The design-wide facts — each module's identified resets and the
+//! Algorithm 2 connection profiles — are computed once per lint run
+//! ([`DesignFacts`]) and depend only on the design's structure, so a
+//! caller may keep them across runs of the same structure. A module's
+//! Explicit-mode CFG (what the published extraction sees) is computed
+//! only when that module is linted ([`LintContext::view`]).
+
+use std::collections::HashMap;
 
 use soccar_cfg::{
-    connection_profiles, extract_module_cfg, identify_resets, ConnectionProfile, GovernorAnalysis,
-    ModuleCfg, ResetNaming, ResetSignal,
+    connection_profiles_with, extract_module_cfg_with, identify_resets, ConnectionProfile,
+    GovernorAnalysis, ModuleCfg, ResetNaming, ResetSignal, ResetTable,
 };
-use soccar_rtl::ast::{AlwaysBlock, Module, SensItem, SourceUnit};
-use soccar_rtl::span::SourceMap;
+use soccar_rtl::ast::{AlwaysBlock, SensItem, SourceUnit};
 
 /// Per-module pre-computed analysis shared by the rules.
 #[derive(Debug)]
 pub struct ModuleView<'a> {
     /// The module AST.
-    pub module: &'a Module,
-    /// Identified reset signals (name heuristic + structural).
-    pub resets: Vec<ResetSignal>,
-    /// The full Explicit-mode CFG (what the published tool extracts).
+    pub module: &'a soccar_rtl::ast::Module,
+    /// The full Explicit-mode CFG (what the published tool extracts),
+    /// including the module's identified resets.
     pub cfg: ModuleCfg,
 }
 
@@ -27,7 +29,7 @@ impl ModuleView<'_> {
     /// `true` if `name` is an identified reset of this module.
     #[must_use]
     pub fn is_reset(&self, name: &str) -> bool {
-        self.resets.iter().any(|r| r.name == name)
+        self.cfg.resets.iter().any(|r| r.name == name)
     }
 
     /// Edge-qualified sensitivity items of `block` that are identified
@@ -48,46 +50,90 @@ impl ModuleView<'_> {
     }
 }
 
+/// The design-wide facts rules read across modules. They depend only on
+/// the unit's structure and the reset naming convention.
+#[derive(Debug, Clone)]
+pub struct DesignFacts {
+    /// Identified resets of each module, in source order.
+    pub resets: Vec<Vec<ResetSignal>>,
+    /// Algorithm 2 connection profiles, one per module, in source order.
+    pub profiles: Vec<ConnectionProfile>,
+    /// Index of the first module of each name.
+    by_name: HashMap<String, usize>,
+}
+
+impl DesignFacts {
+    /// Identifies every module's resets once and builds the connection
+    /// profiles from them.
+    pub(crate) fn build(unit: &SourceUnit, naming: &ResetNaming) -> DesignFacts {
+        let resets: Vec<Vec<ResetSignal>> = unit
+            .modules
+            .iter()
+            .map(|m| identify_resets(m, naming))
+            .collect();
+        let table = ResetTable::new(
+            unit.modules
+                .iter()
+                .zip(&resets)
+                .map(|(m, r)| (m.name.as_str(), r.as_slice())),
+        );
+        let profiles = connection_profiles_with(unit, naming, &table);
+        let mut by_name = HashMap::with_capacity(unit.modules.len());
+        for (i, m) in unit.modules.iter().enumerate() {
+            by_name.entry(m.name.clone()).or_insert(i);
+        }
+        DesignFacts {
+            resets,
+            profiles,
+            by_name,
+        }
+    }
+}
+
 /// Everything a [`crate::LintRule`] may consult.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct LintContext<'a> {
     /// The parsed design.
     pub unit: &'a SourceUnit,
-    /// Span resolution for diagnostics.
-    pub map: &'a SourceMap,
     /// Naming convention in force.
     pub naming: &'a ResetNaming,
-    /// Pre-computed per-module views, in source order.
-    pub modules: Vec<ModuleView<'a>>,
-    /// Algorithm 2 connection profiles, one per module.
-    pub profiles: Vec<ConnectionProfile>,
+    /// Design-wide facts of `unit` under `naming`.
+    pub facts: &'a DesignFacts,
 }
 
 impl<'a> LintContext<'a> {
-    /// Builds the context for one source unit.
+    /// The view of module `index`: its Explicit-mode CFG, extracted over
+    /// the resets the facts already hold.
     #[must_use]
-    pub fn build(unit: &'a SourceUnit, map: &'a SourceMap, naming: &'a ResetNaming) -> Self {
-        let modules = unit
-            .modules
-            .iter()
-            .map(|m| ModuleView {
-                module: m,
-                resets: identify_resets(m, naming),
-                cfg: extract_module_cfg(m, naming, GovernorAnalysis::Explicit),
-            })
-            .collect();
-        LintContext {
-            unit,
-            map,
-            naming,
-            modules,
-            profiles: connection_profiles(unit, naming),
+    pub fn view(&self, index: usize) -> ModuleView<'a> {
+        let module = &self.unit.modules[index];
+        ModuleView {
+            module,
+            cfg: extract_module_cfg_with(
+                module,
+                self.facts.resets[index].clone(),
+                self.naming,
+                GovernorAnalysis::Explicit,
+            ),
         }
     }
 
-    /// The connection profile of `module`, if it exists.
+    /// The connection profile of the first module named `module`, if it
+    /// exists.
     #[must_use]
-    pub fn profile(&self, module: &str) -> Option<&ConnectionProfile> {
-        self.profiles.iter().find(|p| p.module == module)
+    pub fn profile(&self, module: &str) -> Option<&'a ConnectionProfile> {
+        let facts: &'a DesignFacts = self.facts;
+        facts.by_name.get(module).map(|&i| &facts.profiles[i])
+    }
+
+    /// The identified resets of the first module named `module`, if it
+    /// exists.
+    #[must_use]
+    pub fn resets_of(&self, module: &str) -> Option<&'a [ResetSignal]> {
+        let facts: &'a DesignFacts = self.facts;
+        facts
+            .by_name
+            .get(module)
+            .map(|&i| facts.resets[i].as_slice())
     }
 }

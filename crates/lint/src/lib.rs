@@ -48,7 +48,7 @@ use soccar_cfg::ResetNaming;
 use soccar_rtl::ast::SourceUnit;
 use soccar_rtl::span::SourceMap;
 
-pub use context::{LintContext, ModuleView};
+pub use context::{DesignFacts, LintContext, ModuleView};
 pub use diagnostic::{Diagnostic, Severity};
 pub use rules::{default_rules, LintRule};
 
@@ -138,23 +138,83 @@ impl Linter {
         Ok(self.lint_unit(&unit, &map))
     }
 
-    /// Lints an already-parsed unit, resolving spans against `map`.
+    /// Lints an already-parsed unit, resolving spans against `map`: the
+    /// three steps below, over every module.
     #[must_use]
     pub fn lint_unit(&self, unit: &SourceUnit, map: &SourceMap) -> LintReport {
-        let ctx = LintContext::build(unit, map, &self.naming);
+        let facts = self.facts(unit);
+        let ctx = self.context(unit, &facts);
+        LintReport::finish(self.check_modules(&ctx, 0..unit.modules.len()), map)
+    }
+
+    /// Step 1a: the design-wide facts of `unit` under this linter's
+    /// naming convention. They depend only on the unit's structure.
+    #[must_use]
+    pub fn facts(&self, unit: &SourceUnit) -> DesignFacts {
+        DesignFacts::build(unit, &self.naming)
+    }
+
+    /// Step 1b: the context the rules read, over facts from
+    /// [`Linter::facts`] for a unit of the same structure.
+    #[must_use]
+    pub fn context<'a>(&'a self, unit: &'a SourceUnit, facts: &'a DesignFacts) -> LintContext<'a> {
+        LintContext {
+            unit,
+            naming: &self.naming,
+            facts,
+        }
+    }
+
+    /// Step 2: runs the enabled rules over the modules at `modules`
+    /// (indices into the unit), applying `deny`. The findings are
+    /// neither described nor sorted (see [`LintReport::finish`]); a
+    /// module's findings do not depend on which other modules are
+    /// checked.
+    #[must_use]
+    pub fn check_modules(
+        &self,
+        ctx: &LintContext<'_>,
+        modules: impl IntoIterator<Item = usize>,
+    ) -> Vec<Diagnostic> {
+        let rules: Vec<(&dyn LintRule, bool)> = self
+            .rules
+            .iter()
+            .filter(|rule| !self.config.allow.iter().any(|a| a == rule.id()))
+            .map(|rule| {
+                let denied = self.config.deny.iter().any(|d| d == rule.id());
+                (rule.as_ref(), denied)
+            })
+            .collect();
         let mut diagnostics = Vec::new();
-        for rule in &self.rules {
-            if self.config.allow.iter().any(|a| a == rule.id()) {
-                continue;
-            }
-            let before = diagnostics.len();
-            rule.check(&ctx, &mut diagnostics);
-            if self.config.deny.iter().any(|d| d == rule.id()) {
-                for diag in &mut diagnostics[before..] {
-                    diag.severity = Severity::Error;
+        for index in modules {
+            let view = ctx.view(index);
+            for &(rule, denied) in &rules {
+                let before = diagnostics.len();
+                rule.check(ctx, &view, &mut diagnostics);
+                if denied {
+                    for diag in &mut diagnostics[before..] {
+                        diag.severity = Severity::Error;
+                    }
                 }
             }
         }
+        diagnostics
+    }
+}
+
+/// The outcome of one lint run: diagnostics sorted most severe first.
+#[derive(Debug, Clone, Default)]
+pub struct LintReport {
+    /// Findings, sorted by severity (descending), module, position.
+    pub diagnostics: Vec<Diagnostic>,
+}
+
+impl LintReport {
+    /// Step 3: resolves each finding's location against `map` and sorts
+    /// the findings into the canonical order: severity (descending),
+    /// module, position, rule.
+    #[must_use]
+    pub fn finish(mut diagnostics: Vec<Diagnostic>, map: &SourceMap) -> LintReport {
         for diag in &mut diagnostics {
             diag.location = map.describe(diag.span);
         }
@@ -167,16 +227,7 @@ impl Linter {
         });
         LintReport { diagnostics }
     }
-}
 
-/// The outcome of one lint run: diagnostics sorted most severe first.
-#[derive(Debug, Clone, Default)]
-pub struct LintReport {
-    /// Findings, sorted by severity (descending), module, position.
-    pub diagnostics: Vec<Diagnostic>,
-}
-
-impl LintReport {
     fn count(&self, severity: Severity) -> usize {
         self.diagnostics
             .iter()
@@ -303,16 +354,14 @@ mod tests {
             fn default_severity(&self) -> Severity {
                 Severity::Info
             }
-            fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-                for view in &ctx.modules {
-                    out.push(Diagnostic::new(
-                        self.id(),
-                        self.default_severity(),
-                        &view.module.name,
-                        view.module.span,
-                        "module seen",
-                    ));
-                }
+            fn check(&self, _: &LintContext<'_>, view: &ModuleView<'_>, out: &mut Vec<Diagnostic>) {
+                out.push(Diagnostic::new(
+                    self.id(),
+                    self.default_severity(),
+                    &view.module.name,
+                    view.module.span,
+                    "module seen",
+                ));
             }
         }
         let linter = Linter::new().with_rule(Box::new(ModuleCounter));

@@ -34,35 +34,33 @@ impl LintRule for AsyncResetUnsynchronized {
         Severity::Warning
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for view in &ctx.modules {
-            let mut reported = BTreeSet::new();
-            for block in view.module.always_blocks() {
-                if view.clock_of(block).is_none() {
-                    continue; // reset-only sensitivity: implicit-governor's case
+    fn check(&self, _: &LintContext<'_>, view: &ModuleView<'_>, out: &mut Vec<Diagnostic>) {
+        let mut reported = BTreeSet::new();
+        for block in view.module.always_blocks() {
+            if view.clock_of(block).is_none() {
+                continue; // reset-only sensitivity: implicit-governor's case
+            }
+            for item in view.async_resets_of(block) {
+                let name = item.signal.to_ascii_lowercase();
+                if SYNC_MARKERS.iter().any(|m| name.contains(m)) {
+                    continue; // already a synchronized copy by naming
                 }
-                for item in view.async_resets_of(block) {
-                    let name = item.signal.to_ascii_lowercase();
-                    if SYNC_MARKERS.iter().any(|m| name.contains(m)) {
-                        continue; // already a synchronized copy by naming
-                    }
-                    if has_release_synchronizer(view, &item.signal) {
-                        continue;
-                    }
-                    if reported.insert(item.signal.clone()) {
-                        out.push(Diagnostic::new(
-                            self.id(),
-                            self.default_severity(),
-                            &view.module.name,
-                            block.span,
-                            format!(
-                                "asynchronous reset `{}` is consumed directly; no 2-FF \
-                                 release synchronizer for it exists in this module, so \
-                                 reset release can violate recovery/removal timing",
-                                item.signal
-                            ),
-                        ));
-                    }
+                if has_release_synchronizer(view, &item.signal) {
+                    continue;
+                }
+                if reported.insert(item.signal.clone()) {
+                    out.push(Diagnostic::new(
+                        self.id(),
+                        self.default_severity(),
+                        &view.module.name,
+                        block.span,
+                        format!(
+                            "asynchronous reset `{}` is consumed directly; no 2-FF \
+                             release synchronizer for it exists in this module, so \
+                             reset release can violate recovery/removal timing",
+                            item.signal
+                        ),
+                    ));
                 }
             }
         }

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use soccar_cfg::assigned_signals;
 
-use crate::context::LintContext;
+use crate::context::{LintContext, ModuleView};
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::rules::{lhs_base_names, LintRule};
 
@@ -30,65 +30,63 @@ impl LintRule for CombinationalResetGen {
         Severity::Warning
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for view in &ctx.modules {
-            // Reset sinks: consumed asynchronously here, or forwarded to a
-            // port the child module identifies as a reset.
-            let mut sinks: BTreeSet<String> = view
-                .module
-                .always_blocks()
-                .flat_map(|b| view.async_resets_of(b))
-                .map(|i| i.signal.clone())
-                .collect();
-            if let Some(profile) = ctx.profile(&view.module.name) {
-                sinks.extend(
-                    profile
-                        .children
-                        .iter()
-                        .flat_map(|c| &c.reset_conns)
-                        .filter_map(|conn| conn.actual.clone()),
-                );
+    fn check(&self, ctx: &LintContext<'_>, view: &ModuleView<'_>, out: &mut Vec<Diagnostic>) {
+        // Reset sinks: consumed asynchronously here, or forwarded to a
+        // port the child module identifies as a reset.
+        let mut sinks: BTreeSet<String> = view
+            .module
+            .always_blocks()
+            .flat_map(|b| view.async_resets_of(b))
+            .map(|i| i.signal.clone())
+            .collect();
+        if let Some(profile) = ctx.profile(&view.module.name) {
+            sinks.extend(
+                profile
+                    .children
+                    .iter()
+                    .flat_map(|c| &c.reset_conns)
+                    .filter_map(|conn| conn.actual.clone()),
+            );
+        }
+        if sinks.is_empty() {
+            return;
+        }
+        for (lhs, _, span) in view.module.assigns() {
+            let mut bases = Vec::new();
+            lhs_base_names(lhs, &mut bases);
+            for base in bases {
+                if sinks.contains(&base) {
+                    out.push(Diagnostic::new(
+                        self.id(),
+                        self.default_severity(),
+                        &view.module.name,
+                        span,
+                        format!(
+                            "reset `{base}` is driven by a continuous assignment; \
+                             combinational glitches become spurious asynchronous \
+                             reset pulses"
+                        ),
+                    ));
+                }
             }
-            if sinks.is_empty() {
+        }
+        for block in view.module.always_blocks() {
+            if !block.is_combinational() {
                 continue;
             }
-            for (lhs, _, span) in view.module.assigns() {
-                let mut bases = Vec::new();
-                lhs_base_names(lhs, &mut bases);
-                for base in bases {
-                    if sinks.contains(&base) {
-                        out.push(Diagnostic::new(
-                            self.id(),
-                            self.default_severity(),
-                            &view.module.name,
-                            span,
-                            format!(
-                                "reset `{base}` is driven by a continuous assignment; \
-                                 combinational glitches become spurious asynchronous \
-                                 reset pulses"
-                            ),
-                        ));
-                    }
-                }
-            }
-            for block in view.module.always_blocks() {
-                if !block.is_combinational() {
-                    continue;
-                }
-                for signal in assigned_signals(&block.body) {
-                    if sinks.contains(&signal) {
-                        out.push(Diagnostic::new(
-                            self.id(),
-                            self.default_severity(),
-                            &view.module.name,
-                            block.span,
-                            format!(
-                                "reset `{signal}` is driven by a combinational always \
-                                 block; combinational glitches become spurious \
-                                 asynchronous reset pulses"
-                            ),
-                        ));
-                    }
+            for signal in assigned_signals(&block.body) {
+                if sinks.contains(&signal) {
+                    out.push(Diagnostic::new(
+                        self.id(),
+                        self.default_severity(),
+                        &view.module.name,
+                        block.span,
+                        format!(
+                            "reset `{signal}` is driven by a combinational always \
+                             block; combinational glitches become spurious \
+                             asynchronous reset pulses"
+                        ),
+                    ));
                 }
             }
         }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use soccar_cfg::assigned_signals;
 
-use crate::context::LintContext;
+use crate::context::{LintContext, ModuleView};
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::rules::LintRule;
 
@@ -33,42 +33,40 @@ impl LintRule for ResetCrossesDomains {
         Severity::Error
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for view in &ctx.modules {
-            // Which clock each locally generated signal belongs to.
-            let mut gen_domain: BTreeMap<String, String> = BTreeMap::new();
-            for block in view.module.always_blocks() {
-                let Some(clock) = view.clock_of(block) else {
-                    continue;
-                };
-                for signal in assigned_signals(&block.body) {
-                    gen_domain
-                        .entry(signal)
-                        .or_insert_with(|| clock.signal.clone());
-                }
+    fn check(&self, _: &LintContext<'_>, view: &ModuleView<'_>, out: &mut Vec<Diagnostic>) {
+        // Which clock each locally generated signal belongs to.
+        let mut gen_domain: BTreeMap<String, String> = BTreeMap::new();
+        for block in view.module.always_blocks() {
+            let Some(clock) = view.clock_of(block) else {
+                continue;
+            };
+            for signal in assigned_signals(&block.body) {
+                gen_domain
+                    .entry(signal)
+                    .or_insert_with(|| clock.signal.clone());
             }
-            for block in view.module.always_blocks() {
-                let Some(sink_clock) = view.clock_of(block) else {
-                    continue;
+        }
+        for block in view.module.always_blocks() {
+            let Some(sink_clock) = view.clock_of(block) else {
+                continue;
+            };
+            for reset in view.async_resets_of(block) {
+                let Some(src_clock) = gen_domain.get(&reset.signal) else {
+                    continue; // external reset: origin unknown here
                 };
-                for reset in view.async_resets_of(block) {
-                    let Some(src_clock) = gen_domain.get(&reset.signal) else {
-                        continue; // external reset: origin unknown here
-                    };
-                    if src_clock != &sink_clock.signal {
-                        out.push(Diagnostic::new(
-                            self.id(),
-                            self.default_severity(),
-                            &view.module.name,
-                            block.span,
-                            format!(
-                                "reset `{}` is generated by a register in clock domain \
-                                 `{src_clock}` but asynchronously resets registers clocked \
-                                 by `{}`; its release is untimed in the receiving domain",
-                                reset.signal, sink_clock.signal
-                            ),
-                        ));
-                    }
+                if src_clock != &sink_clock.signal {
+                    out.push(Diagnostic::new(
+                        self.id(),
+                        self.default_severity(),
+                        &view.module.name,
+                        block.span,
+                        format!(
+                            "reset `{}` is generated by a register in clock domain \
+                             `{src_clock}` but asynchronously resets registers clocked \
+                             by `{}`; its release is untimed in the receiving domain",
+                            reset.signal, sink_clock.signal
+                        ),
+                    ));
                 }
             }
         }

@@ -20,7 +20,7 @@
 
 use soccar_cfg::{leading_if, tests_clock_level};
 
-use crate::context::LintContext;
+use crate::context::{LintContext, ModuleView};
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::rules::LintRule;
 
@@ -41,44 +41,41 @@ impl LintRule for ImplicitGovernor {
         Severity::Warning
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for view in &ctx.modules {
-            for block in view.module.always_blocks() {
-                let resets = view.async_resets_of(block);
-                if resets.is_empty() {
-                    continue;
-                }
-                let explicit = leading_if(&block.body).is_some_and(|(cond, _, _)| {
-                    resets.iter().any(|r| cond.is_signal_test(&r.signal))
-                });
-                if explicit {
-                    continue;
-                }
-                let composed = tests_clock_level(&block.body, ctx.naming);
-                let reset_names = resets
-                    .iter()
-                    .map(|r| format!("`{}`", r.signal))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let detail = if composed {
-                    "; the body tests a clock at level, so the block fires only on a \
-                     reset edge composed with that clock phase"
-                } else {
-                    ""
-                };
-                out.push(Diagnostic::new(
-                    self.id(),
-                    self.default_severity(),
-                    &view.module.name,
-                    block.span,
-                    format!(
-                        "module `{}` has an always block sensitive to reset {reset_names} \
-                         with no leading reset test: the reset governs it only implicitly \
-                         and the Explicit governor analysis extracts nothing{detail}",
-                        view.module.name
-                    ),
-                ));
+    fn check(&self, ctx: &LintContext<'_>, view: &ModuleView<'_>, out: &mut Vec<Diagnostic>) {
+        for block in view.module.always_blocks() {
+            let resets = view.async_resets_of(block);
+            if resets.is_empty() {
+                continue;
             }
+            let explicit = leading_if(&block.body)
+                .is_some_and(|(cond, _, _)| resets.iter().any(|r| cond.is_signal_test(&r.signal)));
+            if explicit {
+                continue;
+            }
+            let composed = tests_clock_level(&block.body, ctx.naming);
+            let reset_names = resets
+                .iter()
+                .map(|r| format!("`{}`", r.signal))
+                .collect::<Vec<_>>()
+                .join(", ");
+            let detail = if composed {
+                "; the body tests a clock at level, so the block fires only on a \
+                 reset edge composed with that clock phase"
+            } else {
+                ""
+            };
+            out.push(Diagnostic::new(
+                self.id(),
+                self.default_severity(),
+                &view.module.name,
+                block.span,
+                format!(
+                    "module `{}` has an always block sensitive to reset {reset_names} \
+                     with no leading reset test: the reset governs it only implicitly \
+                     and the Explicit governor analysis extracts nothing{detail}",
+                    view.module.name
+                ),
+            ));
         }
     }
 }

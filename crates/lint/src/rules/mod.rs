@@ -1,15 +1,15 @@
 //! The lint rule trait and the built-in rule set.
 //!
-//! Each rule is a stateless object behind the [`LintRule`] trait; the
-//! registry ([`crate::Linter`]) owns a `Vec<Box<dyn LintRule>>`, so new
-//! rules — including rules defined outside this crate — plug in without
-//! touching the runner. Rules emit [`Diagnostic`]s at their
-//! [`LintRule::default_severity`]; per-rule `allow`/`deny` configuration is
-//! applied afterwards by the registry.
+//! Each rule is a stateless object behind the [`LintRule`] trait, run
+//! over one module at a time; the registry ([`crate::Linter`]) owns a
+//! `Vec<Box<dyn LintRule>>`, so new rules — including rules defined
+//! outside this crate — plug in without touching the runner. Rules emit
+//! [`Diagnostic`]s at their [`LintRule::default_severity`]; per-rule
+//! `allow`/`deny` configuration is applied afterwards by the registry.
 
 use soccar_rtl::ast::Expr;
 
-use crate::context::LintContext;
+use crate::context::{LintContext, ModuleView};
 use crate::diagnostic::{Diagnostic, Severity};
 
 mod async_sync;
@@ -37,8 +37,10 @@ pub trait LintRule {
     /// Severity findings carry unless the registry overrides it.
     fn default_severity(&self) -> Severity;
 
-    /// Runs the rule over the whole design, appending findings to `out`.
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>);
+    /// Runs the rule over one module, appending findings in that module
+    /// to `out`. Design-wide facts (child resets, connection profiles)
+    /// come from `ctx`.
+    fn check(&self, ctx: &LintContext<'_>, view: &ModuleView<'_>, out: &mut Vec<Diagnostic>);
 }
 
 impl std::fmt::Debug for dyn LintRule {

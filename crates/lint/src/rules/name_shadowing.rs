@@ -11,7 +11,7 @@
 
 use soccar_rtl::span::Span;
 
-use crate::context::LintContext;
+use crate::context::{LintContext, ModuleView};
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::rules::{LintRule, SYNC_MARKERS};
 
@@ -32,49 +32,47 @@ impl LintRule for ResetNameShadowing {
         Severity::Info
     }
 
-    fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        for view in &ctx.modules {
-            let mut candidates: Vec<(&str, Span)> = view
-                .module
-                .ports
-                .iter()
-                .map(|p| (p.name.as_str(), p.span))
-                .collect();
-            candidates.extend(
-                view.module
-                    .net_decls()
-                    .flat_map(|d| &d.names)
-                    .map(|d| (d.name.as_str(), d.span)),
-            );
-            for (name, span) in candidates {
-                if !ctx.naming.is_reset_name(name) {
-                    continue;
-                }
-                let lower = name.to_ascii_lowercase();
-                if SYNC_MARKERS.iter().any(|m| lower.contains(m)) {
-                    continue; // synchronizer stages are reset infrastructure
-                }
-                if used_as_reset(ctx, view, name) {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    self.id(),
-                    self.default_severity(),
-                    &view.module.name,
-                    span,
-                    format!(
-                        "`{name}` matches the reset naming convention but is never used \
-                         as a reset (no edge sensitivity, no leading reset test, not \
-                         forwarded to a child reset port); it shadows name-based reset \
-                         identification"
-                    ),
-                ));
+    fn check(&self, ctx: &LintContext<'_>, view: &ModuleView<'_>, out: &mut Vec<Diagnostic>) {
+        let mut candidates: Vec<(&str, Span)> = view
+            .module
+            .ports
+            .iter()
+            .map(|p| (p.name.as_str(), p.span))
+            .collect();
+        candidates.extend(
+            view.module
+                .net_decls()
+                .flat_map(|d| &d.names)
+                .map(|d| (d.name.as_str(), d.span)),
+        );
+        for (name, span) in candidates {
+            if !ctx.naming.is_reset_name(name) {
+                continue;
             }
+            let lower = name.to_ascii_lowercase();
+            if SYNC_MARKERS.iter().any(|m| lower.contains(m)) {
+                continue; // synchronizer stages are reset infrastructure
+            }
+            if used_as_reset(ctx, view, name) {
+                continue;
+            }
+            out.push(Diagnostic::new(
+                self.id(),
+                self.default_severity(),
+                &view.module.name,
+                span,
+                format!(
+                    "`{name}` matches the reset naming convention but is never used \
+                     as a reset (no edge sensitivity, no leading reset test, not \
+                     forwarded to a child reset port); it shadows name-based reset \
+                     identification"
+                ),
+            ));
         }
     }
 }
 
-fn used_as_reset(ctx: &LintContext<'_>, view: &crate::context::ModuleView<'_>, name: &str) -> bool {
+fn used_as_reset(ctx: &LintContext<'_>, view: &ModuleView<'_>, name: &str) -> bool {
     // Edge-qualified anywhere, or tested by a leading conditional.
     for block in view.module.always_blocks() {
         if block.edge_items().any(|i| i.signal == name) {
@@ -86,7 +84,7 @@ fn used_as_reset(ctx: &LintContext<'_>, view: &crate::context::ModuleView<'_>, n
     }
     // Forwarded (possibly through an expression) into a child reset port.
     for inst in view.module.instances() {
-        let child = ctx.modules.iter().find(|v| v.module.name == inst.module);
+        let child = ctx.resets_of(&inst.module);
         for conn in &inst.conns {
             let Some(expr) = &conn.expr else { continue };
             let mut reads = Vec::new();
@@ -95,7 +93,7 @@ fn used_as_reset(ctx: &LintContext<'_>, view: &crate::context::ModuleView<'_>, n
                 continue;
             }
             let port_is_reset = match child {
-                Some(v) => v.is_reset(&conn.port),
+                Some(resets) => resets.iter().any(|r| r.name == conn.port),
                 None => ctx.naming.is_reset_name(&conn.port),
             };
             if port_is_reset {

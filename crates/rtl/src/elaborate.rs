@@ -31,6 +31,14 @@ use crate::value::LogicVec;
 
 const MAX_HIERARCHY_DEPTH: u32 = 64;
 
+/// The most net bits one elaborated design may declare, summed over every
+/// instance's ports, wires, regs and integers. Each net is also capped at
+/// 2^20 bits, but a small file of many such nets would ask the simulator
+/// for gigabytes of state. Memories stay outside the sum: their words are
+/// allocated lazily. 2^24 is about 69 times the 243,132 net bits of the
+/// largest pinned design, x50 (`gen:11:73`).
+pub const MAX_DESIGN_NET_BITS: u64 = 1 << 24;
+
 /// Elaborates `unit` with `top` as the root module.
 ///
 /// # Errors
@@ -38,7 +46,8 @@ const MAX_HIERARCHY_DEPTH: u32 = 64;
 /// Returns the first semantic or elaboration error: unknown top module,
 /// undeclared identifiers, non-constant ranges, port mismatches, unsupported
 /// constructs (mixed edge/level sensitivity, non-zero-based packed ranges),
-/// or recursive instantiation deeper than 64 levels.
+/// recursive instantiation deeper than 64 levels, or more than
+/// [`MAX_DESIGN_NET_BITS`] net bits in total.
 ///
 /// # Examples
 ///
@@ -86,6 +95,7 @@ fn elaborate_inner(unit: &SourceUnit, top: &str) -> RtlResult<Design> {
     let mut e = Elaborator {
         unit,
         design: Design::new(top),
+        net_bits: 0,
     };
     let top_module = unit.module(top).ok_or_else(|| {
         RtlError::new(
@@ -101,6 +111,8 @@ fn elaborate_inner(unit: &SourceUnit, top: &str) -> RtlResult<Design> {
 struct Elaborator<'a> {
     unit: &'a SourceUnit,
     design: Design,
+    /// Net bits declared so far (see [`MAX_DESIGN_NET_BITS`]).
+    net_bits: u64,
 }
 
 /// Per-instance symbol table.
@@ -177,6 +189,7 @@ impl<'a> Elaborator<'a> {
         let is_top = parent.is_none();
         for port in &module.ports {
             let width = self.range_width(port.range.as_ref(), &scope)?;
+            self.count_net_bits(width, port.span)?;
             let id = self.design.add_net(Net {
                 name: format!("{}.{}", scope.prefix, port.name),
                 local_name: port.name.clone(),
@@ -283,6 +296,21 @@ impl<'a> Elaborator<'a> {
         ProcessId(self.design.processes().len() as u32)
     }
 
+    /// Counts `width` more declared net bits, failing with a
+    /// [`RtlErrorKind::Limit`] error before the net is created if the
+    /// design's total passes [`MAX_DESIGN_NET_BITS`].
+    fn count_net_bits(&mut self, width: u32, span: Span) -> RtlResult<()> {
+        self.net_bits += u64::from(width);
+        if self.net_bits > MAX_DESIGN_NET_BITS {
+            return Err(RtlError::new(
+                RtlErrorKind::Limit,
+                format!("design declares more than {MAX_DESIGN_NET_BITS} net bits"),
+                span,
+            ));
+        }
+        Ok(())
+    }
+
     fn range_width(&self, range: Option<&Range>, scope: &Scope) -> RtlResult<u32> {
         let Some(r) = range else { return Ok(1) };
         let msb = eval_const_u64(&r.msb, &scope.consts)?;
@@ -340,6 +368,7 @@ impl<'a> Elaborator<'a> {
             });
             scope.mems.insert(d.name.clone(), id);
         } else {
+            self.count_net_bits(width, d.span)?;
             let init = match (&d.init, kind) {
                 (Some(e), NetKind::Reg | NetKind::Integer) => {
                     Some(eval_const(e, &scope.consts)?.resize(width))

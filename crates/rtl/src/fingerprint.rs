@@ -516,6 +516,11 @@ impl AssembledUnit {
         self.placed.iter().map(|p| p.structural).collect()
     }
 
+    /// Each module's chunk as `(raw fingerprint, byte offset)`, in order.
+    pub fn chunks(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.placed.iter().map(|p| (p.raw, p.offset))
+    }
+
     /// Hands the modules back as `(raw fingerprint, parse)` pairs, in
     /// chunk order, each placed where this unit used it.
     pub fn into_parsed(self) -> impl Iterator<Item = (u64, ParsedChunk)> {

@@ -3,8 +3,9 @@
 //! `soccar` CLI, 5000 nested `if` or `begin` statements given to the CLI
 //! and to `soccar serve`, and 20 000 nested JSON arrays sent to `soccar
 //! serve`.
-//! Cycle horizons past `MAX_CYCLES` end in a named limit error, never in
-//! a failed-allocation abort, on the CLI and over the wire alike.
+//! Cycle horizons past `MAX_CYCLES`, and designs declaring more than
+//! `MAX_DESIGN_NET_BITS` net bits, end in a named limit error, never in a
+//! failed-allocation abort, on the CLI and over the wire alike.
 
 use std::net::TcpStream;
 use std::process::Command;
@@ -212,6 +213,80 @@ fn oversized_cycle_request_gets_an_error_envelope_and_the_daemon_keeps_serving()
     assert!(!envelope.ok);
     assert!(
         envelope.error.contains(&horizon_error(1 << 40)),
+        "{}",
+        envelope.error
+    );
+    assert!(body.is_empty());
+    drop(client);
+
+    serves_batch_identical_analyze_then_shuts_down(&addr);
+    runner.join().expect("server thread");
+}
+
+/// 3000 registers of 2^20 bits each (a 68 KB file): under the per-net
+/// cap one by one, about 800 MB of simulator state together.
+fn net_width_bomb() -> String {
+    let mut src = String::from("module top(input clk, input rst_n, output reg q);\n");
+    for i in 0..3000 {
+        src.push_str(&format!("reg [1048575:0] r{i};\n"));
+    }
+    src.push_str(
+        "always @(posedge clk or negedge rst_n) if (!rst_n) q <= 0; else q <= 1;\nendmodule\n",
+    );
+    src
+}
+
+/// The named error the net-width bomb must end in.
+fn net_width_error() -> String {
+    format!(
+        "input limit exceeded: design declares more than {} net bits",
+        soccar_rtl::elaborate::MAX_DESIGN_NET_BITS
+    )
+}
+
+/// The bomb used to abort `soccar analyze` with a failed allocation
+/// (exit 134). Run under a 2 GB address-space cap, so a regression
+/// aborts instead of exhausting the machine.
+#[test]
+fn net_width_bomb_exits_with_the_named_limit_error() {
+    let dir = std::env::temp_dir().join(format!("soccar-width-limits-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let bomb = dir.join("bomb.v");
+    std::fs::write(&bomb, net_width_bomb()).expect("write bomb");
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 2000000; exec \"$0\" analyze \"$1\" --top top")
+        .arg(BIN)
+        .arg(&bomb)
+        .env_remove("SOCCAR_FAULTS")
+        .output()
+        .expect("run soccar");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&net_width_error()), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same bomb in an analyze request gets an error envelope naming the
+/// limit, and the daemon goes on serving.
+#[test]
+fn net_width_bomb_gets_an_error_envelope_and_the_daemon_keeps_serving() {
+    let server = Arc::new(Server::bind(&ServerOptions::default()).expect("bind"));
+    let addr = server.local_addr().to_string();
+    let runner = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run().expect("run"))
+    };
+
+    let mut req = Request::new("analyze");
+    req.file_name = "bomb.v".to_owned();
+    req.source = net_width_bomb();
+    req.top = "top".to_owned();
+    let mut client = Client::connect(&addr).expect("connect");
+    let (envelope, body) = client.roundtrip(&req).expect("bomb analyze");
+    assert!(!envelope.ok);
+    assert!(
+        envelope.error.contains(&net_width_error()),
         "{}",
         envelope.error
     );

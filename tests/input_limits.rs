@@ -4,10 +4,12 @@
 //! end to end on a stack the size of a worker-pool thread, a tiny file
 //! declaring a huge memory analyzes without allocating it, and a cycle
 //! horizon past `MAX_CYCLES` is a named error instead of a failed
-//! allocation.
+//! allocation, and so is a design declaring more than
+//! `MAX_DESIGN_NET_BITS` net bits in total.
 
 use soccar::{Soccar, SoccarConfig};
 use soccar_concolic::{ConcolicConfig, MAX_CYCLES};
+use soccar_rtl::elaborate::{elaborate, MAX_DESIGN_NET_BITS};
 use soccar_rtl::parser::{parse, MAX_EXPR_DEPTH, MAX_STMT_DEPTH};
 use soccar_rtl::span::FileId;
 use soccar_rtl::RtlErrorKind;
@@ -326,4 +328,52 @@ fn oversized_cycle_horizon_is_a_named_limit_error() {
     }
     let report = analyze(MAX_CYCLES, 1).expect("the limit itself analyzes");
     assert_eq!(report.concolic.rounds, 1);
+}
+
+/// A design of `regs` registers of 2^20 bits each, the per-net cap, plus
+/// one register of `tail` bits.
+fn wide_regs(regs: usize, tail: u64) -> String {
+    let mut src = String::from("module top(input clk, input rst_n, output reg q);\n");
+    for i in 0..regs {
+        src.push_str(&format!("reg [1048575:0] r{i};\n"));
+    }
+    src.push_str(&format!("reg [{}:0] tail;\n", tail - 1));
+    src.push_str(
+        "always @(posedge clk or negedge rst_n) if (!rst_n) q <= 0; else q <= 1;\nendmodule\n",
+    );
+    src
+}
+
+/// 3000 registers of 2^20 bits (a 68 KB file): each is under the per-net
+/// cap, but together they would ask for about 800 MB of simulator state.
+/// They used to abort `soccar analyze` with a failed allocation (exit
+/// 134); now elaboration names the limit before creating the net that
+/// passes it.
+#[test]
+fn total_net_width_bomb_is_a_named_limit_error() {
+    let bomb = wide_regs(2999, 1 << 20);
+    let unit = parse(FileId(0), &bomb).expect("the bomb parses");
+    let err = elaborate(&unit, "top").expect_err("the bomb must not elaborate");
+    assert_eq!(err.kind, RtlErrorKind::Limit, "{err}");
+    let result = Soccar::new(SoccarConfig::default()).analyze("bomb.v", &bomb, "top", Vec::new());
+    let err = result.expect_err("the bomb must not analyze");
+    assert!(
+        err.to_string().contains(&format!(
+            "input limit exceeded: design declares more than {MAX_DESIGN_NET_BITS} net bits"
+        )),
+        "{err}"
+    );
+}
+
+/// The limit is exact: the three one-bit ports, 15 registers of 2^20 bits
+/// and one register of 2^20 - 3 bits fill it.
+#[test]
+fn total_net_width_limit_is_exact() {
+    let regs = (MAX_DESIGN_NET_BITS >> 20) as usize - 1;
+    let tail = MAX_DESIGN_NET_BITS - ((regs as u64) << 20) - 3;
+    let at_limit = parse(FileId(0), &wide_regs(regs, tail)).expect("parses");
+    elaborate(&at_limit, "top").expect("the limit itself elaborates");
+    let past = parse(FileId(0), &wide_regs(regs, tail + 1)).expect("parses");
+    let err = elaborate(&past, "top").expect_err("one bit past the limit is rejected");
+    assert_eq!(err.kind, RtlErrorKind::Limit, "{err}");
 }
