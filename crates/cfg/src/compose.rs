@@ -179,15 +179,16 @@ pub fn compose_soc_resilient(
             .iter()
             .map(|(cfg, _)| (cfg.module.as_str(), cfg.resets.as_slice())),
     );
-    let profiles: HashMap<String, ConnectionProfile> =
-        connection_profiles_with(unit, naming, &table)
-            .into_iter()
-            .map(|p| (p.module.clone(), p))
-            .collect();
-    let ar_cfgs: HashMap<String, ArCfg> = extracted
-        .into_iter()
-        .map(|(_, ar)| (ar.module.clone(), ar))
-        .collect();
+    // A module defined twice resolves to its first definition, as in
+    // elaboration, lint and the reset table.
+    let mut profiles: HashMap<String, ConnectionProfile> = HashMap::new();
+    for p in connection_profiles_with(unit, naming, &table) {
+        profiles.entry(p.module.clone()).or_insert(p);
+    }
+    let mut ar_cfgs: HashMap<String, ArCfg> = HashMap::new();
+    for (_, ar) in extracted {
+        ar_cfgs.entry(ar.module.clone()).or_insert(ar);
+    }
     let soc = compose_soc_prepared(unit, top, &profiles, &ar_cfgs, recorder)?;
     Ok((soc, stats, degraded))
 }

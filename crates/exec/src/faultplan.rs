@@ -28,17 +28,13 @@
 //! | `task_panic:extract` | module index in the cfg extraction fan-out | the extraction task panics |
 //! | `task_panic:flips` | flip-candidate sequence number | the flip solve task panics |
 //! | `round_timeout` | concolic round number (1-based) | the round deadline fires at the next check |
-//! | `frame_truncate:serve` | response frame written by the daemon (serial, per server) | the frame is cut mid-payload and the connection aborted |
-//! | `conn_drop:respond` | response about to be written by the daemon (serial, per server) | the connection drops before any response byte |
-//! | `journal_corrupt:replay` | journal record index during startup replay (1-based) | the record (and the tail after it) is treated as corrupt |
 //! | `shed:admission` | connection admission attempt (serial, per server) | the connection is shed with a `busy` envelope |
 //!
 //! Pipeline points derive their index from input position, never from
-//! scheduling, so injection is identical for every job count. The four
-//! serve-layer points index serial per-server sequences (frames written,
-//! responses, replayed records, admissions); they are deterministic for
-//! a serial request stream, which is how the chaos-serve suite drives
-//! them. New points must document their index semantics here and in
+//! scheduling, so injection is identical for every job count. The
+//! serve-layer point indexes the serial per-server sequence of
+//! admissions; it is deterministic for a serial connection stream, which
+//! is how the chaos-serve suite drives it. New points must document their index semantics here and in
 //! `docs/RESILIENCE.md`.
 //!
 //! Unknown point names are rejected at parse time (a typo in a chaos
@@ -53,9 +49,6 @@ pub const KNOWN_POINTS: &[&str] = &[
     "task_panic:extract",
     "task_panic:flips",
     "round_timeout",
-    "frame_truncate:serve",
-    "conn_drop:respond",
-    "journal_corrupt:replay",
     "shed:admission",
 ];
 
@@ -228,24 +221,15 @@ mod tests {
         assert!(err.contains("`task_panic:compose`"), "{err}");
         // A sited kind spelled without its site parses the site token as
         // the occurrence-free point name and is rejected by the registry.
-        let err = FaultPlan::parse("frame_truncate@serve").expect_err("missing occurrence");
-        assert!(
-            err.contains("unknown injection point `frame_truncate`"),
-            "{err}"
-        );
+        let err = FaultPlan::parse("shed@admission").expect_err("missing occurrence");
+        assert!(err.contains("unknown injection point `shed`"), "{err}");
         // One bad entry poisons the whole plan, even with valid siblings.
         assert!(FaultPlan::parse("solver_unknown@1,bogus@2").is_err());
     }
 
     #[test]
     fn serve_layer_points_parse() {
-        let plan = FaultPlan::parse(
-            "frame_truncate@serve:3,conn_drop@respond:2,journal_corrupt@replay:1,shed@admission:4",
-        )
-        .expect("serve-layer plan");
-        assert!(plan.should_inject("frame_truncate:serve", 3));
-        assert!(plan.should_inject("conn_drop:respond", 2));
-        assert!(plan.should_inject("journal_corrupt:replay", 1));
+        let plan = FaultPlan::parse("shed@admission:4").expect("serve-layer plan");
         assert!(plan.should_inject("shed:admission", 4));
         assert!(!plan.should_inject("shed:admission", 1));
     }

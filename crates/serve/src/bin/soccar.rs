@@ -58,7 +58,7 @@ use std::process::ExitCode;
 use soccar::Soccar;
 use soccar_cfg::{compose_soc, ResetNaming};
 use soccar_lint::{LintConfig, Linter, Severity};
-use soccar_serve::{resolve_request, Request, Server, ServerOptions};
+use soccar_serve::{resolve_request, Client, Request, Server, ServerOptions};
 
 /// `print!` for the commands' stdout. A reader that closes the pipe
 /// early (`soccar lint --json x.v | head -1`) has taken all the output it
@@ -549,9 +549,6 @@ options:
                          shed with a structured `busy` envelope
   --jobs <n>             worker threads per request (default: $SOCCAR_JOBS,
                          else all cores; results identical for every value)
-  --cache-dir <dir>      persist the cache journal in <dir>; on restart
-                         the journal replays and the cache is warm again
-                         (corrupt tails degrade, never block startup)
   --idle-timeout-ms <n>  close connections silent for <n> ms between
                          frames (default: never)
   --frame-deadline-ms <n>
@@ -564,9 +561,8 @@ options:
                          how long a connection may queue for admission
                          before being shed (default 500)
 environment:
-  SOCCAR_FAULTS          serve-layer chaos points (frame_truncate@serve:N,
-                         conn_drop@respond:N, journal_corrupt@replay:N,
-                         shed@admission:N; see docs/RESILIENCE.md)
+  SOCCAR_FAULTS          serve-layer chaos point (shed@admission:N; see
+                         docs/RESILIENCE.md)
 runs until a client sends `shutdown`, then exits 0 (see docs/SERVER.md)";
 
 struct ServeArgs {
@@ -575,7 +571,6 @@ struct ServeArgs {
     trace_out: Option<String>,
     max_connections: usize,
     jobs: usize,
-    cache_dir: Option<String>,
     idle_timeout_ms: Option<u64>,
     frame_deadline_ms: Option<u64>,
     write_timeout_ms: Option<u64>,
@@ -590,7 +585,6 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeArgs, Str
         trace_out: None,
         max_connections: 4,
         jobs: 0,
-        cache_dir: None,
         idle_timeout_ms: None,
         frame_deadline_ms: None,
         write_timeout_ms: None,
@@ -610,7 +604,6 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeArgs, Str
             "--listen" => out.listen = next(&mut args, "--listen")?,
             "--port-file" => out.port_file = Some(next(&mut args, "--port-file")?),
             "--trace-out" => out.trace_out = Some(next(&mut args, "--trace-out")?),
-            "--cache-dir" => out.cache_dir = Some(next(&mut args, "--cache-dir")?),
             "--max-connections" => {
                 out.max_connections = next(&mut args, "--max-connections")?
                     .parse()
@@ -655,7 +648,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
         listen: args.listen.clone(),
         max_connections: args.max_connections,
         jobs: args.jobs,
-        cache_dir: args.cache_dir.clone().map(std::path::PathBuf::from),
         fault_plan,
         idle_timeout: args.idle_timeout_ms.map(std::time::Duration::from_millis),
         frame_deadline: args.frame_deadline_ms.map(std::time::Duration::from_millis),
@@ -665,11 +657,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
     };
     let server = Server::bind_with_recorder(&options, recorder.clone())
         .map_err(|e| format!("bind {}: {e}", args.listen))?;
-    // Degraded journal recovery is worth operator attention but must not
-    // pollute stdout — the banner below stays the first stdout line.
-    for reason in server.journal_degraded() {
-        eprintln!("degraded: {reason}");
-    }
     let addr = server.local_addr();
     // Flush eagerly: supervisors and tests read this line (or the port
     // file) to learn the ephemeral port before connecting. A supervisor
@@ -701,12 +688,6 @@ commands:
   lint <file.v> [--allow <rule>] [--deny <rule>]
   status
   shutdown
-client options:
-  --retries <n>       retry connect failures, dropped/torn responses, and
-                      `busy` envelopes up to <n> times with deterministic
-                      seeded exponential backoff + jitter (default 0)
-  --timeout-ms <n>    per-attempt connect/read/write deadline
-                      (default: none)
 a --port-file that does not exist yet is polled with bounded backoff (the
 daemon may still be starting), so `soccar client` can be launched
 concurrently with `soccar serve`
@@ -720,8 +701,6 @@ exit status: 0 = clean, 1 = violations/errors found, 2 = failure";
 struct ClientArgs {
     addr: String,
     port_file: Option<String>,
-    retries: u32,
-    timeout_ms: Option<u64>,
     request: Request,
 }
 
@@ -729,8 +708,6 @@ fn parse_client_args(args: impl Iterator<Item = String>) -> Result<ClientArgs, S
     let mut args = args;
     let mut addr = String::new();
     let mut port_file = None;
-    let mut retries = 0u32;
-    let mut timeout_ms = None;
     let mut request: Option<Request> = None;
     let mut file = String::new();
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -740,18 +717,6 @@ fn parse_client_args(args: impl Iterator<Item = String>) -> Result<ClientArgs, S
         match arg.as_str() {
             "--connect" => addr = next(&mut args, "--connect")?,
             "--port-file" => port_file = Some(next(&mut args, "--port-file")?),
-            "--retries" => {
-                retries = next(&mut args, "--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
-            }
-            "--timeout-ms" => {
-                timeout_ms = Some(
-                    next(&mut args, "--timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--timeout-ms: {e}"))?,
-                );
-            }
             "--help" | "-h" => {
                 outln!("{CLIENT_USAGE}")?;
                 std::process::exit(0);
@@ -788,8 +753,6 @@ fn parse_client_args(args: impl Iterator<Item = String>) -> Result<ClientArgs, S
     Ok(ClientArgs {
         addr,
         port_file,
-        retries,
-        timeout_ms,
         request,
     })
 }
@@ -821,12 +784,9 @@ fn run_client(args: &ClientArgs) -> Result<bool, String> {
     } else {
         args.addr.clone()
     };
-    let policy = soccar_serve::RetryPolicy {
-        retries: args.retries,
-        timeout: args.timeout_ms.map(std::time::Duration::from_millis),
-        ..soccar_serve::RetryPolicy::default()
-    };
-    let (envelope, body) = soccar_serve::roundtrip_with_retry(&addr, &args.request, &policy)?;
+    let (envelope, body) = Client::connect(&addr)
+        .map_err(|e| format!("connect {addr}: {e}"))?
+        .roundtrip(&args.request)?;
     if !envelope.ok {
         return Err(envelope.error);
     }

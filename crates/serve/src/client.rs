@@ -1,17 +1,8 @@
 //! Client side of the `soccar serve` protocol — what `soccar client`
 //! and CI harnesses use to talk to a running daemon.
-//!
-//! Beyond the bare [`Client`] connection, this module carries the retry
-//! contract: [`RetryPolicy`] retries connection failures, mid-exchange
-//! I/O errors (a dropped or truncated response), and structured `busy`
-//! envelopes with **deterministic** seeded exponential backoff + jitter.
-//! Determinism matters here for the same reason it does everywhere else
-//! in soccar: a chaos run with a fixed fault plan and a fixed seed
-//! replays the exact same wire timeline.
 
 use std::io::{BufReader, BufWriter};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::net::TcpStream;
 
 use crate::proto::{read_frame, write_frame, Envelope, Request};
 
@@ -31,33 +22,8 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: &str) -> std::io::Result<Client> {
-        Client::connect_with(addr, None)
-    }
-
-    /// Like [`Client::connect`], with an optional per-operation
-    /// deadline: it bounds the connect itself and every subsequent
-    /// frame read/write, so a wedged daemon surfaces as a timed-out
-    /// I/O error instead of a hang.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures and unresolvable addresses.
-    pub fn connect_with(addr: &str, timeout: Option<Duration>) -> std::io::Result<Client> {
-        let stream = match timeout {
-            None => TcpStream::connect(addr)?,
-            Some(limit) => {
-                let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!("{addr}: no addresses"),
-                    )
-                })?;
-                TcpStream::connect_timeout(&resolved, limit)?
-            }
-        };
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
@@ -85,172 +51,5 @@ impl Client {
             .map_err(|e| e.to_string())?
             .ok_or_else(|| "server closed the connection before the body frame".to_owned())?;
         Ok((envelope, body))
-    }
-}
-
-/// Deterministic retry policy for [`roundtrip_with_retry`]: seeded
-/// exponential backoff with jitter. Attempt `n` (0-based) sleeps a
-/// pseudo-random duration in `[exp/2, exp]` where
-/// `exp = min(base_delay << n, max_delay)`; the jitter stream is
-/// [splitmix64](https://prng.di.unimi.it/splitmix64.c) over
-/// `seed + n`, so a fixed seed replays the exact schedule.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first (0 = never retry).
-    pub retries: u32,
-    /// Backoff base — the cap of the first retry's sleep.
-    pub base_delay: Duration,
-    /// Upper bound the exponential never exceeds.
-    pub max_delay: Duration,
-    /// Per-attempt connect/read/write deadline (`None` = unbounded).
-    pub timeout: Option<Duration>,
-    /// Jitter seed; fixed default for replayable CI timelines.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            retries: 0,
-            base_delay: Duration::from_millis(100),
-            max_delay: Duration::from_millis(2_000),
-            timeout: None,
-            seed: 0x5CCA_12AB,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry `attempt` (0-based): jittered into
-    /// `[exp/2, exp]`. Pure — same policy and attempt, same answer.
-    #[must_use]
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base_delay
-            .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-            .min(self.max_delay)
-            .max(Duration::from_millis(1));
-        let exp_us = exp.as_micros() as u64;
-        let half = exp_us / 2;
-        let jitter = splitmix64(self.seed.wrapping_add(u64::from(attempt))) % (half + 1);
-        Duration::from_micros(half + jitter)
-    }
-}
-
-/// The splitmix64 mixer — the standard cheap seedable PRNG step.
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Performs one request against `addr` under `policy`: a fresh
-/// connection per attempt (a failed exchange leaves the old socket in
-/// an unknown framing state), retrying connect failures, I/O errors
-/// mid-exchange, and `busy` envelopes. The request's `attempt` field is
-/// stamped with the 0-based attempt number so the server can count
-/// `server.retries`. Non-busy error envelopes are *returned*, not
-/// retried — the daemon answered definitively.
-///
-/// # Errors
-///
-/// The last attempt's error once retries are exhausted.
-pub fn roundtrip_with_retry(
-    addr: &str,
-    request: &Request,
-    policy: &RetryPolicy,
-) -> Result<(Envelope, Vec<u8>), String> {
-    let mut request = request.clone();
-    let mut last_err = String::new();
-    for attempt in 0..=policy.retries {
-        if attempt > 0 {
-            std::thread::sleep(policy.backoff(attempt - 1));
-        }
-        request.attempt = u64::from(attempt);
-        let mut client = match Client::connect_with(addr, policy.timeout) {
-            Ok(client) => client,
-            Err(e) => {
-                last_err = format!("connect {addr}: {e}");
-                continue;
-            }
-        };
-        match client.roundtrip(&request) {
-            Ok((envelope, body)) => {
-                if envelope.is_busy() && attempt < policy.retries {
-                    last_err = envelope.error.clone();
-                    continue;
-                }
-                return Ok((envelope, body));
-            }
-            Err(e) => last_err = e,
-        }
-    }
-    Err(if last_err.is_empty() {
-        format!("connect {addr}: no attempts made")
-    } else {
-        last_err
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let policy = RetryPolicy {
-            retries: 5,
-            base_delay: Duration::from_millis(100),
-            max_delay: Duration::from_millis(800),
-            timeout: None,
-            seed: 42,
-        };
-        let replay = RetryPolicy {
-            seed: 42,
-            ..policy.clone()
-        };
-        for attempt in 0..8 {
-            let d = policy.backoff(attempt);
-            assert_eq!(d, replay.backoff(attempt), "same seed, same schedule");
-            let exp = Duration::from_millis((100u64 << attempt.min(3)).min(800));
-            assert!(d <= exp, "attempt {attempt}: {d:?} > {exp:?}");
-            assert!(
-                d * 2 >= exp,
-                "attempt {attempt}: {d:?} below half of {exp:?}"
-            );
-        }
-        let other = RetryPolicy { seed: 43, ..policy };
-        assert!(
-            (0..8).any(|a| other.backoff(a) != replay.backoff(a)),
-            "different seeds should jitter differently"
-        );
-    }
-
-    #[test]
-    fn backoff_saturates_at_max_delay_for_huge_attempts() {
-        let policy = RetryPolicy::default();
-        let d = policy.backoff(63);
-        assert!(d <= policy.max_delay);
-        assert!(d * 2 >= policy.max_delay);
-    }
-
-    #[test]
-    fn exhausted_retries_surface_the_connect_error() {
-        // A port from the ephemeral range with nothing listening —
-        // bind-then-drop guarantees it was just free.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        drop(listener);
-        let policy = RetryPolicy {
-            retries: 2,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(2),
-            timeout: Some(Duration::from_millis(200)),
-            ..RetryPolicy::default()
-        };
-        let err = roundtrip_with_retry(&addr, &Request::new("status"), &policy)
-            .expect_err("nothing is listening");
-        assert!(err.contains("connect"), "{err}");
     }
 }

@@ -119,10 +119,6 @@ pub struct Request {
     pub allow: Vec<String>,
     /// Lint rules to escalate to errors (lint command).
     pub deny: Vec<String>,
-    /// Retry attempt number (0 = first try). Set by the retrying client
-    /// so the server can count `server.retries`; never part of a cache
-    /// key and normalized to 0 before journaling.
-    pub attempt: u64,
 }
 
 impl Request {
@@ -146,7 +142,6 @@ impl Request {
             round_deadline_ms: None,
             allow: Vec::new(),
             deny: Vec::new(),
-            attempt: 0,
         }
     }
 
@@ -195,7 +190,6 @@ impl Request {
         req.round_deadline_ms = v.u64_field("round_deadline_ms");
         req.allow = v.str_list_field("allow");
         req.deny = v.str_list_field("deny");
-        req.attempt = v.u64_field("attempt").unwrap_or(0);
         Ok(req)
     }
 }
@@ -420,13 +414,9 @@ mod tests {
     }
 
     #[test]
-    fn attempt_field_round_trips_and_defaults_to_zero() {
-        let mut req = Request::new("status");
-        req.attempt = 3;
-        let decoded = Request::from_json(&req.to_json().unwrap()).unwrap();
-        assert_eq!(decoded.attempt, 3);
-        // Requests from pre-retry clients simply omit the field.
-        let decoded = Request::from_json("{\"cmd\":\"status\"}").unwrap();
-        assert_eq!(decoded.attempt, 0);
+    fn unknown_request_fields_are_ignored() {
+        // Older clients stamped an `attempt` number on every request.
+        let req = Request::from_json(r#"{"cmd":"status","attempt":3}"#).expect("decodes");
+        assert_eq!(req.cmd, "status");
     }
 }

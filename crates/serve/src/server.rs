@@ -11,9 +11,8 @@
 //! construction. Shutdown is cooperative: a `shutdown` request is
 //! acknowledged, then the acceptor drains and [`Server::run`] returns.
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -27,7 +26,6 @@ use soccar_concolic::{ConcolicConfig, SecurityProperty};
 use soccar_exec::{FaultPlan, Semaphore};
 use soccar_lint::{LintConfig, Linter, Severity};
 
-use crate::journal::Journal;
 use crate::proto::{write_frame, Envelope, Request, MAX_FRAME};
 
 /// Server construction knobs.
@@ -42,9 +40,6 @@ pub struct ServerOptions {
     /// via `SOCCAR_JOBS`, then available cores). Reports are identical
     /// for every value.
     pub jobs: usize,
-    /// Directory for the persistent cache journal (`None` = in-memory
-    /// caches only, the pre-journal behavior).
-    pub cache_dir: Option<PathBuf>,
     /// Serve-layer fault-injection plan (chaos testing; empty in
     /// production).
     pub fault_plan: FaultPlan,
@@ -69,7 +64,6 @@ impl Default for ServerOptions {
             listen: "127.0.0.1:0".to_owned(),
             max_connections: 4,
             jobs: 0,
-            cache_dir: None,
             fault_plan: FaultPlan::default(),
             idle_timeout: None,
             frame_deadline: None,
@@ -93,25 +87,6 @@ pub struct StatusBody {
     pub tiers: TierSizes,
     /// Connections shed with a `busy` envelope since startup.
     pub shed: u64,
-    /// Requests that arrived with `attempt > 0` (client retries).
-    pub retries: u64,
-    /// Persistent-journal state.
-    pub journal: JournalStatus,
-}
-
-/// Persistent-journal state in the `status` body.
-#[derive(Debug, Clone, Serialize)]
-pub struct JournalStatus {
-    /// A `--cache-dir` journal is attached.
-    pub enabled: bool,
-    /// Requests replayed from the journal at startup.
-    pub replayed: u64,
-    /// Journal records discarded at startup (corrupt/torn tail,
-    /// un-replayable payloads).
-    pub skipped: u64,
-    /// Named degradation reasons from journal recovery (empty when the
-    /// replay was clean).
-    pub degraded: Vec<String>,
 }
 
 /// Resolves an analyze/lint request into concrete pipeline inputs:
@@ -191,10 +166,6 @@ pub struct Server {
     admission: Semaphore,
     shutdown: AtomicBool,
     started: Instant,
-    journal: Option<Mutex<Journal>>,
-    journal_replayed: u64,
-    journal_skipped: u64,
-    journal_degraded: Vec<String>,
     fault_plan: FaultPlan,
     idle_timeout: Option<Duration>,
     frame_deadline: Option<Duration>,
@@ -202,14 +173,10 @@ pub struct Server {
     admission_wait: Duration,
     retry_after_ms: u64,
     shed: AtomicU64,
-    retries: AtomicU64,
-    // Serve-layer fault-point sequences (serial per server): admission
-    // attempts, responses about to be written, frames written. They are
-    // *indices for fault plans*, not metrics — metrics live in the
+    // The `shed:admission` fault point's index (serial per server). It
+    // is an *index for fault plans*, not a metric — metrics live in the
     // recorder and `StatusBody`.
     admission_seq: AtomicU64,
-    response_seq: AtomicU64,
-    frame_seq: AtomicU64,
 }
 
 impl Server {
@@ -226,52 +193,16 @@ impl Server {
     /// counters and every request's pipeline spans land in it (snapshot
     /// after [`Server::run`] returns for `--trace-out`).
     ///
-    /// With a `cache_dir`, the persistent journal is opened and
-    /// **replayed before the first accept**: each journaled request
-    /// re-executes through the fresh session, rebuilding every cache
-    /// tier, so the first warm client request after a crash-restart is
-    /// served from cache exactly as it would have been pre-crash.
-    /// Corrupt journal tails degrade (named reasons in `status` and in
-    /// `server.journal_skipped`) — they never fail startup.
-    ///
     /// # Errors
     ///
-    /// Propagates socket bind failures and journal *environment*
-    /// failures (unreadable directory, foreign file format).
+    /// Propagates socket bind failures.
     pub fn bind_with_recorder(
         options: &ServerOptions,
         recorder: soccar_obs::Recorder,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&options.listen)?;
         let addr = listener.local_addr()?;
-        let mut session =
-            AnalysisSession::new(SoccarConfig::default()).with_recorder(recorder.clone());
-
-        let mut journal = None;
-        let mut journal_replayed = 0u64;
-        let mut journal_skipped = 0u64;
-        let mut journal_degraded = Vec::new();
-        if let Some(dir) = &options.cache_dir {
-            let (handle, replay) = Journal::open(dir, &options.fault_plan)?;
-            journal_skipped = replay.skipped;
-            journal_degraded.extend(replay.degraded);
-            for payload in &replay.records {
-                match replay_request(&mut session, payload, options.jobs) {
-                    Ok(()) => journal_replayed += 1,
-                    Err(e) => {
-                        // A record this build cannot re-execute (e.g. a
-                        // property grammar that moved on) costs cache
-                        // warmth, never availability.
-                        journal_skipped += 1;
-                        journal_degraded.push(format!("journal: replay failed: {e}"));
-                    }
-                }
-            }
-            recorder.counter_add("server.journal_replayed", journal_replayed);
-            recorder.counter_add("server.journal_skipped", journal_skipped);
-            journal = Some(Mutex::new(handle));
-        }
-
+        let session = AnalysisSession::new(SoccarConfig::default()).with_recorder(recorder.clone());
         Ok(Server {
             listener,
             addr,
@@ -281,10 +212,6 @@ impl Server {
             admission: Semaphore::new(options.max_connections),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            journal,
-            journal_replayed,
-            journal_skipped,
-            journal_degraded,
             fault_plan: options.fault_plan.clone(),
             idle_timeout: options.idle_timeout,
             frame_deadline: options.frame_deadline,
@@ -292,18 +219,8 @@ impl Server {
             admission_wait: options.admission_wait,
             retry_after_ms: options.retry_after_ms,
             shed: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             admission_seq: AtomicU64::new(0),
-            response_seq: AtomicU64::new(0),
-            frame_seq: AtomicU64::new(0),
         })
-    }
-
-    /// Named degradation reasons from journal recovery (empty when the
-    /// journal replayed cleanly or is disabled).
-    #[must_use]
-    pub fn journal_degraded(&self) -> &[String] {
-        &self.journal_degraded
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -373,12 +290,8 @@ impl Server {
         stream
             .set_write_timeout(self.write_timeout.or(SHED_WRITE_TIMEOUT))
             .ok();
-        let mut writer = BufWriter::new(stream);
         let envelope = Envelope::busy(self.retry_after_ms);
-        if let Ok(json) = envelope.to_json() {
-            let _ = write_frame(&mut writer, json.as_bytes());
-            let _ = write_frame(&mut writer, &[]);
-        }
+        let _ = write_response(&mut BufWriter::new(stream), &envelope, &[]);
     }
 
     /// Requests shutdown from outside a connection (used by tests and
@@ -409,7 +322,7 @@ impl Server {
                         let envelope = Envelope::error(&format!(
                             "request frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
                         ));
-                        self.write_response(&mut writer, &envelope, &[])?;
+                        write_response(&mut writer, &envelope, &[])?;
                         break;
                     }
                 };
@@ -421,16 +334,10 @@ impl Server {
                 ),
                 Ok(text) => match Request::from_json(text) {
                     Err(e) => (Envelope::error(&e), Vec::new(), false),
-                    Ok(req) => {
-                        if req.attempt > 0 {
-                            self.retries.fetch_add(1, Ordering::Relaxed);
-                            self.recorder.counter_add("server.retries", 1);
-                        }
-                        self.dispatch(&req)
-                    }
+                    Ok(req) => self.dispatch(&req),
                 },
             };
-            self.write_response(&mut writer, &envelope, &body)?;
+            write_response(&mut writer, &envelope, &body)?;
             if stop {
                 // Acknowledge first, then wake the acceptor so `run`
                 // observes the flag and drains.
@@ -440,57 +347,6 @@ impl Server {
             }
         }
         Ok(())
-    }
-
-    /// Writes the two response frames, consulting the serve-layer fault
-    /// points: `conn_drop:respond` (indexed by response) drops the
-    /// connection before any byte; `frame_truncate:serve` (indexed by
-    /// frame) cuts that frame mid-payload and aborts.
-    fn write_response(
-        &self,
-        writer: &mut BufWriter<TcpStream>,
-        envelope: &Envelope,
-        body: &[u8],
-    ) -> std::io::Result<()> {
-        let response_idx = self.response_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if self
-            .fault_plan
-            .should_inject("conn_drop:respond", response_idx)
-        {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionAborted,
-                "injected conn_drop:respond",
-            ));
-        }
-        let envelope_json = envelope.to_json().map_err(std::io::Error::other)?;
-        self.write_frame_faulted(writer, envelope_json.as_bytes())?;
-        self.write_frame_faulted(writer, body)?;
-        Ok(())
-    }
-
-    /// [`write_frame`], except the `frame_truncate:serve` fault point
-    /// may cut this frame after the header plus half the payload — the
-    /// torn-write shape a crashing peer or a dying NIC produces.
-    fn write_frame_faulted(
-        &self,
-        writer: &mut BufWriter<TcpStream>,
-        payload: &[u8],
-    ) -> std::io::Result<()> {
-        let frame_idx = self.frame_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if self
-            .fault_plan
-            .should_inject("frame_truncate:serve", frame_idx)
-        {
-            let len = u32::try_from(payload.len()).unwrap_or(MAX_FRAME);
-            writer.write_all(&len.to_be_bytes())?;
-            writer.write_all(&payload[..payload.len() / 2])?;
-            writer.flush()?;
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionAborted,
-                "injected frame_truncate:serve",
-            ));
-        }
-        write_frame(writer, payload)
     }
 
     /// Serves one request: `(envelope, body, shutdown?)`.
@@ -538,7 +394,6 @@ impl Server {
         match outcome {
             Err(e) => (Envelope::error(&e.to_string()), Vec::new()),
             Ok((report, stats)) => {
-                self.journal_analyze(req);
                 let body = match report.canonical_json() {
                     Ok(json) => json.into_bytes(),
                     Err(e) => return (Envelope::error(&e.to_string()), Vec::new()),
@@ -556,32 +411,6 @@ impl Server {
                 envelope.stats = Some(stats);
                 (envelope, body)
             }
-        }
-    }
-
-    /// Journals a successfully served analyze request (write-behind:
-    /// the response does not wait on anything but the final flush).
-    /// Wall-clock–deadlined requests are skipped — the session never
-    /// caches them, so replaying them would rebuild nothing. The
-    /// `attempt` field is normalized to 0 so a retried request
-    /// deduplicates against its first journaling.
-    fn journal_analyze(&self, req: &Request) {
-        let Some(journal) = &self.journal else { return };
-        if req.round_deadline_ms.is_some() {
-            return;
-        }
-        let mut canonical = req.clone();
-        canonical.attempt = 0;
-        let Ok(payload) = canonical.to_json() else {
-            return;
-        };
-        match journal.lock() {
-            Ok(mut journal) => {
-                if journal.append(&payload).is_err() {
-                    self.recorder.counter_add("server.journal_errors", 1);
-                }
-            }
-            Err(_) => self.recorder.counter_add("server.journal_errors", 1),
         }
     }
 
@@ -645,13 +474,6 @@ impl Server {
             counters: *session.counters(),
             tiers: session.tier_sizes(),
             shed: self.shed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            journal: JournalStatus {
-                enabled: self.journal.is_some(),
-                replayed: self.journal_replayed,
-                skipped: self.journal_skipped,
-                degraded: self.journal_degraded.clone(),
-            },
         };
         match soccar::json::to_json_pretty(&body) {
             Err(e) => (Envelope::error(&e.to_string()), Vec::new()),
@@ -669,20 +491,15 @@ const SHED_WRITE_TIMEOUT: Option<Duration> = Some(Duration::from_millis(2_000));
 /// socket wakes at least this often to compare clocks.
 const POLL_SLICE: Duration = Duration::from_millis(50);
 
-/// Re-executes one journaled request against the session (startup
-/// replay). Only `analyze` records are meaningful; anything else in the
-/// journal is a format violation reported as a replay failure.
-fn replay_request(session: &mut AnalysisSession, payload: &str, jobs: usize) -> Result<(), String> {
-    let req = Request::from_json(payload)?;
-    if req.cmd != "analyze" {
-        return Err(format!("journaled `{}` request", req.cmd));
-    }
-    let (file_name, source, top, properties, mut config) = resolve_request(&req)?;
-    config.jobs = jobs;
-    session
-        .analyze_with_config(&file_name, &source, &top, properties, &config)
-        .map(|_| ())
-        .map_err(|e| e.to_string())
+/// Writes the two response frames: the envelope, then the body.
+fn write_response(
+    writer: &mut BufWriter<TcpStream>,
+    envelope: &Envelope,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let envelope_json = envelope.to_json().map_err(std::io::Error::other)?;
+    write_frame(writer, envelope_json.as_bytes())?;
+    write_frame(writer, body)
 }
 
 /// Outcome of one guarded frame read.

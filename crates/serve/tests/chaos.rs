@@ -150,12 +150,16 @@ fn healthy_runs_print_no_health_lines() {
 
 #[test]
 fn malformed_fault_plan_is_a_usage_error() {
-    let run = run_chaos(CHAOS_ARGS, "solver_unknown@zero", "1");
-    assert_eq!(
-        run.code, 2,
-        "bad SOCCAR_FAULTS must exit 2:\n{}",
-        run.stdout
-    );
+    // A bad occurrence, and a point that is no longer registered: a
+    // removed point must fail loudly, not silently inject nothing.
+    for faults in ["solver_unknown@zero", "conn_drop@respond:1"] {
+        let run = run_chaos(CHAOS_ARGS, faults, "1");
+        assert_eq!(
+            run.code, 2,
+            "bad SOCCAR_FAULTS `{faults}` must exit 2:\n{}",
+            run.stdout
+        );
+    }
 }
 
 #[test]

@@ -1,55 +1,25 @@
 //! Serve-layer chaos, in process: load shedding and the `busy`
-//! envelope, deterministic serve-layer fault points
-//! (`shed@admission`, `conn_drop@respond`, `frame_truncate@serve`),
-//! the client retry contract, transport guards (idle timeout,
-//! slow-loris frame deadline, oversized frames), and warm-restart
-//! parity through the persistent journal.
+//! envelope, the deterministic `shed@admission` fault point, and the
+//! transport guards (idle timeout, slow-loris frame deadline, oversized
+//! frames).
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use soccar_exec::FaultPlan;
-use soccar_serve::{
-    read_frame, roundtrip_with_retry, Client, Json, Request, RetryPolicy, Server, ServerOptions,
-    MAX_FRAME,
-};
+use soccar_serve::{read_frame, Client, Json, Request, Server, ServerOptions, MAX_FRAME};
 
-const KEY_PROPERTY: &str = "cleared:key-cleared:ip:top.sec_rst_n:top.u.key:8";
-
-fn leaky() -> String {
-    "module ip(input clk, input rst_n, output reg [7:0] key);
-  always @(posedge clk or negedge rst_n)
-    if (!rst_n) key <= key;
-    else key <= 8'hA5;
-endmodule
-module top(input clk, input sec_rst_n);
-  ip u (.clk(clk), .rst_n(sec_rst_n));
-endmodule
-"
-    .to_owned()
-}
-
-fn analyze_request() -> Request {
-    let mut req = Request::new("analyze");
-    req.file_name = "t.v".to_owned();
-    req.source = leaky();
-    req.top = "top".to_owned();
-    req.properties = vec![KEY_PROPERTY.to_owned()];
-    req
-}
-
-fn with_server<T>(options: ServerOptions, body: impl FnOnce(&str) -> T) -> T {
+fn with_server(options: ServerOptions, body: impl FnOnce(&str)) {
     let server = Arc::new(Server::bind(&options).expect("bind"));
     let addr = server.local_addr().to_string();
     let runner = {
         let server = Arc::clone(&server);
         thread::spawn(move || server.run().expect("run"))
     };
-    let result = body(&addr);
+    body(&addr);
     // The shutdown connection itself may be shed while a permit is
     // still draining — exactly the behavior under test — so back off
     // and retry like a well-behaved client.
@@ -68,7 +38,6 @@ fn with_server<T>(options: ServerOptions, body: impl FnOnce(&str) -> T) -> T {
         thread::sleep(Duration::from_millis(50));
     }
     runner.join().expect("server thread");
-    result
 }
 
 fn status_json(addr: &str) -> Json {
@@ -76,16 +45,6 @@ fn status_json(addr: &str) -> Json {
     let (envelope, body) = client.roundtrip(&Request::new("status")).expect("status");
     assert!(envelope.ok);
     Json::parse(std::str::from_utf8(&body).expect("utf-8")).expect("json")
-}
-
-fn fast_retry(retries: u32) -> RetryPolicy {
-    RetryPolicy {
-        retries,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(20),
-        timeout: Some(Duration::from_secs(30)),
-        ..RetryPolicy::default()
-    }
 }
 
 #[test]
@@ -120,93 +79,23 @@ fn saturated_admission_sheds_with_a_busy_envelope() {
 }
 
 #[test]
-fn shed_fault_point_sheds_the_indexed_admission_and_retry_recovers() {
+fn shed_fault_point_sheds_the_indexed_admission_only() {
     let options = ServerOptions {
         fault_plan: FaultPlan::parse("shed@admission:1").expect("plan"),
+        retry_after_ms: 70,
         ..ServerOptions::default()
     };
     with_server(options, |addr| {
-        // Admission #1 is forcibly shed; the retry (admission #2) gets
-        // through — the client sees only the final success.
-        let (envelope, _) =
-            roundtrip_with_retry(addr, &Request::new("status"), &fast_retry(2)).expect("retry");
-        assert!(
-            envelope.ok,
-            "retry must recover from a shed: {}",
-            envelope.error
-        );
+        // Admission #1 is forcibly shed, with the retry hint.
+        let mut shed = Client::connect(addr).expect("connect shed");
+        let (envelope, body) = shed.roundtrip(&Request::new("status")).expect("busy");
+        assert!(envelope.is_busy(), "expected busy, got: {}", envelope.error);
+        assert_eq!(envelope.retry_after_ms, 70);
+        assert!(body.is_empty());
 
+        // Admission #2 is served, and counts the one shed.
         let status = status_json(addr);
         assert_eq!(status.u64_field("shed"), Some(1));
-        assert_eq!(
-            status.u64_field("retries"),
-            Some(1),
-            "attempt>0 was counted"
-        );
-    });
-}
-
-#[test]
-fn conn_drop_fault_point_is_recovered_by_retry() {
-    let options = ServerOptions {
-        // Responses #1 and #2 are dropped: #1 for the bare client, #2
-        // for the retrying client's first attempt.
-        fault_plan: FaultPlan::parse("conn_drop@respond:1,conn_drop@respond:2").expect("plan"),
-        ..ServerOptions::default()
-    };
-    with_server(options, |addr| {
-        // Without retries the drop surfaces as a closed connection.
-        let mut bare = Client::connect(addr).expect("connect");
-        let err = bare
-            .roundtrip(&Request::new("status"))
-            .expect_err("response #1 is dropped");
-        assert!(err.contains("closed"), "{err}");
-
-        // With retries the second response goes through.
-        let (envelope, _) =
-            roundtrip_with_retry(addr, &Request::new("status"), &fast_retry(2)).expect("retry");
-        assert!(envelope.ok);
-        let status = status_json(addr);
-        assert!(status.u64_field("retries").unwrap_or(0) >= 1);
-    });
-}
-
-#[test]
-fn frame_truncate_fault_point_is_recovered_by_retry() {
-    let options = ServerOptions {
-        fault_plan: FaultPlan::parse("frame_truncate@serve:1").expect("plan"),
-        ..ServerOptions::default()
-    };
-    with_server(options, |addr| {
-        // Frame #1 (the first response's envelope) is cut mid-payload:
-        // the bare client sees a torn frame, the retrying client the
-        // clean second answer.
-        let mut bare = Client::connect(addr).expect("connect");
-        assert!(bare.roundtrip(&Request::new("status")).is_err());
-        let (envelope, _) =
-            roundtrip_with_retry(addr, &Request::new("status"), &fast_retry(2)).expect("retry");
-        assert!(envelope.ok);
-    });
-}
-
-#[test]
-fn analyze_results_are_byte_identical_through_retries() {
-    // The fault plan tears the first analyze response; the retried
-    // request must serve the *same bytes* (now from the report cache).
-    let options = ServerOptions {
-        fault_plan: FaultPlan::parse("conn_drop@respond:1").expect("plan"),
-        ..ServerOptions::default()
-    };
-    with_server(options, |addr| {
-        let req = analyze_request();
-        let (envelope, body) =
-            roundtrip_with_retry(addr, &req, &fast_retry(2)).expect("retried analyze");
-        assert!(envelope.ok, "{}", envelope.error);
-        assert!(envelope.violations > 0);
-        // An unfaulted roundtrip returns the identical body.
-        let mut clean = Client::connect(addr).expect("connect");
-        let (_, again) = clean.roundtrip(&req).expect("clean analyze");
-        assert_eq!(body, again, "retried body diverged");
     });
 }
 
@@ -266,87 +155,4 @@ fn oversized_frames_get_an_error_naming_the_length() {
             "error must name the offending length: {error}"
         );
     });
-}
-
-#[test]
-fn journal_replay_restores_warm_cache_in_process() {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("soccar-chaos-journal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let req = analyze_request();
-
-    let options = ServerOptions {
-        cache_dir: Some(dir.clone()),
-        ..ServerOptions::default()
-    };
-    let first_body = with_server(options.clone(), |addr| {
-        let mut client = Client::connect(addr).expect("connect");
-        let (envelope, body) = client.roundtrip(&req).expect("analyze");
-        assert!(envelope.ok, "{}", envelope.error);
-        body
-    });
-
-    // A second server on the same cache dir starts warm: the journal
-    // replays, status reports it, and the request is a report-tier hit
-    // with byte-identical output.
-    with_server(options, |addr| {
-        let status = status_json(addr);
-        let journal = status.get("journal").expect("journal status");
-        assert_eq!(journal.get("enabled").and_then(Json::as_bool), Some(true));
-        assert_eq!(journal.u64_field("replayed"), Some(1));
-        assert_eq!(journal.u64_field("skipped"), Some(0));
-
-        let mut client = Client::connect(addr).expect("connect");
-        let (envelope, body) = client.roundtrip(&req).expect("warm analyze");
-        assert!(envelope.ok);
-        assert_eq!(body, first_body, "warm-restart body diverged");
-        let counters = status_json(addr).get("counters").cloned();
-        let hits = counters
-            .as_ref()
-            .and_then(|c| c.u64_field("cache_hits"))
-            .unwrap_or(0);
-        assert!(hits >= 1, "the replayed request must warm the report tier");
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupt_replay_fault_degrades_but_serves() {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("soccar-chaos-corrupt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let req = analyze_request();
-    let seed_options = ServerOptions {
-        cache_dir: Some(dir.clone()),
-        ..ServerOptions::default()
-    };
-    let clean_body = with_server(seed_options, |addr| {
-        let mut client = Client::connect(addr).expect("connect");
-        let (envelope, body) = client.roundtrip(&req).expect("analyze");
-        assert!(envelope.ok);
-        body
-    });
-
-    let options = ServerOptions {
-        cache_dir: Some(dir.clone()),
-        fault_plan: FaultPlan::parse("journal_corrupt@replay:1").expect("plan"),
-        ..ServerOptions::default()
-    };
-    with_server(options, |addr| {
-        let status = status_json(addr);
-        let journal = status.get("journal").expect("journal status");
-        assert_eq!(journal.u64_field("replayed"), Some(0));
-        assert_eq!(journal.u64_field("skipped"), Some(1));
-        let degraded = journal.str_list_field("degraded");
-        assert!(
-            degraded.iter().any(|r| r.contains("injected fault")),
-            "named degradation reason, got: {degraded:?}"
-        );
-        // Cold again — but correct, and re-journaled for next time.
-        let mut client = Client::connect(addr).expect("connect");
-        let (envelope, body) = client.roundtrip(&req).expect("cold analyze");
-        assert!(envelope.ok);
-        assert_eq!(body, clean_body);
-    });
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,9 +2,12 @@
 //! subprocess, driven by the real `soccar client` — the exact shape the
 //! CI `serve-smoke` job uses. Verifies the daemon starts, serves
 //! analyze/lint/status byte-identically to the batch CLI, shuts down on
-//! request, and exits 0 with no orphan process.
+//! request, and exits 0 with no orphan process; and a client launched
+//! before the daemon has written its `--port-file` polls instead of
+//! failing.
 
 use std::io::{BufRead, BufReader};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -16,9 +19,10 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn() -> Daemon {
+    fn spawn(extra: &[&str]) -> Daemon {
         let mut child = Command::new(BIN)
             .args(["serve", "--listen", "127.0.0.1:0"])
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
@@ -77,6 +81,12 @@ impl Drop for Daemon {
     }
 }
 
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("soccar-smoke-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 fn batch(args: &[&str]) -> std::process::Output {
     Command::new(BIN)
         .args(args)
@@ -86,7 +96,7 @@ fn batch(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn daemon_serves_both_socs_byte_identically_and_shuts_down_cleanly() {
-    let daemon = Daemon::spawn();
+    let daemon = Daemon::spawn(&[]);
 
     for soc in ["clustersoc", "autosoc"] {
         let served = daemon.client(&["analyze", "--soc", soc, "--cycles", "12", "--rounds", "3"]);
@@ -138,4 +148,37 @@ fn daemon_serves_both_socs_byte_identically_and_shuts_down_cleanly() {
     assert!(text.contains("\"requests\": 4"), "status: {text}");
 
     daemon.shutdown();
+}
+
+#[test]
+fn client_launched_before_the_daemon_wins_the_port_file_race() {
+    let dir = scratch_dir("race");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let port_file = dir.join("port");
+    let port_arg = port_file.to_str().expect("utf-8 path").to_owned();
+
+    // The client starts first — the port file does not exist yet.
+    let client_port_arg = port_arg.clone();
+    let racing_client = std::thread::spawn(move || {
+        Command::new(BIN)
+            .args(["client", "--port-file", &client_port_arg, "status"])
+            .output()
+            .expect("run racing client")
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    let daemon = Daemon::spawn(&["--port-file", &port_arg]);
+
+    let out = racing_client.join().expect("racing client finished");
+    assert!(
+        out.status.success(),
+        "client lost the port-file race: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("\"uptime_ms\""),
+        "racing client got a real status body"
+    );
+
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -209,3 +209,54 @@ fn multi_domain_isolation_and_attribution() {
     assert_eq!(report.violations()[0].property, "bad-cleared");
     assert_eq!(report.violations()[0].module, "bad");
 }
+
+/// A module defined twice resolves to its first definition in every
+/// stage: the report equals that of the same file without the second
+/// body, even when the second body's reset process sits at another
+/// always-block index.
+#[test]
+fn duplicate_module_resolves_to_its_first_definition() {
+    let first = "
+        module ip(input clk, input rst_n, output reg [7:0] key);
+          always @(posedge clk or negedge rst_n)
+            if (!rst_n) key <= key;   // BUG: key survives reset
+            else key <= 8'hA5;
+        endmodule";
+    let second = "
+        module ip(input clk, input rst_n, output reg [7:0] key, output reg q);
+          always @(posedge clk) q <= ~q;
+          always @(posedge clk or negedge rst_n)
+            if (!rst_n) key <= 8'h00;
+            else key <= 8'h5A;
+        endmodule";
+    let top = "
+        module top(input clk, input sec_rst_n);
+          ip u (.clk(clk), .rst_n(sec_rst_n));
+        endmodule";
+    let props = || {
+        vec![SecurityProperty {
+            name: "key-cleared".into(),
+            module: "ip".into(),
+            kind: PropertyKind::ClearedAfterReset {
+                domain: "top.sec_rst_n".into(),
+                signal: "top.u.key".into(),
+                expected: LogicVec::zeros(8),
+                window: 0,
+            },
+        }]
+    };
+    let soccar = Soccar::new(SoccarConfig::default());
+    let twice = soccar
+        .analyze("dup.v", &format!("{first}{second}{top}"), "top", props())
+        .expect("a duplicate module must not fail the analysis");
+    let once = soccar
+        .analyze("dup.v", &format!("{first}{top}"), "top", props())
+        .expect("analyze");
+    assert_eq!(twice.violations(), once.violations());
+    assert_eq!(twice.violations().len(), 1, "the first body's bug is found");
+    assert_eq!(
+        twice.extraction.reset_domains,
+        once.extraction.reset_domains
+    );
+    assert_eq!(twice.extraction.ar_events, once.extraction.ar_events);
+}
