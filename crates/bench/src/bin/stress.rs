@@ -1,7 +1,8 @@
 //! The generated-corpus **stress tier**: recall and scale records on
 //! seeded `gen:<seed>:<scale>` designs (see docs/GENERATOR.md).
 //!
-//! Three `BENCH_gen_*.json` reports, all in the pinned `stress` mode:
+//! Three `BENCH_gen_*.json` counter reports, all in the pinned `stress`
+//! mode:
 //!
 //! * `BENCH_gen_sweep.json` — the pinned 5-seed × 3-scale sweep with
 //!   manifest recall gated at 100% and false alarms at 0;
@@ -30,39 +31,33 @@ fn main() -> ExitCode {
             v.counters["gen.modules"].to_string(),
             format!("{}/{}", v.counters["detected"], v.counters["bugs"]),
             v.counters["smt.queries"].to_string(),
-            format!("{:.2}", v.seconds_q),
         ]);
     }
     println!(
         "{}",
-        soccar_bench::render_table(
-            &["design", "modules", "recall", "smt queries", "sec (q)"],
-            &rows
-        )
+        soccar_bench::render_table(&["design", "modules", "recall", "smt queries"], &rows)
     );
 
     let x10 = soccar_bench::gen_x10_report(&config);
     let v = &x10.variants[0];
     println!(
-        "x10 {}: {} modules, recall {}/{}, {} smt queries ({} sat), {:.2}s (q)",
+        "x10 {}: {} modules, recall {}/{}, {} smt queries ({} sat)",
         v.variant,
         v.counters["gen.modules"],
         v.counters["detected"],
         v.counters["bugs"],
         v.counters["smt.queries"],
-        v.counters["smt.sat"],
-        v.seconds_q
+        v.counters["smt.sat"]
     );
 
     let x50 = soccar_bench::gen_x50_report();
     for v in &x50.variants {
         println!(
-            "x50 {}: {} modules linted, {}/{} implicit bugs flagged, {:.2}s (q)",
+            "x50 {}: {} modules linted, {}/{} implicit bugs flagged",
             v.variant,
             v.counters["gen.modules"],
             v.counters["lint.implicit_flagged"],
-            v.counters["lint.implicit_bugs"],
-            v.seconds_q
+            v.counters["lint.implicit_bugs"]
         );
     }
 

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use soccar::evaluation::VariantEvaluation;
-use soccar::{Soccar, SoccarConfig};
+use soccar::SoccarConfig;
 use soccar_concolic::{ConcolicConfig, PropertyMonitor, SecurityProperty, Violation};
 use soccar_lint::{Diagnostic, Linter};
 use soccar_rtl::value::LogicVec;
@@ -102,8 +102,7 @@ pub const STRESS_X50: GenSpec = GenSpec {
 /// variant: manifest recall (`bugs`, `detected`, `missed`,
 /// `false_alarms`), topology facts (`gen.modules`, `gen.clusters`,
 /// `gen.reset_domains`, `gen.bugs`), and the usual concolic counters —
-/// all gated. The quantized wall-clock rides along as `seconds_q`
-/// (reported, never gated).
+/// all gated.
 ///
 /// # Panics
 ///
@@ -112,10 +111,8 @@ pub const STRESS_X50: GenSpec = GenSpec {
 #[must_use]
 pub fn gen_recall_variant(spec: &GenSpec, config: &SoccarConfig) -> soccar_obs::BenchVariant {
     let recorder = soccar_obs::Recorder::enabled();
-    let (eval, elapsed) = recorder.time("bench.gen_recall", || {
-        soccar::evaluate_generated_traced(spec, config.clone(), recorder.clone())
-            .expect("generated designs always evaluate")
-    });
+    let eval = soccar::evaluate_generated_traced(spec, config.clone(), recorder.clone())
+        .expect("generated designs always evaluate");
     let snap = recorder.snapshot();
     let trace = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let c = &eval.report.concolic;
@@ -147,8 +144,6 @@ pub fn gen_recall_variant(spec: &GenSpec, config: &SoccarConfig) -> soccar_obs::
     soccar_obs::BenchVariant {
         variant: spec.name(),
         counters,
-        timings_q: std::collections::BTreeMap::new(),
-        seconds_q: soccar_obs::quantize_seconds(elapsed.as_secs_f64()),
     }
 }
 
@@ -243,11 +238,9 @@ pub fn gen_x10_report(config: &SoccarConfig) -> soccar_obs::BenchReport {
 #[must_use]
 pub fn gen_x50_report() -> soccar_obs::BenchReport {
     let soc = soccar_soc::generate::generate(&STRESS_X50);
-    let recorder = soccar_obs::Recorder::disabled();
 
     // Lint recall over the whole generated corpus at 50x.
-    let (diagnostics, lint_elapsed) =
-        recorder.time("bench.gen_x50.lint", || lint_soc("gen_x50.v", &soc.source));
+    let diagnostics = lint_soc("gen_x50.v", &soc.source);
     let flagged: BTreeSet<&str> = diagnostics
         .iter()
         .filter(|d| d.rule == "implicit-governor")
@@ -276,8 +269,6 @@ pub fn gen_x50_report() -> soccar_obs::BenchReport {
     let lint_variant = soccar_obs::BenchVariant {
         variant: format!("{} lint_recall", soc.name),
         counters: lint_counters,
-        timings_q: std::collections::BTreeMap::new(),
-        seconds_q: soccar_obs::quantize_seconds(lint_elapsed.as_secs_f64()),
     };
 
     soccar_obs::BenchReport {
@@ -383,8 +374,7 @@ pub fn evaluate_all_variants_config(
 /// the resilience counters `resilience.solver_unknown`,
 /// `resilience.flips_failed`, `resilience.degraded_rounds` (all zero on
 /// a healthy run — the gate catches a build that silently starts
-/// degrading). The quantized verification time rides along as
-/// `seconds_q` (reported, never gated).
+/// degrading).
 ///
 /// `evals` must be in [`soccar_soc::variants`] order (what
 /// [`evaluate_all_variants`] returns).
@@ -426,34 +416,26 @@ pub fn bench_reports(evals: &[VariantEvaluation], mode: &str) -> Vec<soccar_obs:
             .push(soccar_obs::BenchVariant {
                 variant: eval.variant.clone(),
                 counters,
-                timings_q: std::collections::BTreeMap::new(),
-                seconds_q: soccar_obs::quantize_seconds(eval.verification_time().as_secs_f64()),
             });
     }
     reports
 }
 
-/// Builds the frozen one-round [`soccar_concolic::FlipWorkload`] for a
-/// bundled SoC under `config` — the input of the `flip_solving`
-/// benchmark.
+/// How many first-round flip candidates the x10 solver floor of
+/// [`gen_x10_report`] solves: large enough that the shared path prefix
+/// dominates and the window spans gate-bearing branch conditions
+/// (comparisons, not just 1-bit guards), small enough to stay in the
+/// stress tier's budget.
+pub const FLIP_SOLVING_CAP: usize = 256;
+
+/// Builds the frozen one-round [`soccar_concolic::FlipWorkload`] of a
+/// benchmark design under `config`: its Verilog `source`, top module and
+/// symbolic inputs.
 ///
 /// # Panics
 ///
-/// Panics if the bundled SoC fails to compile or simulate (bench driver
-/// code, not a library API).
-#[must_use]
-pub fn flip_workload(model: SocModel, config: &SoccarConfig) -> soccar_concolic::FlipWorkload {
-    let soc = soccar_soc::generate(model, None);
-    flip_workload_of(
-        &soc.source,
-        &soc.top,
-        soccar_soc::symbolic_inputs(model),
-        config,
-    )
-}
-
-/// [`flip_workload`] for any benchmark design: its Verilog `source`, top
-/// module and symbolic inputs.
+/// Panics if the design fails to compile or simulate (bench driver code,
+/// not a library API).
 fn flip_workload_of(
     source: &str,
     top: &str,
@@ -477,290 +459,6 @@ fn flip_workload_of(
         .expect("benchmark SoCs always simulate")
 }
 
-/// Outcome of one `flip_solving` run: the synthetic bench variant
-/// recorded into `BENCH_<soc>.json` plus the raw (unquantized) timing.
-#[derive(Debug, Clone)]
-pub struct FlipSolvingRecord {
-    /// The `flip_solving` record appended to the SoC's bench report:
-    /// the deterministic counters `flip_candidates` and `flip_sat` are
-    /// gated; the `flip_oneshot_q` timing is reported only.
-    pub variant: soccar_obs::BenchVariant,
-    /// Wall-clock of one pass over the candidates (best of five).
-    pub oneshot: std::time::Duration,
-}
-
-/// How many flip candidates the `flip_solving` benchmark solves per SoC.
-/// Large enough that the shared path prefix dominates and the window
-/// spans gate-bearing branch conditions (comparisons, not just 1-bit
-/// guards), small enough to stay in benchmark budget.
-pub const FLIP_SOLVING_CAP: usize = 256;
-
-/// Runs the `flip_solving` record for one SoC model: solves the frozen
-/// flip candidates of the SoC's first round, one one-shot query each,
-/// and returns the bench record.
-///
-/// # Panics
-///
-/// Panics if two passes over the same candidates disagree on the SAT
-/// count (flip solving must be deterministic).
-#[must_use]
-pub fn flip_solving_record(model: SocModel, config: &SoccarConfig) -> FlipSolvingRecord {
-    let workload = flip_workload(model, config);
-    let cap = FLIP_SOLVING_CAP;
-    // Criterion-style timing: one warm-up pass, then the best of a few
-    // runs (the timing is reported, never gated, so "best" beats "one
-    // noisy sample"). The span API is the one timing code path (see
-    // `detection.rs`).
-    let recorder = soccar_obs::Recorder::disabled();
-    let solve = || workload.solve(cap, &recorder);
-    let (sat, mut oneshot) = recorder.time("bench.flip_solving.warmup", solve);
-    for _ in 0..4 {
-        let (again, t) = recorder.time("bench.flip_solving.run", solve);
-        assert_eq!(sat, again, "{model:?}: flip solving is not deterministic");
-        oneshot = oneshot.min(t);
-    }
-    let mut counters = std::collections::BTreeMap::new();
-    counters.insert(
-        "flip_candidates".to_owned(),
-        workload.candidates(cap) as u64,
-    );
-    counters.insert("flip_sat".to_owned(), sat as u64);
-    let mut timings_q = std::collections::BTreeMap::new();
-    timings_q.insert(
-        "flip_oneshot_q".to_owned(),
-        soccar_obs::quantize_seconds(oneshot.as_secs_f64()),
-    );
-    FlipSolvingRecord {
-        variant: soccar_obs::BenchVariant {
-            variant: format!("{model:?} flip_solving"),
-            counters,
-            timings_q,
-            seconds_q: soccar_obs::quantize_seconds(oneshot.as_secs_f64()),
-        },
-        oneshot,
-    }
-}
-
-/// Outcome of one `incremental_reanalysis` comparison: the bench variant
-/// recorded into `BENCH_<soc>.json` plus the raw timings for speedup
-/// reporting.
-#[derive(Debug, Clone)]
-pub struct ReanalysisRecord {
-    /// The record appended to the SoC's bench report. Gated counters:
-    /// `modules_total`, `modules_reparsed` (exactly 1 after the
-    /// single-module edit), `modules_reextracted` (all modules: the edit
-    /// misses the design tier), `repeat_report_hit`,
-    /// `repeat_targets_rerun` (0). Timings (`cold_q`, `warm_q`,
-    /// `repeat_q`) are reported only.
-    pub variant: soccar_obs::BenchVariant,
-    /// Wall-clock of the cold batch analysis of the edited source.
-    pub cold: std::time::Duration,
-    /// Wall-clock of the warm incremental re-analysis after the edit.
-    pub warm: std::time::Duration,
-    /// Wall-clock of repeating the identical request (report-tier hit).
-    pub repeat: std::time::Duration,
-}
-
-impl ReanalysisRecord {
-    /// Cold time over warm time after the edit. Bounded by the
-    /// structural-tier savings: a semantic edit re-runs concolic in full
-    /// (a selective re-run could not stay byte-identical to the batch
-    /// pipeline — its round and solver counters are global), so expect
-    /// modest wins here and the dramatic one from [`Self::repeat_speedup`].
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.cold.as_secs_f64() / self.warm.as_secs_f64().max(1e-9)
-    }
-
-    /// Cold time over repeat time — the cached-serving win.
-    #[must_use]
-    pub fn repeat_speedup(&self) -> f64 {
-        self.cold.as_secs_f64() / self.repeat.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Applies the bench's canonical single-module edit: an inert driven
-/// wire appended to the **first** module of `source`. Comments would not
-/// change the structural fingerprint (they must not — that is what the
-/// session's design tier keys on), so the edit adds real structure
-/// while leaving behaviour untouched.
-#[must_use]
-pub fn single_module_edit(source: &str) -> String {
-    source.replacen(
-        "endmodule",
-        "  wire bench_probe_unused;\n  assign bench_probe_unused = 1'b0;\nendmodule",
-        1,
-    )
-}
-
-/// Runs the `incremental_reanalysis` comparison for one SoC model: a
-/// warm [`soccar::AnalysisSession`] re-analyzes the SoC after a
-/// single-module edit, against a cold batch run of the same edited
-/// source. The warm pass must re-parse exactly **one** module, extract
-/// all of them on the design-tier miss (both gated) and produce a
-/// byte-identical canonical report (asserted); the cold/warm timings are
-/// reported, never gated.
-///
-/// # Panics
-///
-/// Panics if the warm report diverges from the cold batch report, or if
-/// the edit fails to localize to one module.
-#[must_use]
-pub fn incremental_reanalysis_record(model: SocModel, config: &SoccarConfig) -> ReanalysisRecord {
-    let soc = soccar_soc::generate(model, None);
-    let edited = single_module_edit(&soc.source);
-    assert_ne!(edited, soc.source, "the edit must land");
-    let properties: Vec<SecurityProperty> = soccar_soc::security_checks(model)
-        .iter()
-        .map(soccar::property_of)
-        .collect();
-    let mut config = config.clone();
-    config.concolic.symbolic_inputs = soccar_soc::symbolic_inputs(model);
-    config.jobs = 1;
-    let file = format!("{model:?}.v").to_lowercase();
-
-    let recorder = soccar_obs::Recorder::disabled();
-    // Criterion-style: best of a few runs for both sides (the timings
-    // are reported, never gated, so "best" beats "one noisy sample").
-    const RUNS: usize = 3;
-    // Cold: the batch pipeline on the edited source, from nothing.
-    let (cold_report, mut cold) = recorder.time("bench.reanalysis.cold", || {
-        Soccar::new(config.clone())
-            .analyze(&file, &edited, &soc.top, properties.clone())
-            .expect("benchmark SoCs always analyze")
-    });
-    for _ in 1..RUNS {
-        let (_, t) = recorder.time("bench.reanalysis.cold", || {
-            Soccar::new(config.clone())
-                .analyze(&file, &edited, &soc.top, properties.clone())
-                .expect("benchmark SoCs always analyze")
-        });
-        cold = cold.min(t);
-    }
-    // Warm: a session primed with the pre-edit design re-analyzes. Each
-    // run primes a fresh session (untimed) so the timed request always
-    // sees warm structural tiers but no cached result for the edit.
-    let mut best: Option<(
-        (soccar::AnalysisReport, soccar::RequestStats),
-        std::time::Duration,
-        soccar::AnalysisSession,
-    )> = None;
-    for _ in 0..RUNS {
-        let mut session = soccar::AnalysisSession::new(config.clone());
-        session
-            .analyze_with_config(&file, &soc.source, &soc.top, properties.clone(), &config)
-            .expect("benchmark SoCs always analyze");
-        let (outcome, t) = recorder.time("bench.reanalysis.warm", || {
-            session
-                .analyze_with_config(&file, &edited, &soc.top, properties.clone(), &config)
-                .expect("benchmark SoCs always analyze")
-        });
-        if best.as_ref().map_or(true, |(_, b, _)| t < *b) {
-            best = Some((outcome, t, session));
-        }
-    }
-    let ((warm_report, stats), warm, mut session) = best.expect("RUNS > 0");
-    assert_eq!(
-        stats.modules_reparsed, 1,
-        "{model:?}: the single-module edit must re-parse exactly one module"
-    );
-    assert_eq!(
-        stats.modules_reextracted, stats.modules_total,
-        "{model:?}: the design-tier miss must extract every module"
-    );
-    assert_eq!(
-        warm_report.canonical_json().expect("canonical json"),
-        cold_report.canonical_json().expect("canonical json"),
-        "{model:?}: warm incremental re-analysis diverged from the cold batch"
-    );
-    // Repeat: the identical request again is a pure report-tier hit.
-    let ((_, repeat_stats), repeat) = recorder.time("bench.reanalysis.repeat", || {
-        session
-            .analyze_with_config(&file, &edited, &soc.top, properties.clone(), &config)
-            .expect("benchmark SoCs always analyze")
-    });
-    let mut counters = std::collections::BTreeMap::new();
-    counters.insert("modules_total".to_owned(), stats.modules_total as u64);
-    counters.insert("modules_reparsed".to_owned(), stats.modules_reparsed as u64);
-    counters.insert(
-        "modules_reextracted".to_owned(),
-        stats.modules_reextracted as u64,
-    );
-    counters.insert(
-        "repeat_report_hit".to_owned(),
-        u64::from(repeat_stats.report_cache_hit),
-    );
-    counters.insert(
-        "repeat_targets_rerun".to_owned(),
-        repeat_stats.targets_rerun as u64,
-    );
-    let mut timings_q = std::collections::BTreeMap::new();
-    timings_q.insert(
-        "cold_q".to_owned(),
-        soccar_obs::quantize_seconds(cold.as_secs_f64()),
-    );
-    timings_q.insert(
-        "warm_q".to_owned(),
-        soccar_obs::quantize_seconds(warm.as_secs_f64()),
-    );
-    timings_q.insert(
-        "repeat_q".to_owned(),
-        soccar_obs::quantize_seconds(repeat.as_secs_f64()),
-    );
-    ReanalysisRecord {
-        variant: soccar_obs::BenchVariant {
-            variant: format!("{model:?} incremental_reanalysis"),
-            counters,
-            timings_q,
-            seconds_q: soccar_obs::quantize_seconds((cold + warm).as_secs_f64()),
-        },
-        cold,
-        warm,
-        repeat,
-    }
-}
-
-/// Appends the serving-oriented `incremental_reanalysis` record to every
-/// SoC's bench report. Returns the records for speedup reporting.
-pub fn append_serving_records(
-    reports: &mut [soccar_obs::BenchReport],
-    config: &SoccarConfig,
-) -> Vec<(SocModel, ReanalysisRecord)> {
-    let mut out = Vec::new();
-    for report in reports {
-        let model = match report.soc.as_str() {
-            "clustersoc" => SocModel::ClusterSoc,
-            "autosoc" => SocModel::AutoSoc,
-            other => panic!("no bundled SoC model for bench report `{other}`"),
-        };
-        let record = incremental_reanalysis_record(model, config);
-        report.variants.push(record.variant.clone());
-        out.push((model, record));
-    }
-    out
-}
-
-/// Appends one `flip_solving` variant to every SoC's bench report and
-/// returns the records (for speedup reporting). `reports` must cover
-/// each SoC at most once (what [`bench_reports`] produces).
-pub fn append_flip_solving(
-    reports: &mut [soccar_obs::BenchReport],
-    config: &SoccarConfig,
-) -> Vec<(SocModel, FlipSolvingRecord)> {
-    let mut out = Vec::new();
-    for report in reports {
-        let model = match report.soc.as_str() {
-            "clustersoc" => SocModel::ClusterSoc,
-            "autosoc" => SocModel::AutoSoc,
-            other => panic!("no bundled SoC model for bench report `{other}`"),
-        };
-        let record = flip_solving_record(model, config);
-        report.variants.push(record.variant.clone());
-        out.push((model, record));
-    }
-    out
-}
-
 /// Writes every report into `dir` (created if absent) and returns the
 /// written paths.
 ///
@@ -782,7 +480,7 @@ pub fn write_bench_reports(
 }
 
 /// Gates freshly generated reports against the checked-in baselines in
-/// `dir`: every counter must match exactly (`_q` timings are skipped, see
+/// `dir`: every counter must match exactly (see
 /// [`soccar_obs::diff_against_baseline`]). Returns all mismatch descriptions —
 /// empty means the gate passes. A missing baseline file is itself a
 /// mismatch, so adding a SoC model forces a baseline refresh.
@@ -811,9 +509,6 @@ pub fn check_bench_baselines(
 pub struct BenchArgs {
     /// `--jobs <n>`: worker threads (`0` = auto).
     pub jobs: usize,
-    /// `--compare-jobs`: run the sweep serial then parallel and report
-    /// the speedup.
-    pub compare_jobs: bool,
     /// `--smoke`: run the reduced-rounds CI configuration
     /// ([`smoke_config`]) instead of [`paper_config`]. Binaries without a
     /// config knob (e.g. `table1`) accept and ignore it, so the CI job
@@ -865,15 +560,14 @@ pub fn bench_args() -> BenchArgs {
                 let v = args.next().expect("--jobs needs a value");
                 out.jobs = v.parse().expect("--jobs takes a number");
             }
-            "--compare-jobs" => out.compare_jobs = true,
             "--smoke" => out.smoke = true,
             "--bench-out" => out.bench_out = Some(args.next().expect("--bench-out needs a value")),
             "--check-baseline" => {
                 out.check_baseline = Some(args.next().expect("--check-baseline needs a value"));
             }
             other => panic!(
-                "unexpected argument `{other}` (options: --jobs <n>, --compare-jobs, \
-                 --smoke, --bench-out <dir>, --check-baseline <dir>)"
+                "unexpected argument `{other}` (options: --jobs <n>, --smoke, \
+                 --bench-out <dir>, --check-baseline <dir>)"
             ),
         }
     }
@@ -1105,26 +799,6 @@ mod tests {
         for d in differential_lint(SocModel::ClusterSoc, 1) {
             assert!(!baseline.contains(&diagnostic_key(&d)));
         }
-    }
-
-    #[test]
-    fn single_module_edit_changes_exactly_one_structural_fingerprint() {
-        let source = soccar_soc::generate(SocModel::ClusterSoc, None).source;
-        let edited = single_module_edit(&source);
-        assert_ne!(edited, source);
-        let fp = |src: &str| -> Vec<u64> {
-            soccar_rtl::parser::parse(soccar_rtl::span::FileId(0), src)
-                .expect("parse")
-                .modules
-                .iter()
-                .map(soccar_rtl::fingerprint::module_fingerprint)
-                .collect()
-        };
-        let before = fp(&source);
-        let after = fp(&edited);
-        assert_eq!(before.len(), after.len());
-        let changed = before.iter().zip(&after).filter(|(a, b)| a != b).count();
-        assert_eq!(changed, 1, "the bench edit must localize to one module");
     }
 
     #[test]

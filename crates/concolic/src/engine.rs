@@ -76,10 +76,6 @@ pub struct ConcolicConfig {
     pub symbolic_inputs: Vec<String>,
     /// Stride of the reset sweep (1 = try every cycle).
     pub sweep_stride: u64,
-    /// Flip attempts per uncovered target per round.
-    pub max_flip_attempts: usize,
-    /// Maximum path-prefix observations conjoined per flip query.
-    pub max_prefix: usize,
     /// Skip the sweep phase (coverage-only mode, used by ablations).
     pub skip_sweep: bool,
     /// Additional 1-bit asynchronous event lines (hierarchical names of
@@ -100,18 +96,6 @@ pub struct ConcolicConfig {
     /// flip (degrading the round) instead of aborting. Defaults to
     /// unlimited — the classic run-to-completion behavior.
     pub solver_budget: SolveBudget,
-    /// Per-round cap on flip attempts across all uncovered targets
-    /// (`0` = unlimited). Candidates beyond the cap are dropped in stable
-    /// order and the round is counted degraded.
-    pub max_round_flips: usize,
-    /// Monotonic wall-clock deadline per concolic round. When a round
-    /// exceeds it, flip planning is skipped and the engine falls through
-    /// to the systematic sweep. `None` (default) disables the deadline.
-    /// A wall-clock deadline is inherently nondeterministic; runs that
-    /// need byte-identical reports should leave it off (the
-    /// `round_timeout` fault point exercises the same path
-    /// deterministically).
-    pub round_deadline: Option<Duration>,
     /// What a panicking flip-solve task does to the run once the
     /// decision walk reads its result. [`FailurePolicy::FailFast`]
     /// (default) rethrows the panic; [`FailurePolicy::KeepGoing`] records
@@ -119,8 +103,8 @@ pub struct ConcolicConfig {
     /// `--keep-going`.
     pub failure_policy: FailurePolicy,
     /// Deterministic fault-injection plan (chaos testing). The engine
-    /// consults the points `solver_unknown`, `task_panic:flips`, and
-    /// `round_timeout`; see `soccar_exec::FaultPlan`.
+    /// consults the points `solver_unknown` and `task_panic:flips`; see
+    /// `soccar_exec::FaultPlan`.
     pub fault_plan: FaultPlan,
 }
 
@@ -133,19 +117,22 @@ impl Default for ConcolicConfig {
             init: InitPolicy::Ones,
             symbolic_inputs: Vec::new(),
             sweep_stride: 1,
-            max_flip_attempts: 4,
-            max_prefix: 256,
             skip_sweep: false,
             async_events: Vec::new(),
             jobs: 1,
             solver_budget: SolveBudget::UNLIMITED,
-            max_round_flips: 0,
-            round_deadline: None,
             failure_policy: FailurePolicy::FailFast,
             fault_plan: FaultPlan::default(),
         }
     }
 }
+
+/// Flip attempts per uncovered target per round: the first observations
+/// of each site that took the other direction.
+const MAX_FLIP_ATTEMPTS: usize = 4;
+
+/// Maximum path-prefix observations conjoined per flip query.
+const MAX_PREFIX: usize = 256;
 
 /// What one coverage target demands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -210,8 +197,8 @@ pub struct ConcolicReport {
     /// Read flip-solve worker tasks that panicked (kept going under
     /// `FailurePolicy::KeepGoing`); job-count invariant.
     pub flips_failed: usize,
-    /// Rounds whose flip planning was degraded (skipped flips, failed
-    /// workers, a hit deadline, or a capped candidate list).
+    /// Rounds whose flip planning was degraded (skipped flips or failed
+    /// workers).
     pub degraded_rounds: usize,
     /// Sorted, deduplicated human-readable degradation reasons. Empty on
     /// a healthy run.
@@ -241,7 +228,7 @@ impl ConcolicReport {
     }
 
     /// `true` if any part of the run was degraded (budget-skipped flips,
-    /// failed workers, capped rounds, dropped monitors). A degraded run's
+    /// failed workers, dropped monitors). A degraded run's
     /// results are honest but partial: absence of violations is *not*
     /// evidence of cleanliness.
     #[must_use]
@@ -532,7 +519,6 @@ impl<'d> ConcolicEngine<'d> {
         // Phase 1: concolic coverage loop.
         while rounds < self.config.max_rounds {
             rounds += 1;
-            let round_started = Instant::now();
             let mut round_span = soccar_obs::span!(self.recorder, "concolic.round", round = rounds);
             let simulate_span = soccar_obs::span!(self.recorder, "concolic.simulate");
             let RoundRun {
@@ -558,13 +544,6 @@ impl<'d> ConcolicEngine<'d> {
             round_span.record("covered", self.covered.iter().filter(|c| **c).count());
             round_span.record("violations", violations.len());
             if self.all_covered() {
-                break;
-            }
-            if self.round_deadline_hit(round_started, rounds) {
-                self.degraded_rounds += 1;
-                self.degraded_reasons.insert(format!(
-                    "round {rounds}: round deadline exceeded; flip planning skipped, continuing with sweep"
-                ));
                 break;
             }
             let plan_span = soccar_obs::span!(self.recorder, "concolic.plan");
@@ -658,21 +637,6 @@ impl<'d> ConcolicEngine<'d> {
             flip_exec: self.flip_stats,
             sweep_exec: self.sweep_stats,
         })
-    }
-
-    /// `true` if the round's wall-clock deadline is exceeded, or the fault
-    /// plan injects a deterministic `round_timeout` for this round.
-    fn round_deadline_hit(&self, round_started: Instant, round: usize) -> bool {
-        if self
-            .config
-            .fault_plan
-            .should_inject("round_timeout", round as u64)
-        {
-            return true;
-        }
-        self.config
-            .round_deadline
-            .is_some_and(|d| round_started.elapsed() >= d)
     }
 
     fn base_schedule(&self) -> TestSchedule {
@@ -960,41 +924,30 @@ impl<'d> ConcolicEngine<'d> {
         let index = FlipIndex::build(
             sim.algebra().observations(),
             self.design.sites().len(),
-            self.config.max_flip_attempts,
+            MAX_FLIP_ATTEMPTS,
         );
         let mut round_degraded = false;
 
         // The round's candidates are the uncovered site targets' index
-        // entries in target order; the count alone fixes the per-round
-        // cap and the sequence numbers, without solving anything.
+        // entries in target order; the count alone fixes the sequence
+        // numbers, without solving anything.
         let total: usize = targets
             .iter()
             .map(|(_, goal, _)| index.candidates(*goal).len())
             .sum();
-        let mut kept = total;
-        // Per-round cap: drop the tail in stable order, and say so.
-        if self.config.max_round_flips > 0 && total > self.config.max_round_flips {
-            kept = self.config.max_round_flips;
-            round_degraded = true;
-            self.degraded_reasons.insert(format!(
-                "round {round}: flip attempts capped at {kept} ({} dropped)",
-                total - kept
-            ));
-        }
         self.recorder
-            .counter_add("concolic.flip_candidates", kept as u64);
+            .counter_add("concolic.flip_candidates", total as u64);
         // Candidate `i` of the round (in target order) has sequence
         // number `seq_base + i + 1` — the deterministic per-analysis index
         // the fault plan keys on, whether or not the walk solves it.
         let seq_base = self.flip_seq;
-        self.flip_seq += kept as u64;
+        self.flip_seq += total as u64;
 
         // The serial decision walk.
         let mut walked = 0usize;
         let mut chosen: Option<TestSchedule> = None;
         for (ti, goal, domain_idx) in targets {
             let ks = index.candidates(goal);
-            let ks = &ks[..ks.len().min(kept - walked)];
             if !ks.is_empty() {
                 let TargetGoal::Site { dir, .. } = goal else {
                     unreachable!("only site targets have flip candidates")
@@ -1041,13 +994,12 @@ impl<'d> ConcolicEngine<'d> {
         dir: bool,
         first_seq: u64,
     ) -> (Option<TestSchedule>, bool) {
-        let max_prefix = self.config.max_prefix;
         let (graph, obs) = sim.algebra_mut().graph_and_observations();
         // The negated conditions are interned into the round's own graph
         // (it is append-only and the simulation is over, so existing
         // TermIds keep their meaning); after that every worker only reads
         // the graph.
-        let window = FlipWindow::intern(graph, obs, ks.iter().copied(), max_prefix);
+        let window = FlipWindow::intern(graph, obs, ks.iter().copied(), MAX_PREFIX);
         let graph = &*graph;
         let candidates: Vec<FlipCandidate> = (first_seq..)
             .zip(ks)
@@ -1075,7 +1027,7 @@ impl<'d> ConcolicEngine<'d> {
                             c.seq
                         ));
                     }
-                    let terms = window.terms(obs, c.obs_index, dir, max_prefix);
+                    let terms = window.terms(obs, c.obs_index, dir, MAX_PREFIX);
                     solve_flip(graph, &terms, schedule, budget, recorder)
                 },
             );
@@ -1139,8 +1091,8 @@ impl<'d> ConcolicEngine<'d> {
     }
 
     /// Runs one concrete round and freezes its symbolic state into a
-    /// [`FlipWorkload`], so flip solving can be timed on its own (the
-    /// `flip_solving` benchmark). Does not advance engine coverage state.
+    /// [`FlipWorkload`], so flip solving can be run and timed on its own.
+    /// Does not advance engine coverage state.
     ///
     /// # Errors
     ///
@@ -1154,14 +1106,13 @@ impl<'d> ConcolicEngine<'d> {
             &mut sim.algebra_mut().graph,
             &observations,
             0..observations.len(),
-            self.config.max_prefix,
+            MAX_PREFIX,
         );
         Ok(FlipWorkload {
             graph: sim.algebra().graph.clone(),
             window,
             observations,
             schedule,
-            max_prefix: self.config.max_prefix,
             budget: self.config.solver_budget,
         })
     }
@@ -1255,17 +1206,16 @@ struct SweepRound {
     degraded: Vec<String>,
 }
 
-/// One round's frozen symbolic state, packaged for the `flip_solving`
-/// benchmark: the term graph with every observation's negated condition
-/// already interned, the branch observations, and the schedule they were
-/// produced under.
+/// One round's frozen symbolic state, packaged so flip solving can run
+/// apart from the engine: the term graph with every observation's negated
+/// condition already interned, the branch observations, and the schedule
+/// they were produced under.
 #[derive(Debug, Clone)]
 pub struct FlipWorkload {
     graph: TermGraph,
     window: FlipWindow,
     observations: Vec<BranchObservation>,
     schedule: TestSchedule,
-    max_prefix: usize,
     budget: SolveBudget,
 }
 
@@ -1292,8 +1242,7 @@ impl FlipWorkload {
         let len = self.observations.len();
         (len - self.candidates(cap)..len).map(move |k| {
             let dir = !self.observations[k].taken;
-            self.window
-                .terms(&self.observations, k, dir, self.max_prefix)
+            self.window.terms(&self.observations, k, dir, MAX_PREFIX)
         })
     }
 
@@ -1323,9 +1272,9 @@ impl FlipWorkload {
 /// Flip candidates solved per pool call once the decision walk reaches a
 /// site target. A constant, never derived from `jobs`, so the set of
 /// solved candidates (and every solver counter) is the same for every
-/// job count; it matches the default `max_flip_attempts`, so a target's
-/// candidates are usually one call.
-const FLIP_CHUNK: usize = 4;
+/// job count; it matches [`MAX_FLIP_ATTEMPTS`], so a target's candidates
+/// are one call.
+const FLIP_CHUNK: usize = MAX_FLIP_ATTEMPTS;
 
 /// One flip attempt: flip observation `obs_index` towards the target's
 /// direction. `seq` is the 1-based serial flip-candidate number across
@@ -1338,7 +1287,7 @@ struct FlipCandidate {
 }
 
 /// One round's flip candidates, keyed by `(site, flipped direction)`:
-/// the first `max_flip_attempts` observations of each site that took the
+/// the first [`MAX_FLIP_ATTEMPTS`] observations of each site that took the
 /// other direction, in chronological order. Built in one pass over the
 /// branch log; solving nothing.
 #[derive(Debug)]
@@ -1696,9 +1645,8 @@ mod tests {
 
     #[test]
     fn flip_workload_queries_are_sound_and_counted() {
-        // The `flip_solving` benchmark's workload: every candidate is one
-        // traced query, and `solve_incremental` is the same pass as
-        // `solve`.
+        // The frozen first-round workload: every candidate is one traced
+        // query, and `solve_incremental` is the same pass as `solve`.
         let unit = parse(FileId(0), MAGIC_SRC).expect("parse");
         let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
         let soc = compose_soc(
@@ -1966,48 +1914,6 @@ mod tests {
             .iter()
             .any(|r| r.contains("worker panicked") && r.contains("task_panic@flips:1")));
         assert_eq!(report.targets_covered, report.targets_total);
-    }
-
-    #[test]
-    fn injected_round_timeout_skips_flip_planning() {
-        let report = setup(
-            MAGIC_BRANCH,
-            vec![],
-            GovernorAnalysis::Explicit,
-            ConcolicConfig {
-                fault_plan: FaultPlan::parse("round_timeout@1").expect("plan"),
-                ..magic_config()
-            },
-        );
-        assert!(report.is_degraded(), "report: {report:?}");
-        assert!(report.degraded_rounds >= 1);
-        assert!(report
-            .degraded_reasons
-            .iter()
-            .any(|r| r.contains("round deadline exceeded")));
-    }
-
-    #[test]
-    fn per_round_flip_cap_drops_tail_candidates() {
-        let report = setup(
-            MAGIC_BRANCH,
-            vec![],
-            GovernorAnalysis::Explicit,
-            ConcolicConfig {
-                max_round_flips: 1,
-                ..magic_config()
-            },
-        );
-        // The magic design produces several candidates per round; with a
-        // cap of 1 at least one round must have dropped candidates.
-        assert!(
-            report
-                .degraded_reasons
-                .iter()
-                .any(|r| r.contains("flip attempts capped at 1")),
-            "report: {report:?}"
-        );
-        assert!(report.is_degraded());
     }
 
     #[test]

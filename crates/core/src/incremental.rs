@@ -30,9 +30,7 @@
 //! its offset and described against the request's own file name.
 //! Requests carrying a fault-injection plan bypass every tier and
 //! delegate to the batch pipeline, because injected faults key on global
-//! task indices that cached stages would skip; requests with a
-//! wall-clock round deadline keep the structural tiers but skip the
-//! result tiers, since their outcome is timing-dependent.
+//! task indices that cached stages would skip.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -412,17 +410,15 @@ impl AnalysisSession {
         }
 
         let request_fp = req.fingerprint(&properties);
-        if req.cacheable_results() {
-            if let Some(report) = self.report_cache.get(&request_fp) {
-                self.counters.cache_hits += 1;
-                self.recorder.counter_add("server.cache_hits", 1);
-                let stats = RequestStats {
-                    report_cache_hit: true,
-                    modules_total: report.extraction.modules,
-                    ..RequestStats::default()
-                };
-                return Ok((report.clone(), stats));
-            }
+        if let Some(report) = self.report_cache.get(&request_fp) {
+            self.counters.cache_hits += 1;
+            self.recorder.counter_add("server.cache_hits", 1);
+            let stats = RequestStats {
+                report_cache_hit: true,
+                modules_total: report.extraction.modules,
+                ..RequestStats::default()
+            };
+            return Ok((report.clone(), stats));
         }
 
         // Sources the chunk scanner cannot shape fall back to batch —
@@ -460,7 +456,6 @@ impl AnalysisSession {
         lent: &mut Option<AssembledUnit>,
     ) -> Result<(AnalysisReport, RequestStats), SoccarError> {
         let config = req.config;
-        let cacheable_results = req.cacheable_results();
         let mut evictions = 0u64;
         let stages = Stages::new(config, &self.recorder);
         let analyze_span = stages.analyze_span(req.file_name, req.top);
@@ -574,11 +569,7 @@ impl AnalysisSession {
                 .rotate_left(29);
             h
         };
-        let cached = if cacheable_results {
-            self.concolic_cache.get(&concolic_key).cloned()
-        } else {
-            None
-        };
+        let cached = self.concolic_cache.get(&concolic_key).cloned();
         stats.concolic_cache_hit = cached.is_some();
         let (concolic, concolic_stage) = match cached {
             Some(report) => {
@@ -589,14 +580,12 @@ impl AnalysisSession {
                 let (report, stage) =
                     stages.concolic(&entry.design, &entry.composed.bound, properties)?;
                 stats.targets_rerun = report.targets_total;
-                if cacheable_results {
-                    // Re-running concolic costs roughly targets × cycles
-                    // of simulate-and-solve work.
-                    let cost = (report.targets_total as u64 + 1) * config.concolic.cycles.max(1);
-                    evictions += self
-                        .concolic_cache
-                        .insert(concolic_key, report.clone(), cost);
-                }
+                // Re-running concolic costs roughly targets × cycles of
+                // simulate-and-solve work.
+                let cost = (report.targets_total as u64 + 1) * config.concolic.cycles.max(1);
+                evictions += self
+                    .concolic_cache
+                    .insert(concolic_key, report.clone(), cost);
                 (report, stage)
             }
         };
@@ -611,11 +600,9 @@ impl AnalysisSession {
             concolic,
             total: analyze_span.close(),
         };
-        if cacheable_results {
-            evictions +=
-                self.report_cache
-                    .insert(request_fp, report.clone(), req.source.len() as u64);
-        }
+        evictions += self
+            .report_cache
+            .insert(request_fp, report.clone(), req.source.len() as u64);
         self.count_evictions(evictions);
         Ok((report, stats))
     }
@@ -654,10 +641,7 @@ impl AnalysisSession {
             .counter_add("server.modules_relinted", stats.modules_relinted as u64);
         self.recorder
             .counter_add("server.targets_rerun", stats.targets_rerun as u64);
-        let cacheable = config.fault_plan.is_empty()
-            && config.concolic.fault_plan.is_empty()
-            && req.cacheable_results();
-        if cacheable {
+        if config.fault_plan.is_empty() && config.concolic.fault_plan.is_empty() {
             let evictions = self.report_cache.insert(
                 req.fingerprint(&properties),
                 report.clone(),
@@ -737,12 +721,6 @@ struct Request<'a> {
 }
 
 impl Request<'_> {
-    /// A wall-clock deadline makes results timing-dependent: such
-    /// requests must never be served from (or poison) a result tier.
-    fn cacheable_results(&self) -> bool {
-        self.config.concolic.round_deadline.is_none()
-    }
-
     /// Report-tier key: every request field that can influence the
     /// result. `Debug` renderings are stable within a build, which is the
     /// cache's lifetime.
@@ -846,6 +824,42 @@ endmodule
         assert_eq!(warm.canonical_json().expect("json"), batch);
         assert_eq!(session.counters().requests, 2);
         assert_eq!(session.counters().cache_hits, 1);
+
+        // Both bundled SoCs, under the bench smoke budget: an inert wire
+        // added to the first module re-parses that module alone and, on
+        // the design-tier miss, extracts every module; the warm report
+        // equals a cold batch run of the edited source; repeating the
+        // request is a report-tier hit that re-runs no target.
+        for (name, modules) in [("clustersoc", 16), ("autosoc", 29)] {
+            let soc = soccar_soc::resolve(name, None).expect("bundled SoC");
+            let mut config = SoccarConfig::default();
+            config.concolic.cycles = 10;
+            config.concolic.max_rounds = 3;
+            config.concolic.sweep_stride = 3;
+            config.concolic.symbolic_inputs = soc.symbolic.clone();
+            let properties: Vec<SecurityProperty> =
+                soc.checks.iter().map(crate::property_of).collect();
+            let edited = soc.source.replacen(
+                "endmodule",
+                "  wire probe_unused;\n  assign probe_unused = 1'b0;\nendmodule",
+                1,
+            );
+            let mut session = AnalysisSession::new(config.clone());
+            let mut run = |source: &str| {
+                let file = &soc.file_name;
+                let props = properties.clone();
+                assert_request_matches_batch(&mut session, file, source, &soc.top, props, &config)
+                    .expect("analysis")
+                    .1
+            };
+            assert_eq!(run(&soc.source).modules_total, modules, "{name}");
+            let warm = run(&edited);
+            assert_eq!(warm.modules_reparsed, 1, "{name}");
+            assert_eq!(warm.modules_reextracted, modules, "{name}");
+            let repeat = run(&edited);
+            assert!(repeat.report_cache_hit, "{name}");
+            assert_eq!(repeat.targets_rerun, 0, "{name}");
+        }
     }
 
     #[test]
@@ -975,20 +989,6 @@ endmodule
             .expect_err("batch parse error");
         assert_eq!(err.to_string(), batch_err.to_string());
         assert!(matches!(err, SoccarError::Rtl(_)));
-    }
-
-    #[test]
-    fn deadline_requests_skip_result_tiers_but_keep_structural_ones() {
-        let mut config = SoccarConfig::default();
-        config.concolic.round_deadline = Some(std::time::Duration::from_secs(60));
-        let mut session = AnalysisSession::new(config);
-        let src = leaky(0xA5, "");
-        analyze(&mut session, &src);
-        let (_, stats) = analyze(&mut session, &src);
-        assert!(!stats.report_cache_hit, "deadline results are uncacheable");
-        assert!(!stats.concolic_cache_hit);
-        assert!(stats.design_cache_hit, "structural tiers stay valid");
-        assert_eq!(stats.modules_reextracted, 0);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! | `solver_unknown` | global flip-candidate sequence number (serial, per analysis) | the flip solve returns `CheckResult::Unknown` |
 //! | `task_panic:extract` | module index in the cfg extraction fan-out | the extraction task panics |
 //! | `task_panic:flips` | flip-candidate sequence number | the flip solve task panics |
-//! | `round_timeout` | concolic round number (1-based) | the round deadline fires at the next check |
 //! | `shed:admission` | connection admission attempt (serial, per server) | the connection is shed with a `busy` envelope |
 //!
 //! Pipeline points derive their index from input position, never from
@@ -48,7 +47,6 @@ pub const KNOWN_POINTS: &[&str] = &[
     "solver_unknown",
     "task_panic:extract",
     "task_panic:flips",
-    "round_timeout",
     "shed:admission",
 ];
 
@@ -167,19 +165,19 @@ mod tests {
 
     #[test]
     fn parses_plain_and_sited_entries() {
-        let plan = FaultPlan::parse("solver_unknown@3,task_panic@extract:1,round_timeout@2")
+        let plan = FaultPlan::parse("solver_unknown@3,task_panic@extract:1,task_panic@flips:2")
             .expect("valid plan");
         assert!(plan.should_inject("solver_unknown", 3));
         assert!(plan.should_inject("task_panic:extract", 1));
-        assert!(plan.should_inject("round_timeout", 2));
+        assert!(plan.should_inject("task_panic:flips", 2));
         assert!(!plan.should_inject("solver_unknown", 1));
         assert!(!plan.should_inject("task_panic:flips", 1));
         assert_eq!(
             plan.injections().collect::<Vec<_>>(),
             vec![
-                ("round_timeout", 2),
                 ("solver_unknown", 3),
-                ("task_panic:extract", 1)
+                ("task_panic:extract", 1),
+                ("task_panic:flips", 2)
             ]
         );
     }
@@ -223,6 +221,12 @@ mod tests {
         // the occurrence-free point name and is rejected by the registry.
         let err = FaultPlan::parse("shed@admission").expect_err("missing occurrence");
         assert!(err.contains("unknown injection point `shed`"), "{err}");
+        // A point that no code consults any more.
+        let err = FaultPlan::parse("round_timeout@1").expect_err("retired point");
+        assert!(
+            err.contains("unknown injection point `round_timeout`"),
+            "{err}"
+        );
         // One bad entry poisons the whole plan, even with valid siblings.
         assert!(FaultPlan::parse("solver_unknown@1,bogus@2").is_err());
     }

@@ -1,18 +1,18 @@
-//! The `BENCH_<soc>.json` emitter: canonical, schema-versioned perf
-//! records so the repository carries a benchmark trajectory CI can gate
-//! (docs/OBSERVABILITY.md). Counters are exact and deterministic, so the
-//! CI gate compares them against the checked-in baseline
-//! ([`diff_against_baseline`]). Wall-clock timings end in `_q`, are
-//! bucketed to power-of-two milliseconds ([`quantize_seconds`]), and are
-//! reported, never gated.
+//! The `BENCH_<soc>.json` emitter: canonical, schema-versioned records
+//! of exact, deterministic counters so the repository carries a
+//! benchmark trajectory CI can gate (docs/OBSERVABILITY.md). The CI gate
+//! compares every field against the checked-in baseline
+//! ([`diff_against_baseline`]). The records hold no timings: perfbench
+//! is what times SoCCAR.
 
 use std::collections::BTreeMap;
 
 use crate::json::{Json, Writer};
 
-/// Version of the bench-JSON schema. Bump on renamed/removed fields or
-/// changed quantization; adding counters is additive and does not bump.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
+/// Version of the bench-JSON schema. Bump on renamed or removed fields;
+/// adding counters is additive and does not bump. Version 2 dropped the
+/// per-variant quantized wall-clock timing.
+pub const BENCH_SCHEMA_VERSION: u32 = 2;
 
 /// One benchmark unit (a bug-seeded SoC variant) inside a report.
 #[derive(Debug, Clone, Default)]
@@ -22,12 +22,6 @@ pub struct BenchVariant {
     /// Exact, deterministic counters (`detected`, `rounds`,
     /// `solver_calls`, …), serialized sorted by name.
     pub counters: BTreeMap<String, u64>,
-    /// Named quantized timings in seconds (key must end in `_q`, e.g.
-    /// `flip_incremental_q`). Reported, not gated — the baseline
-    /// comparison skips `_q` keys. Additive to schema v1.
-    pub timings_q: BTreeMap<String, f64>,
-    /// Quantized verification wall-clock, in seconds. Reported, not gated.
-    pub seconds_q: f64,
 }
 
 /// A `BENCH_<soc>.json` document.
@@ -65,11 +59,7 @@ impl BenchReport {
             for (name, value) in &v.counters {
                 w.key(name).u64(*value);
             }
-            for (name, value) in &v.timings_q {
-                debug_assert!(name.ends_with("_q"), "timing key must end in _q: {name}");
-                w.key(name).f64(*value);
-            }
-            w.key("seconds_q").f64(v.seconds_q).end_object();
+            w.end_object();
         }
         w.end_array().end_object();
         out.push('\n');
@@ -77,21 +67,10 @@ impl BenchReport {
     }
 }
 
-/// Quantizes a duration in seconds to the nearest power-of-two
-/// milliseconds bucket (minimum 1 ms), returned in seconds. Stable under
-/// the ordinary run-to-run noise of a benchmark machine, coarse enough
-/// that a real regression moves it a whole bucket.
-#[must_use]
-pub fn quantize_seconds(secs: f64) -> f64 {
-    let ms = (secs * 1e3).max(1.0);
-    let exp = ms.log2().round();
-    2f64.powf(exp) / 1e3
-}
-
 /// Compares a freshly generated report against a checked-in baseline,
 /// field by field, so line layout does not matter: the top-level fields,
 /// then each variant's (matched by position), must have the same keys in
-/// the same order with equal values, skipping keys that end in `_q`.
+/// the same order with equal values.
 /// Returns one mismatch per differing variant, naming it and its first
 /// differing field — empty means the gate passes.
 #[must_use]
@@ -123,15 +102,14 @@ fn variants(doc: &Json) -> &[Json] {
         .unwrap_or_default()
 }
 
-/// The first gated field — any but the `_q` timings and the `variants`
-/// array — where `current` departs from `baseline` in key, value or
-/// position.
+/// The first field — any but the `variants` array — where `current`
+/// departs from `baseline` in key, value or position.
 fn first_difference(baseline: &Json, current: &Json) -> Option<String> {
     let gated = |doc: &Json| -> Vec<String> {
         match doc {
             Json::Obj(fields) => fields
                 .iter()
-                .filter(|(key, _)| !key.ends_with("_q") && key != "variants")
+                .filter(|(key, _)| key != "variants")
                 .map(|(key, value)| format!("`{key}` = {value}"))
                 .collect(),
             _ => Vec::new(),
@@ -162,14 +140,10 @@ mod tests {
                 BenchVariant {
                     variant: "ClusterSoC Variant #1".to_owned(),
                     counters: counters.clone(),
-                    timings_q: BTreeMap::from([("flip_incremental_q".to_owned(), 0.004)]),
-                    seconds_q: 0.256,
                 },
                 BenchVariant {
                     variant: "ClusterSoC Variant #2".to_owned(),
                     counters,
-                    timings_q: BTreeMap::new(),
-                    seconds_q: 0.512,
                 },
             ],
         }
@@ -180,12 +154,12 @@ mod tests {
         let r = sample();
         assert_eq!(r.file_name(), "BENCH_clustersoc.json");
         let json = r.to_json();
-        assert!(json.starts_with("{\n  \"schema\": 1,\n  \"soc\": \"ClusterSoC\","));
+        assert!(json.starts_with("{\n  \"schema\": 2,\n  \"soc\": \"ClusterSoC\","));
         assert!(json.contains("\"mode\": \"smoke\""));
         assert!(json.contains("\"variant\": \"ClusterSoC Variant #1\""));
         assert!(json.contains("\"detected\": 2,"));
-        assert!(json.contains("\"flip_incremental_q\": 0.004,"));
-        assert!(json.contains("\"seconds_q\": 0.256"));
+        assert!(json.contains("\"rounds\": 17\n    },"));
+        assert!(!json.contains("_q\""));
         assert!(json.ends_with("  ]\n}\n"));
     }
 
@@ -199,16 +173,6 @@ mod tests {
         assert!(r.to_json().ends_with("\"variants\": []\n}\n"));
     }
 
-    #[test]
-    fn quantization_buckets_to_powers_of_two_ms() {
-        assert_eq!(quantize_seconds(0.0), 0.001); // floor at 1 ms
-        assert_eq!(quantize_seconds(0.0009), 0.001);
-        assert_eq!(quantize_seconds(0.1), 0.128); // 100 ms → 128 ms bucket
-        assert_eq!(quantize_seconds(0.2), 0.256);
-        assert_eq!(quantize_seconds(1.3), 1.024);
-        assert_eq!(quantize_seconds(1.6), 2.048);
-    }
-
     /// Asserts the gate reports exactly one mismatch, led by `who` (the
     /// variant, not a line number) and naming `field`.
     fn assert_one_mismatch(current: &str, who: &str, field: &str) {
@@ -219,16 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn gate_skips_timings_and_layout() {
+    fn gate_skips_layout() {
         let baseline = sample().to_json();
-        let mut retimed = sample();
-        retimed.variants[0].seconds_q = 99.0;
-        retimed.variants[1].seconds_q = 0.001;
-        retimed.variants[0]
-            .timings_q
-            .insert("flip_incremental_q".to_owned(), 8.192);
-        assert!(diff_against_baseline(&retimed.to_json(), &baseline).is_empty());
-
         let reflowed = Json::parse(&baseline).expect("parses").to_string();
         assert!(!reflowed.contains('\n'));
         assert!(diff_against_baseline(&reflowed, &baseline).is_empty());
@@ -254,10 +210,11 @@ mod tests {
         assert_one_mismatch(&extra.to_json(), v1, "solver_calls");
 
         let reordered = sample().to_json().replacen(
-            "\"detected\": 2,\n      \"rounds\": 17,",
-            "\"rounds\": 17,\n      \"detected\": 2,",
+            "\"detected\": 2,\n      \"rounds\": 17\n",
+            "\"rounds\": 17,\n      \"detected\": 2\n",
             1,
         );
+        assert_ne!(reordered, sample().to_json());
         assert_one_mismatch(&reordered, v1, "rounds");
 
         let mut renamed = sample();
@@ -267,6 +224,18 @@ mod tests {
         let mut other_mode = sample();
         other_mode.mode = "full".to_owned();
         assert_one_mismatch(&other_mode.to_json(), "report", "mode");
+
+        // A schema-v1 baseline still carrying its timing fails by name.
+        let current = sample().to_json();
+        let stale = current.replacen(
+            "\"rounds\": 17\n    },",
+            "\"rounds\": 17,\n      \"seconds_q\": 0.256\n    },",
+            1,
+        );
+        assert_eq!(
+            diff_against_baseline(&current, &stale),
+            ["variant `ClusterSoC Variant #1`: baseline `seconds_q` = 0.256 vs current no field"]
+        );
     }
 
     #[test]

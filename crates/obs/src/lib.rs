@@ -8,8 +8,9 @@
 //! * a human-readable span tree ([`render_tree`]) for `--verbose`;
 //! * schema-versioned NDJSON ([`to_ndjson`] / [`to_ndjson_canonical`])
 //!   for `soccar --trace-out`;
-//! * the canonical `BENCH_<soc>.json` perf record ([`mod@bench`]) that the CI
-//!   `bench-smoke` job gates field by field against checked-in baselines.
+//! * the canonical `BENCH_<soc>.json` counter record ([`mod@bench`]) that
+//!   the CI `bench-smoke` job gates field by field against checked-in
+//!   baselines.
 //!
 //! It also holds the workspace's one JSON layer ([`mod@json`]): the
 //! string escaper, the streaming [`json::Writer`] every JSON producer
@@ -49,9 +50,7 @@ pub mod json;
 pub mod recorder;
 pub mod sink;
 
-pub use bench::{
-    diff_against_baseline, quantize_seconds, BenchReport, BenchVariant, BENCH_SCHEMA_VERSION,
-};
+pub use bench::{diff_against_baseline, BenchReport, BenchVariant, BENCH_SCHEMA_VERSION};
 pub use recorder::{Histogram, Recorder, SpanData, SpanGuard, TraceSnapshot, Value};
 pub use sink::{render_tree, to_ndjson, to_ndjson_canonical, TRACE_SCHEMA_VERSION};
 

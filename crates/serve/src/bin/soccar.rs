@@ -126,10 +126,6 @@ options:
                       lost work is reported as per-stage health reasons
   --solver-budget <n> cap each flip solve at <n> SAT conflicts; exhausted
                       solves are skipped (reported, never fatal)
-  --round-deadline-ms <n>
-                      wall-clock deadline per concolic round; an
-                      over-deadline round skips flip planning (note:
-                      wall-clock, so reports may differ across machines)
 environment:
   SOCCAR_FAULTS       deterministic fault-injection plan for chaos
                       testing, e.g. solver_unknown@3,task_panic@extract:1
@@ -137,11 +133,10 @@ environment:
 
 /// Applies one design flag — `--soc`, `--variant`, `--top`,
 /// `--property`, `--symbolic`, `--refined`, `--cycles`, `--rounds`,
-/// `--solver-budget`, `--keep-going` or `--round-deadline-ms` — to
-/// `req`, taking its value from `args`. Returns `Ok(false)` for any other
-/// argument. `soccar analyze` and `soccar client analyze` both parse
-/// their design flags here, so a flag means the same in batch and served
-/// runs.
+/// `--solver-budget` or `--keep-going` — to `req`, taking its value from
+/// `args`. Returns `Ok(false)` for any other argument. `soccar analyze`
+/// and `soccar client analyze` both parse their design flags here, so a
+/// flag means the same in batch and served runs.
 fn parse_design_flag(
     req: &mut Request,
     flag: &str,
@@ -172,7 +167,6 @@ fn parse_design_flag(
         "--rounds" => req.rounds = Some(number(args, flag)?),
         "--solver-budget" => req.solver_budget = Some(number(args, flag)?),
         "--keep-going" => req.keep_going = true,
-        "--round-deadline-ms" => req.round_deadline_ms = Some(number(args, flag)?),
         _ => return Ok(false),
     }
     Ok(true)
@@ -692,7 +686,7 @@ a --port-file that does not exist yet is polled with bounded backoff (the
 daemon may still be starting), so `soccar client` can be launched
 concurrently with `soccar serve`
 analyze options mirror the batch CLI (--property --symbolic --refined
---cycles --rounds --solver-budget --keep-going --round-deadline-ms);
+--cycles --rounds --solver-budget --keep-going);
 `analyze` prints the canonical report JSON, byte-identical to
 `soccar analyze --json`; `lint` prints the lint report JSON,
 byte-identical to `soccar lint --json`

@@ -112,9 +112,6 @@ pub struct Request {
     pub solver_budget: Option<u64>,
     /// Degrade instead of aborting on worker panics (QoS).
     pub keep_going: bool,
-    /// Wall-clock deadline per concolic round, ms (QoS; disables result
-    /// caching for the request).
-    pub round_deadline_ms: Option<u64>,
     /// Lint rules to disable (lint command).
     pub allow: Vec<String>,
     /// Lint rules to escalate to errors (lint command).
@@ -139,7 +136,6 @@ impl Request {
             rounds: None,
             solver_budget: None,
             keep_going: false,
-            round_deadline_ms: None,
             allow: Vec::new(),
             deny: Vec::new(),
         }
@@ -187,7 +183,6 @@ impl Request {
         req.rounds = v.u64_field("rounds");
         req.solver_budget = v.u64_field("solver_budget");
         req.keep_going = v.bool_field("keep_going");
-        req.round_deadline_ms = v.u64_field("round_deadline_ms");
         req.allow = v.str_list_field("allow");
         req.deny = v.str_list_field("deny");
         Ok(req)
@@ -355,7 +350,6 @@ mod tests {
         req.rounds = Some(2);
         req.solver_budget = Some(100);
         req.keep_going = true;
-        req.round_deadline_ms = Some(5000);
         let decoded = Request::from_json(&req.to_json().unwrap()).unwrap();
         assert_eq!(decoded.cmd, "analyze");
         assert_eq!(decoded.source, req.source);
@@ -363,7 +357,6 @@ mod tests {
         assert_eq!(decoded.cycles, Some(8));
         assert_eq!(decoded.solver_budget, Some(100));
         assert!(decoded.refined && decoded.keep_going);
-        assert_eq!(decoded.round_deadline_ms, Some(5000));
     }
 
     #[test]
@@ -415,8 +408,18 @@ mod tests {
 
     #[test]
     fn unknown_request_fields_are_ignored() {
-        // Older clients stamped an `attempt` number on every request.
-        let req = Request::from_json(r#"{"cmd":"status","attempt":3}"#).expect("decodes");
-        assert_eq!(req.cmd, "status");
+        // Older clients stamped an `attempt` number on every request, and
+        // could ask for a wall-clock `round_deadline_ms` per round.
+        for (with, without) in [
+            (r#"{"cmd":"status","attempt":3}"#, r#"{"cmd":"status"}"#),
+            (
+                r#"{"cmd":"analyze","soc":"clustersoc","round_deadline_ms":5}"#,
+                r#"{"cmd":"analyze","soc":"clustersoc"}"#,
+            ),
+        ] {
+            let req = Request::from_json(with).expect("decodes");
+            let plain = Request::from_json(without).expect("decodes");
+            assert_eq!(req.to_json().unwrap(), plain.to_json().unwrap(), "{with}");
+        }
     }
 }

@@ -146,7 +146,6 @@ pub fn resolve_request(
                 Some(n) => soccar_smt::SolveBudget::conflicts(n),
                 None => soccar_smt::SolveBudget::UNLIMITED,
             },
-            round_deadline: req.round_deadline_ms.map(std::time::Duration::from_millis),
             ..ConcolicConfig::default()
         },
         keep_going: req.keep_going,
@@ -672,7 +671,6 @@ mod tests {
         req.rounds = Some(2);
         req.solver_budget = Some(50);
         req.keep_going = true;
-        req.round_deadline_ms = Some(1000);
         let (_, _, _, _, config) = resolve_request(&req).expect("resolve");
         assert_eq!(config.analysis, GovernorAnalysis::Refined);
         assert_eq!(config.concolic.cycles, 8);
@@ -682,10 +680,6 @@ mod tests {
             soccar_smt::SolveBudget::conflicts(50)
         );
         assert!(config.keep_going);
-        assert_eq!(
-            config.concolic.round_deadline,
-            Some(std::time::Duration::from_millis(1000))
-        );
     }
 
     #[test]

@@ -150,9 +150,13 @@ fn healthy_runs_print_no_health_lines() {
 
 #[test]
 fn malformed_fault_plan_is_a_usage_error() {
-    // A bad occurrence, and a point that is no longer registered: a
+    // A bad occurrence, and points that are no longer registered: a
     // removed point must fail loudly, not silently inject nothing.
-    for faults in ["solver_unknown@zero", "conn_drop@respond:1"] {
+    for faults in [
+        "solver_unknown@zero",
+        "conn_drop@respond:1",
+        "round_timeout@1",
+    ] {
         let run = run_chaos(CHAOS_ARGS, faults, "1");
         assert_eq!(
             run.code, 2,
@@ -160,6 +164,10 @@ fn malformed_fault_plan_is_a_usage_error() {
             run.stdout
         );
     }
+    // A removed flag is a usage error too.
+    let args = [CHAOS_ARGS, &["--round-deadline-ms", "5"]].concat();
+    let run = run_chaos(&args, "", "1");
+    assert_eq!(run.code, 2, "a removed flag must exit 2:\n{}", run.stdout);
 }
 
 #[test]
