@@ -126,15 +126,21 @@ impl Linter {
         self.rules.iter().any(|r| r.id() == id)
     }
 
-    /// Parses `source` and lints it.
+    /// Parses `source` and lints it. An owned `String` is kept for the
+    /// report's source map without a copy.
     ///
     /// # Errors
     ///
     /// Returns the parser's message if `source` is not valid input.
-    pub fn lint_source(&self, file_name: &str, source: &str) -> Result<LintReport, String> {
+    pub fn lint_source(
+        &self,
+        file_name: &str,
+        source: impl Into<String>,
+    ) -> Result<LintReport, String> {
         let mut map = SourceMap::new();
         let file = map.add_file(file_name, source);
-        let unit = soccar_rtl::parser::parse(file, source).map_err(|e| e.to_string())?;
+        let unit =
+            soccar_rtl::parser::parse(file, map.file_text(file)).map_err(|e| e.to_string())?;
         Ok(self.lint_unit(&unit, &map))
     }
 

@@ -17,8 +17,8 @@
 use std::collections::HashMap;
 
 use crate::ast::{
-    AlwaysBlock, BinaryOp, Declarator, Expr, Instance, Item, Module, NetKind, PortDir, Range,
-    Sensitivity, SourceUnit, Stmt, UnaryOp,
+    AlwaysBlock, BinaryOp, CaseArm, CaseKind, Declarator, Expr, Instance, Item, Module, NetKind,
+    PortDir, Range, Sensitivity, SourceUnit, Stmt, UnaryOp,
 };
 use crate::constfold::{eval_const, eval_const_u64, ConstEnv};
 use crate::design::{
@@ -591,108 +591,155 @@ impl<'a> Elaborator<'a> {
         Ok(())
     }
 
+    /// Dispatches on the statement's kind. Each kind is its own function,
+    /// as in the parser, so a nesting level's stack holds only the locals
+    /// of the kinds on its path: `MAX_STMT_DEPTH` is sized against that.
     fn lower_stmt(&mut self, scope: &mut Scope, stmt: &Stmt, pid: ProcessId) -> RtlResult<RStmt> {
-        Ok(match stmt {
-            Stmt::Block { stmts, .. } => RStmt::Block(
-                stmts
-                    .iter()
-                    .map(|s| self.lower_stmt(scope, s, pid))
-                    .collect::<RtlResult<Vec<_>>>()?,
-            ),
+        match stmt {
+            Stmt::Block { stmts, .. } => self.lower_block(scope, stmts, pid),
             Stmt::If {
                 cond,
                 then_stmt,
                 else_stmt,
                 span,
-            } => {
-                let cond = self.lower_expr(scope, cond)?;
-                let site = self.design.add_site(SiteInfo {
-                    process: pid,
-                    kind: SiteKind::If,
-                    span: *span,
-                });
-                RStmt::If {
-                    site,
-                    cond,
-                    then_stmt: Box::new(self.lower_stmt(scope, then_stmt, pid)?),
-                    else_stmt: match else_stmt {
-                        Some(e) => Some(Box::new(self.lower_stmt(scope, e, pid)?)),
-                        None => None,
-                    },
-                }
-            }
+            } => self.lower_if(scope, cond, then_stmt, else_stmt.as_deref(), *span, pid),
             Stmt::Case {
                 kind,
                 selector,
                 arms,
                 ..
-            } => {
-                let selector = self.lower_expr(scope, selector)?;
-                let sel_width = selector.width();
-                let mut rarms = Vec::new();
-                for arm in arms {
-                    let labels = arm
-                        .labels
-                        .iter()
-                        .map(|l| Ok(eval_const(l, &scope.consts)?.resize(sel_width)))
-                        .collect::<RtlResult<Vec<_>>>()?;
-                    let site = if labels.is_empty() {
-                        None
-                    } else {
-                        Some(self.design.add_site(SiteInfo {
-                            process: pid,
-                            kind: SiteKind::CaseArm,
-                            span: arm.span,
-                        }))
-                    };
-                    rarms.push(RCaseArm {
-                        labels,
-                        site,
-                        body: self.lower_stmt(scope, &arm.body, pid)?,
-                    });
-                }
-                RStmt::Case {
-                    kind: *kind,
-                    selector,
-                    arms: rarms,
-                }
-            }
-            Stmt::Blocking { lhs, rhs, .. } | Stmt::NonBlocking { lhs, rhs, .. } => {
-                let nonblocking = matches!(stmt, Stmt::NonBlocking { .. });
-                let lv = self.lower_lvalue(scope, lhs)?;
-                let width = lv.width(&self.design);
-                let r = self.lower_expr(scope, rhs)?;
-                RStmt::Assign {
-                    lhs: lv,
-                    rhs: widen(r, width),
-                    nonblocking,
-                }
-            }
-            Stmt::For {
-                var,
-                init,
-                cond,
-                step,
-                body,
-                span,
-            } => {
-                let var_net = *scope
-                    .nets
-                    .get(var)
-                    .ok_or_else(|| scope.err(format!("undeclared loop variable `{var}`"), *span))?;
-                let width = self.design.net(var_net).width;
-                let init = widen(self.lower_expr(scope, init)?, width);
-                let cond = self.lower_expr(scope, cond)?;
-                let step = widen(self.lower_expr(scope, step)?, width);
-                RStmt::For {
-                    var: var_net,
-                    init,
-                    cond,
-                    step,
-                    body: Box::new(self.lower_stmt(scope, body, pid)?),
-                }
-            }
-            Stmt::Null { .. } => RStmt::Null,
+            } => self.lower_case(scope, *kind, selector, arms, pid),
+            Stmt::Blocking { lhs, rhs, .. } => self.lower_assign(scope, lhs, rhs, false),
+            Stmt::NonBlocking { lhs, rhs, .. } => self.lower_assign(scope, lhs, rhs, true),
+            Stmt::For { .. } => self.lower_for(scope, stmt, pid),
+            Stmt::Null { .. } => Ok(RStmt::Null),
+        }
+    }
+
+    fn lower_block(
+        &mut self,
+        scope: &mut Scope,
+        stmts: &[Stmt],
+        pid: ProcessId,
+    ) -> RtlResult<RStmt> {
+        let stmts = stmts
+            .iter()
+            .map(|s| self.lower_stmt(scope, s, pid))
+            .collect::<RtlResult<Vec<_>>>()?;
+        Ok(RStmt::Block(stmts))
+    }
+
+    fn lower_if(
+        &mut self,
+        scope: &mut Scope,
+        cond: &Expr,
+        then_stmt: &Stmt,
+        else_stmt: Option<&Stmt>,
+        span: Span,
+        pid: ProcessId,
+    ) -> RtlResult<RStmt> {
+        let cond = self.lower_expr(scope, cond)?;
+        let site = self.design.add_site(SiteInfo {
+            process: pid,
+            kind: SiteKind::If,
+            span,
+        });
+        let then_stmt = Box::new(self.lower_stmt(scope, then_stmt, pid)?);
+        let else_stmt = match else_stmt {
+            Some(e) => Some(Box::new(self.lower_stmt(scope, e, pid)?)),
+            None => None,
+        };
+        Ok(RStmt::If {
+            site,
+            cond,
+            then_stmt,
+            else_stmt,
+        })
+    }
+
+    fn lower_case(
+        &mut self,
+        scope: &mut Scope,
+        kind: CaseKind,
+        selector: &Expr,
+        arms: &[CaseArm],
+        pid: ProcessId,
+    ) -> RtlResult<RStmt> {
+        let selector = self.lower_expr(scope, selector)?;
+        let sel_width = selector.width();
+        let mut rarms = Vec::new();
+        for arm in arms {
+            let labels = arm
+                .labels
+                .iter()
+                .map(|l| Ok(eval_const(l, &scope.consts)?.resize(sel_width)))
+                .collect::<RtlResult<Vec<_>>>()?;
+            let site = if labels.is_empty() {
+                None
+            } else {
+                Some(self.design.add_site(SiteInfo {
+                    process: pid,
+                    kind: SiteKind::CaseArm,
+                    span: arm.span,
+                }))
+            };
+            rarms.push(RCaseArm {
+                labels,
+                site,
+                body: self.lower_stmt(scope, &arm.body, pid)?,
+            });
+        }
+        Ok(RStmt::Case {
+            kind,
+            selector,
+            arms: rarms,
+        })
+    }
+
+    fn lower_assign(
+        &mut self,
+        scope: &mut Scope,
+        lhs: &Expr,
+        rhs: &Expr,
+        nonblocking: bool,
+    ) -> RtlResult<RStmt> {
+        let lv = self.lower_lvalue(scope, lhs)?;
+        let width = lv.width(&self.design);
+        let r = self.lower_expr(scope, rhs)?;
+        Ok(RStmt::Assign {
+            lhs: lv,
+            rhs: widen(r, width),
+            nonblocking,
+        })
+    }
+
+    /// Lowers a `for` statement (`stmt` is one).
+    fn lower_for(&mut self, scope: &mut Scope, stmt: &Stmt, pid: ProcessId) -> RtlResult<RStmt> {
+        let Stmt::For {
+            var,
+            init,
+            cond,
+            step,
+            body,
+            span,
+        } = stmt
+        else {
+            unreachable!("lower_stmt passes only `for` statements here")
+        };
+        let var_net = *scope
+            .nets
+            .get(var)
+            .ok_or_else(|| scope.err(format!("undeclared loop variable `{var}`"), *span))?;
+        let width = self.design.net(var_net).width;
+        let init = widen(self.lower_expr(scope, init)?, width);
+        let cond = self.lower_expr(scope, cond)?;
+        let step = widen(self.lower_expr(scope, step)?, width);
+        Ok(RStmt::For {
+            var: var_net,
+            init,
+            cond,
+            step,
+            body: Box::new(self.lower_stmt(scope, body, pid)?),
         })
     }
 

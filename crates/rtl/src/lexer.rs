@@ -5,6 +5,10 @@
 //! escaped identifiers (`\foo+bar `), strings, system names (`$display`)
 //! and all subset operators with maximal-munch disambiguation
 //! (`===` vs `==` vs `=`, `>>>` vs `>>`, `<=` etc).
+//!
+//! [`Lexer`] is a pull stream: the parser takes one token at a time and
+//! moves it into the tree, so no token buffer is built. Only identifiers,
+//! system names, strings and literals wider than 64 bits allocate.
 
 use crate::error::{RtlError, RtlErrorKind, RtlResult};
 use crate::span::{FileId, Span};
@@ -12,7 +16,7 @@ use crate::token::{Keyword, Punct, Token, TokenKind};
 use crate::value::{Bit, LogicVec};
 
 /// Lexes `text` (belonging to `file`) into a token stream terminated by
-/// a single [`TokenKind::Eof`] token.
+/// a single [`TokenKind::Eof`] token: [`Lexer`] collected.
 ///
 /// # Errors
 ///
@@ -20,49 +24,83 @@ use crate::value::{Bit, LogicVec};
 /// input (stray characters, unterminated comments/strings, bad digits
 /// for the literal base, zero-width literals).
 pub fn lex(file: FileId, text: &str) -> RtlResult<Vec<Token>> {
-    Lexer {
-        file,
-        bytes: text.as_bytes(),
-        pos: 0,
-        tokens: Vec::new(),
-    }
-    .run()
+    Lexer::new(file, text).collect()
 }
 
-struct Lexer<'a> {
+/// The tokens of one source text, produced on demand.
+///
+/// As an [`Iterator`] it yields every token up to and including the
+/// single [`TokenKind::Eof`], or up to the first error, and then ends.
+#[derive(Debug)]
+pub struct Lexer<'a> {
     file: FileId,
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
-    tokens: Vec<Token>,
+    /// Set once the iterator has yielded `Eof` or an error.
+    done: bool,
+}
+
+impl Iterator for Lexer<'_> {
+    type Item = RtlResult<Token>;
+
+    fn next(&mut self) -> Option<RtlResult<Token>> {
+        if self.done {
+            return None;
+        }
+        let next = self.next_token();
+        self.done = !matches!(&next, Ok(t) if t.kind != TokenKind::Eof);
+        Some(next)
+    }
 }
 
 impl<'a> Lexer<'a> {
-    fn run(mut self) -> RtlResult<Vec<Token>> {
-        loop {
-            self.skip_trivia()?;
-            let start = self.pos;
-            let Some(c) = self.peek() else {
-                self.push(TokenKind::Eof, start);
-                return Ok(self.tokens);
-            };
-            match c {
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_word(start),
-                b'0'..=b'9' => self.lex_number(start)?,
-                b'\'' => self.lex_based_literal(start, None)?,
-                b'\\' => self.lex_escaped_ident(start)?,
-                b'"' => self.lex_string(start)?,
-                b'$' => self.lex_sysname(start),
-                _ => self.lex_punct(start)?,
-            }
+    /// A stream over `text`, which belongs to `file`.
+    #[must_use]
+    pub fn new(file: FileId, text: &'a str) -> Lexer<'a> {
+        Lexer {
+            file,
+            text,
+            pos: 0,
+            done: false,
         }
     }
 
+    /// Lexes the next token: [`TokenKind::Eof`] at the end of input, and
+    /// again on every later call. After an error the stream stops
+    /// meaning anything; callers stop pulling.
+    ///
+    /// Never inlined, so the recursive parser frames that pull tokens do
+    /// not carry the lexer's locals (see `parser::MAX_STMT_DEPTH`).
+    ///
+    /// # Errors
+    ///
+    /// As [`lex`].
+    #[inline(never)]
+    pub fn next_token(&mut self) -> RtlResult<Token> {
+        self.skip_trivia()?;
+        let start = self.pos;
+        let kind = match self.peek() {
+            None => TokenKind::Eof,
+            Some(b'a'..=b'z' | b'A'..=b'Z' | b'_') => self.lex_word(start),
+            Some(b'0'..=b'9') => self.lex_number(start)?,
+            Some(b'\'') => self.lex_based_literal(start, None)?,
+            Some(b'\\') => self.lex_escaped_ident(start)?,
+            Some(b'"') => self.lex_string(start)?,
+            Some(b'$') => self.lex_sysname(start),
+            Some(_) => TokenKind::Punct(self.lex_punct(start)?),
+        };
+        Ok(Token {
+            kind,
+            span: self.span_from(start),
+        })
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn peek_at(&self, off: usize) -> Option<u8> {
-        self.bytes.get(self.pos + off).copied()
+        self.text.as_bytes().get(self.pos + off).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -77,13 +115,15 @@ impl<'a> Lexer<'a> {
         Span::new(self.file, start as u32, self.pos as u32)
     }
 
-    fn push(&mut self, kind: TokenKind, start: usize) {
-        let span = self.span_from(start);
-        self.tokens.push(Token { kind, span });
-    }
-
     fn err(&self, msg: impl Into<String>, start: usize) -> RtlError {
         RtlError::new(RtlErrorKind::Lex, msg, self.span_from(start))
+    }
+
+    /// Advances past bytes while `keep` holds.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        while self.peek().is_some_and(&keep) {
+            self.pos += 1;
+        }
     }
 
     fn skip_trivia(&mut self) -> RtlResult<()> {
@@ -92,14 +132,11 @@ impl<'a> Lexer<'a> {
                 Some(b' ' | b'\t' | b'\r' | b'\n') => {
                     self.pos += 1;
                 }
-                Some(b'/') if self.peek_at(1) == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                }
+                // Line comments, and compiler directives (`timescale
+                // etc.), which the subset does not interpret, run to end
+                // of line.
+                Some(b'/') if self.peek_at(1) == Some(b'/') => self.skip_while(|c| c != b'\n'),
+                Some(b'`') => self.skip_while(|c| c != b'\n'),
                 Some(b'/') if self.peek_at(1) == Some(b'*') => {
                     let start = self.pos;
                     self.pos += 2;
@@ -114,58 +151,33 @@ impl<'a> Lexer<'a> {
                         }
                     }
                 }
-                // Compiler directives (`timescale etc.) are skipped to
-                // end of line; the subset does not interpret them.
-                Some(b'`') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                }
                 _ => return Ok(()),
             }
         }
     }
 
-    fn lex_word(&mut self, start: usize) {
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'$' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let word =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("lexer input is ascii here");
-        let kind = match Keyword::lookup(word) {
+    fn lex_word(&mut self, start: usize) -> TokenKind {
+        self.skip_while(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'$');
+        // ASCII at both ends, so the slice is on character boundaries.
+        let word = &self.text[start..self.pos];
+        match Keyword::lookup(word) {
             Some(kw) => TokenKind::Keyword(kw),
             None => TokenKind::Ident(word.to_owned()),
-        };
-        self.push(kind, start);
+        }
     }
 
-    fn lex_escaped_ident(&mut self, start: usize) -> RtlResult<()> {
+    fn lex_escaped_ident(&mut self, start: usize) -> RtlResult<TokenKind> {
         self.pos += 1; // backslash
         let id_start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_whitespace() {
-                break;
-            }
-            self.pos += 1;
-        }
+        self.skip_while(|c| !c.is_ascii_whitespace());
         if self.pos == id_start {
             return Err(self.err("empty escaped identifier", start));
         }
-        let word = std::str::from_utf8(&self.bytes[id_start..self.pos])
-            .map_err(|_| self.err("non-ascii escaped identifier", start))?
-            .to_owned();
-        self.push(TokenKind::Ident(word), start);
-        Ok(())
+        // Cut at ASCII bytes, so on character boundaries.
+        Ok(TokenKind::Ident(self.text[id_start..self.pos].to_owned()))
     }
 
-    fn lex_string(&mut self, start: usize) -> RtlResult<()> {
+    fn lex_string(&mut self, start: usize) -> RtlResult<TokenKind> {
         self.pos += 1; // opening quote
         let mut out = String::new();
         loop {
@@ -181,68 +193,53 @@ impl<'a> Lexer<'a> {
                 None => return Err(self.err("unterminated string", start)),
             }
         }
-        self.push(TokenKind::Str(out), start);
-        Ok(())
+        Ok(TokenKind::Str(out))
     }
 
-    fn lex_sysname(&mut self, start: usize) {
+    fn lex_sysname(&mut self, start: usize) -> TokenKind {
         self.pos += 1; // $
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let word = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii")
-            .to_owned();
-        self.push(TokenKind::SysName(word), start);
+        self.skip_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+        TokenKind::SysName(self.text[start..self.pos].to_owned())
     }
 
-    fn lex_number(&mut self, start: usize) -> RtlResult<()> {
+    fn lex_number(&mut self, start: usize) -> RtlResult<TokenKind> {
         // Leading decimal digits: either a bare decimal or the size of a
-        // based literal.
-        let mut digits = String::new();
+        // based literal. `None` once the value overflows 64 bits.
+        let mut value = Some(0u64);
         while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || c == b'_' {
-                if c != b'_' {
-                    digits.push(c as char);
+            match c {
+                b'0'..=b'9' => {
+                    value = value
+                        .and_then(|v| v.checked_mul(10))
+                        .and_then(|v| v.checked_add(u64::from(c - b'0')));
                 }
-                self.pos += 1;
-            } else {
-                break;
+                b'_' => {}
+                _ => break,
             }
+            self.pos += 1;
         }
         // Allow whitespace between size and base per IEEE 1364.
         let save = self.pos;
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
+        self.skip_while(|c| matches!(c, b' ' | b'\t'));
         if self.peek() == Some(b'\'') {
-            let size: u32 = digits
-                .parse()
-                .map_err(|_| self.err("literal size too large", start))?;
+            let size = value
+                .and_then(|v| u32::try_from(v).ok())
+                .ok_or_else(|| self.err("literal size too large", start))?;
             if size == 0 {
                 return Err(self.err("zero-width literal", start));
             }
             return self.lex_based_literal(start, Some(size));
         }
         self.pos = save;
-        let value: u64 = digits
-            .parse()
-            .map_err(|_| self.err("decimal literal does not fit in 64 bits", start))?;
-        self.push(
-            TokenKind::Number {
-                value: LogicVec::from_u64(32, value),
-                sized: false,
-            },
-            start,
-        );
-        Ok(())
+        let value =
+            value.ok_or_else(|| self.err("decimal literal does not fit in 64 bits", start))?;
+        Ok(TokenKind::Number {
+            value: LogicVec::from_planes(32, value, 0),
+            sized: false,
+        })
     }
 
-    fn lex_based_literal(&mut self, start: usize, size: Option<u32>) -> RtlResult<()> {
+    fn lex_based_literal(&mut self, start: usize, size: Option<u32>) -> RtlResult<TokenKind> {
         self.pos += 1; // apostrophe
                        // Optional signedness marker, ignored (subset is unsigned).
         if matches!(self.peek(), Some(b's' | b'S')) {
@@ -255,66 +252,52 @@ impl<'a> Lexer<'a> {
             Some(b'h' | b'H') => 16,
             _ => return Err(self.err("expected base after `'`", start)),
         };
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
+        self.skip_while(|c| matches!(c, b' ' | b'\t'));
         let digits_start = self.pos;
-        let mut bits: Vec<Bit> = Vec::new(); // LSB first
-        let mut dec_value: u64 = 0;
+        // Each digit of a binary, octal or hex literal spells `per` bits,
+        // MSB first. They fold into the value and x/z planes while they
+        // fit in 64 bits; a wider literal is rebuilt from its text below.
+        let per = base.trailing_zeros();
+        let (mut val, mut xz, mut nbits) = (0u64, 0u64, 0u32);
         let mut any = false;
         while let Some(c) = self.peek() {
-            let ch = c.to_ascii_lowercase();
-            match ch {
-                b'_' => {
-                    self.pos += 1;
-                }
-                b'x' | b'z' | b'?' if base != 10 => {
-                    let bit = if ch == b'x' { Bit::X } else { Bit::Z };
-                    let per = base.trailing_zeros();
-                    let mut new = vec![bit; per as usize];
-                    new.extend_from_slice(&bits);
-                    bits = new;
-                    any = true;
-                    self.pos += 1;
-                }
-                b'0'..=b'9' | b'a'..=b'f' => {
-                    let d = if ch.is_ascii_digit() {
-                        u32::from(ch - b'0')
-                    } else {
-                        u32::from(ch - b'a') + 10
-                    };
-                    if d >= base {
-                        break;
-                    }
-                    if base == 10 {
-                        dec_value = dec_value
-                            .checked_mul(10)
-                            .and_then(|v| v.checked_add(u64::from(d)))
-                            .ok_or_else(|| {
-                                self.err("decimal literal does not fit in 64 bits", start)
-                            })?;
-                    } else {
-                        let per = base.trailing_zeros();
-                        let mut new: Vec<Bit> =
-                            (0..per).map(|i| Bit::from((d >> i) & 1 == 1)).collect();
-                        new.extend_from_slice(&bits);
-                        bits = new;
-                    }
-                    any = true;
-                    self.pos += 1;
-                }
-                _ => break,
+            if c == b'_' {
+                self.pos += 1;
+                continue;
             }
+            let Some((d, unknown)) = based_digit(c, base) else {
+                break;
+            };
+            if base == 10 {
+                val = val
+                    .checked_mul(10)
+                    .and_then(|v| v.checked_add(u64::from(d)))
+                    .ok_or_else(|| self.err("decimal literal does not fit in 64 bits", start))?;
+            } else {
+                nbits = nbits.saturating_add(per);
+                if nbits <= 64 {
+                    let mask = (1u64 << per) - 1;
+                    let (dv, dx) = match unknown {
+                        None => (u64::from(d), 0),
+                        Some(Bit::Z) => (mask, mask),
+                        Some(_) => (0, mask),
+                    };
+                    val = (val << per) | dv;
+                    xz = (xz << per) | dx;
+                }
+            }
+            any = true;
+            self.pos += 1;
         }
         if !any {
             return Err(self.err("based literal has no digits", digits_start));
         }
         let natural = if base == 10 {
-            LogicVec::from_u64(64, dec_value)
-        } else if bits.is_empty() {
-            LogicVec::zeros(1)
+            LogicVec::from_planes(64, val, 0)
+        } else if nbits <= 64 {
+            LogicVec::from_planes(nbits, val, xz)
         } else {
-            LogicVec::from_bits(&bits)
+            self.wide_literal(digits_start, base, nbits)
         };
         let width = size.unwrap_or(32);
         // Per IEEE 1364, a literal narrower than its size is zero-extended
@@ -328,17 +311,31 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        self.push(
-            TokenKind::Number {
-                value,
-                sized: size.is_some(),
-            },
-            start,
-        );
-        Ok(())
+        Ok(TokenKind::Number {
+            value,
+            sized: size.is_some(),
+        })
     }
 
-    fn lex_punct(&mut self, start: usize) -> RtlResult<()> {
+    /// The `nbits`-bit value of the binary, octal or hex digits lexed
+    /// since `digits_start`, built LSB first.
+    fn wide_literal(&self, digits_start: usize, base: u32, nbits: u32) -> LogicVec {
+        let per = base.trailing_zeros();
+        let mut value = LogicVec::zeros(nbits);
+        let mut at = 0;
+        for &c in self.text.as_bytes()[digits_start..self.pos].iter().rev() {
+            let Some((d, unknown)) = based_digit(c, base) else {
+                continue; // `_`
+            };
+            for i in 0..per {
+                value.set_bit(at + i, unknown.unwrap_or(Bit::from((d >> i) & 1 == 1)));
+            }
+            at += per;
+        }
+        value
+    }
+
+    fn lex_punct(&mut self, start: usize) -> RtlResult<Punct> {
         use Punct::*;
         let c = self.bump().expect("caller checked non-empty");
         let p = match c {
@@ -461,8 +458,24 @@ impl<'a> Lexer<'a> {
             }
             _ => return Err(self.err(format!("unexpected character `{}`", c as char), start)),
         };
-        self.push(TokenKind::Punct(p), start);
-        Ok(())
+        Ok(p)
+    }
+}
+
+/// One digit of a based literal in `base`: its value and, for `x`, `z`
+/// and `?` (never decimal), the unknown state it spells. `None` if `c`
+/// is not such a digit.
+fn based_digit(c: u8, base: u32) -> Option<(u32, Option<Bit>)> {
+    match c.to_ascii_lowercase() {
+        b'x' if base != 10 => Some((0, Some(Bit::X))),
+        b'z' | b'?' if base != 10 => Some((0, Some(Bit::Z))),
+        c @ b'0'..=b'9' => Some(u32::from(c - b'0'))
+            .filter(|&d| d < base)
+            .map(|d| (d, None)),
+        c @ b'a'..=b'f' => Some(u32::from(c - b'a') + 10)
+            .filter(|&d| d < base)
+            .map(|d| (d, None)),
+        _ => None,
     }
 }
 

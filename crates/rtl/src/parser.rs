@@ -22,7 +22,7 @@
 
 use crate::ast::*;
 use crate::error::{RtlError, RtlErrorKind, RtlResult};
-use crate::lexer::lex;
+use crate::lexer::Lexer;
 use crate::span::{FileId, Span};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
@@ -30,7 +30,9 @@ use crate::token::{Keyword, Punct, Token, TokenKind};
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntax error encountered.
+/// Returns the first lexical error in the file if there is one, since
+/// malformed text makes any later diagnostic moot; otherwise the first
+/// syntax, subset or limit error.
 ///
 /// # Examples
 ///
@@ -51,8 +53,8 @@ pub fn parse(file: FileId, text: &str) -> RtlResult<SourceUnit> {
 }
 
 /// [`parse`] under an observability recorder: one `rtl.parse` span with
-/// source size and module count, plus `rtl.tokens` / `rtl.modules`
-/// counters.
+/// source size and module count, plus `rtl.tokens` (every token of the
+/// file, `Eof` included) / `rtl.modules` counters.
 ///
 /// # Errors
 ///
@@ -63,15 +65,9 @@ pub fn parse_traced(
     recorder: &soccar_obs::Recorder,
 ) -> RtlResult<SourceUnit> {
     let mut span = soccar_obs::span!(recorder, "rtl.parse", bytes = text.len());
-    let tokens = lex(file, text)?;
-    recorder.counter_add("rtl.tokens", tokens.len() as u64);
-    let unit = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-        stmt_depth: 0,
-    }
-    .source_unit()?;
+    let mut parser = Parser::new(Lexer::new(file, text));
+    let parsed = parser.source_unit();
+    let unit = parser.finish(parsed, recorder)?;
     recorder.counter_add("rtl.modules", unit.modules.len() as u64);
     span.record("modules", unit.modules.len());
     Ok(unit)
@@ -92,38 +88,124 @@ pub const MAX_EXPR_DEPTH: usize = 128;
 /// level, so, like [`MAX_EXPR_DEPTH`], the limit keeps the whole pipeline
 /// inside a worker thread's 2 MiB stack. The two limits share that stack:
 /// in a debug build the deepest accepted statement holding the deepest
-/// accepted expression analyzes end to end, and 80 statement levels over
-/// a 128-deep concatenation overflow it.
+/// accepted expression analyzes end to end. Probed with the limit lifted,
+/// 193 statement levels over a 128-deep concatenation overflow it (a
+/// `begin` nest, the costliest shape; `if` nests reach 266), in the
+/// passes after elaboration. Elaboration itself gave out first, at 75
+/// levels, while it lowered every statement kind in one function.
 pub const MAX_STMT_DEPTH: usize = 48;
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// A recursive-descent parser over a token stream. It holds one token of
+/// lookahead and moves each token it consumes into the tree.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token: `Eof` once the stream has ended or failed.
+    tok: Token,
+    /// The span of the last token consumed.
+    prev: Span,
+    /// Tokens pulled from the lexer so far, `Eof` included.
+    pulled: u64,
+    /// The lexer's error, once the stream has failed.
+    lex_error: Option<RtlError>,
     /// Current expression nesting level (see [`MAX_EXPR_DEPTH`]).
     depth: usize,
     /// Current statement nesting level (see [`MAX_STMT_DEPTH`]).
     stmt_depth: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
+    fn new(lexer: Lexer<'a>) -> Parser<'a> {
+        let mut parser = Parser {
+            lexer,
+            tok: Token {
+                kind: TokenKind::Eof,
+                span: Span::dummy(),
+            },
+            prev: Span::dummy(),
+            pulled: 0,
+            lex_error: None,
+            depth: 0,
+            stmt_depth: 0,
+        };
+        parser.tok = parser.pull();
+        parser.prev = parser.tok.span;
+        parser
+    }
+
+    /// The next token of the stream. A lexical error ends the stream: it
+    /// is kept for [`Parser::finish`] and the parser sees `Eof`.
+    fn pull(&mut self) -> Token {
+        match self.lexer.next_token() {
+            Ok(tok) => {
+                self.pulled += 1;
+                tok
+            }
+            Err(e) => {
+                let span = e.span;
+                self.lex_error = Some(e);
+                Token {
+                    kind: TokenKind::Eof,
+                    span,
+                }
+            }
+        }
+    }
+
+    /// The parse result, unless the file has a lexical error: that
+    /// outranks any error the parser met first, as if the whole file had
+    /// been lexed before parsing began. On a parse error the rest of the
+    /// stream is lexed to find one. Without one, the file's token count
+    /// goes to `rtl.tokens`.
+    fn finish(
+        &mut self,
+        parsed: RtlResult<SourceUnit>,
+        recorder: &soccar_obs::Recorder,
+    ) -> RtlResult<SourceUnit> {
+        if parsed.is_err() {
+            while self.lex_error.is_none() && !self.at_eof() {
+                self.tok = self.pull();
+            }
+        }
+        if let Some(e) = self.lex_error.take() {
+            return Err(e);
+        }
+        recorder.counter_add("rtl.tokens", self.pulled);
+        parsed
+    }
+
     fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+        &self.tok.kind
+    }
+
+    fn at_eof(&self) -> bool {
+        matches!(self.tok.kind, TokenKind::Eof)
+    }
+
+    fn at_punct(&self, p: Punct) -> bool {
+        matches!(self.tok.kind, TokenKind::Punct(q) if q == p)
+    }
+
+    fn at_keyword(&self, k: Keyword) -> bool {
+        matches!(self.tok.kind, TokenKind::Keyword(q) if q == k)
     }
 
     fn span(&self) -> Span {
-        self.tokens[self.pos].span
+        self.tok.span
     }
 
     fn prev_span(&self) -> Span {
-        self.tokens[self.pos.saturating_sub(1)].span
+        self.prev
     }
 
+    /// Consumes the current token and returns it; at `Eof` it stays put.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        if self.at_eof() {
+            return self.tok.clone();
         }
-        t
+        let next = self.pull();
+        let tok = std::mem::replace(&mut self.tok, next);
+        self.prev = tok.span;
+        tok
     }
 
     fn err(&self, msg: impl Into<String>) -> RtlError {
@@ -135,7 +217,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
-        if *self.peek() == TokenKind::Punct(p) {
+        if self.at_punct(p) {
             self.bump();
             true
         } else {
@@ -144,7 +226,7 @@ impl Parser {
     }
 
     fn expect_punct(&mut self, p: Punct) -> RtlResult<Span> {
-        if *self.peek() == TokenKind::Punct(p) {
+        if self.at_punct(p) {
             Ok(self.bump().span)
         } else {
             Err(self.err(format!("expected `{p}`, found {}", self.peek())))
@@ -152,7 +234,7 @@ impl Parser {
     }
 
     fn eat_keyword(&mut self, k: Keyword) -> bool {
-        if *self.peek() == TokenKind::Keyword(k) {
+        if self.at_keyword(k) {
             self.bump();
             true
         } else {
@@ -161,7 +243,7 @@ impl Parser {
     }
 
     fn expect_keyword(&mut self, k: Keyword) -> RtlResult<Span> {
-        if *self.peek() == TokenKind::Keyword(k) {
+        if self.at_keyword(k) {
             Ok(self.bump().span)
         } else {
             Err(self.err(format!("expected `{}`, found {}", k.as_str(), self.peek())))
@@ -169,18 +251,21 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> RtlResult<(String, Span)> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.bump().span;
-                Ok((name, span))
-            }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+        if !matches!(self.peek(), TokenKind::Ident(_)) {
+            return Err(self.err(format!("expected identifier, found {}", self.peek())));
+        }
+        match self.bump() {
+            Token {
+                kind: TokenKind::Ident(name),
+                span,
+            } => Ok((name, span)),
+            _ => unreachable!("peeked an identifier"),
         }
     }
 
     fn source_unit(&mut self) -> RtlResult<SourceUnit> {
         let mut modules = Vec::new();
-        while *self.peek() != TokenKind::Eof {
+        while !self.at_eof() {
             modules.push(self.module()?);
         }
         Ok(SourceUnit { modules })
@@ -224,7 +309,7 @@ impl Parser {
         self.expect_punct(Punct::Semi)?;
         let mut items = Vec::new();
         while !self.eat_keyword(Keyword::Endmodule) {
-            if *self.peek() == TokenKind::Eof {
+            if self.at_eof() {
                 return Err(self.err(format!("missing `endmodule` for module `{name}`")));
             }
             items.push(self.item()?);
@@ -239,7 +324,7 @@ impl Parser {
     }
 
     fn skip_optional_range(&mut self) -> RtlResult<Option<Range>> {
-        if *self.peek() == TokenKind::Punct(Punct::LBracket) {
+        if self.at_punct(Punct::LBracket) {
             Ok(Some(self.range()?))
         } else {
             Ok(None)
@@ -308,7 +393,7 @@ impl Parser {
     }
 
     fn item(&mut self) -> RtlResult<Item> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Keyword(Keyword::Wire) => self.net_decl(NetKind::Wire),
             TokenKind::Keyword(Keyword::Reg) => self.net_decl(NetKind::Reg),
             TokenKind::Keyword(Keyword::Integer) => self.net_decl(NetKind::Integer),
@@ -344,7 +429,7 @@ impl Parser {
         let mut names = Vec::new();
         loop {
             let (name, nspan) = self.expect_ident()?;
-            let array = if *self.peek() == TokenKind::Punct(Punct::LBracket) {
+            let array = if self.at_punct(Punct::LBracket) {
                 Some(self.range()?)
             } else {
                 None
@@ -457,7 +542,7 @@ impl Parser {
             let start = self.expect_punct(Punct::Dot)?;
             let (port, _) = self.expect_ident()?;
             self.expect_punct(Punct::LParen)?;
-            let expr = if *self.peek() == TokenKind::Punct(Punct::RParen) {
+            let expr = if self.at_punct(Punct::RParen) {
                 None
             } else {
                 Some(self.expr()?)
@@ -543,7 +628,7 @@ impl Parser {
         }
         let mut stmts = Vec::new();
         while !self.eat_keyword(Keyword::End) {
-            if *self.peek() == TokenKind::Eof {
+            if self.at_eof() {
                 return Err(self.err("missing `end`"));
             }
             stmts.push(self.stmt()?);
@@ -583,7 +668,7 @@ impl Parser {
         self.expect_punct(Punct::RParen)?;
         let mut arms = Vec::new();
         while !self.eat_keyword(Keyword::Endcase) {
-            if *self.peek() == TokenKind::Eof {
+            if self.at_eof() {
                 return Err(self.err("missing `endcase`"));
             }
             let aspan = self.span();
@@ -697,7 +782,7 @@ impl Parser {
     /// Parses an lvalue: identifier, bit/part select, or concatenation of
     /// lvalues.
     fn lvalue(&mut self) -> RtlResult<Expr> {
-        if *self.peek() == TokenKind::Punct(Punct::LBrace) {
+        if self.at_punct(Punct::LBrace) {
             let start = self.bump().span;
             let mut parts = vec![self.lvalue()?];
             while self.eat_punct(Punct::Comma) {
@@ -765,7 +850,7 @@ impl Parser {
 
     /// Runs `f` one expression nesting level deeper, or fails with
     /// [`RtlErrorKind::Limit`] past [`MAX_EXPR_DEPTH`].
-    fn nested(&mut self, f: impl FnOnce(&mut Parser) -> RtlResult<Expr>) -> RtlResult<Expr> {
+    fn nested(&mut self, f: impl FnOnce(&mut Self) -> RtlResult<Expr>) -> RtlResult<Expr> {
         if self.depth >= MAX_EXPR_DEPTH {
             return Err(RtlError::new(
                 RtlErrorKind::Limit,
@@ -874,14 +959,14 @@ impl Parser {
     }
 
     fn primary(&mut self) -> RtlResult<Expr> {
-        match self.peek().clone() {
-            TokenKind::Number { value, sized } => {
-                let span = self.bump().span;
-                Ok(Expr::Number { value, sized, span })
-            }
-            TokenKind::Ident(name) => {
-                let span = self.bump().span;
-                self.selects_on(name, span)
+        match self.peek() {
+            TokenKind::Number { .. } | TokenKind::Ident(_) => {
+                let Token { kind, span } = self.bump();
+                match kind {
+                    TokenKind::Number { value, sized } => Ok(Expr::Number { value, sized, span }),
+                    TokenKind::Ident(name) => self.selects_on(name, span),
+                    _ => unreachable!("peeked a number or an identifier"),
+                }
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
@@ -1291,6 +1376,40 @@ mod tests {
         assert!(u.module("a").is_some());
         assert!(u.module("b").is_some());
         assert!(u.module("c").is_none());
+    }
+
+    #[test]
+    fn a_lex_error_outranks_an_earlier_parse_error() {
+        // The parser fails at `;` long before the stream reaches `\x01`.
+        let e = perr("module m(input a); assign ; endmodule\nwire \x01;");
+        assert_eq!(e.kind, RtlErrorKind::Lex, "{e}");
+        assert_eq!(e.message, "unexpected character `\u{1}`");
+        assert_eq!((e.span.start, e.span.end), (43, 44));
+    }
+
+    #[test]
+    fn a_lex_error_outranks_an_earlier_limit_error() {
+        let deep = format!("{}a{}", "(".repeat(200), ")".repeat(200));
+        let src = format!("module m(input a, output y); assign y = {deep}; endmodule 4'h");
+        assert_eq!(perr(&src[..src.len() - 4]).kind, RtlErrorKind::Limit);
+        let e = perr(&src);
+        assert_eq!(e.kind, RtlErrorKind::Lex, "{e}");
+        assert_eq!(e.message, "based literal has no digits");
+    }
+
+    #[test]
+    fn token_count_includes_eof_and_survives_a_parse_error() {
+        let count = |src: &str| {
+            let recorder = soccar_obs::Recorder::enabled();
+            let _ = parse_traced(FileId(0), src, &recorder);
+            recorder.counter_value("rtl.tokens")
+        };
+        assert_eq!(count("module m; endmodule"), 5);
+        assert_eq!(count(""), 1);
+        // A parse error still counts the whole file; a lex error counts
+        // nothing.
+        assert_eq!(count("module m; assign ; endmodule wire w;"), 10);
+        assert_eq!(count("module m; assign ; endmodule \x01"), 0);
     }
 
     #[test]

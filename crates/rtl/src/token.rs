@@ -39,39 +39,30 @@ pub enum Keyword {
 }
 
 impl Keyword {
-    /// Looks up a keyword from its source spelling.
+    /// Looks up a keyword from its source spelling: the first letter
+    /// picks at most five candidates, compared by spelling.
     #[must_use]
     pub fn lookup(s: &str) -> Option<Keyword> {
-        Some(match s {
-            "module" => Keyword::Module,
-            "endmodule" => Keyword::Endmodule,
-            "input" => Keyword::Input,
-            "output" => Keyword::Output,
-            "inout" => Keyword::Inout,
-            "wire" => Keyword::Wire,
-            "reg" => Keyword::Reg,
-            "integer" => Keyword::Integer,
-            "parameter" => Keyword::Parameter,
-            "localparam" => Keyword::Localparam,
-            "assign" => Keyword::Assign,
-            "always" => Keyword::Always,
-            "initial" => Keyword::Initial,
-            "begin" => Keyword::Begin,
-            "end" => Keyword::End,
-            "if" => Keyword::If,
-            "else" => Keyword::Else,
-            "case" => Keyword::Case,
-            "casez" => Keyword::Casez,
-            "casex" => Keyword::Casex,
-            "endcase" => Keyword::Endcase,
-            "default" => Keyword::Default,
-            "posedge" => Keyword::Posedge,
-            "negedge" => Keyword::Negedge,
-            "or" => Keyword::Or,
-            "for" => Keyword::For,
-            "signed" => Keyword::Signed,
+        use Keyword::*;
+        let candidates: &[Keyword] = match s.as_bytes().first()? {
+            b'a' => &[Assign, Always],
+            b'b' => &[Begin],
+            b'c' => &[Case, Casez, Casex],
+            b'd' => &[Default],
+            b'e' => &[End, Endmodule, Else, Endcase],
+            b'f' => &[For],
+            b'i' => &[Input, Inout, Integer, If, Initial],
+            b'l' => &[Localparam],
+            b'm' => &[Module],
+            b'n' => &[Negedge],
+            b'o' => &[Output, Or],
+            b'p' => &[Parameter, Posedge],
+            b'r' => &[Reg],
+            b's' => &[Signed],
+            b'w' => &[Wire],
             _ => return None,
-        })
+        };
+        candidates.iter().copied().find(|k| k.as_str() == s)
     }
 
     /// The source spelling of the keyword.
@@ -260,17 +251,26 @@ mod tests {
 
     #[test]
     fn keyword_round_trip() {
+        use Keyword::*;
         for kw in [
-            Keyword::Module,
-            Keyword::Endmodule,
-            Keyword::Casez,
-            Keyword::Posedge,
-            Keyword::Localparam,
-            Keyword::Signed,
+            Module, Endmodule, Input, Output, Inout, Wire, Reg, Integer, Parameter, Localparam,
+            Assign, Always, Initial, Begin, End, If, Else, Case, Casez, Casex, Endcase, Default,
+            Posedge, Negedge, Or, For, Signed,
         ] {
             assert_eq!(Keyword::lookup(kw.as_str()), Some(kw));
         }
-        assert_eq!(Keyword::lookup("frobnicate"), None);
+        for word in [
+            "frobnicate",
+            "",
+            "e",
+            "ends",
+            "Module",
+            "alway",
+            "caseq",
+            "_reg",
+        ] {
+            assert_eq!(Keyword::lookup(word), None, "{word:?}");
+        }
     }
 
     #[test]

@@ -255,6 +255,29 @@ impl LogicVec {
         v
     }
 
+    /// Creates a vector of at most 64 bits from its value and x/z planes
+    /// (a bit set in both is `Z`, in `xz` alone `X`), truncated to
+    /// `width`. Inlined: the lexer builds every literal with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero or above 64.
+    #[inline]
+    pub(crate) fn from_planes(width: u32, val: u64, xz: u64) -> LogicVec {
+        assert!(
+            (1..=64).contains(&width),
+            "from_planes takes one word per plane"
+        );
+        let mask = u64::MAX >> (64 - width);
+        LogicVec {
+            width,
+            planes: Planes::Inline {
+                val: val & mask,
+                xz: xz & mask,
+            },
+        }
+    }
+
     /// Creates a one-bit vector from a `bool`.
     #[must_use]
     pub fn from_bool(b: bool) -> LogicVec {

@@ -1,5 +1,7 @@
 //! Allocation guard: every `LogicVec` constructor and operation on values
-//! of at most 64 bits must run without touching the heap.
+//! of at most 64 bits must run without touching the heap, and so must
+//! lexing a token that carries no text; parsing the x10 stress design
+//! stays within a pinned allocation count.
 //!
 //! A counting global allocator tallies allocations per thread (the test
 //! harness runs tests on parallel threads), and each checked expression
@@ -12,6 +14,9 @@ use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::hint::black_box;
 
+use soccar_rtl::lexer::Lexer;
+use soccar_rtl::span::FileId;
+use soccar_rtl::token::TokenKind;
 use soccar_rtl::value::{Bit, LogicVec};
 
 struct Counting;
@@ -235,6 +240,48 @@ fn width_changing_ops_do_not_allocate() {
         assert_alloc_free!(a.select_bit(&LogicVec::from_u64(7, u64::from(w / 2))));
         assert_alloc_free!(a.select_bit(&LogicVec::xes(7)));
     }
+}
+
+#[test]
+fn streaming_tokens_without_text_does_not_allocate() {
+    // Punctuation, keywords, literals of at most 64 bits and trivia:
+    // only identifiers, system names, strings and wider literals own
+    // heap memory.
+    let source = "module always begin end if else case casez endcase posedge negedge or \
+        ( ) [ ] { } ; , : . # @ ? = <= >= < > == != === !== + - * / % & && | || ^ ~ ~^ ! \
+        << >> >>> ** +: -: 0 42 1_000 18446744073709551615 8'hA5 4'b1x0z 'd12 12'sd5 8'bx \
+        4 'b1010 16'o7_7_7 64'hFFFF_FFFF_FFFF_FFFF 64'hxz?0 // line comment
+        /* block comment */ `timescale 1ns/1ps
+        endmodule";
+    let mut lexer = Lexer::new(FileId(0), source);
+    let mut tokens = 0;
+    loop {
+        let token = assert_alloc_free!(lexer.next_token()).expect("lexes");
+        tokens += 1;
+        if token.kind == TokenKind::Eof {
+            break;
+        }
+    }
+    assert_eq!(tokens, 68);
+}
+
+/// The most allocations parsing `gen:11:15` (312 KB, 71,774 tokens) may
+/// make: 29,252 measured, plus about 10%. Each identifier's text is
+/// allocated once, by the lexer, and moves into the tree.
+const X10_PARSE_ALLOCATIONS: u64 = 32_200;
+
+#[test]
+fn parsing_the_x10_design_stays_within_its_allocations() {
+    let spec = soccar_soc::GenSpec::parse("gen:11:15").expect("spec");
+    let source = soccar_soc::generate::generate(&spec).source;
+    let before = allocations();
+    let unit = soccar_rtl::parser::parse(FileId(0), &source).expect("parses");
+    let n = allocations() - before;
+    assert_eq!(unit.modules.len(), 169);
+    assert!(
+        n <= X10_PARSE_ALLOCATIONS,
+        "parsing gen:11:15 made {n} allocations"
+    );
 }
 
 #[test]

@@ -440,7 +440,7 @@ fn run_lint(args: &LintArgs) -> Result<bool, String> {
         }
     }
     let source = std::fs::read_to_string(&args.file).map_err(|e| format!("{}: {e}", args.file))?;
-    let report = linter.lint_source(&args.file, &source)?;
+    let report = linter.lint_source(&args.file, source)?;
     if args.json {
         outln!(
             "{}",
@@ -630,7 +630,38 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeArgs, Str
     Ok(out)
 }
 
+/// Keeps the daemon's freed heap mapped for the next request. glibc
+/// returns free memory at the top of the heap to the OS once it passes
+/// the trim threshold, and maps each allocation above the mmap threshold
+/// on its own; both start low (128 KiB), so every request would fault
+/// its working set back in page by page. Pinned, up to 64 MiB of free
+/// heap stays mapped and only allocations of 4 MiB or more get their own
+/// mapping (see docs/SERVER.md).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn keep_heap_warm() {
+    use std::os::raw::c_int;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    // glibc's <malloc.h> parameter numbers.
+    const M_TRIM_THRESHOLD: c_int = -1;
+    const M_MMAP_THRESHOLD: c_int = -3;
+    // SAFETY: `mallopt` is glibc's, reads only its two integer arguments
+    // and takes the allocator's own lock; both parameters exist in every
+    // glibc and both values are within their ranges (the mmap threshold
+    // may be at most 32 MiB on 64-bit targets). A rejected setting
+    // returns 0 and leaves the allocator as it was.
+    unsafe {
+        mallopt(M_TRIM_THRESHOLD, 64 << 20);
+        mallopt(M_MMAP_THRESHOLD, 4 << 20);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn keep_heap_warm() {}
+
 fn run_serve(args: &ServeArgs) -> Result<(), String> {
+    keep_heap_warm();
     let recorder = if args.trace_out.is_some() {
         soccar_obs::Recorder::enabled()
     } else {

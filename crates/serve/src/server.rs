@@ -333,7 +333,7 @@ impl Server {
                 ),
                 Ok(text) => match Request::from_json(text) {
                     Err(e) => (Envelope::error(&e), Vec::new(), false),
-                    Ok(req) => self.dispatch(&req),
+                    Ok(req) => self.dispatch(req),
                 },
             };
             write_response(&mut writer, &envelope, &body)?;
@@ -349,10 +349,10 @@ impl Server {
     }
 
     /// Serves one request: `(envelope, body, shutdown?)`.
-    fn dispatch(&self, req: &Request) -> (Envelope, Vec<u8>, bool) {
+    fn dispatch(&self, req: Request) -> (Envelope, Vec<u8>, bool) {
         match req.cmd.as_str() {
             "analyze" => {
-                let (envelope, body) = self.dispatch_analyze(req);
+                let (envelope, body) = self.dispatch_analyze(&req);
                 (envelope, body, false)
             }
             "lint" => {
@@ -413,17 +413,19 @@ impl Server {
         }
     }
 
-    fn dispatch_lint(&self, req: &Request) -> (Envelope, Vec<u8>) {
+    /// Lints the request's source, which moves into the report's source
+    /// map uncopied.
+    fn dispatch_lint(&self, req: Request) -> (Envelope, Vec<u8>) {
         self.recorder.counter_add("server.requests", 1);
         let (file_name, source) = if req.soc.is_empty() {
             let name = if req.file_name.is_empty() {
                 "request.v".to_owned()
             } else {
-                req.file_name.clone()
+                req.file_name
             };
-            (name, req.source.clone())
+            (name, req.source)
         } else {
-            match resolve_request(req) {
+            match resolve_request(&req) {
                 Ok((name, source, _, _, _)) => (name, source),
                 Err(e) => return (Envelope::error(&e), Vec::new()),
             }
@@ -438,7 +440,7 @@ impl Server {
                 return (Envelope::error(&format!("unknown rule `{id}`")), Vec::new());
             }
         }
-        match linter.lint_source(&file_name, &source) {
+        match linter.lint_source(&file_name, source) {
             Err(e) => (Envelope::error(&e), Vec::new()),
             Ok(report) => {
                 let body = match soccar::json::to_json_pretty(&report) {

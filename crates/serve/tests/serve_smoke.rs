@@ -182,3 +182,73 @@ fn client_launched_before_the_daemon_wins_the_port_file_race() {
     daemon.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The daemon's minor page faults so far, all threads included: field 10
+/// of `/proc/<pid>/stat`, counted after the parenthesised command name.
+#[cfg(target_os = "linux")]
+fn minor_faults(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc stat");
+    let (_, fields) = stat.rsplit_once(')').expect("stat has a command name");
+    fields
+        .split_whitespace()
+        .nth(7)
+        .and_then(|f| f.parse().ok())
+        .expect("stat has a minflt field")
+}
+
+/// The daemon's live threads.
+#[cfg(target_os = "linux")]
+fn threads(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("read /proc task")
+        .count()
+}
+
+/// A warm lint request of the x10 design (`gen:11:15`, 312 KB) reuses the
+/// heap the previous one freed: the daemon pins glibc's trim and mmap
+/// thresholds, so the heap is not returned to the OS after each request
+/// and faulted back in, page by page, on the next.
+#[cfg(target_os = "linux")]
+#[test]
+fn warm_lint_requests_reuse_the_daemon_heap() {
+    let spec = soccar_soc::GenSpec::parse("gen:11:15").expect("spec");
+    let mut request = soccar_serve::Request::new("lint");
+    request.file_name = "gen_11_15.v".to_owned();
+    request.source = soccar_soc::generate::generate(&spec).source;
+    let daemon = Daemon::spawn(&[]);
+    let pid = daemon.child.id();
+    let idle = threads(pid);
+    // A fresh connection per request, as the benchmark's client opens.
+    // Each is served on a thread of its own; waiting for that thread to
+    // exit hands its malloc arena to the next one, so every request
+    // after the first runs on the same, warm heap.
+    let lint = || {
+        let mut client = soccar_serve::Client::connect(&daemon.addr).expect("connect");
+        let (envelope, body) = client.roundtrip(&request).expect("lint roundtrip");
+        assert!(envelope.ok, "lint failed: {}", envelope.error);
+        assert!(!body.is_empty());
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while threads(pid) > idle {
+            assert!(
+                Instant::now() < deadline,
+                "the request's thread never exited"
+            );
+            std::thread::yield_now();
+        }
+    };
+    for _ in 0..3 {
+        lint();
+    }
+    const REQUESTS: u64 = 10;
+    let before = minor_faults(pid);
+    for _ in 0..REQUESTS {
+        lint();
+    }
+    let per_request = (minor_faults(pid) - before) / REQUESTS;
+    daemon.shutdown();
+    assert!(
+        per_request < 100,
+        "{per_request} minor page faults per warm lint request"
+    );
+}
