@@ -31,12 +31,19 @@
 //!    schedule, and every domain's round at pulse cycle `at` shares its
 //!    first `at` cycles: each position simulates that prefix once and
 //!    forks one simulator clone per domain ([`SweepPosition`]).
-//!    Positions fan out over the worker pool and merge serially in
+//!    No sweep round reads anything the coverage rounds produce, so the
+//!    sweep runs *beside* them: [`ConcolicEngine::run`] hands the
+//!    positions of both phases to `jobs − 1` workers while the calling
+//!    thread runs the coverage loop, then joins the workers until every
+//!    position is done ([`soccar_exec::parallel_map_beside`]). The
+//!    sweep's rounds merge serially after the coverage rounds, in
 //!    `(domain, cycle)` order, so reports are identical for every job
-//!    count and to running every round from scratch.
+//!    count and to running every round from scratch, in the paper's
+//!    order.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -85,7 +92,8 @@ pub struct ConcolicConfig {
     pub async_events: Vec<String>,
     /// Worker threads for the engine's two fan-outs (`0` = auto via
     /// [`soccar_exec::resolve_jobs`]): each chunk of flip solves, and the
-    /// reset sweep's pulse positions. Every job count produces
+    /// reset sweep's pulse positions, which `jobs − 1` workers run beside
+    /// the coverage loop. Every job count produces
     /// bit-identical reports: each flip candidate is an independent query
     /// against the round's frozen term graph, solved in fixed-size chunks
     /// and consumed in stable target order, and sweep rounds are merged
@@ -209,8 +217,10 @@ pub struct ConcolicReport {
     /// measurements; excluded from canonical report serializations).
     pub flip_exec: soccar_exec::PoolStats,
     /// Utilization counters of the reset-sweep worker pool, one task per
-    /// pulse position, summed over both phases (wall-clock measurements;
-    /// excluded from canonical report serializations).
+    /// pulse position of either phase (wall-clock measurements; excluded
+    /// from canonical report serializations). The pool runs beside the
+    /// coverage rounds, so `elapsed` spans them too, while `busy` is the
+    /// sweep's own compute.
     pub sweep_exec: soccar_exec::PoolStats,
 }
 
@@ -249,8 +259,20 @@ impl ConcolicReport {
 }
 
 /// The reset-aware concolic engine. See the [module docs](self).
+///
+/// The engine is two halves: the round context every round reads and
+/// none changes, and the walk state that only the coverage loop and
+/// the serial merge change. The sweep's workers share the one while the
+/// calling thread drives the coverage loop on the other.
 #[derive(Debug)]
 pub struct ConcolicEngine<'d> {
+    ctx: RoundContext<'d>,
+    walk: Walk,
+}
+
+/// What every round reads, fixed once the engine is built.
+#[derive(Debug)]
+struct RoundContext<'d> {
     design: &'d Design,
     /// The design's wake map, built once and shared by every round's
     /// simulator.
@@ -266,11 +288,22 @@ pub struct ConcolicEngine<'d> {
     domains: Vec<(String, NetId, bool)>,
     inputs: Vec<(String, NetId, u32)>,
     targets: Vec<Target>,
+    recorder: soccar_obs::Recorder,
+    /// Domains owning at least one clock-composed implicit governor
+    /// (Refined analysis only); these also get a high-phase sweep.
+    clock_composed: Vec<bool>,
+    /// Time zero of every sweep round, built on first use: it depends on
+    /// the context alone, so each sweep position clones it.
+    sweep_start: OnceLock<SimResult<RoundRun<'d, CoverageAlgebra>>>,
+}
+
+/// The decision walk's state: coverage so far, the walk's bookkeeping and
+/// the run's counters.
+#[derive(Debug)]
+struct Walk {
     covered: Vec<bool>,
     unreachable: Vec<bool>,
     pulse_attempts: HashMap<usize, u64>,
-    flip_stats: soccar_exec::PoolStats,
-    sweep_stats: soccar_exec::PoolStats,
     /// Flip candidates numbered so far. Every round numbers all of its
     /// candidates in target order (see `plan_next`), solved or not, so
     /// the numbers are the deterministic index the fault plan keys on.
@@ -283,13 +316,42 @@ pub struct ConcolicEngine<'d> {
     flips_failed: usize,
     degraded_rounds: usize,
     degraded_reasons: BTreeSet<String>,
-    recorder: soccar_obs::Recorder,
-    /// Domains owning at least one clock-composed implicit governor
-    /// (Refined analysis only); these also get a high-phase sweep.
-    clock_composed: Vec<bool>,
-    /// Time zero of every sweep round, built on first use: it depends on
-    /// engine state alone, so each sweep position clones it.
-    sweep_start: OnceLock<SimResult<RoundRun<'d, CoverageAlgebra>>>,
+    flip_stats: soccar_exec::PoolStats,
+    sweep_stats: soccar_exec::PoolStats,
+}
+
+/// The rounds' merged results, in round order.
+#[derive(Debug, Default)]
+struct Findings {
+    /// Rounds merged so far.
+    rounds: usize,
+    /// Cycles simulated; a sweep position's shared prefix counts once.
+    sim_cycles: u64,
+    violations: Vec<Violation>,
+    witnesses: Vec<Witness>,
+    first_violation_round: Option<usize>,
+}
+
+impl Findings {
+    /// Merges the next round's violations: each property violated for
+    /// the first time keeps `schedule()` as its witness.
+    fn merge(&mut self, schedule: impl Fn() -> TestSchedule, fresh: Vec<Violation>) {
+        self.rounds += 1;
+        for v in fresh {
+            if self.violations.iter().any(|e| e.property == v.property) {
+                continue;
+            }
+            self.witnesses.push(Witness {
+                property: v.property.clone(),
+                schedule: schedule(),
+                round: self.rounds,
+            });
+            self.violations.push(v);
+        }
+        if self.first_violation_round.is_none() && !self.violations.is_empty() {
+            self.first_violation_round = Some(self.rounds);
+        }
+    }
 }
 
 impl<'d> ConcolicEngine<'d> {
@@ -441,31 +503,35 @@ impl<'d> ConcolicEngine<'d> {
             }
         }
         Ok(ConcolicEngine {
-            design,
-            wake_map: Arc::new(WakeMap::new(design)),
-            monitors,
-            dropped_monitors,
-            config,
-            clocks,
-            plain_inputs,
-            domains,
-            inputs,
-            targets,
-            covered: vec![false; n],
-            unreachable: vec![false; n],
-            pulse_attempts: HashMap::new(),
-            flip_stats: soccar_exec::PoolStats::default(),
-            sweep_stats: soccar_exec::PoolStats::default(),
-            flip_seq: 0,
-            solver_calls: 0,
-            solver_sat: 0,
-            solver_unknown: 0,
-            flips_failed: 0,
-            degraded_rounds: 0,
-            degraded_reasons: BTreeSet::new(),
-            recorder: soccar_obs::Recorder::disabled(),
-            clock_composed,
-            sweep_start: OnceLock::new(),
+            ctx: RoundContext {
+                design,
+                wake_map: Arc::new(WakeMap::new(design)),
+                monitors,
+                dropped_monitors,
+                config,
+                clocks,
+                plain_inputs,
+                domains,
+                inputs,
+                targets,
+                recorder: soccar_obs::Recorder::disabled(),
+                clock_composed,
+                sweep_start: OnceLock::new(),
+            },
+            walk: Walk {
+                covered: vec![false; n],
+                unreachable: vec![false; n],
+                pulse_attempts: HashMap::new(),
+                flip_seq: 0,
+                solver_calls: 0,
+                solver_sat: 0,
+                solver_unknown: 0,
+                flips_failed: 0,
+                degraded_rounds: 0,
+                degraded_reasons: BTreeSet::new(),
+                flip_stats: soccar_exec::PoolStats::default(),
+                sweep_stats: soccar_exec::PoolStats::default(),
+            },
         })
     }
 
@@ -473,7 +539,10 @@ impl<'d> ConcolicEngine<'d> {
     /// `concolic.round` span with two serial children, `concolic.simulate`
     /// (the co-simulation) and `concolic.plan` (flip planning, solving
     /// included); each sweep phase gets one `concolic.sweep` /
-    /// `concolic.sweep_high` span. Flip planning feeds the
+    /// `concolic.sweep_high` span. The sweep's positions run beside the
+    /// coverage rounds, so these spans time only what is left once the
+    /// rounds end: the wait for unfinished positions (the first phase's
+    /// span) and the serial merge of each phase. Flip planning feeds the
     /// `concolic.flip_candidates` (numbered) / `concolic.flip_consumed`
     /// (read) / `concolic.flip_sat` counters, and every flip solve —
     /// including a chunk's results after the consumed one — reports
@@ -481,170 +550,163 @@ impl<'d> ConcolicEngine<'d> {
     ///
     /// Because `plan_next` solves whole fixed-size chunks, whatever the
     /// job count, the solver metrics are identical for every job count
-    /// even though the solves run on worker threads.
+    /// even though the solves run on worker threads. Every span opens on
+    /// the calling thread.
     #[must_use]
     pub fn with_recorder(mut self, recorder: soccar_obs::Recorder) -> Self {
-        self.recorder = recorder;
+        self.ctx.recorder = recorder;
         self
     }
 
     /// Controllable reset domains `(source, net, active_low)`.
     #[must_use]
     pub fn domains(&self) -> &[(String, NetId, bool)] {
-        &self.domains
+        &self.ctx.domains
     }
 
     /// Number of coverage targets.
     #[must_use]
     pub fn target_count(&self) -> usize {
-        self.targets.len()
+        self.ctx.targets.len()
     }
 
     /// Runs Algorithm 3 to completion.
     ///
+    /// No sweep round reads anything the coverage loop produces, so the
+    /// reset sweep starts with the run: its pulse positions go to
+    /// `jobs − 1` workers while the calling thread runs the coverage
+    /// loop, and the calling thread joins them once the loop ends. The
+    /// rounds then merge serially, coverage rounds first and the sweep's
+    /// in `(domain, cycle)` order, so the report is the one a serial run
+    /// of Algorithm 3 gives.
+    ///
     /// # Errors
     ///
-    /// Propagates simulator errors (e.g. an unstable design).
+    /// Propagates simulator errors (e.g. an unstable design): the
+    /// coverage loop's first, else the sweep's first in merge order.
     pub fn run(&mut self) -> SimResult<ConcolicReport> {
         let start = Instant::now();
-        let mut schedule = self.base_schedule();
-        schedule.randomize(self.config.seed);
-        let mut violations: Vec<Violation> = Vec::new();
-        let mut witnesses: Vec<Witness> = Vec::new();
-        let mut first_violation_round: Option<usize> = None;
-        let mut rounds = 0usize;
-        // Cycles simulated; a sweep position's shared prefix counts once.
-        let mut sim_cycles = 0u64;
-
-        // Phase 1: concolic coverage loop.
-        while rounds < self.config.max_rounds {
-            rounds += 1;
-            let mut round_span = soccar_obs::span!(self.recorder, "concolic.round", round = rounds);
-            let simulate_span = soccar_obs::span!(self.recorder, "concolic.simulate");
-            let RoundRun {
-                mut sim,
-                violations: round_violations,
-                degraded,
-                ..
-            } = self.execute_round::<CoAlgebra>(&schedule)?;
-            simulate_span.close();
-            sim_cycles += schedule.cycles;
-            self.degraded_reasons.extend(degraded);
-            self.absorb_hits(&self.target_hits(&sim));
-            self.merge_violations(
-                rounds,
-                || schedule.clone(),
-                round_violations,
-                &mut violations,
-                &mut witnesses,
-            );
-            if first_violation_round.is_none() && !violations.is_empty() {
-                first_violation_round = Some(rounds);
-            }
-            round_span.record("covered", self.covered.iter().filter(|c| **c).count());
-            round_span.record("violations", violations.len());
-            if self.all_covered() {
-                break;
-            }
-            let plan_span = soccar_obs::span!(self.recorder, "concolic.plan");
-            let next = self.plan_next(&mut sim, &schedule, rounds);
-            plan_span.close();
-            match next {
-                Some(next) => schedule = next,
-                None => break,
-            }
+        let ctx = &self.ctx;
+        let walk = &mut self.walk;
+        // Both sweep phases' positions, low phase first, as one task list.
+        let positions: Vec<SweepPosition> = if ctx.config.skip_sweep {
+            Vec::new()
+        } else {
+            [false, true]
+                .into_iter()
+                .flat_map(|high| ctx.sweep_positions(high))
+                .collect()
+        };
+        // Set when the coverage loop fails: its error ends the run, so
+        // the positions not yet started are skipped.
+        let abandoned = AtomicBool::new(false);
+        let ((coverage, mut wait_span), outcomes, stats) = soccar_exec::parallel_map_beside(
+            ctx.config.jobs,
+            &positions,
+            // A panicking position is re-raised at merge time, after a
+            // coverage error has had its turn.
+            FailurePolicy::KeepGoing,
+            || {
+                let coverage = walk.cover(ctx);
+                if coverage.is_err() {
+                    abandoned.store(true, Ordering::Relaxed);
+                }
+                // The first phase's span opens as the loop ends, so it
+                // times the wait for unfinished positions, then its merge.
+                let span = positions
+                    .first()
+                    .filter(|_| coverage.is_ok())
+                    .map(|pos| ctx.recorder.span(pos.phase()));
+                (coverage, span)
+            },
+            |pos| {
+                if abandoned.load(Ordering::Relaxed) {
+                    return Vec::new();
+                }
+                ctx.fork_sweep_position(pos, |run| SweepRound {
+                    hits: ctx.target_hits(&run.sim),
+                    violations: run.violations,
+                    degraded: run.degraded,
+                })
+            },
+        );
+        let mut found = coverage?;
+        if !positions.is_empty() {
+            walk.sweep_stats.absorb(&stats);
         }
 
-        // Phases 2 and 3: the systematic reset sweep, one pool call per
-        // phase with one task per pulse position. The rounds merge here in
+        // Phases 2 and 3: the sweep's rounds merge phase by phase in
         // `(domain, cycle)` order, exactly as if run one after another
         // from scratch; the first simulator error in that order ends the
         // run.
-        if !self.config.skip_sweep {
-            for high in [false, true] {
-                let positions = self.sweep_positions(high);
-                let Some(first) = positions.first() else {
-                    continue;
-                };
-                let domains = first.domains.clone();
-                let mut sweep_span = soccar_obs::span!(self.recorder, first.phase());
-                let (results, stats) =
-                    soccar_exec::parallel_map_stats(self.config.jobs, &positions, |pos| {
-                        self.fork_sweep_position(pos, |run| SweepRound {
-                            hits: self.target_hits(&run.sim),
-                            violations: run.violations,
-                            degraded: run.degraded,
-                        })
-                    });
-                self.sweep_stats.absorb(&stats);
-                let mut results: Vec<_> = results.into_iter().map(Vec::into_iter).collect();
-                for &domain in &domains {
-                    for (pos, at_results) in positions.iter().zip(&mut results) {
-                        let round = at_results.next().expect("one round per domain")?;
-                        rounds += 1;
-                        self.absorb_hits(&round.hits);
-                        self.degraded_reasons.extend(round.degraded);
-                        self.merge_violations(
-                            rounds,
-                            || pos.schedule(domain),
-                            round.violations,
-                            &mut violations,
-                            &mut witnesses,
-                        );
-                        if first_violation_round.is_none() && !violations.is_empty() {
-                            first_violation_round = Some(rounds);
-                        }
-                    }
-                }
-                sim_cycles += positions.iter().map(SweepPosition::cycles).sum::<u64>();
-                sweep_span.record("rounds", positions.len() * domains.len());
+        let split = positions
+            .iter()
+            .position(|pos| pos.high)
+            .unwrap_or(positions.len());
+        let mut low = outcomes;
+        let high = low.split_off(split);
+        for (phase, outcomes) in [(&positions[..split], low), (&positions[split..], high)] {
+            let Some(first) = phase.first() else {
+                continue;
+            };
+            let mut span = wait_span
+                .take()
+                .unwrap_or_else(|| ctx.recorder.span(first.phase()));
+            // The phase's lowest-index panic ends the run, as in a
+            // fail-fast pool.
+            if let Some(panic) = outcomes.iter().find_map(TaskOutcome::panic_message) {
+                std::panic::resume_unwind(Box::new(panic.to_owned()));
             }
+            let mut results: Vec<_> = outcomes
+                .into_iter()
+                .map(|o| o.ok().expect("panics were re-raised").into_iter())
+                .collect();
+            for &domain in &first.domains {
+                for (pos, at_results) in phase.iter().zip(&mut results) {
+                    let round = at_results.next().expect("one round per domain")?;
+                    walk.absorb_hits(&round.hits);
+                    walk.degraded_reasons.extend(round.degraded);
+                    found.merge(|| pos.schedule(domain), round.violations);
+                }
+            }
+            found.sim_cycles += phase.iter().map(SweepPosition::cycles).sum::<u64>();
+            span.record("rounds", phase.len() * first.domains.len());
         }
 
-        let covered = self.covered.iter().filter(|c| **c).count();
-        let unreachable = self.unreachable.iter().filter(|u| **u).count();
-        self.recorder.counter_add("concolic.rounds", rounds as u64);
-        self.recorder.counter_add("sim.cycles", sim_cycles);
+        let covered = walk.covered.iter().filter(|c| **c).count();
+        let unreachable = walk.unreachable.iter().filter(|u| **u).count();
+        let recorder = &ctx.recorder;
+        recorder.counter_add("concolic.rounds", found.rounds as u64);
+        recorder.counter_add("sim.cycles", found.sim_cycles);
         // Resilience counters are only bumped when degradation actually
         // happened, keeping healthy-run traces byte-identical to before.
-        if self.solver_unknown > 0 {
-            self.recorder
-                .counter_add("resilience.solver_unknown", self.solver_unknown as u64);
+        if walk.solver_unknown > 0 {
+            recorder.counter_add("resilience.solver_unknown", walk.solver_unknown as u64);
         }
-        if self.flips_failed > 0 {
-            self.recorder
-                .counter_add("resilience.flips_failed", self.flips_failed as u64);
+        if walk.flips_failed > 0 {
+            recorder.counter_add("resilience.flips_failed", walk.flips_failed as u64);
         }
-        if self.degraded_rounds > 0 {
-            self.recorder
-                .counter_add("resilience.degraded_rounds", self.degraded_rounds as u64);
+        if walk.degraded_rounds > 0 {
+            recorder.counter_add("resilience.degraded_rounds", walk.degraded_rounds as u64);
         }
         Ok(ConcolicReport {
-            rounds,
-            targets_total: self.targets.len(),
+            rounds: found.rounds,
+            targets_total: ctx.targets.len(),
             targets_covered: covered,
             targets_unreachable: unreachable,
-            violations,
-            first_violation_round,
-            witnesses,
-            solver_calls: self.solver_calls,
-            solver_sat: self.solver_sat,
-            solver_unknown: self.solver_unknown,
-            flips_failed: self.flips_failed,
-            degraded_rounds: self.degraded_rounds,
-            degraded_reasons: self.degraded_reasons.iter().cloned().collect(),
+            violations: found.violations,
+            first_violation_round: found.first_violation_round,
+            witnesses: found.witnesses,
+            solver_calls: walk.solver_calls,
+            solver_sat: walk.solver_sat,
+            solver_unknown: walk.solver_unknown,
+            flips_failed: walk.flips_failed,
+            degraded_rounds: walk.degraded_rounds,
+            degraded_reasons: walk.degraded_reasons.iter().cloned().collect(),
             elapsed: start.elapsed(),
-            flip_exec: self.flip_stats,
-            sweep_exec: self.sweep_stats,
+            flip_exec: walk.flip_stats,
+            sweep_exec: walk.sweep_stats,
         })
-    }
-
-    fn base_schedule(&self) -> TestSchedule {
-        TestSchedule::quiet(
-            self.config.cycles,
-            self.domains.clone(),
-            self.inputs.clone(),
-        )
     }
 
     /// The reset sweep's pulse positions of one phase, in cycle order.
@@ -662,6 +724,87 @@ impl<'d> ConcolicEngine<'d> {
     /// `(domain, cycle, seed)` key.
     #[must_use]
     pub fn sweep_positions(&self, high: bool) -> Vec<SweepPosition> {
+        self.ctx.sweep_positions(high)
+    }
+
+    /// Runs every round of one sweep position on the concrete coverage
+    /// algebra: from a clone of the time-zero state every sweep round
+    /// shares, cycles `0..at` once on the shared prefix, then, from a
+    /// clone of that state, each domain's pulse and the rest of its round.
+    /// `finish` reduces each finished round; the results come in
+    /// `pos.domains` order, each equal to what
+    /// [`ConcolicEngine::execute_round`] gives on
+    /// [`SweepPosition::schedule`] from scratch. A simulator error in the
+    /// prefix is every domain's error, as it would be from scratch.
+    pub fn fork_sweep_position<T>(
+        &self,
+        pos: &SweepPosition,
+        finish: impl Fn(RoundRun<'d, CoverageAlgebra>) -> T,
+    ) -> Vec<SimResult<T>> {
+        self.ctx.fork_sweep_position(pos, finish)
+    }
+
+    /// One `Simulate(Input, Restricts)` call of Algorithm 3: runs
+    /// `schedule` on algebra `A` — [`CoAlgebra`] for coverage rounds,
+    /// which plan flips from its branch log, or [`CoverageAlgebra`] for
+    /// sweep rounds, which need only coverage. The schedule's reset tracks
+    /// are the engine's [`ConcolicEngine::domains`], in order, as in
+    /// every schedule the engine builds.
+    ///
+    /// Monitors that failed to resolve (or error mid-check) are returned
+    /// as degradation reasons instead of being silently ignored or
+    /// panicking: the analysis continues, visibly partial.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors (e.g. an unstable design).
+    pub fn execute_round<A: RoundAlgebra>(
+        &self,
+        schedule: &TestSchedule,
+    ) -> SimResult<RoundRun<'d, A>> {
+        self.ctx.execute_round(schedule)
+    }
+
+    /// Runs one concrete round and freezes its symbolic state into a
+    /// [`FlipWorkload`], so flip solving can be run and timed on its own.
+    /// Does not advance engine coverage state.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors, as [`ConcolicEngine::run`].
+    pub fn flip_workload(&self) -> SimResult<FlipWorkload> {
+        let ctx = &self.ctx;
+        let mut schedule = ctx.base_schedule();
+        schedule.randomize(ctx.config.seed);
+        let mut sim = ctx.execute_round::<CoAlgebra>(&schedule)?.sim;
+        let observations = sim.algebra().observations().to_vec();
+        let window = FlipWindow::intern(
+            &mut sim.algebra_mut().graph,
+            &observations,
+            0..observations.len(),
+            MAX_PREFIX,
+        );
+        Ok(FlipWorkload {
+            graph: sim.algebra().graph.clone(),
+            window,
+            observations,
+            schedule,
+            budget: ctx.config.solver_budget,
+        })
+    }
+}
+
+impl<'d> RoundContext<'d> {
+    fn base_schedule(&self) -> TestSchedule {
+        TestSchedule::quiet(
+            self.config.cycles,
+            self.domains.clone(),
+            self.inputs.clone(),
+        )
+    }
+
+    /// See [`ConcolicEngine::sweep_positions`].
+    fn sweep_positions(&self, high: bool) -> Vec<SweepPosition> {
         let domains: Vec<usize> = (0..self.domains.len())
             .filter(|d| !high || self.clock_composed[*d])
             .collect();
@@ -683,16 +826,8 @@ impl<'d> ConcolicEngine<'d> {
             .collect()
     }
 
-    /// Runs every round of one sweep position on the concrete coverage
-    /// algebra: from a clone of the time-zero state every sweep round
-    /// shares, cycles `0..at` once on the shared prefix, then, from a
-    /// clone of that state, each domain's pulse and the rest of its round.
-    /// `finish` reduces each finished round; the results come in
-    /// `pos.domains` order, each equal to what
-    /// [`ConcolicEngine::execute_round`] gives on
-    /// [`SweepPosition::schedule`] from scratch. A simulator error in the
-    /// prefix is every domain's error, as it would be from scratch.
-    pub fn fork_sweep_position<T>(
+    /// See [`ConcolicEngine::fork_sweep_position`].
+    fn fork_sweep_position<T>(
         &self,
         pos: &SweepPosition,
         finish: impl Fn(RoundRun<'d, CoverageAlgebra>) -> T,
@@ -714,21 +849,8 @@ impl<'d> ConcolicEngine<'d> {
             .collect()
     }
 
-    /// One `Simulate(Input, Restricts)` call of Algorithm 3: runs
-    /// `schedule` on algebra `A` — [`CoAlgebra`] for coverage rounds,
-    /// which plan flips from its branch log, or [`CoverageAlgebra`] for
-    /// sweep rounds, which need only coverage. The schedule's reset tracks
-    /// are the engine's [`ConcolicEngine::domains`], in order, as in
-    /// every schedule the engine builds.
-    ///
-    /// Monitors that failed to resolve (or error mid-check) are returned
-    /// as degradation reasons instead of being silently ignored or
-    /// panicking: the analysis continues, visibly partial.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (e.g. an unstable design).
-    pub fn execute_round<A: RoundAlgebra>(
+    /// See [`ConcolicEngine::execute_round`].
+    fn execute_round<A: RoundAlgebra>(
         &self,
         schedule: &TestSchedule,
     ) -> SimResult<RoundRun<'d, A>> {
@@ -857,6 +979,47 @@ impl<'d> ConcolicEngine<'d> {
             .map(|(i, _)| i)
             .collect()
     }
+}
+
+impl Walk {
+    /// Phase 1 of Algorithm 3, the concolic coverage loop: simulates a
+    /// round, merges what it covered and violated, and plans the next
+    /// round's schedule, until every target is covered or unreachable,
+    /// no plan is left, or `max_rounds` rounds have run.
+    fn cover(&mut self, ctx: &RoundContext<'_>) -> SimResult<Findings> {
+        let mut schedule = ctx.base_schedule();
+        schedule.randomize(ctx.config.seed);
+        let mut found = Findings::default();
+        while found.rounds < ctx.config.max_rounds {
+            let round = found.rounds + 1;
+            let mut round_span = soccar_obs::span!(ctx.recorder, "concolic.round", round = round);
+            let simulate_span = soccar_obs::span!(ctx.recorder, "concolic.simulate");
+            let RoundRun {
+                mut sim,
+                violations,
+                degraded,
+                ..
+            } = ctx.execute_round::<CoAlgebra>(&schedule)?;
+            simulate_span.close();
+            found.sim_cycles += schedule.cycles;
+            self.degraded_reasons.extend(degraded);
+            self.absorb_hits(&ctx.target_hits(&sim));
+            found.merge(|| schedule.clone(), violations);
+            round_span.record("covered", self.covered.iter().filter(|c| **c).count());
+            round_span.record("violations", found.violations.len());
+            if self.all_covered() {
+                break;
+            }
+            let plan_span = soccar_obs::span!(ctx.recorder, "concolic.plan");
+            let next = self.plan_next(ctx, &mut sim, &schedule, round);
+            plan_span.close();
+            match next {
+                Some(next) => schedule = next,
+                None => break,
+            }
+        }
+        Ok(found)
+    }
 
     fn absorb_hits(&mut self, hits: &[usize]) {
         for &i in hits {
@@ -869,27 +1032,6 @@ impl<'d> ConcolicEngine<'d> {
             .iter()
             .zip(&self.unreachable)
             .all(|(c, u)| *c || *u)
-    }
-
-    fn merge_violations(
-        &self,
-        round: usize,
-        schedule: impl Fn() -> TestSchedule,
-        fresh: Vec<Violation>,
-        out: &mut Vec<Violation>,
-        witnesses: &mut Vec<Witness>,
-    ) {
-        for v in fresh {
-            if out.iter().any(|e| e.property == v.property) {
-                continue;
-            }
-            witnesses.push(Witness {
-                property: v.property.clone(),
-                schedule: schedule(),
-                round,
-            });
-            out.push(v);
-        }
     }
 
     /// Picks an uncovered target and produces the next schedule, either by
@@ -907,14 +1049,15 @@ impl<'d> ConcolicEngine<'d> {
     /// report are bit-identical for every job count.
     fn plan_next(
         &mut self,
-        sim: &mut Simulator<'d, CoAlgebra>,
+        ctx: &RoundContext<'_>,
+        sim: &mut Simulator<'_, CoAlgebra>,
         schedule: &TestSchedule,
         round: usize,
     ) -> Option<TestSchedule> {
         // Goals are `Copy` ids interned at construction time, so the
         // per-round bookkeeping copies `(index, goal, domain)` triples
         // instead of deep-cloning `Target`s.
-        let targets: Vec<(usize, TargetGoal, Option<usize>)> = self
+        let targets: Vec<(usize, TargetGoal, Option<usize>)> = ctx
             .targets
             .iter()
             .enumerate()
@@ -923,7 +1066,7 @@ impl<'d> ConcolicEngine<'d> {
             .collect();
         let index = FlipIndex::build(
             sim.algebra().observations(),
-            self.design.sites().len(),
+            ctx.design.sites().len(),
             MAX_FLIP_ATTEMPTS,
         );
         let mut round_degraded = false;
@@ -935,7 +1078,7 @@ impl<'d> ConcolicEngine<'d> {
             .iter()
             .map(|(_, goal, _)| index.candidates(*goal).len())
             .sum();
-        self.recorder
+        ctx.recorder
             .counter_add("concolic.flip_candidates", total as u64);
         // Candidate `i` of the round (in target order) has sequence
         // number `seq_base + i + 1` — the deterministic per-analysis index
@@ -955,7 +1098,7 @@ impl<'d> ConcolicEngine<'d> {
                 let first_seq = seq_base + walked as u64 + 1;
                 walked += ks.len();
                 let (next, degraded) =
-                    self.solve_candidates(sim, schedule, round, ks, dir, first_seq);
+                    self.solve_candidates(ctx, sim, schedule, round, ks, dir, first_seq);
                 round_degraded |= degraded;
                 if next.is_some() {
                     chosen = next;
@@ -967,7 +1110,7 @@ impl<'d> ConcolicEngine<'d> {
             // A site that never ran with a symbolic condition, or a
             // whole-block target: schedule a pulse so the process (and its
             // governor test) runs.
-            if let Some(next) = self.schedule_pulse(ti, domain_idx, schedule) {
+            if let Some(next) = self.schedule_pulse(ctx, ti, domain_idx, schedule) {
                 chosen = Some(next);
                 break;
             }
@@ -985,9 +1128,11 @@ impl<'d> ConcolicEngine<'d> {
     /// whether a result read degraded the round. Unknown and panicked
     /// results are *skipped* flips: recorded as degradation, never
     /// consumed as answers.
+    #[allow(clippy::too_many_arguments)]
     fn solve_candidates(
         &mut self,
-        sim: &mut Simulator<'d, CoAlgebra>,
+        ctx: &RoundContext<'_>,
+        sim: &mut Simulator<'_, CoAlgebra>,
         schedule: &TestSchedule,
         round: usize,
         ks: &[usize],
@@ -1005,16 +1150,16 @@ impl<'d> ConcolicEngine<'d> {
             .zip(ks)
             .map(|(seq, &obs_index)| FlipCandidate { obs_index, seq })
             .collect();
-        let budget = self.config.solver_budget;
+        let budget = ctx.config.solver_budget;
+        let recorder = &ctx.recorder;
         let mut degraded = false;
         for chunk in candidates.chunks(FLIP_CHUNK) {
-            let plan = &self.config.fault_plan;
-            let recorder = &self.recorder;
+            let plan = &ctx.config.fault_plan;
             // Panics become Failed slots whatever the policy, so a panic
             // in a candidate the walk does not read is never raised; the
             // policy applies when a result is read.
             let (solved, stats) = soccar_exec::parallel_map_policy(
-                self.config.jobs,
+                ctx.config.jobs,
                 chunk,
                 FailurePolicy::KeepGoing,
                 |c| {
@@ -1034,11 +1179,11 @@ impl<'d> ConcolicEngine<'d> {
             self.flip_stats.absorb(&stats);
             for (outcome, c) in solved.into_iter().zip(chunk) {
                 self.solver_calls += 1;
-                self.recorder.counter_add("concolic.flip_consumed", 1);
+                recorder.counter_add("concolic.flip_consumed", 1);
                 match outcome {
                     TaskOutcome::Ok(FlipOutcome::Sat(next)) => {
                         self.solver_sat += 1;
-                        self.recorder.counter_add("concolic.flip_sat", 1);
+                        recorder.counter_add("concolic.flip_sat", 1);
                         return (Some(next), degraded);
                     }
                     TaskOutcome::Ok(FlipOutcome::Unsat) => {}
@@ -1049,7 +1194,7 @@ impl<'d> ConcolicEngine<'d> {
                             .insert(format!("round {round}: flip {} skipped: {reason}", c.seq));
                     }
                     TaskOutcome::Failed { panic } => {
-                        if self.config.failure_policy == FailurePolicy::FailFast {
+                        if ctx.config.failure_policy == FailurePolicy::FailFast {
                             std::panic::resume_unwind(Box::new(panic));
                         }
                         self.flips_failed += 1;
@@ -1069,6 +1214,7 @@ impl<'d> ConcolicEngine<'d> {
     /// cycle position.
     fn schedule_pulse(
         &mut self,
+        ctx: &RoundContext<'_>,
         target_idx: usize,
         domain_idx: Option<usize>,
         schedule: &TestSchedule,
@@ -1080,7 +1226,7 @@ impl<'d> ConcolicEngine<'d> {
         };
         let attempt = self.pulse_attempts.entry(target_idx).or_insert(0);
         *attempt += 1;
-        if *attempt >= self.config.cycles {
+        if *attempt >= ctx.config.cycles {
             self.unreachable[target_idx] = true;
             return None;
         }
@@ -1088,33 +1234,6 @@ impl<'d> ConcolicEngine<'d> {
         let mut next = schedule.clone();
         next.add_pulse(di, at, 1);
         Some(next)
-    }
-
-    /// Runs one concrete round and freezes its symbolic state into a
-    /// [`FlipWorkload`], so flip solving can be run and timed on its own.
-    /// Does not advance engine coverage state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors, as [`ConcolicEngine::run`].
-    pub fn flip_workload(&self) -> SimResult<FlipWorkload> {
-        let mut schedule = self.base_schedule();
-        schedule.randomize(self.config.seed);
-        let mut sim = self.execute_round::<CoAlgebra>(&schedule)?.sim;
-        let observations = sim.algebra().observations().to_vec();
-        let window = FlipWindow::intern(
-            &mut sim.algebra_mut().graph,
-            &observations,
-            0..observations.len(),
-            MAX_PREFIX,
-        );
-        Ok(FlipWorkload {
-            graph: sim.algebra().graph.clone(),
-            window,
-            observations,
-            schedule,
-            budget: self.config.solver_budget,
-        })
     }
 }
 

@@ -18,10 +18,12 @@
 //! These tests run every sweep round of four configurations forked, and
 //! from scratch on both algebras, and compare them.
 
+use std::collections::BTreeSet;
+
 use soccar_cfg::{bind_events, compose_soc, GovernorAnalysis, ResetNaming};
 use soccar_concolic::{
-    BranchCoverage, CoAlgebra, ConcolicConfig, ConcolicEngine, CoverageAlgebra, RoundAlgebra,
-    RoundRun, SecurityProperty, Violation,
+    BranchCoverage, CoAlgebra, ConcolicConfig, ConcolicEngine, ConcolicReport, CoverageAlgebra,
+    RoundAlgebra, RoundRun, SecurityProperty, Violation, Witness,
 };
 use soccar_rtl::parser::parse;
 use soccar_rtl::span::FileId;
@@ -191,4 +193,117 @@ fn strided_sweep_forks_agree_with_scratch_rounds() {
         "four domains, pulses at cycles 1, 5, 9 and 13"
     );
     assert_eq!(phases, vec!["concolic.sweep"]);
+}
+
+/// The deterministic fields of a report, everything but its timing.
+fn canonical(report: &ConcolicReport) -> String {
+    format!(
+        "{:?}",
+        (
+            report.rounds,
+            report.targets_total,
+            report.targets_covered,
+            report.targets_unreachable,
+            &report.violations,
+            report.first_violation_round,
+            &report.witnesses,
+            (
+                report.solver_calls,
+                report.solver_sat,
+                report.solver_unknown
+            ),
+            (report.flips_failed, report.degraded_rounds),
+            &report.degraded_reasons,
+            report.sweep_exec.tasks,
+        )
+    )
+}
+
+#[test]
+fn sweep_beside_a_multi_round_coverage_loop_merges_as_if_run_after_it() {
+    // Refined AutoSoC #2: a coverage loop of several rounds, and both
+    // sweep phases, the high one holding the SHA256 leak.
+    let case = Case::bundled(SocModel::AutoSoc, 2, GovernorAnalysis::Refined, 12);
+    let unit = parse(FileId(0), &case.source).expect("parse");
+    let design = soccar_rtl::elaborate::elaborate(&unit, &case.top).expect("elaborate");
+    let soc = compose_soc(&unit, &case.top, &ResetNaming::new(), case.analysis).expect("compose");
+    let bound = bind_events(&design, &soc).expect("bind");
+    let config = |jobs: usize, skip_sweep: bool| ConcolicConfig {
+        cycles: case.cycles,
+        max_rounds: 6,
+        symbolic_inputs: case.symbolic_inputs.clone(),
+        jobs,
+        skip_sweep,
+        ..ConcolicConfig::default()
+    };
+    let engine = |config| {
+        ConcolicEngine::new(&design, &bound, case.properties.clone(), config).expect("engine")
+    };
+    let runs: Vec<ConcolicReport> = [1, 2, 4]
+        .into_iter()
+        .map(|jobs| engine(config(jobs, false)).run().expect("run"))
+        .collect();
+    for (jobs, report) in [2, 4].iter().zip(&runs[1..]) {
+        assert_eq!(canonical(report), canonical(&runs[0]), "jobs {jobs}");
+    }
+
+    // The coverage rounds alone, then every position's forked rounds
+    // merged after them in `(domain, cycle)` order, phase by phase.
+    let mut serial = engine(config(1, true));
+    let coverage = serial.run().expect("coverage rounds");
+    assert!(coverage.rounds > 1, "the coverage loop must take rounds");
+    let mut rounds = coverage.rounds;
+    let mut violations = coverage.violations.clone();
+    let mut witnesses = coverage.witnesses.clone();
+    let mut first_violation_round = coverage.first_violation_round;
+    let mut degraded: BTreeSet<String> = coverage.degraded_reasons.iter().cloned().collect();
+    let mut tasks = 0;
+    for high in [false, true] {
+        let positions = serial.sweep_positions(high);
+        tasks += positions.len();
+        let mut forked: Vec<_> = positions
+            .iter()
+            .map(|pos| serial.fork_sweep_position(pos, |run| run).into_iter())
+            .collect();
+        let Some(first) = positions.first() else {
+            continue;
+        };
+        for &domain in &first.domains {
+            for (pos, at) in positions.iter().zip(&mut forked) {
+                let run = at.next().expect("one round per domain").expect("round");
+                rounds += 1;
+                degraded.extend(run.degraded);
+                for v in run.violations {
+                    if violations.iter().any(|e| e.property == v.property) {
+                        continue;
+                    }
+                    witnesses.push(Witness {
+                        property: v.property.clone(),
+                        schedule: pos.schedule(domain),
+                        round: rounds,
+                    });
+                    violations.push(v);
+                }
+                if first_violation_round.is_none() && !violations.is_empty() {
+                    first_violation_round = Some(rounds);
+                }
+            }
+        }
+    }
+    let report = &runs[0];
+    assert_eq!(report.rounds, rounds);
+    assert_eq!(report.violations, violations);
+    assert_eq!(report.witnesses, witnesses);
+    assert_eq!(report.first_violation_round, first_violation_round);
+    assert_eq!(
+        report.degraded_reasons,
+        degraded.into_iter().collect::<Vec<_>>()
+    );
+    assert_eq!(report.sweep_exec.tasks, tasks);
+    assert!(report.targets_covered >= coverage.targets_covered);
+    assert!(!serial.sweep_positions(true).is_empty(), "no high phase");
+    assert!(
+        report.violations.len() > coverage.violations.len(),
+        "the sweep must excite Variant #2's bugs: {report:?}"
+    );
 }

@@ -1,8 +1,10 @@
 //! # soccar-exec
 //!
 //! The parallel execution layer of the SoCCAR pipeline: a dependency-free,
-//! hand-rolled **scoped worker pool** (`std::thread` + channels) exposing a
-//! deterministic [`parallel_map`] API.
+//! hand-rolled **scoped worker pool** (`std::thread` + one atomic work
+//! cursor) exposing a deterministic [`parallel_map`] API, and
+//! [`parallel_map_beside`], which runs the same pool while the calling
+//! thread does serial work of its own and then joins the workers.
 //!
 //! Every stage that fans out through this crate obeys the project-wide
 //! **determinism contract** (DESIGN.md §9):
@@ -53,7 +55,6 @@ pub use semaphore::{Semaphore, SemaphoreGuard};
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// The environment variable consulted by [`resolve_jobs`].
@@ -207,84 +208,79 @@ impl PoolStats {
 
 type RawResult<R> = Result<R, Box<dyn std::any::Any + Send>>;
 
-/// The shared pool core: runs every task, captures panics, and returns
-/// per-task `Result`s **in input order** together with the pool's
-/// utilization counters. All public entry points are policy adapters
-/// over this.
-fn parallel_map_raw<T, R, F>(jobs: usize, items: &[T], f: F) -> (Vec<RawResult<R>>, PoolStats)
+/// The shared pool core: maps `f` over `items` on `min(jobs, items) − 1`
+/// spawned workers while the calling thread runs `foreground`; once that
+/// returns, the caller claims indices from the same cursor as one more
+/// worker until every item is done. Captures task panics and returns
+/// `foreground`'s result and per-task `Result`s **in input order**,
+/// together with the pool's utilization counters. All public entry
+/// points are policy adapters over this.
+///
+/// One job, or at most one item, spawns no thread: `foreground` runs,
+/// then the items inline. A panic in `foreground` stops the cursor, and
+/// re-raises once the workers have finished the tasks they hold.
+fn map_beside_raw<T, R, G, B, F>(
+    jobs: usize,
+    items: &[T],
+    foreground: B,
+    f: F,
+) -> (G, Vec<RawResult<R>>, PoolStats)
 where
     T: Sync,
     R: Send,
+    B: FnOnce() -> G,
     F: Fn(&T) -> R + Sync,
 {
     let jobs = if jobs == 0 { resolve_jobs(None) } else { jobs };
     let started = Instant::now();
     let workers = jobs.min(items.len()).max(1);
 
-    if workers <= 1 {
-        // Inline fast path: no threads, but the same panic-capture
-        // semantics (later items still run so side-effect-free tasks
-        // behave identically to the pooled path).
-        let mut busy = Duration::ZERO;
-        let mut out: Vec<RawResult<R>> = Vec::with_capacity(items.len());
-        for item in items {
-            let t = Instant::now();
-            out.push(catch_unwind(AssertUnwindSafe(|| f(item))));
-            busy += t.elapsed();
-        }
-        let stats = PoolStats {
-            jobs: 1,
-            tasks: items.len(),
-            busy,
-            elapsed: started.elapsed(),
-        };
-        return (out, stats);
-    }
-
-    // Work queue: a shared atomic cursor hands indices to workers; each
-    // worker sends `(index, result, task_time)` back over a channel.
+    // The one worker loop: a shared atomic cursor hands out indices, and
+    // each worker keeps `(index, result, task_time)` for the merge.
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, RawResult<R>, Duration)>();
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break done;
+            }
+            let t = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
+            done.push((i, result, t.elapsed()));
+        }
+    };
+    let (foreground, finished) = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let foreground = catch_unwind(AssertUnwindSafe(foreground));
+        if foreground.is_err() {
+            next.store(items.len(), Ordering::Relaxed);
+        }
+        let mut finished = work();
+        for worker in spawned {
+            finished.extend(worker.join().expect("the worker loop catches task panics"));
+        }
+        (foreground, finished)
+    });
+    let foreground = foreground.unwrap_or_else(|p| resume_unwind(p));
+
     let mut slots: Vec<Option<RawResult<R>>> = (0..items.len()).map(|_| None).collect();
     let mut busy = Duration::ZERO;
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let t = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
-                // A send can only fail if the receiver is gone, which
-                // cannot happen while the scope borrows it.
-                let _ = tx.send((i, result, t.elapsed()));
-            });
-        }
-        drop(tx);
-        for (i, result, took) in &rx {
-            busy += took;
-            slots[i] = Some(result);
-        }
-    });
-
+    for (i, result, took) in finished {
+        busy += took;
+        slots[i] = Some(result);
+    }
     let stats = PoolStats {
         jobs: workers,
         tasks: items.len(),
         busy,
         elapsed: started.elapsed(),
     };
-    (
-        slots
-            .into_iter()
-            .map(|r| r.expect("every index produced a result"))
-            .collect(),
-        stats,
-    )
+    let results = slots
+        .into_iter()
+        .map(|r| r.expect("every index produced a result"))
+        .collect();
+    (foreground, results, stats)
 }
 
 /// Maps `f` over `items` on up to `jobs` worker threads, returning results
@@ -319,24 +315,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let (raw, stats) = parallel_map_raw(jobs, items, f);
-    let mut out = Vec::with_capacity(raw.len());
-    let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    // `raw` is index-ordered, so the first error seen is the
-    // lowest-index panic and its original payload is what re-raises.
-    for r in raw {
-        match r {
-            Ok(v) => out.push(v),
-            Err(p) => {
-                if first_panic.is_none() {
-                    first_panic = Some(p);
-                }
-            }
-        }
-    }
-    if let Some(p) = first_panic {
-        resume_unwind(p);
-    }
+    let (outcomes, stats) = parallel_map_policy(jobs, items, FailurePolicy::FailFast, f);
+    let out = outcomes
+        .into_iter()
+        .map(|o| o.ok().expect("fail-fast re-raised every panic"))
+        .collect();
     (out, stats)
 }
 
@@ -360,8 +343,45 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let (raw, stats) = parallel_map_raw(jobs, items, f);
+    let ((), outcomes, stats) = parallel_map_beside(jobs, items, policy, || (), f);
+    (outcomes, stats)
+}
+
+/// Like [`parallel_map_policy`], while the calling thread first runs
+/// `foreground`: the items go to `jobs − 1` spawned workers (fewer when
+/// there are fewer items), and once `foreground` returns, the caller
+/// joins them on the same work cursor until every item is done. Returns
+/// `foreground`'s result, the index-ordered outcomes and the pool's
+/// counters; `elapsed` spans `foreground` too, while `busy` counts the
+/// tasks alone.
+///
+/// Use it to overlap independent work with a serial computation that
+/// must stay on the calling thread. `jobs == 1`, an empty `items` or a
+/// single item spawns no thread: `foreground` runs, then the items
+/// inline.
+///
+/// # Panics
+///
+/// A panic in `foreground` stops handing out items and re-raises once
+/// the workers have finished the tasks they hold. Task panics follow
+/// `policy`, as in [`parallel_map_policy`].
+pub fn parallel_map_beside<T, R, G, B, F>(
+    jobs: usize,
+    items: &[T],
+    policy: FailurePolicy,
+    foreground: B,
+    f: F,
+) -> (G, Vec<TaskOutcome<R>>, PoolStats)
+where
+    T: Sync,
+    R: Send,
+    B: FnOnce() -> G,
+    F: Fn(&T) -> R + Sync,
+{
+    let (foreground, raw, stats) = map_beside_raw(jobs, items, foreground, f);
     if policy == FailurePolicy::FailFast {
+        // `raw` is index-ordered, so the first error is the lowest-index
+        // panic, and its original payload is what re-raises.
         if let Some(pos) = raw.iter().position(Result::is_err) {
             let mut raw = raw;
             let Err(p) = raw.swap_remove(pos) else {
@@ -379,7 +399,7 @@ where
             },
         })
         .collect();
-    (outcomes, stats)
+    (foreground, outcomes, stats)
 }
 
 #[cfg(test)]
@@ -544,6 +564,160 @@ mod tests {
         assert_eq!(resolve_jobs(Some(3)), 3);
         assert!(resolve_jobs(Some(0)) >= 1);
         assert!(resolve_jobs(None) >= 1);
+    }
+
+    #[test]
+    fn beside_returns_the_foreground_result_and_ordered_results() {
+        let items: Vec<u64> = (0..64).collect();
+        for jobs in [1, 2, 4] {
+            let (fg, out, stats) = parallel_map_beside(
+                jobs,
+                &items,
+                FailurePolicy::FailFast,
+                || "coverage",
+                |n| {
+                    std::thread::sleep(Duration::from_micros(64 - n));
+                    n * 2
+                },
+            );
+            assert_eq!(fg, "coverage");
+            let out: Vec<u64> = out.into_iter().filter_map(TaskOutcome::ok).collect();
+            assert_eq!(out, items.iter().map(|n| n * 2).collect::<Vec<_>>());
+            assert_eq!(stats.tasks, 64);
+            assert_eq!(stats.jobs, jobs);
+        }
+    }
+
+    #[test]
+    fn beside_runs_tasks_while_the_foreground_runs() {
+        // The foreground waits for a task to finish on another thread,
+        // which only a worker spawned beside it can do.
+        let ran = AtomicU32::new(0);
+        let caller = std::thread::current().id();
+        let (seen, out, _) = parallel_map_beside(
+            2,
+            &[0u32, 1, 2, 3],
+            FailurePolicy::FailFast,
+            || {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while ran.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                ran.load(Ordering::SeqCst)
+            },
+            |n| {
+                if std::thread::current().id() != caller {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                }
+                *n
+            },
+        );
+        assert!(seen > 0, "no task ran beside the foreground");
+        assert_eq!(out.len(), 4);
+    }
+
+    #[test]
+    fn beside_spawns_no_thread_for_one_job_or_no_items() {
+        let caller = std::thread::current().id();
+        let mut order = Vec::new();
+        let log = std::sync::Mutex::new(Vec::new());
+        for (jobs, items) in [(1, vec![0u32, 1, 2]), (4, vec![7]), (4, Vec::new())] {
+            let (fg_thread, out, stats) = parallel_map_beside(
+                jobs,
+                &items,
+                FailurePolicy::FailFast,
+                || {
+                    log.lock().expect("log").push("foreground");
+                    std::thread::current().id()
+                },
+                |n| {
+                    log.lock().expect("log").push("task");
+                    (std::thread::current().id(), *n)
+                },
+            );
+            assert_eq!(fg_thread, caller);
+            assert_eq!(stats.jobs, 1, "jobs {jobs}, {} items", items.len());
+            for outcome in out {
+                let (thread, _) = outcome.ok().expect("task succeeded");
+                assert_eq!(thread, caller, "jobs {jobs}: a task ran off the caller");
+            }
+            order.push(std::mem::take(&mut *log.lock().expect("log")));
+        }
+        // Inline: the foreground first, then the items in order.
+        assert_eq!(order[0], ["foreground", "task", "task", "task"]);
+        assert_eq!(order[1], ["foreground", "task"]);
+        assert_eq!(order[2], ["foreground"]);
+    }
+
+    #[test]
+    fn beside_rethrows_the_lowest_index_task_panic() {
+        for jobs in [1, 2, 4] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                parallel_map_beside(
+                    jobs,
+                    &[0u32, 1, 2, 3, 4],
+                    FailurePolicy::FailFast,
+                    || (),
+                    |n| {
+                        if *n >= 2 {
+                            panic!("task {n} failed");
+                        }
+                        *n
+                    },
+                )
+            }));
+            let payload = result.expect_err("panics propagate");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "task 2 failed",
+                "jobs={jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn beside_keep_going_fills_failed_slots_in_place() {
+        for jobs in [1, 2, 4] {
+            let (fg, out, stats) = parallel_map_beside(
+                jobs,
+                &[0u32, 1, 2, 3],
+                FailurePolicy::KeepGoing,
+                || 42,
+                |n| {
+                    assert!(*n != 1, "task {n} exploded");
+                    *n
+                },
+            );
+            assert_eq!(fg, 42);
+            assert_eq!(stats.tasks, 4);
+            assert_eq!(out[0], TaskOutcome::Ok(0), "jobs={jobs}");
+            assert_eq!(out[1].panic_message(), Some("task 1 exploded"));
+            assert_eq!(out[2], TaskOutcome::Ok(2));
+            assert_eq!(out[3], TaskOutcome::Ok(3));
+        }
+    }
+
+    #[test]
+    fn foreground_panic_stops_the_cursor_and_propagates() {
+        let items: Vec<u32> = (0..1000).collect();
+        let ran = AtomicU32::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map_beside(
+                2,
+                &items,
+                FailurePolicy::FailFast,
+                || -> u32 { panic!("foreground failed") },
+                |n| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(1));
+                    *n
+                },
+            )
+        }));
+        let payload = result.expect_err("the foreground panic propagates");
+        assert_eq!(panic_message(payload.as_ref()), "foreground failed");
+        let ran = ran.load(Ordering::SeqCst);
+        assert!(ran < 1000, "{ran} tasks ran after the foreground failed");
     }
 
     #[test]

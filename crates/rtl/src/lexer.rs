@@ -15,6 +15,13 @@ use crate::span::{FileId, Span};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use crate::value::{Bit, LogicVec};
 
+/// The widest literal the lexer builds, in bits: the width of the widest
+/// net a declaration may have. A larger declared size, or binary, octal
+/// or hex digits spelling more bits, is an [`RtlErrorKind::Limit`] error
+/// raised before any of the literal's value is allocated: the 13-byte
+/// literal `4294967295'h1` would otherwise ask for two 512 MiB planes.
+pub const MAX_LITERAL_BITS: u32 = 1 << 20;
+
 /// Lexes `text` (belonging to `file`) into a token stream terminated by
 /// a single [`TokenKind::Eof`] token: [`Lexer`] collected.
 ///
@@ -22,7 +29,8 @@ use crate::value::{Bit, LogicVec};
 ///
 /// Returns an [`RtlError`] of kind [`RtlErrorKind::Lex`] on malformed
 /// input (stray characters, unterminated comments/strings, bad digits
-/// for the literal base, zero-width literals).
+/// for the literal base, zero-width literals), or of kind
+/// [`RtlErrorKind::Limit`] on a literal wider than [`MAX_LITERAL_BITS`].
 pub fn lex(file: FileId, text: &str) -> RtlResult<Vec<Token>> {
     Lexer::new(file, text).collect()
 }
@@ -224,7 +232,8 @@ impl<'a> Lexer<'a> {
         if self.peek() == Some(b'\'') {
             let size = value
                 .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| self.err("literal size too large", start))?;
+                .filter(|v| *v <= MAX_LITERAL_BITS)
+                .ok_or_else(|| self.literal_limit(start))?;
             if size == 0 {
                 return Err(self.err("zero-width literal", start));
             }
@@ -292,6 +301,9 @@ impl<'a> Lexer<'a> {
         if !any {
             return Err(self.err("based literal has no digits", digits_start));
         }
+        if nbits > MAX_LITERAL_BITS {
+            return Err(self.literal_limit(start));
+        }
         let natural = if base == 10 {
             LogicVec::from_planes(64, val, 0)
         } else if nbits <= 64 {
@@ -315,6 +327,16 @@ impl<'a> Lexer<'a> {
             value,
             sized: size.is_some(),
         })
+    }
+
+    /// The error for a literal, starting at `start`, that is wider than
+    /// [`MAX_LITERAL_BITS`].
+    fn literal_limit(&self, start: usize) -> RtlError {
+        RtlError::new(
+            RtlErrorKind::Limit,
+            format!("literal wider than {MAX_LITERAL_BITS} bits"),
+            self.span_from(start),
+        )
     }
 
     /// The `nbits`-bit value of the binary, octal or hex digits lexed

@@ -8,13 +8,17 @@
 //! may pipeline any number of requests. All analysis requests serialize
 //! over the session mutex — parallelism lives *inside* the pipeline's
 //! worker pool, which keeps responses byte-identical to batch runs by
-//! construction. Shutdown is cooperative: a `shutdown` request is
-//! acknowledged, then the acceptor drains and [`Server::run`] returns.
+//! construction. A request whose analysis panics gets an error envelope,
+//! and the session it may have left half-updated is replaced by a fresh
+//! one, so the next request is served as if the daemon had just started.
+//! Shutdown is cooperative: a `shutdown` request is acknowledged, then
+//! the acceptor drains and [`Server::run`] returns.
 
 use std::io::{BufWriter, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
@@ -40,8 +44,10 @@ pub struct ServerOptions {
     /// via `SOCCAR_JOBS`, then available cores). Reports are identical
     /// for every value.
     pub jobs: usize,
-    /// Serve-layer fault-injection plan (chaos testing; empty in
-    /// production).
+    /// Fault-injection plan (chaos testing; empty in production): the
+    /// serve-layer `shed:admission` point, and the pipeline's points,
+    /// which every analyze request then injects, bypassing the session's
+    /// caches.
     pub fault_plan: FaultPlan,
     /// How long a connection may sit silent *between* frames before the
     /// server closes it (`None` = forever).
@@ -201,7 +207,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&options.listen)?;
         let addr = listener.local_addr()?;
-        let session = AnalysisSession::new(SoccarConfig::default()).with_recorder(recorder.clone());
+        let session = fresh_session(&recorder);
         Ok(Server {
             listener,
             addr,
@@ -253,9 +259,7 @@ impl Server {
             // Admission control: bounding here (not in the handler)
             // bounds the thread count, not just the work in flight.
             let admission_idx = self.admission_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            let forced_shed = self
-                .fault_plan
-                .should_inject("shed:admission", admission_idx);
+            let forced_shed = self.fault_plan.should_inject(SHED_POINT, admission_idx);
             let permit = if forced_shed {
                 None
             } else {
@@ -272,11 +276,13 @@ impl Server {
                 let _ = self.handle(stream);
             });
         })?;
-        Ok(self
-            .session
-            .lock()
-            .map(|s| s.counters().requests)
-            .unwrap_or(0))
+        Ok(self.session().counters().requests)
+    }
+
+    /// The analysis session. Every panic under its lock is caught and
+    /// the session replaced, so a poisoned lock holds a sound session.
+    fn session(&self) -> MutexGuard<'_, AnalysisSession> {
+        self.session.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sheds one connection: reads nothing, answers every queued byte
@@ -378,17 +384,33 @@ impl Server {
             Err(e) => return (Envelope::error(&e), Vec::new()),
         };
         config.jobs = self.jobs;
+        // A plan naming pipeline points makes every analyze request
+        // inject them (and bypass the caches); a plan of the serve-layer
+        // point alone leaves requests cacheable.
+        if self
+            .fault_plan
+            .injections()
+            .any(|(point, _)| point != SHED_POINT)
+        {
+            config.fault_plan = self.fault_plan.clone();
+        }
         let outcome = {
-            let mut session = match self.session.lock() {
-                Ok(guard) => guard,
-                Err(_) => {
+            let mut session = self.session();
+            let analyzed = catch_unwind(AssertUnwindSafe(|| {
+                session.analyze_with_config(&file_name, &source, &top, properties, &config)
+            }));
+            match analyzed {
+                Ok(outcome) => outcome,
+                Err(panic) => {
+                    // The panic may have left the caches half-updated.
+                    *session = fresh_session(&self.recorder);
+                    let message = soccar_exec::panic_message(panic.as_ref());
                     return (
-                        Envelope::error("analysis session poisoned by an earlier panic"),
+                        Envelope::error(&format!("analysis panicked: {message}")),
                         Vec::new(),
-                    )
+                    );
                 }
-            };
-            session.analyze_with_config(&file_name, &source, &top, properties, &config)
+            }
         };
         match outcome {
             Err(e) => (Envelope::error(&e.to_string()), Vec::new()),
@@ -460,15 +482,7 @@ impl Server {
 
     fn dispatch_status(&self) -> (Envelope, Vec<u8>) {
         self.recorder.counter_add("server.requests", 1);
-        let session = match self.session.lock() {
-            Ok(guard) => guard,
-            Err(_) => {
-                return (
-                    Envelope::error("analysis session poisoned by an earlier panic"),
-                    Vec::new(),
-                )
-            }
-        };
+        let session = self.session();
         let body = StatusBody {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             jobs: self.jobs,
@@ -481,6 +495,14 @@ impl Server {
             Ok(json) => (Envelope::ok("status"), json.into_bytes()),
         }
     }
+}
+
+/// The serve-layer fault point: shed the indexed admission.
+const SHED_POINT: &str = "shed:admission";
+
+/// An empty analysis session reporting into `recorder`.
+fn fresh_session(recorder: &soccar_obs::Recorder) -> AnalysisSession {
+    AnalysisSession::new(SoccarConfig::default()).with_recorder(recorder.clone())
 }
 
 /// Write deadline for `busy` envelopes when the server has no

@@ -1,7 +1,7 @@
 //! Serve-layer chaos, in process: load shedding and the `busy`
-//! envelope, the deterministic `shed@admission` fault point, and the
+//! envelope, the deterministic `shed@admission` fault point, the
 //! transport guards (idle timeout, slow-loris frame deadline, oversized
-//! frames).
+//! frames), and per-request isolation of a panicking analysis.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -10,7 +10,9 @@ use std::thread;
 use std::time::Duration;
 
 use soccar_exec::FaultPlan;
-use soccar_serve::{read_frame, Client, Json, Request, Server, ServerOptions, MAX_FRAME};
+use soccar_serve::{
+    read_frame, resolve_request, Client, Json, Request, Server, ServerOptions, MAX_FRAME,
+};
 
 fn with_server(options: ServerOptions, body: impl FnOnce(&str)) {
     let server = Arc::new(Server::bind(&options).expect("bind"));
@@ -154,5 +156,52 @@ fn oversized_frames_get_an_error_naming_the_length() {
             error.contains(&huge.to_string()),
             "error must name the offending length: {error}"
         );
+    });
+}
+
+/// An analysis that panics inside the session — here an injected
+/// extraction-worker panic without `keep_going` — gets an error envelope
+/// naming the panic. The session is rebuilt, not poisoned: it panics the
+/// same way again, and then the same request with `keep_going` on the
+/// same connection is served byte-identical to batch.
+#[test]
+fn a_panicking_analysis_gets_an_error_envelope_and_the_next_request_is_served() {
+    let plan = FaultPlan::parse("task_panic@extract:1").expect("plan");
+    let options = ServerOptions {
+        fault_plan: plan.clone(),
+        ..ServerOptions::default()
+    };
+    with_server(options, |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        let mut req = Request::new("analyze");
+        req.soc = "clustersoc".to_owned();
+        req.cycles = Some(6);
+        req.rounds = Some(2);
+        for _ in 0..2 {
+            let (envelope, body) = client.roundtrip(&req).expect("panicking analyze");
+            assert!(!envelope.ok);
+            assert_eq!(
+                envelope.error,
+                "analysis panicked: injected fault: task_panic@extract:1"
+            );
+            assert!(body.is_empty());
+        }
+
+        req.keep_going = true;
+        let (file_name, source, top, properties, mut config) =
+            resolve_request(&req).expect("resolve");
+        config.fault_plan = plan.clone();
+        let batch = soccar::Soccar::new(config)
+            .analyze(&file_name, &source, &top, properties)
+            .expect("batch analyze")
+            .canonical_json()
+            .expect("canonical json");
+        let (envelope, body) = client.roundtrip(&req).expect("analyze");
+        assert!(envelope.ok, "analyze failed: {}", envelope.error);
+        assert_eq!(envelope.health, "degraded");
+        assert_eq!(std::str::from_utf8(&body).expect("utf-8"), batch);
+
+        let status = status_json(addr);
+        assert!(status.u64_field("uptime_ms").is_some());
     });
 }

@@ -3,8 +3,9 @@
 //! `soccar` CLI, 5000 nested `if` or `begin` statements given to the CLI
 //! and to `soccar serve`, and 20 000 nested JSON arrays sent to `soccar
 //! serve`.
-//! Cycle horizons past `MAX_CYCLES`, and designs declaring more than
-//! `MAX_DESIGN_NET_BITS` net bits, end in a named limit error, never in a
+//! Cycle horizons past `MAX_CYCLES`, designs declaring more than
+//! `MAX_DESIGN_NET_BITS` net bits, and literals wider than
+//! `MAX_LITERAL_BITS` end in a named limit error, never in a
 //! failed-allocation abort, on the CLI and over the wire alike.
 
 use std::net::TcpStream;
@@ -292,6 +293,74 @@ fn net_width_bomb_gets_an_error_envelope_and_the_daemon_keeps_serving() {
     );
     assert!(body.is_empty());
     drop(client);
+
+    serves_batch_identical_analyze_then_shuts_down(&addr);
+    runner.join().expect("server thread");
+}
+
+/// A 13-byte literal declaring 2^32 - 1 bits, and the error it must end
+/// in.
+const LITERAL_BOMB: &str =
+    "module top(input a, output q);\n  assign q = 4294967295'h1;\nendmodule\n";
+
+fn literal_width_error() -> String {
+    format!(
+        "input limit exceeded: literal wider than {} bits",
+        soccar_rtl::lexer::MAX_LITERAL_BITS
+    )
+}
+
+/// The literal used to build two 512 MiB planes in `soccar lint` and
+/// abort `soccar analyze` with exit 134. Run under a 2 GB address-space
+/// cap, so a regression aborts instead of exhausting the machine.
+#[test]
+fn literal_width_bomb_exits_with_the_named_limit_error() {
+    let dir = std::env::temp_dir().join(format!("soccar-literal-limits-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let bomb = dir.join("bomb.v");
+    std::fs::write(&bomb, LITERAL_BOMB).expect("write bomb");
+    for cmd in ["analyze \"$1\" --top top", "lint \"$1\""] {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(format!("ulimit -v 2000000; exec \"$0\" {cmd}"))
+            .arg(BIN)
+            .arg(&bomb)
+            .env_remove("SOCCAR_FAULTS")
+            .output()
+            .expect("run soccar");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(stderr.contains(&literal_width_error()), "{cmd}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same literal in an analyze or a lint request gets an error
+/// envelope naming the limit, and the daemon goes on serving.
+#[test]
+fn literal_width_bomb_gets_error_envelopes_and_the_daemon_keeps_serving() {
+    let server = Arc::new(Server::bind(&ServerOptions::default()).expect("bind"));
+    let addr = server.local_addr().to_string();
+    let runner = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run().expect("run"))
+    };
+
+    for cmd in ["analyze", "lint"] {
+        let mut req = Request::new(cmd);
+        req.file_name = "bomb.v".to_owned();
+        req.source = LITERAL_BOMB.to_owned();
+        req.top = "top".to_owned();
+        let mut client = Client::connect(&addr).expect("connect");
+        let (envelope, body) = client.roundtrip(&req).expect("bomb request");
+        assert!(!envelope.ok, "{cmd}");
+        assert!(
+            envelope.error.contains(&literal_width_error()),
+            "{cmd}: {}",
+            envelope.error
+        );
+        assert!(body.is_empty());
+    }
 
     serves_batch_identical_analyze_then_shuts_down(&addr);
     runner.join().expect("server thread");

@@ -5,11 +5,13 @@
 //! declaring a huge memory analyzes without allocating it, and a cycle
 //! horizon past `MAX_CYCLES` is a named error instead of a failed
 //! allocation, and so is a design declaring more than
-//! `MAX_DESIGN_NET_BITS` net bits in total.
+//! `MAX_DESIGN_NET_BITS` net bits in total, and a literal wider than
+//! `MAX_LITERAL_BITS`.
 
 use soccar::{Soccar, SoccarConfig};
 use soccar_concolic::{ConcolicConfig, MAX_CYCLES};
 use soccar_rtl::elaborate::{elaborate, MAX_DESIGN_NET_BITS};
+use soccar_rtl::lexer::MAX_LITERAL_BITS;
 use soccar_rtl::parser::{parse, MAX_EXPR_DEPTH, MAX_STMT_DEPTH};
 use soccar_rtl::span::FileId;
 use soccar_rtl::RtlErrorKind;
@@ -376,4 +378,59 @@ fn total_net_width_limit_is_exact() {
     let past = parse(FileId(0), &wide_regs(regs, tail + 1)).expect("parses");
     let err = elaborate(&past, "top").expect_err("one bit past the limit is rejected");
     assert_eq!(err.kind, RtlErrorKind::Limit, "{err}");
+}
+
+/// A one-output module driving `q` from `literal`.
+fn literal_design(literal: &str) -> String {
+    format!("module top(input a, output q);\n  assign q = a ^ {literal};\nendmodule\n")
+}
+
+/// The error every literal past [`MAX_LITERAL_BITS`] gets.
+fn literal_limit_error() -> String {
+    format!("input limit exceeded: literal wider than {MAX_LITERAL_BITS} bits")
+}
+
+/// `4294967295'h1` (13 bytes) used to build two 512 MiB planes in `soccar
+/// lint` and abort `soccar analyze` with exit 134. It, a size past `u64`,
+/// and a literal whose digits alone spell too many bits are now named
+/// limit errors, raised before the value is allocated.
+#[test]
+fn literal_width_bomb_is_a_named_limit_error() {
+    let too_many_digits = format!("'b{}", "1".repeat(MAX_LITERAL_BITS as usize + 1));
+    for literal in ["4294967295'h1", "99999999999999999999'hx", &too_many_digits] {
+        let src = literal_design(literal);
+        let err = parse(FileId(0), &src).expect_err("the bomb must not parse");
+        assert_eq!(err.kind, RtlErrorKind::Limit, "{err}");
+        assert_eq!(err.to_string(), literal_limit_error());
+        let result =
+            Soccar::new(SoccarConfig::default()).analyze("bomb.v", &src, "top", Vec::new());
+        let err = result.expect_err("the bomb must not analyze");
+        assert!(err.to_string().contains(&literal_limit_error()), "{err}");
+    }
+}
+
+/// The limit is exact, for a declared size and for the digits' own
+/// width: 2^20 bits lex and elaborate, 2^20 + 1 do not.
+#[test]
+fn literal_width_limit_is_exact() {
+    let max = MAX_LITERAL_BITS as usize;
+    let at_limit = [
+        format!("{max}'h1"),
+        format!("{max}'bx"),
+        format!("'b{}", "1".repeat(max)),
+        format!("'h{}", "f".repeat(max / 4)),
+    ];
+    for literal in &at_limit {
+        let unit = parse(FileId(0), &literal_design(literal)).expect("the limit itself parses");
+        elaborate(&unit, "top").expect("the limit itself elaborates");
+    }
+    let past = [
+        format!("{}'h1", max + 1),
+        format!("'b{}", "1".repeat(max + 1)),
+        format!("'h{}", "f".repeat(max / 4 + 1)),
+    ];
+    for literal in &past {
+        let err = parse(FileId(0), &literal_design(literal)).expect_err("one bit past the limit");
+        assert_eq!(err.kind, RtlErrorKind::Limit, "{err}");
+    }
 }
