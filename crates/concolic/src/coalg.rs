@@ -1,5 +1,5 @@
-//! The concolic co-simulation algebra, and the concrete coverage algebra
-//! the reset sweep runs on.
+//! The concolic co-simulation algebra, and the interface the engine's
+//! round driver needs of an algebra.
 //!
 //! [`CoValue`] pairs every simulation value with an optional symbolic term:
 //! the concrete half drives execution (branch decisions, memory indices,
@@ -16,11 +16,12 @@
 //!   [`soccar_sim::Algebra::on_branch`] and recorded as a
 //!   [`BranchObservation`] in chronological order.
 //!
-//! Sweep rounds plan no flips, so they need none of that shadow state:
-//! [`CoverageAlgebra`] computes the same concrete values and records only
-//! `(site, direction)` branch coverage. Both implement [`RoundAlgebra`],
-//! the interface the engine's single round driver is generic over, and
-//! both record coverage in a [`BranchCoverage`] bitset.
+//! Sweep rounds and witness replays plan no flips, so they need none of
+//! that shadow state: they run on the simulator's own
+//! [`ConcreteAlgebra`], which computes the same concrete values and
+//! records only `(site, direction)` branch coverage. Both implement
+//! [`RoundAlgebra`], the interface the engine's single round driver is
+//! generic over, and both record coverage in a [`BranchCoverage`] bitset.
 
 use std::fmt;
 
@@ -28,6 +29,7 @@ use soccar_rtl::ast::{BinaryOp, UnaryOp};
 use soccar_rtl::design::BranchSiteId;
 use soccar_rtl::value::LogicVec;
 use soccar_sim::algebra::{concrete_binary, concrete_mux, concrete_unary, Algebra};
+use soccar_sim::{BranchCoverage, ConcreteAlgebra};
 use soccar_smt::{BvVal, TermGraph, TermId};
 
 /// An algebra the engine's round driver can run a schedule on.
@@ -38,46 +40,6 @@ pub trait RoundAlgebra: Algebra + Default {
 
     /// Branch coverage: every `(site, direction)` executed this run.
     fn coverage(&self) -> &BranchCoverage;
-}
-
-/// A set of `(site, direction)` branch outcomes: one bit per pair, at
-/// index `2·site + direction`.
-///
-/// The word vector ends at the word of the highest pair inserted (it has
-/// no trailing zero word), so the derived equality is set equality.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BranchCoverage {
-    words: Vec<u64>,
-}
-
-impl BranchCoverage {
-    fn index(site: BranchSiteId, dir: bool) -> usize {
-        2 * site.0 as usize + usize::from(dir)
-    }
-
-    /// Records that `site` went direction `dir`.
-    pub fn insert(&mut self, site: BranchSiteId, dir: bool) {
-        let i = BranchCoverage::index(site, dir);
-        let word = i / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1 << (i % 64);
-    }
-
-    /// `true` if `site` went direction `dir`.
-    #[must_use]
-    pub fn contains(&self, site: BranchSiteId, dir: bool) -> bool {
-        let i = BranchCoverage::index(site, dir);
-        self.words
-            .get(i / 64)
-            .is_some_and(|word| word & (1 << (i % 64)) != 0)
-    }
-
-    /// Empties the set, keeping its buffer.
-    pub fn clear(&mut self) {
-        self.words.clear();
-    }
 }
 
 /// A concrete value with an optional symbolic shadow.
@@ -409,129 +371,27 @@ impl RoundAlgebra for CoAlgebra {
     }
 }
 
-/// The concrete coverage algebra: plain [`LogicVec`] values plus the
-/// `(site, direction)` branch-coverage set. No symbolic inputs, no terms.
+/// The concrete algebra of the reset sweep and of witness replays: plain
+/// [`LogicVec`] values and branch coverage, no symbolic inputs, no terms.
 ///
 /// The one behavioral difference from [`CoAlgebra`] is in
 /// [`Algebra::changed`]: the co-algebra also wakes level-sensitive
 /// processes when only a term changed. Those re-evaluations see identical
 /// concrete values, so branch coverage, the set of processes that ran,
 /// and every property verdict are the same on both algebras.
-#[derive(Debug, Clone, Default)]
-pub struct CoverageAlgebra {
-    coverage: BranchCoverage,
-}
-
-impl RoundAlgebra for CoverageAlgebra {
+impl RoundAlgebra for ConcreteAlgebra {
     fn input(&mut self, _name: fmt::Arguments<'_>, value: LogicVec) -> LogicVec {
         value
     }
 
     fn coverage(&self) -> &BranchCoverage {
-        &self.coverage
-    }
-}
-
-impl Algebra for CoverageAlgebra {
-    type Value = LogicVec;
-
-    fn constant(&mut self, c: LogicVec) -> LogicVec {
-        c
-    }
-
-    fn concrete<'a>(&self, v: &'a LogicVec) -> &'a LogicVec {
-        v
-    }
-
-    fn unary(&mut self, op: UnaryOp, a: &LogicVec) -> LogicVec {
-        concrete_unary(op, a)
-    }
-
-    fn binary(&mut self, op: BinaryOp, a: &LogicVec, b: &LogicVec) -> LogicVec {
-        concrete_binary(op, a, b)
-    }
-
-    fn mux(&mut self, cond: &LogicVec, t: &LogicVec, e: &LogicVec) -> LogicVec {
-        concrete_mux(cond, t, e)
-    }
-
-    fn concat(&mut self, hi: &LogicVec, lo: &LogicVec) -> LogicVec {
-        hi.concat(lo)
-    }
-
-    fn slice(&mut self, a: &LogicVec, lo: u32, width: u32) -> LogicVec {
-        a.slice(lo, width)
-    }
-
-    fn resize(&mut self, a: &LogicVec, width: u32) -> LogicVec {
-        a.resize(width)
-    }
-
-    fn on_branch(&mut self, site: BranchSiteId, _cond: &LogicVec, taken: bool) {
-        self.coverage.insert(site, taken);
-    }
-
-    fn changed(old: &LogicVec, new: &LogicVec) -> bool {
-        old != new
+        ConcreteAlgebra::coverage(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn coverage_holds_each_direction_of_each_site() {
-        let mut cov = BranchCoverage::default();
-        assert!(!cov.contains(BranchSiteId(0), false));
-        cov.insert(BranchSiteId(0), true);
-        assert!(cov.contains(BranchSiteId(0), true));
-        assert!(!cov.contains(BranchSiteId(0), false));
-        cov.insert(BranchSiteId(0), false);
-        assert!(cov.contains(BranchSiteId(0), false));
-        assert!(!cov.contains(BranchSiteId(1), true));
-        assert!(!cov.contains(BranchSiteId(1), false));
-    }
-
-    #[test]
-    fn coverage_spans_word_boundaries() {
-        // Sites 31 and 32 straddle the first word boundary (bits 63, 64);
-        // site 1000 lands many words past anything inserted before.
-        let mut cov = BranchCoverage::default();
-        for (site, dir) in [(31, true), (32, false), (1000, true)] {
-            cov.insert(BranchSiteId(site), dir);
-        }
-        for site in [30, 31, 32, 33, 999, 1000, 1001, 5000] {
-            for dir in [false, true] {
-                let want = matches!((site, dir), (31, true) | (32, false) | (1000, true));
-                assert_eq!(cov.contains(BranchSiteId(site), dir), want, "{site} {dir}");
-            }
-        }
-    }
-
-    #[test]
-    fn coverage_equality_is_set_equality() {
-        let pairs = [(3, true), (70, false), (7, false)];
-        let mut a = BranchCoverage::default();
-        let mut b = BranchCoverage::default();
-        for &(site, dir) in &pairs {
-            a.insert(BranchSiteId(site), dir);
-        }
-        for &(site, dir) in pairs.iter().rev() {
-            b.insert(BranchSiteId(site), dir);
-        }
-        assert_eq!(a, b, "insertion order does not matter");
-        b.insert(BranchSiteId(3), true);
-        assert_eq!(a, b, "re-inserting a member changes nothing");
-        b.insert(BranchSiteId(3), false);
-        assert_ne!(a, b, "the other direction is another member");
-        a.clear();
-        assert_eq!(a, BranchCoverage::default(), "a cleared set is empty");
-        a.insert(BranchSiteId(3), true);
-        let mut c = BranchCoverage::default();
-        c.insert(BranchSiteId(3), true);
-        assert_eq!(a, c, "a cleared and refilled set equals a fresh one");
-    }
 
     #[test]
     fn concrete_only_ops_build_no_terms() {

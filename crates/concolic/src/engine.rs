@@ -25,8 +25,8 @@
 //!    every domain, exploring the reset-timing space the paper calls
 //!    "prohibitive" for plain dynamic validation — here it is tractable
 //!    because the AR_CFG restricts attention to reset-governed logic.
-//!    Sweep rounds plan no flips, so they run on the concrete
-//!    [`crate::coalg::CoverageAlgebra`] (branch coverage only, no terms).
+//!    Sweep rounds plan no flips, so they run on the simulator's
+//!    [`ConcreteAlgebra`] (branch coverage only, no terms).
 //!    Each round is a pure function of its `(domain, cycle, seed)`
 //!    schedule, and every domain's round at pulse cycle `at` shares its
 //!    first `at` cycles: each position simulates that prefix once and
@@ -52,10 +52,10 @@ use soccar_cfg::extract::EventArm;
 use soccar_exec::{FailurePolicy, FaultPlan, TaskOutcome};
 use soccar_rtl::design::{BranchSiteId, Design, NetId, ProcessId};
 use soccar_rtl::value::LogicVec;
-use soccar_sim::{Algebra, InitPolicy, SimResult, Simulator, WakeMap};
+use soccar_sim::{Algebra, ConcreteAlgebra, InitPolicy, SimResult, Simulator, WakeMap};
 use soccar_smt::{CheckResult, SolveBudget, Solver, Term, TermGraph, TermId};
 
-use crate::coalg::{from_bv, BranchObservation, CoAlgebra, CoverageAlgebra, RoundAlgebra};
+use crate::coalg::{from_bv, BranchObservation, CoAlgebra, RoundAlgebra};
 use crate::property::{PropertyMonitor, SecurityProperty, Violation};
 use crate::schedule::TestSchedule;
 
@@ -158,9 +158,6 @@ struct Target {
     /// Index of the controllable domain to pulse, when direct reset
     /// scheduling can reach the target.
     domain_idx: Option<usize>,
-    /// Human-readable description (kept for Debug output and diagnostics).
-    #[allow(dead_code)]
-    desc: String,
 }
 
 /// A property violation together with the schedule that produced it.
@@ -294,7 +291,7 @@ struct RoundContext<'d> {
     clock_composed: Vec<bool>,
     /// Time zero of every sweep round, built on first use: it depends on
     /// the context alone, so each sweep position clones it.
-    sweep_start: OnceLock<SimResult<RoundRun<'d, CoverageAlgebra>>>,
+    sweep_start: OnceLock<SimResult<RoundRun<'d, ConcreteAlgebra>>>,
 }
 
 /// The decision walk's state: coverage so far, the walk's bookkeeping and
@@ -440,14 +437,7 @@ impl<'d> ConcolicEngine<'d> {
             if ev.event.arm == EventArm::WholeBlock {
                 let goal = TargetGoal::Process(ev.process);
                 if seen.insert(goal) {
-                    targets.push(Target {
-                        goal,
-                        domain_idx,
-                        desc: format!(
-                            "whole-block reset event in `{}` (always #{})",
-                            ev.instance, ev.event.always_index
-                        ),
-                    });
+                    targets.push(Target { goal, domain_idx });
                 }
                 continue;
             }
@@ -466,14 +456,7 @@ impl<'d> ConcolicEngine<'d> {
                 for dir in [true, false] {
                     let goal = TargetGoal::Site { site, dir };
                     if seen.insert(goal) {
-                        targets.push(Target {
-                            goal,
-                            domain_idx,
-                            desc: format!(
-                                "site {} dir {dir} in `{}` (always #{})",
-                                site.0, ev.instance, ev.event.always_index
-                            ),
-                        });
+                        targets.push(Target { goal, domain_idx });
                     }
                 }
             }
@@ -727,10 +710,10 @@ impl<'d> ConcolicEngine<'d> {
         self.ctx.sweep_positions(high)
     }
 
-    /// Runs every round of one sweep position on the concrete coverage
-    /// algebra: from a clone of the time-zero state every sweep round
-    /// shares, cycles `0..at` once on the shared prefix, then, from a
-    /// clone of that state, each domain's pulse and the rest of its round.
+    /// Runs every round of one sweep position on the concrete algebra:
+    /// from a clone of the time-zero state every sweep round shares,
+    /// cycles `0..at` once on the shared prefix, then, from a clone of
+    /// that state, each domain's pulse and the rest of its round.
     /// `finish` reduces each finished round; the results come in
     /// `pos.domains` order, each equal to what
     /// [`ConcolicEngine::execute_round`] gives on
@@ -739,14 +722,14 @@ impl<'d> ConcolicEngine<'d> {
     pub fn fork_sweep_position<T>(
         &self,
         pos: &SweepPosition,
-        finish: impl Fn(RoundRun<'d, CoverageAlgebra>) -> T,
+        finish: impl Fn(RoundRun<'d, ConcreteAlgebra>) -> T,
     ) -> Vec<SimResult<T>> {
         self.ctx.fork_sweep_position(pos, finish)
     }
 
     /// One `Simulate(Input, Restricts)` call of Algorithm 3: runs
     /// `schedule` on algebra `A` — [`CoAlgebra`] for coverage rounds,
-    /// which plan flips from its branch log, or [`CoverageAlgebra`] for
+    /// which plan flips from its branch log, or [`ConcreteAlgebra`] for
     /// sweep rounds, which need only coverage. The schedule's reset tracks
     /// are the engine's [`ConcolicEngine::domains`], in order, as in
     /// every schedule the engine builds.
@@ -762,7 +745,22 @@ impl<'d> ConcolicEngine<'d> {
         &self,
         schedule: &TestSchedule,
     ) -> SimResult<RoundRun<'d, A>> {
-        self.ctx.execute_round(schedule)
+        self.ctx.execute_round(schedule, false)
+    }
+
+    /// Replays `schedule` — typically a [`Witness`]'s — as
+    /// [`ConcolicEngine::execute_round`] runs it on the concrete algebra,
+    /// with the simulator tracing every net change from time zero. The
+    /// round is the one the engine checked, so its violations are the
+    /// engine's and its trace (for [`soccar_sim::vcd::write_vcd`]) is the
+    /// waveform of that round. Cycle `c` spans times `2c` (clock high)
+    /// and `2c + 1` (clock low).
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors, as [`ConcolicEngine::execute_round`].
+    pub fn replay(&self, schedule: &TestSchedule) -> SimResult<RoundRun<'d, ConcreteAlgebra>> {
+        self.ctx.execute_round(schedule, true)
     }
 
     /// Runs one concrete round and freezes its symbolic state into a
@@ -776,7 +774,7 @@ impl<'d> ConcolicEngine<'d> {
         let ctx = &self.ctx;
         let mut schedule = ctx.base_schedule();
         schedule.randomize(ctx.config.seed);
-        let mut sim = ctx.execute_round::<CoAlgebra>(&schedule)?.sim;
+        let mut sim = ctx.execute_round::<CoAlgebra>(&schedule, false)?.sim;
         let observations = sim.algebra().observations().to_vec();
         let window = FlipWindow::intern(
             &mut sim.algebra_mut().graph,
@@ -830,9 +828,9 @@ impl<'d> RoundContext<'d> {
     fn fork_sweep_position<T>(
         &self,
         pos: &SweepPosition,
-        finish: impl Fn(RoundRun<'d, CoverageAlgebra>) -> T,
+        finish: impl Fn(RoundRun<'d, ConcreteAlgebra>) -> T,
     ) -> Vec<SimResult<T>> {
-        let start = self.sweep_start.get_or_init(|| self.start_round());
+        let start = self.sweep_start.get_or_init(|| self.start_round(false));
         let prefix = pos.prefix();
         let shared = start.clone().and_then(|mut run| {
             self.run_cycles(&mut run, &prefix, 0..pos.at)?;
@@ -849,12 +847,14 @@ impl<'d> RoundContext<'d> {
             .collect()
     }
 
-    /// See [`ConcolicEngine::execute_round`].
+    /// See [`ConcolicEngine::execute_round`]; with `trace`, see
+    /// [`ConcolicEngine::replay`].
     fn execute_round<A: RoundAlgebra>(
         &self,
         schedule: &TestSchedule,
+        trace: bool,
     ) -> SimResult<RoundRun<'d, A>> {
-        let mut run = self.start_round()?;
+        let mut run = self.start_round(trace)?;
         self.run_cycles(&mut run, schedule, 0..schedule.cycles)?;
         Ok(run)
     }
@@ -862,13 +862,17 @@ impl<'d> RoundContext<'d> {
     /// Time zero of a round: a fresh simulator with resets deasserted,
     /// clocks parked and uncontrolled inputs zeroed, and freshly armed
     /// monitors. It depends on engine state alone, never on a schedule.
-    fn start_round<A: RoundAlgebra>(&self) -> SimResult<RoundRun<'d, A>> {
+    /// With `trace`, the simulator records every net change from here on.
+    fn start_round<A: RoundAlgebra>(&self, trace: bool) -> SimResult<RoundRun<'d, A>> {
         let mut sim = Simulator::with_wake_map(
             self.design,
             Arc::clone(&self.wake_map),
             A::default(),
             self.config.init,
         );
+        if trace {
+            sim.enable_tracing();
+        }
         let mut monitors = self.monitors.clone();
         for mon in &mut monitors {
             mon.reset();
@@ -999,7 +1003,7 @@ impl Walk {
                 violations,
                 degraded,
                 ..
-            } = ctx.execute_round::<CoAlgebra>(&schedule)?;
+            } = ctx.execute_round::<CoAlgebra>(&schedule, false)?;
             simulate_span.close();
             found.sim_cycles += schedule.cycles;
             self.degraded_reasons.extend(degraded);

@@ -5,7 +5,8 @@
 //!
 //! * [`coalg`] — the co-simulation algebra pairing concrete 4-state values
 //!   with symbolic bit-vector terms and logging branch observations, and
-//!   the concrete coverage algebra the reset sweep runs on;
+//!   the round-driver interface it shares with the simulator's concrete
+//!   algebra (the reset sweep's and the witness replay's);
 //! * [`schedule`] — cycle-indexed test schedules (reset pulses + symbolic
 //!   data inputs), randomized for round 1 and rebuilt from solver models;
 //! * [`property`] — the security "Restricts" checked every cycle, emitting
@@ -29,9 +30,7 @@ pub mod engine;
 pub mod property;
 pub mod schedule;
 
-pub use coalg::{
-    BranchCoverage, BranchObservation, CoAlgebra, CoValue, CoverageAlgebra, RoundAlgebra,
-};
+pub use coalg::{BranchObservation, CoAlgebra, CoValue, RoundAlgebra};
 pub use engine::{
     ConcolicConfig, ConcolicEngine, ConcolicReport, FlipWorkload, RoundRun, SweepPosition, Witness,
     MAX_CYCLES,

@@ -183,84 +183,6 @@ impl TestSchedule {
         }
     }
 
-    /// Replays the schedule on a fresh **concrete** simulator with
-    /// tracing enabled: clocks toggle every cycle, reset tracks and input
-    /// tracks apply exactly as the concolic engine drove them (including
-    /// clock-high-phase assertion edges). Returns the simulator after the
-    /// final cycle, ready for [`soccar_sim::vcd::write_vcd`] or state
-    /// inspection.
-    ///
-    /// `clocks` are the clock input nets (every other top input that is
-    /// not covered by a track is held at zero).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn replay_concrete<'d>(
-        &self,
-        design: &'d soccar_rtl::Design,
-        clocks: &[NetId],
-    ) -> soccar_sim::SimResult<soccar_sim::Simulator<'d, soccar_sim::ConcreteAlgebra>> {
-        use soccar_sim::{InitPolicy, Simulator};
-        let mut sim = Simulator::concrete(design, InitPolicy::Ones);
-        sim.enable_tracing();
-        for net in design.top_inputs().collect::<Vec<_>>() {
-            let covered = self.resets.iter().any(|t| t.net == net)
-                || self.inputs.iter().any(|t| t.net == net)
-                || clocks.contains(&net);
-            if !covered {
-                let w = design.net(net).width;
-                sim.write_input(net, LogicVec::zeros(w))?;
-            }
-        }
-        for track in &self.resets {
-            let deassert = LogicVec::from_u64(1, u64::from(track.active_low));
-            sim.write_input(track.net, deassert)?;
-        }
-        for clk in clocks {
-            sim.write_input(*clk, LogicVec::from_u64(1, 0))?;
-        }
-        sim.settle()?;
-        for cycle in 0..self.cycles {
-            for track in &self.inputs {
-                sim.write_input(track.net, track.values[cycle as usize].clone())?;
-            }
-            for track in &self.resets {
-                let hp = track
-                    .high_phase
-                    .get(cycle as usize)
-                    .copied()
-                    .unwrap_or(false);
-                if !hp {
-                    sim.write_input(track.net, track.value_at(cycle))?;
-                }
-            }
-            sim.settle()?;
-            for clk in clocks {
-                sim.write_input(*clk, LogicVec::from_u64(1, 1))?;
-            }
-            sim.settle()?;
-            for track in &self.resets {
-                if track
-                    .high_phase
-                    .get(cycle as usize)
-                    .copied()
-                    .unwrap_or(false)
-                {
-                    sim.write_input(track.net, track.value_at(cycle))?;
-                    sim.settle()?;
-                }
-            }
-            sim.advance_time(1);
-            for clk in clocks {
-                sim.write_input(*clk, LogicVec::from_u64(1, 0))?;
-            }
-            sim.settle()?;
-            sim.advance_time(1);
-        }
-        Ok(sim)
-    }
-
     /// A compact single-line description (for reports and witnesses).
     #[must_use]
     pub fn summary(&self) -> String {

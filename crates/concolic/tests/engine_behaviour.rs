@@ -269,11 +269,12 @@ fn async_event_lines_are_swept_like_domains() {
     assert!(r.violated("priv-legal"), "{r:?}");
 }
 
-/// A witness schedule replayed through `TestSchedule::replay_concrete`
-/// drives the design back into the violating state (here: the secret
-/// register still holding data while its domain reset is asserted).
+/// A witness schedule replayed through `ConcolicEngine::replay` drives
+/// the design back into the violating state (here: the secret register
+/// still holding data while its domain reset is asserted), and the
+/// replayed round raises the witness's property again.
 #[test]
-fn replay_concrete_reproduces_the_violation_state() {
+fn replay_reproduces_the_violation_state() {
     let config = ConcolicConfig {
         cycles: 12,
         max_rounds: 6,
@@ -289,17 +290,21 @@ fn replay_concrete_reproduces_the_violation_state() {
     )
     .expect("compose");
     let bound = soccar_cfg::bind_events(&design, &soc).expect("bind");
-    let report = ConcolicEngine::new(&design, &bound, vec![secret_prop()], config)
-        .expect("engine")
-        .run()
-        .expect("run");
+    let mut engine =
+        ConcolicEngine::new(&design, &bound, vec![secret_prop()], config).expect("engine");
+    let report = engine.run().expect("run");
     let w = report
         .witnesses
         .iter()
         .find(|w| w.property == "secret-cleared")
         .expect("witness");
-    let clk = design.find_net("top.clk").expect("clk");
-    let sim = w.schedule.replay_concrete(&design, &[clk]).expect("replay");
+    let run = engine.replay(&w.schedule).expect("replay");
+    assert!(
+        run.violations.iter().any(|v| v.property == w.property),
+        "the replay raises the witness's property: {:?}",
+        run.violations
+    );
+    let sim = &run.sim;
     // During the final state of the replay the trace must contain a cycle
     // where b_rst_n was asserted; and the secret was never cleared by it.
     let secret = design.find_net("top.u_b.secret").expect("secret");

@@ -1,12 +1,13 @@
-//! Round-level differential tests of the reset sweep.
+//! Round-level differential tests of the reset sweep and the witness
+//! replay.
 //!
-//! Sweep rounds differ from a from-scratch co-simulation round in two
-//! ways, and each must be invisible in what a round yields: the same
-//! branch coverage, the same set of processes that ran, the same
-//! violations and the same degradation list.
+//! Sweep rounds and replays differ from a from-scratch co-simulation round
+//! in three ways, and each must be invisible in what a round yields: the
+//! same branch coverage, the same set of processes that ran, the same
+//! violations, the same degradation list and the same final net state.
 //!
-//! - **The algebra.** Sweep rounds run on the concrete
-//!   [`CoverageAlgebra`] instead of the co-simulation [`CoAlgebra`]. The
+//! - **The algebra.** Sweep rounds and replays run on the concrete
+//!   [`ConcreteAlgebra`] instead of the co-simulation [`CoAlgebra`]. The
 //!   two differ in one place: `CoAlgebra::changed` also wakes
 //!   level-sensitive processes when only a symbolic term changed. Those
 //!   extra evaluations see the same concrete values.
@@ -14,19 +15,25 @@
 //!   from a clone of one shared prefix simulation
 //!   ([`ConcolicEngine::fork_sweep_position`]) instead of being run from
 //!   time zero.
+//! - **The trace.** A replay ([`ConcolicEngine::replay`]) records every
+//!   net change for the waveform.
 //!
-//! These tests run every sweep round of four configurations forked, and
-//! from scratch on both algebras, and compare them.
+//! These tests run every sweep round of four configurations forked,
+//! replayed, and from scratch on both algebras, and compare them; and
+//! they replay every witness of the bundled SoCs' bug-seeded variants.
 
 use std::collections::BTreeSet;
 
 use soccar_cfg::{bind_events, compose_soc, GovernorAnalysis, ResetNaming};
 use soccar_concolic::{
-    BranchCoverage, CoAlgebra, ConcolicConfig, ConcolicEngine, ConcolicReport, CoverageAlgebra,
-    RoundAlgebra, RoundRun, SecurityProperty, Violation, Witness,
+    CoAlgebra, ConcolicConfig, ConcolicEngine, ConcolicReport, RoundAlgebra, RoundRun,
+    SecurityProperty, Violation, Witness,
 };
+use soccar_rtl::design::NetId;
 use soccar_rtl::parser::parse;
 use soccar_rtl::span::FileId;
+use soccar_rtl::LogicVec;
+use soccar_sim::{BranchCoverage, ConcreteAlgebra};
 use soccar_soc::{GenSpec, SocModel};
 
 struct Case {
@@ -77,6 +84,8 @@ struct Outcome {
     ran: Vec<bool>,
     violations: Vec<Violation>,
     degraded: Vec<String>,
+    /// Every net's concrete value after the last cycle.
+    nets: Vec<LogicVec>,
 }
 
 impl Outcome {
@@ -91,12 +100,15 @@ impl Outcome {
                 .collect(),
             violations: run.violations.clone(),
             degraded: run.degraded.clone(),
+            nets: (0..run.sim.design().nets().len())
+                .map(|n| run.sim.net_logic(NetId(n as u32)).clone())
+                .collect(),
         }
     }
 }
 
-/// Runs every sweep round of `case` forked, and from scratch on both
-/// algebras, and compares them round by round. Returns `(sweep rounds,
+/// Runs every sweep round of `case` forked, replayed, and from scratch on
+/// both algebras, and compares them round by round. Returns `(sweep rounds,
 /// phases seen, violations)`.
 fn compare_rounds(case: &Case) -> (usize, Vec<&'static str>, usize) {
     let unit = parse(FileId(0), &case.source).expect("parse");
@@ -126,8 +138,10 @@ fn compare_rounds(case: &Case) -> (usize, Vec<&'static str>, usize) {
                     .execute_round::<CoAlgebra>(&schedule)
                     .expect("co-simulation round");
                 let concrete = engine
-                    .execute_round::<CoverageAlgebra>(&schedule)
-                    .expect("coverage round");
+                    .execute_round::<ConcreteAlgebra>(&schedule)
+                    .expect("concrete round");
+                let replay = engine.replay(&schedule).expect("replay");
+                assert!(!replay.sim.trace().is_empty(), "the replay traces at {at}");
                 let forked = forked.expect("forked round");
                 let (co, concrete) = (Outcome::of(&co), Outcome::of(&concrete));
                 assert_eq!(
@@ -143,7 +157,9 @@ fn compare_rounds(case: &Case) -> (usize, Vec<&'static str>, usize) {
                     co.degraded, concrete.degraded,
                     "degradation differs at {at}"
                 );
+                assert_eq!(co.nets, concrete.nets, "net state differs at {at}");
                 assert_eq!(forked, concrete, "the forked round differs at {at}");
+                assert_eq!(Outcome::of(&replay), concrete, "the replay differs at {at}");
                 rounds += 1;
                 violations += co.violations.len();
             }
@@ -306,4 +322,50 @@ fn sweep_beside_a_multi_round_coverage_loop_merges_as_if_run_after_it() {
         report.violations.len() > coverage.violations.len(),
         "the sweep must excite Variant #2's bugs: {report:?}"
     );
+}
+
+#[test]
+fn every_witness_replays_to_its_property() {
+    let cases = [
+        (SocModel::ClusterSoc, 1),
+        (SocModel::ClusterSoc, 2),
+        (SocModel::ClusterSoc, 3),
+        (SocModel::AutoSoc, 1),
+        (SocModel::AutoSoc, 2),
+    ];
+    for (model, variant) in cases {
+        for analysis in [GovernorAnalysis::Explicit, GovernorAnalysis::Refined] {
+            // The CLI's defaults: 24 cycles, 12 coverage rounds.
+            let case = Case::bundled(model, variant, analysis, 24);
+            let unit = parse(FileId(0), &case.source).expect("parse");
+            let design = soccar_rtl::elaborate::elaborate(&unit, &case.top).expect("elaborate");
+            let soc =
+                compose_soc(&unit, &case.top, &ResetNaming::new(), case.analysis).expect("compose");
+            let bound = bind_events(&design, &soc).expect("bind");
+            let config = ConcolicConfig {
+                cycles: case.cycles,
+                max_rounds: 12,
+                symbolic_inputs: case.symbolic_inputs.clone(),
+                ..ConcolicConfig::default()
+            };
+            let mut engine = ConcolicEngine::new(&design, &bound, case.properties.clone(), config)
+                .expect("engine");
+            let report = engine.run().expect("run");
+            assert!(
+                !report.witnesses.is_empty(),
+                "{model:?} #{variant} {analysis:?}"
+            );
+            for w in &report.witnesses {
+                let replay = engine.replay(&w.schedule).expect("replay");
+                assert!(
+                    replay.violations.iter().any(|v| v.property == w.property),
+                    "{model:?} #{variant} {analysis:?}: replaying the witness of `{}` \
+                     (round {}) raised {:?}",
+                    w.property,
+                    w.round,
+                    replay.violations
+                );
+            }
+        }
+    }
 }

@@ -23,11 +23,6 @@ impl SourceUnit {
     pub fn module(&self, name: &str) -> Option<&Module> {
         self.modules.iter().find(|m| m.name == name)
     }
-
-    /// Finds a module by name, mutably (used by the bug-insertion engine).
-    pub fn module_mut(&mut self, name: &str) -> Option<&mut Module> {
-        self.modules.iter_mut().find(|m| m.name == name)
-    }
 }
 
 /// Port direction.

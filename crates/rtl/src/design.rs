@@ -638,27 +638,6 @@ impl Design {
         id
     }
 
-    /// Nets declared by `instance` (useful for property authoring).
-    pub fn nets_of_instance(&self, instance: InstanceId) -> impl Iterator<Item = NetId> + '_ {
-        self.nets
-            .iter()
-            .enumerate()
-            .filter(move |(_, n)| n.instance == instance)
-            .map(|(i, _)| NetId(i as u32))
-    }
-
-    /// Finds instances whose module name equals `module`.
-    pub fn instances_of_module<'a>(
-        &'a self,
-        module: &'a str,
-    ) -> impl Iterator<Item = InstanceId> + 'a {
-        self.instances
-            .iter()
-            .enumerate()
-            .filter(move |(_, i)| i.module == module)
-            .map(|(i, _)| InstanceId(i as u32))
-    }
-
     /// Summary statistics (for reports and the synthesis estimator).
     #[must_use]
     pub fn stats(&self) -> DesignStats {

@@ -66,16 +66,6 @@ impl Bit {
         matches!(self, Bit::X | Bit::Z)
     }
 
-    /// Converts a known bit to `bool`; `X`/`Z` map to `None`.
-    #[must_use]
-    pub fn to_bool(self) -> Option<bool> {
-        match self {
-            Bit::Zero => Some(false),
-            Bit::One => Some(true),
-            _ => None,
-        }
-    }
-
     fn planes(self) -> (bool, bool) {
         match self {
             Bit::Zero => (false, false),

@@ -56,7 +56,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use soccar::Soccar;
-use soccar_cfg::{compose_soc, ResetNaming};
+use soccar_cfg::{bind_events, compose_soc};
 use soccar_lint::{LintConfig, Linter, Severity};
 use soccar_serve::{resolve_request, Client, Request, Server, ServerOptions};
 
@@ -222,6 +222,32 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(out)
 }
 
+/// Replays `witness` through the concolic engine's own cycle driver and
+/// writes the waveform to `path`. The pipeline's design lives inside the
+/// analysis, so the design is rebuilt, composed and bound again, exactly
+/// as the analysis did.
+fn write_witness_vcd(
+    path: &str,
+    witness: &soccar_concolic::Witness,
+    source: &str,
+    top: &str,
+    properties: Vec<soccar_concolic::SecurityProperty>,
+    config: &soccar::SoccarConfig,
+) -> Result<(), String> {
+    let unit = soccar_rtl::parser::parse(soccar_rtl::span::FileId(0), source)
+        .map_err(|e| e.to_string())?;
+    let design = soccar_rtl::elaborate::elaborate(&unit, top).map_err(|e| e.to_string())?;
+    let soc = compose_soc(&unit, top, &config.naming, config.analysis)?;
+    let bound = bind_events(&design, &soc).map_err(|e| e.to_string())?;
+    let engine =
+        soccar_concolic::ConcolicEngine::new(&design, &bound, properties, config.concolic.clone())?;
+    let run = engine
+        .replay(&witness.schedule)
+        .map_err(|e| e.to_string())?;
+    let vcd = soccar_sim::vcd::write_vcd(&design, run.sim.trace());
+    std::fs::write(path, vcd).map_err(|e| format!("{path}: {e}"))
+}
+
 fn run(args: &Args) -> Result<bool, String> {
     // Resolve the design through the daemon's resolver: a file on disk,
     // or a catalog SoC (which brings its properties and symbolic inputs
@@ -266,10 +292,22 @@ fn run(args: &Args) -> Result<bool, String> {
     } else {
         soccar_obs::Recorder::disabled()
     };
-    let report = Soccar::new(config)
+    let report = Soccar::new(config.clone())
         .with_recorder(recorder.clone())
-        .analyze(&file_name, &source, &top, properties)
+        .analyze(&file_name, &source, &top, properties.clone())
         .map_err(|e| e.to_string())?;
+    // The waveform is written in both output modes; its "written to"
+    // line goes where each mode prints such lines.
+    let vcd_written = match (&args.vcd, report.concolic.witnesses.first()) {
+        (Some(path), Some(w)) => {
+            write_witness_vcd(path, w, &source, &top, properties, &config)?;
+            Some(format!(
+                "witness [{}] waveform written to {path}",
+                w.property
+            ))
+        }
+        _ => None,
+    };
     if let Some(path) = &args.trace_out {
         std::fs::write(path, soccar_obs::to_ndjson(&recorder.snapshot()))
             .map_err(|e| format!("{path}: {e}"))?;
@@ -291,6 +329,9 @@ fn run(args: &Args) -> Result<bool, String> {
         // The canonical report is the machine interface: stdout carries
         // exactly the JSON a `soccar client analyze` body carries.
         outln!("{}", report.canonical_json().map_err(|e| e.to_string())?)?;
+        if let Some(written) = &vcd_written {
+            eprintln!("{written}");
+        }
         return Ok(report.violations().is_empty());
     }
 
@@ -348,25 +389,8 @@ fn run(args: &Args) -> Result<bool, String> {
                 )?;
             }
         }
-        if let Some(path) = &args.vcd {
-            if let Some(w) = report.concolic.witnesses.first() {
-                // Recompile to replay (the pipeline consumed nothing mutable,
-                // but the design lives inside the analysis scope).
-                let (design, _) =
-                    soccar_rtl::compile(&file_name, &source, &top).map_err(|e| e.to_string())?;
-                let naming = ResetNaming::new();
-                let clocks: Vec<_> = design
-                    .top_inputs()
-                    .filter(|n| naming.is_clock_name(&design.net(*n).local_name))
-                    .collect();
-                let sim = w
-                    .schedule
-                    .replay_concrete(&design, &clocks)
-                    .map_err(|e| e.to_string())?;
-                let vcd = soccar_sim::vcd::write_vcd(&design, sim.trace(), &[]);
-                std::fs::write(path, vcd).map_err(|e| e.to_string())?;
-                outln!("witness [{}] waveform written to {path}", w.property)?;
-            }
+        if let Some(written) = &vcd_written {
+            outln!("{written}")?;
         }
         outln!("RESULT: {} violation(s)", report.violations().len())?;
         Ok(false)

@@ -2,7 +2,8 @@
 //!
 //! The simulator's interpreter is generic over an [`Algebra`]: a factory for
 //! values and operations on them. The concrete simulator uses
-//! [`ConcreteAlgebra`] whose values are plain [`LogicVec`]s; the concolic
+//! [`ConcreteAlgebra`] whose values are plain [`LogicVec`]s and which
+//! records the [`BranchCoverage`] of the run; the concolic
 //! engine (in `soccar-concolic`) supplies a *co-simulation* algebra whose
 //! values pair a `LogicVec` with an optional symbolic term, and whose
 //! [`Algebra::on_branch`] hook records path constraints. One interpreter,
@@ -67,15 +68,64 @@ pub trait Algebra {
     fn changed(old: &Self::Value, new: &Self::Value) -> bool;
 }
 
-/// The plain concrete algebra: values are [`LogicVec`]s.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConcreteAlgebra;
+/// A set of `(site, direction)` branch outcomes: one bit per pair, at
+/// index `2·site + direction`.
+///
+/// The word vector ends at the word of the highest pair inserted (it has
+/// no trailing zero word), so the derived equality is set equality.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BranchCoverage {
+    words: Vec<u64>,
+}
+
+impl BranchCoverage {
+    fn index(site: BranchSiteId, dir: bool) -> usize {
+        2 * site.0 as usize + usize::from(dir)
+    }
+
+    /// Records that `site` went direction `dir`.
+    pub fn insert(&mut self, site: BranchSiteId, dir: bool) {
+        let i = BranchCoverage::index(site, dir);
+        let word = i / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (i % 64);
+    }
+
+    /// `true` if `site` went direction `dir`.
+    #[must_use]
+    pub fn contains(&self, site: BranchSiteId, dir: bool) -> bool {
+        let i = BranchCoverage::index(site, dir);
+        self.words
+            .get(i / 64)
+            .is_some_and(|word| word & (1 << (i % 64)) != 0)
+    }
+
+    /// Empties the set, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+}
+
+/// The plain concrete algebra: values are [`LogicVec`]s, and every branch
+/// the interpreter decides lands in the run's [`BranchCoverage`].
+#[derive(Debug, Clone, Default)]
+pub struct ConcreteAlgebra {
+    coverage: BranchCoverage,
+}
 
 impl ConcreteAlgebra {
-    /// Creates the concrete algebra.
+    /// Creates the concrete algebra, with empty coverage.
     #[must_use]
     pub fn new() -> ConcreteAlgebra {
-        ConcreteAlgebra
+        ConcreteAlgebra::default()
+    }
+
+    /// Every `(site, direction)` the run executed.
+    #[must_use]
+    pub fn coverage(&self) -> &BranchCoverage {
+        &self.coverage
     }
 }
 
@@ -173,6 +223,10 @@ impl Algebra for ConcreteAlgebra {
         a.resize(width)
     }
 
+    fn on_branch(&mut self, site: BranchSiteId, _cond: &LogicVec, taken: bool) {
+        self.coverage.insert(site, taken);
+    }
+
     fn changed(old: &LogicVec, new: &LogicVec) -> bool {
         old != new
     }
@@ -207,6 +261,82 @@ mod tests {
         assert_eq!(m.bit(2), soccar_rtl::Bit::Zero); // 0 == 0
         assert!(m.bit(1).is_unknown()); // 1 vs 0
         assert!(m.bit(0).is_unknown()); // 0 vs 1
+    }
+
+    #[test]
+    fn coverage_holds_each_direction_of_each_site() {
+        let mut cov = BranchCoverage::default();
+        assert!(!cov.contains(BranchSiteId(0), false));
+        cov.insert(BranchSiteId(0), true);
+        assert!(cov.contains(BranchSiteId(0), true));
+        assert!(!cov.contains(BranchSiteId(0), false));
+        cov.insert(BranchSiteId(0), false);
+        assert!(cov.contains(BranchSiteId(0), false));
+        assert!(!cov.contains(BranchSiteId(1), true));
+        assert!(!cov.contains(BranchSiteId(1), false));
+    }
+
+    #[test]
+    fn coverage_spans_word_boundaries() {
+        // Sites 31 and 32 straddle the first word boundary (bits 63, 64);
+        // site 1000 lands many words past anything inserted before.
+        let mut cov = BranchCoverage::default();
+        for (site, dir) in [(31, true), (32, false), (1000, true)] {
+            cov.insert(BranchSiteId(site), dir);
+        }
+        for site in [30, 31, 32, 33, 999, 1000, 1001, 5000] {
+            for dir in [false, true] {
+                let want = matches!((site, dir), (31, true) | (32, false) | (1000, true));
+                assert_eq!(cov.contains(BranchSiteId(site), dir), want, "{site} {dir}");
+            }
+        }
+    }
+
+    #[test]
+    fn coverage_equality_is_set_equality() {
+        let pairs = [(3, true), (70, false), (7, false)];
+        let mut a = BranchCoverage::default();
+        let mut b = BranchCoverage::default();
+        for &(site, dir) in &pairs {
+            a.insert(BranchSiteId(site), dir);
+        }
+        for &(site, dir) in pairs.iter().rev() {
+            b.insert(BranchSiteId(site), dir);
+        }
+        assert_eq!(a, b, "insertion order does not matter");
+        b.insert(BranchSiteId(3), true);
+        assert_eq!(a, b, "re-inserting a member changes nothing");
+        b.insert(BranchSiteId(3), false);
+        assert_ne!(a, b, "the other direction is another member");
+        a.clear();
+        assert_eq!(a, BranchCoverage::default(), "a cleared set is empty");
+        a.insert(BranchSiteId(3), true);
+        let mut c = BranchCoverage::default();
+        c.insert(BranchSiteId(3), true);
+        assert_eq!(a, c, "a cleared and refilled set equals a fresh one");
+    }
+
+    #[test]
+    fn concrete_runs_record_branch_coverage() {
+        use crate::sim::{InitPolicy, Simulator};
+        let (design, _) = soccar_rtl::compile(
+            "t.v",
+            "module t(input a, output reg y);
+               always @(*) if (a) y = 1'b1; else y = 1'b0;
+             endmodule",
+            "t",
+        )
+        .expect("compile");
+        let mut sim = Simulator::concrete(&design, InitPolicy::X);
+        let a = design.find_net("t.a").expect("a");
+        let site = BranchSiteId(0);
+        sim.write_input(a, LogicVec::from_u64(1, 1)).expect("a");
+        sim.settle().expect("settle");
+        assert!(sim.algebra().coverage().contains(site, true));
+        assert!(!sim.algebra().coverage().contains(site, false));
+        sim.write_input(a, LogicVec::from_u64(1, 0)).expect("a");
+        sim.settle().expect("settle");
+        assert!(sim.algebra().coverage().contains(site, false));
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   every value with an optional symbolic term and records path
 //!   constraints through the [`algebra::Algebra::on_branch`] hook.
 //!
-//! Cycle-level stimulus (clocks, input schedules, asynchronous reset
-//! pulses at arbitrary cycles) lives in [`stimulus`]; waveform output in
-//! [`vcd`].
+//! The concrete algebra records `(site, direction)` branch coverage in a
+//! [`BranchCoverage`] set. Waveform output lives in [`vcd`]. The cycle
+//! driver (clocks, input schedules, asynchronous reset pulses at
+//! arbitrary cycles) is the concolic engine's: every concrete and
+//! concolic round, and every witness replay, runs through it.
 //!
 //! # Examples
 //!
@@ -48,9 +50,8 @@
 pub mod algebra;
 pub mod error;
 pub mod sim;
-pub mod stimulus;
 pub mod vcd;
 
-pub use algebra::{Algebra, ConcreteAlgebra};
+pub use algebra::{Algebra, BranchCoverage, ConcreteAlgebra};
 pub use error::{SimError, SimResult};
 pub use sim::{InitPolicy, Simulator, TraceEvent, WakeMap};

@@ -372,16 +372,6 @@ impl<'d, A: Algebra> Simulator<'d, A> {
         &mut self.algebra
     }
 
-    /// The current value of a net.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` is not part of the design.
-    #[must_use]
-    pub fn net_value(&self, net: NetId) -> &A::Value {
-        &self.nets[net.0 as usize]
-    }
-
     /// The current concrete value of a net.
     ///
     /// # Panics

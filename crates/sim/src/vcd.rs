@@ -14,8 +14,7 @@ use crate::sim::TraceEvent;
 
 /// Writes a VCD document for `events` over the nets of `design`.
 ///
-/// Nets are declared grouped by instance scope. Only nets that appear in
-/// `events` (plus any in `always_dump`) are declared.
+/// Only nets that appear in `events` are declared, in net order.
 ///
 /// # Examples
 ///
@@ -30,15 +29,14 @@ use crate::sim::TraceEvent;
 /// let a = design.find_net("t.a").expect("a");
 /// sim.write_input(a, soccar_rtl::LogicVec::from_u64(1, 1))?;
 /// sim.settle()?;
-/// let vcd = write_vcd(&design, sim.trace(), &[]);
+/// let vcd = write_vcd(&design, sim.trace());
 /// assert!(vcd.contains("$enddefinitions"));
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn write_vcd(design: &Design, events: &[TraceEvent], always_dump: &[NetId]) -> String {
+pub fn write_vcd(design: &Design, events: &[TraceEvent]) -> String {
     let mut nets: Vec<NetId> = events.iter().map(|e| e.net).collect();
-    nets.extend_from_slice(always_dump);
     nets.sort_unstable();
     nets.dedup();
 
@@ -114,7 +112,7 @@ mod tests {
         sim.write_input(a, LogicVec::from_u64(4, 0b1010))
             .expect("a");
         sim.settle().expect("settle");
-        let vcd = write_vcd(&design, sim.trace(), &[]);
+        let vcd = write_vcd(&design, sim.trace());
         assert!(vcd.contains("$var wire 4"));
         assert!(vcd.contains("t_y"));
         assert!(vcd.contains("b0101"));

@@ -249,7 +249,7 @@ fn trace_and_vcd_capture_reset_event() {
     let q_changes: Vec<_> = s.trace().iter().filter(|e| e.net == q).collect();
     assert!(q_changes.len() >= 2, "count + clear recorded");
     assert!(q_changes.last().expect("last").value.is_all_zero());
-    let vcd = soccar_sim::vcd::write_vcd(&d, s.trace(), &[]);
+    let vcd = soccar_sim::vcd::write_vcd(&d, s.trace());
     assert!(vcd.contains("t_q"));
     assert!(vcd.contains("b0000"));
 }

@@ -554,12 +554,6 @@ impl TermGraph {
         self.intern(Term::Eq(a, b), 1)
     }
 
-    /// Logical negation of a 1-bit term (alias of [`TermGraph::not`]).
-    pub fn not1(&mut self, a: TermId) -> TermId {
-        debug_assert_eq!(self.width(a), 1);
-        self.not(a)
-    }
-
     /// Inequality (1-bit result).
     ///
     /// # Panics
@@ -725,11 +719,6 @@ impl TermGraph {
             return self.const_u64(1, v);
         }
         self.intern(Term::RedXor(a), 1)
-    }
-
-    /// 1-bit AND convenience for path constraints.
-    pub fn and1(&mut self, a: TermId, b: TermId) -> TermId {
-        self.and(a, b)
     }
 
     fn binop_width(&self, a: TermId, b: TermId) -> u32 {
