@@ -216,8 +216,8 @@ pub struct ConcolicReport {
     /// Utilization counters of the reset-sweep worker pool, one task per
     /// pulse position of either phase (wall-clock measurements; excluded
     /// from canonical report serializations). The pool runs beside the
-    /// coverage rounds, so `elapsed` spans them too, while `busy` is the
-    /// sweep's own compute.
+    /// coverage rounds, so `elapsed` spans them too, `foreground` times
+    /// them, and `busy` is the sweep's own compute.
     pub sweep_exec: soccar_exec::PoolStats,
 }
 

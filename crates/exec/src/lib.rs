@@ -179,16 +179,22 @@ pub struct PoolStats {
     pub busy: Duration,
     /// Wall-clock time of the mapped region.
     pub elapsed: Duration,
+    /// Wall-clock time the calling thread spent in the foreground work of
+    /// [`parallel_map_beside`] before it joined the workers (a plain
+    /// map's foreground is empty).
+    pub foreground: Duration,
 }
 
 impl PoolStats {
     /// Mean worker utilization in `[0, 1]`: busy time divided by the
-    /// wall-clock capacity (`elapsed × jobs`). 1.0 means every worker was
-    /// solving the whole time; values near `1/jobs` mean the work was
+    /// capacity the pool actually had, `elapsed × jobs` less the calling
+    /// thread's foreground time. 1.0 means every worker was busy whenever
+    /// it was free to take a task; values near `1/jobs` mean the work was
     /// effectively serial.
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        let capacity = self.elapsed.as_secs_f64() * self.jobs as f64;
+        let capacity =
+            self.elapsed.as_secs_f64() * self.jobs as f64 - self.foreground.as_secs_f64();
         if capacity <= f64::EPSILON {
             0.0
         } else {
@@ -203,6 +209,7 @@ impl PoolStats {
         self.tasks += other.tasks;
         self.busy += other.busy;
         self.elapsed += other.elapsed;
+        self.foreground += other.foreground;
     }
 }
 
@@ -252,7 +259,9 @@ where
     };
     let (foreground, finished) = std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let t = Instant::now();
         let foreground = catch_unwind(AssertUnwindSafe(foreground));
+        let foreground_time = t.elapsed();
         if foreground.is_err() {
             next.store(items.len(), Ordering::Relaxed);
         }
@@ -260,9 +269,9 @@ where
         for worker in spawned {
             finished.extend(worker.join().expect("the worker loop catches task panics"));
         }
-        (foreground, finished)
+        (foreground.map(|g| (g, foreground_time)), finished)
     });
-    let foreground = foreground.unwrap_or_else(|p| resume_unwind(p));
+    let (foreground, foreground_time) = foreground.unwrap_or_else(|p| resume_unwind(p));
 
     let mut slots: Vec<Option<RawResult<R>>> = (0..items.len()).map(|_| None).collect();
     let mut busy = Duration::ZERO;
@@ -275,6 +284,7 @@ where
         tasks: items.len(),
         busy,
         elapsed: started.elapsed(),
+        foreground: foreground_time,
     };
     let results = slots
         .into_iter()
@@ -352,8 +362,8 @@ where
 /// there are fewer items), and once `foreground` returns, the caller
 /// joins them on the same work cursor until every item is done. Returns
 /// `foreground`'s result, the index-ordered outcomes and the pool's
-/// counters; `elapsed` spans `foreground` too, while `busy` counts the
-/// tasks alone.
+/// counters; `elapsed` spans `foreground` too, `foreground` times it, and
+/// `busy` counts the tasks alone.
 ///
 /// Use it to overlap independent work with a serial computation that
 /// must stay on the calling thread. `jobs == 1`, an empty `items` or a
@@ -544,18 +554,21 @@ mod tests {
             tasks: 3,
             busy: Duration::from_millis(10),
             elapsed: Duration::from_millis(6),
+            foreground: Duration::from_millis(3),
         };
         let b = PoolStats {
             jobs: 4,
             tasks: 5,
             busy: Duration::from_millis(2),
             elapsed: Duration::from_millis(1),
+            foreground: Duration::ZERO,
         };
         a.absorb(&b);
         assert_eq!(a.jobs, 4);
         assert_eq!(a.tasks, 8);
         assert_eq!(a.busy, Duration::from_millis(12));
         assert_eq!(a.elapsed, Duration::from_millis(7));
+        assert_eq!(a.foreground, Duration::from_millis(3));
         assert_eq!(PoolStats::default().utilization(), 0.0);
     }
 
@@ -586,6 +599,25 @@ mod tests {
             assert_eq!(stats.tasks, 64);
             assert_eq!(stats.jobs, jobs);
         }
+    }
+
+    #[test]
+    fn beside_utilization_excludes_the_foreground_time() {
+        // One spawned worker runs both 15 ms tasks while the caller spends
+        // 40 ms in the foreground: the pool had about 40 ms of capacity,
+        // not 80, and was busy for 30 of it.
+        let (_, _, stats) = parallel_map_beside(
+            2,
+            &[0u32, 1],
+            FailurePolicy::FailFast,
+            || std::thread::sleep(Duration::from_millis(40)),
+            |_| std::thread::sleep(Duration::from_millis(15)),
+        );
+        assert!(stats.foreground >= Duration::from_millis(40));
+        assert!(stats.elapsed >= stats.foreground);
+        let over_all = stats.busy.as_secs_f64() / (stats.elapsed.as_secs_f64() * 2.0);
+        assert!(stats.utilization() > over_all);
+        assert!(stats.utilization() > 0.5, "{stats:?}");
     }
 
     #[test]

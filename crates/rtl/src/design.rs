@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::ast::{BinaryOp, CaseKind, Edge, NetKind, UnaryOp};
+use crate::ast::{BinaryOp, Edge, NetKind, UnaryOp};
 use crate::span::Span;
 use crate::value::LogicVec;
 
@@ -312,12 +312,24 @@ impl LValue {
     }
 }
 
+/// One constant label of a lowered case arm, extended to the width the
+/// selector is compared at.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RCaseLabel {
+    /// The label (4-state). For `casez`/`casex` its wildcard bits are
+    /// cleared, so it equals the label ANDed with `care`.
+    pub value: LogicVec,
+    /// `casez`/`casex`: the care mask, `1` where the selector bit must
+    /// match `value` (see [`LogicVec::case_care_mask`]). `None` for a
+    /// plain `case`, which compares every bit.
+    pub care: Option<LogicVec>,
+}
+
 /// One arm of a lowered case statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RCaseArm {
-    /// Constant label patterns (4-state; wildcards meaningful for
-    /// casez/casex). Empty for the default arm.
-    pub labels: Vec<LogicVec>,
+    /// Constant labels. Empty for the default arm.
+    pub labels: Vec<RCaseLabel>,
     /// Branch site recording the comparison for this arm (`None` for the
     /// default arm).
     pub site: Option<BranchSiteId>,
@@ -343,9 +355,8 @@ pub enum RStmt {
     },
     /// Case dispatch.
     Case {
-        /// Flavor.
-        kind: CaseKind,
-        /// Selector expression.
+        /// Selector expression, extended to the widest label. The flavor
+        /// (`case`, `casez`, `casex`) lives in each label's care mask.
         selector: RExpr,
         /// Arms in order; at most one default (empty labels).
         arms: Vec<RCaseArm>,
@@ -354,6 +365,8 @@ pub enum RStmt {
     Assign {
         /// Target.
         lhs: LValue,
+        /// Total width of the target, [`LValue::width`] of `lhs`.
+        width: u32,
         /// Source (already resized to the target width).
         rhs: RExpr,
         /// `true` for `<=`.

@@ -23,7 +23,7 @@ use crate::ast::{
 use crate::constfold::{eval_const, eval_const_u64, ConstEnv};
 use crate::design::{
     Design, InstanceId, InstanceInfo, LValue, MemId, Memory, Net, NetId, Process, ProcessId,
-    ProcessOrigin, RCaseArm, RExpr, RStmt, SiteInfo, SiteKind, Trigger,
+    ProcessOrigin, RCaseArm, RCaseLabel, RExpr, RStmt, SiteInfo, SiteKind, Trigger,
 };
 use crate::error::{RtlError, RtlErrorKind, RtlResult};
 use crate::span::Span;
@@ -273,6 +273,7 @@ impl<'a> Elaborator<'a> {
                                 trigger: Trigger::Once,
                                 body: RStmt::Assign {
                                     lhs: LValue::Net(net),
+                                    width,
                                     rhs: RExpr::Const(value.resize(width)),
                                     nonblocking: false,
                                 },
@@ -405,6 +406,7 @@ impl<'a> Elaborator<'a> {
         let r = widen(r, width);
         let body = RStmt::Assign {
             lhs: lv,
+            width,
             rhs: r,
             nonblocking: false,
         };
@@ -543,6 +545,7 @@ impl<'a> Elaborator<'a> {
                     let r = widen(r, child_width);
                     let body = RStmt::Assign {
                         lhs: LValue::Net(child_net),
+                        width: child_width,
                         rhs: r,
                         nonblocking: false,
                     };
@@ -575,6 +578,7 @@ impl<'a> Elaborator<'a> {
                         trigger: Trigger::AnyChange(vec![child_net]),
                         body: RStmt::Assign {
                             lhs: lv,
+                            width,
                             rhs,
                             nonblocking: false,
                         },
@@ -665,15 +669,52 @@ impl<'a> Elaborator<'a> {
         arms: &[CaseArm],
         pid: ProcessId,
     ) -> RtlResult<RStmt> {
-        let selector = self.lower_expr(scope, selector)?;
-        let sel_width = selector.width();
+        // IEEE 1364-2005 §9.5: the selector and every label are compared
+        // zero-extended to the widest of them.
+        let mut selector = self.lower_expr(scope, selector)?;
+        let labels = arms
+            .iter()
+            .map(|arm| {
+                arm.labels
+                    .iter()
+                    .map(|l| eval_const(l, &scope.consts))
+                    .collect::<RtlResult<Vec<_>>>()
+            })
+            .collect::<RtlResult<Vec<_>>>()?;
+        let width = labels
+            .iter()
+            .flatten()
+            .map(LogicVec::width)
+            .fold(selector.width(), u32::max);
+        if width > selector.width() {
+            selector = RExpr::Resize {
+                width,
+                expr: Box::new(selector),
+            };
+        }
+        let x_is_wildcard = match kind {
+            CaseKind::Case => None,
+            CaseKind::Casez => Some(false),
+            CaseKind::Casex => Some(true),
+        };
         let mut rarms = Vec::new();
-        for arm in arms {
-            let labels = arm
-                .labels
+        for (arm, labels) in arms.iter().zip(labels) {
+            let labels: Vec<RCaseLabel> = labels
                 .iter()
-                .map(|l| Ok(eval_const(l, &scope.consts)?.resize(sel_width)))
-                .collect::<RtlResult<Vec<_>>>()?;
+                .map(|l| {
+                    let value = l.resize(width);
+                    match x_is_wildcard {
+                        None => RCaseLabel { value, care: None },
+                        Some(x) => {
+                            let care = value.case_care_mask(x);
+                            RCaseLabel {
+                                value: value.and(&care),
+                                care: Some(care),
+                            }
+                        }
+                    }
+                })
+                .collect();
             let site = if labels.is_empty() {
                 None
             } else {
@@ -690,7 +731,6 @@ impl<'a> Elaborator<'a> {
             });
         }
         Ok(RStmt::Case {
-            kind,
             selector,
             arms: rarms,
         })
@@ -708,6 +748,7 @@ impl<'a> Elaborator<'a> {
         let r = self.lower_expr(scope, rhs)?;
         Ok(RStmt::Assign {
             lhs: lv,
+            width,
             rhs: widen(r, width),
             nonblocking,
         })
@@ -1426,7 +1467,7 @@ mod tests {
         match &d.processes()[0].body {
             RStmt::Case { arms, .. } => {
                 assert_eq!(arms.len(), 3);
-                assert_eq!(arms[1].labels[0].to_u64(), Some(2));
+                assert_eq!(arms[1].labels[0].value.to_u64(), Some(2));
                 assert!(arms[2].site.is_none());
             }
             other => panic!("{other:?}"),

@@ -23,8 +23,14 @@
 //! Both planes are little-endian 64-bit words. A vector of at most 64 bits
 //! keeps its two words inline, so constructing, cloning and operating on
 //! it never touches the heap; a wider vector keeps its `val` words followed
-//! by its `xz` words in one boxed slice. Operators work a word at a time on
-//! both planes, zero-extending the narrower operand implicitly.
+//! by its `xz` words in one boxed slice.
+//!
+//! When every operand and the result fit in one word, each operator and
+//! constructor computes the two result planes with straight-line `u64`
+//! code: no slice views, no word loop, no separate masking pass. Any wider
+//! operand or result takes the multi-word path, the only path for values
+//! over 64 bits, which works a word at a time on both planes and
+//! zero-extends the narrower operand implicitly.
 //!
 //! Invariant: bits above `width` are zero in both planes. Every operation
 //! relies on it (zero extension, equality, hashing) and restores it by
@@ -143,6 +149,11 @@ fn top_mask(width: u32) -> u64 {
     }
 }
 
+/// The low `width` bits set, for `width` in `1..=64`.
+fn ones_below(width: u32) -> u64 {
+    u64::MAX >> (64 - width)
+}
+
 /// The low `n` bits set, for `n` up to and past 64.
 fn low_mask(n: u64) -> u64 {
     if n >= 64 {
@@ -191,17 +202,59 @@ impl LogicVec {
     /// A vector whose every plane word is `val` / `xz` (top word masked).
     fn filled(width: u32, val: u64, xz: u64) -> LogicVec {
         assert!(width > 0, "LogicVec width must be non-zero");
-        let planes = if width <= 64 {
-            Planes::Inline { val, xz }
-        } else {
-            let n = words_for(width);
-            let mut words = vec![val; 2 * n];
-            words[n..].fill(xz);
-            Planes::Heap(words.into_boxed_slice())
+        if width <= 64 {
+            return LogicVec::narrow(width, val, xz);
+        }
+        let n = words_for(width);
+        let mut words = vec![val; 2 * n];
+        words[n..].fill(xz);
+        let mut v = LogicVec {
+            width,
+            planes: Planes::Heap(words.into_boxed_slice()),
         };
-        let mut v = LogicVec { width, planes };
         v.mask_top();
         v
+    }
+
+    /// A vector of `width` in `1..=64` bits from its two planes, truncated
+    /// to `width`.
+    #[inline]
+    fn narrow(width: u32, val: u64, xz: u64) -> LogicVec {
+        let mask = ones_below(width);
+        LogicVec {
+            width,
+            planes: Planes::Inline {
+                val: val & mask,
+                xz: xz & mask,
+            },
+        }
+    }
+
+    /// A one-bit vector.
+    fn from_bit(bit: Bit) -> LogicVec {
+        let (xz, val) = bit.planes();
+        LogicVec::narrow(1, u64::from(val), u64::from(xz))
+    }
+
+    /// Both planes `(val, xz)` when the vector fits in one word.
+    #[inline]
+    fn narrow_planes(&self) -> Option<(u64, u64)> {
+        match self.planes {
+            Planes::Inline { val, xz } => Some((val, xz)),
+            Planes::Heap(_) => None,
+        }
+    }
+
+    /// The planes `[a_val, a_xz, b_val, b_xz]` of `self` and `other` when
+    /// both, and so any result of their maximum width, fit in one word.
+    #[inline]
+    fn narrow_pair(&self, other: &LogicVec) -> Option<[u64; 4]> {
+        match (&self.planes, &other.planes) {
+            (Planes::Inline { val: av, xz: ax }, Planes::Inline { val: bv, xz: bx }) => {
+                Some([*av, *ax, *bv, *bx])
+            }
+            _ => None,
+        }
     }
 
     /// Creates an all-zero vector of the given width.
@@ -239,9 +292,12 @@ impl LogicVec {
     /// truncated to `width`.
     #[must_use]
     pub fn from_u64(width: u32, value: u64) -> LogicVec {
+        if (1..=64).contains(&width) {
+            return LogicVec::narrow(width, value, 0);
+        }
+        // Wider: `value` fills the low word, which is not the top one.
         let mut v = LogicVec::zeros(width);
         v.planes_mut().0[0] = value;
-        v.mask_top();
         v
     }
 
@@ -258,20 +314,13 @@ impl LogicVec {
             (1..=64).contains(&width),
             "from_planes takes one word per plane"
         );
-        let mask = u64::MAX >> (64 - width);
-        LogicVec {
-            width,
-            planes: Planes::Inline {
-                val: val & mask,
-                xz: xz & mask,
-            },
-        }
+        LogicVec::narrow(width, val, xz)
     }
 
     /// Creates a one-bit vector from a `bool`.
     #[must_use]
     pub fn from_bool(b: bool) -> LogicVec {
-        LogicVec::from_u64(1, u64::from(b))
+        LogicVec::narrow(1, u64::from(b), 0)
     }
 
     /// Creates a vector from a slice of bits, index 0 being the LSB.
@@ -282,6 +331,15 @@ impl LogicVec {
     #[must_use]
     pub fn from_bits(bits: &[Bit]) -> LogicVec {
         assert!(!bits.is_empty(), "from_bits requires at least one bit");
+        if bits.len() <= 64 {
+            let (mut val, mut xz) = (0, 0);
+            for (i, b) in bits.iter().enumerate() {
+                let (x, v) = b.planes();
+                val |= u64::from(v) << i;
+                xz |= u64::from(x) << i;
+            }
+            return LogicVec::narrow(bits.len() as u32, val, xz);
+        }
         let mut v = LogicVec::zeros(bits.len() as u32);
         for (i, b) in bits.iter().enumerate() {
             v.set_bit(i as u32, *b);
@@ -369,9 +427,12 @@ impl LogicVec {
     #[must_use]
     pub fn bit(&self, index: u32) -> Bit {
         assert!(index < self.width, "bit index {index} out of range");
-        let w = (index / 64) as usize;
+        let (val, xz) = self.narrow_planes().unwrap_or_else(|| {
+            let w = (index / 64) as usize;
+            (self.val()[w], self.xz()[w])
+        });
         let b = index % 64;
-        Bit::from_planes((self.xz()[w] >> b) & 1 == 1, (self.val()[w] >> b) & 1 == 1)
+        Bit::from_planes((xz >> b) & 1 == 1, (val >> b) & 1 == 1)
     }
 
     /// Sets the bit at `index` (0 = LSB).
@@ -391,13 +452,18 @@ impl LogicVec {
             return;
         }
         let (bx, bv) = bit.planes();
+        let fill = |plane: u64, m: u64, set: bool| if set { plane | m } else { plane & !m };
+        if let Planes::Inline { val, xz } = &mut self.planes {
+            let m = low_mask(u64::from(to)) & !low_mask(u64::from(from));
+            (*val, *xz) = (fill(*val, m, bv), fill(*xz, m, bx));
+            return;
+        }
         let (val, xz) = self.planes_mut();
         for w in (from / 64) as usize..=((to - 1) / 64) as usize {
             let base = w as u64 * 64;
             let m =
                 low_mask(u64::from(to) - base) & !low_mask(u64::from(from).saturating_sub(base));
-            val[w] = if bv { val[w] | m } else { val[w] & !m };
-            xz[w] = if bx { xz[w] | m } else { xz[w] & !m };
+            (val[w], xz[w]) = (fill(val[w], m, bv), fill(xz[w], m, bx));
         }
     }
 
@@ -409,7 +475,10 @@ impl LogicVec {
     /// `true` if any bit is `X` or `Z`.
     #[must_use]
     pub fn has_unknown(&self) -> bool {
-        self.xz().iter().any(|w| *w != 0)
+        match self.narrow_planes() {
+            Some((_, xz)) => xz != 0,
+            None => self.xz().iter().any(|w| *w != 0),
+        }
     }
 
     /// `true` if every bit of `words` within the width is set.
@@ -423,24 +492,36 @@ impl LogicVec {
     /// `true` if every bit is `X`.
     #[must_use]
     pub fn is_all_x(&self) -> bool {
-        self.is_full(self.xz()) && self.val().iter().all(|w| *w == 0)
+        match self.narrow_planes() {
+            Some((val, xz)) => val == 0 && xz == ones_below(self.width),
+            None => self.is_full(self.xz()) && self.val().iter().all(|w| *w == 0),
+        }
     }
 
     /// `true` if every bit is `0` (no unknowns).
     #[must_use]
     pub fn is_all_zero(&self) -> bool {
-        !self.has_unknown() && self.val().iter().all(|w| *w == 0)
+        match self.narrow_planes() {
+            Some((val, xz)) => val | xz == 0,
+            None => !self.has_unknown() && self.val().iter().all(|w| *w == 0),
+        }
     }
 
     /// `true` if every bit is `1` (no unknowns).
     #[must_use]
     pub fn is_all_ones(&self) -> bool {
-        !self.has_unknown() && self.is_full(self.val())
+        match self.narrow_planes() {
+            Some((val, xz)) => xz == 0 && val == ones_below(self.width),
+            None => !self.has_unknown() && self.is_full(self.val()),
+        }
     }
 
     /// Converts to `u64` if the value fits in 64 bits and has no unknowns.
     #[must_use]
     pub fn to_u64(&self) -> Option<u64> {
+        if let Some((val, xz)) = self.narrow_planes() {
+            return (xz == 0).then_some(val);
+        }
         if self.has_unknown() || self.val()[1..].iter().any(|w| *w != 0) {
             return None;
         }
@@ -452,9 +533,16 @@ impl LogicVec {
     #[must_use]
     pub fn truthy(&self) -> Option<bool> {
         // A '1' bit anywhere makes the value true regardless of unknowns.
-        if self.val().iter().zip(self.xz()).any(|(v, x)| v & !x != 0) {
+        let (one, unknown) = match self.narrow_planes() {
+            Some((val, xz)) => (val & !xz != 0, xz != 0),
+            None => (
+                self.val().iter().zip(self.xz()).any(|(v, x)| v & !x != 0),
+                self.has_unknown(),
+            ),
+        };
+        if one {
             Some(true)
-        } else if self.has_unknown() {
+        } else if unknown {
             None
         } else {
             Some(false)
@@ -464,6 +552,9 @@ impl LogicVec {
     /// Zero-extends or truncates to `width`.
     #[must_use]
     pub fn resize(&self, width: u32) -> LogicVec {
+        if let (Some((val, xz)), 1..=64) = (self.narrow_planes(), width) {
+            return LogicVec::narrow(width, val, xz);
+        }
         let mut out = LogicVec::zeros(width);
         let (val, xz) = out.planes_mut();
         let n = val.len().min(self.val().len());
@@ -499,7 +590,12 @@ impl LogicVec {
         other: &LogicVec,
         f: impl Fn(u64, u64, u64, u64) -> (u64, u64),
     ) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width.max(other.width));
+        let width = self.width.max(other.width);
+        if let Some([av, ax, bv, bx]) = self.narrow_pair(other) {
+            let (val, xz) = f(av, ax, bv, bx);
+            return LogicVec::narrow(width, val, xz);
+        }
+        let mut out = LogicVec::zeros(width);
         let (val, xz) = out.planes_mut();
         for i in 0..val.len() {
             (val[i], xz[i]) = f(
@@ -516,6 +612,9 @@ impl LogicVec {
     /// Bitwise NOT. `X`/`Z` bits stay `X`.
     #[must_use]
     pub fn not(&self) -> LogicVec {
+        if let Some((val, xz)) = self.narrow_planes() {
+            return LogicVec::narrow(self.width, !val & !xz, xz);
+        }
         let mut out = self.clone();
         let (val, xz) = out.planes_mut();
         for (v, x) in val.iter_mut().zip(xz.iter()) {
@@ -571,11 +670,14 @@ impl LogicVec {
     /// bits when `x_is_wildcard` (`casex`).
     #[must_use]
     pub fn case_care_mask(&self, x_is_wildcard: bool) -> LogicVec {
+        let wild = |val: u64, xz: u64| if x_is_wildcard { xz } else { xz & val };
+        if let Some((val, xz)) = self.narrow_planes() {
+            return LogicVec::narrow(self.width, !wild(val, xz), 0);
+        }
         let mut out = self.clone();
         let (val, xz) = out.planes_mut();
         for (v, x) in val.iter_mut().zip(xz.iter_mut()) {
-            let wild = if x_is_wildcard { *x } else { *x & *v };
-            (*v, *x) = (!wild, 0);
+            (*v, *x) = (!wild(*v, *x), 0);
         }
         out.mask_top();
         out
@@ -584,16 +686,21 @@ impl LogicVec {
     /// Reduction AND (`&v`): one bit.
     #[must_use]
     pub fn reduce_and(&self) -> LogicVec {
-        let (val, xz) = (self.val(), self.xz());
-        let any_zero = (0..val.len()).any(|i| !val[i] & !xz[i] & self.word_mask(i) != 0);
-        let bit = if any_zero {
+        let (any_zero, unknown) = match self.narrow_planes() {
+            Some((val, xz)) => (!val & !xz & ones_below(self.width) != 0, xz != 0),
+            None => {
+                let (val, xz) = (self.val(), self.xz());
+                let any_zero = (0..val.len()).any(|i| !val[i] & !xz[i] & self.word_mask(i) != 0);
+                (any_zero, self.has_unknown())
+            }
+        };
+        LogicVec::from_bit(if any_zero {
             Bit::Zero
-        } else if self.has_unknown() {
+        } else if unknown {
             Bit::X
         } else {
             Bit::One
-        };
-        LogicVec::from_bits(&[bit])
+        })
     }
 
     /// Reduction OR (`|v`): one bit.
@@ -603,7 +710,7 @@ impl LogicVec {
             Some(b) => Bit::from(b),
             None => Bit::X,
         };
-        LogicVec::from_bits(&[bit])
+        LogicVec::from_bit(bit)
     }
 
     /// Reduction XOR (`^v`): one bit.
@@ -614,7 +721,7 @@ impl LogicVec {
         } else {
             Bit::from(self.count_ones() % 2 == 1)
         };
-        LogicVec::from_bits(&[bit])
+        LogicVec::from_bit(bit)
     }
 
     /// Logical negation (`!v`): one bit.
@@ -661,6 +768,9 @@ impl LogicVec {
         if let Some(p) = self.arith_poisoned(other, width) {
             return p;
         }
+        if let Some([a, _, b, _]) = self.narrow_pair(other) {
+            return LogicVec::narrow(width, f(a, b, false).0, 0);
+        }
         let mut out = LogicVec::zeros(width);
         let (val, _) = out.planes_mut();
         let mut carry = false;
@@ -704,6 +814,9 @@ impl LogicVec {
         let width = self.width.max(other.width);
         if let Some(p) = self.arith_poisoned(other, width) {
             return p;
+        }
+        if let Some([a, _, b, _]) = self.narrow_pair(other) {
+            return LogicVec::narrow(width, a.wrapping_mul(b), 0);
         }
         let mut out = LogicVec::zeros(width);
         let (acc, _) = out.planes_mut();
@@ -751,6 +864,12 @@ impl LogicVec {
     /// width = max. Restoring division above 64 bits.
     fn udivrem(&self, other: &LogicVec) -> (LogicVec, LogicVec) {
         let width = self.width.max(other.width);
+        if let Some([a, _, b, _]) = self.narrow_pair(other) {
+            return (
+                LogicVec::narrow(width, a / b, 0),
+                LogicVec::narrow(width, a % b, 0),
+            );
+        }
         let mut quo = LogicVec::zeros(width);
         let mut rem = LogicVec::zeros(width);
         for i in (0..width).rev() {
@@ -769,6 +888,9 @@ impl LogicVec {
     /// Unsigned comparison of the zero-extended value planes (callers
     /// rule out unknowns first).
     fn ucmp(&self, other: &LogicVec) -> std::cmp::Ordering {
+        if let Some([a, _, b, _]) = self.narrow_pair(other) {
+            return a.cmp(&b);
+        }
         let (a, b) = (self.val(), other.val());
         (0..a.len().max(b.len()))
             .rev()
@@ -780,10 +902,13 @@ impl LogicVec {
     /// Logical shift left by a constant amount; result keeps `self`'s width.
     #[must_use]
     pub fn shl_const(&self, amount: u32) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width);
         if amount >= self.width {
-            return out;
+            return LogicVec::zeros(self.width);
         }
+        if let Some((val, xz)) = self.narrow_planes() {
+            return LogicVec::narrow(self.width, val << amount, xz << amount);
+        }
+        let mut out = LogicVec::zeros(self.width);
         let (ws, bs) = ((amount / 64) as usize, amount % 64);
         let (val, xz) = out.planes_mut();
         for (dst, src) in [(val, self.val()), (xz, self.xz())] {
@@ -822,6 +947,9 @@ impl LogicVec {
     /// unknown bits, else its value saturated at `self`'s width (the
     /// amount may be wider than 64 bits).
     fn shift_amount(&self, amount: &LogicVec) -> Option<u32> {
+        if let Some((val, xz)) = amount.narrow_planes() {
+            return (xz == 0).then(|| val.min(u64::from(self.width)) as u32);
+        }
         if amount.has_unknown() {
             return None;
         }
@@ -862,6 +990,13 @@ impl LogicVec {
     /// Logical equality (`==`): one bit, `X` if any input bit is unknown.
     #[must_use]
     pub fn eq_logic(&self, other: &LogicVec) -> LogicVec {
+        if let Some([av, ax, bv, bx]) = self.narrow_pair(other) {
+            return if ax | bx != 0 {
+                LogicVec::xes(1)
+            } else {
+                LogicVec::from_bool(av == bv)
+            };
+        }
         if self.has_unknown() || other.has_unknown() {
             return LogicVec::xes(1);
         }
@@ -871,12 +1006,22 @@ impl LogicVec {
     /// Logical inequality (`!=`).
     #[must_use]
     pub fn ne_logic(&self, other: &LogicVec) -> LogicVec {
+        if let Some([av, ax, bv, bx]) = self.narrow_pair(other) {
+            return if ax | bx != 0 {
+                LogicVec::xes(1)
+            } else {
+                LogicVec::from_bool(av != bv)
+            };
+        }
         self.eq_logic(other).logical_not()
     }
 
     /// Case equality (`===`): compares all four states, always 0 or 1.
     #[must_use]
     pub fn case_eq(&self, other: &LogicVec) -> LogicVec {
+        if let Some([av, ax, bv, bx]) = self.narrow_pair(other) {
+            return LogicVec::from_bool(av == bv && ax == bx);
+        }
         LogicVec::from_bool(words_eq(self.val(), other.val()) && words_eq(self.xz(), other.xz()))
     }
 
@@ -901,7 +1046,12 @@ impl LogicVec {
     /// Concatenation: `self` becomes the *high* part (Verilog `{self, low}`).
     #[must_use]
     pub fn concat(&self, low: &LogicVec) -> LogicVec {
-        let mut out = low.resize(self.width + low.width);
+        let width = self.width + low.width;
+        if let (Some([hv, hx, lv, lx]), true) = (self.narrow_pair(low), width <= 64) {
+            let shift = low.width;
+            return LogicVec::narrow(width, hv << shift | lv, hx << shift | lx);
+        }
+        let mut out = low.resize(width);
         let (val, xz) = out.planes_mut();
         or_shifted(val, self.val(), low.width);
         or_shifted(xz, self.xz(), low.width);
@@ -916,7 +1066,16 @@ impl LogicVec {
     #[must_use]
     pub fn replicate(&self, count: u32) -> LogicVec {
         assert!(count > 0, "replication count must be non-zero");
-        let mut out = LogicVec::zeros(self.width * count);
+        let width = self.width * count;
+        if let (Some((val, xz)), true) = (self.narrow_planes(), width <= 64) {
+            let (mut v, mut x) = (0, 0);
+            for k in 0..count {
+                v |= val << (k * self.width);
+                x |= xz << (k * self.width);
+            }
+            return LogicVec::narrow(width, v, x);
+        }
+        let mut out = LogicVec::zeros(width);
         let (val, xz) = out.planes_mut();
         for k in 0..count {
             or_shifted(val, self.val(), k * self.width);
@@ -936,6 +1095,10 @@ impl LogicVec {
 
     /// Bits `[lo .. lo+width)` of both planes, zero past `self`.
     fn bits_from(&self, lo: u32, width: u32) -> LogicVec {
+        if let (Some((val, xz)), 1..=64) = (self.narrow_planes(), width) {
+            let shr = |plane: u64| plane.checked_shr(lo).unwrap_or(0);
+            return LogicVec::narrow(width, shr(val), shr(xz));
+        }
         let mut out = LogicVec::zeros(width);
         let (val, xz) = out.planes_mut();
         for (dst, src) in [(val, self.val()), (xz, self.xz())] {
@@ -951,7 +1114,7 @@ impl LogicVec {
     #[must_use]
     pub fn select_bit(&self, index: &LogicVec) -> LogicVec {
         match index.to_u64() {
-            Some(i) if i < u64::from(self.width) => LogicVec::from_bits(&[self.bit(i as u32)]),
+            Some(i) if i < u64::from(self.width) => LogicVec::from_bit(self.bit(i as u32)),
             _ => LogicVec::xes(1),
         }
     }
@@ -959,6 +1122,9 @@ impl LogicVec {
     /// Counts `1` bits (unknown bits count as zero).
     #[must_use]
     pub fn count_ones(&self) -> u32 {
+        if let Some((val, xz)) = self.narrow_planes() {
+            return (val & !xz).count_ones();
+        }
         self.val()
             .iter()
             .zip(self.xz())

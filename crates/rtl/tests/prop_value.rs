@@ -159,7 +159,10 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Differential tests: every public operation against a bit-at-a-time
 // reference model, on random 4-state values of widths 1-200 that straddle
-// the 64-bit word boundaries.
+// the 64-bit word boundaries. Half of the operand pairs fit in one word
+// (the single-word path); every binary operator also meets explicit mixed
+// pairs, one operand of at most 64 bits and one wider (the multi-word
+// fallback).
 // ---------------------------------------------------------------------------
 
 /// The bit-at-a-time reference model: the operator semantics `LogicVec`
@@ -522,21 +525,44 @@ mod reference {
     }
 }
 
-/// Random 4-state vectors of width 1-200, half of them at a word-boundary
-/// width, each with its own unknown density so that arithmetic sees fully
-/// known operands as well as poisoned ones.
+/// Random 4-state vectors in a width range, half of them at one of its
+/// edge widths, each with its own unknown density so that arithmetic sees
+/// fully known operands as well as poisoned ones.
 #[derive(Clone, Copy)]
-struct AnyVec;
+struct AnyVec {
+    /// Inclusive width range.
+    widths: (u32, u32),
+    /// Widths drawn half of the time.
+    edges: &'static [u32],
+}
+
+/// Widths 1-200, straddling the word boundaries.
+const ANY: AnyVec = AnyVec {
+    widths: (1, 200),
+    edges: &[63, 64, 65, 127, 128, 129],
+};
+
+/// Widths 1-64: one word per plane.
+const NARROW: AnyVec = AnyVec {
+    widths: (1, 64),
+    edges: &[1, 63, 64],
+};
+
+/// Widths 65-200: more than one word per plane.
+const WIDE: AnyVec = AnyVec {
+    widths: (65, 200),
+    edges: &[65, 127, 128, 129],
+};
 
 impl Strategy for AnyVec {
     type Value = LogicVec;
 
     fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> LogicVec {
-        const EDGES: [u32; 6] = [63, 64, 65, 127, 128, 129];
+        let (min, max) = self.widths;
         let width = if rng.next_u64() % 2 == 0 {
-            EDGES[(rng.next_u64() % 6) as usize]
+            self.edges[(rng.next_u64() % self.edges.len() as u64) as usize]
         } else {
-            1 + (rng.next_u64() % 200) as u32
+            min + (rng.next_u64() % u64::from(max - min + 1)) as u32
         };
         let mode = rng.next_u64() % 5;
         let bits: Vec<Bit> = (0..width)
@@ -559,6 +585,41 @@ impl Strategy for AnyVec {
             .collect();
         LogicVec::from_bits(&bits)
     }
+}
+
+/// Operand pairs: half with both operands at most 64 bits wide, a quarter
+/// with one operand on each side of 64 bits (in either order), a quarter
+/// drawn from [`ANY`] alone.
+#[derive(Clone, Copy)]
+struct AnyPair;
+
+impl Strategy for AnyPair {
+    type Value = (LogicVec, LogicVec);
+
+    fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> (LogicVec, LogicVec) {
+        match rng.next_u64() % 4 {
+            0 | 1 => (NARROW.generate(rng), NARROW.generate(rng)),
+            2 => {
+                let (n, w) = (NARROW.generate(rng), WIDE.generate(rng));
+                if rng.next_u64() % 2 == 0 {
+                    (n, w)
+                } else {
+                    (w, n)
+                }
+            }
+            _ => (ANY.generate(rng), ANY.generate(rng)),
+        }
+    }
+}
+
+/// The drawn pair, then the explicit mixed pairs `(narrow, wide)` and
+/// `(wide, narrow)`.
+fn pairs<'a>(
+    ab: &'a (LogicVec, LogicVec),
+    narrow: &'a LogicVec,
+    wide: &'a LogicVec,
+) -> [(&'a LogicVec, &'a LogicVec); 3] {
+    [(&ab.0, &ab.1), (narrow, wide), (wide, narrow)]
 }
 
 fn bits(v: &LogicVec) -> Vec<Bit> {
@@ -593,13 +654,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn bitwise_and_queries_match_reference(a in AnyVec, b in AnyVec, w in 1u32..=200) {
-        let (ra, rb) = (bits(&a), bits(&b));
-        let ins = [&a, &b];
-        check("and", &a.and(&b), &reference::and(&ra, &rb), &ins);
-        check("or", &a.or(&b), &reference::or(&ra, &rb), &ins);
-        check("xor", &a.xor(&b), &reference::xor(&ra, &rb), &ins);
-        check("x_merge", &a.x_merge(&b), &reference::x_merge(&ra, &rb), &ins);
+    fn bitwise_and_queries_match_reference(
+        ab in AnyPair, n in NARROW, wd in WIDE, w in 1u32..=200
+    ) {
+        for (a, b) in pairs(&ab, &n, &wd) {
+            let (ra, rb) = (bits(a), bits(b));
+            let ins = [a, b];
+            check("and", &a.and(b), &reference::and(&ra, &rb), &ins);
+            check("or", &a.or(b), &reference::or(&ra, &rb), &ins);
+            check("xor", &a.xor(b), &reference::xor(&ra, &rb), &ins);
+            check("x_merge", &a.x_merge(b), &reference::x_merge(&ra, &rb), &ins);
+            check("logical_and", &a.logical_and(b), &reference::logical_and(&ra, &rb), &ins);
+            check("logical_or", &a.logical_or(b), &reference::logical_or(&ra, &rb), &ins);
+        }
+        let a = &ab.0;
+        let ra = bits(a);
+        let ins = [a];
         check("not", &a.not(), &reference::not(&ra), &ins);
         check("casez mask", &a.case_care_mask(false), &reference::care_mask(&ra, false), &ins);
         check("casex mask", &a.case_care_mask(true), &reference::care_mask(&ra, true), &ins);
@@ -607,8 +677,6 @@ proptest! {
         check("reduce_or", &a.reduce_or(), &reference::reduce_or(&ra), &ins);
         check("reduce_xor", &a.reduce_xor(), &reference::reduce_xor(&ra), &ins);
         check("logical_not", &a.logical_not(), &reference::logical_not(&ra), &ins);
-        check("logical_and", &a.logical_and(&b), &reference::logical_and(&ra, &rb), &ins);
-        check("logical_or", &a.logical_or(&b), &reference::logical_or(&ra, &rb), &ins);
         check("resize", &a.resize(w), &reference::resize(&ra, w as usize), &ins);
         check("sign_extend", &a.sign_extend(w), &reference::sign_extend(&ra, w as usize), &ins);
         prop_assert_eq!(a.truthy(), reference::truthy(&ra));
@@ -621,68 +689,80 @@ proptest! {
     }
 
     #[test]
-    fn arithmetic_and_comparisons_match_reference(a in AnyVec, b in AnyVec) {
-        let (ra, rb) = (bits(&a), bits(&b));
-        let ins = [&a, &b];
-        check("add", &a.add(&b), &reference::add(&ra, &rb), &ins);
-        check("sub", &a.sub(&b), &reference::sub(&ra, &rb), &ins);
-        check("neg", &a.neg(), &reference::neg(&ra), &ins);
-        check("mul", &a.mul(&b), &reference::mul(&ra, &rb), &ins);
-        let w = a.width().max(b.width()) as usize;
-        let (q, r) = reference::udivrem(&ra, &rb).unwrap_or_else(|| (vec![Bit::X; w], vec![Bit::X; w]));
-        check("udiv", &a.udiv(&b), &q, &ins);
-        check("urem", &a.urem(&b), &r, &ins);
-        check("eq_logic", &a.eq_logic(&b), &reference::eq_logic(&ra, &rb), &ins);
-        check("ne_logic", &a.ne_logic(&b), &reference::logical_not(&reference::eq_logic(&ra, &rb)), &ins);
-        check("case_eq", &a.case_eq(&b), &reference::case_eq(&ra, &rb), &ins);
-        check("ult", &a.ult(&b), &reference::ult(&ra, &rb), &ins);
-        check("ule", &a.ule(&b), &reference::ule(&ra, &rb), &ins);
-        // The same operations on a value against itself and its low bits.
-        let low = a.resize(a.width().min(b.width()));
-        check("sub self", &a.sub(&a), &reference::sub(&ra, &ra), &[&a]);
-        check("eq low", &a.eq_logic(&low), &reference::eq_logic(&ra, &bits(&low)), &[&a, &low]);
-        check("ult low", &low.ult(&a), &reference::ult(&bits(&low), &ra), &[&low, &a]);
+    fn arithmetic_and_comparisons_match_reference(ab in AnyPair, n in NARROW, wd in WIDE) {
+        for (a, b) in pairs(&ab, &n, &wd) {
+            let (ra, rb) = (bits(a), bits(b));
+            let ins = [a, b];
+            check("add", &a.add(b), &reference::add(&ra, &rb), &ins);
+            check("sub", &a.sub(b), &reference::sub(&ra, &rb), &ins);
+            check("neg", &a.neg(), &reference::neg(&ra), &ins);
+            check("mul", &a.mul(b), &reference::mul(&ra, &rb), &ins);
+            let w = a.width().max(b.width()) as usize;
+            let (q, r) = reference::udivrem(&ra, &rb).unwrap_or_else(|| (vec![Bit::X; w], vec![Bit::X; w]));
+            check("udiv", &a.udiv(b), &q, &ins);
+            check("urem", &a.urem(b), &r, &ins);
+            check("eq_logic", &a.eq_logic(b), &reference::eq_logic(&ra, &rb), &ins);
+            check("ne_logic", &a.ne_logic(b), &reference::logical_not(&reference::eq_logic(&ra, &rb)), &ins);
+            check("case_eq", &a.case_eq(b), &reference::case_eq(&ra, &rb), &ins);
+            check("ult", &a.ult(b), &reference::ult(&ra, &rb), &ins);
+            check("ule", &a.ule(b), &reference::ule(&ra, &rb), &ins);
+            // The same operations on a value against itself and its low bits.
+            let low = a.resize(a.width().min(b.width()));
+            check("sub self", &a.sub(a), &reference::sub(&ra, &ra), &[a]);
+            check("eq low", &a.eq_logic(&low), &reference::eq_logic(&ra, &bits(&low)), &[a, &low]);
+            check("ult low", &low.ult(a), &reference::ult(&bits(&low), &ra), &[&low, a]);
+        }
     }
 
     #[test]
-    fn shifts_match_reference(a in AnyVec, wide in AnyVec, n in 0u32..260, amt_w in 1u32..=80) {
-        let ra = bits(&a);
-        let ins = [&a];
-        check("shl_const", &a.shl_const(n), &reference::shl_const(&ra, n as usize), &ins);
-        check("lshr_const", &a.lshr_const(n), &reference::lshr_const(&ra, n as usize), &ins);
-        check("ashr_const", &a.ashr_const(n), &reference::ashr_const(&ra, n as usize), &ins);
+    fn shifts_match_reference(
+        ab in AnyPair, nv in NARROW, wv in WIDE, n in 0u32..260, amt_w in 1u32..=80
+    ) {
         // Small known amounts of any width, the same amount plus a bit
-        // above 64, then arbitrary (often huge or unknown) amounts.
+        // above 64, then arbitrary (often huge or unknown) amounts; each
+        // shifts the drawn value, a narrow one and a wide one.
         let small = LogicVec::from_u64(amt_w, u64::from(n));
         let above_64 = LogicVec::ones(1).concat(&small.resize(64 + amt_w));
-        for amount in [small, above_64, wide] {
-            let ram = bits(&amount);
-            let ins = [&a, &amount];
-            check("shl", &a.shl(&amount), &reference::shl(&ra, &ram), &ins);
-            check("lshr", &a.lshr(&amount), &reference::lshr(&ra, &ram), &ins);
-            check("ashr", &a.ashr(&amount), &reference::ashr(&ra, &ram), &ins);
+        for a in [&ab.0, &nv, &wv] {
+            let ra = bits(a);
+            let ins = [a];
+            check("shl_const", &a.shl_const(n), &reference::shl_const(&ra, n as usize), &ins);
+            check("lshr_const", &a.lshr_const(n), &reference::lshr_const(&ra, n as usize), &ins);
+            check("ashr_const", &a.ashr_const(n), &reference::ashr_const(&ra, n as usize), &ins);
+            for amount in [&small, &above_64, &ab.1] {
+                let ram = bits(amount);
+                let ins = [a, amount];
+                check("shl", &a.shl(amount), &reference::shl(&ra, &ram), &ins);
+                check("lshr", &a.lshr(amount), &reference::lshr(&ra, &ram), &ins);
+                check("ashr", &a.ashr(amount), &reference::ashr(&ra, &ram), &ins);
+            }
         }
     }
 
     #[test]
     fn concat_slice_replicate_match_reference(
-        a in AnyVec, b in AnyVec, lo in 0u32..300, w in 1u32..=200, n in 1u32..5
+        ab in AnyPair, nv in NARROW, wv in WIDE, lo in 0u32..300, w in 1u32..=200, n in 1u32..5
     ) {
-        let (ra, rb) = (bits(&a), bits(&b));
-        let ins = [&a, &b];
-        check("concat", &a.concat(&b), &reference::concat(&ra, &rb), &ins);
+        for (a, b) in pairs(&ab, &nv, &wv) {
+            let (ra, rb) = (bits(a), bits(b));
+            let ins = [a, b];
+            check("concat", &a.concat(b), &reference::concat(&ra, &rb), &ins);
+            check("select_bit x", &a.select_bit(b), &reference::select_bit(&ra, &rb), &ins);
+        }
+        let a = &ab.0;
+        let ra = bits(a);
+        let ins = [a];
         check("replicate", &a.replicate(n), &reference::replicate(&ra, n as usize), &ins);
         check("slice", &a.slice(lo, w), &reference::slice(&ra, u64::from(lo), w), &ins);
         let far = u32::MAX - lo;
         check("slice far", &a.slice(far, w), &reference::slice(&ra, u64::from(far), w), &ins);
         let index = LogicVec::from_u64(9, u64::from(lo));
         check("select_bit", &a.select_bit(&index), &reference::select_bit(&ra, &bits(&index)), &ins);
-        check("select_bit x", &a.select_bit(&b), &reference::select_bit(&ra, &rb), &ins);
     }
 
     #[test]
     fn construction_and_bit_access_match_reference(
-        a in AnyVec, i in 0u32..200, v in 0u8..4, x in 0u64..u64::MAX
+        a in ANY, i in 0u32..200, v in 0u8..4, x in 0u64..u64::MAX
     ) {
         let ra = bits(&a);
         prop_assert_eq!(LogicVec::from_bits(&ra), a.clone());
@@ -711,7 +791,7 @@ proptest! {
     }
 
     #[test]
-    fn equal_values_built_by_different_paths_are_equal_and_hash_equal(a in AnyVec, w in 1u32..=200) {
+    fn equal_values_built_by_different_paths_are_equal_and_hash_equal(a in ANY, w in 1u32..=200) {
         let paths = [
             a.resize(w),
             a.resize(w.max(a.width()) + 70).resize(w),

@@ -18,9 +18,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use soccar_rtl::ast::{CaseKind, Edge, NetKind};
+use soccar_rtl::ast::{Edge, NetKind};
 use soccar_rtl::design::{
-    Design, LValue, MemId, NetId, ProcessId, RCaseArm, RExpr, RStmt, Trigger,
+    Design, LValue, MemId, NetId, ProcessId, RCaseArm, RCaseLabel, RExpr, RStmt, Trigger,
 };
 use soccar_rtl::value::{Bit, LogicVec};
 
@@ -630,24 +630,20 @@ impl<'d, A: Algebra> Simulator<'d, A> {
                     Ok(())
                 }
             }
-            RStmt::Case {
-                kind,
-                selector,
-                arms,
-            } => self.exec_case(*kind, selector, arms, pid),
+            RStmt::Case { selector, arms } => self.exec_case(selector, arms, pid),
             RStmt::Assign {
                 lhs,
+                width,
                 rhs,
                 nonblocking,
             } => {
                 let value = self.eval(rhs);
-                let total = lhs.width(self.design);
-                let value = fit(&mut self.algebra, value, total);
+                let value = fit(&mut self.algebra, value, *width);
                 if let LValue::Concat(_) = lhs {
                     // Every part's dynamic index is evaluated before any
                     // part is written.
                     let mut writes = std::mem::take(&mut self.writes);
-                    self.flatten_into(lhs, &value, total, &mut writes);
+                    self.flatten_into(lhs, &value, *width, &mut writes);
                     for w in writes.drain(..) {
                         self.write(w, *nonblocking);
                     }
@@ -687,22 +683,15 @@ impl<'d, A: Algebra> Simulator<'d, A> {
         }
     }
 
-    fn exec_case(
-        &mut self,
-        kind: CaseKind,
-        selector: &RExpr,
-        arms: &[RCaseArm],
-        pid: ProcessId,
-    ) -> SimResult<()> {
+    fn exec_case(&mut self, selector: &RExpr, arms: &[RCaseArm], pid: ProcessId) -> SimResult<()> {
         let sel = self.eval(selector);
-        let sel_w = self.algebra.concrete(&sel).width();
         for arm in arms {
             if arm.labels.is_empty() {
                 continue; // default handled after all labels
             }
             let mut matched = false;
             for label in &arm.labels {
-                let m = self.case_label_match(kind, &sel, sel_w, label);
+                let m = self.case_label_match(&sel, label);
                 let hit = self.algebra.concrete(&m).truthy() == Some(true);
                 if let Some(site) = arm.site {
                     self.algebra.on_branch(site, &m, hit);
@@ -722,31 +711,19 @@ impl<'d, A: Algebra> Simulator<'d, A> {
         Ok(())
     }
 
-    /// Builds the match condition of one case label, honouring wildcard
-    /// bits for `casez` (Z/?) and `casex` (X and Z).
-    fn case_label_match(
-        &mut self,
-        kind: CaseKind,
-        sel: &A::Value,
-        sel_w: u32,
-        label: &LogicVec,
-    ) -> A::Value {
-        let care_mask = match kind {
-            CaseKind::Case => None,
-            CaseKind::Casez => Some(label.case_care_mask(false)),
-            CaseKind::Casex => Some(label.case_care_mask(true)),
-        };
-        match care_mask {
+    /// Builds the match condition of one case label, honouring the
+    /// wildcard bits of a `casez` (Z/?) or `casex` (X and Z) label through
+    /// its care mask.
+    fn case_label_match(&mut self, sel: &A::Value, label: &RCaseLabel) -> A::Value {
+        match &label.care {
             None => {
-                let l = self.algebra.constant(label.resize(sel_w));
+                let l = self.algebra.constant(label.value.clone());
                 self.algebra
                     .binary(soccar_rtl::ast::BinaryOp::CaseEq, sel, &l)
             }
-            Some(mask) => {
-                let mask = mask.resize(sel_w);
-                let masked_label = label.resize(sel_w).and(&mask);
-                let m = self.algebra.constant(mask);
-                let l = self.algebra.constant(masked_label);
+            Some(care) => {
+                let m = self.algebra.constant(care.clone());
+                let l = self.algebra.constant(label.value.clone());
                 let masked_sel = self.algebra.binary(soccar_rtl::ast::BinaryOp::And, sel, &m);
                 self.algebra
                     .binary(soccar_rtl::ast::BinaryOp::CaseEq, &masked_sel, &l)

@@ -253,3 +253,47 @@ fn trace_and_vcd_capture_reset_event() {
     assert!(vcd.contains("t_q"));
     assert!(vcd.contains("b0000"));
 }
+
+#[test]
+fn case_items_wider_than_the_selector_compare_at_the_widest_width() {
+    // IEEE 1364-2005 §9.5: a 2-bit selector against 3-bit items is
+    // zero-extended to 3 bits, so an item with bit 2 set never matches,
+    // while a wildcard at bit 2 still lets the low bits match.
+    let d = compile(
+        "module t(input [1:0] sel, output reg hit, output reg zhit, output reg low);
+           always @* begin
+             hit = 1'b0;
+             case (sel)
+               3'b100: hit = 1'b1;
+             endcase
+             zhit = 1'b0;
+             casez (sel)
+               3'b1?0: zhit = 1'b1;
+             endcase
+             low = 1'b0;
+             casez (sel)
+               3'b?10: low = 1'b1;
+             endcase
+           end
+         endmodule",
+        "t",
+    );
+    let mut s = Simulator::concrete(&d, InitPolicy::Zeros);
+    let sel = d.find_net("t.sel").expect("sel");
+    let net = |name: &str| d.find_net(&format!("t.{name}")).expect("net");
+    for v in 0..4 {
+        s.write_input(sel, LogicVec::from_u64(2, v)).expect("sel");
+        s.settle().expect("settle");
+        assert_eq!(s.net_logic(net("hit")).to_u64(), Some(0), "case, sel = {v}");
+        assert_eq!(
+            s.net_logic(net("zhit")).to_u64(),
+            Some(0),
+            "casez, sel = {v}"
+        );
+        assert_eq!(
+            s.net_logic(net("low")).to_u64(),
+            Some(u64::from(v == 2)),
+            "casez wildcard, sel = {v}"
+        );
+    }
+}

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::bv::BvVal;
 
@@ -120,6 +121,60 @@ impl Term {
     }
 }
 
+/// The interning hasher: FxHash, one rotate, xor and multiply per word.
+/// Terms are small and hashed on every construction, where SipHash's
+/// per-call setup dominates; the dedup map is only looked up, never
+/// iterated, so the hash function cannot change a [`TermId`].
+#[derive(Clone, Copy, Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; bring the well-mixed high bits down
+        // to the bucket-index bits.
+        self.hash.rotate_left(26)
+    }
+}
+
 /// The arena of hash-consed terms.
 ///
 /// # Examples
@@ -137,7 +192,7 @@ impl Term {
 pub struct TermGraph {
     terms: Vec<Term>,
     widths: Vec<u32>,
-    dedup: HashMap<Term, TermId>,
+    dedup: HashMap<Term, TermId, BuildHasherDefault<FxHasher>>,
     vars: Vec<TermId>,
 }
 
@@ -833,6 +888,42 @@ mod tests {
         let b = g.add(y, x); // commutative normalization
         assert_eq!(a, b);
         assert_eq!(g.var("x", 8), x);
+    }
+
+    #[test]
+    fn interning_is_deterministic_and_returns_first_ids() {
+        let build = || {
+            let mut g = TermGraph::new();
+            let x = g.var("x", 8);
+            let y = g.var("a_longer_variable_name", 8);
+            let wide = g.constant(BvVal::ones(130));
+            let sum = g.add(x, y);
+            let c = g.const_u64(8, 7);
+            let eq = g.eq(sum, c);
+            let ext = g.zext(x, 130);
+            let masked = g.and(ext, wide);
+            let ids = vec![x, y, wide, sum, c, eq, ext, masked];
+            (g, ids)
+        };
+        let (mut g, ids) = build();
+        let (g2, ids2) = build();
+        assert_eq!(ids, ids2);
+        assert_eq!(g.len(), g2.len());
+        // Every repeated construction returns the id it got first, and
+        // adds no node.
+        let len = g.len();
+        let [x, y, wide, sum, c, eq, ext, masked] = ids[..] else {
+            unreachable!("eight ids")
+        };
+        assert_eq!(g.var("x", 8), x);
+        assert_eq!(g.var("a_longer_variable_name", 8), y);
+        assert_eq!(g.constant(BvVal::ones(130)), wide);
+        assert_eq!(g.add(x, y), sum);
+        assert_eq!(g.const_u64(8, 7), c);
+        assert_eq!(g.eq(sum, c), eq);
+        assert_eq!(g.zext(x, 130), ext);
+        assert_eq!(g.and(ext, wide), masked);
+        assert_eq!(g.len(), len);
     }
 
     #[test]
