@@ -206,6 +206,10 @@ pub fn extract_all_jobs(
 /// Like [`extract_all_jobs`] under an explicit [`FailurePolicy`] and
 /// [`FaultPlan`].
 ///
+/// A unit smaller than [`MIN_FANOUT_BYTES`] is extracted inline on the
+/// calling thread whatever `jobs` says: a spawned worker costs more than
+/// its share of a small design (see [`fanout_jobs`]).
+///
 /// Under [`FailurePolicy::KeepGoing`] a module whose extraction panics
 /// contributes an *empty* CFG (its name resolves, it governs nothing)
 /// plus a degradation reason, instead of aborting the stage. The fault
@@ -216,6 +220,8 @@ pub fn extract_all_jobs(
 /// [`FailurePolicy`]: soccar_exec::FailurePolicy
 /// [`FaultPlan`]: soccar_exec::FaultPlan
 /// [`FailurePolicy::KeepGoing`]: soccar_exec::FailurePolicy::KeepGoing
+/// [`MIN_FANOUT_BYTES`]: soccar_rtl::fingerprint::MIN_FANOUT_BYTES
+/// [`fanout_jobs`]: soccar_rtl::fingerprint::fanout_jobs
 #[must_use]
 pub fn extract_all_resilient(
     unit: &SourceUnit,
@@ -231,6 +237,7 @@ pub fn extract_all_resilient(
         .enumerate()
         .map(|(i, m)| ((i + 1) as u64, m))
         .collect();
+    let jobs = soccar_rtl::fingerprint::fanout_jobs(unit.extent(), jobs);
     let (outcomes, stats) = soccar_exec::parallel_map_policy(jobs, &items, policy, |(idx, m)| {
         if plan.should_inject("task_panic:extract", *idx) {
             panic!("injected fault: task_panic@extract:{idx}");

@@ -49,10 +49,9 @@ impl ResetNaming {
     /// `true` if `name` looks like a clock by naming convention.
     #[must_use]
     pub fn is_clock_name(&self, name: &str) -> bool {
-        let lower = name.to_ascii_lowercase();
         self.clock_patterns
             .iter()
-            .any(|p| lower.contains(p.as_str()))
+            .any(|p| lowercase_contains(name, p))
     }
 }
 
@@ -62,8 +61,18 @@ impl ResetNaming {
 /// that are not structurally resets).
 #[must_use]
 pub fn looks_like_reset_name(name: &str, patterns: &[String]) -> bool {
-    let lower = name.to_ascii_lowercase();
-    patterns.iter().any(|p| lower.contains(p.as_str()))
+    patterns.iter().any(|p| lowercase_contains(name, p))
+}
+
+/// `name.to_ascii_lowercase().contains(pattern)`, without the copy.
+fn lowercase_contains(name: &str, pattern: &str) -> bool {
+    let pattern = pattern.as_bytes();
+    pattern.is_empty()
+        || name.as_bytes().windows(pattern.len()).any(|w| {
+            w.iter()
+                .zip(pattern)
+                .all(|(c, p)| c.to_ascii_lowercase() == *p)
+        })
 }
 
 /// How a reset signal was identified.
@@ -171,11 +180,11 @@ pub fn identify_resets(module: &Module, naming: &ResetNaming) -> Vec<ResetSignal
 /// directly after `rst`/`reset`).
 #[must_use]
 pub fn name_suggests_active_low(name: &str) -> bool {
-    let lower = name.to_ascii_lowercase();
-    lower.ends_with("_n")
-        || lower.ends_with("_ni")
-        || lower.ends_with("resetn")
-        || lower.ends_with("rstn")
+    let name = name.as_bytes();
+    ["_n", "_ni", "resetn", "rstn"].iter().any(|suffix| {
+        name.len() >= suffix.len()
+            && name[name.len() - suffix.len()..].eq_ignore_ascii_case(suffix.as_bytes())
+    })
 }
 
 /// Returns `true` if the first statement of `body` (descending through

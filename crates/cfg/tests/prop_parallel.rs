@@ -3,10 +3,12 @@
 //! polarities, widths, scrubbed and unscrubbed arms, reset-free blocks —
 //! `extract_all_jobs` at any worker count must return exactly the
 //! per-module CFG/AR_CFG pairs (same events, same edges, same order)
-//! that the serial path produces.
+//! that the serial path produces. A leading comment pads every module
+//! set past `MIN_FANOUT_BYTES`, so the extraction really fans out.
 
 use proptest::prelude::*;
 use soccar_cfg::{extract_all, extract_all_jobs, GovernorAnalysis, ResetNaming};
+use soccar_rtl::fingerprint::MIN_FANOUT_BYTES;
 use soccar_rtl::parser::parse;
 use soccar_rtl::span::FileId;
 
@@ -57,11 +59,12 @@ proptest! {
         seeds in proptest::collection::vec(0u64..1u64 << 32, 1..7),
         jobs in 2usize..9,
     ) {
-        let src: String = seeds
+        let modules: String = seeds
             .iter()
             .enumerate()
             .map(|(i, s)| module_source(i, *s))
             .collect();
+        let src = format!("/*{}*/\n{modules}", " ".repeat(MIN_FANOUT_BYTES));
         let unit = parse(FileId(0), &src).expect("generated module set parses");
         let naming = ResetNaming::new();
 
@@ -70,6 +73,7 @@ proptest! {
             let (parallel, stats) = extract_all_jobs(&unit, &naming, analysis, jobs);
             prop_assert_eq!(&serial, &parallel);
             prop_assert_eq!(stats.tasks, unit.modules.len());
+            prop_assert_eq!(stats.jobs, jobs.min(unit.modules.len()));
             // Module order tracks source order for every job count.
             for (i, (cfg, ar)) in parallel.iter().enumerate() {
                 prop_assert_eq!(&cfg.module, &format!("m{i}"));

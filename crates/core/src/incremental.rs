@@ -452,7 +452,7 @@ impl AnalysisSession {
         req: &Request<'_>,
         properties: Vec<SecurityProperty>,
         request_fp: u64,
-        chunks: &[ModuleChunk],
+        chunks: &[ModuleChunk<'_>],
         lent: &mut Option<AssembledUnit>,
     ) -> Result<(AnalysisReport, RequestStats), SoccarError> {
         let config = req.config;
@@ -464,7 +464,7 @@ impl AnalysisSession {
         // and elaborate on a design-tier miss.
         let frontend = stages.open("frontend");
         let parse_cache = &mut self.parse_cache;
-        let assembled = lent.insert(assemble_unit(FileId(0), chunks, |raw_fp| {
+        let assembled = lent.insert(assemble_unit(FileId(0), chunks, stages.jobs(), |raw_fp| {
             parse_cache.remove(&raw_fp)
         }));
         let mut stats = RequestStats {

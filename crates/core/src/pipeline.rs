@@ -24,7 +24,7 @@ use soccar_cfg::{
 use soccar_concolic::{ConcolicConfig, ConcolicEngine, ConcolicReport, SecurityProperty};
 use soccar_lint::{LintConfig, LintReport, Linter};
 use soccar_rtl::ast::SourceUnit;
-use soccar_rtl::{elaborate::elaborate_traced, parser::parse_traced, span::SourceMap, Design};
+use soccar_rtl::{elaborate::elaborate_traced, parser::parse_jobs, span::SourceMap, Design};
 
 use crate::error::SoccarError;
 
@@ -39,8 +39,10 @@ pub struct SoccarConfig {
     pub concolic: ConcolicConfig,
     /// Per-rule allow/deny configuration for the lint pre-pass.
     pub lint: LintConfig,
-    /// Worker threads for the parallel stages (AR_CFG extraction fan-out
-    /// and per-round concolic flip solving). `0` resolves via
+    /// Worker threads for the parallel stages (the frontend's per-module
+    /// parse and lint and the AR_CFG extraction fan-out, on a source of
+    /// at least [`soccar_rtl::fingerprint::MIN_FANOUT_BYTES`], and the
+    /// concolic flip solving and reset sweep). `0` resolves via
     /// [`soccar_exec::resolve_jobs`]: the `SOCCAR_JOBS` environment
     /// variable, then the machine's available parallelism. The resolved
     /// value also overwrites [`ConcolicConfig::jobs`] for the run.
@@ -486,7 +488,7 @@ impl Soccar {
         let frontend = stages.open("frontend");
         let mut map = SourceMap::new();
         let file = map.add_file(file_name, source);
-        let unit = parse_traced(file, source, &self.recorder)?;
+        let unit = parse_jobs(file, source, stages.jobs(), &self.recorder)?;
         let design = elaborate_traced(&unit, top, &self.recorder)?;
         let frontend = frontend.frontend(&unit, &design);
 
@@ -529,6 +531,11 @@ impl<'a> Stages<'a> {
         }
     }
 
+    /// The resolved worker count.
+    pub(crate) fn jobs(&self) -> usize {
+        self.jobs
+    }
+
     /// Opens the `pipeline.analyze` span every stage nests under.
     pub(crate) fn analyze_span(&self, file_name: &str, top: &str) -> soccar_obs::SpanGuard {
         soccar_obs::span!(
@@ -564,7 +571,8 @@ impl<'a> Stages<'a> {
         let stage = self.open("lint");
         let lint = run(&Linter::new()
             .with_naming(self.config.naming.clone())
-            .with_config(self.config.lint.clone()));
+            .with_config(self.config.lint.clone())
+            .with_jobs(self.jobs));
         self.recorder
             .counter_add("lint.diagnostics", lint.diagnostics.len() as u64);
         let report = stage.finish(lint.summary(), None, Health::Ok);
@@ -827,7 +835,8 @@ mod tests {
         assert!(report.stages[0].exec.is_none());
         assert!(report.stages[1].exec.is_none());
         let extract = report.stages[2].exec.as_ref().expect("ar_cfg exec");
-        assert_eq!(extract.jobs, 2);
+        // A design below `MIN_FANOUT_BYTES` is extracted inline.
+        assert_eq!(extract.jobs, 1);
         assert_eq!(extract.tasks, 2); // ip + top modules
         let flips = report.stages[3].exec.as_ref().expect("concolic exec");
         assert_eq!(flips.tasks, report.concolic.flip_exec.tasks);

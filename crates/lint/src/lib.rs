@@ -18,6 +18,11 @@
 //! ([`Linter`]) with per-rule allow/deny configuration; external crates
 //! can plug their own rules in via [`Linter::with_rule`].
 //!
+//! A rule reads one module at a time, so a large design is linted
+//! module by module on the worker pool ([`Linter::with_jobs`]); findings
+//! merge in module order, and the report is the same for every job
+//! count.
+//!
 //! # Examples
 //!
 //! ```
@@ -66,6 +71,7 @@ pub struct Linter {
     rules: Vec<Box<dyn LintRule>>,
     naming: ResetNaming,
     config: LintConfig,
+    jobs: usize,
 }
 
 impl std::fmt::Debug for Linter {
@@ -73,6 +79,7 @@ impl std::fmt::Debug for Linter {
         f.debug_struct("Linter")
             .field("rules", &self.rules.len())
             .field("config", &self.config)
+            .field("jobs", &self.jobs)
             .finish()
     }
 }
@@ -91,6 +98,7 @@ impl Linter {
             rules: default_rules(),
             naming: ResetNaming::new(),
             config: LintConfig::default(),
+            jobs: 1,
         }
     }
 
@@ -105,6 +113,18 @@ impl Linter {
     #[must_use]
     pub fn with_naming(mut self, naming: ResetNaming) -> Linter {
         self.naming = naming;
+        self
+    }
+
+    /// Sets the workers that parse and lint a source of at least
+    /// [`MIN_FANOUT_BYTES`] module by module (`0`: as
+    /// [`soccar_exec::resolve_jobs`]; 1, the default, runs inline).
+    /// Smaller sources always run inline. Reports do not depend on it.
+    ///
+    /// [`MIN_FANOUT_BYTES`]: soccar_rtl::fingerprint::MIN_FANOUT_BYTES
+    #[must_use]
+    pub fn with_jobs(mut self, jobs: usize) -> Linter {
+        self.jobs = jobs;
         self
     }
 
@@ -139,18 +159,33 @@ impl Linter {
     ) -> Result<LintReport, String> {
         let mut map = SourceMap::new();
         let file = map.add_file(file_name, source);
-        let unit =
-            soccar_rtl::parser::parse(file, map.file_text(file)).map_err(|e| e.to_string())?;
+        let unit = soccar_rtl::parser::parse_jobs(
+            file,
+            map.file_text(file),
+            self.jobs,
+            &soccar_obs::Recorder::disabled(),
+        )
+        .map_err(|e| e.to_string())?;
         Ok(self.lint_unit(&unit, &map))
     }
 
     /// Lints an already-parsed unit, resolving spans against `map`: the
-    /// three steps below, over every module.
+    /// three steps below, over every module. Step 2 runs module by module
+    /// on the worker pool when the unit is large enough (see
+    /// [`Linter::with_jobs`]).
     #[must_use]
     pub fn lint_unit(&self, unit: &SourceUnit, map: &SourceMap) -> LintReport {
         let facts = self.facts(unit);
         let ctx = self.context(unit, &facts);
-        LintReport::finish(self.check_modules(&ctx, 0..unit.modules.len()), map)
+        let rules = self.enabled_rules();
+        let indices: Vec<usize> = (0..unit.modules.len()).collect();
+        let jobs = soccar_rtl::fingerprint::fanout_jobs(unit.extent(), self.jobs);
+        let found = soccar_exec::parallel_map(jobs, &indices, |&index| {
+            let mut found = Vec::new();
+            check_module(&ctx, &rules, index, &mut found);
+            found
+        });
+        LintReport::finish(found.concat(), map)
     }
 
     /// Step 1a: the design-wide facts of `unit` under this linter's
@@ -182,29 +217,44 @@ impl Linter {
         ctx: &LintContext<'_>,
         modules: impl IntoIterator<Item = usize>,
     ) -> Vec<Diagnostic> {
-        let rules: Vec<(&dyn LintRule, bool)> = self
-            .rules
+        let rules = self.enabled_rules();
+        let mut diagnostics = Vec::new();
+        for index in modules {
+            check_module(ctx, &rules, index, &mut diagnostics);
+        }
+        diagnostics
+    }
+
+    /// The rules `allow` leaves on, each with whether `deny` escalates
+    /// it.
+    fn enabled_rules(&self) -> Vec<(&dyn LintRule, bool)> {
+        self.rules
             .iter()
             .filter(|rule| !self.config.allow.iter().any(|a| a == rule.id()))
             .map(|rule| {
                 let denied = self.config.deny.iter().any(|d| d == rule.id());
                 (rule.as_ref(), denied)
             })
-            .collect();
-        let mut diagnostics = Vec::new();
-        for index in modules {
-            let view = ctx.view(index);
-            for &(rule, denied) in &rules {
-                let before = diagnostics.len();
-                rule.check(ctx, &view, &mut diagnostics);
-                if denied {
-                    for diag in &mut diagnostics[before..] {
-                        diag.severity = Severity::Error;
-                    }
-                }
+            .collect()
+    }
+}
+
+/// Runs `rules` over module `index`, appending its findings to `out`.
+fn check_module(
+    ctx: &LintContext<'_>,
+    rules: &[(&dyn LintRule, bool)],
+    index: usize,
+    out: &mut Vec<Diagnostic>,
+) {
+    let view = ctx.view(index);
+    for &(rule, denied) in rules {
+        let before = out.len();
+        rule.check(ctx, &view, out);
+        if denied {
+            for diag in &mut out[before..] {
+                diag.severity = Severity::Error;
             }
         }
-        diagnostics
     }
 }
 

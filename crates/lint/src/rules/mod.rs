@@ -27,7 +27,10 @@ pub use name_shadowing::ResetNameShadowing;
 pub use partial_domain::PartialResetDomain;
 
 /// A single static check over the design.
-pub trait LintRule {
+///
+/// A large design is linted module by module on the worker pool, so a
+/// rule is shared across threads: it must be `Send + Sync`.
+pub trait LintRule: Send + Sync {
     /// Stable kebab-case identifier used in configuration and output.
     fn id(&self) -> &'static str;
 

@@ -23,6 +23,15 @@ impl SourceUnit {
     pub fn module(&self, name: &str) -> Option<&Module> {
         self.modules.iter().find(|m| m.name == name)
     }
+
+    /// The byte offset where the last module ends: the source's size
+    /// less trailing comments and whitespace. The per-module stages size
+    /// their worker pools by it (see
+    /// [`crate::fingerprint::fanout_jobs`]).
+    #[must_use]
+    pub fn extent(&self) -> usize {
+        self.modules.last().map_or(0, |m| m.span.end as usize)
+    }
 }
 
 /// Port direction.

@@ -23,6 +23,13 @@
 //! output — stays byte-identical to a cold full-file parse. After the
 //! request, [`AssembledUnit::into_parsed`] hands the modules back for the
 //! next one.
+//!
+//! The same chunks are the frontend's unit of parallel work. A source of
+//! at least [`MIN_FANOUT_BYTES`] is parsed chunk by chunk on the worker
+//! pool ([`crate::parser::parse_jobs`]), and the per-module stages after
+//! it size their pools by the same rule ([`fanout_jobs`]). Every chunked
+//! parse, pooled or lent, goes through one chunk parser that lexes the
+//! chunk at its byte offset, so its spans are the full file's.
 
 use crate::ast::{
     AlwaysBlock, CaseArm, Declarator, Expr, Instance, Item, Module, NetDecl, ParamDecl, Port,
@@ -71,23 +78,77 @@ pub fn module_fingerprint(m: &Module) -> u64 {
     hash_bytes(printer::print_module(m).as_bytes())
 }
 
+/// The smallest source, in bytes, whose modules the frontend parses,
+/// lints and extracts on the worker pool; below it they run inline on
+/// the calling thread.
+///
+/// Measured at two jobs on a 2-vCPU host, the parse and lint fan-out
+/// breaks even between 27 KB (1.17× the serial time) and 47 KB (0.87×)
+/// when the second vCPU is free, and gains 13–17% from 47 to 169 KB and
+/// 27% on the 312 KB x10 design; when the second vCPU is busy it loses
+/// 13–39% at every size. The constant sits above the break-even, where
+/// the gain is worth that risk (DESIGN.md, "Frontend: module fan-out").
+pub const MIN_FANOUT_BYTES: usize = 64 * 1024;
+
+/// The workers a per-module stage over a source of `bytes` bytes runs
+/// on: `jobs` from [`MIN_FANOUT_BYTES`] up, else 1, inline. A thread
+/// spawned for a small design costs more than its share of the work.
+#[must_use]
+pub fn fanout_jobs(bytes: usize, jobs: usize) -> usize {
+    if bytes < MIN_FANOUT_BYTES {
+        1
+    } else {
+        jobs
+    }
+}
+
 /// One per-module slice of a source file, produced by [`split_modules`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModuleChunk {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModuleChunk<'a> {
     /// Module name as spelled at the definition.
-    pub name: String,
+    pub name: &'a str,
     /// Byte offset of the `module` keyword in the full source.
     pub offset: u32,
     /// Source text from the `module` keyword through `endmodule`.
-    pub text: String,
+    pub text: &'a str,
 }
 
-impl ModuleChunk {
+impl ModuleChunk<'_> {
     /// Raw fingerprint of the chunk text (see [`hash_bytes`]).
     #[must_use]
     pub fn raw_fingerprint(&self) -> u64 {
         hash_bytes(self.text.as_bytes())
     }
+
+    /// Parses the chunk into `file` at its byte offset: the one chunk
+    /// parser. Returns the module and the tokens it took, less the
+    /// `Eof`; `None` unless the text parses as exactly one module.
+    fn parse(&self, file: FileId) -> Option<(Module, u64)> {
+        crate::parser::parse_module_at(file, self.text, self.offset)
+    }
+}
+
+/// Parses `text` chunk by chunk on up to `jobs` workers, when
+/// [`fanout_jobs`] allows more than one and [`split_modules`] can split
+/// it: the modules in source order and the whole-file token count
+/// (the chunks' tokens and one `Eof`). `None` sends the caller to the
+/// whole-file parse: a small or unsplittable source, or a chunk that
+/// does not parse, whose diagnostic only the whole-file parse gives.
+pub(crate) fn parse_fanned_out(file: FileId, text: &str, jobs: usize) -> Option<(SourceUnit, u64)> {
+    let jobs = fanout_jobs(text.len(), jobs);
+    if jobs == 1 {
+        return None;
+    }
+    let chunks = split_modules(text)?;
+    let parsed = soccar_exec::parallel_map(jobs, &chunks, |chunk| chunk.parse(file));
+    let mut modules = Vec::with_capacity(parsed.len());
+    let mut tokens = 1;
+    for chunk in parsed {
+        let (module, taken) = chunk?;
+        modules.push(module);
+        tokens += taken;
+    }
+    Some((SourceUnit { modules }, tokens))
 }
 
 /// Splits `source` into per-module chunks without parsing it.
@@ -100,19 +161,30 @@ impl ModuleChunk {
 /// an unterminated construct, or a nested `module`). `None` is never an
 /// error: the caller simply loses incrementality for that input.
 ///
-/// For a well-formed subset file, concatenating chunk parses and
-/// rebasing their spans reproduces the full-file parse exactly; the
-/// `chunks_reassemble_exactly` tests pin that equivalence.
+/// For a well-formed subset file, parsing each chunk at its offset and
+/// concatenating the modules reproduces the full-file parse exactly;
+/// the `chunks_reassemble_exactly` tests pin that equivalence.
 #[must_use]
-pub fn split_modules(source: &str) -> Option<Vec<ModuleChunk>> {
+pub fn split_modules(source: &str) -> Option<Vec<ModuleChunk<'_>>> {
     let bytes = source.as_bytes();
     let mut chunks = Vec::new();
     let mut i = 0usize;
     // Offset of the `module` keyword of the chunk being scanned, plus the
     // module's name once seen; `None` between modules.
-    let mut current: Option<(usize, Option<String>)> = None;
+    let mut current: Option<(usize, Option<&str>)> = None;
 
     while i < bytes.len() {
+        // Inside a module body only comments, strings, escaped
+        // identifiers and words can matter; skip every other byte.
+        if current.is_some() {
+            match bytes[i..]
+                .iter()
+                .position(|&b| SCAN[usize::from(b)] >= OPEN)
+            {
+                Some(skip) => i += skip,
+                None => break,
+            }
+        }
         let b = bytes[i];
         // Comments and whitespace are legal everywhere.
         if b.is_ascii_whitespace() {
@@ -120,9 +192,7 @@ pub fn split_modules(source: &str) -> Option<Vec<ModuleChunk>> {
             continue;
         }
         if b == b'/' && bytes.get(i + 1) == Some(&b'/') {
-            while i < bytes.len() && bytes[i] != b'\n' {
-                i += 1;
-            }
+            i = source[i..].find('\n').map_or(bytes.len(), |n| i + n);
             continue;
         }
         if b == b'/' && bytes.get(i + 1) == Some(&b'*') {
@@ -156,11 +226,9 @@ pub fn split_modules(source: &str) -> Option<Vec<ModuleChunk>> {
             continue;
         }
         // An ordinary identifier/keyword token.
-        if b.is_ascii_alphabetic() || b == b'_' {
+        if SCAN[usize::from(b)] == WORD {
             let start = i;
-            while i < bytes.len()
-                && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'$')
-            {
+            while i < bytes.len() && matches!(SCAN[usize::from(bytes[i])], WORD | WORD_REST) {
                 i += 1;
             }
             let word = &source[start..i];
@@ -176,11 +244,11 @@ pub fn split_modules(source: &str) -> Option<Vec<ModuleChunk>> {
                     chunks.push(ModuleChunk {
                         name,
                         offset: u32::try_from(*chunk_start).ok()?,
-                        text: source[*chunk_start..i].to_owned(),
+                        text: &source[*chunk_start..i],
                     });
                     current = None;
                 }
-                (Some((_, name @ None)), w) => *name = Some(w.to_owned()),
+                (Some((_, name @ None)), w) => *name = Some(w),
                 (Some((_, Some(_))), _) => {}
             }
             continue;
@@ -198,14 +266,42 @@ pub fn split_modules(source: &str) -> Option<Vec<ModuleChunk>> {
     Some(chunks)
 }
 
+/// [`split_modules`]'s byte classes. A module body skips every byte
+/// below [`OPEN`]: 0, or [`WORD_REST`] for a byte that continues a word
+/// but cannot start one. [`WORD`] starts a word, and [`OPEN`] a comment,
+/// a string or an escaped identifier.
+const SCAN: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = if c.is_ascii_alphabetic() || c == b'_' {
+            WORD
+        } else if c.is_ascii_digit() || c == b'$' {
+            WORD_REST
+        } else if c == b'/' || c == b'"' || c == b'\\' {
+            OPEN
+        } else {
+            0
+        };
+        b += 1;
+    }
+    table
+};
+/// A byte that continues a word but cannot start one (see [`SCAN`]).
+const WORD_REST: u8 = 1;
+/// A byte that opens a comment, a string or an escaped identifier.
+const OPEN: u8 = 2;
+/// A byte that starts a word.
+const WORD: u8 = 3;
+
 /// Moves every span in `m` from a module placed at byte offset `from` to
 /// one placed at `to`; `to` may lie before `from`.
 ///
-/// Used when a module parsed from a [`ModuleChunk`]'s text (spans from
-/// 0) or kept from an earlier request (spans at that request's chunk
-/// offset) is placed into a [`SourceUnit`] whose chunk starts at `to`.
-/// After rebasing, diagnostics render identical line/column positions to
-/// a full-file parse.
+/// Used when a module kept from an earlier request (spans at that
+/// request's chunk offset) is placed into a [`SourceUnit`] whose chunk
+/// starts at `to`. After rebasing, diagnostics render identical
+/// line/column positions to a full-file parse.
 pub fn rebase_module_spans(m: &mut Module, from: u32, to: u32) {
     // A modular shift: exact for every span inside the module, whichever
     // way it moves.
@@ -446,15 +542,14 @@ impl ParsedChunk {
         &self.module
     }
 
-    /// Parses `chunk`'s text into `file`, spans from 0. `None` unless
-    /// the text parses as exactly one module.
-    fn parse(file: FileId, chunk: &ModuleChunk) -> Option<ParsedChunk> {
-        let unit = crate::parser::parse(file, &chunk.text).ok()?;
-        let [module] = <[Module; 1]>::try_from(unit.modules).ok()?;
+    /// Parses `chunk` into `file` at its offset. `None` unless the text
+    /// parses as exactly one module.
+    fn parse(file: FileId, chunk: &ModuleChunk<'_>) -> Option<ParsedChunk> {
+        let (module, _) = chunk.parse(file)?;
         let structural = module_fingerprint(&module);
         Some(ParsedChunk {
             module,
-            offset: 0,
+            offset: chunk.offset,
             structural,
         })
     }
@@ -476,6 +571,9 @@ pub struct AssembledUnit {
     unit: SourceUnit,
     /// One entry per module of `unit`, in order.
     placed: Vec<Placement>,
+    /// The lent or parsed modules of the chunks after the first chunk
+    /// that did not parse, as `(raw fingerprint, parse)`.
+    spare: Vec<(u64, ParsedChunk)>,
     reparsed: usize,
     complete: bool,
 }
@@ -497,7 +595,9 @@ impl AssembledUnit {
     }
 
     /// Whether every chunk parsed as exactly one module. When `false`,
-    /// `unit` holds only the modules before the first chunk that did not.
+    /// `unit` holds only the modules before the first chunk that did not
+    /// (the others are still handed back by
+    /// [`AssembledUnit::into_parsed`]).
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.complete
@@ -521,8 +621,9 @@ impl AssembledUnit {
         self.placed.iter().map(|p| (p.raw, p.offset))
     }
 
-    /// Hands the modules back as `(raw fingerprint, parse)` pairs, in
-    /// chunk order, each placed where this unit used it.
+    /// Hands every lent or parsed module back as `(raw fingerprint,
+    /// parse)` pairs, in chunk order: each module of `unit` placed where
+    /// this unit used it, then those after a chunk that did not parse.
     pub fn into_parsed(self) -> impl Iterator<Item = (u64, ParsedChunk)> {
         self.unit
             .modules
@@ -536,6 +637,7 @@ impl AssembledUnit {
                 };
                 (p.raw, parsed)
             })
+            .chain(self.spare)
     }
 }
 
@@ -546,43 +648,54 @@ impl AssembledUnit {
 /// a [`ParsedChunk`] of that text previously assembled into `file`. A
 /// lent module is moved in and rebased only if its chunk moved. Only
 /// chunks `lend` has no module for are parsed (a lender holds one module
-/// per text, so a text repeated within the file is parsed again). Assembly
-/// stops at the first chunk that does not parse as one module (see
+/// per text, so a text repeated within the file is parsed again), on up
+/// to `jobs` workers as [`fanout_jobs`] allows for the file's size. The
+/// unit stops at the first chunk that does not parse as one module (see
 /// [`AssembledUnit::is_complete`]): the caller falls back to the
 /// full-file parse so error reporting is untouched.
 pub fn assemble_unit(
     file: FileId,
-    chunks: &[ModuleChunk],
+    chunks: &[ModuleChunk<'_>],
+    jobs: usize,
     mut lend: impl FnMut(u64) -> Option<ParsedChunk>,
 ) -> AssembledUnit {
+    let raws: Vec<u64> = chunks.iter().map(ModuleChunk::raw_fingerprint).collect();
+    let mut modules: Vec<Option<ParsedChunk>> = raws.iter().map(|&raw| lend(raw)).collect();
+    let misses: Vec<usize> = (0..chunks.len())
+        .filter(|&i| modules[i].is_none())
+        .collect();
+    let bytes = chunks
+        .last()
+        .map_or(0, |c| c.offset as usize + c.text.len());
+    let parsed = soccar_exec::parallel_map(fanout_jobs(bytes, jobs), &misses, |&i| {
+        ParsedChunk::parse(file, &chunks[i])
+    });
+    for (&i, parsed) in misses.iter().zip(parsed) {
+        modules[i] = parsed;
+    }
     let mut assembled = AssembledUnit {
         unit: SourceUnit {
             modules: Vec::with_capacity(chunks.len()),
         },
         placed: Vec::with_capacity(chunks.len()),
-        reparsed: 0,
+        spare: Vec::new(),
+        reparsed: misses.len(),
         complete: true,
     };
-    for chunk in chunks {
-        let raw = chunk.raw_fingerprint();
-        let mut parsed = match lend(raw) {
-            Some(parsed) => parsed,
-            None => {
-                assembled.reparsed += 1;
-                let Some(parsed) = ParsedChunk::parse(file, chunk) else {
-                    assembled.complete = false;
-                    break;
-                };
-                parsed
+    for ((chunk, raw), parsed) in chunks.iter().zip(raws).zip(modules) {
+        match parsed {
+            None => assembled.complete = false,
+            Some(parsed) if !assembled.complete => assembled.spare.push((raw, parsed)),
+            Some(mut parsed) => {
+                parsed.place_at(chunk.offset);
+                assembled.placed.push(Placement {
+                    raw,
+                    offset: chunk.offset,
+                    structural: parsed.structural,
+                });
+                assembled.unit.modules.push(parsed.module);
             }
-        };
-        parsed.place_at(chunk.offset);
-        assembled.placed.push(Placement {
-            raw,
-            offset: chunk.offset,
-            structural: parsed.structural,
-        });
-        assembled.unit.modules.push(parsed.module);
+        }
     }
     assembled
 }
@@ -661,7 +774,7 @@ endmodule
         let file = FileId(3);
         let full = parse(file, TWO_MODULES).expect("full parse");
         let chunks = split_modules(TWO_MODULES).expect("split");
-        let assembled = assemble_unit(file, &chunks, |_| None);
+        let assembled = assemble_unit(file, &chunks, 1, |_| None);
         assert!(assembled.is_complete());
         assert_eq!(assembled.reparsed(), 2);
         let structural: Vec<u64> = full.modules.iter().map(module_fingerprint).collect();
@@ -675,7 +788,7 @@ endmodule
     /// full parse, hands the modules back and returns the re-parse count.
     fn assemble_through(cache: &mut HashMap<u64, ParsedChunk>, source: &str) -> usize {
         let chunks = split_modules(source).expect("split");
-        let assembled = assemble_unit(FileId(0), &chunks, |raw| cache.remove(&raw));
+        let assembled = assemble_unit(FileId(0), &chunks, 1, |raw| cache.remove(&raw));
         assert!(assembled.is_complete());
         assert_eq!(
             parse(FileId(0), source).expect("full parse"),
@@ -720,14 +833,17 @@ endmodule
     fn assembly_stops_at_a_chunk_that_does_not_parse() {
         let source = "module a(); endmodule\nmodule b(; endmodule\nmodule c(); endmodule\n";
         let chunks = split_modules(source).expect("split");
-        let assembled = assemble_unit(FileId(0), &chunks, |_| None);
+        let assembled = assemble_unit(FileId(0), &chunks, 1, |_| None);
         assert!(!assembled.is_complete());
-        assert_eq!(assembled.reparsed(), 2);
+        assert_eq!(assembled.reparsed(), 3);
+        let names: Vec<_> = assembled.unit().modules.iter().map(|m| &m.name).collect();
+        assert_eq!(names, ["a"]);
+        // Every module that parsed goes back to the lender, `c` included.
         let handed_back: Vec<_> = assembled
             .into_parsed()
             .map(|(_, p)| p.module.name)
             .collect();
-        assert_eq!(handed_back, ["a"]);
+        assert_eq!(handed_back, ["a", "c"]);
     }
 
     #[test]

@@ -43,6 +43,8 @@ pub fn lex(file: FileId, text: &str) -> RtlResult<Vec<Token>> {
 pub struct Lexer<'a> {
     file: FileId,
     text: &'a str,
+    /// Byte offset of `text` in its file, added to every span.
+    base: u32,
     pos: usize,
     /// Set once the iterator has yielded `Eof` or an error.
     done: bool,
@@ -65,9 +67,16 @@ impl<'a> Lexer<'a> {
     /// A stream over `text`, which belongs to `file`.
     #[must_use]
     pub fn new(file: FileId, text: &'a str) -> Lexer<'a> {
+        Lexer::at(file, text, 0)
+    }
+
+    /// A stream over `text`, a slice of `file` that starts at byte
+    /// `base`: every span it produces is in the file's coordinates.
+    pub(crate) fn at(file: FileId, text: &'a str, base: u32) -> Lexer<'a> {
         Lexer {
             file,
             text,
+            base,
             pos: 0,
             done: false,
         }
@@ -120,7 +129,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn span_from(&self, start: usize) -> Span {
-        Span::new(self.file, start as u32, self.pos as u32)
+        Span::new(
+            self.file,
+            self.base + start as u32,
+            self.base + self.pos as u32,
+        )
     }
 
     fn err(&self, msg: impl Into<String>, start: usize) -> RtlError {

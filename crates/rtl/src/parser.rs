@@ -64,13 +64,59 @@ pub fn parse_traced(
     text: &str,
     recorder: &soccar_obs::Recorder,
 ) -> RtlResult<SourceUnit> {
+    parse_jobs(file, text, 1, recorder)
+}
+
+/// [`parse_traced`] on up to `jobs` workers (`0`: as
+/// [`soccar_exec::resolve_jobs`]). A source of at least
+/// [`MIN_FANOUT_BYTES`] that [`split_modules`] can split is parsed
+/// module by module on the worker pool, each chunk at its byte offset,
+/// and the modules are merged in source order. Anything else, and any
+/// source with a chunk that does not parse as one module, takes the
+/// whole-file parse, so the result, every span and every error are
+/// those of [`parse`] for every `jobs`.
+///
+/// # Errors
+///
+/// As [`parse`].
+///
+/// [`MIN_FANOUT_BYTES`]: crate::fingerprint::MIN_FANOUT_BYTES
+/// [`split_modules`]: crate::fingerprint::split_modules
+pub fn parse_jobs(
+    file: FileId,
+    text: &str,
+    jobs: usize,
+    recorder: &soccar_obs::Recorder,
+) -> RtlResult<SourceUnit> {
     let mut span = soccar_obs::span!(recorder, "rtl.parse", bytes = text.len());
-    let mut parser = Parser::new(Lexer::new(file, text));
-    let parsed = parser.source_unit();
-    let unit = parser.finish(parsed, recorder)?;
+    let unit = match crate::fingerprint::parse_fanned_out(file, text, jobs) {
+        Some((unit, tokens)) => {
+            recorder.counter_add("rtl.tokens", tokens);
+            unit
+        }
+        None => {
+            let mut parser = Parser::new(Lexer::new(file, text));
+            let parsed = parser.source_unit();
+            parser.finish(parsed, recorder)?
+        }
+    };
     recorder.counter_add("rtl.modules", unit.modules.len() as u64);
     span.record("modules", unit.modules.len());
     Ok(unit)
+}
+
+/// Parses `text`, which starts at byte `base` of `file`, as exactly one
+/// module: the chunk parser behind every chunked parse. Returns the
+/// module, spans in the file's coordinates, and the tokens pulled less
+/// the closing `Eof`; `None` on any error or any other shape, whose
+/// exact diagnostic is the whole-file parse's to give.
+pub(crate) fn parse_module_at(file: FileId, text: &str, base: u32) -> Option<(Module, u64)> {
+    let mut parser = Parser::new(Lexer::at(file, text, base));
+    let module = parser.module().ok()?;
+    if !parser.at_eof() || parser.lex_error.is_some() {
+        return None;
+    }
+    Some((module, parser.pulled - 1))
 }
 
 /// The deepest expression nesting the frontend accepts. Each

@@ -32,7 +32,9 @@
 //! `--trace-out <path>` writes the run's span/metric stream as NDJSON
 //! (schema in docs/OBSERVABILITY.md); `--verbose` prints the span tree.
 //!
-//! The `lint` subcommand runs only the static pre-pass:
+//! The `lint` subcommand runs only the static pre-pass, on
+//! `SOCCAR_JOBS` workers, else all cores, once the source is large
+//! enough to fan out:
 //!
 //! ```sh
 //! soccar lint design.v                 # human-readable diagnostics
@@ -403,6 +405,8 @@ options:
   --allow <rule>      disable a rule (repeatable)
   --deny <rule>       escalate a rule's findings to errors (repeatable)
   --list-rules        print the registered rules and exit
+a large source is parsed and linted on $SOCCAR_JOBS workers, else all
+cores; the report is the same for every count
 exit status: 0 = no error-level findings, 1 = errors found, 2 = bad input";
 
 struct LintArgs {
@@ -446,7 +450,9 @@ fn parse_lint_args(args: impl Iterator<Item = String>) -> Result<LintArgs, Strin
 }
 
 fn run_lint(args: &LintArgs) -> Result<bool, String> {
-    let linter = Linter::new().with_config(args.config.clone());
+    let linter = Linter::new()
+        .with_config(args.config.clone())
+        .with_jobs(soccar_exec::resolve_jobs(None));
     if args.list_rules {
         for rule in linter.rules() {
             outln!(

@@ -29,6 +29,9 @@ use soccar_cfg::GovernorAnalysis;
 use soccar_concolic::{ConcolicConfig, SecurityProperty};
 use soccar_exec::{FaultPlan, Semaphore};
 use soccar_lint::{LintConfig, Linter, Severity};
+use soccar_rtl::ast::SourceUnit;
+use soccar_rtl::parser::parse_jobs;
+use soccar_rtl::span::SourceMap;
 
 use crate::proto::{write_frame, Envelope, Request, MAX_FRAME};
 
@@ -40,9 +43,9 @@ pub struct ServerOptions {
     /// Concurrent connections admitted (further accepts queue briefly,
     /// then shed with a `busy` envelope).
     pub max_connections: usize,
-    /// Worker threads for each request's parallel stages (0 = resolve
-    /// via `SOCCAR_JOBS`, then available cores). Reports are identical
-    /// for every value.
+    /// Worker threads for each request's parallel stages, lint requests
+    /// included (0 = resolve via `SOCCAR_JOBS`, then available cores).
+    /// Reports are identical for every value.
     pub jobs: usize,
     /// Fault-injection plan (chaos testing; empty in production): the
     /// serve-layer `shed:admission` point, and the pipeline's points,
@@ -331,19 +334,18 @@ impl Server {
                         break;
                     }
                 };
-            let (envelope, body, stop) = match std::str::from_utf8(&frame) {
-                Err(_) => (
-                    Envelope::error("request frame is not utf-8"),
-                    Vec::new(),
-                    false,
-                ),
+            let reply = match std::str::from_utf8(&frame) {
+                Err(_) => Reply::new(Envelope::error("request frame is not utf-8"), Vec::new()),
                 Ok(text) => match Request::from_json(text) {
-                    Err(e) => (Envelope::error(&e), Vec::new(), false),
+                    Err(e) => Reply::new(Envelope::error(&e), Vec::new()),
                     Ok(req) => self.dispatch(req),
                 },
             };
-            write_response(&mut writer, &envelope, &body)?;
-            if stop {
+            write_response(&mut writer, &reply.envelope, &reply.body)?;
+            // What the request parsed is freed only now, after the
+            // client has its response.
+            drop(reply.parsed);
+            if reply.stop {
                 // Acknowledge first, then wake the acceptor so `run`
                 // observes the flag and drains.
                 self.request_shutdown();
@@ -354,26 +356,25 @@ impl Server {
         Ok(())
     }
 
-    /// Serves one request: `(envelope, body, shutdown?)`.
-    fn dispatch(&self, req: Request) -> (Envelope, Vec<u8>, bool) {
+    /// Serves one request.
+    fn dispatch(&self, req: Request) -> Reply {
         match req.cmd.as_str() {
             "analyze" => {
                 let (envelope, body) = self.dispatch_analyze(&req);
-                (envelope, body, false)
+                Reply::new(envelope, body)
             }
-            "lint" => {
-                let (envelope, body) = self.dispatch_lint(req);
-                (envelope, body, false)
-            }
+            "lint" => self.dispatch_lint(req),
             "status" => {
                 let (envelope, body) = self.dispatch_status();
-                (envelope, body, false)
+                Reply::new(envelope, body)
             }
-            "shutdown" => (Envelope::ok("shutdown"), Vec::new(), true),
-            other => (
+            "shutdown" => Reply {
+                stop: true,
+                ..Reply::new(Envelope::ok("shutdown"), Vec::new())
+            },
+            other => Reply::new(
                 Envelope::error(&format!("unknown command `{other}`")),
                 Vec::new(),
-                false,
             ),
         }
     }
@@ -436,8 +437,10 @@ impl Server {
     }
 
     /// Lints the request's source, which moves into the report's source
-    /// map uncopied.
-    fn dispatch_lint(&self, req: Request) -> (Envelope, Vec<u8>) {
+    /// map uncopied, on the daemon's worker count. The parsed source
+    /// rides back in the reply, to be freed after the response is
+    /// written.
+    fn dispatch_lint(&self, req: Request) -> Reply {
         self.recorder.counter_add("server.requests", 1);
         let (file_name, source) = if req.soc.is_empty() {
             let name = if req.file_name.is_empty() {
@@ -449,34 +452,48 @@ impl Server {
         } else {
             match resolve_request(&req) {
                 Ok((name, source, _, _, _)) => (name, source),
-                Err(e) => return (Envelope::error(&e), Vec::new()),
+                Err(e) => return Reply::new(Envelope::error(&e), Vec::new()),
             }
         };
         let lint_config = LintConfig {
             allow: req.allow.clone(),
             deny: req.deny.clone(),
         };
-        let linter = Linter::new().with_config(lint_config);
+        let jobs = soccar_exec::resolve_jobs(Some(self.jobs));
+        let linter = Linter::new().with_config(lint_config).with_jobs(jobs);
         for id in req.allow.iter().chain(&req.deny) {
             if !linter.is_known_rule(id) {
-                return (Envelope::error(&format!("unknown rule `{id}`")), Vec::new());
+                return Reply::new(Envelope::error(&format!("unknown rule `{id}`")), Vec::new());
             }
         }
-        match linter.lint_source(&file_name, source) {
-            Err(e) => (Envelope::error(&e), Vec::new()),
-            Ok(report) => {
-                let body = match soccar::json::to_json_pretty(&report) {
-                    Ok(json) => json.into_bytes(),
-                    Err(e) => return (Envelope::error(&e.to_string()), Vec::new()),
-                };
+        // `Linter::lint_source`, keeping the parse.
+        let mut map = SourceMap::new();
+        let file = map.add_file(file_name, source);
+        let unit = match parse_jobs(
+            file,
+            map.file_text(file),
+            jobs,
+            &soccar_obs::Recorder::disabled(),
+        ) {
+            Ok(unit) => unit,
+            Err(e) => return Reply::new(Envelope::error(&e.to_string()), Vec::new()),
+        };
+        let report = linter.lint_unit(&unit, &map);
+        let (envelope, body) = match soccar::json::to_json_pretty(&report) {
+            Ok(json) => {
                 let mut envelope = Envelope::ok("lint");
                 envelope.violations = report
                     .diagnostics
                     .iter()
                     .filter(|d| d.severity == Severity::Error)
                     .count() as u64;
-                (envelope, body)
+                (envelope, json.into_bytes())
             }
+            Err(e) => (Envelope::error(&e.to_string()), Vec::new()),
+        };
+        Reply {
+            parsed: Some((unit, map)),
+            ..Reply::new(envelope, body)
         }
     }
 
@@ -493,6 +510,27 @@ impl Server {
         match soccar::json::to_json_pretty(&body) {
             Err(e) => (Envelope::error(&e.to_string()), Vec::new()),
             Ok(json) => (Envelope::ok("status"), json.into_bytes()),
+        }
+    }
+}
+
+/// One served request: the response, whether the server stops after it,
+/// and the parse a lint request made, which is freed only after the
+/// response is written.
+struct Reply {
+    envelope: Envelope,
+    body: Vec<u8>,
+    stop: bool,
+    parsed: Option<(SourceUnit, SourceMap)>,
+}
+
+impl Reply {
+    fn new(envelope: Envelope, body: Vec<u8>) -> Reply {
+        Reply {
+            envelope,
+            body,
+            stop: false,
+            parsed: None,
         }
     }
 }

@@ -1,8 +1,11 @@
 //! Nesting bombs end in a named limit error, never in a stack-overflow
 //! abort: 200 000 nested parentheses (a 400 KB file) given to the
 //! `soccar` CLI, 5000 nested `if` or `begin` statements given to the CLI
-//! and to `soccar serve`, and 20 000 nested JSON arrays sent to `soccar
-//! serve`.
+//! and to `soccar serve` (analyze and lint), and 20 000 nested JSON
+//! arrays sent to `soccar serve`. The source bombs are padded past
+//! `MIN_FANOUT_BYTES` with filler modules, so at two jobs they are parsed
+//! module by module on worker-pool threads, whose stacks are Rust's
+//! 2 MiB default, not the main thread's.
 //! Cycle horizons past `MAX_CYCLES`, designs declaring more than
 //! `MAX_DESIGN_NET_BITS` net bits, and literals wider than
 //! `MAX_LITERAL_BITS` end in a named limit error, never in a
@@ -16,6 +19,19 @@ use soccar_serve::{read_frame, write_frame, Client, Json, Request, Server, Serve
 
 const BIN: &str = env!("CARGO_BIN_EXE_soccar");
 
+/// `source` followed by filler modules that take it past
+/// `MIN_FANOUT_BYTES`.
+fn padded(source: &str) -> String {
+    let comment = " ".repeat(8 << 10);
+    let mut out = source.to_owned();
+    let mut i = 0;
+    while out.len() < soccar_rtl::fingerprint::MIN_FANOUT_BYTES {
+        out.push_str(&format!("\nmodule pad{i}(); /*{comment}*/ endmodule\n"));
+        i += 1;
+    }
+    out
+}
+
 #[test]
 fn nesting_bomb_exits_with_the_named_limit_error() {
     let dir = std::env::temp_dir().join(format!("soccar-limits-{}", std::process::id()));
@@ -23,16 +39,20 @@ fn nesting_bomb_exits_with_the_named_limit_error() {
     let bomb = dir.join("bomb.v");
     std::fs::write(
         &bomb,
-        format!(
+        padded(&format!(
             "module top(input a, output y);\n  assign y = {}a{};\nendmodule\n",
             "(".repeat(200_000),
             ")".repeat(200_000)
-        ),
+        )),
     )
     .expect("write bomb");
     let bomb = bomb.to_str().expect("utf-8 path");
     for args in [vec!["analyze", bomb, "--top", "top"], vec!["lint", bomb]] {
-        let out = Command::new(BIN).args(&args).output().expect("run soccar");
+        let out = Command::new(BIN)
+            .args(&args)
+            .env("SOCCAR_JOBS", "2")
+            .output()
+            .expect("run soccar");
         let stderr = String::from_utf8_lossy(&out.stderr);
         // 0 clean, 1 violations, 2 usage or compile error; a stack
         // overflow would abort with a signal and no exit code at all.
@@ -46,19 +66,19 @@ fn nesting_bomb_exits_with_the_named_limit_error() {
 }
 
 /// The two statement bombs: 5000 nested `if (a)` (35 KB) and 5000
-/// nested `begin` (50 KB). Both used to abort `soccar analyze` with a
-/// stack overflow (exit 134).
+/// nested `begin` (50 KB), each padded past `MIN_FANOUT_BYTES`. Both
+/// used to abort `soccar analyze` with a stack overflow (exit 134).
 fn statement_bombs() -> [String; 2] {
     [
-        format!(
+        padded(&format!(
             "module top(input a, output reg y);\n  always @(a) {}y = a;\nendmodule\n",
             "if (a) ".repeat(5000)
-        ),
-        format!(
+        )),
+        padded(&format!(
             "module top(input a, output reg y);\n  always @(a) {}y = a;{}\nendmodule\n",
             "begin ".repeat(5000),
             " end".repeat(5000)
-        ),
+        )),
     ]
 }
 
@@ -79,7 +99,11 @@ fn statement_nesting_bombs_exit_with_the_named_limit_error() {
         std::fs::write(&bomb, source).expect("write bomb");
         let bomb = bomb.to_str().expect("utf-8 path");
         for args in [vec!["analyze", bomb, "--top", "top"], vec!["lint", bomb]] {
-            let out = Command::new(BIN).args(&args).output().expect("run soccar");
+            let out = Command::new(BIN)
+                .args(&args)
+                .env("SOCCAR_JOBS", "2")
+                .output()
+                .expect("run soccar");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
             assert!(
@@ -92,28 +116,37 @@ fn statement_nesting_bombs_exit_with_the_named_limit_error() {
 }
 
 /// The same bombs in an analyze request used to kill `soccar serve`.
-/// Each must get an error envelope naming the limit, and the daemon must
-/// go on serving.
+/// Each must get an error envelope naming the limit, as an analyze and
+/// as a lint request, and the daemon must go on serving.
 #[test]
 fn statement_nesting_bombs_get_error_envelopes_and_the_daemon_keeps_serving() {
-    let server = Arc::new(Server::bind(&ServerOptions::default()).expect("bind"));
+    let options = ServerOptions {
+        jobs: 2,
+        ..ServerOptions::default()
+    };
+    let server = Arc::new(Server::bind(&options).expect("bind"));
     let addr = server.local_addr().to_string();
     let runner = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || server.run().expect("run"))
     };
 
-    for source in statement_bombs() {
-        let mut req = Request::new("analyze");
+    for (source, cmd) in statement_bombs()
+        .into_iter()
+        .flat_map(|source| [(source.clone(), "analyze"), (source, "lint")])
+    {
+        let mut req = Request::new(cmd);
         req.file_name = "bomb.v".to_owned();
         req.source = source;
-        req.top = "top".to_owned();
+        if cmd == "analyze" {
+            req.top = "top".to_owned();
+        }
         let mut client = Client::connect(&addr).expect("connect");
-        let (envelope, body) = client.roundtrip(&req).expect("bomb analyze");
-        assert!(!envelope.ok);
+        let (envelope, body) = client.roundtrip(&req).expect("bomb request");
+        assert!(!envelope.ok, "{cmd}");
         assert!(
             envelope.error.contains(&statement_limit_error()),
-            "{}",
+            "{cmd}: {}",
             envelope.error
         );
         assert!(body.is_empty());

@@ -1,7 +1,8 @@
 //! Untrusted-input limits: expression and statement nesting bombs are
 //! rejected with a named error instead of overflowing the stack, the
 //! deepest expressions and statements the parser accepts still analyze
-//! end to end on a stack the size of a worker-pool thread, a tiny file
+//! end to end on a stack the size of a worker-pool thread (padded past
+//! `MIN_FANOUT_BYTES`, so the frontend works on pool threads), a tiny file
 //! declaring a huge memory analyzes without allocating it, and a cycle
 //! horizon past `MAX_CYCLES` is a named error instead of a failed
 //! allocation, and so is a design declaring more than
@@ -11,6 +12,7 @@
 use soccar::{Soccar, SoccarConfig};
 use soccar_concolic::{ConcolicConfig, MAX_CYCLES};
 use soccar_rtl::elaborate::{elaborate, MAX_DESIGN_NET_BITS};
+use soccar_rtl::fingerprint::MIN_FANOUT_BYTES;
 use soccar_rtl::lexer::MAX_LITERAL_BITS;
 use soccar_rtl::parser::{parse, MAX_EXPR_DEPTH, MAX_STMT_DEPTH};
 use soccar_rtl::span::FileId;
@@ -19,6 +21,29 @@ use soccar_rtl::RtlErrorKind;
 /// The stack size of a worker-pool thread (Rust's default for spawned
 /// threads).
 const WORKER_STACK: usize = 2 << 20;
+
+/// `source` followed by filler modules that take it past
+/// `MIN_FANOUT_BYTES`, so that at two jobs the frontend parses, lints and
+/// extracts it module by module on the worker pool, whose threads have
+/// [`WORKER_STACK`]-sized stacks.
+fn padded(source: &str) -> String {
+    let comment = " ".repeat(8 << 10);
+    let mut out = source.to_owned();
+    let mut i = 0;
+    while out.len() < MIN_FANOUT_BYTES {
+        out.push_str(&format!("\nmodule pad{i}(); /*{comment}*/ endmodule\n"));
+        i += 1;
+    }
+    out
+}
+
+/// Two jobs: the frontend of a padded source fans out.
+fn two_jobs() -> SoccarConfig {
+    SoccarConfig {
+        jobs: 2,
+        ..SoccarConfig::default()
+    }
+}
 
 /// How one nesting level is opened.
 #[derive(Debug, Clone, Copy)]
@@ -78,11 +103,11 @@ const SHAPES: [Shape; 6] = [
 
 #[test]
 fn nesting_bomb_is_a_named_limit_error() {
-    let bomb = format!(
+    let bomb = padded(&format!(
         "module top(input a, output y);\n  assign y = {}a{};\nendmodule\n",
         "(".repeat(200_000),
         ")".repeat(200_000)
-    );
+    ));
     let err = parse(FileId(0), &bomb).expect_err("the bomb must be rejected");
     assert_eq!(err.kind, RtlErrorKind::Limit, "{err}");
     assert!(
@@ -91,7 +116,7 @@ fn nesting_bomb_is_a_named_limit_error() {
         "{err}"
     );
     // The whole pipeline reports it as a frontend error, not an abort.
-    let result = Soccar::new(SoccarConfig::default()).analyze("bomb.v", &bomb, "top", Vec::new());
+    let result = Soccar::new(two_jobs()).analyze("bomb.v", &bomb, "top", Vec::new());
     let err = result.expect_err("the bomb must not analyze");
     assert!(err.to_string().contains("input limit exceeded"), "{err}");
 }
@@ -110,7 +135,7 @@ fn depth_limit_is_exact_for_every_shape() {
 #[test]
 fn deepest_accepted_expressions_analyze_on_a_worker_stack() {
     for shape in SHAPES {
-        let source = design(&nested_expr(shape, MAX_EXPR_DEPTH));
+        let source = padded(&design(&nested_expr(shape, MAX_EXPR_DEPTH)));
         let outcome = std::thread::Builder::new()
             .stack_size(WORKER_STACK)
             .spawn(move || {
@@ -121,7 +146,7 @@ fn deepest_accepted_expressions_analyze_on_a_worker_stack() {
                         symbolic_inputs: vec!["top.a".into()],
                         ..ConcolicConfig::default()
                     },
-                    jobs: 1,
+                    jobs: 2,
                     ..SoccarConfig::default()
                 };
                 Soccar::new(config)
@@ -190,19 +215,19 @@ fn stmt_design(body: &str) -> String {
 }
 
 /// The two statement bombs: 5000 nested `if (a)` (35 KB) and 5000
-/// nested `begin` (50 KB). Both used to abort `soccar analyze` with a
-/// stack overflow.
+/// nested `begin` (50 KB), each padded past `MIN_FANOUT_BYTES`. Both
+/// used to abort `soccar analyze` with a stack overflow.
 fn statement_bombs() -> [String; 2] {
     [
-        format!(
+        padded(&format!(
             "module top(input a, output reg y);\n  always @(a) {}y = a;\nendmodule\n",
             "if (a) ".repeat(5000)
-        ),
-        format!(
+        )),
+        padded(&format!(
             "module top(input a, output reg y);\n  always @(a) {}y = a;{}\nendmodule\n",
             "begin ".repeat(5000),
             " end".repeat(5000)
-        ),
+        )),
     ]
 }
 
@@ -217,8 +242,7 @@ fn statement_nesting_bombs_are_named_limit_errors() {
             )),
             "{err}"
         );
-        let result =
-            Soccar::new(SoccarConfig::default()).analyze("bomb.v", &bomb, "top", Vec::new());
+        let result = Soccar::new(two_jobs()).analyze("bomb.v", &bomb, "top", Vec::new());
         let err = result.expect_err("the bomb must not analyze");
         assert!(err.to_string().contains("input limit exceeded"), "{err}");
     }
@@ -248,7 +272,11 @@ fn deepest_accepted_statements_analyze_on_a_worker_stack() {
     for stmt_shape in STMT_SHAPES {
         for expr_shape in SHAPES {
             let rhs = nested_expr(expr_shape, MAX_EXPR_DEPTH);
-            let source = stmt_design(&nested_stmt(stmt_shape, MAX_STMT_DEPTH - 1, &rhs));
+            let source = padded(&stmt_design(&nested_stmt(
+                stmt_shape,
+                MAX_STMT_DEPTH - 1,
+                &rhs,
+            )));
             let outcome = std::thread::Builder::new()
                 .stack_size(WORKER_STACK)
                 .spawn(move || {
@@ -259,7 +287,7 @@ fn deepest_accepted_statements_analyze_on_a_worker_stack() {
                             symbolic_inputs: vec!["top.a".into()],
                             ..ConcolicConfig::default()
                         },
-                        jobs: 1,
+                        jobs: 2,
                         ..SoccarConfig::default()
                     };
                     Soccar::new(config)
