@@ -321,6 +321,21 @@ impl Algebra for CoAlgebra {
         self.wrap(concrete, term)
     }
 
+    /// The concrete value is replicated in one pass; a symbolic term is
+    /// the left fold of `concat` that the concat chain builds, so its
+    /// `TermId` is the same.
+    fn replicate(&mut self, a: &CoValue, count: u32) -> CoValue {
+        let concrete = a.concrete.replicate(count);
+        let term = a.term.map(|t| {
+            let mut acc = t;
+            for _ in 1..count {
+                acc = self.graph.concat(acc, t);
+            }
+            acc
+        });
+        self.wrap(concrete, term)
+    }
+
     fn slice(&mut self, a: &CoValue, lo: u32, width: u32) -> CoValue {
         let concrete = a.concrete.slice(lo, width);
         let term = a.term.and_then(|t| {
@@ -424,6 +439,30 @@ mod tests {
                 assert_eq!(m.value(xvar).and_then(BvVal::to_u64), Some(32));
             }
             other => panic!("must be sat, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replicate_matches_the_concat_chain() {
+        // Results below, at and above 64 bits.
+        for (width, count) in [(5, 3), (8, 8), (7, 13), (70, 3)] {
+            let mut alg = CoAlgebra::new();
+            let x = alg.symbolic_input("x", LogicVec::from_u64(width, 0x35));
+            let known = alg.constant(LogicVec::from_u64(width, 0x2B));
+            let unknown = alg.constant(LogicVec::xes(width));
+            for v in [x, known, unknown] {
+                let mut chain = v.clone();
+                for _ in 1..count {
+                    chain = alg.concat(&chain, &v);
+                }
+                // The chain interned every term the replication needs, so
+                // an identical term adds no node.
+                let nodes = alg.graph.len();
+                let replicated = alg.replicate(&v, count);
+                assert_eq!(replicated.concrete, chain.concrete, "{width}x{count}");
+                assert_eq!(replicated.term, chain.term, "{width}x{count}");
+                assert_eq!(alg.graph.len(), nodes, "{width}x{count}");
+            }
         }
     }
 

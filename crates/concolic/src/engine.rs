@@ -17,9 +17,10 @@
 //!    already equivalences over per-cycle input variables, exactly the
 //!    transformation the paper describes — and asks the solver for a new
 //!    input schedule. Every candidate is one one-shot query against the
-//!    round's own term graph. Only the candidates of the target the
-//!    decision walk reaches are solved, in fixed-size parallel chunks,
-//!    and consumed in stable order up to the first Sat.
+//!    round's own term graph. The decision walk solves the candidates of
+//!    the target it reaches one at a time, on the calling thread, in
+//!    stable order, and stops at the first Sat: no candidate the walk
+//!    does not read is solved.
 //! 4. Once coverage saturates (or no flip is solvable), a systematic
 //!    *reset sweep* moves an asynchronous pulse across every cycle of
 //!    every domain, exploring the reset-timing space the paper calls
@@ -43,6 +44,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -90,24 +92,22 @@ pub struct ConcolicConfig {
     /// future-work extension to "other asynchronous events" (IRQs,
     /// AMS comparator outputs, sensor strobes). Pulsed active-high.
     pub async_events: Vec<String>,
-    /// Worker threads for the engine's two fan-outs (`0` = auto via
-    /// [`soccar_exec::resolve_jobs`]): each chunk of flip solves, and the
-    /// reset sweep's pulse positions, which `jobs − 1` workers run beside
-    /// the coverage loop. Every job count produces
-    /// bit-identical reports: each flip candidate is an independent query
-    /// against the round's frozen term graph, solved in fixed-size chunks
-    /// and consumed in stable target order, and sweep rounds are merged
-    /// in `(domain, cycle)` order, never completion order.
+    /// Worker threads for the reset sweep (`0` = auto via
+    /// [`soccar_exec::resolve_jobs`]): `jobs − 1` workers run its pulse
+    /// positions beside the coverage loop, whose flip solves run inline
+    /// on the calling thread. Every job count produces bit-identical
+    /// reports: sweep rounds are merged in `(domain, cycle)` order, never
+    /// completion order.
     pub jobs: usize,
     /// Resource budget for each flip solve. An exhausted budget yields
     /// [`CheckResult::Unknown`], which the engine records as a *skipped*
     /// flip (degrading the round) instead of aborting. Defaults to
     /// unlimited — the classic run-to-completion behavior.
     pub solver_budget: SolveBudget,
-    /// What a panicking flip-solve task does to the run once the
-    /// decision walk reads its result. [`FailurePolicy::FailFast`]
-    /// (default) rethrows the panic; [`FailurePolicy::KeepGoing`] records
-    /// the flip as failed, degrades the round, and continues — the CLI's
+    /// What a panicking flip solve does to the run.
+    /// [`FailurePolicy::FailFast`] (default) lets the panic propagate;
+    /// [`FailurePolicy::KeepGoing`] catches it, records the flip as
+    /// failed, degrades the round, and continues — the CLI's
     /// `--keep-going`.
     pub failure_policy: FailurePolicy,
     /// Deterministic fault-injection plan (chaos testing). The engine
@@ -188,10 +188,9 @@ pub struct ConcolicReport {
     pub first_violation_round: Option<usize>,
     /// One witness schedule per violated property.
     pub witnesses: Vec<Witness>,
-    /// Flip queries the decision walk read: every solved candidate up to
-    /// and including the consumed one. Candidates the walk never reaches
-    /// are never solved, and a solved chunk's results after the consumed
-    /// one are not read, so the count is the same for every job count.
+    /// Flip queries the decision walk solved: every candidate of the
+    /// targets it reached, up to and including the consumed one.
+    /// Candidates after it are never solved.
     pub solver_calls: usize,
     /// Of which SAT.
     pub solver_sat: usize,
@@ -199,19 +198,21 @@ pub struct ConcolicReport {
     /// injected `solver_unknown` fault). Each is a skipped flip, not a
     /// failure; job-count invariant.
     pub solver_unknown: usize,
-    /// Read flip-solve worker tasks that panicked (kept going under
+    /// Flip solves that panicked (kept going under
     /// `FailurePolicy::KeepGoing`); job-count invariant.
     pub flips_failed: usize,
-    /// Rounds whose flip planning was degraded (skipped flips or failed
-    /// workers).
+    /// Rounds whose flip planning was degraded (skipped or panicked
+    /// flips).
     pub degraded_rounds: usize,
     /// Sorted, deduplicated human-readable degradation reasons. Empty on
     /// a healthy run.
     pub degraded_reasons: Vec<String>,
     /// Wall-clock time.
     pub elapsed: Duration,
-    /// Utilization counters of the flip-solve worker pool (wall-clock
-    /// measurements; excluded from canonical report serializations).
+    /// The flip solves' counters: they run inline, so `jobs` is 1,
+    /// `tasks` counts the solves, and `busy` and `elapsed` are their time
+    /// (wall-clock measurements; excluded from canonical report
+    /// serializations).
     pub flip_exec: soccar_exec::PoolStats,
     /// Utilization counters of the reset-sweep worker pool, one task per
     /// pulse position of either phase (wall-clock measurements; excluded
@@ -234,8 +235,8 @@ impl ConcolicReport {
         self.violations.iter().any(|v| v.property == property)
     }
 
-    /// `true` if any part of the run was degraded (budget-skipped flips,
-    /// failed workers, dropped monitors). A degraded run's
+    /// `true` if any part of the run was degraded (budget-skipped or
+    /// panicked flips, dropped monitors). A degraded run's
     /// results are honest but partial: absence of violations is *not*
     /// evidence of cleanliness.
     #[must_use]
@@ -512,7 +513,10 @@ impl<'d> ConcolicEngine<'d> {
                 flips_failed: 0,
                 degraded_rounds: 0,
                 degraded_reasons: BTreeSet::new(),
-                flip_stats: soccar_exec::PoolStats::default(),
+                flip_stats: soccar_exec::PoolStats {
+                    jobs: 1,
+                    ..soccar_exec::PoolStats::default()
+                },
                 sweep_stats: soccar_exec::PoolStats::default(),
             },
         })
@@ -527,14 +531,10 @@ impl<'d> ConcolicEngine<'d> {
     /// rounds end: the wait for unfinished positions (the first phase's
     /// span) and the serial merge of each phase. Flip planning feeds the
     /// `concolic.flip_candidates` (numbered) / `concolic.flip_consumed`
-    /// (read) / `concolic.flip_sat` counters, and every flip solve —
-    /// including a chunk's results after the consumed one — reports
-    /// through [`Solver::check_traced`].
-    ///
-    /// Because `plan_next` solves whole fixed-size chunks, whatever the
-    /// job count, the solver metrics are identical for every job count
-    /// even though the solves run on worker threads. Every span opens on
-    /// the calling thread.
+    /// (solved) / `concolic.flip_sat` counters, and every flip solve
+    /// reports through [`Solver::check_traced`]. The solves run inline on
+    /// the calling thread, so the solver metrics are identical for every
+    /// job count. Every span opens on the calling thread.
     #[must_use]
     pub fn with_recorder(mut self, recorder: soccar_obs::Recorder) -> Self {
         self.ctx.recorder = recorder;
@@ -1044,13 +1044,9 @@ impl Walk {
     /// The decision walk comes first and solves only what it reads. It
     /// visits the uncovered targets in order; when it reaches a site
     /// target with flip candidates, it interns a [`FlipWindow`] for just
-    /// those candidates and solves them in [`FLIP_CHUNK`]-sized parallel
-    /// chunks — one one-shot query each against the round's frozen term
-    /// graph — reading the results in order and stopping at the first
-    /// Sat. The chunk size never depends on `jobs`, and each solve
-    /// depends only on its own candidate, so which candidates are solved,
-    /// the chosen schedule, the solver counters, and thus the whole
-    /// report are bit-identical for every job count.
+    /// those candidates and solves them one at a time — one one-shot
+    /// query each against the round's frozen term graph — stopping at the
+    /// first Sat.
     fn plan_next(
         &mut self,
         ctx: &RoundContext<'_>,
@@ -1126,12 +1122,13 @@ impl Walk {
     }
 
     /// Solves one site target's flip candidates — observations `ks`, each
-    /// flipped towards `dir`, numbered from `first_seq` — in
-    /// [`FLIP_CHUNK`]-sized parallel chunks, and reads the results in
-    /// order up to the first Sat. Returns that Sat flip's schedule, and
-    /// whether a result read degraded the round. Unknown and panicked
-    /// results are *skipped* flips: recorded as degradation, never
-    /// consumed as answers.
+    /// flipped towards `dir`, numbered from `first_seq` — one at a time on
+    /// the calling thread, in order, up to the first Sat. Returns that Sat
+    /// flip's schedule, and whether a solve degraded the round. Unknown
+    /// results, and panics under [`FailurePolicy::KeepGoing`], are
+    /// *skipped* flips: recorded as degradation, never consumed as
+    /// answers. Under [`FailurePolicy::FailFast`] a panic propagates with
+    /// its own payload.
     #[allow(clippy::too_many_arguments)]
     fn solve_candidates(
         &mut self,
@@ -1146,68 +1143,56 @@ impl Walk {
         let (graph, obs) = sim.algebra_mut().graph_and_observations();
         // The negated conditions are interned into the round's own graph
         // (it is append-only and the simulation is over, so existing
-        // TermIds keep their meaning); after that every worker only reads
+        // TermIds keep their meaning); after that every query only reads
         // the graph.
         let window = FlipWindow::intern(graph, obs, ks.iter().copied(), MAX_PREFIX);
         let graph = &*graph;
-        let candidates: Vec<FlipCandidate> = (first_seq..)
-            .zip(ks)
-            .map(|(seq, &obs_index)| FlipCandidate { obs_index, seq })
-            .collect();
-        let budget = ctx.config.solver_budget;
-        let recorder = &ctx.recorder;
+        let config = &ctx.config;
+        let solve = |seq: u64, k: usize| {
+            if config.fault_plan.should_inject("task_panic:flips", seq) {
+                panic!("injected fault: task_panic@flips:{seq}");
+            }
+            if config.fault_plan.should_inject("solver_unknown", seq) {
+                return FlipOutcome::Unknown(format!("injected fault: solver_unknown@{seq}"));
+            }
+            let terms = window.terms(obs, k, dir, MAX_PREFIX);
+            solve_flip(graph, &terms, schedule, config.solver_budget, &ctx.recorder)
+        };
         let mut degraded = false;
-        for chunk in candidates.chunks(FLIP_CHUNK) {
-            let plan = &ctx.config.fault_plan;
-            // Panics become Failed slots whatever the policy, so a panic
-            // in a candidate the walk does not read is never raised; the
-            // policy applies when a result is read.
-            let (solved, stats) = soccar_exec::parallel_map_policy(
-                ctx.config.jobs,
-                chunk,
-                FailurePolicy::KeepGoing,
-                |c| {
-                    if plan.should_inject("task_panic:flips", c.seq) {
-                        panic!("injected fault: task_panic@flips:{}", c.seq);
-                    }
-                    if plan.should_inject("solver_unknown", c.seq) {
-                        return FlipOutcome::Unknown(format!(
-                            "injected fault: solver_unknown@{}",
-                            c.seq
-                        ));
-                    }
-                    let terms = window.terms(obs, c.obs_index, dir, MAX_PREFIX);
-                    solve_flip(graph, &terms, schedule, budget, recorder)
-                },
-            );
-            self.flip_stats.absorb(&stats);
-            for (outcome, c) in solved.into_iter().zip(chunk) {
-                self.solver_calls += 1;
-                recorder.counter_add("concolic.flip_consumed", 1);
-                match outcome {
-                    TaskOutcome::Ok(FlipOutcome::Sat(next)) => {
-                        self.solver_sat += 1;
-                        recorder.counter_add("concolic.flip_sat", 1);
-                        return (Some(next), degraded);
-                    }
-                    TaskOutcome::Ok(FlipOutcome::Unsat) => {}
-                    TaskOutcome::Ok(FlipOutcome::Unknown(reason)) => {
-                        self.solver_unknown += 1;
-                        degraded = true;
-                        self.degraded_reasons
-                            .insert(format!("round {round}: flip {} skipped: {reason}", c.seq));
-                    }
-                    TaskOutcome::Failed { panic } => {
-                        if ctx.config.failure_policy == FailurePolicy::FailFast {
-                            std::panic::resume_unwind(Box::new(panic));
-                        }
-                        self.flips_failed += 1;
-                        degraded = true;
-                        self.degraded_reasons.insert(format!(
-                            "round {round}: flip {} worker panicked: {panic}",
-                            c.seq
-                        ));
-                    }
+        for (seq, &k) in (first_seq..).zip(ks) {
+            let started = Instant::now();
+            let outcome = if config.failure_policy == FailurePolicy::FailFast {
+                Ok(solve(seq, k))
+            } else {
+                catch_unwind(AssertUnwindSafe(|| solve(seq, k)))
+                    .map_err(|payload| soccar_exec::panic_message(payload.as_ref()))
+            };
+            let took = started.elapsed();
+            self.flip_stats.tasks += 1;
+            self.flip_stats.busy += took;
+            self.flip_stats.elapsed += took;
+            self.solver_calls += 1;
+            ctx.recorder.counter_add("concolic.flip_consumed", 1);
+            match outcome {
+                Ok(FlipOutcome::Sat(next)) => {
+                    self.solver_sat += 1;
+                    ctx.recorder.counter_add("concolic.flip_sat", 1);
+                    return (Some(next), degraded);
+                }
+                Ok(FlipOutcome::Unsat) => {}
+                Ok(FlipOutcome::Unknown(reason)) => {
+                    self.solver_unknown += 1;
+                    degraded = true;
+                    self.degraded_reasons
+                        .insert(format!("round {round}: flip {seq} skipped: {reason}"));
+                }
+                Err(panic) => {
+                    // "worker panicked" is the canonical reports' wording.
+                    self.flips_failed += 1;
+                    degraded = true;
+                    self.degraded_reasons.insert(format!(
+                        "round {round}: flip {seq} worker panicked: {panic}"
+                    ));
                 }
             }
         }
@@ -1392,23 +1377,6 @@ impl FlipWorkload {
     }
 }
 
-/// Flip candidates solved per pool call once the decision walk reaches a
-/// site target. A constant, never derived from `jobs`, so the set of
-/// solved candidates (and every solver counter) is the same for every
-/// job count; it matches [`MAX_FLIP_ATTEMPTS`], so a target's candidates
-/// are one call.
-const FLIP_CHUNK: usize = MAX_FLIP_ATTEMPTS;
-
-/// One flip attempt: flip observation `obs_index` towards the target's
-/// direction. `seq` is the 1-based serial flip-candidate number across
-/// the whole analysis — the index the fault plan's `solver_unknown@N` /
-/// `task_panic@flips:N` points key on.
-#[derive(Debug, Clone, Copy)]
-struct FlipCandidate {
-    obs_index: usize,
-    seq: u64,
-}
-
 /// One round's flip candidates, keyed by `(site, flipped direction)`:
 /// the first [`MAX_FLIP_ATTEMPTS`] observations of each site that took the
 /// other direction, in chronological order. Built in one pass over the
@@ -1509,9 +1477,8 @@ impl FlipWindow {
 /// One flip query: a fresh solver asserting `terms` against the shared
 /// round graph. On Sat, rebuilds the schedule from the model.
 ///
-/// Runs on worker threads and only reads `graph`, so the result is a pure
-/// function of `(graph, terms, schedule, budget)` — the determinism
-/// anchor of the parallel round.
+/// Only reads `graph`, so the result is a pure function of
+/// `(graph, terms, schedule, budget)`.
 fn solve_flip(
     graph: &TermGraph,
     terms: &[TermId],
@@ -1886,10 +1853,11 @@ mod tests {
     }
 
     #[test]
-    fn flip_fanout_is_job_count_invariant() {
-        // The solver-heavy magic-branch design: the round outcome hinges
-        // on which flip result is consumed, so any completion-order
-        // dependence would show up immediately.
+    fn walk_and_sweep_are_job_count_invariant() {
+        // The solver-heavy magic-branch design, with its sweep: the round
+        // outcome hinges on which flip result is consumed, and the sweep
+        // runs beside the walk at more than one job, so any dependence on
+        // the job count would show up immediately.
         let src = "
             module ip(input clk, input rst_n, input [7:0] magic,
                       output reg flag, output reg [7:0] ctr);
@@ -2096,6 +2064,22 @@ mod tests {
             assert_eq!(report.solver_calls, 3, "jobs {jobs}: {report:?}");
             assert_eq!(report.solver_sat, 1, "jobs {jobs}: {report:?}");
             assert_eq!(report.targets_covered, report.targets_total);
+        }
+    }
+
+    #[test]
+    fn flips_are_solved_only_as_the_walk_reads_them() {
+        // The first round's target has four candidates; the walk stops at
+        // the first Sat, and no candidate after it is solved.
+        for jobs in [1, 2] {
+            for faults in ["", "solver_unknown@1"] {
+                let report = magic_run(jobs, faults, FailurePolicy::FailFast);
+                assert_eq!(
+                    report.flip_exec.tasks, report.solver_calls,
+                    "jobs {jobs}, faults {faults:?}: {report:?}"
+                );
+                assert_eq!(report.flip_exec.jobs, 1, "{report:?}");
+            }
         }
     }
 

@@ -42,7 +42,7 @@ pub struct SoccarConfig {
     /// Worker threads for the parallel stages (the frontend's per-module
     /// parse and lint and the AR_CFG extraction fan-out, on a source of
     /// at least [`soccar_rtl::fingerprint::MIN_FANOUT_BYTES`], and the
-    /// concolic flip solving and reset sweep). `0` resolves via
+    /// concolic reset sweep). `0` resolves via
     /// [`soccar_exec::resolve_jobs`]: the `SOCCAR_JOBS` environment
     /// variable, then the machine's available parallelism. The resolved
     /// value also overwrites [`ConcolicConfig::jobs`] for the run.
@@ -51,8 +51,8 @@ pub struct SoccarConfig {
     /// merge by stable keys, never completion order — so this knob trades
     /// only wall-clock time, never results.
     pub jobs: usize,
-    /// Degrade instead of aborting when a parallel worker panics: the
-    /// extraction and flip pools run under
+    /// Degrade instead of aborting when an extraction task or a flip
+    /// solve panics: both run under
     /// [`soccar_exec::FailurePolicy::KeepGoing`], failed tasks become
     /// per-stage [`Health::Degraded`] reasons, and the analysis finishes
     /// with whatever survived. Off (fail-fast) by default.
@@ -712,7 +712,7 @@ impl Stage {
         );
         self.finish(
             detail,
-            Some(ExecSummary::from(&concolic.flip_exec)),
+            Some(ExecSummary::from(&concolic.sweep_exec)),
             Health::from_reasons(concolic.degraded_reasons.clone()),
         )
     }
@@ -838,12 +838,14 @@ mod tests {
         // A design below `MIN_FANOUT_BYTES` is extracted inline.
         assert_eq!(extract.jobs, 1);
         assert_eq!(extract.tasks, 2); // ip + top modules
-        let flips = report.stages[3].exec.as_ref().expect("concolic exec");
-        assert_eq!(flips.tasks, report.concolic.flip_exec.tasks);
-        // One sweep task per pulse position of the single domain.
+
+        // The concolic stage's one fan-out is the sweep: one task per
+        // pulse position of the single domain.
+        let sweep = report.stages[3].exec.as_ref().expect("concolic exec");
         let cycles = SoccarConfig::default().concolic.cycles as usize;
-        assert_eq!(report.concolic.sweep_exec.tasks, cycles - 1);
-        assert_eq!(report.concolic.sweep_exec.jobs, 2);
+        assert_eq!(sweep.tasks, cycles - 1);
+        assert_eq!(sweep.jobs, 2);
+        assert_eq!(sweep.tasks, report.concolic.sweep_exec.tasks);
     }
 
     #[test]

@@ -9,7 +9,29 @@ use std::collections::HashMap;
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::error::{RtlError, RtlErrorKind, RtlResult};
+use crate::span::Span;
 use crate::value::LogicVec;
+
+/// The widest expression and the widest net elaboration accepts, in
+/// bits: the same bound as a literal's ([`crate::lexer::MAX_LITERAL_BITS`]).
+/// Expression widths are computed in checked `u64` arithmetic, so a
+/// replication or concatenation past it is an [`RtlErrorKind::Limit`]
+/// error, never a wrapped or truncated width.
+pub const MAX_EXPR_BITS: u32 = 1 << 20;
+
+/// `bits` as an expression width: a [`RtlErrorKind::Limit`] error if the
+/// checked arithmetic that computed it overflowed (`None`) or it is
+/// wider than [`MAX_EXPR_BITS`].
+pub(crate) fn expr_width(bits: Option<u64>, span: Span) -> RtlResult<u32> {
+    match bits {
+        Some(w) if w <= u64::from(MAX_EXPR_BITS) => Ok(w as u32),
+        _ => Err(RtlError::new(
+            RtlErrorKind::Limit,
+            format!("expression wider than {MAX_EXPR_BITS} bits"),
+            span,
+        )),
+    }
+}
 
 /// A constant-evaluation environment: parameter name → value.
 #[derive(Debug, Clone, Default)]
@@ -131,13 +153,17 @@ pub fn eval_const(expr: &Expr, env: &ConstEnv) -> RtlResult<LogicVec> {
                 )),
             }
         }
-        Expr::Concat { parts, .. } => {
+        Expr::Concat { parts, span } => {
             let mut vals = parts
                 .iter()
                 .map(|p| eval_const(p, env))
                 .collect::<RtlResult<Vec<_>>>()?;
             let mut acc = vals.remove(0);
             for v in vals {
+                expr_width(
+                    u64::from(acc.width()).checked_add(u64::from(v.width())),
+                    *span,
+                )?;
                 acc = acc.concat(&v);
             }
             Ok(acc)
@@ -153,7 +179,10 @@ pub fn eval_const(expr: &Expr, env: &ConstEnv) -> RtlResult<LogicVec> {
                         *span,
                     )
                 })?;
-            Ok(eval_const(expr, env)?.replicate(c as u32))
+            let v = eval_const(expr, env)?;
+            expr_width(u64::from(v.width()).checked_mul(c), *span)?;
+            // The count is at most the checked width.
+            Ok(v.replicate(c as u32))
         }
         Expr::Index { span, .. }
         | Expr::PartSelect { span, .. }

@@ -20,7 +20,7 @@ use crate::ast::{
     AlwaysBlock, BinaryOp, CaseArm, CaseKind, Declarator, Expr, Instance, Item, Module, NetKind,
     PortDir, Range, Sensitivity, SourceUnit, Stmt, UnaryOp,
 };
-use crate::constfold::{eval_const, eval_const_u64, ConstEnv};
+use crate::constfold::{eval_const, eval_const_u64, expr_width, ConstEnv, MAX_EXPR_BITS};
 use crate::design::{
     Design, InstanceId, InstanceInfo, LValue, MemId, Memory, Net, NetId, Process, ProcessId,
     ProcessOrigin, RCaseArm, RCaseLabel, RExpr, RStmt, SiteInfo, SiteKind, Trigger,
@@ -127,6 +127,25 @@ struct Scope {
 impl Scope {
     fn err(&self, msg: impl Into<String>, span: Span) -> RtlError {
         RtlError::new(RtlErrorKind::Semantic, msg, span)
+    }
+
+    /// The low bit and the checked width of the part-select `[msb:lsb]`.
+    fn part_select(&self, msb: &Expr, lsb: &Expr, span: Span) -> RtlResult<(u32, u32)> {
+        let m = eval_const_u64(msb, &self.consts)?;
+        let l = eval_const_u64(lsb, &self.consts)?;
+        if m < l {
+            return Err(self.err("part-select must be [msb:lsb] with msb >= lsb", span));
+        }
+        Ok((l as u32, expr_width((m - l).checked_add(1), span)?))
+    }
+
+    /// The checked, positive width of an indexed part-select `[s +: w]`.
+    fn indexed_width(&self, width: &Expr, span: Span) -> RtlResult<u32> {
+        let w = expr_width(Some(eval_const_u64(width, &self.consts)?), span)?;
+        if w == 0 {
+            return Err(self.err("indexed part-select width must be positive", span));
+        }
+        Ok(w)
     }
 }
 
@@ -323,7 +342,7 @@ impl<'a> Elaborator<'a> {
                 r.span,
             ));
         }
-        if msb >= 1 << 20 {
+        if msb >= u64::from(MAX_EXPR_BITS) {
             return Err(RtlError::new(
                 RtlErrorKind::Elaborate,
                 "packed range unreasonably wide",
@@ -829,16 +848,8 @@ impl<'a> Elaborator<'a> {
                     .nets
                     .get(base)
                     .ok_or_else(|| scope.err(format!("undeclared identifier `{base}`"), *span))?;
-                let m = eval_const_u64(msb, &scope.consts)? as u32;
-                let l = eval_const_u64(lsb, &scope.consts)? as u32;
-                if m < l {
-                    return Err(scope.err("part-select must be [msb:lsb] with msb >= lsb", *span));
-                }
-                Ok(LValue::Slice {
-                    net,
-                    lo: l,
-                    width: m - l + 1,
-                })
+                let (lo, width) = scope.part_select(msb, lsb, *span)?;
+                Ok(LValue::Slice { net, lo, width })
             }
             Expr::IndexedPartSelect {
                 base,
@@ -851,7 +862,7 @@ impl<'a> Elaborator<'a> {
                     .nets
                     .get(base)
                     .ok_or_else(|| scope.err(format!("undeclared identifier `{base}`"), *span))?;
-                let w = eval_const_u64(width, &scope.consts)? as u32;
+                let w = scope.indexed_width(width, *span)?;
                 let start = self.lower_expr(scope, start)?;
                 let start = normalize_ips_start(start, w, *ascending);
                 if let RExpr::Const(c) = &start {
@@ -996,7 +1007,10 @@ impl<'a> Elaborator<'a> {
                     .iter()
                     .map(|p| self.lower_expr(scope, p))
                     .collect::<RtlResult<Vec<_>>>()?;
-                let width = lowered.iter().map(RExpr::width).sum();
+                let width = lowered
+                    .iter()
+                    .try_fold(0u64, |sum, p| sum.checked_add(u64::from(p.width())));
+                let width = expr_width(width, *span)?;
                 Ok(RExpr::Concat {
                     width,
                     parts: lowered,
@@ -1008,8 +1022,10 @@ impl<'a> Elaborator<'a> {
                     return Err(scope.err("replication count must be positive", *span));
                 }
                 let inner = self.lower_expr(scope, expr)?;
+                let width = expr_width(u64::from(inner.width()).checked_mul(c), *span)?;
                 Ok(RExpr::Repeat {
-                    width: inner.width() * c as u32,
+                    width,
+                    // The count is at most the checked width.
                     count: c as u32,
                     expr: Box::new(inner),
                 })
@@ -1056,16 +1072,8 @@ impl<'a> Elaborator<'a> {
                     .nets
                     .get(base)
                     .ok_or_else(|| scope.err(format!("undeclared identifier `{base}`"), *span))?;
-                let m = eval_const_u64(msb, &scope.consts)? as u32;
-                let l = eval_const_u64(lsb, &scope.consts)? as u32;
-                if m < l {
-                    return Err(scope.err("part-select must be [msb:lsb] with msb >= lsb", *span));
-                }
-                Ok(RExpr::Slice {
-                    net,
-                    lo: l,
-                    width: m - l + 1,
-                })
+                let (lo, width) = scope.part_select(msb, lsb, *span)?;
+                Ok(RExpr::Slice { net, lo, width })
             }
             Expr::IndexedPartSelect {
                 base,
@@ -1078,7 +1086,7 @@ impl<'a> Elaborator<'a> {
                     .nets
                     .get(base)
                     .ok_or_else(|| scope.err(format!("undeclared identifier `{base}`"), *span))?;
-                let w = eval_const_u64(width, &scope.consts)? as u32;
+                let w = scope.indexed_width(width, *span)?;
                 let s = self.lower_expr(scope, start)?;
                 let s = normalize_ips_start(s, w, *ascending);
                 if let RExpr::Const(c) = &s {
@@ -1520,6 +1528,17 @@ mod tests {
     fn nonzero_lsb_range_rejected() {
         let e = elab_err("module top(input [8:1] a); endmodule");
         assert_eq!(e.kind, RtlErrorKind::Unsupported);
+    }
+
+    #[test]
+    fn zero_width_indexed_part_select_rejected() {
+        for body in ["y = a[0 +: 0];", "a[0 -: 0] = y;"] {
+            let e = elab_err(&format!(
+                "module top(input y); reg [7:0] a; always @* {body} endmodule"
+            ));
+            assert_eq!(e.kind, RtlErrorKind::Semantic, "{body}: {e}");
+            assert!(e.message.contains("must be positive"), "{body}: {e}");
+        }
     }
 
     #[test]

@@ -255,8 +255,12 @@ impl<'a> Lexer<'a> {
         self.pos = save;
         let value =
             value.ok_or_else(|| self.err("decimal literal does not fit in 64 bits", start))?;
+        // An unsized number is at least 32 bits (IEEE 1364-2005 §3.5.1); a
+        // larger value keeps all its bits, so `{4294967297{a}}` counts
+        // 4294967297 copies, not one.
+        let width = if value > u64::from(u32::MAX) { 64 } else { 32 };
         Ok(TokenKind::Number {
-            value: LogicVec::from_planes(32, value, 0),
+            value: LogicVec::from_planes(width, value, 0),
             sized: false,
         })
     }

@@ -124,8 +124,9 @@ options:
   --jobs <n>          worker threads for the parallel stages
                       (default: $SOCCAR_JOBS, else all cores; results are
                       identical for every value)
-  --keep-going        degrade instead of aborting when a worker panics;
-                      lost work is reported as per-stage health reasons
+  --keep-going        degrade instead of aborting when an extraction
+                      task or a flip solve panics; lost work is
+                      reported as per-stage health reasons
   --solver-budget <n> cap each flip solve at <n> SAT conflicts; exhausted
                       solves are skipped (reported, never fatal)
 environment:

@@ -119,8 +119,9 @@ fn check_golden(name: &str, actual: &str) {
 const SMOKE: &[&str] = &["--cycles", "8", "--rounds", "2"];
 
 /// The chaos-smoke horizon on ClusterSoC: unlike [`SMOKE`], its decision
-/// walk reaches a site target with flip candidates, so it solves
-/// candidates 1 to 4 (flip solving is lazy: a smoke run whose walk
+/// walk reaches a site target with flip candidates, and solves them
+/// inline one at a time up to the first Sat. All four, candidates 1 to
+/// 4, are Unsat, so it solves each of them (a smoke run whose walk
 /// pulses first solves nothing).
 const SOLVING: &[&str] = &["--soc", "clustersoc", "--cycles", "12", "--rounds", "4"];
 
@@ -226,10 +227,10 @@ fn trace_metrics_identical_across_job_counts() {
 
 #[test]
 fn trace_metrics_identical_across_job_counts_under_faults() {
-    // An injected solver Unknown lands on flip candidate #2 regardless
-    // of which worker picks it up, so the degraded metric stream must
-    // stay byte-identical across job counts too. The run must be one
-    // whose decision walk solves candidate #2.
+    // An injected solver Unknown lands on flip candidate #2, which the
+    // walk solves on the coverage thread at every job count, so the
+    // degraded metric stream must stay byte-identical across job counts
+    // too. The run must be one whose decision walk solves candidate #2.
     let args = {
         let mut a = SOLVING.to_vec();
         a.push("--keep-going");

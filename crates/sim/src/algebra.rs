@@ -46,6 +46,11 @@ pub trait Algebra {
     /// Concatenation with `hi` in the upper bits.
     fn concat(&mut self, hi: &Self::Value, lo: &Self::Value) -> Self::Value;
 
+    /// `count` copies of `a` side by side (`count ≥ 1`): the value of
+    /// `concat(…concat(concat(a, a), a)…, a)`, in time linear in the
+    /// result's width.
+    fn replicate(&mut self, a: &Self::Value, count: u32) -> Self::Value;
+
     /// Constant-position slice `[lo +: width]`.
     fn slice(&mut self, a: &Self::Value, lo: u32, width: u32) -> Self::Value;
 
@@ -215,6 +220,10 @@ impl Algebra for ConcreteAlgebra {
         hi.concat(lo)
     }
 
+    fn replicate(&mut self, a: &LogicVec, count: u32) -> LogicVec {
+        a.replicate(count)
+    }
+
     fn slice(&mut self, a: &LogicVec, lo: u32, width: u32) -> LogicVec {
         a.slice(lo, width)
     }
@@ -247,6 +256,28 @@ mod tests {
         assert_eq!(alg.unary(UnaryOp::RedOr, &a).to_u64(), Some(1));
         assert_eq!(alg.slice(&a, 2, 2).to_u64(), Some(0b11));
         assert_eq!(alg.concat(&a, &b).width(), 16);
+    }
+
+    #[test]
+    fn replicate_matches_the_concat_chain() {
+        let mut alg = ConcreteAlgebra::new();
+        let x = LogicVec::xes(1);
+        let wide = LogicVec::from_u64(64, 0xA55A_0FF0_1234_5678).concat(&x);
+        // Results below, at and above 64 bits, with unknown bits, from
+        // one-word and two-word inputs.
+        for (v, count) in [
+            (LogicVec::from_u64(4, 0b1011).concat(&x), 3),
+            (LogicVec::from_u64(7, 0x35).concat(&x), 8),
+            (LogicVec::from_u64(6, 0x2D).concat(&x), 13),
+            (LogicVec::from_u64(1, 1), 64),
+            (wide, 3),
+        ] {
+            let mut chain = v.clone();
+            for _ in 1..count {
+                chain = alg.concat(&chain, &v);
+            }
+            assert_eq!(alg.replicate(&v, count), chain, "{{{count}{{{v:?}}}}}");
+        }
     }
 
     #[test]

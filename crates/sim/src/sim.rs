@@ -862,11 +862,7 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             }
             RExpr::Repeat { count, expr, .. } => {
                 let v = self.eval(expr);
-                let mut acc = v.clone();
-                for _ in 1..*count {
-                    acc = self.algebra.concat(&acc, &v);
-                }
-                acc
+                self.algebra.replicate(&v, *count)
             }
             RExpr::Slice { net, lo, width } => {
                 self.algebra.slice(&self.nets[net.0 as usize], *lo, *width)

@@ -1,8 +1,8 @@
 //! Determinism regression: the parallel stages (AR_CFG extraction
-//! fan-out, chunked flip solving, the reset sweep's forked pulse
-//! positions, variant sweeps) must merge by stable keys, never completion
-//! order, so the full pipeline produces a byte-identical canonical report
-//! for every job count. These tests run the complete pipeline — frontend,
+//! fan-out, the reset sweep's forked pulse positions beside the coverage
+//! rounds and their inline flip solving, variant sweeps) must merge by
+//! stable keys, never completion order, so the full pipeline produces a
+//! byte-identical canonical report for every job count. These tests run the complete pipeline — frontend,
 //! lint, extraction, composition, binding, concolic testing — on both
 //! bundled SoCs at `--jobs 1` and `--jobs 4` and compare the serialized
 //! `AnalysisReport` JSON.

@@ -6,11 +6,12 @@
 //! declaring a huge memory analyzes without allocating it, and a cycle
 //! horizon past `MAX_CYCLES` is a named error instead of a failed
 //! allocation, and so is a design declaring more than
-//! `MAX_DESIGN_NET_BITS` net bits in total, and a literal wider than
-//! `MAX_LITERAL_BITS`.
+//! `MAX_DESIGN_NET_BITS` net bits in total, a literal wider than
+//! `MAX_LITERAL_BITS`, and an expression wider than `MAX_EXPR_BITS`.
 
 use soccar::{Soccar, SoccarConfig};
 use soccar_concolic::{ConcolicConfig, MAX_CYCLES};
+use soccar_rtl::constfold::MAX_EXPR_BITS;
 use soccar_rtl::elaborate::{elaborate, MAX_DESIGN_NET_BITS};
 use soccar_rtl::fingerprint::MIN_FANOUT_BYTES;
 use soccar_rtl::lexer::MAX_LITERAL_BITS;
@@ -460,5 +461,59 @@ fn literal_width_limit_is_exact() {
     for literal in &past {
         let err = parse(FileId(0), &literal_design(literal)).expect_err("one bit past the limit");
         assert_eq!(err.kind, RtlErrorKind::Limit, "{err}");
+    }
+}
+
+/// The error every expression past [`MAX_EXPR_BITS`] gets.
+fn expr_limit_error() -> String {
+    format!("input limit exceeded: expression wider than {MAX_EXPR_BITS} bits")
+}
+
+/// A module folding `expr` into a parameter, so the constant evaluator
+/// computes its width instead of the lowering.
+fn param_design(expr: &str) -> String {
+    format!(
+        "module top(input a, output q);\n  localparam P = {expr};\n  \
+         assign q = a ^ P;\nendmodule\n"
+    )
+}
+
+/// `{4294967297{a}}` used to be read as `{1{a}}` (the count was cut to 32
+/// bits), and the `{1024{ {1024{ {1024{a}} }} }}` bomb (2^30 bits) ran for
+/// minutes before a wrapped width panicked. They, a concatenation one bit
+/// past the limit and an over-wide part-select are now named limit errors
+/// raised at elaboration, in a statement and in a parameter alike.
+#[test]
+fn expression_width_bomb_is_a_named_limit_error() {
+    let bombs = [
+        "{4294967297{a}}",
+        "{1024{ {1024{ {1024{a}} }} }}",
+        "{ {1048576{a}}, a }",
+    ];
+    let mut sources: Vec<String> = bombs.iter().map(|e| design(e)).collect();
+    sources.extend(bombs.iter().map(|e| param_design(&e.replace('a', "1'b1"))));
+    sources.push(design("a[4294967295:0]"));
+    for src in &sources {
+        let unit = parse(FileId(0), src).expect("the bomb parses");
+        let err = elaborate(&unit, "top").expect_err("the bomb must not elaborate");
+        assert_eq!(err.kind, RtlErrorKind::Limit, "{src}: {err}");
+        assert_eq!(err.to_string(), expr_limit_error(), "{src}");
+        let result = Soccar::new(SoccarConfig::default()).analyze("bomb.v", src, "top", Vec::new());
+        let err = result.expect_err("the bomb must not analyze");
+        assert!(err.to_string().contains(&expr_limit_error()), "{err}");
+    }
+}
+
+/// The limit is exact: a 2^20-bit replication elaborates, in a statement
+/// and in a parameter.
+#[test]
+fn expression_width_limit_is_exact() {
+    let at_limit = "{1024{ {1024{a}} }}";
+    for src in [
+        design(at_limit),
+        param_design(&at_limit.replace('a', "1'b1")),
+    ] {
+        let unit = parse(FileId(0), &src).expect("parses");
+        elaborate(&unit, "top").expect("the limit itself elaborates");
     }
 }
