@@ -340,7 +340,7 @@ impl Algebra for CoAlgebra {
         let concrete = a.concrete.slice(lo, width);
         let term = a.term.and_then(|t| {
             let tw = self.graph.width(t);
-            if lo + width <= tw {
+            if lo.checked_add(width).is_some_and(|hi| hi <= tw) {
                 Some(self.graph.extract(lo + width - 1, lo, t))
             } else {
                 None // out-of-range slice reads X concretely
@@ -529,6 +529,10 @@ mod tests {
         // Out-of-range slice drops the term (concrete has X).
         let oob = alg.slice(&x, 6, 4);
         assert!(!oob.is_symbolic());
+        // So does one whose end overflows `u32`.
+        let past = alg.slice(&x, u32::MAX, 2);
+        assert!(!past.is_symbolic());
+        assert_eq!(past.concrete, LogicVec::xes(2));
     }
 
     #[test]

@@ -34,9 +34,10 @@
 //!    forks one simulator clone per domain ([`SweepPosition`]).
 //!    No sweep round reads anything the coverage rounds produce, so the
 //!    sweep runs *beside* them: [`ConcolicEngine::run`] hands the
-//!    positions of both phases to `jobs − 1` workers while the calling
-//!    thread runs the coverage loop, then joins the workers until every
-//!    position is done ([`soccar_exec::parallel_map_beside`]). The
+//!    positions of both phases to `jobs − 1` workers (fewer when there
+//!    are fewer positions, but one even for a lone position) while the
+//!    calling thread runs the coverage loop, then joins the workers until
+//!    every position is done ([`soccar_exec::parallel_map_beside`]). The
 //!    sweep's rounds merge serially after the coverage rounds, in
 //!    `(domain, cycle)` order, so reports are identical for every job
 //!    count and to running every round from scratch, in the paper's
@@ -93,8 +94,8 @@ pub struct ConcolicConfig {
     /// AMS comparator outputs, sensor strobes). Pulsed active-high.
     pub async_events: Vec<String>,
     /// Worker threads for the reset sweep (`0` = auto via
-    /// [`soccar_exec::resolve_jobs`]): `jobs − 1` workers run its pulse
-    /// positions beside the coverage loop, whose flip solves run inline
+    /// [`soccar_exec::resolve_jobs`]): up to `jobs − 1` workers run its
+    /// pulse positions beside the coverage loop, whose flip solves run inline
     /// on the calling thread. Every job count produces bit-identical
     /// reports: sweep rounds are merged in `(domain, cycle)` order, never
     /// completion order.
@@ -557,8 +558,9 @@ impl<'d> ConcolicEngine<'d> {
     ///
     /// No sweep round reads anything the coverage loop produces, so the
     /// reset sweep starts with the run: its pulse positions go to
-    /// `jobs − 1` workers while the calling thread runs the coverage
-    /// loop, and the calling thread joins them once the loop ends. The
+    /// `jobs − 1` workers, or one per position if there are fewer, while
+    /// the calling thread runs the coverage loop, and the calling thread
+    /// joins them once the loop ends. The
     /// rounds then merge serially, coverage rounds first and the sweep's
     /// in `(domain, cycle)` order, so the report is the one a serial run
     /// of Algorithm 3 gives.

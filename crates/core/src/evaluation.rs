@@ -280,9 +280,7 @@ pub fn evaluate_generated(
 
 /// [`evaluate_generated`] with an observability recorder attached, so
 /// callers (the bench stress tier) can gate on the pipeline's span and
-/// counter stream — e.g. `smt.queries` counts every real solver call,
-/// including a solved chunk's results after the consumed flip, which the
-/// report's `solver_calls` field does not count.
+/// counter stream — e.g. `smt.queries` counts every real solver call.
 ///
 /// # Errors
 ///

@@ -511,10 +511,11 @@ impl AnalysisSession {
             hash_bytes(format!("{:?}/{:?}", config.naming, config.lint).as_bytes()),
         );
         let lint_cache = &mut self.lint_cache;
-        let (lint, lint_stage) = stages.lint_with(|linter| {
+        let linter = stages.linter();
+        let (lint, lint_stage) = stages.lint_with(|| {
             let (report, relinted, evicted) = lint_through_tier(
                 lint_cache,
-                linter,
+                &linter,
                 lint_key,
                 assembled,
                 &map,

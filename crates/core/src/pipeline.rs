@@ -489,19 +489,31 @@ impl Soccar {
         let mut map = SourceMap::new();
         let file = map.add_file(file_name, source);
         let unit = parse_jobs(file, source, stages.jobs(), &self.recorder)?;
-        let design = elaborate_traced(&unit, top, &self.recorder)?;
-        let frontend = frontend.frontend(&unit, &design);
+        // Lint reads only the parsed unit, so at two or more jobs it runs
+        // beside elaboration; its stage then times the wait for it. An
+        // elaboration error drops the handle, and with it whatever lint
+        // did.
+        let linter = stages.linter();
+        soccar_exec::with_deferred(
+            stages.jobs(),
+            || linter.lint_unit(&unit, &map),
+            |lint| {
+                let design = elaborate_traced(&unit, top, &self.recorder)?;
+                let frontend = frontend.frontend(&unit, &design);
 
-        let (lint, lint_stage) = stages.lint(&unit, &map);
-        let (composed, ar_cfg_stage) = stages.ar_cfg(&unit, &design, top)?;
-        let (concolic, concolic_stage) = stages.concolic(&design, &composed.bound, properties)?;
-        Ok(AnalysisReport {
-            stages: vec![frontend, lint_stage, ar_cfg_stage, concolic_stage],
-            lint,
-            extraction: composed.summary(unit.modules.len()),
-            concolic,
-            total: analyze_span.close(),
-        })
+                let (lint, lint_stage) = stages.lint_with(|| lint.join());
+                let (composed, ar_cfg_stage) = stages.ar_cfg(&unit, &design, top)?;
+                let (concolic, concolic_stage) =
+                    stages.concolic(&design, &composed.bound, properties)?;
+                Ok(AnalysisReport {
+                    stages: vec![frontend, lint_stage, ar_cfg_stage, concolic_stage],
+                    lint,
+                    extraction: composed.summary(unit.modules.len()),
+                    concolic,
+                    total: analyze_span.close(),
+                })
+            },
+        )
     }
 }
 
@@ -555,24 +567,22 @@ impl<'a> Stages<'a> {
         }
     }
 
-    /// Stage 0: the static lint pre-pass (structural reset-domain
-    /// checks).
-    pub(crate) fn lint(&self, unit: &SourceUnit, map: &SourceMap) -> (LintReport, StageReport) {
-        self.lint_with(|linter| linter.lint_unit(unit, map))
-    }
-
-    /// The lint stage around `run`, which lints with the configured
-    /// [`Linter`]: the incremental session's entry, which lints only
-    /// what its lint tier cannot supply.
-    pub(crate) fn lint_with(
-        &self,
-        run: impl FnOnce(&Linter) -> LintReport,
-    ) -> (LintReport, StageReport) {
-        let stage = self.open("lint");
-        let lint = run(&Linter::new()
+    /// The configured [`Linter`] of stage 0, the static lint pre-pass
+    /// (structural reset-domain checks).
+    pub(crate) fn linter(&self) -> Linter {
+        Linter::new()
             .with_naming(self.config.naming.clone())
             .with_config(self.config.lint.clone())
-            .with_jobs(self.jobs));
+            .with_jobs(self.jobs)
+    }
+
+    /// The lint stage around `run`, which yields the [`Stages::linter`]
+    /// findings: [`Soccar::analyze`] joins the lint it started beside
+    /// elaboration, and the incremental session lints only what its lint
+    /// tier cannot supply.
+    pub(crate) fn lint_with(&self, run: impl FnOnce() -> LintReport) -> (LintReport, StageReport) {
+        let stage = self.open("lint");
+        let lint = run();
         self.recorder
             .counter_add("lint.diagnostics", lint.diagnostics.len() as u64);
         let report = stage.finish(lint.summary(), None, Health::Ok);

@@ -4,7 +4,9 @@
 //! hand-rolled **scoped worker pool** (`std::thread` + one atomic work
 //! cursor) exposing a deterministic [`parallel_map`] API, and
 //! [`parallel_map_beside`], which runs the same pool while the calling
-//! thread does serial work of its own and then joins the workers.
+//! thread does serial work of its own and then joins the workers, and
+//! [`with_deferred`], which runs one closure beside the caller's work and
+//! hands the caller a handle to join it.
 //!
 //! Every stage that fans out through this crate obeys the project-wide
 //! **determinism contract** (DESIGN.md §9):
@@ -215,19 +217,19 @@ impl PoolStats {
 
 type RawResult<R> = Result<R, Box<dyn std::any::Any + Send>>;
 
-/// The shared pool core: maps `f` over `items` on `min(jobs, items) − 1`
-/// spawned workers while the calling thread runs `foreground`; once that
-/// returns, the caller claims indices from the same cursor as one more
-/// worker until every item is done. Captures task panics and returns
-/// `foreground`'s result and per-task `Result`s **in input order**,
-/// together with the pool's utilization counters. All public entry
-/// points are policy adapters over this.
+/// The shared pool core: maps `f` over `items` on `spawn` workers while
+/// the calling thread runs `foreground`; once that returns, the caller
+/// claims indices from the same cursor as one more worker until every
+/// item is done. Captures task panics and returns `foreground`'s result
+/// and per-task `Result`s **in input order**, together with the pool's
+/// utilization counters. All public entry points are policy adapters
+/// over this.
 ///
-/// One job, or at most one item, spawns no thread: `foreground` runs,
-/// then the items inline. A panic in `foreground` stops the cursor, and
-/// re-raises once the workers have finished the tasks they hold.
+/// No spawned worker means `foreground` runs, then the items inline. A
+/// panic in `foreground` stops the cursor, and re-raises once the
+/// workers have finished the tasks they hold.
 fn map_beside_raw<T, R, G, B, F>(
-    jobs: usize,
+    spawn: usize,
     items: &[T],
     foreground: B,
     f: F,
@@ -238,9 +240,7 @@ where
     B: FnOnce() -> G,
     F: Fn(&T) -> R + Sync,
 {
-    let jobs = if jobs == 0 { resolve_jobs(None) } else { jobs };
     let started = Instant::now();
-    let workers = jobs.min(items.len()).max(1);
 
     // The one worker loop: a shared atomic cursor hands out indices, and
     // each worker keeps `(index, result, task_time)` for the merge.
@@ -258,7 +258,7 @@ where
         }
     };
     let (foreground, finished) = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let spawned: Vec<_> = (0..spawn).map(|_| scope.spawn(work)).collect();
         let t = Instant::now();
         let foreground = catch_unwind(AssertUnwindSafe(foreground));
         let foreground_time = t.elapsed();
@@ -280,7 +280,7 @@ where
         slots[i] = Some(result);
     }
     let stats = PoolStats {
-        jobs: workers,
+        jobs: spawn + 1,
         tasks: items.len(),
         busy,
         elapsed: started.elapsed(),
@@ -291,6 +291,15 @@ where
         .map(|r| r.expect("every index produced a result"))
         .collect();
     (foreground, results, stats)
+}
+
+/// `jobs`, with `0` resolved as in [`resolve_jobs`].
+fn resolved(jobs: usize) -> usize {
+    if jobs == 0 {
+        resolve_jobs(None)
+    } else {
+        jobs
+    }
 }
 
 /// Maps `f` over `items` on up to `jobs` worker threads, returning results
@@ -338,6 +347,9 @@ where
 /// index-ordered [`TaskOutcome::Failed`] slot (carrying the panic
 /// message) instead of aborting the caller.
 ///
+/// The calling thread is one of the `jobs` workers, so `min(jobs, items)
+/// − 1` threads are spawned: one job or one item runs inline.
+///
 /// # Panics
 ///
 /// Under [`FailurePolicy::FailFast`], as [`parallel_map`]; never under
@@ -353,22 +365,23 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let ((), outcomes, stats) = parallel_map_beside(jobs, items, policy, || (), f);
-    (outcomes, stats)
+    let spawn = resolved(jobs).min(items.len()).saturating_sub(1);
+    let ((), raw, stats) = map_beside_raw(spawn, items, || (), f);
+    (apply_policy(raw, policy), stats)
 }
 
 /// Like [`parallel_map_policy`], while the calling thread first runs
-/// `foreground`: the items go to `jobs − 1` spawned workers (fewer when
-/// there are fewer items), and once `foreground` returns, the caller
-/// joins them on the same work cursor until every item is done. Returns
-/// `foreground`'s result, the index-ordered outcomes and the pool's
-/// counters; `elapsed` spans `foreground` too, `foreground` times it, and
-/// `busy` counts the tasks alone.
+/// `foreground`: the items go to `min(jobs − 1, items)` spawned workers,
+/// and once `foreground` returns, the caller joins them on the same work
+/// cursor until every item is done. Returns `foreground`'s result, the
+/// index-ordered outcomes and the pool's counters; `elapsed` spans
+/// `foreground` too, `foreground` times it, and `busy` counts the tasks
+/// alone.
 ///
 /// Use it to overlap independent work with a serial computation that
-/// must stay on the calling thread. `jobs == 1`, an empty `items` or a
-/// single item spawns no thread: `foreground` runs, then the items
-/// inline.
+/// must stay on the calling thread: even a single item runs on a worker
+/// while `foreground` runs. `jobs == 1` or an empty `items` spawns no
+/// thread: `foreground` runs, then the items inline.
 ///
 /// # Panics
 ///
@@ -388,7 +401,13 @@ where
     B: FnOnce() -> G,
     F: Fn(&T) -> R + Sync,
 {
-    let (foreground, raw, stats) = map_beside_raw(jobs, items, foreground, f);
+    let spawn = (resolved(jobs) - 1).min(items.len());
+    let (foreground, raw, stats) = map_beside_raw(spawn, items, foreground, f);
+    (foreground, apply_policy(raw, policy), stats)
+}
+
+/// Turns the pool's raw per-task results into outcomes under `policy`.
+fn apply_policy<R>(raw: Vec<RawResult<R>>, policy: FailurePolicy) -> Vec<TaskOutcome<R>> {
     if policy == FailurePolicy::FailFast {
         // `raw` is index-ordered, so the first error is the lowest-index
         // panic, and its original payload is what re-raises.
@@ -400,16 +419,89 @@ where
             resume_unwind(p);
         }
     }
-    let outcomes = raw
-        .into_iter()
+    raw.into_iter()
         .map(|r| match r {
             Ok(v) => TaskOutcome::Ok(v),
             Err(p) => TaskOutcome::Failed {
                 panic: panic_message(p.as_ref()),
             },
         })
-        .collect();
-    (foreground, outcomes, stats)
+        .collect()
+}
+
+/// Runs `main` while `side` runs beside it, and hands `main` a
+/// [`Deferred`] handle on `side`'s result.
+///
+/// At `jobs ≥ 2`, `side` starts on a scoped thread before `main` runs.
+/// At `jobs == 1` nothing is spawned: `side` runs inline when `main`
+/// calls [`Deferred::join`], so the order of work is that of a serial
+/// program that calls `side` at that point. `jobs == 0` resolves as in
+/// [`resolve_jobs`].
+///
+/// A handle that `main` drops unjoined discards `side`: at one job it
+/// never runs; otherwise the thread is joined before this returns, and
+/// its result, or its panic, is dropped. That lets an early error in
+/// `main` outrank whatever `side` did.
+///
+/// # Panics
+///
+/// A panic in `main` re-raises once `side` has finished.
+///
+/// # Examples
+///
+/// ```
+/// let (a, b) = soccar_exec::with_deferred(2, || 6 * 7, |side| (1 + 1, side.join()));
+/// assert_eq!((a, b), (2, 42));
+/// ```
+pub fn with_deferred<S, R, M, O>(jobs: usize, side: S, main: M) -> O
+where
+    S: FnOnce() -> R + Send,
+    R: Send,
+    M: for<'scope> FnOnce(Deferred<'scope, S, R>) -> O,
+{
+    if resolved(jobs) == 1 {
+        return main(Deferred(Side::Inline(side)));
+    }
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| catch_unwind(AssertUnwindSafe(side)));
+        main(Deferred(Side::Spawned(handle)))
+    })
+}
+
+/// The handle [`with_deferred`] gives its `main` closure: `side`'s
+/// result, once joined.
+pub struct Deferred<'scope, S, R>(Side<'scope, S, R>);
+
+enum Side<'scope, S, R> {
+    Inline(S),
+    Spawned(std::thread::ScopedJoinHandle<'scope, RawResult<R>>),
+}
+
+impl<S: FnOnce() -> R, R> Deferred<'_, S, R> {
+    /// `side`'s result: run inline at one job, else waited for.
+    ///
+    /// # Panics
+    ///
+    /// A panic in `side` re-raises here with its own payload.
+    pub fn join(self) -> R {
+        match self.0 {
+            Side::Inline(side) => side(),
+            Side::Spawned(handle) => handle
+                .join()
+                .expect("the side thread catches its panic")
+                .unwrap_or_else(|p| resume_unwind(p)),
+        }
+    }
+}
+
+impl<S, R> std::fmt::Debug for Deferred<'_, S, R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mode = match self.0 {
+            Side::Inline(_) => "inline",
+            Side::Spawned(_) => "spawned",
+        };
+        f.debug_tuple("Deferred").field(&mode).finish()
+    }
 }
 
 #[cfg(test)]
@@ -649,36 +741,169 @@ mod tests {
     }
 
     #[test]
-    fn beside_spawns_no_thread_for_one_job_or_no_items() {
+    fn beside_spawns_a_worker_per_item_up_to_jobs_minus_one() {
         let caller = std::thread::current().id();
-        let mut order = Vec::new();
         let log = std::sync::Mutex::new(Vec::new());
-        for (jobs, items) in [(1, vec![0u32, 1, 2]), (4, vec![7]), (4, Vec::new())] {
+        let cases = [
+            (1, vec![0u32, 1, 2], 1),
+            (4, Vec::new(), 1),
+            (2, vec![7], 2),
+            (4, vec![7], 2),
+        ];
+        for (jobs, items, workers) in cases {
+            // The foreground waits for every task when a worker runs
+            // them, so each task provably ran beside it.
+            let done = AtomicU32::new(0);
             let (fg_thread, out, stats) = parallel_map_beside(
                 jobs,
                 &items,
                 FailurePolicy::FailFast,
                 || {
                     log.lock().expect("log").push("foreground");
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while workers > 1
+                        && done.load(Ordering::SeqCst) < items.len() as u32
+                        && Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
                     std::thread::current().id()
                 },
                 |n| {
                     log.lock().expect("log").push("task");
+                    done.fetch_add(1, Ordering::SeqCst);
                     (std::thread::current().id(), *n)
                 },
             );
             assert_eq!(fg_thread, caller);
-            assert_eq!(stats.jobs, 1, "jobs {jobs}, {} items", items.len());
+            assert_eq!(stats.jobs, workers, "jobs {jobs}, {} items", items.len());
+            let on_caller = workers == 1;
             for outcome in out {
                 let (thread, _) = outcome.ok().expect("task succeeded");
-                assert_eq!(thread, caller, "jobs {jobs}: a task ran off the caller");
+                assert_eq!(thread == caller, on_caller, "jobs {jobs}: task thread");
             }
-            order.push(std::mem::take(&mut *log.lock().expect("log")));
+            let order = std::mem::take(&mut *log.lock().expect("log"));
+            if on_caller {
+                // Inline: the foreground first, then the items in order.
+                let mut inline = vec!["foreground"];
+                inline.extend(items.iter().map(|_| "task"));
+                assert_eq!(order, inline, "jobs {jobs}");
+            }
         }
-        // Inline: the foreground first, then the items in order.
-        assert_eq!(order[0], ["foreground", "task", "task", "task"]);
-        assert_eq!(order[1], ["foreground", "task"]);
-        assert_eq!(order[2], ["foreground"]);
+    }
+
+    #[test]
+    fn plain_maps_keep_one_item_on_the_caller() {
+        let caller = std::thread::current().id();
+        for jobs in [1, 2, 4] {
+            let (out, stats) = parallel_map_stats(jobs, &[7u32], |_| std::thread::current().id());
+            assert_eq!(out, vec![caller], "jobs {jobs}");
+            assert_eq!(stats.jobs, 1);
+        }
+        let (_, stats) = parallel_map_stats(4, &[1u32, 2], |n| *n);
+        assert_eq!(
+            stats.jobs, 2,
+            "min(jobs, items) workers, the caller included"
+        );
+    }
+
+    #[test]
+    fn deferred_runs_inline_at_join_on_one_job() {
+        let caller = std::thread::current().id();
+        let log = std::sync::Mutex::new(Vec::new());
+        let push = |what| log.lock().expect("log").push(what);
+        let thread = with_deferred(
+            1,
+            || {
+                push("side");
+                std::thread::current().id()
+            },
+            |side| {
+                push("main");
+                let thread = side.join();
+                push("after join");
+                thread
+            },
+        );
+        assert_eq!(thread, caller);
+        assert_eq!(*log.lock().expect("log"), ["main", "side", "after join"]);
+    }
+
+    #[test]
+    fn deferred_runs_beside_main_on_two_jobs() {
+        // `main` waits for `side` to start, which only a thread spawned
+        // beside it can do.
+        let caller = std::thread::current().id();
+        let started = AtomicU32::new(0);
+        let (seen, thread) = with_deferred(
+            2,
+            || {
+                started.store(1, Ordering::SeqCst);
+                std::thread::current().id()
+            },
+            |side| {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while started.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                (started.load(Ordering::SeqCst), side.join())
+            },
+        );
+        assert_eq!(seen, 1, "side did not run beside main");
+        assert_ne!(thread, caller);
+    }
+
+    #[test]
+    fn deferred_panic_re_raises_at_join_with_its_payload() {
+        for jobs in [1, 2] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                with_deferred(
+                    jobs,
+                    || -> u32 { panic!("lint failed") },
+                    |side| side.join(),
+                )
+            }));
+            let payload = result.expect_err("the side panic propagates");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "lint failed",
+                "jobs {jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unjoined_deferred_is_discarded() {
+        for jobs in [1, 2] {
+            let out: Result<u32, &str> = with_deferred(
+                jobs,
+                || -> u32 { panic!("lint failed") },
+                |_side| Err("elaboration failed"),
+            );
+            assert_eq!(out, Err("elaboration failed"), "jobs {jobs}");
+        }
+        let ran = AtomicU32::new(0);
+        with_deferred(1, || ran.fetch_add(1, Ordering::SeqCst), |side| drop(side));
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            0,
+            "one job never runs a dropped side"
+        );
+    }
+
+    #[test]
+    fn deferred_main_panic_propagates() {
+        for jobs in [1, 2] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                with_deferred(jobs, || 1, |_side| -> u32 { panic!("main failed") })
+            }));
+            let payload = result.expect_err("the main panic propagates");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "main failed",
+                "jobs {jobs}"
+            );
+        }
     }
 
     #[test]

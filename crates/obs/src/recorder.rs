@@ -12,8 +12,9 @@
 //! * **counters** and **histograms** may be bumped from worker threads:
 //!   increments commute, and the sinks render them sorted by name, so the
 //!   final values are job-count invariant as long as the *set* of
-//!   recorded operations is (which flip solving in fixed-size chunks
-//!   guarantees);
+//!   recorded operations is (every pool task runs whatever the worker
+//!   count, and flips are solved on the calling thread as the decision
+//!   walk reads them);
 //! * **gauges** carry wall-clock-derived values (utilization, busy time)
 //!   and are dropped from every canonical serialization.
 

@@ -136,7 +136,19 @@ impl Scope {
         if m < l {
             return Err(self.err("part-select must be [msb:lsb] with msb >= lsb", span));
         }
-        Ok((l as u32, expr_width((m - l).checked_add(1), span)?))
+        Ok((
+            saturate_position(l),
+            expr_width((m - l).checked_add(1), span)?,
+        ))
+    }
+
+    /// The low bit a constant bit-select index or indexed part-select
+    /// start names (see [`saturate_position`]).
+    fn const_position(&self, c: &LogicVec, what: &str, span: Span) -> RtlResult<u32> {
+        if c.has_unknown() {
+            return Err(self.err(format!("constant {what} has unknown bits"), span));
+        }
+        Ok(c.to_u64().map_or(u32::MAX, saturate_position))
     }
 
     /// The checked, positive width of an indexed part-select `[s +: w]`.
@@ -826,10 +838,7 @@ impl<'a> Elaborator<'a> {
                 } else if let Some(net) = scope.nets.get(base).copied() {
                     let idx = self.lower_expr(scope, index)?;
                     if let RExpr::Const(c) = &idx {
-                        let lo = c
-                            .to_u64()
-                            .ok_or_else(|| scope.err("constant index has unknown bits", *span))?
-                            as u32;
+                        let lo = scope.const_position(c, "index", *span)?;
                         Ok(LValue::Slice { net, lo, width: 1 })
                     } else {
                         Ok(LValue::IndexBit { net, index: idx })
@@ -866,10 +875,7 @@ impl<'a> Elaborator<'a> {
                 let start = self.lower_expr(scope, start)?;
                 let start = normalize_ips_start(start, w, *ascending);
                 if let RExpr::Const(c) = &start {
-                    let lo = c
-                        .to_u64()
-                        .ok_or_else(|| scope.err("constant start has unknown bits", *span))?
-                        as u32;
+                    let lo = scope.const_position(c, "start", *span)?;
                     Ok(LValue::Slice { net, lo, width: w })
                 } else {
                     Ok(LValue::DynSlice {
@@ -1043,10 +1049,7 @@ impl<'a> Elaborator<'a> {
                 } else if let Some(net) = scope.nets.get(base).copied() {
                     let idx = self.lower_expr(scope, index)?;
                     if let RExpr::Const(c) = &idx {
-                        let lo = c
-                            .to_u64()
-                            .ok_or_else(|| scope.err("constant index has unknown bits", *span))?
-                            as u32;
+                        let lo = scope.const_position(c, "index", *span)?;
                         Ok(RExpr::Slice { net, lo, width: 1 })
                     } else {
                         Ok(RExpr::IndexBit {
@@ -1090,10 +1093,7 @@ impl<'a> Elaborator<'a> {
                 let s = self.lower_expr(scope, start)?;
                 let s = normalize_ips_start(s, w, *ascending);
                 if let RExpr::Const(c) = &s {
-                    let lo = c
-                        .to_u64()
-                        .ok_or_else(|| scope.err("constant start has unknown bits", *span))?
-                        as u32;
+                    let lo = scope.const_position(c, "start", *span)?;
                     Ok(RExpr::Slice { net, lo, width: w })
                 } else {
                     Ok(RExpr::DynSlice {
@@ -1105,6 +1105,14 @@ impl<'a> Elaborator<'a> {
             }
         }
     }
+}
+
+/// A constant bit position as a `u32` low bit. Every net is far narrower
+/// than `u32::MAX` bits, so a position past it saturates there and stays
+/// past every net: a read gives X and a write is dropped, as for a
+/// dynamic index past `u32::MAX`.
+fn saturate_position(position: u64) -> u32 {
+    u32::try_from(position).unwrap_or(u32::MAX)
 }
 
 /// Normalizes an indexed-part-select start expression to a low-bit index:
@@ -1539,6 +1547,28 @@ mod tests {
             assert_eq!(e.kind, RtlErrorKind::Semantic, "{body}: {e}");
             assert!(e.message.contains("must be positive"), "{body}: {e}");
         }
+    }
+
+    #[test]
+    fn constant_positions_past_u32_saturate() {
+        // Cut to 32 bits, each of these would name bit 0.
+        for body in [
+            "y = a[4294967296];",
+            "y = a[4294967296:4294967296];",
+            "y = a[4294967296 +: 1];",
+            "y = a[65'h10000000000000000];",
+            "a[4294967296] = y;",
+            "a[4294967296:4294967296] = y;",
+            "a[4294967296 +: 1] = y;",
+        ] {
+            let d = elab(&format!(
+                "module top(input y); reg [7:0] a; always @* {body} endmodule"
+            ));
+            let lowered = format!("{:?}", d.processes()[0].body);
+            assert!(lowered.contains("lo: 4294967295"), "{body}: {lowered}");
+        }
+        let e = elab_err("module top(input y); reg [7:0] a; always @* y = a[1'bx]; endmodule");
+        assert!(e.message.contains("unknown bits"), "{e}");
     }
 
     #[test]

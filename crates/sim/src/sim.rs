@@ -1255,6 +1255,44 @@ mod tests {
     }
 
     #[test]
+    fn constant_positions_past_u32_read_x_and_drop_writes() {
+        // Each select names bit 2^32 (or runs past `u32::MAX`) of an 8-bit
+        // net, so it behaves as `a[8]` does: X on read, no write.
+        let d = compile(
+            "module t(input [7:0] a, output y0, y1, y2, y3, output [1:0] y4,
+                      output reg [7:0] q0, q1, q2, q3, q4);
+               assign y0 = a[4294967296];
+               assign y1 = a[4294967296:4294967296];
+               assign y2 = a[4294967296 +: 1];
+               assign y3 = a[4294967296 -: 1];
+               assign y4 = a[4294967295 +: 2];
+               always @* begin q0 = 8'd0; q0[4294967296] = 1'b1; end
+               always @* begin q1 = 8'd0; q1[4294967296:4294967296] = 1'b1; end
+               always @* begin q2 = 8'd0; q2[4294967296 +: 1] = 1'b1; end
+               always @* begin q3 = 8'd0; q3[4294967297 -: 2] = 2'b11; end
+               always @* begin q4 = 8'd0; q4[4294967295 +: 2] = 2'b11; end
+             endmodule",
+            "t",
+        );
+        let mut s = Simulator::concrete(&d, InitPolicy::X);
+        s.write_input(net(&d, "t.a"), LogicVec::from_u64(8, 0xFF))
+            .expect("a");
+        s.settle().expect("settle");
+        for (y, width) in [
+            ("t.y0", 1),
+            ("t.y1", 1),
+            ("t.y2", 1),
+            ("t.y3", 1),
+            ("t.y4", 2),
+        ] {
+            assert_eq!(*s.net_logic(net(&d, y)), LogicVec::xes(width), "{y}");
+        }
+        for q in ["t.q0", "t.q1", "t.q2", "t.q3", "t.q4"] {
+            assert_eq!(s.net_logic(net(&d, q)).to_u64(), Some(0), "{q}");
+        }
+    }
+
+    #[test]
     fn not_an_input_rejected() {
         let d = compile("module t(input a, output y); assign y = a; endmodule", "t");
         let mut s = Simulator::concrete(&d, InitPolicy::X);

@@ -7,11 +7,16 @@
 //! bundled SoCs at `--jobs 1` and `--jobs 4` and compare the serialized
 //! `AnalysisReport` JSON.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use soccar::evaluation::evaluate_generated;
 use soccar::evaluation::evaluate_variant;
-use soccar::SoccarConfig;
+use soccar::{Soccar, SoccarConfig};
 use soccar_cfg::GovernorAnalysis;
+use soccar_concolic::{ConcolicConfig, SecurityProperty};
+use soccar_obs::Recorder;
+use soccar_sim::InitPolicy;
 use soccar_soc::{GenSpec, SocModel};
 
 /// Full-pipeline canonical JSON for one bug-seeded variant at `jobs`.
@@ -154,5 +159,118 @@ fn canonical_report_carries_no_wall_clock_fields() {
     let json = canonical_json(SocModel::ClusterSoc, 2, 2);
     for timing in ["elapsed", "busy_secs", "utilization", "\"jobs\""] {
         assert!(!json.contains(timing), "canonical JSON leaks `{timing}`");
+    }
+}
+
+/// What one traced `Soccar::analyze` run produced.
+#[derive(Debug, PartialEq)]
+struct TracedRun {
+    /// Canonical report JSON.
+    report: String,
+    /// The lint report as JSON.
+    lint: String,
+    /// The span stream as `(name, parent)`.
+    spans: Vec<(String, Option<usize>)>,
+    counters: BTreeMap<String, u64>,
+}
+
+fn traced_run(
+    source: &str,
+    top: &str,
+    properties: &[SecurityProperty],
+    config: &SoccarConfig,
+) -> Result<TracedRun, String> {
+    let recorder = Recorder::enabled();
+    let report = Soccar::new(config.clone())
+        .with_recorder(recorder.clone())
+        .analyze("soc.v", source, top, properties.to_vec())
+        .map_err(|e| e.to_string())?;
+    let snapshot = recorder.snapshot();
+    Ok(TracedRun {
+        report: report
+            .canonical_json()
+            .expect("canonical report serializes"),
+        lint: soccar::json::to_json_pretty(&report.lint).expect("lint report serializes"),
+        spans: snapshot
+            .spans
+            .into_iter()
+            .map(|s| (s.name, s.parent))
+            .collect(),
+        counters: snapshot.counters,
+    })
+}
+
+#[test]
+fn overlapped_stages_keep_reports_lint_and_spans_identical() {
+    // At two jobs lint runs beside elaboration, and a lone sweep position
+    // beside the coverage loop; at one job both run inline, in the serial
+    // order. ClusterSoC V3 at the paper configuration sweeps every cycle;
+    // `gen:3:1` at a 10-cycle horizon with stride 9 has one position.
+    let cluster = soccar_soc::generate(SocModel::ClusterSoc, Some(3));
+    let cluster_config = SoccarConfig {
+        concolic: ConcolicConfig {
+            cycles: 16,
+            max_rounds: 6,
+            sweep_stride: 1,
+            init: InitPolicy::Ones,
+            symbolic_inputs: soccar_soc::symbolic_inputs(SocModel::ClusterSoc),
+            ..ConcolicConfig::default()
+        },
+        ..SoccarConfig::default()
+    };
+    let cluster_properties: Vec<_> = soccar_soc::security_checks(SocModel::ClusterSoc)
+        .iter()
+        .map(soccar::property_of)
+        .collect();
+    let gen = soccar_soc::generate::generate(&GenSpec { seed: 3, scale: 1 });
+    let gen_config = SoccarConfig {
+        concolic: ConcolicConfig {
+            cycles: 10,
+            max_rounds: 3,
+            sweep_stride: 9,
+            init: InitPolicy::Ones,
+            seed: 1,
+            symbolic_inputs: gen.symbolic.clone(),
+            ..ConcolicConfig::default()
+        },
+        ..SoccarConfig::default()
+    };
+    let gen_properties: Vec<_> = gen.checks.iter().map(soccar::property_of).collect();
+    let broken = format!(
+        "{}\nmodule broken(output y); assign y = nowhere; endmodule\n",
+        gen.source
+    );
+
+    let cases = [
+        (
+            &cluster.source,
+            cluster.top.as_str(),
+            &cluster_properties,
+            &cluster_config,
+        ),
+        (&gen.source, gen.top.as_str(), &gen_properties, &gen_config),
+        (&broken, "broken", &gen_properties, &gen_config),
+    ];
+    for (i, (source, top, properties, config)) in cases.into_iter().enumerate() {
+        let run = |jobs| {
+            let config = SoccarConfig {
+                jobs,
+                ..config.clone()
+            };
+            traced_run(source, top, properties, &config)
+        };
+        let serial = run(1);
+        assert_eq!(serial, run(2), "case {i}");
+        match (i, &serial) {
+            (2, Err(e)) => assert!(e.contains("nowhere"), "{e}"),
+            (2, Ok(_)) => panic!("the broken design elaborated"),
+            (_, Ok(run)) => {
+                let opened = |span| run.spans.iter().any(|(name, _)| name == span);
+                assert!(opened("pipeline.lint") && opened("concolic.sweep"));
+                let positions = run.counters["exec.sweep.tasks"];
+                assert_eq!(positions == 1, i == 1, "case {i}: {positions} positions");
+            }
+            (_, Err(e)) => panic!("case {i} failed: {e}"),
+        }
     }
 }
