@@ -7,11 +7,20 @@
 //!
 //! | tier | key | holds | invalidated by |
 //! |------|-----|-------|----------------|
-//! | parse | raw chunk hash | per-module AST (spans at the chunk's last offset) + structural fingerprint, lent to each request | editing that module's text |
+//! | parse | raw chunk hash | per-module AST (spans at the chunk's last offset) + chunk text + structural fingerprint, lent to each request | editing that module's text |
 //! | design | ordered structural hashes + top + extraction config | elaborated design, composed `SocArCfg`, bound events | semantic edit anywhere |
-//! | lint | ordered structural hashes + reset naming + lint config | each module's resets, the connection profiles, and each chunk's findings by (chunk index, raw chunk hash) with chunk-relative spans | semantic edit anywhere (whole entry); editing a chunk's text (that chunk's findings) |
+//! | lint | ordered structural hashes + reset naming + lint config | each module's resets, the connection profiles, and each chunk's findings by (chunk index, raw chunk hash) with chunk-relative spans and the chunk text | semantic edit anywhere (whole entry); editing a chunk's text (that chunk's findings) |
 //! | concolic | design key + properties + config | [`ConcolicReport`] | semantic edit / request change |
-//! | report | raw source + request | full [`AnalysisReport`] | any byte change |
+//! | report | raw source + request | full [`AnalysisReport`] + the request's source, file name, top and key text | any byte change |
+//!
+//! The raw hashes are [`hash_bytes`], a word hash that keeps the
+//! per-request passes over the source at eight bytes a step but is easy
+//! to collide on purpose. So the parse, lint and report tiers confirm
+//! every hit against the bytes they hashed (the chunk text, the whole
+//! request), and a mismatch is a miss, counted in `server.key_mismatch`.
+//! The structural hashes and the configuration parts of the design, lint
+//! and concolic keys are [`fnv1a`], which is hard to collide; those
+//! tiers never confirm a hit.
 //!
 //! On a miss a tier's stage runs exactly as in batch (the same spans,
 //! stage reports and worker pools); on a hit the stage's report is
@@ -41,7 +50,7 @@ use soccar_concolic::{ConcolicReport, SecurityProperty};
 use soccar_lint::{DesignFacts, Diagnostic, LintReport, Linter};
 use soccar_rtl::elaborate::elaborate_traced;
 use soccar_rtl::fingerprint::{
-    assemble_unit, hash_bytes, split_modules, AssembledUnit, ModuleChunk, ParsedChunk,
+    assemble_unit, fnv1a, hash_bytes, split_modules, AssembledUnit, ModuleChunk, ParsedChunk,
 };
 use soccar_rtl::span::{FileId, SourceMap};
 use soccar_rtl::Design;
@@ -273,10 +282,43 @@ struct LintEntry {
     /// Each module's resets and the connection profiles. They depend
     /// only on structure, so they hold for every request with this key.
     facts: DesignFacts,
-    /// Each chunk's findings by (chunk index, raw fingerprint), spans
-    /// relative to the chunk's start, locations unresolved: the chunks
-    /// of the last request with this key.
-    chunks: HashMap<(usize, u64), Vec<Diagnostic>>,
+    /// Each chunk's text and findings by (chunk index, raw fingerprint),
+    /// spans relative to the chunk's start, locations unresolved: the
+    /// chunks of the last request with this key. A hit is confirmed
+    /// against the text.
+    chunks: HashMap<(usize, u64), (Arc<str>, Vec<Diagnostic>)>,
+}
+
+/// A report-tier entry: the report and the request it answers, which
+/// every hit is confirmed against.
+#[derive(Debug)]
+struct ReportEntry {
+    source: String,
+    file_name: String,
+    top: String,
+    text: KeyText,
+    report: AnalysisReport,
+}
+
+impl ReportEntry {
+    fn new(req: &Request<'_>, report: AnalysisReport) -> ReportEntry {
+        ReportEntry {
+            source: req.source.to_owned(),
+            file_name: req.file_name.to_owned(),
+            top: req.top.to_owned(),
+            text: req.text.clone(),
+            report,
+        }
+    }
+
+    /// Whether this entry answers `req`: the bytes its key hashed are
+    /// `req`'s.
+    fn answers(&self, req: &Request<'_>) -> bool {
+        self.source == req.source
+            && self.file_name == req.file_name
+            && self.top == req.top
+            && self.text == req.text
+    }
 }
 
 /// A persistent, content-hashed analysis session (see the
@@ -311,7 +353,7 @@ pub struct AnalysisSession {
     design_cache: CostAwareMap<DesignKey, Arc<DesignEntry>>,
     lint_cache: CostAwareMap<LintKey, LintEntry>,
     concolic_cache: CostAwareMap<u64, ConcolicReport>,
-    report_cache: CostAwareMap<u64, AnalysisReport>,
+    report_cache: CostAwareMap<u64, ReportEntry>,
     counters: SessionCounters,
 }
 
@@ -340,7 +382,7 @@ impl AnalysisSession {
     /// `pipeline.*` stage spans through it like a batch CLI run, and
     /// cache effectiveness lands in `server.cache_hits` /
     /// `server.modules_reextracted` / `server.targets_rerun` /
-    /// `server.evictions` counters.
+    /// `server.evictions` / `server.key_mismatch` counters.
     #[must_use]
     pub fn with_recorder(mut self, recorder: soccar_obs::Recorder) -> AnalysisSession {
         self.recorder = recorder;
@@ -401,6 +443,7 @@ impl AnalysisSession {
             source,
             top,
             config,
+            text: KeyText::new(&properties, config),
         };
 
         // Fault plans key on global task indices that only the batch
@@ -409,16 +452,24 @@ impl AnalysisSession {
             return self.fallback(&req, properties);
         }
 
-        let request_fp = req.fingerprint(&properties);
-        if let Some(report) = self.report_cache.get(&request_fp) {
-            self.counters.cache_hits += 1;
-            self.recorder.counter_add("server.cache_hits", 1);
-            let stats = RequestStats {
-                report_cache_hit: true,
-                modules_total: report.extraction.modules,
-                ..RequestStats::default()
-            };
-            return Ok((report.clone(), stats));
+        let request_fp = req.fingerprint();
+        let cached = self
+            .report_cache
+            .get(&request_fp)
+            .map(|entry| entry.answers(&req).then(|| entry.report.clone()));
+        match cached {
+            Some(Some(report)) => {
+                self.counters.cache_hits += 1;
+                self.recorder.counter_add("server.cache_hits", 1);
+                let stats = RequestStats {
+                    report_cache_hit: true,
+                    modules_total: report.extraction.modules,
+                    ..RequestStats::default()
+                };
+                return Ok((report, stats));
+            }
+            Some(None) => self.count_key_mismatches(1),
+            None => {}
         }
 
         // Sources the chunk scanner cannot shape fall back to batch —
@@ -473,10 +524,12 @@ impl AnalysisSession {
             ..RequestStats::default()
         };
         self.counters.modules_reparsed += stats.modules_reparsed as u64;
+        let mut mismatches = assembled.clashes() as u64;
         if !assembled.is_complete() {
             // A chunk failed to parse: the batch path reproduces the
             // exact diagnostic.
             drop((frontend, analyze_span));
+            self.count_key_mismatches(mismatches);
             return self.fallback(req, properties);
         }
         let unit = assembled.unit();
@@ -484,7 +537,7 @@ impl AnalysisSession {
         map.add_file(req.file_name, req.source);
         // Extraction depends on the analysis flavor, the reset naming
         // convention and the failure policy; all join the structural keys.
-        let extract_cfg_fp = hash_bytes(
+        let extract_cfg_fp = fnv1a(
             format!(
                 "{:?}/{:?}/{}",
                 config.analysis, config.naming, config.keep_going
@@ -508,12 +561,12 @@ impl AnalysisSession {
         // it has seen at the same index with the same text.
         let lint_key: LintKey = (
             design_key.0.clone(),
-            hash_bytes(format!("{:?}/{:?}", config.naming, config.lint).as_bytes()),
+            fnv1a(format!("{:?}/{:?}", config.naming, config.lint).as_bytes()),
         );
         let lint_cache = &mut self.lint_cache;
         let linter = stages.linter();
         let (lint, lint_stage) = stages.lint_with(|| {
-            let (report, relinted, evicted) = lint_through_tier(
+            let pass = lint_through_tier(
                 lint_cache,
                 &linter,
                 lint_key,
@@ -521,9 +574,10 @@ impl AnalysisSession {
                 &map,
                 req.source.len(),
             );
-            stats.modules_relinted = relinted;
-            evictions += evicted;
-            report
+            stats.modules_relinted = pass.relinted;
+            evictions += pass.evictions;
+            mismatches += pass.clashes;
+            pass.report
         });
         self.counters.modules_relinted += stats.modules_relinted as u64;
         self.recorder
@@ -562,12 +616,9 @@ impl AnalysisSession {
         // request field that reaches the engine (properties and the
         // jobs-normalized engine config — reports are job-invariant).
         let concolic_key = {
-            let mut normalized = config.concolic.clone();
-            normalized.jobs = 0;
-            let mut h = hash_bytes(format!("{design_key:?}").as_bytes());
-            h ^= hash_bytes(format!("{properties:?}").as_bytes()).rotate_left(13);
-            h ^= hash_bytes(format!("{normalized:?}/{}", config.keep_going).as_bytes())
-                .rotate_left(29);
+            let mut h = fnv1a(format!("{design_key:?}").as_bytes());
+            h ^= fnv1a(req.text.properties.as_bytes()).rotate_left(13);
+            h ^= fnv1a(req.text.engine.as_bytes()).rotate_left(29);
             h
         };
         let cached = self.concolic_cache.get(&concolic_key).cloned();
@@ -601,10 +652,13 @@ impl AnalysisSession {
             concolic,
             total: analyze_span.close(),
         };
-        evictions += self
-            .report_cache
-            .insert(request_fp, report.clone(), req.source.len() as u64);
+        evictions += self.report_cache.insert(
+            request_fp,
+            ReportEntry::new(req, report.clone()),
+            req.source.len() as u64,
+        );
         self.count_evictions(evictions);
+        self.count_key_mismatches(mismatches);
         Ok((report, stats))
     }
 
@@ -644,8 +698,8 @@ impl AnalysisSession {
             .counter_add("server.targets_rerun", stats.targets_rerun as u64);
         if config.fault_plan.is_empty() && config.concolic.fault_plan.is_empty() {
             let evictions = self.report_cache.insert(
-                req.fingerprint(&properties),
-                report.clone(),
+                req.fingerprint(),
+                ReportEntry::new(req, report.clone()),
                 req.source.len() as u64,
             );
             self.count_evictions(evictions);
@@ -660,18 +714,35 @@ impl AnalysisSession {
             self.recorder.counter_add("server.evictions", evictions);
         }
     }
+
+    /// Counts hits whose hash matched but whose bytes did not, only when
+    /// there are any, so a healthy trace has no such counter.
+    fn count_key_mismatches(&self, mismatches: u64) {
+        if mismatches > 0 {
+            self.recorder.counter_add("server.key_mismatch", mismatches);
+        }
+    }
+}
+
+/// What one pass of the lint stage through the lint tier did.
+struct LintPass {
+    report: LintReport,
+    /// Modules linted.
+    relinted: usize,
+    /// Entries the insert evicted.
+    evictions: u64,
+    /// Chunks whose key matched a kept chunk of another text.
+    clashes: u64,
 }
 
 /// The lint stage through the lint tier. On a hit, a chunk found at the
-/// same index with the same raw fingerprint reuses its findings, rebased
-/// to the chunk's offset; every other chunk is linted again, because a
-/// comment inside a module can move a finding's line or column without
-/// changing the module's structure. On a miss every module is linted and
-/// the entry is filled. Either way the entry then holds this request's
-/// chunks only, and the findings are described against the request's
-/// own `map` (the file name can differ between requests). Returns the
-/// report, the number of modules linted and the evictions the insert
-/// caused.
+/// same index with the same raw fingerprint and text reuses its findings,
+/// rebased to the chunk's offset; every other chunk is linted again,
+/// because a comment inside a module can move a finding's line or column
+/// without changing the module's structure. On a miss every module is
+/// linted and the entry is filled. Either way the entry then holds this
+/// request's chunks only, and the findings are described against the
+/// request's own `map` (the file name can differ between requests).
 fn lint_through_tier(
     cache: &mut CostAwareMap<LintKey, LintEntry>,
     linter: &Linter,
@@ -679,7 +750,7 @@ fn lint_through_tier(
     assembled: &AssembledUnit,
     map: &SourceMap,
     cost: usize,
-) -> (LintReport, usize, u64) {
+) -> LintPass {
     let unit = assembled.unit();
     let mut entry = cache.remove(&key).unwrap_or_else(|| LintEntry {
         facts: linter.facts(unit),
@@ -688,9 +759,19 @@ fn lint_through_tier(
     let ctx = linter.context(unit, &entry.facts);
     let mut chunks = HashMap::with_capacity(unit.modules.len());
     let mut diagnostics = Vec::new();
-    let mut relinted = 0;
-    for (index, (raw, offset)) in assembled.chunks().enumerate() {
-        let found = entry.chunks.remove(&(index, raw)).unwrap_or_else(|| {
+    let (mut relinted, mut clashes) = (0, 0);
+    for (index, (raw, offset, text)) in assembled.chunks().enumerate() {
+        // A chunk lent by the parse tier shares its text's allocation,
+        // which the comparison checks first.
+        let kept = entry
+            .chunks
+            .remove(&(index, raw))
+            .and_then(|(kept, found)| {
+                let same = kept == *text;
+                clashes += u64::from(!same);
+                same.then_some(found)
+            });
+        let found = kept.unwrap_or_else(|| {
             relinted += 1;
             let mut found = linter.check_modules(&ctx, [index]);
             for diag in &mut found {
@@ -705,12 +786,16 @@ fn lint_through_tier(
             diag.span.end += offset;
             diag
         }));
-        chunks.insert((index, raw), found);
+        chunks.insert((index, raw), (Arc::clone(text), found));
     }
     entry.chunks = chunks;
-    // Re-linting costs the whole file.
-    let evictions = cache.insert(key, entry, cost as u64);
-    (LintReport::finish(diagnostics, map), relinted, evictions)
+    LintPass {
+        report: LintReport::finish(diagnostics, map),
+        relinted,
+        // Re-linting costs the whole file.
+        evictions: cache.insert(key, entry, cost as u64),
+        clashes,
+    }
 }
 
 /// One analyze request's inputs, less its properties.
@@ -719,32 +804,49 @@ struct Request<'a> {
     source: &'a str,
     top: &'a str,
     config: &'a SoccarConfig,
+    text: KeyText,
+}
+
+/// The `Debug` text of a request's properties and configuration, built
+/// once per request. With the source, file name and top it is what the
+/// report-tier key hashes and a hit is confirmed against; the concolic
+/// key hashes `properties` and `engine` too. `Debug` renderings are
+/// stable within a build, which is the cache's lifetime.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct KeyText {
+    properties: String,
+    /// The engine configuration with its job count cleared (reports are
+    /// job-invariant), and the failure policy.
+    engine: String,
+    /// The analysis flavor, the reset naming and the lint configuration.
+    frontend: String,
+}
+
+impl KeyText {
+    fn new(properties: &[SecurityProperty], config: &SoccarConfig) -> KeyText {
+        let mut engine = config.concolic.clone();
+        engine.jobs = 0;
+        KeyText {
+            properties: format!("{properties:?}"),
+            engine: format!("{engine:?}/{}", config.keep_going),
+            frontend: format!(
+                "{:?}/{:?}/{:?}",
+                config.analysis, config.naming, config.lint
+            ),
+        }
+    }
 }
 
 impl Request<'_> {
     /// Report-tier key: every request field that can influence the
-    /// result. `Debug` renderings are stable within a build, which is the
-    /// cache's lifetime.
-    fn fingerprint(&self, properties: &[SecurityProperty]) -> u64 {
-        let mut normalized = self.config.clone();
-        normalized.jobs = 0;
-        normalized.concolic.jobs = 0;
+    /// result.
+    fn fingerprint(&self) -> u64 {
         let mut h = hash_bytes(self.source.as_bytes());
         h ^= hash_bytes(self.file_name.as_bytes()).rotate_left(7);
         h ^= hash_bytes(self.top.as_bytes()).rotate_left(17);
-        h ^= hash_bytes(format!("{properties:?}").as_bytes()).rotate_left(27);
-        h ^= hash_bytes(
-            format!(
-                "{:?}/{:?}/{:?}/{:?}/{}",
-                normalized.analysis,
-                normalized.naming,
-                normalized.concolic,
-                normalized.lint,
-                normalized.keep_going
-            )
-            .as_bytes(),
-        )
-        .rotate_left(37);
+        h ^= hash_bytes(self.text.properties.as_bytes()).rotate_left(27);
+        h ^= hash_bytes(self.text.engine.as_bytes()).rotate_left(37);
+        h ^= hash_bytes(self.text.frontend.as_bytes()).rotate_left(47);
         h
     }
 }
@@ -1350,6 +1452,104 @@ endmodule
         assert_eq!(stats.modules_reparsed, 1);
         // Four `pad` texts, `ip` and `top`; the broken chunk is not kept.
         assert_eq!(session.tier_sizes().parse, 6);
+    }
+
+    /// The `server.key_mismatch` count in `recorder`, `None` when no
+    /// mismatch was ever counted.
+    fn key_mismatches(recorder: &soccar_obs::Recorder) -> Option<u64> {
+        recorder
+            .snapshot()
+            .counters
+            .get("server.key_mismatch")
+            .copied()
+    }
+
+    /// A session tracing into a fresh recorder, and the recorder.
+    fn traced_session() -> (AnalysisSession, soccar_obs::Recorder) {
+        let recorder = soccar_obs::Recorder::enabled();
+        let session = AnalysisSession::new(SoccarConfig::default()).with_recorder(recorder.clone());
+        (session, recorder)
+    }
+
+    /// The raw fingerprint of chunk `index` of `source`.
+    fn raw(source: &str, index: usize) -> u64 {
+        split_modules(source).expect("split")[index].raw_fingerprint()
+    }
+
+    /// Another request's report under a request's report-tier key, where
+    /// a hash clash would put it: the hit is confirmed against the
+    /// request's bytes, so it is a miss, and batch's bytes are served.
+    #[test]
+    fn a_clashing_report_entry_is_a_miss() {
+        let (mut session, recorder) = traced_session();
+        // Two designs whose reports differ (two modules against three).
+        let (a, b) = (leaky(0xA5, ""), padded(""));
+        analyze(&mut session, &a);
+        assert_eq!(
+            key_mismatches(&recorder),
+            None,
+            "a healthy trace has no counter"
+        );
+        let config = SoccarConfig::default();
+        let properties = [key_property()];
+        let key = |source| {
+            let text = KeyText::new(&properties, &config);
+            let (file_name, top, config) = ("t.v", "top", &config);
+            let req = Request {
+                file_name,
+                source,
+                top,
+                config,
+                text,
+            };
+            req.fingerprint()
+        };
+        let entry = session.report_cache.remove(&key(&a)).expect("a's report");
+        session.report_cache.insert(key(&b), entry, 1);
+        let stats = assert_matches_batch(&mut session, &b, "top").expect("analysis");
+        assert!(!stats.report_cache_hit);
+        assert_eq!(key_mismatches(&recorder), Some(1));
+        // The miss replaced the clashing entry.
+        assert!(analyze(&mut session, &b).1.report_cache_hit);
+        assert_eq!(key_mismatches(&recorder), Some(1));
+    }
+
+    /// `ip`'s parse under the raw fingerprint of an edited `ip` chunk
+    /// whose findings sit one column further: the lent module is
+    /// confirmed against the chunk text, the chunk is parsed again, and
+    /// the findings are batch's.
+    #[test]
+    fn a_clashing_parse_entry_is_parsed_again() {
+        let (mut session, recorder) = traced_session();
+        let base = padded("");
+        analyze(&mut session, &base);
+        let edited = base.replacen("  always", "  /* c */ always", 1);
+        let parsed = session.parse_cache.remove(&raw(&base, 1)).expect("ip");
+        session.parse_cache.insert(raw(&edited, 1), parsed, 1);
+        let stats = assert_matches_batch(&mut session, &edited, "top").expect("analysis");
+        assert_eq!(stats.modules_reparsed, 1);
+        assert!(stats.design_cache_hit);
+        assert_eq!(key_mismatches(&recorder), Some(1));
+    }
+
+    /// `ip`'s findings under the key of an edited `ip` chunk whose
+    /// findings sit one column further: the lint tier confirms the chunk
+    /// text, lints `ip` again, and the report equals batch.
+    #[test]
+    fn a_clashing_lint_chunk_is_linted_again() {
+        let (mut session, recorder) = traced_session();
+        let base = padded("");
+        analyze(&mut session, &base);
+        let edited = base.replacen("  always", "  /* c */ always", 1);
+        assert_eq!(session.lint_cache.len(), 1);
+        for slot in session.lint_cache.entries.values_mut() {
+            let kept = slot.value.chunks.remove(&(1, raw(&base, 1)));
+            let kept = kept.expect("ip's findings");
+            slot.value.chunks.insert((1, raw(&edited, 1)), kept);
+        }
+        let stats = assert_matches_batch(&mut session, &edited, "top").expect("analysis");
+        assert_eq!(stats.modules_relinted, 1);
+        assert_eq!(key_mismatches(&recorder), Some(1));
     }
 
     #[test]

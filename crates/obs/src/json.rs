@@ -6,6 +6,8 @@
 
 use std::fmt::{self, Display, Write as _};
 
+use crate::words;
+
 /// Deepest array/object nesting [`Json::parse`] accepts (the same bound
 /// as the Verilog parser's expression nesting).
 pub const MAX_DEPTH: usize = 128;
@@ -193,13 +195,23 @@ impl<'a> Writer<'a> {
 }
 
 /// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// JSON has one numeric type, held two ways: an integer literal that
+/// fits `u64` is read exactly into [`Json::Int`] (an `f64` holds
+/// integers exactly only up to 2^53), and every other number into
+/// [`Json::Num`]. An `Int` equals a `Num` when the integer rounds to
+/// that `f64`, as a reader of `f64`s alone would read it: `Int(42)`
+/// equals `Num(42.0)`, and an integral `f64` past 2^53, written in its
+/// shortest digits, reads back equal to itself.
+#[derive(Debug, Clone)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (JSON has only one numeric type).
+    /// A number written as digits alone whose value fits `u64`, exact.
+    Int(u64),
+    /// Any other number.
     Num(f64),
     /// A string.
     Str(String),
@@ -207,6 +219,22 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in declaration order (duplicate keys keep the last).
     Obj(Vec<(String, Json)>),
+}
+
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self, other) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Int(a), Json::Int(b)) => a == b,
+            (Json::Num(a), Json::Num(b)) => a == b,
+            (&Json::Int(n), &Json::Num(x)) | (&Json::Num(x), &Json::Int(n)) => n as f64 == x,
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (Json::Obj(a), Json::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// A parse failure, with the byte offset where it happened.
@@ -248,6 +276,7 @@ impl Json {
         match self {
             Json::Null => w.null(),
             Json::Bool(b) => w.bool(*b),
+            Json::Int(n) => w.u64(*n),
             Json::Num(n) => w.f64(*n),
             Json::Str(s) => w.string(s),
             Json::Arr(items) => {
@@ -290,13 +319,12 @@ impl Json {
         }
     }
 
-    /// The numeric payload as `u64`, if this is a non-negative integer.
+    /// The integer, if this is an integer literal that fits `u64` (see
+    /// [`Json::Int`]); never a value rounded through `f64`.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -445,8 +473,9 @@ impl Parser<'_> {
         })
     }
 
-    /// Parses a number. The scan is loose; `f64`'s parser then rejects
-    /// malformed text such as `1e` or `--1`.
+    /// Parses a number: digits alone that fit `u64` exactly as
+    /// [`Json::Int`], anything else as [`Json::Num`]. The scan is loose;
+    /// `f64`'s parser then rejects malformed text such as `1e` or `--1`.
     fn number(&mut self) -> Result<Json, JsonParseError> {
         let start = self.pos;
         while matches!(
@@ -456,6 +485,11 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = &self.text[start..self.pos];
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse() {
+                return Ok(Json::Int(n));
+            }
+        }
         text.parse()
             .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number `{text}`")))
@@ -468,11 +502,7 @@ impl Parser<'_> {
         loop {
             // Copy up to the next quote, backslash or control byte as one
             // slice; those bytes are ASCII, so the run ends on a boundary.
-            let rest = &self.text.as_bytes()[self.pos..];
-            let run = rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(rest.len());
+            let run = string_run(&self.text.as_bytes()[self.pos..]);
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
             let c = match self.peek() {
@@ -531,9 +561,112 @@ impl Parser<'_> {
     }
 }
 
+/// Whether a string's byte ends a run of bytes copied verbatim: a
+/// quote, a backslash or a control byte.
+fn ends_run(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The length of the run at the start of `bytes` that a string copies
+/// verbatim: the index of the first byte [`ends_run`] accepts, or the
+/// length. Tests eight bytes per step, then the tail bytewise.
+fn string_run(bytes: &[u8]) -> usize {
+    let mut chunks = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut chunks {
+        let x = words::load(word);
+        let ends = words::bytes_equal(x, b'"')
+            | words::bytes_equal(x, b'\\')
+            | words::bytes_below(x, 0x20);
+        if ends != 0 {
+            return at + words::first(ends);
+        }
+        at += 8;
+    }
+    let tail = chunks.remainder();
+    at + tail.iter().position(|&b| ends_run(b)).unwrap_or(tail.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Text weighted towards what ends a run or straddles a word:
+    /// quotes, backslashes, control characters, and characters of two,
+    /// three and four UTF-8 bytes, beside plain ASCII.
+    fn string_text() -> impl Strategy<Value = String> {
+        let code = prop_oneof![
+            0x22u32..=0x22,
+            0x5C..=0x5C,
+            0..=0x1F,
+            0x20..=0x7F,
+            0x80..=0x7FF,
+            0x800..=0xFFFF,
+            0x1_0000..=0x10_FFFF,
+        ];
+        proptest::collection::vec(code, 0..40)
+            .prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The word scan finds what the bytewise scan finds, from every
+        /// start offset (so every alignment mod 8) to every end.
+        #[test]
+        fn string_run_matches_the_bytewise_scan(text in string_text()) {
+            let bytes = text.as_bytes();
+            for start in 0..=bytes.len() {
+                for end in start..=bytes.len() {
+                    let slice = &bytes[start..end];
+                    let want = slice.iter().position(|&b| ends_run(b)).unwrap_or(slice.len());
+                    prop_assert_eq!(string_run(slice), want, "{:02x?}", slice);
+                }
+            }
+        }
+
+        /// Strings of random characters, raw or escaped, decode the same
+        /// as the writer's input, and every truncation of the literal is
+        /// an error, never a panic.
+        #[test]
+        fn strings_decode_and_truncations_fail(text in string_text()) {
+            let mut literal = String::new();
+            push_escaped(&mut literal, &text);
+            prop_assert_eq!(Json::parse(&literal), Ok(Json::Str(text.clone())));
+            for end in (0..literal.len()).filter(|&end| literal.is_char_boundary(end)) {
+                prop_assert!(Json::parse(&literal[..end]).is_err(), "{:?}", &literal[..end]);
+            }
+        }
+    }
+
+    #[test]
+    fn integers_are_read_exactly() {
+        for (text, want) in [
+            ("0", Json::Int(0)),
+            ("9007199254740993", Json::Int(9_007_199_254_740_993)),
+            ("18446744073709551615", Json::Int(u64::MAX)),
+            (
+                "18446744073709551616",
+                Json::Num(18_446_744_073_709_551_616.0),
+            ),
+            ("-1", Json::Num(-1.0)),
+            ("2.5", Json::Num(2.5)),
+            ("1e3", Json::Num(1000.0)),
+        ] {
+            // `Debug` tells `Int` from `Num`; equality does not.
+            let parsed = Json::parse(text).expect("parses");
+            assert_eq!(format!("{parsed:?}"), format!("{want:?}"), "{text}");
+        }
+        assert_eq!(Json::Int(42), Json::Num(42.0));
+        assert_ne!(Json::Int(0), Json::Num(0.5));
+        // The writer spells this `f64` 1008696009362851100, which is not
+        // its exact value; it still reads back equal.
+        let x = Json::Num(1.008_696_009_362_851_1e18);
+        assert_eq!(x.to_string(), "1008696009362851100");
+        assert_eq!(Json::parse(&x.to_string()), Ok(x));
+        assert_eq!(Json::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+    }
 
     fn nested(levels: usize) -> String {
         format!("{}{}", "[".repeat(levels), "]".repeat(levels))

@@ -14,7 +14,9 @@
 //!
 //! It also holds the workspace's one JSON layer ([`mod@json`]): the
 //! string escaper, the streaming [`json::Writer`] every JSON producer
-//! uses, and the depth-limited [`json::Json`] reader.
+//! uses, and the depth-limited [`json::Json`] reader, and the byte tests
+//! ([`mod@words`]) that let the JSON reader and the frontend's line table
+//! scan a request eight bytes at a time.
 //!
 //! The crate is dependency-free so every other crate — `soccar-rtl`,
 //! `soccar-cfg`, `soccar-smt`, `soccar-concolic`, `soccar` — can link it
@@ -49,6 +51,7 @@ pub mod bench;
 pub mod json;
 pub mod recorder;
 pub mod sink;
+pub mod words;
 
 pub use bench::{diff_against_baseline, BenchReport, BenchVariant, BENCH_SCHEMA_VERSION};
 pub use recorder::{Histogram, Recorder, SpanData, SpanGuard, TraceSnapshot, Value};

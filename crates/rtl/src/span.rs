@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use soccar_obs::words;
+
 /// Identifies a file registered in a [`SourceMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u32);
@@ -101,16 +103,10 @@ impl SourceMap {
     /// Registers a file and returns its id.
     pub fn add_file(&mut self, name: impl Into<String>, text: impl Into<String>) -> FileId {
         let text = text.into();
-        let mut line_starts = vec![0u32];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
         self.files.push(SourceFile {
             name: name.into(),
+            line_starts: line_starts(text.as_bytes()),
             text,
-            line_starts,
         });
         FileId(self.files.len() as u32 - 1)
     }
@@ -175,6 +171,29 @@ impl SourceMap {
     }
 }
 
+/// The byte offset of the start of each line of `text`: 0, and one
+/// past each newline. Tests eight bytes per step, then the tail
+/// bytewise.
+fn line_starts(text: &[u8]) -> Vec<u32> {
+    let mut starts = vec![0];
+    let mut chunks = text.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut chunks {
+        let mut newlines = words::bytes_equal(words::load(word), b'\n');
+        while newlines != 0 {
+            starts.push(at + words::first(newlines) as u32 + 1);
+            newlines &= newlines - 1;
+        }
+        at += 8;
+    }
+    for (i, &b) in chunks.remainder().iter().enumerate() {
+        if b == b'\n' {
+            starts.push(at + i as u32 + 1);
+        }
+    }
+    starts
+}
+
 impl fmt::Debug for SourceMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SourceMap")
@@ -186,6 +205,34 @@ impl fmt::Debug for SourceMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The word scan finds the newlines the bytewise scan finds, from
+        /// every start offset (so every alignment mod 8) to every end, in
+        /// bytes weighted towards `\n`, its neighbouring values and the
+        /// high bytes of multi-byte UTF-8.
+        #[test]
+        fn line_starts_match_the_bytewise_scan(
+            bytes in proptest::collection::vec(
+                prop_oneof![0x0Au8..=0x0A, 0x09..=0x0B, 0..=0x7F, 0x80..=0xFF],
+                0..48,
+            ),
+        ) {
+            for start in 0..=bytes.len() {
+                for end in start..=bytes.len() {
+                    let slice = &bytes[start..end];
+                    let mut want = vec![0];
+                    want.extend(
+                        (0..slice.len()).filter(|&i| slice[i] == b'\n').map(|i| i as u32 + 1),
+                    );
+                    prop_assert_eq!(line_starts(slice), want, "{:02x?}", slice);
+                }
+            }
+        }
+    }
 
     #[test]
     fn line_col_lookup() {

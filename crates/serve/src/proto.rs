@@ -150,42 +150,92 @@ impl Request {
         soccar::json::to_json(self)
     }
 
-    /// Decodes a request frame.
+    /// Decodes a request frame. An absent or `null` field takes its
+    /// default; unknown fields are ignored.
     ///
     /// # Errors
     ///
-    /// On malformed JSON, a missing/unknown `cmd`, or a `variant` beyond
-    /// `u32`.
+    /// On malformed JSON, a missing/unknown `cmd`, a field of the wrong
+    /// type, or an integer out of its field's range (`variant` is a
+    /// `u32`, the other integers `u64`), naming the field.
     pub fn from_json(text: &str) -> Result<Request, String> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
+        let v = Fields(&v);
         let cmd = v
-            .str_field("cmd")
+            .string("cmd")?
             .ok_or_else(|| "request missing `cmd`".to_owned())?;
         if !matches!(cmd, "analyze" | "lint" | "status" | "shutdown") {
             return Err(format!("unknown command `{cmd}`"));
         }
         let mut req = Request::new(cmd);
-        req.file_name = v.str_field("file_name").unwrap_or_default().to_owned();
-        req.source = v.str_field("source").unwrap_or_default().to_owned();
-        req.soc = v.str_field("soc").unwrap_or_default().to_owned();
+        req.file_name = v.string("file_name")?.unwrap_or_default().to_owned();
+        req.source = v.string("source")?.unwrap_or_default().to_owned();
+        req.soc = v.string("soc")?.unwrap_or_default().to_owned();
         req.variant = v
-            .u64_field("variant")
-            .map(|n| {
-                u32::try_from(n)
-                    .map_err(|_| format!("`variant` {n} is out of range (max {})", u32::MAX))
-            })
-            .transpose()?;
-        req.top = v.str_field("top").unwrap_or_default().to_owned();
-        req.properties = v.str_list_field("properties");
-        req.symbolic = v.str_list_field("symbolic");
-        req.refined = v.bool_field("refined");
-        req.cycles = v.u64_field("cycles");
-        req.rounds = v.u64_field("rounds");
-        req.solver_budget = v.u64_field("solver_budget");
-        req.keep_going = v.bool_field("keep_going");
-        req.allow = v.str_list_field("allow");
-        req.deny = v.str_list_field("deny");
+            .integer("variant", u32::MAX.into())?
+            .map(|n| u32::try_from(n).expect("within the range checked"));
+        req.top = v.string("top")?.unwrap_or_default().to_owned();
+        req.properties = v.strings("properties")?;
+        req.symbolic = v.strings("symbolic")?;
+        req.refined = v.flag("refined")?;
+        req.cycles = v.integer("cycles", u64::MAX)?;
+        req.rounds = v.integer("rounds", u64::MAX)?;
+        req.solver_budget = v.integer("solver_budget", u64::MAX)?;
+        req.keep_going = v.flag("keep_going")?;
+        req.allow = v.strings("allow")?;
+        req.deny = v.strings("deny")?;
         Ok(req)
+    }
+}
+
+/// A request's fields, read by type: an absent or `null` field is
+/// `None`, and a present field of another type is an error that names
+/// it, never a silent default.
+struct Fields<'a>(&'a Json);
+
+impl<'a> Fields<'a> {
+    /// Field `key` through `read`, which accepts what `want` describes.
+    fn read<T>(
+        &self,
+        key: &str,
+        want: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.0.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(value) => read(value)
+                .map(Some)
+                .ok_or_else(|| format!("`{key}` must be {want}")),
+        }
+    }
+
+    fn string(&self, key: &str) -> Result<Option<&'a str>, String> {
+        self.read(key, "a string", Json::as_str)
+    }
+
+    /// An integer from 0 to `max`, read exactly (see [`Json::Int`]).
+    fn integer(&self, key: &str, max: u64) -> Result<Option<u64>, String> {
+        let n = self.read(key, &format!("an integer from 0 to {max}"), Json::as_u64)?;
+        match n {
+            Some(n) if n > max => Err(format!("`{key}` {n} is out of range (max {max})")),
+            n => Ok(n),
+        }
+    }
+
+    /// A boolean, `false` when absent.
+    fn flag(&self, key: &str) -> Result<bool, String> {
+        Ok(self
+            .read(key, "true or false", Json::as_bool)?
+            .unwrap_or(false))
+    }
+
+    /// An array of strings, empty when absent.
+    fn strings(&self, key: &str) -> Result<Vec<String>, String> {
+        let strings = self.read(key, "an array of strings", |v| {
+            let items = v.as_arr()?.iter();
+            items.map(|item| item.as_str().map(str::to_owned)).collect()
+        })?;
+        Ok(strings.unwrap_or_default())
     }
 }
 
@@ -368,6 +418,71 @@ mod tests {
         let req =
             Request::from_json(r#"{"cmd":"analyze","variant":4294967295}"#).expect("u32::MAX");
         assert_eq!(req.variant, Some(u32::MAX));
+    }
+
+    /// A present field of the wrong type, or an integer that is not
+    /// exactly a value of its field, is an error naming the field, not a
+    /// default.
+    #[test]
+    fn invalid_fields_are_named_errors() {
+        let u64_range = format!("an integer from 0 to {}", u64::MAX);
+        for (fields, error) in [
+            (
+                r#""variant":-1"#,
+                "`variant` must be an integer from 0 to 4294967295",
+            ),
+            (
+                r#""variant":2.5"#,
+                "`variant` must be an integer from 0 to 4294967295",
+            ),
+            (
+                r#""variant":"1""#,
+                "`variant` must be an integer from 0 to 4294967295",
+            ),
+            (r#""cycles":"12""#, &format!("`cycles` must be {u64_range}")),
+            (
+                r#""cycles":18446744073709551616"#,
+                &format!("`cycles` must be {u64_range}"),
+            ),
+            (r#""rounds":1e3"#, &format!("`rounds` must be {u64_range}")),
+            (
+                r#""solver_budget":true"#,
+                &format!("`solver_budget` must be {u64_range}"),
+            ),
+            (r#""refined":"yes""#, "`refined` must be true or false"),
+            (r#""keep_going":1"#, "`keep_going` must be true or false"),
+            (r#""top":7"#, "`top` must be a string"),
+            (r#""source":["module"]"#, "`source` must be a string"),
+            (
+                r#""properties":"a:b""#,
+                "`properties` must be an array of strings",
+            ),
+            (
+                r#""symbolic":["top.a",3]"#,
+                "`symbolic` must be an array of strings",
+            ),
+            (r#""deny":{}"#, "`deny` must be an array of strings"),
+        ] {
+            let text = format!(r#"{{"cmd":"analyze","soc":"clustersoc",{fields}}}"#);
+            assert_eq!(Request::from_json(&text).expect_err(&text), error, "{text}");
+        }
+        let err = Request::from_json(r#"{"cmd":5}"#).expect_err("a numeric cmd");
+        assert_eq!(err, "`cmd` must be a string");
+    }
+
+    /// Integers are read exactly, past the 2^53 an `f64` holds, and
+    /// `null` is an absent field.
+    #[test]
+    fn integers_are_exact_and_null_is_absent() {
+        let req = Request::from_json(
+            r#"{"cmd":"analyze","solver_budget":9007199254740993,"cycles":18446744073709551615,"variant":null,"refined":null,"properties":null}"#,
+        )
+        .expect("decodes");
+        assert_eq!(req.solver_budget, Some(9_007_199_254_740_993));
+        assert_eq!(req.cycles, Some(u64::MAX));
+        assert_eq!(req.variant, None);
+        assert!(!req.refined);
+        assert!(req.properties.is_empty());
     }
 
     #[test]

@@ -229,6 +229,18 @@ fn malformed_and_invalid_requests_get_error_envelopes_not_hangups() {
         let envelope = Json::parse(std::str::from_utf8(&envelope).expect("utf-8")).expect("json");
         assert_eq!(envelope.get("ok").and_then(Json::as_bool), Some(false));
 
+        // A field of the wrong type is named, not read as its default
+        // (a variant of -1 used to analyze the clean SoC).
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let frame = br#"{"cmd":"analyze","soc":"clustersoc","variant":-1}"#;
+        write_frame(&mut stream, frame).expect("send");
+        let envelope = read_frame(&mut stream).expect("read").expect("frame");
+        let envelope = Json::parse(std::str::from_utf8(&envelope).expect("utf-8")).expect("json");
+        assert_eq!(
+            envelope.str_field("error"),
+            Some("`variant` must be an integer from 0 to 4294967295")
+        );
+
         // QoS knobs ride along per-request without poisoning the cache:
         // a budgeted request and the default request are distinct keys.
         let src = leaky(0xA5, "");
